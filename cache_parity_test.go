@@ -36,9 +36,11 @@ func marshal(t testing.TB, rep *waitfree.Report) []byte {
 	return data
 }
 
-// parityRequests is one representative, fast request per kind. The
-// factory builds a fresh Request each call so no state leaks between the
-// cold and warm runs.
+// parityRequests is one representative, fast request per kind, plus a
+// refuted consensus check, whose stored report carries a violation (and
+// so exercises the violation-kind tags on the decode path). The factory
+// builds a fresh Request each call so no state leaks between the cold and
+// warm runs.
 var parityRequests = []struct {
 	name string
 	mk   func() waitfree.Request
@@ -47,6 +49,12 @@ var parityRequests = []struct {
 		return waitfree.Request{
 			Kind:           waitfree.KindConsensus,
 			Implementation: waitfree.TAS2Consensus(),
+		}
+	}},
+	{"consensus_refuted", func() waitfree.Request {
+		return waitfree.Request{
+			Kind:           waitfree.KindConsensus,
+			Implementation: waitfree.NaiveRegisterConsensus(),
 		}
 	}},
 	{"bound", func() waitfree.Request {
@@ -99,6 +107,9 @@ func TestCacheParityAllKinds(t *testing.T) {
 				t.Error("cold report under an active cache has nonzero Elapsed; cold and warm runs cannot be byte-identical")
 			}
 			coldJSON := marshal(t, cold)
+			if tc.name == "consensus_refuted" && (cold.OK() || cold.Consensus.Violation == nil) {
+				t.Fatalf("naive register consensus was not refuted: %s", coldJSON)
+			}
 
 			warmReq := tc.mk()
 			warmReq.Cache = cache

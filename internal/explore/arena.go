@@ -45,16 +45,20 @@ func (a *accTable) id(k accKey) int32 {
 
 // Slab sizes: summaries are handed out in chunks of up to sumSlab, counter
 // slices carved from int32 chunks of up to accSlab, and segment encodings
-// from byte chunks of up to segSlab. Chunks start small and double per
-// refill — explorers are per-tree, and most trees in a consensus sweep are
-// small, so fixed maximal slabs would dominate a small tree's footprint.
+// and memo keys from byte chunks of up to segSlab. Chunks start small and
+// double per refill — explorers are per-tree, and most trees in a
+// consensus sweep are small, so fixed maximal slabs would dominate a small
+// tree's footprint. Each refill abandons the rest of the previous chunk,
+// so while chunks double an arena may allocate twice what it stores; the
+// small segSlab bounds that waste in the memo's key arena, which stores
+// about one key per node.
 // Exhausted chunks are abandoned to the GC
 // wholesale when the configs/summaries referencing them die — at the
 // latest when the tree completes and the explorer itself is dropped.
 const (
 	sumSlab = 512
 	accSlab = 16 * 1024
-	segSlab = 64 * 1024
+	segSlab = 8 * 1024
 )
 
 // summaryArena hands out summary records and int32 counter slices from
@@ -118,7 +122,14 @@ type byteArena struct {
 // save copies b into the arena and returns the stored copy, capped at its
 // own length so later saves never alias it.
 func (a *byteArena) save(b []byte) []byte {
-	if cap(a.buf)-len(a.buf) < len(b) {
+	return a.saveCap(b, len(b))
+}
+
+// saveCap is save with room to spare: the stored copy has capacity
+// c >= len(b), so its owner may later overwrite it in place with any
+// value of up to c bytes.
+func (a *byteArena) saveCap(b []byte, c int) []byte {
+	if cap(a.buf)-len(a.buf) < c {
 		size := a.chunk * 2
 		if size == 0 {
 			size = 2 * 1024
@@ -127,14 +138,15 @@ func (a *byteArena) save(b []byte) []byte {
 			size = segSlab
 		}
 		a.chunk = size
-		if len(b) > size {
-			size = len(b)
+		if c > size {
+			size = c
 		}
 		a.buf = make([]byte, 0, size)
 	}
 	n := len(a.buf)
 	a.buf = append(a.buf, b...)
-	return a.buf[n:len(a.buf):len(a.buf)]
+	a.buf = a.buf[:n+c]
+	return a.buf[n : n+len(b) : n+c]
 }
 
 // initAcct builds the dense-id caches on first use: per-process and
@@ -184,7 +196,7 @@ func (e *explorer) newSummary() *summary {
 }
 
 // recycleSummary returns a merged child summary to the free list. Callers
-// must never recycle a summary the memo retains (put sets retained) — a
+// must never recycle a summary the memo retains (settle sets retained) — a
 // later memo hit would observe the recycled record.
 func (e *explorer) recycleSummary(s *summary) {
 	if s == nil || s.retained {

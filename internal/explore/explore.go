@@ -21,6 +21,7 @@ package explore
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"runtime/debug"
@@ -51,7 +52,11 @@ type Options struct {
 	// operations to each Leaf, for linearizability checking.
 	RecordHistory bool
 	// OnLeaf, if set, is called at every leaf. Returning an error aborts
-	// exploration and surfaces as a KindLeafReject violation.
+	// exploration and surfaces as a KindLeafReject violation. The *Leaf
+	// is a borrowed view: the explorer reuses it, and its Responses,
+	// Schedule, Crashed and Recoveries slices, for every leaf, so they are
+	// valid only during the call. A callback that keeps leaf data must
+	// copy it. History is the exception: each leaf gets its own copy.
 	OnLeaf func(*Leaf) error
 	// Parallelism bounds the number of worker goroutines Consensus and
 	// ConsensusK use to explore independent proposal-vector trees
@@ -216,7 +221,9 @@ func (o Options) Validate() error {
 	return nil
 }
 
-// Leaf describes one completed execution.
+// Leaf describes one completed execution. OnLeaf receives it as a
+// borrowed view: every slice except History is owned by the explorer and
+// overwritten at the next leaf (see Options.OnLeaf).
 type Leaf struct {
 	// Responses[p][k] is the response of process p's k-th target
 	// operation. Under memoization only the last operation's response per
@@ -228,7 +235,8 @@ type Leaf struct {
 	// History is the concurrent history of target operations
 	// (RecordHistory mode only).
 	History hist.History
-	// Schedule is the access sequence of this execution.
+	// Schedule is the access sequence of this execution, including its
+	// CRASH and RECOVER records; it aliases the explorer's current path.
 	Schedule []StepRecord
 	// Crashed[p] reports whether process p crashed along this execution
 	// and never came back (fault exploration only; nil when Options.Faults
@@ -329,26 +337,44 @@ func (k ViolationKind) String() string {
 	return "unknown violation"
 }
 
+// violationTags are the stable JSON tags of the violation kinds, indexed
+// by kind.
+var violationTags = [...]string{
+	KindDepthExceeded:                "depth-exceeded",
+	KindCycle:                        "cycle",
+	KindLeafReject:                   "leaf-reject",
+	KindBlockedBySurvivorStarvation:  "survivor-starvation",
+	KindInvalidAfterCrash:            "invalid-after-crash",
+	KindBlockedByRecoveryDivergence:  "recovery-divergence",
+	KindDecisionChangedAfterRecovery: "decision-changed-after-recovery",
+}
+
 // MarshalJSON renders the kind as a stable string tag rather than a bare
-// enum ordinal, so -json output survives reordering of the constants.
+// enum ordinal, so -json output survives reordering of the constants. A
+// value outside the declared kinds renders as "unknown".
 func (k ViolationKind) MarshalJSON() ([]byte, error) {
-	switch k {
-	case KindDepthExceeded:
-		return []byte(`"depth-exceeded"`), nil
-	case KindCycle:
-		return []byte(`"cycle"`), nil
-	case KindLeafReject:
-		return []byte(`"leaf-reject"`), nil
-	case KindBlockedBySurvivorStarvation:
-		return []byte(`"survivor-starvation"`), nil
-	case KindInvalidAfterCrash:
-		return []byte(`"invalid-after-crash"`), nil
-	case KindBlockedByRecoveryDivergence:
-		return []byte(`"recovery-divergence"`), nil
-	case KindDecisionChangedAfterRecovery:
-		return []byte(`"decision-changed-after-recovery"`), nil
+	tag := "unknown"
+	if k > 0 && int(k) < len(violationTags) {
+		tag = violationTags[k]
 	}
-	return []byte(`"unknown"`), nil
+	return json.Marshal(tag)
+}
+
+// UnmarshalJSON parses a tag MarshalJSON emits for a declared kind. Any
+// other value — "unknown" included, since it names no kind — is an error,
+// so a decoded report never carries a kind its producer did not find.
+func (k *ViolationKind) UnmarshalJSON(data []byte) error {
+	var tag string
+	if err := json.Unmarshal(data, &tag); err != nil {
+		return fmt.Errorf("explore: violation kind: %w", err)
+	}
+	for kind, t := range violationTags {
+		if kind > 0 && t == tag {
+			*k = ViolationKind(kind)
+			return nil
+		}
+	}
+	return fmt.Errorf("explore: unknown violation kind %q", tag)
 }
 
 // Violation is a semantic finding: evidence that the implementation is not
@@ -422,12 +448,11 @@ type summary struct {
 	acc    []int32
 
 	// Memo-table bookkeeping (never part of the aggregate): ref is the
-	// second-chance bit a lookup sets and eviction clears; retained marks a
-	// summary owned by the memo (put sets it — recycleSummary must never
-	// take one); spilled marks a summary already written to the spill tier,
-	// so a re-eviction after a spill load never rewrites it. ref is only
-	// touched under the owning shard's lock and never on the shared
-	// grayMark sentinel.
+	// second-chance bit of the memo entry holding the summary (a hit sets
+	// it, the eviction clock clears it; never set on grayMark); retained
+	// marks a summary owned by the memo (settle sets it — recycleSummary
+	// must never take one); spilled marks a summary already written to the
+	// spill tier, so a re-eviction after a spill load never rewrites it.
 	ref      bool
 	retained bool
 	spilled  bool
@@ -651,10 +676,10 @@ func (e *explorer) flushMemoCounters() {
 	if e.ctr == nil || e.memo == nil {
 		return
 	}
-	if n := e.memo.evictions.Load(); n != 0 {
+	if n := e.memo.evictions; n != 0 {
 		e.ctr.memoEvictions.Add(n)
 	}
-	if n := e.memo.spilled.Load(); n != 0 {
+	if n := e.memo.spilled; n != 0 {
 		e.ctr.memoSpilled.Add(n)
 	}
 	if sp := e.memo.spill; sp != nil {
@@ -692,7 +717,8 @@ type explorer struct {
 
 	// memo deduplicates configurations; entries holding grayMark are on
 	// the current DFS stack (cycle detection). enc renders configurations
-	// into the memo's byte keys.
+	// into the memo's byte keys. The table is single-owner: this explorer
+	// (one execution tree) is its only user.
 	memo     *memoTable
 	enc      *keyEncoder
 	memoHits int64
@@ -737,6 +763,13 @@ type explorer struct {
 	// may be mid-append, and lazily allocated so unwatched runs pay
 	// nothing.
 	beatEnc *keyEncoder
+
+	// leafView is the one Leaf handed to every OnLeaf call; leafCrashed
+	// and leafRecoveries back its Crashed and Recoveries slices, which are
+	// nil on leaves without crashes or recoveries.
+	leafView       Leaf
+	leafCrashed    []bool
+	leafRecoveries []int
 
 	// Path-local data (push/pop around recursion).
 	schedule  []StepRecord
@@ -924,15 +957,15 @@ func (e *explorer) dfs(c *config, depth int) (*summary, error) {
 		return sum, errAbort
 	}
 
-	var key string
+	var memoID int32
 	if e.opts.Memoize {
 		if c.objEnc == nil {
 			// A config handed in without cached segments (a bare explorer
 			// in a test): build them once; children inherit incrementally.
 			e.encodeSegments(c)
 		}
-		kb := e.flatKey(c)
-		if cached, ok := e.memo.get(kb); ok {
+		cached, id := e.memo.acquire(e.flatKey(c))
+		if cached != nil {
 			if cached == grayMark {
 				switch {
 				case recoveries > 0:
@@ -951,8 +984,7 @@ func (e *explorer) dfs(c *config, depth int) (*summary, error) {
 			e.recycleSummary(sum) // fresh, nothing merged: reuse it
 			return cached, nil
 		}
-		key = string(kb) // retain: kb is invalidated by child encodings
-		e.memo.put(key, grayMark)
+		memoID = id // gray until settled or dropped below
 	}
 
 	// All error returns below must clear the gray mark, or a later visit
@@ -961,9 +993,9 @@ func (e *explorer) dfs(c *config, depth int) (*summary, error) {
 	err := e.expand(c, depth, sum, crashes, recoveries)
 	if e.opts.Memoize {
 		if err != nil {
-			e.memo.drop(key)
+			e.memo.drop(memoID)
 		} else {
-			e.memo.put(key, sum)
+			e.memo.settle(memoID, sum)
 		}
 	}
 	return sum, err
@@ -1265,33 +1297,46 @@ func (e *explorer) leaf(c *config, depth, crashes, recoveries int) error {
 	if e.opts.OnLeaf == nil {
 		return nil
 	}
-	leaf := &Leaf{
-		Depth:     depth,
-		Responses: make([][]types.Response, e.im.Procs),
-		Schedule:  append([]StepRecord(nil), e.schedule...),
+	// One borrowed view per explorer (see Options.OnLeaf): the slices are
+	// refilled in place, and Schedule aliases the current path, capped so
+	// an append by the callback cannot write into the explorer's stack.
+	leaf := &e.leafView
+	leaf.Depth = depth
+	leaf.Schedule = e.schedule[:len(e.schedule):len(e.schedule)]
+	if leaf.Responses == nil {
+		leaf.Responses = make([][]types.Response, e.im.Procs)
 	}
 	for p := 0; p < e.im.Procs; p++ {
 		if e.opts.Memoize {
 			// Path data may be incomplete under memoization; surface the
 			// per-process final responses from the configuration itself.
-			leaf.Responses[p] = []types.Response{c.procs[p].Resp}
+			leaf.Responses[p] = append(leaf.Responses[p][:0], c.procs[p].Resp)
 		} else {
-			leaf.Responses[p] = append([]types.Response(nil), e.responses[p]...)
+			leaf.Responses[p] = append(leaf.Responses[p][:0], e.responses[p]...)
 		}
 	}
+	leaf.Crashed = nil
 	if crashes > 0 {
-		leaf.Crashed = make([]bool, e.im.Procs)
-		for p := range c.procs {
-			leaf.Crashed[p] = c.procs[p].Crashed
+		if e.leafCrashed == nil {
+			e.leafCrashed = make([]bool, e.im.Procs)
 		}
+		for p := range c.procs {
+			e.leafCrashed[p] = c.procs[p].Crashed
+		}
+		leaf.Crashed = e.leafCrashed
 	}
+	leaf.Recoveries = nil
 	if recoveries > 0 {
-		leaf.Recoveries = make([]int, e.im.Procs)
-		for p := range c.procs {
-			leaf.Recoveries[p] = c.procs[p].Recoveries
+		if e.leafRecoveries == nil {
+			e.leafRecoveries = make([]int, e.im.Procs)
 		}
+		for p := range c.procs {
+			e.leafRecoveries[p] = c.procs[p].Recoveries
+		}
+		leaf.Recoveries = e.leafRecoveries
 	}
 	if e.opts.RecordHistory {
+		// Copied, not borrowed: callers may rewrite the history they get.
 		leaf.History = append(hist.History(nil), e.history...)
 	}
 	if err := e.opts.OnLeaf(leaf); err != nil {

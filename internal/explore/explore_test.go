@@ -1,8 +1,10 @@
 package explore
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -413,15 +415,78 @@ func TestStepRecordFormatting(t *testing.T) {
 	}
 }
 
+// copyLeaf deep-copies the borrowed Leaf view OnLeaf receives, which is
+// what a callback must do to keep leaf data past the call.
+func copyLeaf(l *Leaf) Leaf {
+	c := Leaf{
+		Depth:    l.Depth,
+		History:  l.History,
+		Schedule: append([]StepRecord(nil), l.Schedule...),
+	}
+	for _, rs := range l.Responses {
+		c.Responses = append(c.Responses, append([]types.Response(nil), rs...))
+	}
+	if l.Crashed != nil {
+		c.Crashed = append([]bool(nil), l.Crashed...)
+	}
+	if l.Recoveries != nil {
+		c.Recoveries = append([]int(nil), l.Recoveries...)
+	}
+	return c
+}
+
+// checkLeafCopies checks leaves copied during a Run after it returned:
+// each schedule counts Depth object accesses, and Crashed and Recoveries
+// agree with the schedule's CRASH and RECOVER records (nil when no
+// process is down at the leaf, or none ever recovered). Copies that still
+// shared the explorer's reused view would all show the last leaf and fail.
+func checkLeafCopies(t *testing.T, leaves []Leaf) {
+	t.Helper()
+	for i, l := range leaves {
+		accesses, down, anyRecovered := 0, 0, false
+		crashed := make([]bool, len(l.Responses))
+		recoveries := make([]int, len(l.Responses))
+		for _, s := range l.Schedule {
+			switch {
+			case s.Crash:
+				crashed[s.Proc] = true
+			case s.Recover:
+				crashed[s.Proc] = false
+				recoveries[s.Proc]++
+				anyRecovered = true
+			default:
+				accesses++
+			}
+		}
+		for _, c := range crashed {
+			if c {
+				down++
+			}
+		}
+		sched := FormatSchedule(l.Schedule)
+		if accesses != l.Depth {
+			t.Fatalf("leaf %d: %d object accesses in the schedule, Depth %d:\n%s", i, accesses, l.Depth, sched)
+		}
+		if (down == 0) != (l.Crashed == nil) || (l.Crashed != nil && !reflect.DeepEqual(l.Crashed, crashed)) {
+			t.Fatalf("leaf %d: Crashed %v, schedule says %v:\n%s", i, l.Crashed, crashed, sched)
+		}
+		if anyRecovered != (l.Recoveries != nil) || (l.Recoveries != nil && !reflect.DeepEqual(l.Recoveries, recoveries)) {
+			t.Fatalf("leaf %d: Recoveries %v, schedule says %v:\n%s", i, l.Recoveries, recoveries, sched)
+		}
+	}
+}
+
 func TestLeafSchedulePlausible(t *testing.T) {
 	im := casConsensusImpl(2)
 	scripts := [][]types.Invocation{{types.Propose(0)}, {types.Propose(1)}}
 	sawSchedules := make(map[string]bool)
+	var copies []Leaf
 	opts := Options{OnLeaf: func(l *Leaf) error {
 		if len(l.Schedule) != l.Depth {
 			return fmt.Errorf("schedule length %d != depth %d", len(l.Schedule), l.Depth)
 		}
 		sawSchedules[FormatSchedule(l.Schedule)] = true
+		copies = append(copies, copyLeaf(l))
 		return nil
 	}}
 	res, err := Run(im, scripts, opts)
@@ -434,6 +499,17 @@ func TestLeafSchedulePlausible(t *testing.T) {
 	// Two interleavings: p0 first or p1 first.
 	if len(sawSchedules) != 2 {
 		t.Errorf("distinct schedules = %d, want 2", len(sawSchedules))
+	}
+	if int64(len(copies)) != res.Leaves {
+		t.Fatalf("%d leaves copied, Run reports %d", len(copies), res.Leaves)
+	}
+	checkLeafCopies(t, copies)
+	kept := make(map[string]bool)
+	for _, l := range copies {
+		kept[FormatSchedule(l.Schedule)] = true
+	}
+	if !reflect.DeepEqual(kept, sawSchedules) {
+		t.Errorf("copied schedules %v differ from those seen during the run %v", kept, sawSchedules)
 	}
 }
 
@@ -528,5 +604,46 @@ func TestProcStepsBounds(t *testing.T) {
 	}
 	if report.Depth > sum {
 		t.Errorf("depth %d exceeds the sum of per-process bounds %d", report.Depth, sum)
+	}
+}
+
+// TestViolationKindJSONRoundTrip pins the wire tags: every declared kind
+// marshals to its tag and parses back to itself, and anything else —
+// the "unknown" placeholder, a foreign tag, a bare ordinal — is rejected
+// rather than decoded into a kind no explorer produced.
+func TestViolationKindJSONRoundTrip(t *testing.T) {
+	tags := map[ViolationKind]string{
+		KindDepthExceeded:                "depth-exceeded",
+		KindCycle:                        "cycle",
+		KindLeafReject:                   "leaf-reject",
+		KindBlockedBySurvivorStarvation:  "survivor-starvation",
+		KindInvalidAfterCrash:            "invalid-after-crash",
+		KindBlockedByRecoveryDivergence:  "recovery-divergence",
+		KindDecisionChangedAfterRecovery: "decision-changed-after-recovery",
+	}
+	for k := KindDepthExceeded; k <= KindDecisionChangedAfterRecovery; k++ {
+		data, err := json.Marshal(Violation{Kind: k})
+		if err != nil {
+			t.Fatalf("%v: marshal: %v", k, err)
+		}
+		if want := `"kind":"` + tags[k] + `"`; !strings.Contains(string(data), want) {
+			t.Errorf("%v marshals to %s, want %s", k, data, want)
+		}
+		var back Violation
+		if err := json.Unmarshal(data, &back); err != nil {
+			t.Fatalf("%v: unmarshal %s: %v", k, data, err)
+		}
+		if back.Kind != k {
+			t.Errorf("%s parsed to kind %v, want %v", data, back.Kind, k)
+		}
+	}
+	if data, _ := json.Marshal(ViolationKind(0)); string(data) != `"unknown"` {
+		t.Errorf("undeclared kind marshals to %s, want \"unknown\"", data)
+	}
+	for _, bad := range []string{`"unknown"`, `"mystery"`, `""`, `2`, `null`, `{}`} {
+		var k ViolationKind
+		if err := json.Unmarshal([]byte(bad), &k); err == nil {
+			t.Errorf("kind %s parsed to %v, want an error", bad, k)
+		}
 	}
 }

@@ -254,9 +254,11 @@ func TestLeafCrashedAnnotation(t *testing.T) {
 	im := consensus.TAS2()
 	scripts := proposalScripts([]int{0, 1})
 	var crashFree, crashed int
-	_, err := Run(im, scripts, Options{
+	var copies []Leaf
+	res, err := Run(im, scripts, Options{
 		Faults: oneCrash,
 		OnLeaf: func(l *Leaf) error {
+			copies = append(copies, copyLeaf(l))
 			if l.Crashed == nil {
 				crashFree++
 				return nil
@@ -284,6 +286,10 @@ func TestLeafCrashedAnnotation(t *testing.T) {
 	if crashFree == 0 || crashed == 0 {
 		t.Fatalf("leaf mix crashFree=%d crashed=%d, want both populations", crashFree, crashed)
 	}
+	if int64(len(copies)) != res.Leaves {
+		t.Fatalf("%d leaves copied, Run reports %d", len(copies), res.Leaves)
+	}
+	checkLeafCopies(t, copies)
 }
 
 // TestFaultParityAcrossParallelism extends the engine's determinism

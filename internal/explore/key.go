@@ -4,19 +4,16 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
-	"hash/maphash"
 	"math"
 	"reflect"
 	"sort"
-	"sync"
-	"sync/atomic"
 
-	"waitfree/internal/fsx"
 	"waitfree/internal/program"
 	"waitfree/internal/types"
 )
 
-// This file implements the explorer's configuration keys and memo table.
+// This file implements the explorer's configuration keys (the memo table
+// they index lives in memo.go).
 //
 // A configuration (object states + per-process control states) must be
 // rendered into a map key once per DFS node under memoization. The
@@ -294,251 +291,4 @@ func (e *keyEncoder) appendValue(b []byte, rv reflect.Value) []byte {
 		b = append(b, tagFmt)
 		return fmt.Appendf(b, "%#v", rv)
 	}
-}
-
-// ---- memo table ----
-
-// memoShardCount is a power of two; 16 shards keep lock contention
-// negligible even when a future intra-tree parallel explorer shares one
-// table.
-const memoShardCount = 16
-
-// grayMark is the sentinel stored while a configuration is on the current
-// DFS stack; encountering it again along one path is a cycle (the
-// implementation is not wait-free). The single table replaces the two maps
-// (memo + color) the explorer used to allocate.
-var grayMark = &summary{}
-
-// memoTable is the configuration memo: a byte-keyed hash map sharded by a
-// maphash of the key. Shards lock independently, so a table is safe for
-// concurrent explorers; the current explorer uses one table per execution
-// tree single-threadedly, where the uncontended locks are nearly free.
-//
-// A positive budget caps the number of retained cached entries. Gray marks
-// are the DFS stack: they never count toward the budget and are never
-// evicted, so cycle detection stays exact at any budget. When an insert
-// would exceed the budget, entries are reclaimed one at a time in
-// insertion order with a second chance (an entry whose ref bit was set by
-// a hit since its last consideration is requeued instead of dropped) —
-// amortized O(1) per insert, never a full-table scan. Eviction order
-// depends only on the put/get sequence, not on hash placement, so a
-// single-threaded exploration evicts deterministically and budgeted
-// reports stay identical at every parallelism level.
-//
-// With a spill tier (Options.MemoSpillDir) evicted entries move to a
-// checksummed disk file instead of being forgotten, and a later get serves
-// them back — the budget then trades memory for disk, MemoHits match the
-// unbounded run, and the table never degrades. Without one, eviction loses
-// memo hits and the table is flagged degraded.
-//
-// The count of cached (non-gray) entries is exact under concurrency: every
-// transition mutates its shard under the shard lock and adjusts the count
-// by the delta it observed — there is no blind Store to race a concurrent
-// Add.
-type memoTable struct {
-	seed     maphash.Seed
-	budget   int
-	count    atomic.Int64 // resident cached (non-gray) entries
-	degraded atomic.Bool
-	shards   [memoShardCount]memoShard
-
-	// clock is the second-chance queue: retained keys in insertion order,
-	// consumed from clockHead. Entries dropped or re-grayed out of band
-	// leave stale references behind, skipped (and accounted as scans) when
-	// popped.
-	clockMu   sync.Mutex
-	clock     []string
-	clockHead int
-
-	spill *memoSpill // nil when spill is off
-
-	// Eviction telemetry, exported via Stats and pinned by the
-	// no-evict-storm regression test: evictions counts entries actually
-	// reclaimed, evictScans counts clock entries examined (eviction work),
-	// spilled counts entries written to the spill tier.
-	evictions  atomic.Int64
-	evictScans atomic.Int64
-	spilled    atomic.Int64
-}
-
-type memoShard struct {
-	mu sync.Mutex
-	m  map[string]*summary
-}
-
-func newMemoTable(budget int, spillDir string, fsys fsx.FS) *memoTable {
-	t := &memoTable{seed: maphash.MakeSeed(), budget: budget}
-	for i := range t.shards {
-		t.shards[i].m = make(map[string]*summary)
-	}
-	if spillDir != "" && budget > 0 {
-		t.spill = newMemoSpill(spillDir, fsys)
-	}
-	return t
-}
-
-// isDegraded reports whether this tree's memo lost entries for good:
-// either an eviction fell through with no (working) spill tier, or the
-// spill tier itself lost spilled entries (a rebuild, a dropped corrupt
-// record, or a broken tier).
-func (t *memoTable) isDegraded() bool {
-	return t.degraded.Load() || (t.spill != nil && t.spill.lost)
-}
-
-// release tears the table down at tree completion, deleting the spill file
-// if one was created.
-func (t *memoTable) release() {
-	if t.spill != nil {
-		t.spill.close()
-	}
-}
-
-func (t *memoTable) shardOf(key []byte) *memoShard {
-	h := maphash.Bytes(t.seed, key)
-	return &t.shards[h&(memoShardCount-1)]
-}
-
-// get looks a key up without allocating on the resident path (the string
-// conversion in the map index is optimized away by the compiler). A hit
-// sets the entry's second-chance bit. On a resident miss the spill tier is
-// consulted; a spilled summary is decoded, re-admitted as a resident entry
-// (possibly evicting another), and served — still a memo hit.
-func (t *memoTable) get(key []byte) (*summary, bool) {
-	s := t.shardOf(key)
-	s.mu.Lock()
-	v, ok := s.m[string(key)]
-	if ok && v != grayMark {
-		v.ref = true
-	}
-	s.mu.Unlock()
-	if ok {
-		return v, ok
-	}
-	if t.spill != nil {
-		if sum, ok := t.spill.load(key); ok {
-			sum.spilled = true // already on disk; never rewrite on re-evict
-			t.put(string(key), sum)
-			return sum, true
-		}
-	}
-	return nil, false
-}
-
-// put stores sum under a retained (string) key. Only a put that adds a new
-// cached (non-gray) entry counts toward the budget and can trigger
-// eviction; replacing an existing cached entry reuses its budget slot and
-// its clock position.
-func (t *memoTable) put(key string, sum *summary) {
-	if sum != grayMark {
-		// The memo owns the summary from here on: the explorer's free list
-		// must never recycle it (a later hit would observe the reuse).
-		sum.retained = true
-	}
-	s := &t.shards[maphash.String(t.seed, key)&(memoShardCount-1)]
-	s.mu.Lock()
-	old, existed := s.m[key]
-	s.m[key] = sum
-	s.mu.Unlock()
-	wasCached := existed && old != grayMark
-	if sum == grayMark {
-		// (Re-)graying a key: gray marks hold no budget slot. The cached
-		// entry it replaced, if any, leaves a stale clock reference behind.
-		if wasCached {
-			t.count.Add(-1)
-		}
-		return
-	}
-	if wasCached {
-		return // replacement: same slot, same clock position
-	}
-	t.clockMu.Lock()
-	t.clock = append(t.clock, key)
-	t.clockMu.Unlock()
-	if n := t.count.Add(1); t.budget > 0 && n > int64(t.budget) {
-		t.evict()
-	}
-}
-
-// evict reclaims cached entries until the resident count is back within
-// budget: pop the oldest clock reference; skip it if stale (dropped or
-// re-grayed since), requeue it if its second-chance bit is set, spill or
-// forget it otherwise. Each pop either retires a clock reference or clears
-// a ref bit a hit set, so eviction work is amortized O(1) per insert —
-// the no-evict-storm guarantee.
-func (t *memoTable) evict() {
-	for t.count.Load() > int64(t.budget) {
-		t.clockMu.Lock()
-		if t.clockHead >= len(t.clock) {
-			t.clockMu.Unlock()
-			return // every resident entry is gray-shadowed or in flight
-		}
-		key := t.clock[t.clockHead]
-		t.clock[t.clockHead] = ""
-		t.clockHead++
-		if t.clockHead >= len(t.clock) {
-			t.clock = t.clock[:0]
-			t.clockHead = 0
-		}
-		t.clockMu.Unlock()
-		t.evictScans.Add(1)
-
-		s := &t.shards[maphash.String(t.seed, key)&(memoShardCount-1)]
-		s.mu.Lock()
-		v, ok := s.m[key]
-		if !ok || v == grayMark {
-			s.mu.Unlock()
-			continue // stale reference
-		}
-		if v.ref {
-			v.ref = false
-			s.mu.Unlock()
-			t.clockMu.Lock()
-			t.clock = append(t.clock, key)
-			t.clockMu.Unlock()
-			continue // second chance
-		}
-		delete(s.m, key)
-		s.mu.Unlock()
-		t.count.Add(-1)
-		t.evictions.Add(1)
-		if t.spill != nil {
-			if v.spilled || t.spill.store(key, v) {
-				t.spilled.Add(1)
-				continue
-			}
-			// Spill write failed: the entry is lost after all, so the run
-			// degrades exactly as it would without a spill tier.
-		}
-		t.degraded.Store(true)
-	}
-}
-
-// drop removes a key (used to clear the gray mark when a subtree errors).
-func (t *memoTable) drop(key string) {
-	s := &t.shards[maphash.String(t.seed, key)&(memoShardCount-1)]
-	s.mu.Lock()
-	v, existed := s.m[key]
-	delete(s.m, key)
-	s.mu.Unlock()
-	if existed && v != grayMark {
-		t.count.Add(-1)
-	}
-}
-
-// grayKeys returns the keys currently marked on-stack (test hook: after a
-// run no gray marks may survive, or a later exploration reusing the table
-// would report a phantom cycle).
-func (t *memoTable) grayKeys() []string {
-	var out []string
-	for i := range t.shards {
-		s := &t.shards[i]
-		s.mu.Lock()
-		for k, v := range s.m {
-			if v == grayMark {
-				out = append(out, k)
-			}
-		}
-		s.mu.Unlock()
-	}
-	return out
 }

@@ -201,34 +201,3 @@ func BenchmarkConfigKey(b *testing.B) {
 		}
 	})
 }
-
-func TestMemoTableBasics(t *testing.T) {
-	m := newMemoTable(0, "", nil)
-	sum := &summary{}
-	keys := []string{"", "a", "b", "aa", "\x00\x01", "longer key with bytes"}
-	for _, k := range keys {
-		if _, ok := m.get([]byte(k)); ok {
-			t.Fatalf("empty table contains %q", k)
-		}
-		m.put(k, grayMark)
-	}
-	if got := len(m.grayKeys()); got != len(keys) {
-		t.Fatalf("grayKeys = %d, want %d", got, len(keys))
-	}
-	for _, k := range keys {
-		m.put(k, sum)
-	}
-	if got := len(m.grayKeys()); got != 0 {
-		t.Fatalf("grayKeys after overwrite = %d, want 0", got)
-	}
-	for _, k := range keys {
-		v, ok := m.get([]byte(k))
-		if !ok || v != sum {
-			t.Fatalf("get(%q) = %v, %v", k, v, ok)
-		}
-		m.drop(k)
-		if _, ok := m.get([]byte(k)); ok {
-			t.Fatalf("dropped key %q still present", k)
-		}
-	}
-}

@@ -247,9 +247,11 @@ func TestLeafRecoveriesAnnotation(t *testing.T) {
 	im := consensus.TAS2()
 	scripts := proposalScripts([]int{0, 1})
 	var plain, recovered int
-	_, err := Run(im, scripts, Options{
+	var copies []Leaf
+	res, err := Run(im, scripts, Options{
 		Faults: oneRecovery,
 		OnLeaf: func(l *Leaf) error {
+			copies = append(copies, copyLeaf(l))
 			if l.Recoveries == nil {
 				plain++
 				return nil
@@ -281,6 +283,10 @@ func TestLeafRecoveriesAnnotation(t *testing.T) {
 	if plain == 0 || recovered == 0 {
 		t.Fatalf("leaf mix plain=%d recovered=%d, want both populations", plain, recovered)
 	}
+	if int64(len(copies)) != res.Leaves {
+		t.Fatalf("%d leaves copied, Run reports %d", len(copies), res.Leaves)
+	}
+	checkLeafCopies(t, copies)
 }
 
 // TestRecoveryBudgetCountsCrashEvents pins the budget arithmetic: crashes

@@ -1,6 +1,7 @@
 package explore
 
 import (
+	"bytes"
 	"context"
 	"encoding/base64"
 	"encoding/binary"
@@ -52,11 +53,10 @@ type spillRef struct {
 	len int
 }
 
-// memoSpill is the disk tier behind a memoTable. It inherits the table's
-// synchronization: the explorer drives put/get/evict from one goroutine
-// per tree, and the memoTable never calls into the spill concurrently with
-// itself from a single exploration. (The concurrent hammer test exercises
-// the resident tiers only.)
+// memoSpill is the disk tier behind a memoTable. Like the table, it is
+// owned by one explorer and driven from its goroutine only. Its index is
+// the one place the memo still converts keys to strings: a spill store
+// or reload is the cold path, next to an envelope write or read.
 type memoSpill struct {
 	dir   string
 	fsys  fsx.FS
@@ -108,7 +108,7 @@ func (sp *memoSpill) writeBlock(block []byte) error {
 // store appends sum's envelope to the spill file. It reports whether the
 // entry is durably spilled; on false the caller degrades for this entry.
 // An unabsorbed write failure buys one rebuild before breaking the tier.
-func (sp *memoSpill) store(key string, sum *summary) bool {
+func (sp *memoSpill) store(key []byte, sum *summary) bool {
 	if sp.broken {
 		return false
 	}
@@ -119,7 +119,7 @@ func (sp *memoSpill) store(key string, sum *summary) bool {
 			return false
 		}
 	}
-	sp.index[key] = spillRef{off: sp.off, len: len(block)}
+	sp.index[string(key)] = spillRef{off: sp.off, len: len(block)}
 	sp.off += int64(len(block))
 	return true
 }
@@ -207,7 +207,7 @@ func (sp *memoSpill) close() {
 // ---- record codec ----
 
 // encodeSummary renders a summary's aggregate fields (never the transient
-// ref/spilled bookkeeping) as varints: height, nodes, leaves, len(acc),
+// retained/spilled bookkeeping) as varints: height, nodes, leaves, len(acc),
 // acc values.
 func encodeSummary(sum *summary) []byte {
 	b := make([]byte, 0, 16+5*len(sum.acc))
@@ -256,8 +256,8 @@ func decodeSummary(b []byte) (*summary, bool) {
 	return sum, len(b) == 0
 }
 
-func encodeSpillRecord(key string, sum *summary) []byte {
-	hdr := base64.StdEncoding.AppendEncode(nil, []byte(key))
+func encodeSpillRecord(key []byte, sum *summary) []byte {
+	hdr := base64.StdEncoding.AppendEncode(nil, key)
 	payload := base64.StdEncoding.AppendEncode(nil, encodeSummary(sum))
 	return envelope.Encode(spillMagic, spillKind, hdr, [][]byte{payload})
 }
@@ -268,7 +268,7 @@ func decodeSpillRecord(key, block []byte) (*summary, bool) {
 		return nil, false
 	}
 	gotKey, err := base64.StdEncoding.AppendDecode(nil, hdr)
-	if err != nil || string(gotKey) != string(key) {
+	if err != nil || !bytes.Equal(gotKey, key) {
 		return nil, false
 	}
 	raw, err := base64.StdEncoding.AppendDecode(nil, recs[0])

@@ -30,7 +30,7 @@ func TestSpillTransientFaultsAbsorbed(t *testing.T) {
 	defer sp.close()
 
 	sum := &summary{height: 2, nodes: 9, leaves: 3, acc: []int32{1, 2}}
-	if !sp.store("key", sum) {
+	if !sp.store([]byte("key"), sum) {
 		t.Fatal("store failed under a transient write fault")
 	}
 	got, ok := sp.load([]byte("key"))
@@ -59,10 +59,10 @@ func TestSpillRebuildAfterUnabsorbedWriteFault(t *testing.T) {
 	sp := newMemoSpill(dir, ff)
 	defer sp.close()
 	sum := &summary{nodes: 5}
-	if !sp.store("early", sum) {
+	if !sp.store([]byte("early"), sum) {
 		t.Fatal("clean store failed")
 	}
-	if !sp.store("late", sum) {
+	if !sp.store([]byte("late"), sum) {
 		t.Fatal("store did not survive via rebuild")
 	}
 	if !sp.rebuilt || sp.rebuilds != 1 {
@@ -94,7 +94,7 @@ func TestSpillRebuildOnEmptyTierDoesNotDegrade(t *testing.T) {
 	sp := newMemoSpill(dir, ff)
 	defer sp.close()
 	sum := &summary{nodes: 7}
-	if !sp.store("first", sum) {
+	if !sp.store([]byte("first"), sum) {
 		t.Fatal("first store did not survive via rebuild")
 	}
 	if !sp.rebuilt {
@@ -117,7 +117,7 @@ func TestSpillBreakRemovesFileImmediately(t *testing.T) {
 		fsx.Rule{Op: fsx.OpWriteAt, Nth: 1, Count: -1, Err: syscall.EIO})
 	sp := newMemoSpill(dir, ff)
 	sum := &summary{nodes: 3}
-	if sp.store("doomed", sum) {
+	if sp.store([]byte("doomed"), sum) {
 		t.Fatal("store reported success on a dead disk")
 	}
 	if !sp.broken || !sp.lost {
@@ -128,7 +128,7 @@ func TestSpillBreakRemovesFileImmediately(t *testing.T) {
 		t.Fatalf("broken tier leaked %d spill files", n)
 	}
 	// The dead tier answers like no spill at all, without touching disk.
-	if sp.store("more", sum) {
+	if sp.store([]byte("more"), sum) {
 		t.Fatal("broken tier accepted a store")
 	}
 	if _, ok := sp.load([]byte("doomed")); ok {
@@ -141,7 +141,7 @@ func TestSpillBreakRemovesFileImmediately(t *testing.T) {
 func TestSpillCloseRemovesFile(t *testing.T) {
 	dir := t.TempDir()
 	sp := newMemoSpill(dir, nil)
-	if !sp.store("k", &summary{nodes: 1}) {
+	if !sp.store([]byte("k"), &summary{nodes: 1}) {
 		t.Fatal("store failed")
 	}
 	if n := countSpillFiles(t, dir); n != 1 {
@@ -166,7 +166,7 @@ func TestSpillEveryOpClassFaultSweep(t *testing.T) {
 			ff := fsx.NewFaultFS(nil, 1, fsx.Rule{Op: op, Nth: 1, Count: -1, Err: syscall.EIO})
 			sp := newMemoSpill(dir, ff)
 			sum := &summary{height: 1, nodes: 4, leaves: 2, acc: []int32{0, 1}}
-			stored := sp.store("key", sum)
+			stored := sp.store([]byte("key"), sum)
 			if got, ok := sp.load([]byte("key")); ok {
 				if !stored {
 					t.Fatal("load hit an entry store reported un-spilled")

@@ -75,11 +75,13 @@ func TestConsensusAutosave(t *testing.T) {
 	var saves int
 	var last *Checkpoint
 	opts := Options{
-		Memoize:     true,
-		Parallelism: 1,
-		// 1ms against ~25ms/tree guarantees mid-run saves; OnCheckpoint is
-		// called from the supervisor goroutine, which is joined before
-		// ConsensusKContext returns, so reading saves/last below is safe.
+		// Unmemoized, so the run takes ~130ms on one core (memoized it
+		// takes ~3ms, too close to the save interval to be sure of a
+		// mid-run save). 1ms against that guarantees mid-run saves;
+		// OnCheckpoint is called from the supervisor goroutine, which is
+		// joined before ConsensusKContext returns, so reading saves/last
+		// below is safe.
+		Parallelism:     1,
 		CheckpointEvery: time.Millisecond,
 		OnCheckpoint: func(cp *Checkpoint) {
 			saves++
@@ -101,11 +103,11 @@ func TestConsensusAutosave(t *testing.T) {
 	}
 
 	// The last mid-run snapshot must be a sound resume point.
-	resumed, err := Consensus(im, Options{Memoize: true, ResumeFrom: last})
+	resumed, err := Consensus(im, Options{ResumeFrom: last})
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, err := Consensus(im, Options{Memoize: true})
+	plain, err := Consensus(im, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

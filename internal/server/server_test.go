@@ -626,8 +626,10 @@ func TestJobDeadline(t *testing.T) {
 
 	// Elimination cannot resume, so an expired deadline is inconclusive:
 	// the job fails with the library's inconclusive taxonomy code rather
-	// than degrading to a partial report.
-	e := submitJob(t, ts, `{"api":"v1","kind":"elimination","protocol":"tas","timeout_ms":1}`)
+	// than degrading to a partial report. sticky at 4 processes takes
+	// ~0.5s to eliminate; a 2-process elimination finishes in about 1ms,
+	// so it could complete before its 1ms deadline.
+	e := submitJob(t, ts, `{"api":"v1","kind":"elimination","protocol":"sticky","procs":4,"timeout_ms":1}`)
 	e = waitJob(t, ts, e.ID, 30*time.Second, terminal)
 	if e.State != JobFailed {
 		t.Fatalf("elimination: state %s, want failed", e.State)

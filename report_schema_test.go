@@ -98,6 +98,8 @@ func TestDecodeReportRejects(t *testing.T) {
 		{"missing schema", `{"kind":"consensus","elapsed_ns":0}`},
 		{"future schema", `{"schema":99,"kind":"consensus","elapsed_ns":0}`},
 		{"unknown kind", `{"schema":1,"kind":"mystery","elapsed_ns":0}`},
+		{"unknown violation kind", `{"schema":1,"kind":"consensus","elapsed_ns":0,"consensus":{"violation":{"kind":"mystery","detail":""}}}`},
+		{"violation kind not a tag", `{"schema":1,"kind":"consensus","elapsed_ns":0,"consensus":{"violation":{"kind":3,"detail":""}}}`},
 	}
 	for _, c := range cases {
 		if _, err := DecodeReport([]byte(c.data)); !errors.Is(err, ErrBadReport) {

@@ -8,7 +8,7 @@
 // shared CI runners; ns/op is recorded for the trajectory but never gated
 // (wall-clock on shared hardware is noise).
 //
-//	go run ./scripts/benchreg -baseline BENCH_BASELINE.json -out BENCH_9.json
+//	go run ./scripts/benchreg -baseline BENCH_BASELINE.json -out BENCH_12.json
 //	go run ./scripts/benchreg -update          # refresh the baseline in place
 package main
 
@@ -49,7 +49,7 @@ var benchLine = regexp.MustCompile(`^(Benchmark\S+)\s+(\d+)\s+(.*)$`)
 
 func main() {
 	baselinePath := flag.String("baseline", "BENCH_BASELINE.json", "committed baseline to gate against")
-	outPath := flag.String("out", "", "write the fresh measurements to this file (e.g. BENCH_9.json)")
+	outPath := flag.String("out", "", "write the fresh measurements to this file (e.g. BENCH_12.json)")
 	bench := flag.String("bench", "BenchmarkConsensus", "benchmark pattern to run")
 	benchtime := flag.String("benchtime", "5x", "-benchtime passed to go test")
 	threshold := flag.Float64("threshold", 0.10, "maximum tolerated allocs/op regression (fraction)")
