@@ -265,6 +265,37 @@ func BenchmarkConsensusFaults(b *testing.B) {
 	}
 }
 
+// BenchmarkConsensusNoMemo measures the unmemoized explorer, which walks
+// the same key segments and transition and step caches as a memoized run
+// but replicates every configuration the paper's trees replicate: sticky
+// n=4, and the augmented queue under crash-stop with one crash.
+func BenchmarkConsensusNoMemo(b *testing.B) {
+	cases := []struct {
+		name  string
+		im    *program.Implementation
+		model faults.Model
+	}{
+		{"sticky4", consensus.Sticky(4), faults.Model{}},
+		{"augqueue3/crashstop", consensus.AugQueue(3), faults.Model{Mode: faults.CrashStop, MaxCrashes: 1}},
+	}
+	for _, c := range cases {
+		b.Run(c.name, func(b *testing.B) {
+			var nodes int64
+			for i := 0; i < b.N; i++ {
+				report, err := explore.Consensus(c.im, explore.Options{Faults: c.model})
+				if err != nil {
+					b.Fatal(err)
+				}
+				if !report.OK() {
+					b.Fatal(report.Summary())
+				}
+				nodes = report.Stats.Nodes
+			}
+			b.ReportMetric(float64(nodes), "explored-nodes")
+		})
+	}
+}
+
 // BenchmarkConsensusAutosave measures the durable-autosave overhead on
 // sticky n=4: the same exploration with periodic checksummed checkpoint
 // writes off, at 5s, and at 1s. The supervisor ticker and heartbeat
@@ -287,7 +318,7 @@ func BenchmarkConsensusAutosave(b *testing.B) {
 			if iv.every > 0 {
 				opts.CheckpointEvery = iv.every
 				opts.OnCheckpoint = func(cp *explore.Checkpoint) {
-					if err := durable.Save(path, cp); err != nil {
+					if err := durable.SaveFS(nil, path, cp); err != nil {
 						b.Error(err)
 					}
 				}

@@ -196,10 +196,10 @@ func (f *Flags) Supervise(opts explore.Options) (explore.Options, error) {
 	opts.CheckpointEvery = f.CheckpointEvery
 	path := f.Checkpoint
 	opts.OnCheckpoint = func(cp *explore.Checkpoint) {
-		// Autosave failures must not kill a healthy run: durable.Save has
+		// Autosave failures must not kill a healthy run: durable.SaveFS has
 		// already retried transient errors, so just warn and keep going —
 		// the previous checkpoint file is still intact (atomic rename).
-		if err := durable.Save(path, cp); err != nil {
+		if err := durable.SaveFS(nil, path, cp); err != nil {
 			fmt.Fprintf(os.Stderr, "autosave: %v\n", err)
 		}
 	}
@@ -223,7 +223,7 @@ func (f *Flags) LoadCheckpoint() (*explore.Checkpoint, error) {
 	if f.Checkpoint == "" {
 		return nil, nil
 	}
-	cp, err := durable.Load(f.Checkpoint)
+	cp, err := durable.LoadFS(nil, f.Checkpoint)
 	if errors.Is(err, fs.ErrNotExist) {
 		return nil, nil
 	}
@@ -240,7 +240,7 @@ func (f *Flags) SaveCheckpoint(cp *explore.Checkpoint) error {
 	if f.Checkpoint == "" || cp == nil {
 		return nil
 	}
-	if err := durable.Save(f.Checkpoint, cp); err != nil {
+	if err := durable.SaveFS(nil, f.Checkpoint, cp); err != nil {
 		return fmt.Errorf("save checkpoint: %w", err)
 	}
 	return nil

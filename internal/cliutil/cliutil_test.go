@@ -230,7 +230,8 @@ func TestCheckpointFileRoundTrip(t *testing.T) {
 		t.Fatalf("truncation lost the salvageable header: %+v", ce.Salvaged)
 	}
 
-	// Pre-durable checkpoints were bare JSON; they still load.
+	// Pre-durable checkpoints were bare JSON; they are rejected as corrupt
+	// rather than resumed.
 	legacy, err := json.Marshal(want)
 	if err != nil {
 		t.Fatal(err)
@@ -238,8 +239,8 @@ func TestCheckpointFileRoundTrip(t *testing.T) {
 	if err := os.WriteFile(f.Checkpoint, legacy, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if got, err := f.LoadCheckpoint(); err != nil || got.Impl != "x" {
-		t.Fatalf("legacy JSON checkpoint: %+v, %v", got, err)
+	if got, err := f.LoadCheckpoint(); got != nil || !errors.Is(err, durable.ErrCorruptCheckpoint) {
+		t.Fatalf("legacy JSON checkpoint: %+v, %v; want ErrCorruptCheckpoint", got, err)
 	}
 
 	// No flag: both directions are no-ops.

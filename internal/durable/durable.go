@@ -22,9 +22,8 @@
 // checksummed prefix of tree lines is itself a sound resume state — the
 // engine simply re-explores whatever was lost.
 //
-// Files written by the pre-durable CLIs (bare JSON, first byte '{') are
-// still accepted on load, all-or-nothing: legacy files embed no
-// checksums, so a torn legacy file is rejected without salvage.
+// Bare-JSON files from the pre-durable CLIs fail the magic line like any
+// other foreign file.
 package durable
 
 import (
@@ -61,7 +60,7 @@ type CorruptError struct {
 	// header plus every tree record whose checksum verified before the
 	// first bad byte. It is nil when not even the header survived.
 	// Resuming from it is sound — lost trees are simply re-explored — but
-	// callers must opt in explicitly; Load returns it alongside the error,
+	// callers must opt in explicitly; LoadFS returns it alongside the error,
 	// never instead of it.
 	Salvaged *explore.Checkpoint
 }
@@ -144,23 +143,13 @@ func truncateForErr(b []byte) string {
 	return string(b)
 }
 
-// Decode parses data as a durable checkpoint (or a legacy bare-JSON one)
-// and validates every checksum. On any integrity failure it returns a
-// *CorruptError wrapping ErrCorruptCheckpoint; if the header and a prefix
-// of tree records verified before the failure, the error carries that
-// prefix in Salvaged.
+// Decode parses data as a durable checkpoint and validates every
+// checksum. On any integrity failure it returns a *CorruptError wrapping
+// ErrCorruptCheckpoint; if the header and a prefix of tree records
+// verified before the failure, the error carries that prefix in Salvaged.
 func Decode(data []byte) (*explore.Checkpoint, error) {
 	if len(data) == 0 {
 		return nil, corrupt(nil, "empty file")
-	}
-	if data[0] == '{' {
-		// Legacy bare-JSON checkpoint (written by pre-durable CLIs): no
-		// embedded checksums, so acceptance is all-or-nothing.
-		cp := &explore.Checkpoint{}
-		if err := json.Unmarshal(data, cp); err != nil {
-			return nil, corrupt(nil, "legacy JSON checkpoint is malformed or truncated: %v", err)
-		}
-		return cp, nil
 	}
 
 	var cp *explore.Checkpoint
@@ -241,23 +230,40 @@ func Decode(data []byte) (*explore.Checkpoint, error) {
 	return cp, nil
 }
 
-// Save atomically writes cp to path in the durable format: the encoded
-// bytes go to a temp file in the same directory, are fsynced, renamed
-// over path, and the directory is fsynced, so a crash at any instant
-// leaves either the old file or the new one — never a torn mix. Transient
-// IO failures are retried under fsx.DefaultRetry.
-func Save(path string, cp *explore.Checkpoint) error {
-	return SaveFS(nil, path, cp)
-}
-
-// SaveFS is Save over an explicit filesystem; fsys == nil means the real
-// one. Tests pass an *fsx.FaultFS to script storage faults.
+// SaveFS atomically writes cp to path in the durable format through fsys
+// (nil = the real filesystem; tests pass an *fsx.FaultFS to script
+// storage faults): the encoded bytes go to a temp file in the same
+// directory, are fsynced, renamed over path, and the directory is
+// fsynced, so a crash at any instant leaves either the old file or the new
+// one — never a torn mix. Transient IO failures are retried under
+// fsx.DefaultRetry.
 func SaveFS(fsys fsx.FS, path string, cp *explore.Checkpoint) error {
 	data, err := Encode(cp)
 	if err != nil {
 		return fmt.Errorf("durable: encode checkpoint: %w", err)
 	}
 	return SaveBytesWith(context.Background(), fsys, fsx.DefaultRetry, path, data)
+}
+
+// SaveBytesWith atomically writes data to path through fsys (nil = the
+// real filesystem) under the given retry policy, with the same durability
+// discipline as SaveFS: temp file in the same directory, fsync, rename,
+// and a directory sync. Transient failures retry with the policy's capped
+// jittered backoff, whose sleeps select on ctx, so a caller shutting down
+// (a draining daemon over a failing disk) is never held hostage by the
+// backoff schedule; permanent ones (ENOSPC and kin — fsx.IsPermanent)
+// surface immediately. Cancellation mid-retry returns an error wrapping
+// both ctx.Err() and the last write failure; an in-flight write itself is
+// not interrupted (atomicity is preserved — the file either has the old
+// or the new contents).
+func SaveBytesWith(ctx context.Context, fsys fsx.FS, policy fsx.RetryPolicy, path string, data []byte) error {
+	resolved := fsx.Or(fsys)
+	if err := policy.Do(ctx, func() error {
+		return writeAtomic(resolved, path, data)
+	}); err != nil {
+		return fmt.Errorf("durable: save %s: %w", path, err)
+	}
+	return nil
 }
 
 // writeAtomic performs one temp-file/fsync/rename/dir-sync write attempt
@@ -310,16 +316,11 @@ func syncDir(fsys fsx.FS, dir string) error {
 	return nil
 }
 
-// Load reads and decodes the checkpoint at path. A missing file surfaces
-// as an error satisfying errors.Is(err, fs.ErrNotExist) so callers can
-// treat it as a fresh start; an integrity failure surfaces as a
-// *CorruptError (with Path set and any salvageable prefix attached).
-func Load(path string) (*explore.Checkpoint, error) {
-	return LoadFS(nil, path)
-}
-
-// LoadFS is Load over an explicit filesystem; fsys == nil means the real
-// one.
+// LoadFS reads and decodes the checkpoint at path through fsys (nil = the
+// real filesystem). A missing file surfaces as an error satisfying
+// errors.Is(err, fs.ErrNotExist) so callers can treat it as a fresh start;
+// an integrity failure surfaces as a *CorruptError (with Path set and any
+// salvageable prefix attached).
 func LoadFS(fsys fsx.FS, path string) (*explore.Checkpoint, error) {
 	data, err := fsx.Or(fsys).ReadFile(path)
 	if err != nil {

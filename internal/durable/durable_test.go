@@ -1,6 +1,7 @@
 package durable
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -67,10 +68,10 @@ func TestSaveLoadFile(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "cp")
 	cp := sampleCheckpoint(3)
-	if err := Save(path, cp); err != nil {
+	if err := SaveFS(nil, path, cp); err != nil {
 		t.Fatal(err)
 	}
-	got, err := Load(path)
+	got, err := LoadFS(nil, path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +79,7 @@ func TestSaveLoadFile(t *testing.T) {
 		t.Errorf("file round-trip mismatch\nbefore: %+v\nafter:  %+v", cp, got)
 	}
 	// Overwrite with a different checkpoint: atomic replace, no temp litter.
-	if err := Save(path, sampleCheckpoint(1)); err != nil {
+	if err := SaveFS(nil, path, sampleCheckpoint(1)); err != nil {
 		t.Fatal(err)
 	}
 	entries, err := os.ReadDir(dir)
@@ -88,7 +89,7 @@ func TestSaveLoadFile(t *testing.T) {
 	if len(entries) != 1 || entries[0].Name() != "cp" {
 		t.Errorf("directory not clean after save: %v", entries)
 	}
-	got, err = Load(path)
+	got, err = LoadFS(nil, path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +99,7 @@ func TestSaveLoadFile(t *testing.T) {
 }
 
 func TestLoadMissingFile(t *testing.T) {
-	_, err := Load(filepath.Join(t.TempDir(), "nope"))
+	_, err := LoadFS(nil, filepath.Join(t.TempDir(), "nope"))
 	if !errors.Is(err, fs.ErrNotExist) {
 		t.Errorf("err = %v, want fs.ErrNotExist", err)
 	}
@@ -109,7 +110,7 @@ func TestLoadEmptyFile(t *testing.T) {
 	if err := os.WriteFile(path, nil, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	_, err := Load(path)
+	_, err := LoadFS(nil, path)
 	if !errors.Is(err, ErrCorruptCheckpoint) {
 		t.Fatalf("err = %v, want ErrCorruptCheckpoint", err)
 	}
@@ -125,6 +126,9 @@ func TestLoadEmptyFile(t *testing.T) {
 	}
 }
 
+// TestLoadLegacyJSON pins the retirement of the pre-durable bare-JSON
+// format: a whole or truncated legacy file fails the magic line as
+// corrupt, with nothing salvaged (it embeds no checksums to trust).
 func TestLoadLegacyJSON(t *testing.T) {
 	cp := sampleCheckpoint(2)
 	blob, err := json.MarshalIndent(cp, "", "  ")
@@ -132,22 +136,21 @@ func TestLoadLegacyJSON(t *testing.T) {
 		t.Fatal(err)
 	}
 	path := filepath.Join(t.TempDir(), "cp")
-	if err := os.WriteFile(path, append(blob, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	got, err := Load(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(cp, got) {
-		t.Errorf("legacy JSON mismatch\nwant: %+v\ngot:  %+v", cp, got)
-	}
-	// A truncated legacy file has no checksums to salvage from: rejected.
-	if err := os.WriteFile(path, blob[:len(blob)/2], 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Load(path); !errors.Is(err, ErrCorruptCheckpoint) {
-		t.Errorf("truncated legacy file: err = %v, want ErrCorruptCheckpoint", err)
+	for name, data := range map[string][]byte{
+		"whole":     append(blob, '\n'),
+		"truncated": blob[:len(blob)/2],
+	} {
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		got, err := LoadFS(nil, path)
+		var ce *CorruptError
+		if got != nil || !errors.Is(err, ErrCorruptCheckpoint) || !errors.As(err, &ce) {
+			t.Fatalf("%s legacy file: got %v, err = %v, want ErrCorruptCheckpoint", name, got, err)
+		}
+		if !strings.Contains(ce.Reason, "bad magic") || ce.Salvaged != nil {
+			t.Errorf("%s legacy file: reason %q, salvaged %v; want bad magic, nothing salvaged", name, ce.Reason, ce.Salvaged)
+		}
 	}
 }
 
@@ -250,7 +253,7 @@ func TestSaveRetriesTransientFailures(t *testing.T) {
 	if err := SaveBytesWith(context.Background(), ff, quickRetry, path, data); err != nil {
 		t.Fatalf("save with 2 transient failures: %v", err)
 	}
-	if _, err := Load(path); err != nil {
+	if _, err := LoadFS(nil, path); err != nil {
 		t.Fatalf("load after retried save: %v", err)
 	}
 	if got := ff.CountOf(fsx.OpRename); got != 3 {
@@ -268,7 +271,7 @@ func TestSaveRetriesTransientFailures(t *testing.T) {
 		t.Errorf("persistent-failure error = %v", err)
 	}
 	// The prior good file must be untouched by the failed overwrite.
-	if _, err := Load(path); err != nil {
+	if _, err := LoadFS(nil, path); err != nil {
 		t.Errorf("failed save clobbered the existing file: %v", err)
 	}
 }
@@ -301,7 +304,7 @@ func TestSaveTornWriteNeverPublishesPartialBytes(t *testing.T) {
 	if err := SaveBytesWith(context.Background(), ff, quickRetry, path, data); err != nil {
 		t.Fatalf("save with one torn write: %v", err)
 	}
-	if _, err := Load(path); err != nil {
+	if _, err := LoadFS(nil, path); err != nil {
 		t.Fatalf("load after torn-write retry: %v", err)
 	}
 	// The discarded temp file must not linger next to the checkpoint.
@@ -347,10 +350,51 @@ func TestSaveBytesContextCancellation(t *testing.T) {
 	// An already-cancelled context still permits the first attempt (no
 	// retry needed on a healthy disk): atomicity and forward progress win
 	// over eager cancellation checks.
-	if err := SaveBytesContext(ctx, path, []byte("payload")); err != nil {
+	if err := SaveBytesWith(ctx, nil, fsx.DefaultRetry, path, []byte("payload")); err != nil {
 		t.Fatalf("first-attempt save under a dead context: %v", err)
 	}
 	if data, err := os.ReadFile(path); err != nil || string(data) != "payload" {
 		t.Fatalf("saved file = %q, %v", data, err)
+	}
+}
+
+func TestSaveBytesRoundTrip(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "blob.env")
+	data := []byte("wftest v1\nmeta x {\"key\":\"abc\"}\n")
+	if err := SaveBytesWith(context.Background(), nil, fsx.DefaultRetry, path, data); err != nil {
+		t.Fatalf("save: %v", err)
+	}
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("read back: %v", err)
+	}
+	if !bytes.Equal(got, data) {
+		t.Fatal("file contents differ from written data")
+	}
+	if fi, err := os.Stat(path); err != nil || fi.Mode().Perm() != 0o644 {
+		t.Fatalf("stat: %v, mode %v", err, fi.Mode())
+	}
+}
+
+// A filesystem that cannot fsync directories (EINVAL/EOPNOTSUPP) stays
+// best-effort: the write succeeds.
+func TestWriteAtomicDirSyncUnsupported(t *testing.T) {
+	for _, unsupported := range []error{syscall.EINVAL, syscall.EOPNOTSUPP} {
+		ff := fsx.NewFaultFS(nil, 1, fsx.Rule{Op: fsx.OpSyncDir, Nth: 1, Count: -1, Err: unsupported})
+		path := filepath.Join(t.TempDir(), "blob")
+		if err := writeAtomic(ff, path, []byte("x")); err != nil {
+			t.Errorf("dir sync %v should be best-effort, got %v", unsupported, err)
+		}
+	}
+}
+
+// A real I/O failure on the directory sync means the rename may not be
+// durable; it must surface instead of being swallowed.
+func TestWriteAtomicDirSyncIOError(t *testing.T) {
+	ff := fsx.NewFaultFS(nil, 1, fsx.Rule{Op: fsx.OpSyncDir, Nth: 1, Err: syscall.EIO})
+	path := filepath.Join(t.TempDir(), "blob")
+	err := writeAtomic(ff, path, []byte("x"))
+	if !errors.Is(err, syscall.EIO) {
+		t.Fatalf("dir sync EIO swallowed: got %v", err)
 	}
 }

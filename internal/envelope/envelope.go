@@ -2,10 +2,9 @@
 // shared by every durable artifact in the repo: checkpoint files
 // (internal/durable), result-cache entries (internal/rescache), daemon job
 // files (internal/server), and the explorer's memo spill tier
-// (internal/explore). It sits below internal/durable — which re-exports
-// Encode/Decode as EncodeEnvelope/DecodeEnvelope for its callers — so that
-// packages durable itself depends on (the explorer) can use the codec
-// without an import cycle.
+// (internal/explore). It is a leaf package, imported directly by each of
+// them, so that packages durable itself depends on (the explorer) can use
+// the codec without an import cycle.
 //
 // The line format, with a caller-chosen magic line and record kind:
 //
@@ -30,7 +29,7 @@ import (
 )
 
 // ErrCorrupt is the sentinel wrapped by every envelope integrity failure
-// (Decode). internal/durable aliases it as ErrCorruptEnvelope.
+// (Decode).
 var ErrCorrupt = errors.New("durable: corrupt envelope")
 
 func sum(payload []byte) string {

@@ -2,6 +2,7 @@ package explore
 
 import (
 	"encoding/binary"
+	"encoding/hex"
 
 	"waitfree/internal/program"
 	"waitfree/internal/types"
@@ -235,6 +236,24 @@ func (e *explorer) cloneConfig(c *config) *config {
 	return d
 }
 
+// walkChild visits the child of c reached by process p taking the cached
+// transition t on object obj, for the tree walkers outside the DFS
+// (Valency, Dot): a recycled clone of c stepped through the step cache,
+// handed to visit, then recycled with e.responses rewound. The DFS steps
+// in place instead.
+func (e *explorer) walkChild(c *config, p, obj int, t cachedTrans, visit func(*config) error) error {
+	child := e.cloneConfig(c)
+	child.objs[obj], child.objEnc[obj] = t.next, t.nextEnc
+	mark := len(e.responses[p])
+	err := e.stepProcCached(child, p, t.resp, false)
+	if err == nil {
+		err = visit(child)
+	}
+	e.responses[p] = e.responses[p][:mark]
+	e.recycleConfig(child)
+	return err
+}
+
 // recycleConfig returns a fully-merged child config to the free list.
 // Configs are strictly stack-scoped (the explorer retains keys, never
 // configs), so recycling after the child's subtree completes is safe.
@@ -281,7 +300,7 @@ type cachedTrans struct {
 	nextEnc []byte
 }
 
-// applyCached is Spec.Apply behind the flat-path transition cache: the
+// applyCached is Spec.Apply behind the transition cache: the
 // cache key reuses the object's already-encoded state segment, so a hit —
 // the overwhelmingly common case, since reachable (state, port, inv)
 // triples are few (bounded by one component's state count, not the
@@ -333,10 +352,17 @@ type procStep struct {
 // (deterministic, comparable states) that determines the entire advance,
 // including any chain of zero-access operations it completes. forced marks
 // that the caller set Stepped on the clone (CrashBeforeFirstStep), which
-// the stale pre-state segment does not reflect. Only usable under Memoize
-// (segments exist, RecordHistory is excluded by Validate). Errors are not
-// cached.
+// the stale pre-state segment does not reflect. A cached advance replays
+// responses but no history events, so RecordHistory runs bypass the cache
+// and step the machine directly. Errors are not cached.
 func (e *explorer) stepProcCached(c *config, p int, resp types.Response, forced bool) error {
+	if e.opts.RecordHistory {
+		if err := e.startNextOp(c, p, resp); err != nil {
+			return err
+		}
+		c.procEnc[p] = e.encodeProcSeg(&c.procs[p])
+		return nil
+	}
 	b := e.stepScratch[:0]
 	b = binary.AppendVarint(b, int64(p))
 	if forced {
@@ -370,13 +396,15 @@ func (e *explorer) stepProcCached(c *config, p int, resp types.Response, forced 
 	return nil
 }
 
-// flatKey assembles c's memo key from its cached segments into the
-// encoder's reused buffer: byte-identical to configKey's layout
-// (object segments, separator, process segments), but without re-walking
-// any unchanged component. The returned slice is invalidated by the next
-// flatKey/configKey call.
+// flatKey assembles c's key from its cached segments into the encoder's
+// reused buffer: object segments, separator, process segments. The
+// returned slice is invalidated by the next flatKey call.
 func (e *explorer) flatKey(c *config) []byte {
-	b := e.enc.buf[:0]
+	e.enc.buf = appendFlatKey(e.enc.buf[:0], c)
+	return e.enc.buf
+}
+
+func appendFlatKey(b []byte, c *config) []byte {
 	for _, s := range c.objEnc {
 		b = append(b, s...)
 	}
@@ -384,6 +412,12 @@ func (e *explorer) flatKey(c *config) []byte {
 	for _, s := range c.procEnc {
 		b = append(b, s...)
 	}
-	e.enc.buf = b
 	return b
+}
+
+// keyHex renders c's key as hex for diagnostics (panic context, stall
+// heartbeats). It builds the key in a fresh buffer, so it is safe even
+// when the encoder's buffer was mid-append.
+func keyHex(c *config) string {
+	return hex.EncodeToString(appendFlatKey(nil, c))
 }

@@ -110,7 +110,7 @@ func CanonicalImplementation(im *program.Implementation, starts []types.Invocati
 	// spec differences collapse) and keeps the warm cache path cheap.
 	objInvs := make([][]types.Invocation, len(im.Objects))
 
-	enc := newKeyEncoder()
+	enc := &keyEncoder{}
 	objTabs := make([][]byte, len(im.Objects))
 	objOblivious := make([]bool, len(im.Objects))
 	respsByObj := make([][]types.Response, len(im.Objects))

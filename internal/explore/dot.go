@@ -21,27 +21,11 @@ var ErrDotBudget = errors.New("explore: execution tree exceeds the DOT node budg
 // digraph with at most maxNodes nodes. Leaves are double circles labeled
 // with the processes' final responses; edges are labeled proc:inv->resp.
 func Dot(im *program.Implementation, scripts [][]types.Invocation, opts Options, maxNodes int) (string, error) {
-	if err := im.Validate(); err != nil {
+	e, root, err := newExplorer(im, scripts, opts)
+	if err != nil {
 		return "", err
 	}
-	if len(scripts) != im.Procs {
-		return "", fmt.Errorf("%w: %d scripts for %d processes", ErrBadScripts, len(scripts), im.Procs)
-	}
-	if opts.MaxDepth == 0 {
-		opts.MaxDepth = DefaultMaxDepth
-	}
-	e := &explorer{im: im, scripts: scripts, opts: opts}
-	e.responses = make([][]types.Response, im.Procs)
-	for p := range e.responses {
-		e.responses[p] = make([]types.Response, 0, 4)
-	}
-	root := &config{objs: im.InitialStates(), procs: make([]procState, im.Procs)}
-	for p := 0; p < im.Procs; p++ {
-		root.procs[p] = procState{Mem: nil}
-		if err := e.startNextOp(root, p, types.Response{}); err != nil {
-			return "", err
-		}
-	}
+	e.encodeSegments(root)
 
 	var b strings.Builder
 	b.WriteString("digraph executiontree {\n")
@@ -91,23 +75,21 @@ func (d *dotBuilder) walk(c *config, depth int) (int, error) {
 			continue
 		}
 		act := c.procs[p].Pending
-		decl := &d.e.im.Objects[act.Obj]
-		ts, err := decl.Spec.Apply(c.objs[act.Obj], decl.Port(p), act.Inv)
+		cts, err := d.e.applyCached(c, p, act)
 		if err != nil {
 			return 0, err
 		}
-		for _, t := range ts {
-			child := c.clone()
-			child.objs[act.Obj] = t.Next
-			if err := d.e.startNextOp(child, p, t.Resp); err != nil {
-				return 0, err
-			}
-			childID, err := d.walk(child, depth+1)
+		for _, t := range cts {
+			var childID int
+			err := d.e.walkChild(c, p, act.Obj, t, func(child *config) (err error) {
+				childID, err = d.walk(child, depth+1)
+				return err
+			})
 			if err != nil {
 				return 0, err
 			}
 			fmt.Fprintf(d.b, "  n%d -> n%d [label=\"p%d:%s.%v→%v\"];\n",
-				id, childID, p, decl.Name, act.Inv, t.Resp)
+				id, childID, p, d.e.im.Objects[act.Obj].Name, act.Inv, t.resp)
 		}
 	}
 	return id, nil

@@ -45,8 +45,10 @@ type Options struct {
 	MaxDepth int
 	// Memoize deduplicates configurations reached by several paths. The
 	// paper's trees replicate such configurations; memoizing changes cost,
-	// never verdicts. Memoization also enables exact cycle detection.
-	// Incompatible with RecordHistory.
+	// never verdicts. Memoization also enables exact cycle detection. It
+	// only adds the per-tree memo table: every run, memoized or not, walks
+	// its edges through the same key segments and transition and step
+	// caches. Incompatible with RecordHistory.
 	Memoize bool
 	// RecordHistory attaches the complete concurrent history of target
 	// operations to each Leaf, for linearizability checking.
@@ -226,9 +228,8 @@ func (o Options) Validate() error {
 // overwritten at the next leaf (see Options.OnLeaf).
 type Leaf struct {
 	// Responses[p][k] is the response of process p's k-th target
-	// operation. Under memoization only the last operation's response per
-	// process is available (earlier ones are zero Responses for processes
-	// whose prefix was deduplicated).
+	// operation along this execution's full path (memoized runs included:
+	// a leaf is only reached by walking its whole path).
 	Responses [][]types.Response
 	// Depth is the number of object accesses along this execution.
 	Depth int
@@ -495,26 +496,15 @@ type config struct {
 
 	// objEnc[i] / procEnc[p] cache the key-encoder segment of the
 	// corresponding component (the flat layout): each component is encoded
-	// once, when it changes, and the memo key is assembled by
-	// concatenating the cached segments (explorer.flatKey) instead of
-	// re-walking the whole configuration per node. Segments are immutable
-	// arena bytes shared freely between a config and its clones. Only
-	// maintained on the memoized hot path; nil on configs built elsewhere
-	// (valency, dot, tests), which keep using configKey.
+	// once, when it changes, and every key of the configuration — the memo
+	// key, valency's map key, the diagnostic hex — is the concatenation of
+	// the cached segments (explorer.flatKey) instead of a re-walk of the
+	// whole configuration. The segments also key the transition and step
+	// caches. Segments are immutable arena bytes shared freely between a
+	// config and its clones. Maintained on every run; a config built
+	// without them (a test's bare config) gets them at its first dfs.
 	objEnc  [][]byte
 	procEnc [][]byte
-}
-
-// clone is the allocation-per-call copy used off the hot path (valency,
-// dot); the explorer's DFS uses cloneConfig (arena.go), which recycles.
-func (c *config) clone() *config {
-	d := &config{
-		objs:  make([]types.State, len(c.objs)),
-		procs: make([]procState, len(c.procs)),
-	}
-	copy(d.objs, c.objs)
-	copy(d.procs, c.procs)
-	return d
 }
 
 // Run explores all executions of im in which process p performs the target
@@ -588,7 +578,7 @@ func newExplorer(im *program.Implementation, scripts [][]types.Invocation, opts 
 	}
 	if opts.Memoize {
 		e.memo = newMemoTable(opts.MemoBudget, opts.MemoSpillDir, opts.FS)
-		e.enc = newKeyEncoder()
+		e.enc.buf = make([]byte, 0, 256) // every node's key is assembled here
 	}
 	root := &config{
 		objs:  im.InitialStates(),
@@ -602,11 +592,9 @@ func newExplorer(im *program.Implementation, scripts [][]types.Invocation, opts 
 			return nil, nil, err
 		}
 	}
-	if opts.Memoize {
-		// Flat layout: encode every root component once; per-edge updates
-		// re-encode only what changed.
-		e.encodeSegments(root)
-	}
+	// The root's segments are encoded at its first use (dfs, or the tree
+	// walkers), so building a root only to certify it (verifyOrbitRoots)
+	// encodes nothing.
 	return e, root, nil
 }
 
@@ -715,12 +703,12 @@ type explorer struct {
 	pendMemo   int64
 	sinceFlush int
 
-	// memo deduplicates configurations; entries holding grayMark are on
-	// the current DFS stack (cycle detection). enc renders configurations
-	// into the memo's byte keys. The table is single-owner: this explorer
-	// (one execution tree) is its only user.
+	// memo deduplicates configurations (nil unless Memoize); entries
+	// holding grayMark are on the current DFS stack (cycle detection). enc
+	// renders component segments and assembles keys from them. The table
+	// is single-owner: this explorer (one execution tree) is its only user.
 	memo     *memoTable
-	enc      *keyEncoder
+	enc      keyEncoder
 	memoHits int64
 
 	// Dense access-counter ids (arena.go): acct interns accKeys, procIDs /
@@ -742,7 +730,7 @@ type explorer struct {
 	freeSums   []*summary
 	freeCfgs   []*config
 
-	// transCache memoizes Spec.Apply results on the flat path, keyed by
+	// transCache memoizes Spec.Apply results, keyed by
 	// (object, encoded state segment, port, invocation); stepCache does
 	// the same for startNextOp, keyed by (process, encoded pre-state
 	// segment, response). Sound because Spec.Step and machines are
@@ -751,18 +739,12 @@ type explorer struct {
 	// per encoder; together they turn the per-edge user-code calls, their
 	// allocations, and the successor segment encodings into no-alloc map
 	// hits. Both are bounded by per-component state counts — roots of the
-	// configuration count the memo table holds — so they stay negligible
-	// even under MemoBudget.
+	// configuration count — so they stay negligible with or without a memo
+	// table, and under MemoBudget.
 	transCache   map[string][]cachedTrans
 	transScratch []byte
 	stepCache    map[string]procStep
 	stepScratch  []byte
-
-	// beatEnc renders heartbeat config keys when the stall watchdog is
-	// armed (counters.captureKeys). It is separate from enc, whose buffer
-	// may be mid-append, and lazily allocated so unwatched runs pay
-	// nothing.
-	beatEnc *keyEncoder
 
 	// leafView is the one Leaf handed to every OnLeaf call; leafCrashed
 	// and leafRecoveries back its Crashed and Recoveries slices, which are
@@ -790,14 +772,12 @@ type explorer struct {
 
 // panicContext renders the recovery breadcrumbs, including the offending
 // configuration's key (hex), for *faults.PanicError. It is only called
-// after a panic, so it may allocate freely — including a fresh key encoder,
-// because the explorer's own encoder may have been mid-append.
+// after a panic, so it may allocate freely.
 func (e *explorer) panicContext() string {
 	if e.curConfig == nil {
 		return "root configuration"
 	}
-	key := newKeyEncoder().configKey(e.curConfig)
-	return fmt.Sprintf("depth %d, config key %x", e.curDepth, key)
+	return fmt.Sprintf("depth %d, config key %s", e.curDepth, keyHex(e.curConfig))
 }
 
 // startNextOp advances process p past any number of operation boundaries:
@@ -895,6 +875,12 @@ func (e *explorer) dfs(c *config, depth int) (*summary, error) {
 	if e.acct == nil {
 		e.initAcct() // bare explorers (tests) enter here without explore()
 	}
+	if c.objEnc == nil {
+		// The root (or a test's bare config): encode every component
+		// once; children inherit the segments and re-encode only what an
+		// edge changes.
+		e.encodeSegments(c)
+	}
 	sum := e.newSummary()
 	e.pendNodes++
 	if e.sinceFlush++; e.sinceFlush >= flushEvery {
@@ -959,11 +945,6 @@ func (e *explorer) dfs(c *config, depth int) (*summary, error) {
 
 	var memoID int32
 	if e.opts.Memoize {
-		if c.objEnc == nil {
-			// A config handed in without cached segments (a bare explorer
-			// in a test): build them once; children inherit incrementally.
-			e.encodeSegments(c)
-		}
 		cached, id := e.memo.acquire(e.flatKey(c))
 		if cached != nil {
 			if cached == grayMark {
@@ -1026,9 +1007,7 @@ func (e *explorer) expand(c *config, depth int, sum *summary, crashes, recoverie
 			}
 			child := e.cloneConfig(c)
 			child.procs[p].Crashed = true
-			if e.opts.Memoize {
-				child.procEnc[p] = e.encodeProcSeg(&child.procs[p])
-			}
+			child.procEnc[p] = e.encodeProcSeg(&child.procs[p])
 			e.schedule = append(e.schedule, StepRecord{Proc: p, Obj: -1, Crash: true})
 			// A crash is not an object access: it consumes no depth budget
 			// and bumps no access counters (mergeCrashChild), matching the
@@ -1076,9 +1055,7 @@ func (e *explorer) expand(c *config, depth int, sum *summary, crashes, recoverie
 			err := e.startNextOp(child, p, types.Response{})
 			var childSum *summary
 			if err == nil {
-				if e.opts.Memoize {
-					child.procEnc[p] = e.encodeProcSeg(&child.procs[p])
-				}
+				child.procEnc[p] = e.encodeProcSeg(&child.procs[p])
 				// Like a crash, a recovery is not an object access: no
 				// depth budget, no access counters. Termination holds
 				// because each recovery strictly increases the total
@@ -1111,19 +1088,7 @@ func (e *explorer) expand(c *config, depth int, sum *summary, crashes, recoverie
 		}
 		e.curConfig, e.curProc, e.curDepth = c, p, depth
 		act := c.procs[p].Pending
-		var cts []cachedTrans
-		var err error
-		if e.opts.Memoize {
-			cts, err = e.applyCached(c, p, act)
-		} else {
-			decl := &e.im.Objects[act.Obj]
-			var ts []types.Transition
-			ts, err = decl.Spec.Apply(c.objs[act.Obj], decl.Port(p), act.Inv)
-			cts = make([]cachedTrans, len(ts))
-			for i, t := range ts {
-				cts[i] = cachedTrans{next: t.Next, resp: t.Resp}
-			}
-		}
+		cts, err := e.applyCached(c, p, act)
 		if err != nil {
 			return fmt.Errorf("process %d at depth %d: %w", p, depth, err)
 		}
@@ -1141,12 +1106,8 @@ func (e *explorer) expand(c *config, depth int, sum *summary, crashes, recoverie
 			// stack-scoped — nothing below retains the pointer — and
 			// every expand call restores c before returning, so after the
 			// restore c is the parent again for the next transition.
-			oldObj := c.objs[act.Obj]
-			oldProc := c.procs[p]
-			var oldObjSeg, oldProcSeg []byte
-			if e.opts.Memoize {
-				oldObjSeg, oldProcSeg = c.objEnc[act.Obj], c.procEnc[p]
-			}
+			oldObj, oldObjSeg := c.objs[act.Obj], c.objEnc[act.Obj]
+			oldProc, oldProcSeg := c.procs[p], c.procEnc[p]
 			c.objs[act.Obj] = t.next
 			if forcedStep {
 				c.procs[p].Stepped = true
@@ -1161,17 +1122,11 @@ func (e *explorer) expand(c *config, depth int, sum *summary, crashes, recoverie
 				e.clock++ // the access itself is a clock event
 			}
 
-			var err error
-			if e.opts.Memoize {
-				// The object's successor segment comes pre-encoded with
-				// the cached transition, and the process advances (with
-				// its segment) through the step cache; everything else is
-				// shared.
-				c.objEnc[act.Obj] = t.nextEnc
-				err = e.stepProcCached(c, p, t.resp, forcedStep)
-			} else {
-				err = e.startNextOp(c, p, t.resp)
-			}
+			// The object's successor segment comes pre-encoded with the
+			// cached transition, and the process advances (with its
+			// segment) through the step cache; everything else is shared.
+			c.objEnc[act.Obj] = t.nextEnc
+			err := e.stepProcCached(c, p, t.resp, forcedStep)
 			var childSum *summary
 			if err == nil {
 				childSum, err = e.dfs(c, depth+1)
@@ -1179,11 +1134,8 @@ func (e *explorer) expand(c *config, depth int, sum *summary, crashes, recoverie
 
 			// Restore the parent configuration before any other code
 			// (merges, error returns) can observe c.
-			c.objs[act.Obj] = oldObj
-			c.procs[p] = oldProc
-			if e.opts.Memoize {
-				c.objEnc[act.Obj], c.procEnc[p] = oldObjSeg, oldProcSeg
-			}
+			c.objs[act.Obj], c.objEnc[act.Obj] = oldObj, oldObjSeg
+			c.procs[p], c.procEnc[p] = oldProc, oldProcSeg
 
 			if childSum != nil {
 				e.mergeChild(sum, childSum, opID, objID, procID)
@@ -1307,13 +1259,7 @@ func (e *explorer) leaf(c *config, depth, crashes, recoveries int) error {
 		leaf.Responses = make([][]types.Response, e.im.Procs)
 	}
 	for p := 0; p < e.im.Procs; p++ {
-		if e.opts.Memoize {
-			// Path data may be incomplete under memoization; surface the
-			// per-process final responses from the configuration itself.
-			leaf.Responses[p] = append(leaf.Responses[p][:0], c.procs[p].Resp)
-		} else {
-			leaf.Responses[p] = append(leaf.Responses[p][:0], e.responses[p]...)
-		}
+		leaf.Responses[p] = append(leaf.Responses[p][:0], e.responses[p]...)
 	}
 	leaf.Crashed = nil
 	if crashes > 0 {
@@ -1383,10 +1329,7 @@ func (e *explorer) flushCounters(depth int) {
 	beat.lastProgress.Store(time.Now().UnixNano())
 	beat.depth.Store(int64(depth))
 	if e.ctr.captureKeys && e.curConfig != nil {
-		if e.beatEnc == nil {
-			e.beatEnc = newKeyEncoder()
-		}
-		key := fmt.Sprintf("%x", e.beatEnc.configKey(e.curConfig))
+		key := keyHex(e.curConfig)
 		beat.key.Store(&key)
 	}
 	if e.ctr.maxNodes > 0 && e.ctr.nodes.Load() >= e.ctr.maxNodes {

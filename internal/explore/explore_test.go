@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"waitfree/internal/hist"
 	"waitfree/internal/linearize"
 	"waitfree/internal/program"
 	"waitfree/internal/types"
@@ -297,10 +298,9 @@ func TestMemoizationPreservesVerdictsAndBounds(t *testing.T) {
 	}
 }
 
-// TestRecordHistoryLinearizable implements a register from a backing
-// register (the identity implementation) and checks every leaf history is
-// linearizable against the target register spec.
-func TestRecordHistoryLinearizable(t *testing.T) {
+// identityRegisterImpl implements a 2-process register from a backing
+// register: every target operation is forwarded as one access.
+func identityRegisterImpl() *program.Implementation {
 	forward := program.FuncMachine{
 		StartFn: func(inv types.Invocation, _ any) any {
 			return casConsensusState{PC: 0, V: invCode(inv)}
@@ -313,16 +313,23 @@ func TestRecordHistoryLinearizable(t *testing.T) {
 			return program.ReturnAction(resp, nil), s
 		},
 	}
-	target := types.Register(2, 2)
-	im := &program.Implementation{
+	return &program.Implementation{
 		Name:   "identity-register",
-		Target: target,
+		Target: types.Register(2, 2),
 		Procs:  2,
 		Objects: []program.ObjectDecl{
 			{Name: "backing", Spec: types.Register(2, 2), Init: 0, PortOf: program.AllPorts(2)},
 		},
 		Machines: []program.Machine{forward, forward},
 	}
+}
+
+// TestRecordHistoryLinearizable implements a register from a backing
+// register (the identity implementation) and checks every leaf history is
+// linearizable against the target register spec.
+func TestRecordHistoryLinearizable(t *testing.T) {
+	im := identityRegisterImpl()
+	target := im.Target
 	scripts := [][]types.Invocation{
 		{types.Write(1), types.Read},
 		{types.Read, types.Read},
@@ -354,6 +361,95 @@ func TestRecordHistoryLinearizable(t *testing.T) {
 	}
 	if res.Depth != 4 {
 		t.Errorf("depth = %d, want 4 (one access per target op)", res.Depth)
+	}
+}
+
+// twoOpScripts gives each process of identityRegisterImpl a write then a
+// read, so responses vary with the interleaving.
+var twoOpScripts = [][]types.Invocation{
+	{types.Write(1), types.Read},
+	{types.Write(0), types.Read},
+}
+
+// TestRecordHistoryClosesEveryOp pins the step-cache bypass of history
+// runs: a cached advance replays responses but no history events, so
+// every leaf's History must still hold every scripted op, closed, with
+// the responses the leaf reports.
+func TestRecordHistoryClosesEveryOp(t *testing.T) {
+	leaves := 0
+	res, err := Run(identityRegisterImpl(), twoOpScripts, Options{
+		RecordHistory: true,
+		OnLeaf: func(l *Leaf) error {
+			leaves++
+			for p, script := range twoOpScripts {
+				var invs []types.Invocation
+				var resps []types.Response
+				for _, op := range l.History {
+					if op.Proc != p {
+						continue
+					}
+					if op.End == hist.Pending {
+						return fmt.Errorf("process %d: %v left pending in %v", p, op.Inv, l.History)
+					}
+					invs = append(invs, op.Inv)
+					resps = append(resps, op.Resp)
+				}
+				if !reflect.DeepEqual(invs, script) {
+					return fmt.Errorf("process %d: history ops %v, script %v", p, invs, script)
+				}
+				if !reflect.DeepEqual(resps, l.Responses[p]) {
+					return fmt.Errorf("process %d: history responses %v, leaf responses %v", p, resps, l.Responses[p])
+				}
+			}
+			return nil
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Violation != nil {
+		t.Fatal(res.Violation)
+	}
+	if leaves == 0 || int64(leaves) != res.Leaves {
+		t.Errorf("leaves seen = %d, result says %d", leaves, res.Leaves)
+	}
+}
+
+// TestMemoizedLeavesCarryFullResponses pins that memoized leaves report
+// every response along their path, not just each process's last one:
+// every memoized leaf has a response per scripted op, and its response
+// vector is one the unmemoized run also reaches.
+func TestMemoizedLeavesCarryFullResponses(t *testing.T) {
+	vectors := func(memo bool) map[string]bool {
+		seen := make(map[string]bool)
+		res, err := Run(identityRegisterImpl(), twoOpScripts, Options{
+			Memoize: memo,
+			OnLeaf: func(l *Leaf) error {
+				for p, script := range twoOpScripts {
+					if len(l.Responses[p]) != len(script) {
+						return fmt.Errorf("memoize=%v: process %d has responses %v for %d ops", memo, p, l.Responses[p], len(script))
+					}
+				}
+				seen[fmt.Sprint(l.Responses)] = true
+				return nil
+			},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Violation != nil {
+			t.Fatal(res.Violation)
+		}
+		return seen
+	}
+	full, memoized := vectors(false), vectors(true)
+	if len(memoized) == 0 {
+		t.Fatal("memoized run reached no leaves")
+	}
+	for v := range memoized {
+		if !full[v] {
+			t.Errorf("memoized leaf responses %s never occur unmemoized", v)
+		}
 	}
 }
 

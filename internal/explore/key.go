@@ -20,11 +20,13 @@ import (
 // rendering used to be fmt.Sprintf("%#v|%#v", ...), which spends most of
 // its time in fmt's reflection-based formatter; profiles of memoized runs
 // showed the key rendering dominating the exploration itself. The encoder
-// below writes the same information into a reused byte buffer with
-// hand-rolled fast paths for the framework's own value types (ints,
-// strings, Response, Invocation, Action) and a single reflection walk for
-// user-defined machine/object states, interning their reflect.Types into
-// small ids.
+// below renders each component — one object state, one process control
+// state — into a segment, with hand-rolled fast paths for the framework's
+// own value types (ints, strings, Response, Invocation, Action) and a
+// single reflection walk for user-defined machine/object states, interning
+// their reflect.Types into small ids. Every configuration key is the
+// concatenation of its cached segments (flatKey, arena.go); only the
+// symmetry certificate (canonKey) re-encodes a whole configuration.
 //
 // Keys only need to be injective and stable within one encoder: type-id
 // interning is per-encoder, so encounter order cannot differ between two
@@ -57,33 +59,11 @@ const (
 )
 
 // keyEncoder renders configurations into compact deterministic byte keys.
-// Not safe for concurrent use; each explorer owns one.
+// Not safe for concurrent use; each explorer owns one. The zero value is
+// ready to use, so an explorer that never encodes pays nothing for it.
 type keyEncoder struct {
 	buf     []byte
 	typeIDs map[reflect.Type]uint64
-}
-
-func newKeyEncoder() *keyEncoder {
-	return &keyEncoder{
-		buf:     make([]byte, 0, 256),
-		typeIDs: make(map[reflect.Type]uint64),
-	}
-}
-
-// configKey encodes c into the encoder's reused buffer and returns it. The
-// returned slice is invalidated by the next configKey call; callers that
-// need to retain the key must copy it (string(key)).
-func (e *keyEncoder) configKey(c *config) []byte {
-	b := e.buf[:0]
-	for i := range c.objs {
-		b = e.appendAny(b, c.objs[i])
-	}
-	b = append(b, tagSep)
-	for i := range c.procs {
-		b = e.appendProc(b, &c.procs[i])
-	}
-	e.buf = b
-	return b
 }
 
 // appendProc encodes one process's control state.
@@ -126,7 +106,7 @@ func (e *keyEncoder) appendProc(b []byte, ps *procState) []byte {
 // behaviorally identical processes therefore share a canonical key — the
 // certificate verifyOrbitRoots checks before symmetry reduction trusts a
 // declared SymmetricProcs. Off the memo hot path, so the key is freshly
-// allocated (unlike configKey's reused buffer) and survives later calls.
+// allocated (unlike flatKey's reused buffer) and survives later calls.
 // perm lists the processes in canonical order (perm[i] occupies slot i);
 // equal encodings tie-break by index, keeping the order deterministic.
 func (e *keyEncoder) canonKey(c *config) (key []byte, perm []int) {
@@ -215,6 +195,9 @@ func (e *keyEncoder) appendReflect(b []byte, rv reflect.Value) []byte {
 	t := rv.Type()
 	id, ok := e.typeIDs[t]
 	if !ok {
+		if e.typeIDs == nil {
+			e.typeIDs = make(map[reflect.Type]uint64)
+		}
 		id = uint64(len(e.typeIDs) + 1)
 		e.typeIDs[t] = id
 	}

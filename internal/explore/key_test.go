@@ -2,14 +2,18 @@ package explore
 
 import (
 	"bytes"
-	"fmt"
 	"testing"
 
 	"waitfree/internal/program"
 	"waitfree/internal/types"
 )
 
-func keyOf(e *keyEncoder, c *config) string { return string(e.configKey(c)) }
+// keyOf renders c's key the way the explorer does: encode its segments,
+// then concatenate them with flatKey.
+func keyOf(e *explorer, c *config) string {
+	e.encodeSegments(c)
+	return string(e.flatKey(c))
+}
 
 func testConfig(objState types.State, mem any, resp types.Response) *config {
 	return &config{
@@ -22,7 +26,7 @@ func testConfig(objState types.State, mem any, resp types.Response) *config {
 }
 
 func TestConfigKeyInjective(t *testing.T) {
-	e := newKeyEncoder()
+	e := &explorer{}
 	base := testConfig(0, nil, types.ValOf(0))
 	variants := []*config{
 		testConfig(1, nil, types.ValOf(0)),        // object state differs
@@ -51,7 +55,7 @@ func TestConfigKeyDeterministic(t *testing.T) {
 	// encounter order, which equal encode sequences share).
 	type userState struct{ A, B int }
 	mk := func() *config { return testConfig(userState{1, 2}, userState{3, 4}, types.OK) }
-	e1, e2 := newKeyEncoder(), newKeyEncoder()
+	e1, e2 := &explorer{}, &explorer{}
 	k1a := keyOf(e1, mk())
 	_ = keyOf(e1, testConfig(userState{9, 9}, nil, types.OK)) // perturb the buffer
 	k1b := keyOf(e1, mk())
@@ -69,7 +73,7 @@ func TestConfigKeyDeterministic(t *testing.T) {
 // sorted by their encoded bytes) while keeping distinct maps distinct.
 func TestConfigKeyMapDeterministic(t *testing.T) {
 	type mapState struct{ M map[int]int }
-	e := newKeyEncoder()
+	e := &explorer{}
 	build := func(reversed bool) map[int]int {
 		m := make(map[int]int)
 		if reversed {
@@ -118,7 +122,7 @@ func TestConfigKeyMapDeterministic(t *testing.T) {
 // permutation, sensitive to everything else, with perm listing the
 // processes in canonical slot order.
 func TestCanonKey(t *testing.T) {
-	e := newKeyEncoder()
+	e := &keyEncoder{}
 	c := testConfig(0, 7, types.ValOf(1))
 	swapped := &config{
 		objs:  c.objs,
@@ -172,7 +176,7 @@ func FuzzCanonKeyPermutationInvariant(f *testing.F) {
 			objs:  cfg.objs,
 			procs: []procState{cfg.procs[pi[0]], cfg.procs[pi[1]], cfg.procs[pi[2]]},
 		}
-		e := newKeyEncoder()
+		e := &keyEncoder{}
 		k1, _ := e.canonKey(cfg)
 		k2, _ := e.canonKey(permuted)
 		if !bytes.Equal(k1, k2) {
@@ -181,23 +185,26 @@ func FuzzCanonKeyPermutationInvariant(f *testing.F) {
 	})
 }
 
-// BenchmarkConfigKey compares the byte encoder against the fmt rendering
-// it replaced, on a configuration with user-defined (reflection-path)
-// states.
+// BenchmarkConfigKey compares the per-node key cost — concatenating
+// cached segments — against encoding every segment afresh, on a
+// configuration with user-defined (reflection-path) states.
 func BenchmarkConfigKey(b *testing.B) {
 	type userState struct{ A, B, C int }
 	c := testConfig(userState{1, 2, 3}, userState{4, 5, 6}, types.OK)
-	b.Run("encoder", func(b *testing.B) {
-		e := newKeyEncoder()
+	b.Run("flatKey", func(b *testing.B) {
+		e := &explorer{}
+		e.encodeSegments(c)
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			_ = e.configKey(c)
+			_ = e.flatKey(c)
 		}
 	})
-	b.Run("fmt", func(b *testing.B) {
+	b.Run("encodeSegments+flatKey", func(b *testing.B) {
+		e := &explorer{}
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			_ = fmt.Sprintf("%#v|%#v", c.objs, c.procs)
+			e.encodeSegments(c)
+			_ = e.flatKey(c)
 		}
 	})
 }

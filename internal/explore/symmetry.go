@@ -211,7 +211,7 @@ func planOrbits(im *program.Implementation, k, roots int, opts Options) (orbits 
 // not mechanically checkable). Roots are cheap to build — each is one
 // newExplorer call, no tree is explored.
 func verifyOrbitRoots(im *program.Implementation, k int, orbits []orbit) error {
-	enc := newKeyEncoder()
+	enc := &keyEncoder{}
 	rootKey := func(mask int) ([]byte, error) {
 		scripts := consensusScripts(ProposalVectorK(mask, im.Procs, k))
 		_, root, err := newExplorer(im, scripts, Options{})

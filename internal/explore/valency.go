@@ -76,33 +76,12 @@ func ValencySet(mask uint64) []int {
 // Valency analyzes the execution tree of a consensus implementation from
 // one proposal vector. Decision values must lie in 0..63.
 func Valency(im *program.Implementation, proposals []int, opts Options) (*ValencyReport, error) {
-	if err := im.Validate(); err != nil {
+	e, root, err := newExplorer(im, consensusScripts(proposals), opts)
+	if err != nil {
 		return nil, err
 	}
-	if len(proposals) != im.Procs {
-		return nil, fmt.Errorf("%w: %d proposals for %d processes", ErrBadScripts, len(proposals), im.Procs)
-	}
-	if opts.MaxDepth == 0 {
-		opts.MaxDepth = DefaultMaxDepth
-	}
-	scripts := make([][]types.Invocation, im.Procs)
-	for p, v := range proposals {
-		scripts[p] = []types.Invocation{types.Propose(v)}
-	}
-	e := &explorer{im: im, scripts: scripts, opts: opts}
-	e.responses = make([][]types.Response, im.Procs)
-	for p := range e.responses {
-		e.responses[p] = make([]types.Response, 0, 1)
-	}
-	root := &config{objs: im.InitialStates(), procs: make([]procState, im.Procs)}
-	for p := 0; p < im.Procs; p++ {
-		root.procs[p] = procState{Mem: nil}
-		if err := e.startNextOp(root, p, types.Response{}); err != nil {
-			return nil, err
-		}
-	}
-
-	v := &valencyAnalysis{e: e, enc: newKeyEncoder(), memo: make(map[string]uint64), seenCrit: make(map[string]bool)}
+	e.encodeSegments(root)
+	v := &valencyAnalysis{e: e, memo: make(map[string]uint64), seenCrit: make(map[string]bool)}
 	rootMask, err := v.valency(root, 0)
 	if err != nil {
 		return nil, err
@@ -131,7 +110,6 @@ func Valency(im *program.Implementation, proposals []int, opts Options) (*Valenc
 
 type valencyAnalysis struct {
 	e         *explorer
-	enc       *keyEncoder
 	memo      map[string]uint64
 	seenCrit  map[string]bool
 	bivalent  int
@@ -161,7 +139,7 @@ func (v *valencyAnalysis) valency(c *config, depth int) (uint64, error) {
 		}
 		return 1 << uint(val), nil
 	}
-	key := string(v.enc.configKey(c))
+	key := string(v.e.flatKey(c))
 	if mask, ok := v.memo[key]; ok {
 		return mask, nil
 	}
@@ -175,23 +153,20 @@ func (v *valencyAnalysis) valency(c *config, depth int) (uint64, error) {
 		}
 		act := c.procs[p].Pending
 		pending = append(pending, PendingStep{Proc: p, Obj: act.Obj, Inv: act.Inv})
-		decl := &v.e.im.Objects[act.Obj]
-		ts, err := decl.Spec.Apply(c.objs[act.Obj], decl.Port(p), act.Inv)
+		cts, err := v.e.applyCached(c, p, act)
 		if err != nil {
 			return 0, err
 		}
 		var childMask uint64
-		for _, t := range ts {
-			child := c.clone()
-			child.objs[act.Obj] = t.Next
-			if err := v.e.startNextOp(child, p, t.Resp); err != nil {
-				return 0, err
-			}
-			m, err := v.valency(child, depth+1)
+		for _, t := range cts {
+			err := v.e.walkChild(c, p, act.Obj, t, func(child *config) error {
+				m, err := v.valency(child, depth+1)
+				childMask |= m
+				return err
+			})
 			if err != nil {
 				return 0, err
 			}
-			childMask |= m
 		}
 		childMasks = append(childMasks, childMask)
 		mask |= childMask

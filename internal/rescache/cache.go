@@ -10,6 +10,7 @@ import (
 	"sync"
 
 	"waitfree/internal/durable"
+	"waitfree/internal/envelope"
 	"waitfree/internal/fsx"
 )
 
@@ -213,7 +214,7 @@ func (c *Cache) Put(key Key, data []byte) error {
 	if c.dir == "" || !c.diskAttempt() {
 		return nil
 	}
-	env := durable.EncodeEnvelope(envelopeMagic, recordKind, []byte(key.Hex()), [][]byte{data})
+	env := envelope.Encode(envelopeMagic, recordKind, []byte(key.Hex()), [][]byte{data})
 	if err := durable.SaveBytesWith(context.Background(), c.fsys, c.policy(), c.path(key), env); err != nil {
 		c.noteDiskFailure()
 		return err
@@ -284,7 +285,7 @@ func (c *Cache) readDisk(key Key) ([]byte, bool) {
 		c.healByRemoval(key)
 		return nil, false
 	}
-	header, records, err := durable.DecodeEnvelope(envelopeMagic, recordKind, raw)
+	header, records, err := envelope.Decode(envelopeMagic, recordKind, raw)
 	if string(header) != key.Hex() || len(records) < 1 {
 		c.countError()
 		c.healByRemoval(key)
@@ -297,7 +298,7 @@ func (c *Cache) readDisk(key Key) ([]byte, bool) {
 		// leaving the torn file in place would make every later process
 		// re-decode the failure and bump Errors forever.
 		c.countError()
-		env := durable.EncodeEnvelope(envelopeMagic, recordKind, []byte(key.Hex()), [][]byte{records[0]})
+		env := envelope.Encode(envelopeMagic, recordKind, []byte(key.Hex()), [][]byte{records[0]})
 		if err := durable.SaveBytesWith(context.Background(), c.fsys, c.policy(), c.path(key), env); err != nil {
 			c.countError()
 		} else {

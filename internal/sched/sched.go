@@ -261,6 +261,12 @@ func NewToken(procs int, seed int64, crashAt map[int]int) *Token {
 // Next implements Scheduler.
 func (t *Token) Next(p int) bool {
 	t.mu.Lock()
+	if t.stopped {
+		// The dispatcher has exited (or is about to): nothing would ever
+		// answer the grant channel.
+		t.mu.Unlock()
+		return false
+	}
 	if limit, crashes := t.crashAt[p]; crashes && t.steps[p] >= limit {
 		t.mu.Unlock()
 		return false
@@ -280,8 +286,8 @@ func (t *Token) Done(p int) {
 	t.mu.Unlock()
 }
 
-// Stop shuts the dispatcher down; pending Next calls are released as
-// crashes. Call it after the run completes.
+// Stop shuts the dispatcher down; pending and later Next calls are
+// released as crashes. Call it after the run completes.
 func (t *Token) Stop() {
 	t.mu.Lock()
 	t.stopped = true

@@ -147,7 +147,7 @@ func (s *store) save(ctx context.Context, j *Job) error {
 	if err != nil {
 		return fmt.Errorf("server: marshal job %s: %w", m.ID, err)
 	}
-	env := durable.EncodeEnvelope(jobMagic, jobKind, []byte(m.ID), [][]byte{data})
+	env := envelope.Encode(jobMagic, jobKind, []byte(m.ID), [][]byte{data})
 	if err := durable.SaveBytesWith(ctx, s.fsys, s.policy(), s.path(m.ID), env); err != nil {
 		s.failures.Add(1)
 		s.consecFails.Add(1)

@@ -6,18 +6,22 @@
 //
 // Allocations per op are deterministic counts, so they gate reliably on
 // shared CI runners; ns/op is recorded for the trajectory but never gated
-// (wall-clock on shared hardware is noise).
+// (wall-clock on shared hardware is noise). The output also records the
+// non-test Go lines of every package in the module, so deletions show in
+// the trajectory next to the costs; those are never gated either.
 //
-//	go run ./scripts/benchreg -baseline BENCH_BASELINE.json -out BENCH_12.json
+//	go run ./scripts/benchreg -baseline BENCH_BASELINE.json -out BENCH_13.json
 //	go run ./scripts/benchreg -update          # refresh the baseline in place
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
 	"os/exec"
+	"path/filepath"
 	"regexp"
 	"runtime"
 	"strconv"
@@ -41,6 +45,8 @@ type File struct {
 	GoOS       string           `json:"goos"`
 	GoArch     string           `json:"goarch"`
 	Benchmarks map[string]Point `json:"benchmarks"`
+	// LOC maps each package's import path to its non-test Go lines.
+	LOC map[string]int `json:"loc,omitempty"`
 }
 
 // benchLine matches one `go test -bench` result line; value/unit pairs
@@ -49,7 +55,7 @@ var benchLine = regexp.MustCompile(`^(Benchmark\S+)\s+(\d+)\s+(.*)$`)
 
 func main() {
 	baselinePath := flag.String("baseline", "BENCH_BASELINE.json", "committed baseline to gate against")
-	outPath := flag.String("out", "", "write the fresh measurements to this file (e.g. BENCH_12.json)")
+	outPath := flag.String("out", "", "write the fresh measurements to this file (e.g. BENCH_13.json)")
 	bench := flag.String("bench", "BenchmarkConsensus", "benchmark pattern to run")
 	benchtime := flag.String("benchtime", "5x", "-benchtime passed to go test")
 	threshold := flag.Float64("threshold", 0.10, "maximum tolerated allocs/op regression (fraction)")
@@ -64,12 +70,17 @@ func main() {
 		fatal(fmt.Errorf("no benchmarks matched %q", *bench))
 	}
 	out := &File{
-		Note:       "allocs/op gated by scripts/benchreg; ns/op recorded for the trajectory only",
+		Note:       "allocs/op gated by scripts/benchreg; ns/op and loc recorded for the trajectory only",
 		GoOS:       runtime.GOOS,
 		GoArch:     runtime.GOARCH,
 		Benchmarks: fresh,
 	}
 	if *outPath != "" {
+		loc, err := linesPerPackage()
+		if err != nil {
+			fatal(err)
+		}
+		out.LOC = loc
 		if err := writeJSON(*outPath, out); err != nil {
 			fatal(err)
 		}
@@ -169,6 +180,34 @@ func parseMetrics(tail string) (Point, bool) {
 		}
 	}
 	return p, haveNs && haveBytes && haveAllocs
+}
+
+// linesPerPackage counts the lines (as wc -l does) of every package's
+// non-test Go files, keyed by import path.
+func linesPerPackage() (map[string]int, error) {
+	out, err := exec.Command("go", "list", "-json=ImportPath,Dir,GoFiles", "./...").Output()
+	if err != nil {
+		return nil, fmt.Errorf("go list: %w", err)
+	}
+	loc := make(map[string]int)
+	dec := json.NewDecoder(bytes.NewReader(out))
+	for dec.More() {
+		var pkg struct {
+			ImportPath, Dir string
+			GoFiles         []string
+		}
+		if err := dec.Decode(&pkg); err != nil {
+			return nil, fmt.Errorf("go list: %w", err)
+		}
+		for _, f := range pkg.GoFiles {
+			data, err := os.ReadFile(filepath.Join(pkg.Dir, f))
+			if err != nil {
+				return nil, err
+			}
+			loc[pkg.ImportPath] += bytes.Count(data, []byte("\n"))
+		}
+	}
+	return loc, nil
 }
 
 func writeJSON(path string, f *File) error {

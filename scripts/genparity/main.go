@@ -130,7 +130,7 @@ func main() {
 		log.Fatalf("resume fixture run was not partial (nodes=%d); lower resumeMaxNodes", rep.Nodes)
 	}
 	path := filepath.Join(dir, ResumeFile)
-	if err := durable.Save(path, rep.Checkpoint); err != nil {
+	if err := durable.SaveFS(nil, path, rep.Checkpoint); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("wrote %s (%d/%d trees)\n", path, len(rep.Checkpoint.Trees), rep.Checkpoint.Roots)

@@ -18,9 +18,9 @@ trap 'rm -rf "$work"' EXIT
 go build -o "$work/explore" ./cmd/explore
 
 # A workload long enough to straddle several 1s autosave intervals:
-# sticky-cell consensus for 5 processes with exhaustive crash-start faults
-# (~5s single-core).
-args=(-protocol sticky -procs 5 -faults -fault-mode crash-start -json)
+# sticky-cell consensus for 5 processes with exhaustive crash-stop faults,
+# every proposal tree explored (10-20s on two cores).
+args=(-protocol sticky -procs 5 -faults -fault-mode crash-stop -symmetry off -json)
 
 echo "soak-smoke: uninterrupted reference run"
 "$work/explore" "${args[@]}" > "$work/reference.json"

@@ -180,16 +180,18 @@ type (
 	CorruptCheckpointError = durable.CorruptError
 )
 
+// SaveCheckpoint atomically writes a checksummed checkpoint file
+// (temp-file rename, fsync, transient-error retry).
+func SaveCheckpoint(path string, cp *Checkpoint) error { return durable.SaveFS(nil, path, cp) }
+
+// LoadCheckpoint reads a checkpoint file written by SaveCheckpoint,
+// verifying every checksum; corruption — a bare-JSON file from before
+// the durable format included — surfaces as ErrCorruptCheckpoint with any
+// salvageable prefix attached to the *CorruptCheckpointError.
+func LoadCheckpoint(path string) (*Checkpoint, error) { return durable.LoadFS(nil, path) }
+
 // Durable checkpoint files.
 var (
-	// SaveCheckpoint atomically writes a checksummed checkpoint file
-	// (temp-file rename, fsync, transient-error retry).
-	SaveCheckpoint = durable.Save
-	// LoadCheckpoint reads a checkpoint file written by SaveCheckpoint
-	// (or a legacy bare-JSON file), verifying every checksum; corruption
-	// surfaces as ErrCorruptCheckpoint with any salvageable prefix
-	// attached to the *CorruptCheckpointError.
-	LoadCheckpoint = durable.Load
 	// ErrCorruptCheckpoint is the sentinel wrapped by every checkpoint
 	// corruption error.
 	ErrCorruptCheckpoint = durable.ErrCorruptCheckpoint
