@@ -2,7 +2,6 @@ package durable
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"errors"
 	"io/fs"
@@ -12,8 +11,8 @@ import (
 	"strings"
 	"syscall"
 	"testing"
-	"time"
 
+	"waitfree/internal/envelope"
 	"waitfree/internal/explore"
 	"waitfree/internal/faults"
 	"waitfree/internal/fsx"
@@ -236,21 +235,35 @@ func TestDecodeTrailingGarbage(t *testing.T) {
 	}
 }
 
-// quickRetry keeps fault-schedule tests fast: same shape as
-// fsx.DefaultRetry, millisecond backoff.
-var quickRetry = fsx.RetryPolicy{Attempts: 3, Base: time.Millisecond}
-
-func TestSaveRetriesTransientFailures(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "cp")
-	cp := sampleCheckpoint(1)
-	data, err := Encode(cp)
+// TestEncodeMatchesCommittedCheckpoint pins the on-disk format byte for
+// byte: re-encoding the committed parity checkpoint reproduces the file.
+func TestEncodeMatchesCommittedCheckpoint(t *testing.T) {
+	want, err := os.ReadFile(filepath.Join("..", "..", "testdata", "flatparity", "resume_sticky3.wfcp"))
 	if err != nil {
 		t.Fatal(err)
 	}
+	cp, err := Decode(want)
+	if err != nil {
+		t.Fatalf("decode committed checkpoint: %v", err)
+	}
+	got, err := Encode(cp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("re-encoding differs from the committed file\ngot:  %q\nwant: %q", got, want)
+	}
+}
+
+// TestSaveRetriesTransientFailures drives SaveFS through a FaultFS: the
+// retry policy absorbs transient write faults and an unabsorbed one
+// leaves the previous checkpoint loadable.
+func TestSaveRetriesTransientFailures(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "cp")
 
 	// Two transient rename failures: absorbed by the three-attempt policy.
 	ff := fsx.NewFaultFS(nil, 1, fsx.Rule{Op: fsx.OpRename, Nth: 1, Count: 2, Err: syscall.EIO})
-	if err := SaveBytesWith(context.Background(), ff, quickRetry, path, data); err != nil {
+	if err := SaveFS(ff, path, sampleCheckpoint(1)); err != nil {
 		t.Fatalf("save with 2 transient failures: %v", err)
 	}
 	if _, err := LoadFS(nil, path); err != nil {
@@ -260,141 +273,144 @@ func TestSaveRetriesTransientFailures(t *testing.T) {
 		t.Errorf("rename attempted %d times, want 3", got)
 	}
 
-	// A rename that fails on every attempt: the policy gives up with an
-	// error naming the attempt count.
+	// A rename that fails on every attempt: the save gives up with an
+	// error naming the attempt count, and the prior file survives.
 	ff = fsx.NewFaultFS(nil, 1, fsx.Rule{Op: fsx.OpRename, Nth: 1, Count: -1, Err: syscall.EIO})
-	err = SaveBytesWith(context.Background(), ff, quickRetry, path, data)
-	if err == nil {
-		t.Fatal("save succeeded with a permanently failing rename")
-	}
+	err := SaveFS(ff, path, sampleCheckpoint(2))
 	if !errors.Is(err, syscall.EIO) || !strings.Contains(err.Error(), "attempts") {
 		t.Errorf("persistent-failure error = %v", err)
 	}
-	// The prior good file must be untouched by the failed overwrite.
-	if _, err := LoadFS(nil, path); err != nil {
+	if got, err := LoadFS(nil, path); err != nil || len(got.Trees) != 1 {
 		t.Errorf("failed save clobbered the existing file: %v", err)
 	}
 }
 
-// A permanent fault (the out-of-space class) must not burn the backoff
-// schedule: one attempt, immediate surfacing.
-func TestSavePermanentFaultBailsImmediately(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "cp")
-	ff := fsx.NewFaultFS(nil, 1, fsx.Rule{Op: fsx.OpCreateTemp, Nth: 1, Count: -1, Err: syscall.ENOSPC})
-	err := SaveBytesWith(context.Background(), ff, quickRetry, path, []byte("payload"))
-	if !errors.Is(err, syscall.ENOSPC) {
-		t.Fatalf("err = %v, want ENOSPC", err)
-	}
-	if got := ff.CountOf(fsx.OpCreateTemp); got != 1 {
-		t.Errorf("ENOSPC retried: %d CreateTemp attempts, want 1", got)
-	}
-}
-
-// A torn write is caught before the rename: the half-written temp file is
-// discarded and the retry writes a fresh one, so the destination never
-// holds a torn byte.
-func TestSaveTornWriteNeverPublishesPartialBytes(t *testing.T) {
+// A transient read fault is absorbed by the load's retry policy, as on
+// every other storage tier.
+func TestLoadRetriesTransientReadFault(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "cp")
 	cp := sampleCheckpoint(3)
+	if err := SaveFS(nil, path, cp); err != nil {
+		t.Fatal(err)
+	}
+	rules, err := fsx.ParseRules("readfile:1:eio")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ff := fsx.NewFaultFS(nil, 1, rules...)
+	got, err := LoadFS(ff, path)
+	if err != nil {
+		t.Fatalf("load with one transient read fault: %v", err)
+	}
+	if !reflect.DeepEqual(got, cp) {
+		t.Errorf("retried load mismatch\nbefore: %+v\nafter:  %+v", cp, got)
+	}
+	if n := ff.CountOf(fsx.OpReadFile); n != 2 {
+		t.Errorf("ReadFile attempted %d times, want 2", n)
+	}
+}
+
+// FuzzDurableDecode feeds arbitrary bytes to Decode: it must never panic,
+// every error must be a *CorruptError wrapping ErrCorruptCheckpoint, any
+// salvage must be the decoded header plus a prefix of the tree records,
+// and a clean decode must re-encode to the input up to the one final
+// newline the decoder tolerates missing or doubled.
+func FuzzDurableDecode(f *testing.F) {
+	for _, trees := range []int{0, 1, 3} {
+		data, err := Encode(sampleCheckpoint(trees))
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+		f.Add(data[:len(data)/2])
+	}
+	if data, err := os.ReadFile(filepath.Join("..", "..", "testdata", "flatparity", "resume_sticky3.wfcp")); err == nil {
+		f.Add(data)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		cp, err := Decode(data)
+		if err == nil {
+			enc, err := Encode(cp)
+			if err != nil {
+				t.Fatalf("re-encode: %v", err)
+			}
+			if !sameUpToFinalNewline(enc, data) {
+				t.Fatalf("clean decode re-encodes differently\nin:  %q\nout: %q", data, enc)
+			}
+			return
+		}
+		var ce *CorruptError
+		if !errors.Is(err, ErrCorruptCheckpoint) || !errors.As(err, &ce) {
+			t.Fatalf("err = %v (%T), want a *CorruptError wrapping ErrCorruptCheckpoint", err, err)
+		}
+		if cp != nil {
+			t.Fatalf("failed decode returned a checkpoint")
+		}
+		s := ce.Salvaged
+		if s == nil {
+			return
+		}
+		header, records, _ := envelope.Decode(Magic, treeKind, data)
+		var head explore.Checkpoint
+		if err := json.Unmarshal(header, &head); err != nil {
+			t.Fatalf("salvage from a header that does not parse: %v", err)
+		}
+		if len(s.Trees) < len(head.Trees) || len(s.Trees) > len(head.Trees)+len(records) {
+			t.Fatalf("salvaged %d trees from %d header trees and %d records", len(s.Trees), len(head.Trees), len(records))
+		}
+		for i, tr := range s.Trees[len(head.Trees):] {
+			var want explore.TreeResult
+			if err := json.Unmarshal(records[i], &want); err != nil || !reflect.DeepEqual(tr, want) {
+				t.Fatalf("salvaged tree %d differs from its record (%v)", i, err)
+			}
+		}
+		got := *s
+		got.Trees, head.Trees = nil, nil
+		if !reflect.DeepEqual(got, head) {
+			t.Fatalf("salvaged header %+v, decoded %+v", got, head)
+		}
+	})
+}
+
+// sameUpToFinalNewline reports whether enc (which ends in a newline)
+// equals data, data plus its missing final newline, or data minus a
+// doubled one.
+func sameUpToFinalNewline(enc, data []byte) bool {
+	return bytes.Equal(enc, data) ||
+		bytes.Equal(enc[:len(enc)-1], data) ||
+		bytes.Equal(append(enc[:len(enc):len(enc)], '\n'), data)
+}
+
+// sinkBytes and sinkCheckpoint keep benchmarked results live.
+var (
+	sinkBytes      []byte
+	sinkCheckpoint *explore.Checkpoint
+)
+
+// BenchmarkCheckpointCodec times the checkpoint <-> line-format mapping
+// on a 16-tree checkpoint (the size of a sticky/4 run).
+func BenchmarkCheckpointCodec(b *testing.B) {
+	cp := sampleCheckpoint(16)
 	data, err := Encode(cp)
 	if err != nil {
-		t.Fatal(err)
+		b.Fatal(err)
 	}
-	ff := fsx.NewFaultFS(nil, 1, fsx.Rule{Op: fsx.OpWrite, Nth: 1, Kind: fsx.FaultTorn, Err: syscall.EIO})
-	if err := SaveBytesWith(context.Background(), ff, quickRetry, path, data); err != nil {
-		t.Fatalf("save with one torn write: %v", err)
-	}
-	if _, err := LoadFS(nil, path); err != nil {
-		t.Fatalf("load after torn-write retry: %v", err)
-	}
-	// The discarded temp file must not linger next to the checkpoint.
-	entries, err := os.ReadDir(filepath.Dir(path))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) != 1 {
-		t.Errorf("directory holds %d entries after torn-write retry, want just the checkpoint", len(entries))
-	}
-}
-
-// TestSaveBytesContextCancellation pins the cancellable retry: a caller
-// shutting down over a failing disk must get out of the backoff schedule
-// as soon as its context dies, with an error naming both the cancellation
-// and the underlying write failure — and must not wait out the remaining
-// backoff (pinned by an hour-long backoff that would hang the test if
-// slept).
-func TestSaveBytesContextCancellation(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "blob")
-	ff := fsx.NewFaultFS(nil, 1, fsx.Rule{Op: fsx.OpRename, Nth: 1, Count: -1, Err: syscall.EIO})
-	slow := fsx.RetryPolicy{Attempts: 3, Base: time.Hour}
-
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan error, 1)
-	go func() { done <- SaveBytesWith(ctx, ff, slow, path, []byte("payload")) }()
-	// The first attempt fails immediately; the goroutine is now parked in
-	// the hour-long backoff. Cancel and require a prompt return.
-	time.Sleep(10 * time.Millisecond)
-	cancel()
-	select {
-	case err := <-done:
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("err = %v, want context.Canceled", err)
+	b.Run("encode", func(b *testing.B) {
+		b.SetBytes(int64(len(data)))
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if sinkBytes, err = Encode(cp); err != nil {
+				b.Fatal(err)
+			}
 		}
-		if !strings.Contains(err.Error(), "last error") {
-			t.Errorf("error %q does not carry the underlying write failure", err)
+	})
+	b.Run("decode", func(b *testing.B) {
+		b.SetBytes(int64(len(data)))
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if sinkCheckpoint, err = Decode(data); err != nil {
+				b.Fatal(err)
+			}
 		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("SaveBytesWith did not return after cancellation")
-	}
-
-	// An already-cancelled context still permits the first attempt (no
-	// retry needed on a healthy disk): atomicity and forward progress win
-	// over eager cancellation checks.
-	if err := SaveBytesWith(ctx, nil, fsx.DefaultRetry, path, []byte("payload")); err != nil {
-		t.Fatalf("first-attempt save under a dead context: %v", err)
-	}
-	if data, err := os.ReadFile(path); err != nil || string(data) != "payload" {
-		t.Fatalf("saved file = %q, %v", data, err)
-	}
-}
-
-func TestSaveBytesRoundTrip(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "blob.env")
-	data := []byte("wftest v1\nmeta x {\"key\":\"abc\"}\n")
-	if err := SaveBytesWith(context.Background(), nil, fsx.DefaultRetry, path, data); err != nil {
-		t.Fatalf("save: %v", err)
-	}
-	got, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("read back: %v", err)
-	}
-	if !bytes.Equal(got, data) {
-		t.Fatal("file contents differ from written data")
-	}
-	if fi, err := os.Stat(path); err != nil || fi.Mode().Perm() != 0o644 {
-		t.Fatalf("stat: %v, mode %v", err, fi.Mode())
-	}
-}
-
-// A filesystem that cannot fsync directories (EINVAL/EOPNOTSUPP) stays
-// best-effort: the write succeeds.
-func TestWriteAtomicDirSyncUnsupported(t *testing.T) {
-	for _, unsupported := range []error{syscall.EINVAL, syscall.EOPNOTSUPP} {
-		ff := fsx.NewFaultFS(nil, 1, fsx.Rule{Op: fsx.OpSyncDir, Nth: 1, Count: -1, Err: unsupported})
-		path := filepath.Join(t.TempDir(), "blob")
-		if err := writeAtomic(ff, path, []byte("x")); err != nil {
-			t.Errorf("dir sync %v should be best-effort, got %v", unsupported, err)
-		}
-	}
-}
-
-// A real I/O failure on the directory sync means the rename may not be
-// durable; it must surface instead of being swallowed.
-func TestWriteAtomicDirSyncIOError(t *testing.T) {
-	ff := fsx.NewFaultFS(nil, 1, fsx.Rule{Op: fsx.OpSyncDir, Nth: 1, Err: syscall.EIO})
-	path := filepath.Join(t.TempDir(), "blob")
-	err := writeAtomic(ff, path, []byte("x"))
-	if !errors.Is(err, syscall.EIO) {
-		t.Fatalf("dir sync EIO swallowed: got %v", err)
-	}
+	})
 }

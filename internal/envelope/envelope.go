@@ -1,10 +1,11 @@
-// Package envelope implements the per-record-checksummed line envelope
-// shared by every durable artifact in the repo: checkpoint files
-// (internal/durable), result-cache entries (internal/rescache), daemon job
-// files (internal/server), and the explorer's memo spill tier
-// (internal/explore). It is a leaf package, imported directly by each of
-// them, so that packages durable itself depends on (the explorer) can use
-// the codec without an import cycle.
+// Package envelope owns the line format of every durable artifact in the
+// repo: checkpoint files (internal/durable), result-cache entries
+// (internal/rescache), daemon job files (internal/server), and the
+// explorer's memo spill tier (internal/explore). It is a leaf package
+// above internal/fsx, imported directly by each of them, so that packages
+// durable itself depends on (the explorer) can use the codec without an
+// import cycle. Encode and Decode are the codec; ReadFile is the one
+// retrying read of an envelope file.
 //
 // The line format, with a caller-chosen magic line and record kind:
 //
@@ -14,6 +15,9 @@
 //	...
 //	end <sha256-hex> <record count> <sha256-hex of every preceding byte>
 //
+// Each record's first checksum covers that line's own payload; the end
+// trailer's payload additionally pins the record count and the whole
+// preceding byte stream, and must be exactly the form Encode writes.
 // Header and record payloads must not contain newlines (JSON payloads
 // never do; binary payloads are base64-encoded by their callers).
 // Truncation at any byte offset leaves a detectable — and, per record,
@@ -47,9 +51,15 @@ func Encode(magic, kind string, header []byte, records [][]byte) []byte {
 	for _, rec := range records {
 		fmt.Fprintf(&b, "%s %s %s\n", kind, sum(rec), rec)
 	}
-	trailer := fmt.Sprintf("%d %s", len(records), sum(b.Bytes()))
-	fmt.Fprintf(&b, "end %s %s\n", sum([]byte(trailer)), trailer)
+	end := trailer(len(records), b.Bytes())
+	fmt.Fprintf(&b, "end %s %s\n", sum([]byte(end)), end)
 	return b.Bytes()
+}
+
+// trailer is the end record's payload: the record count and the checksum
+// of every byte before the end line. Decode accepts only this exact form.
+func trailer(records int, stream []byte) string {
+	return fmt.Sprintf("%d %s", records, sum(stream))
 }
 
 // Decode parses data as an envelope written by Encode with the same magic
@@ -100,7 +110,9 @@ func Decode(magic, kind string, data []byte) (header []byte, records [][]byte, e
 					return fail("line %d: duplicate meta record", lineNo+1)
 				}
 				sawMeta = true
-				header = append([]byte(nil), payload...)
+				// Clone keeps an empty header non-nil: nil means "no
+				// header survived".
+				header = bytes.Clone(payload)
 			case kind:
 				if !sawMeta {
 					return fail("line %d: %s record before meta", lineNo+1, kind)
@@ -110,16 +122,9 @@ func Decode(magic, kind string, data []byte) (header []byte, records [][]byte, e
 				if !sawMeta {
 					return fail("line %d: end record before meta", lineNo+1)
 				}
-				var n int
-				var streamSum string
-				if _, err := fmt.Sscanf(string(payload), "%d %64s", &n, &streamSum); err != nil {
-					return fail("line %d: malformed end record: %v", lineNo+1, err)
-				}
-				if n != len(records) {
-					return fail("line %d: end record counts %d records, envelope holds %d", lineNo+1, n, len(records))
-				}
-				if got := sum(data[:lineStart]); got != streamSum {
-					return fail("line %d: stream checksum mismatch", lineNo+1)
+				if want := trailer(len(records), data[:lineStart]); string(payload) != want {
+					return fail("line %d: end record %q does not pin the %d records before it (want %q)",
+						lineNo+1, truncateForErr(payload), len(records), truncateForErr([]byte(want)))
 				}
 				sawEnd = true
 			default:

@@ -114,3 +114,111 @@ func TestEnvelopeTrailingGarbage(t *testing.T) {
 		t.Errorf("salvage lost data: header %q, %d records", gotHeader, len(gotRecords))
 	}
 }
+
+// withEndPayload re-frames data's end record around payload, with a line
+// checksum that verifies, so only the trailer's own form is under test.
+func withEndPayload(data []byte, payload string) []byte {
+	end := bytes.LastIndex(data[:len(data)-1], []byte("\n")) + 1
+	out := append([]byte(nil), data[:end]...)
+	return append(out, "end "+sum([]byte(payload))+" "+payload+"\n"...)
+}
+
+// The end record must be exactly the form Encode writes: a count with a
+// sign, a leading zero or trailing bytes is corrupt even when the line
+// checksum covers it.
+func TestEnvelopeEndRecordIsCanonical(t *testing.T) {
+	header, records := testRecords()
+	data := Encode(testMagic, testKind, header, records)
+	stream := sum(data[:bytes.LastIndex(data[:len(data)-1], []byte("\n"))+1])
+	for _, tc := range []struct {
+		name, payload string
+		ok            bool
+	}{
+		{"canonical", "3 " + stream, true},
+		{"plus sign", "+3 " + stream, false},
+		{"leading zero", "03 " + stream, false},
+		{"trailing junk", "3 " + stream + " trailing junk", false},
+		{"wrong count", "2 " + stream, false},
+		{"wrong stream", "3 " + sum(nil), false},
+	} {
+		mut := withEndPayload(data, tc.payload)
+		_, gotRecords, err := Decode(testMagic, testKind, mut)
+		if tc.ok {
+			if err != nil || !bytes.Equal(mut, data) {
+				t.Errorf("%s: err = %v, re-framed equal = %v", tc.name, err, bytes.Equal(mut, data))
+			}
+			continue
+		}
+		if !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: err = %v, want ErrCorrupt", tc.name, err)
+		}
+		if len(gotRecords) != len(records) {
+			t.Errorf("%s: salvaged %d records, want %d", tc.name, len(gotRecords), len(records))
+		}
+	}
+}
+
+// FuzzEnvelopeDecode feeds arbitrary bytes to Decode: it must never
+// panic, every error must wrap ErrCorrupt, and a clean decode must
+// re-encode to the input up to the one final newline the decoder
+// tolerates missing or doubled. (Every returned record is verified by
+// its own checksum, so the salvage is a prefix by construction; the
+// durable fuzz target checks the prefix through the checkpoint mapping.)
+func FuzzEnvelopeDecode(f *testing.F) {
+	header, records := testRecords()
+	for _, recs := range [][][]byte{nil, records[:1], records} {
+		data := Encode(testMagic, testKind, header, recs)
+		f.Add(data)
+		f.Add(data[:len(data)/2])
+	}
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		gotHeader, gotRecords, err := Decode(testMagic, testKind, data)
+		if err != nil {
+			if !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("err = %v, want ErrCorrupt", err)
+			}
+			if gotHeader == nil && len(gotRecords) > 0 {
+				t.Fatalf("salvaged %d records without a header", len(gotRecords))
+			}
+			return
+		}
+		enc := Encode(testMagic, testKind, gotHeader, gotRecords)
+		if !bytes.Equal(enc, data) && !bytes.Equal(enc[:len(enc)-1], data) &&
+			!bytes.Equal(append(enc[:len(enc):len(enc)], '\n'), data) {
+			t.Fatalf("clean decode re-encodes differently\nin:  %q\nout: %q", data, enc)
+		}
+	})
+}
+
+// sink keeps benchmarked results live.
+var sink []byte
+
+// BenchmarkEnvelope times Encode and Decode of a checkpoint-sized
+// envelope: a 200-byte header and 16 records of about 200 bytes each.
+func BenchmarkEnvelope(b *testing.B) {
+	header := bytes.Repeat([]byte("h"), 200)
+	records := make([][]byte, 16)
+	for i := range records {
+		records[i] = bytes.Repeat([]byte{byte('a' + i)}, 200)
+	}
+	data := Encode(testMagic, testKind, header, records)
+	b.Run("encode", func(b *testing.B) {
+		b.SetBytes(int64(len(data)))
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			sink = Encode(testMagic, testKind, header, records)
+		}
+	})
+	b.Run("decode", func(b *testing.B) {
+		b.SetBytes(int64(len(data)))
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			h, _, err := Decode(testMagic, testKind, data)
+			if err != nil {
+				b.Fatal(err)
+			}
+			sink = h
+		}
+	})
+}

@@ -1,5 +1,5 @@
 // Package fsx is the repo's single filesystem seam: every disk tier
-// (checkpoint envelopes in internal/durable, result-cache entries in
+// (checkpoint files in internal/durable, result-cache entries in
 // internal/rescache, the explorer's memo spill in internal/explore, the
 // daemon job store in internal/server) performs its file I/O through the
 // FS interface here instead of calling os.* directly. Production code
@@ -13,8 +13,9 @@
 // capped, jittered, context-aware exponential backoff for transient
 // faults, an immediate bail-out for permanent ones (the out-of-space
 // class), so "how does this repo behave on a flaky disk" has a single
-// answer. See DESIGN.md section 14 for the per-tier degradation ladders
-// built on top.
+// answer; and the one atomic write built on it (WriteAtomic, write.go),
+// which checkpoints, cache entries and job files all go through. See
+// DESIGN.md section 14 for the per-tier degradation ladders built on top.
 package fsx
 
 import (

@@ -9,7 +9,6 @@ import (
 	"path/filepath"
 	"sync"
 
-	"waitfree/internal/durable"
 	"waitfree/internal/envelope"
 	"waitfree/internal/fsx"
 )
@@ -20,7 +19,7 @@ const (
 	DefaultMemoryBudget = 64 << 20
 
 	// envelopeMagic and recordKind frame disk entries in the
-	// internal/durable envelope format; fileExt names them.
+	// internal/envelope format; fileExt names them.
 	envelopeMagic = "waitfree result cache v1"
 	recordKind    = "report"
 	fileExt       = ".wfres"
@@ -215,7 +214,7 @@ func (c *Cache) Put(key Key, data []byte) error {
 		return nil
 	}
 	env := envelope.Encode(envelopeMagic, recordKind, []byte(key.Hex()), [][]byte{data})
-	if err := durable.SaveBytesWith(context.Background(), c.fsys, c.policy(), c.path(key), env); err != nil {
+	if err := fsx.WriteAtomic(context.Background(), c.fsys, c.policy(), c.path(key), env); err != nil {
 		c.noteDiskFailure()
 		return err
 	}
@@ -268,24 +267,14 @@ func (c *Cache) readDisk(key Key) ([]byte, bool) {
 	if c.dir == "" {
 		return nil, false
 	}
-	var raw []byte
-	err := c.policy().Do(context.Background(), func() error {
-		var rerr error
-		raw, rerr = c.fsys.ReadFile(c.path(key))
-		return rerr
-	})
-	if err != nil {
-		if errors.Is(err, fs.ErrNotExist) {
-			return nil, false
-		}
-		// An entry the disk cannot produce would fail every future reader
-		// and grow Errors forever; quarantine it by deletion — a cache
-		// entry is always safe to drop, and the next store rewrites it.
-		c.countError()
-		c.healByRemoval(key)
+	header, records, err := envelope.ReadFile(c.fsys, c.policy(), c.path(key), envelopeMagic, recordKind)
+	if errors.Is(err, fs.ErrNotExist) {
 		return nil, false
 	}
-	header, records, err := envelope.Decode(envelopeMagic, recordKind, raw)
+	// An entry the disk cannot produce, or one without an intact header
+	// and first record, would fail every future reader and grow Errors
+	// forever; quarantine it by deletion — a cache entry is always safe
+	// to drop, and the next store rewrites it.
 	if string(header) != key.Hex() || len(records) < 1 {
 		c.countError()
 		c.healByRemoval(key)
@@ -299,7 +288,7 @@ func (c *Cache) readDisk(key Key) ([]byte, bool) {
 		// re-decode the failure and bump Errors forever.
 		c.countError()
 		env := envelope.Encode(envelopeMagic, recordKind, []byte(key.Hex()), [][]byte{records[0]})
-		if err := durable.SaveBytesWith(context.Background(), c.fsys, c.policy(), c.path(key), env); err != nil {
+		if err := fsx.WriteAtomic(context.Background(), c.fsys, c.policy(), c.path(key), env); err != nil {
 			c.countError()
 		} else {
 			c.countHeal()

@@ -8,7 +8,7 @@
 // mode, and soft stop budgets are all excluded because the engine
 // guarantees they never change a completed report. Entries live in an
 // in-memory LRU with a byte budget, backed by an optional disk store in
-// the internal/durable checksummed envelope format; a corrupted disk entry
+// the internal/envelope checksummed format; a corrupted disk entry
 // is salvaged when its record checksum survives and is otherwise deleted
 // and reported as a miss, never as an error.
 package rescache

@@ -7,17 +7,17 @@ import (
 	"fmt"
 	"io/fs"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"time"
 
-	"waitfree/internal/durable"
 	"waitfree/internal/envelope"
 	"waitfree/internal/fsx"
 )
 
-// Durable job state: one internal/durable envelope per job, rewritten
-// atomically on every transition and on every engine checkpoint
+// Durable job state: one internal/envelope file per job, rewritten with
+// fsx.WriteAtomic on every transition and on every engine checkpoint
 // autosave. A SIGKILLed daemon therefore loses at most one autosave
 // interval of exploration; on the next start, loadJobs re-queues every
 // non-terminal job with its stored checkpoint and the engine resumes
@@ -148,7 +148,7 @@ func (s *store) save(ctx context.Context, j *Job) error {
 		return fmt.Errorf("server: marshal job %s: %w", m.ID, err)
 	}
 	env := envelope.Encode(jobMagic, jobKind, []byte(m.ID), [][]byte{data})
-	if err := durable.SaveBytesWith(ctx, s.fsys, s.policy(), s.path(m.ID), env); err != nil {
+	if err := fsx.WriteAtomic(ctx, s.fsys, s.policy(), s.path(m.ID), env); err != nil {
 		s.failures.Add(1)
 		s.consecFails.Add(1)
 		return fmt.Errorf("server: persist job %s: %w", m.ID, err)
@@ -185,20 +185,10 @@ func (s *store) loadAll(logf func(string, ...any)) ([]*manifest, error) {
 			continue
 		}
 		path := filepath.Join(s.dir, e.Name())
-		var header []byte
-		var records [][]byte
-		rerr := s.policy().Do(context.Background(), func() error {
-			var derr error
-			header, records, derr = envelope.ReadFile(s.fsys, path, jobMagic, jobKind)
-			if derr != nil && errors.Is(derr, envelope.ErrCorrupt) {
-				// Integrity failures are a property of the bytes, not the
-				// read; retrying cannot help. The salvage contract still
-				// applies: an intact first record is a job.
-				return nil
-			}
-			return derr
-		})
-		if rerr != nil {
+		// A read failure that outlives the retries quarantines the file;
+		// an integrity failure falls through to the salvage check below.
+		header, records, rerr := envelope.ReadFile(s.fsys, s.policy(), path, jobMagic, jobKind)
+		if rerr != nil && !errors.Is(rerr, envelope.ErrCorrupt) {
 			s.quarantine(path, logf, rerr)
 			continue
 		}
@@ -220,7 +210,7 @@ func (s *store) loadAll(logf func(string, ...any)) ([]*manifest, error) {
 		out = append(out, m)
 	}
 	// Oldest first so re-queued jobs keep their submission order.
-	sortManifests(out)
+	slices.SortStableFunc(out, func(a, b *manifest) int { return a.Created.Compare(b.Created) })
 	return out, nil
 }
 
@@ -236,12 +226,4 @@ func (s *store) quarantine(path string, logf func(string, ...any), cause error) 
 		return
 	}
 	logf("load job %s: %v (quarantined as %s.corrupt)", name, cause, name)
-}
-
-func sortManifests(ms []*manifest) {
-	for i := 1; i < len(ms); i++ {
-		for k := i; k > 0 && ms[k].Created.Before(ms[k-1].Created); k-- {
-			ms[k], ms[k-1] = ms[k-1], ms[k]
-		}
-	}
 }

@@ -1,7 +1,7 @@
 // Package server is the waitfreed verification daemon: an HTTP/JSON API
 // that accepts verification jobs over a versioned wire schema, runs them
 // on a bounded worker pool, streams live progress over SSE, persists job
-// state in internal/durable envelopes so in-flight jobs survive a restart
+// state in internal/envelope files so in-flight jobs survive a restart
 // and resume from their last autosaved checkpoint, and fronts everything
 // with the content-addressed result cache.
 //

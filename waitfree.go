@@ -185,7 +185,7 @@ type (
 func SaveCheckpoint(path string, cp *Checkpoint) error { return durable.SaveFS(nil, path, cp) }
 
 // LoadCheckpoint reads a checkpoint file written by SaveCheckpoint,
-// verifying every checksum; corruption — a bare-JSON file from before
+// retrying transient read errors and verifying every checksum; corruption — a bare-JSON file from before
 // the durable format included — surfaces as ErrCorruptCheckpoint with any
 // salvageable prefix attached to the *CorruptCheckpointError.
 func LoadCheckpoint(path string) (*Checkpoint, error) { return durable.LoadFS(nil, path) }
