@@ -1,9 +1,15 @@
-// Command genparity regenerates the flat-layout parity fixtures under
-// testdata/flatparity: canonicalized ConsensusReport JSON for a grid of
-// protocols, memoization settings, and fault modes, plus a mid-run
-// checkpoint file. The fixtures pin the engine's observable output across
-// hot-path rewrites — TestFlatLayoutParity asserts that today's engine
-// reproduces them byte-for-byte at every parallelism and symmetry level.
+// Command genparity regenerates the parity fixtures:
+//
+//   - testdata/flatparity: canonicalized ConsensusReport JSON for a grid
+//     of protocols, memoization settings, and fault modes, plus a mid-run
+//     checkpoint file. The fixtures pin the engine's observable output
+//     across hot-path rewrites — TestFlatLayoutParity asserts that today's
+//     engine reproduces them byte-for-byte at every parallelism and
+//     symmetry level.
+//   - testdata/elimparity: the canonical KindElimination waitfree.Report
+//     JSON of the Theorem 5 pipeline on both of its routes (Section 5.2
+//     witness, Section 5.3 substrate) and through the Section 4.1 compile.
+//     TestEliminationParity replays each at several parallelism levels.
 //
 // Regenerate (only when the report format itself changes, never to paper
 // over an engine difference):
@@ -19,10 +25,12 @@ import (
 	"os"
 	"path/filepath"
 
+	"waitfree"
 	"waitfree/internal/consensus"
 	"waitfree/internal/durable"
 	"waitfree/internal/explore"
 	"waitfree/internal/faults"
+	"waitfree/internal/multivalue"
 	"waitfree/internal/program"
 )
 
@@ -75,6 +83,68 @@ func CanonicalJSON(rep *explore.ConsensusReport) ([]byte, error) {
 	clone.Stats = nil
 	clone.Checkpoint = nil
 	data, err := json.MarshalIndent(&clone, "", "  ")
+	if err != nil {
+		return nil, err
+	}
+	return append(data, '\n'), nil
+}
+
+// ElimCase is one fixture of the elimination grid: the Theorem 5 pipeline
+// on Impl, via the Section 5.3 route when Substrate is set and the Section
+// 5.2 witness otherwise. The golden is the canonical report of a
+// sequential run.
+type ElimCase struct {
+	Name      string
+	Impl      func() *program.Implementation
+	Substrate func() *program.Implementation
+	Memoize   bool
+}
+
+// ElimCases returns the elimination grid. Shared with the parity test via
+// identical construction.
+func ElimCases() []ElimCase {
+	det := []struct {
+		name string
+		impl func() *program.Implementation
+	}{
+		{"tas", consensus.TAS2},
+		{"queue", consensus.Queue2},
+		{"stack", consensus.Stack2},
+		{"faa", consensus.FAA2},
+		{"swap", consensus.Swap2},
+	}
+	var out []ElimCase
+	for _, d := range det {
+		out = append(out,
+			ElimCase{Name: d.name, Impl: d.impl},
+			ElimCase{Name: d.name + "_memo", Impl: d.impl, Memoize: true})
+	}
+	return append(out,
+		ElimCase{Name: "noisysticky-r_53", Impl: consensus.NoisySticky2R, Substrate: consensus.NoisySticky2, Memoize: true},
+		ElimCase{Name: "tas_53_noisysticky", Impl: consensus.TAS2, Substrate: consensus.NoisySticky2, Memoize: true},
+		ElimCase{Name: "multivalue3_srsw", Impl: func() *program.Implementation { return multivalue.FromBinarySRSW(3) }, Memoize: true},
+		ElimCase{Name: "casregister3", Impl: consensus.CASRegister3, Memoize: true},
+	)
+}
+
+// Request builds the Check request of a case at the given parallelism.
+func (c ElimCase) Request(parallelism int) waitfree.Request {
+	req := waitfree.Request{
+		Kind:           waitfree.KindElimination,
+		Implementation: c.Impl(),
+		Explore:        explore.Options{Memoize: c.Memoize, Parallelism: parallelism},
+	}
+	if c.Substrate != nil {
+		req.Substrate = c.Substrate()
+	}
+	return req
+}
+
+// CanonicalReportJSON renders a Check report canonicalized (Elapsed and
+// Stats stripped), indented, with a trailing newline.
+func CanonicalReportJSON(rep *waitfree.Report) ([]byte, error) {
+	rep.Canonicalize()
+	data, err := json.MarshalIndent(rep, "", "  ")
 	if err != nil {
 		return nil, err
 	}
@@ -134,4 +204,24 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("wrote %s (%d/%d trees)\n", path, len(rep.Checkpoint.Trees), rep.Checkpoint.Roots)
+
+	elimDir := filepath.Join("testdata", "elimparity")
+	if err := os.MkdirAll(elimDir, 0o755); err != nil {
+		log.Fatal(err)
+	}
+	for _, c := range ElimCases() {
+		rep, err := waitfree.Check(context.Background(), c.Request(1))
+		if err != nil {
+			log.Fatalf("%s: %v", c.Name, err)
+		}
+		data, err := CanonicalReportJSON(rep)
+		if err != nil {
+			log.Fatalf("%s: %v", c.Name, err)
+		}
+		path := filepath.Join(elimDir, c.Name+".json")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			log.Fatal(err)
+		}
+		fmt.Printf("wrote %s (%d bytes)\n", path, len(data))
+	}
 }
