@@ -213,7 +213,7 @@ func TestCachePartialAndResumedBypass(t *testing.T) {
 	}
 
 	resumed := mk()
-	resumed.ResumeFrom = prep.Checkpoint
+	resumed.Explore.ResumeFrom = prep.Checkpoint
 	rrep, err := waitfree.Check(context.Background(), resumed)
 	if err != nil {
 		t.Fatalf("resume: %v", err)

@@ -69,12 +69,8 @@ type Request struct {
 	// (Explore.Faults enumerates crash schedules exhaustively), and the
 	// OnProgress/ProgressInterval observability hooks.
 	Explore ExploreOptions
-	// ResumeFrom resumes a KindConsensus or KindBound run from the
-	// Checkpoint a cancelled run returned in Report.Checkpoint; the other
-	// kinds run several explorations per call and reject it.
-	ResumeFrom *Checkpoint
 	// MaxK bounds the Section 5.2 witness search of KindElimination
-	// (0 = 3).
+	// (0 = the zoo's bound, hierarchy.DefaultMaxK).
 	MaxK int
 	// Substrate, if set, switches KindElimination to the Section 5.3
 	// route: one-use bits realized from this register-free 2-process
@@ -147,7 +143,7 @@ type Report struct {
 
 	// Checkpoint is the resumable frontier of a cancelled KindConsensus or
 	// KindBound run, lifted out of the partial consensus report: feed it
-	// back through Request.ResumeFrom (the CLIs' -checkpoint flag
+	// back through Request.Explore.ResumeFrom (the CLIs' -checkpoint flag
 	// round-trips it through a JSON file). Completed runs never carry one.
 	Checkpoint *Checkpoint `json:"checkpoint,omitempty"`
 
@@ -230,19 +226,6 @@ func (r *Report) String() string {
 // counterexample); callers must treat a non-nil error as the verdict.
 func Check(ctx context.Context, req Request) (*Report, error) {
 	start := time.Now()
-	if req.ResumeFrom != nil {
-		if req.Kind != KindConsensus && req.Kind != KindBound {
-			return nil, fmt.Errorf("%w: ResumeFrom applies to %s and %s checks only",
-				ErrBadRequest, KindConsensus, KindBound)
-		}
-		if req.Explore.ResumeFrom != nil && req.Explore.ResumeFrom != req.ResumeFrom {
-			// Silently preferring one frontier would resume from the
-			// wrong place; make the caller choose.
-			return nil, fmt.Errorf("%w: Request.ResumeFrom and Explore.ResumeFrom are both set and name different checkpoints; set exactly one",
-				ErrBadRequest)
-		}
-		req.Explore.ResumeFrom = req.ResumeFrom
-	}
 	if req.Explore.ResumeFrom != nil && req.Kind != KindConsensus && req.Kind != KindBound {
 		return nil, fmt.Errorf("%w: Explore.ResumeFrom applies to %s and %s checks only",
 			ErrBadRequest, KindConsensus, KindBound)
@@ -284,11 +267,7 @@ func runPipeline(ctx context.Context, req Request) (*Report, error) {
 		if req.Substrate != nil {
 			rep.Elimination, err = core.EliminateRegistersVia53Context(ctx, req.Implementation, req.Substrate, req.Explore)
 		} else {
-			maxK := req.MaxK
-			if maxK == 0 {
-				maxK = 3
-			}
-			rep.Elimination, err = core.EliminateRegistersContext(ctx, req.Implementation, req.Explore, maxK)
+			rep.Elimination, err = core.EliminateRegistersContext(ctx, req.Implementation, req.Explore, req.MaxK)
 		}
 	case KindClassification:
 		rep.Classifications, err = hierarchy.ClassifyZooContext(ctx, req.Explore.Parallelism)

@@ -260,7 +260,7 @@ func TestCheckPartialBudget(t *testing.T) {
 	// Resume the same request from the partial checkpoint, without the
 	// budget: the completed report must verify.
 	req.Explore.MaxNodes = 0
-	req.ResumeFrom = rep.Checkpoint
+	req.Explore.ResumeFrom = rep.Checkpoint
 	full, err := waitfree.Check(context.Background(), req)
 	if err != nil {
 		t.Fatalf("resume: %v", err)

@@ -63,7 +63,7 @@ func run(args []string) error {
 		return err
 	}
 
-	exOpts, err := common.Supervise(common.Options(explore.Options{Memoize: *memoize}))
+	exOpts, err := common.Options(explore.Options{Memoize: *memoize})
 	if err != nil {
 		return err
 	}

@@ -126,7 +126,7 @@ func run(args []string) error {
 		fmt.Fprintf(os.Stderr, "explore: resuming from %s (%s)\n", common.Checkpoint, resume)
 	}
 
-	exOpts, err := common.Supervise(common.Options(explore.Options{Memoize: *memoize}))
+	exOpts, err := common.Options(explore.Options{Memoize: *memoize, ResumeFrom: resume})
 	if err != nil {
 		return err
 	}
@@ -140,7 +140,6 @@ func run(args []string) error {
 		Kind:           waitfree.KindConsensus,
 		Implementation: im,
 		Explore:        exOpts,
-		ResumeFrom:     resume,
 		Cache:          cache,
 	})
 	if rep != nil {

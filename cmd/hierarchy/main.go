@@ -75,7 +75,7 @@ func run(args []string) error {
 		return nil
 	}
 
-	exOpts, err := common.Supervise(common.Options(waitfree.ExploreOptions{}))
+	exOpts, err := common.Options(waitfree.ExploreOptions{})
 	if err != nil {
 		return err
 	}

@@ -65,7 +65,7 @@ func run(args []string) error {
 		fmt.Printf("searching for a 2-process consensus protocol over %q (depth <= %d, symmetric=%v)\n",
 			*setName, *depth, *symmetric)
 	}
-	exOpts, err := common.Supervise(common.Options(waitfree.ExploreOptions{}))
+	exOpts, err := common.Options(waitfree.ExploreOptions{})
 	if err != nil {
 		return err
 	}

@@ -87,7 +87,7 @@ func cancelAfterFirstTree(t *testing.T, req waitfree.Request) *waitfree.Report {
 
 // TestCheckCheckpointResume is the facade-level resume contract: a
 // cancelled Check returns a Report.Checkpoint which, fed back through
-// Request.ResumeFrom (after a JSON round trip, as the CLIs do), completes
+// Request.Explore.ResumeFrom (after a JSON round trip, as the CLIs do), completes
 // to a report semantically identical to an uninterrupted run — for both
 // KindConsensus and KindBound, with faults enabled.
 func TestCheckCheckpointResume(t *testing.T) {
@@ -115,8 +115,7 @@ func TestCheckCheckpointResume(t *testing.T) {
 		resumed, err := waitfree.Check(context.Background(), waitfree.Request{
 			Kind:           kind,
 			Implementation: waitfree.CASRegister3Consensus(),
-			Explore:        waitfree.ExploreOptions{Memoize: true, Faults: oneCrash, Parallelism: 2},
-			ResumeFrom:     restored,
+			Explore:        waitfree.ExploreOptions{Memoize: true, Faults: oneCrash, Parallelism: 2, ResumeFrom: restored},
 		})
 		if err != nil {
 			t.Fatalf("%s resume: %v", kind, err)
@@ -140,13 +139,13 @@ func TestCheckCheckpointResume(t *testing.T) {
 	}
 }
 
-// TestCheckResumeFromRejected pins the Request validation: ResumeFrom
-// only applies to the single-exploration kinds.
+// TestCheckResumeFromRejected pins the Request validation:
+// Explore.ResumeFrom only applies to the single-exploration kinds.
 func TestCheckResumeFromRejected(t *testing.T) {
 	_, err := waitfree.Check(context.Background(), waitfree.Request{
 		Kind:           waitfree.KindElimination,
 		Implementation: waitfree.TAS2Consensus(),
-		ResumeFrom:     &waitfree.Checkpoint{},
+		Explore:        waitfree.ExploreOptions{ResumeFrom: &waitfree.Checkpoint{}},
 	})
 	if !errors.Is(err, waitfree.ErrBadRequest) {
 		t.Errorf("err = %v, want ErrBadRequest", err)

@@ -162,9 +162,12 @@ func (f *Flags) Context() (context.Context, context.CancelFunc) {
 }
 
 // Options folds the flags into opts: parallelism and the symmetry mode
-// always, the fault model when -faults is set, plus the OnProgress stderr
-// hook when -progress is set.
-func (f *Flags) Options(opts explore.Options) explore.Options {
+// always, the fault model when -faults is set, the OnProgress stderr hook
+// when -progress is set, and autosave when -checkpoint-every is set: the
+// engine then durably rewrites the -checkpoint file at that interval while
+// the run is in flight, so a killed process loses at most one interval of
+// work. It errors when -checkpoint-every has no -checkpoint file to write.
+func (f *Flags) Options(opts explore.Options) (explore.Options, error) {
 	opts.Parallelism = f.Parallel
 	opts.Symmetry = f.Symmetry
 	if f.Faults {
@@ -178,15 +181,6 @@ func (f *Flags) Options(opts explore.Options) explore.Options {
 	opts.StallAfter = f.StallAfter
 	opts.MemoBudget = f.MemoBudget
 	opts.MemoSpillDir = f.MemoSpillDir
-	return opts
-}
-
-// Supervise folds the autosave flags into opts: with -checkpoint-every,
-// the engine durably rewrites the -checkpoint file at that interval while
-// the run is in flight, so a killed process loses at most one interval of
-// work. Call it after Options; it errors when -checkpoint-every has no
-// -checkpoint file to write.
-func (f *Flags) Supervise(opts explore.Options) (explore.Options, error) {
 	if f.CheckpointEvery <= 0 {
 		return opts, nil
 	}

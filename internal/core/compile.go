@@ -127,24 +127,8 @@ func CompileSRSWRegisters(im *program.Implementation) (*program.Implementation, 
 		if !ok || init < 0 || init >= k {
 			return nil, fmt.Errorf("core: register %s has invalid initial state %v", decl.Name, decl.Init)
 		}
-		readerProc, writerProc, err := registerParties(decl)
-		if err != nil {
-			return nil, err
-		}
-		procs := im.Procs
-		kk := k
-		selected[i] = replacement{
-			Decls: vidDecls(decl.Name, procs, readerProc, writerProc, kk, init),
-			MachinesFor: func(p, base int) map[string]program.Machine {
-				switch p {
-				case readerProc:
-					return map[string]program.Machine{types.OpRead: vidReaderMachine(base, kk)}
-				case writerProc:
-					return map[string]program.Machine{types.OpWrite: vidWriterMachine(base, kk)}
-				default:
-					return nil
-				}
-			},
+		selected[i] = func(readerProc, writerProc, base int) ([]program.ObjectDecl, program.Machine, program.Machine, error) {
+			return vidDecls(decl.Name, im.Procs, readerProc, writerProc, k, init), vidReaderMachine(base, k), vidWriterMachine(base, k), nil
 		}
 	}
 	if len(selected) == 0 {

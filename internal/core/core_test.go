@@ -357,3 +357,15 @@ func TestVia53RejectsRegisterBearingSubstrate(t *testing.T) {
 		t.Fatalf("err = %v, want ErrUnsupportedRegister", err)
 	}
 }
+
+// TestVia53RejectsInvalidSubstrate: a substrate that fails validation is
+// reported when its one-use bits are built, not turned into an output
+// whose one-use bits have no objects behind them.
+func TestVia53RejectsInvalidSubstrate(t *testing.T) {
+	sub := consensus.NoisySticky2()
+	sub.Machines = sub.Machines[:1]
+	_, err := EliminateRegistersVia53(consensus.NoisySticky2R(), sub, explore.Options{})
+	if err == nil || !strings.Contains(err.Error(), "onebit: consensus substrate") {
+		t.Fatalf("err = %v, want the substrate's validation error", err)
+	}
+}

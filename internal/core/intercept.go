@@ -1,22 +1,28 @@
 // Package core implements the constructive content of Theorem 5 of Bazzi,
 // Neiger, and Peterson (PODC 1994): register elimination. Given a wait-free
-// consensus implementation that uses objects of a non-trivial deterministic
-// type T together with single-reader single-writer bit registers, the
-// pipeline produces an implementation that uses objects of T only:
+// consensus implementation that uses objects of a type T with h_m(T) >= 2
+// together with single-reader single-writer registers, the pipeline
+// produces an implementation that uses objects of T only:
 //
+//  0. CompileSRSWRegisters (Section 4.1): compile every k-valued SRSW
+//     register into k SRSW bits (Vidyasankar's construction).
 //  1. Bound (Section 4.2): explore the implementation's execution trees
 //     and extract, for every register b, exact bounds r_b and w_b on how
 //     often b is read and written along any execution.
 //  2. RegistersToOneUseBits (Section 4.3): replace each register by an
 //     (w_b+1) x r_b array of one-use bits, splicing the paper's read and
 //     write routines into every process's program.
-//  3. OneUseBitsToType (Sections 5.1/5.2): replace each one-use bit by a
-//     single object of T, initialized at the witness state of a minimal
-//     non-trivial pair, with reads running the pair's invocation sequence
-//     and writes its single distinguishing invocation.
+//  3. Realize every one-use bit, on one of two routes:
+//     OneUseBitsToType (Sections 5.1/5.2, T deterministic and non-trivial)
+//     replaces it by a single object of T, initialized at the witness
+//     state of a minimal non-trivial pair, with reads running the pair's
+//     invocation sequence and writes its single distinguishing invocation;
+//     OneUseBitsToConsensus (Section 5.3) replaces it by a private copy of
+//     a register-free 2-process consensus implementation over T.
 //
-// EliminateRegisters composes the three steps and Verify model-checks the
-// result, closing the loop on h_m^r(T) <= h_m(T).
+// EliminateRegisters and EliminateRegistersVia53 run the whole chain on
+// their route and model-check both endpoints, closing the loop on
+// h_m^r(T) <= h_m(T).
 package core
 
 import (
@@ -128,18 +134,16 @@ func (ic *interceptor) Next(state any, resp types.Response) (program.Action, any
 	}
 }
 
-// replaceObjects applies a transformation pass: every input object is
-// either kept (passthrough) or replaced by new objects with per-operation
-// sub-machines. selected maps input object index to its replacement plan;
-// unselected objects are re-indexed automatically.
-type replacement struct {
-	// Decls are the objects realizing the replaced input object.
-	Decls []program.ObjectDecl
-	// MachinesFor returns the per-operation sub-machines for process p,
-	// given the object index of the first replacement declaration.
-	MachinesFor func(p, base int) map[string]program.Machine
-}
+// A replacement realizes one bit-like input object, read by readerProc
+// and written by writerProc, from new objects whose first index is base:
+// it returns their declarations and the reader's and the writer's
+// sub-machines.
+type replacement func(readerProc, writerProc, base int) (decls []program.ObjectDecl, read, write program.Machine, err error)
 
+// replaceObjects applies a transformation pass: every input object in
+// selected is replaced by its replacement, the others are kept and
+// re-indexed. The replaced object's reader runs the read sub-machine, its
+// writer the write sub-machine, and no other process touches it.
 func replaceObjects(im *program.Implementation, name string, selected map[int]replacement) (*program.Implementation, error) {
 	if err := im.Validate(); err != nil {
 		return nil, err
@@ -148,32 +152,39 @@ func replaceObjects(im *program.Implementation, name string, selected map[int]re
 		return nil, fmt.Errorf("core: %d objects to intercept, limit %d", len(selected), MaxIntercepted)
 	}
 	var decls []program.ObjectDecl
-	routes := make([]route, len(im.Objects))
-	bases := make(map[int]int, len(selected))
-	memSlots := make(map[int]int, len(selected))
-	nextSlot := 0
+	routes := make([][]route, im.Procs) // routes[p][i]: process p's route for input object i
+	for p := range routes {
+		routes[p] = make([]route, len(im.Objects))
+	}
+	memSlot := 0
 	for i := range im.Objects {
-		if rep, ok := selected[i]; ok {
-			bases[i] = len(decls)
-			memSlots[i] = nextSlot
-			nextSlot++
-			decls = append(decls, rep.Decls...)
+		rep, ok := selected[i]
+		if !ok {
+			for p := range routes {
+				routes[p][i] = route{passthrough: true, newIdx: len(decls)}
+			}
+			decls = append(decls, im.Objects[i])
 			continue
 		}
-		routes[i] = route{passthrough: true, newIdx: len(decls)}
-		decls = append(decls, im.Objects[i])
+		readerProc, writerProc, err := bitParties(&im.Objects[i])
+		if err != nil {
+			return nil, err
+		}
+		repDecls, read, write, err := rep(readerProc, writerProc, len(decls))
+		if err != nil {
+			return nil, err
+		}
+		for p := range routes {
+			routes[p][i] = route{memSlot: memSlot}
+		}
+		routes[readerProc][i].machines = map[string]program.Machine{types.OpRead: read}
+		routes[writerProc][i].machines = map[string]program.Machine{types.OpWrite: write}
+		memSlot++
+		decls = append(decls, repDecls...)
 	}
 	machines := make([]program.Machine, im.Procs)
-	for p := 0; p < im.Procs; p++ {
-		procRoutes := make([]route, len(im.Objects))
-		copy(procRoutes, routes)
-		for i, rep := range selected {
-			procRoutes[i] = route{
-				machines: rep.MachinesFor(p, bases[i]),
-				memSlot:  memSlots[i],
-			}
-		}
-		machines[p] = &interceptor{base: im.Machines[p], routes: procRoutes}
+	for p := range machines {
+		machines[p] = &interceptor{base: im.Machines[p], routes: routes[p]}
 	}
 	out := &program.Implementation{
 		Name:     name,

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -40,11 +41,11 @@ const registerSpecName = "srsw-bit"
 // oneUseSpecName matches the objects that step 3 eliminates.
 const oneUseSpecName = "one-use-bit"
 
-// targetValues returns the proposal-value range of the implementation's
-// consensus target: 2 for the paper's binary T_{c,n}, or k for a
-// multi-valued target.
-func targetValues(im *program.Implementation) int {
-	if im.Target != nil && im.Target.Name == "multi-consensus" {
+// TargetValues returns the proposal-value range every exploration of the
+// pipeline drives the implementation with: k for a multi-valued consensus
+// target, else 2 (the paper's binary T_{c,n}).
+func TargetValues(im *program.Implementation) int {
+	if im != nil && im.Target != nil && im.Target.Name == "multi-consensus" {
 		if k := len(im.Target.Alphabet); k >= 2 {
 			return k
 		}
@@ -68,7 +69,7 @@ func Bound(im *program.Implementation, opts explore.Options) (*explore.Consensus
 // explore.ConsensusKContext for the engine semantics, including
 // Options.OnProgress observability).
 func BoundContext(ctx context.Context, im *program.Implementation, opts explore.Options) (*explore.ConsensusReport, error) {
-	report, err := explore.ConsensusKContext(ctx, im, targetValues(im), opts)
+	report, err := explore.ConsensusKContext(ctx, im, TargetValues(im), opts)
 	if err != nil {
 		// Pass any partial report through: a cancelled run's report carries
 		// the resumable checkpoint.
@@ -128,8 +129,10 @@ func RegisterBounds(im *program.Implementation, report *explore.ConsensusReport)
 	return out, nil
 }
 
-// registerParties returns the reader and writer process of an SRSW bit.
-func registerParties(decl *program.ObjectDecl) (readerProc, writerProc int, err error) {
+// bitParties returns the reader and the writer process of a bit-like
+// object. Registers and one-use bits all follow the SRSW bit's port
+// convention (program.PairPorts).
+func bitParties(decl *program.ObjectDecl) (readerProc, writerProc int, err error) {
 	readerProc, writerProc = -1, -1
 	for p, port := range decl.PortOf {
 		switch port {
@@ -140,7 +143,11 @@ func registerParties(decl *program.ObjectDecl) (readerProc, writerProc int, err 
 		}
 	}
 	if readerProc < 0 || writerProc < 0 {
-		return 0, 0, fmt.Errorf("core: register %s lacks a reader or writer process", decl.Name)
+		what := "register"
+		if decl.Spec.Name == oneUseSpecName {
+			what = "one-use bit"
+		}
+		return 0, 0, fmt.Errorf("core: %s %s lacks a reader or writer process", what, decl.Name)
 	}
 	return readerProc, writerProc, nil
 }
@@ -151,29 +158,24 @@ func registerParties(decl *program.ObjectDecl) (readerProc, writerProc int, err 
 func RegistersToOneUseBits(im *program.Implementation, bounds []RegisterBound) (*program.Implementation, error) {
 	selected := make(map[int]replacement, len(bounds))
 	for _, b := range bounds {
-		decl := &im.Objects[b.Obj]
-		readerProc, writerProc, err := registerParties(decl)
-		if err != nil {
-			return nil, err
-		}
-		array := onebit.Array{R: b.R, W: b.W, Init: b.Init} // Base set per process below
-		selected[b.Obj] = replacement{
-			Decls: array.Decls(im.Procs, readerProc, writerProc),
-			MachinesFor: func(p, base int) map[string]program.Machine {
-				a := array
-				a.Base = base
-				switch p {
-				case readerProc:
-					return map[string]program.Machine{types.OpRead: onebit.ReaderMachine(a)}
-				case writerProc:
-					return map[string]program.Machine{types.OpWrite: onebit.WriterMachine(a)}
-				default:
-					return nil // process never touches this register
-				}
-			},
+		selected[b.Obj] = func(readerProc, writerProc, base int) ([]program.ObjectDecl, program.Machine, program.Machine, error) {
+			a := onebit.Array{R: b.R, W: b.W, Init: b.Init, Base: base}
+			return a.Decls(im.Procs, readerProc, writerProc), onebit.ReaderMachine(a), onebit.WriterMachine(a), nil
 		}
 	}
 	return replaceObjects(im, im.Name+"+onebits", selected)
+}
+
+// replaceOneUseBits performs step 3 on either route: realize replaces
+// every one-use bit of im.
+func replaceOneUseBits(im *program.Implementation, suffix string, realize replacement) (*program.Implementation, error) {
+	selected := make(map[int]replacement)
+	for i := range im.Objects {
+		if im.Objects[i].Spec.Name == oneUseSpecName {
+			selected[i] = realize
+		}
+	}
+	return replaceObjects(im, im.Name+suffix, selected)
 }
 
 // OneUseBitsToType performs step 3 (Sections 5.1/5.2): every one-use bit
@@ -181,39 +183,10 @@ func RegistersToOneUseBits(im *program.Implementation, bounds []RegisterBound) (
 // initialized at the witness pair's start state, with reads running the
 // pair's sequence and writes its distinguishing invocation.
 func OneUseBitsToType(im *program.Implementation, spec *types.Spec, pair *hierarchy.Pair) (*program.Implementation, error) {
-	selected := make(map[int]replacement)
-	for i := range im.Objects {
-		decl := &im.Objects[i]
-		if decl.Spec.Name != oneUseSpecName {
-			continue
-		}
-		readerProc, writerProc := -1, -1
-		for p, port := range decl.PortOf {
-			switch port {
-			case 1:
-				readerProc = p
-			case 2:
-				writerProc = p
-			}
-		}
-		if readerProc < 0 || writerProc < 0 {
-			return nil, fmt.Errorf("core: one-use bit %s lacks a reader or writer process", decl.Name)
-		}
-		selected[i] = replacement{
-			Decls: []program.ObjectDecl{onebit.PairDecl(spec, pair, im.Procs, readerProc, writerProc)},
-			MachinesFor: func(p, base int) map[string]program.Machine {
-				switch p {
-				case readerProc:
-					return map[string]program.Machine{types.OpRead: onebit.PairReaderMachine(pair, base)}
-				case writerProc:
-					return map[string]program.Machine{types.OpWrite: onebit.PairWriterMachine(pair, base)}
-				default:
-					return nil
-				}
-			},
-		}
-	}
-	return replaceObjects(im, im.Name+"+type", selected)
+	return replaceOneUseBits(im, "+type", func(readerProc, writerProc, base int) ([]program.ObjectDecl, program.Machine, program.Machine, error) {
+		return []program.ObjectDecl{onebit.PairDecl(spec, pair, im.Procs, readerProc, writerProc)},
+			onebit.PairReaderMachine(pair, base), onebit.PairWriterMachine(pair, base), nil
+	})
 }
 
 // InferType returns the unique non-register, non-one-use-bit object type
@@ -316,7 +289,8 @@ func (r *Report) String() string {
 // deterministic type, verifying both endpoints. opts configures both
 // explorations (Memoize is recommended for larger protocols, and
 // opts.Parallelism spreads each verification's proposal-vector trees
-// across workers). maxK bounds the Section 5.2 witness search.
+// across workers). maxK bounds the Section 5.2 witness search (0 means
+// hierarchy.DefaultMaxK).
 func EliminateRegisters(im *program.Implementation, opts explore.Options, maxK int) (*Report, error) {
 	return EliminateRegistersContext(context.Background(), im, opts, maxK)
 }
@@ -325,8 +299,35 @@ func EliminateRegisters(im *program.Implementation, opts explore.Options, maxK i
 // endpoint verifications honor ctx cancellation/deadlines and publish
 // engine progress via opts.OnProgress.
 func EliminateRegistersContext(ctx context.Context, im *program.Implementation, opts explore.Options, maxK int) (*Report, error) {
-	// Section 4.1 at the machine level: multi-valued SRSW registers are
-	// first compiled into SRSW bits (a no-op if there are none).
+	return eliminate(ctx, im, opts, func(compiled *program.Implementation) (realization, error) {
+		spec, inits, err := InferType(compiled)
+		if err != nil {
+			return realization{}, err
+		}
+		pair, err := hierarchy.FindPair(spec, inits, cmp.Or(maxK, hierarchy.DefaultMaxK))
+		if err != nil {
+			return realization{}, fmt.Errorf("core: type %q cannot realize one-use bits: %w", spec.Name, err)
+		}
+		return realization{typeName: spec.Name, pair: pair, realize: func(step1 *program.Implementation) (*program.Implementation, error) {
+			return OneUseBitsToType(step1, spec, pair)
+		}}, nil
+	})
+}
+
+// realization is how one route of Theorem 5 realizes one-use bits: from
+// the Section 5.2 witness pair of T, or (Section 5.3) from a register-free
+// consensus substrate.
+type realization struct {
+	typeName string
+	pair     *hierarchy.Pair // nil on the Section 5.3 route
+	realize  func(*program.Implementation) (*program.Implementation, error)
+}
+
+// eliminate runs the chain both routes share: the Section 4.1 compile,
+// the Section 4.2 bounds, the route's precondition on the compiled input
+// (which yields its realization), the Section 4.3 one-use bits, the
+// route's step 3, and the verification of the register-free output.
+func eliminate(ctx context.Context, im *program.Implementation, opts explore.Options, route func(compiled *program.Implementation) (realization, error)) (*Report, error) {
 	compiled, err := CompileSRSWRegisters(im)
 	if err != nil {
 		return nil, err
@@ -339,28 +340,22 @@ func EliminateRegistersContext(ctx context.Context, im *program.Implementation, 
 	if err != nil {
 		return nil, err
 	}
-	spec, inits, err := InferType(compiled)
+	r, err := route(compiled)
 	if err != nil {
 		return nil, err
 	}
-	pair, err := hierarchy.FindPair(spec, inits, maxK)
-	if err != nil {
-		return nil, fmt.Errorf("core: type %q cannot realize one-use bits: %w", spec.Name, err)
-	}
-
 	step1, err := RegistersToOneUseBits(compiled, bounds)
 	if err != nil {
 		return nil, err
 	}
-	out, err := OneUseBitsToType(step1, spec, pair)
+	out, err := r.realize(step1)
 	if err != nil {
 		return nil, err
 	}
-	outputReport, err := explore.ConsensusKContext(ctx, out, targetValues(im), opts)
+	outputReport, err := explore.ConsensusKContext(ctx, out, TargetValues(im), opts)
 	if err != nil {
 		return nil, err
 	}
-
 	report := &Report{
 		Input:               im,
 		Output:              out,
@@ -369,11 +364,11 @@ func EliminateRegistersContext(ctx context.Context, im *program.Implementation, 
 		InputReport:         inputReport,
 		OutputReport:        outputReport,
 		Bounds:              bounds,
-		Pair:                pair,
-		TypeName:            spec.Name,
+		Pair:                r.pair,
+		TypeName:            r.typeName,
 		RegistersEliminated: len(bounds),
 		OneUseBitsUsed:      step1.CountObjects(oneUseSpecName),
-		TypeObjectsAdded:    out.CountObjects(spec.Name) - im.CountObjects(spec.Name),
+		TypeObjectsAdded:    out.CountObjects(r.typeName) - im.CountObjects(r.typeName),
 	}
 	if outputReport.Partial {
 		return report, fmt.Errorf("%w: transformed implementation: %s", ErrInconclusive, outputReport.Summary())

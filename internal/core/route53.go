@@ -7,7 +7,6 @@ import (
 	"waitfree/internal/explore"
 	"waitfree/internal/onebit"
 	"waitfree/internal/program"
-	"waitfree/internal/types"
 )
 
 // This file implements the THIRD case of Theorem 5 — the h_m(T) >= 2 route
@@ -33,57 +32,9 @@ func OneUseBitsToConsensus(im *program.Implementation, substrate *program.Implem
 			return nil, fmt.Errorf("%w: substrate object %d has type %q", ErrUnsupportedRegister, i, name)
 		}
 	}
-	selected := make(map[int]replacement)
-	for i := range im.Objects {
-		decl := &im.Objects[i]
-		if decl.Spec.Name != oneUseSpecName {
-			continue
-		}
-		readerProc, writerProc := -1, -1
-		for p, port := range decl.PortOf {
-			switch port {
-			case 1:
-				readerProc = p
-			case 2:
-				writerProc = p
-			}
-		}
-		if readerProc < 0 || writerProc < 0 {
-			return nil, fmt.Errorf("core: one-use bit %s lacks a reader or writer process", decl.Name)
-		}
-		rp, wp := readerProc, writerProc
-		selected[i] = replacement{
-			Decls: substrateDecls(substrate, im.Procs, rp, wp),
-			MachinesFor: func(p, base int) map[string]program.Machine {
-				decls, read, write, err := onebit.FromConsensus(substrate, im.Procs, rp, wp, base)
-				_ = decls
-				if err != nil {
-					// Surface construction failures as nil machine maps;
-					// replaceObjects validation will reject the result.
-					return nil
-				}
-				switch p {
-				case rp:
-					return map[string]program.Machine{types.OpRead: read}
-				case wp:
-					return map[string]program.Machine{types.OpWrite: write}
-				default:
-					return nil
-				}
-			},
-		}
-	}
-	return replaceObjects(im, im.Name+"+consensus", selected)
-}
-
-// substrateDecls re-bases one private copy of the substrate's objects for
-// the host implementation.
-func substrateDecls(substrate *program.Implementation, procs, readerProc, writerProc int) []program.ObjectDecl {
-	decls, _, _, err := onebit.FromConsensus(substrate, procs, readerProc, writerProc, 0)
-	if err != nil {
-		return nil
-	}
-	return decls
+	return replaceOneUseBits(im, "+consensus", func(readerProc, writerProc, base int) ([]program.ObjectDecl, program.Machine, program.Machine, error) {
+		return onebit.FromConsensus(substrate, im.Procs, readerProc, writerProc, base)
+	})
 }
 
 // EliminateRegistersVia53 runs the full pipeline using the Section 5.3
@@ -99,52 +50,13 @@ func EliminateRegistersVia53(im *program.Implementation, substrate *program.Impl
 // context: both endpoint verifications honor ctx cancellation/deadlines
 // and publish engine progress via opts.OnProgress.
 func EliminateRegistersVia53Context(ctx context.Context, im *program.Implementation, substrate *program.Implementation, opts explore.Options) (*Report, error) {
-	compiled, err := CompileSRSWRegisters(im)
-	if err != nil {
-		return nil, err
-	}
-	inputReport, err := BoundContext(ctx, compiled, opts)
-	if err != nil {
-		return nil, err
-	}
-	bounds, err := RegisterBounds(compiled, inputReport)
-	if err != nil {
-		return nil, err
-	}
-	step1, err := RegistersToOneUseBits(compiled, bounds)
-	if err != nil {
-		return nil, err
-	}
-	out, err := OneUseBitsToConsensus(step1, substrate)
-	if err != nil {
-		return nil, err
-	}
-	outputReport, err := explore.ConsensusKContext(ctx, out, targetValues(im), opts)
-	if err != nil {
-		return nil, err
-	}
 	typeName := "(substrate objects)"
 	if len(substrate.Objects) > 0 {
 		typeName = substrate.Objects[0].Spec.Name
 	}
-	report := &Report{
-		Input:               im,
-		Output:              out,
-		InputName:           im.Name,
-		OutputName:          out.Name,
-		InputReport:         inputReport,
-		OutputReport:        outputReport,
-		Bounds:              bounds,
-		TypeName:            typeName,
-		RegistersEliminated: len(bounds),
-		OneUseBitsUsed:      step1.CountObjects(oneUseSpecName),
-		TypeObjectsAdded:    out.CountObjects(typeName) - im.CountObjects(typeName),
-	}
-	if outputReport.Partial {
-		return report, fmt.Errorf("%w: transformed implementation: %s", ErrInconclusive, outputReport.Summary())
-	}
-	if !outputReport.OK() {
-		return report, fmt.Errorf("core: transformed implementation failed verification: %s", outputReport.Summary())
-	}
-	return report, nil
+	return eliminate(ctx, im, opts, func(*program.Implementation) (realization, error) {
+		return realization{typeName: typeName, realize: func(step1 *program.Implementation) (*program.Implementation, error) {
+			return OneUseBitsToConsensus(step1, substrate)
+		}}, nil
+	})
 }

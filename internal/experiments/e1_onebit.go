@@ -3,12 +3,12 @@ package experiments
 import (
 	"fmt"
 	"strconv"
-	"sync"
 
 	"waitfree/internal/explore"
 	"waitfree/internal/hist"
 	"waitfree/internal/linearize"
 	"waitfree/internal/onebit"
+	"waitfree/internal/stress"
 	"waitfree/internal/types"
 )
 
@@ -104,47 +104,34 @@ func e1Stress() (bool, int) {
 	const trials, r, w = 40, 24, 23
 	for trial := 0; trial < trials; trial++ {
 		b := onebit.NewBoundedBit(r, w, 0)
-		var mu sync.Mutex
-		var clock int64
-		var h hist.History
-		tick := func() int {
-			mu.Lock()
-			defer mu.Unlock()
-			clock++
-			return int(clock)
-		}
-		rec := func(op hist.Op) {
-			mu.Lock()
-			defer mu.Unlock()
-			h = append(h, op)
-		}
+		rec := stress.NewRecorder()
 		done := make(chan error, 1)
 		go func() {
 			for i := 1; i <= w; i++ {
-				begin := tick()
+				begin := rec.Tick()
 				if err := b.Write(i % 2); err != nil {
 					done <- err
 					return
 				}
-				rec(hist.Op{Proc: 1, Port: 2, Inv: types.Write(i % 2), Resp: types.OK, Begin: begin, End: tick()})
+				rec.Record(hist.Op{Proc: 1, Port: 2, Inv: types.Write(i % 2), Resp: types.OK, Begin: begin, End: rec.Tick()})
 			}
 			done <- nil
 		}()
 		bad := false
 		for i := 0; i < r; i++ {
-			begin := tick()
+			begin := rec.Tick()
 			v, err := b.Read()
 			if err != nil {
 				bad = true
 				break
 			}
-			rec(hist.Op{Proc: 0, Port: 1, Inv: types.Read, Resp: types.ValOf(v), Begin: begin, End: tick()})
+			rec.Record(hist.Op{Proc: 0, Port: 1, Inv: types.Read, Resp: types.ValOf(v), Begin: begin, End: rec.Tick()})
 		}
 		if err := <-done; err != nil || bad {
 			return false, trials
 		}
 		// Keep the history under the checker's op limit.
-		if len(h) <= linearize.MaxOps {
+		if h := rec.History(); len(h) <= linearize.MaxOps {
 			if _, err := linearize.Check(types.SRSWBit(), 0, h); err != nil {
 				return false, trials
 			}

@@ -10,6 +10,7 @@ import (
 	"waitfree/internal/hist"
 	"waitfree/internal/linearize"
 	"waitfree/internal/registers"
+	"waitfree/internal/stress"
 	"waitfree/internal/types"
 )
 
@@ -200,7 +201,7 @@ func e2StressRegular(mk func() (func(int), func(int) int), readers, k int) (bool
 	const trials, ops = 25, 10
 	for trial := 0; trial < trials; trial++ {
 		write, read := mk()
-		rec := newRecorder()
+		rec := stress.NewRecorder()
 		rng := rand.New(rand.NewSource(int64(trial)))
 		vals := make([]int, ops)
 		for i := range vals {
@@ -211,19 +212,19 @@ func e2StressRegular(mk func() (func(int), func(int) int), readers, k int) (bool
 		go func() {
 			defer wg.Done()
 			for _, v := range vals {
-				rec.write(0, v, func() { write(v) })
+				rec.Write(0, v, func() { write(v) })
 			}
 		}()
 		for r := 0; r < readers; r++ {
 			go func(r int) {
 				defer wg.Done()
 				for i := 0; i < ops; i++ {
-					rec.read(1+r, func() int { return read(r) })
+					rec.Read(1+r, func() int { return read(r) })
 				}
 			}(r)
 		}
 		wg.Wait()
-		if !rec.regular(0) {
+		if rec.CheckRegular(0) != nil {
 			return false, trials
 		}
 	}
@@ -236,7 +237,7 @@ func e2StressAtomic(mk func() (func(int, int), func(int) int, int), writers, rea
 	const trials, ops = 25, 7
 	for trial := 0; trial < trials; trial++ {
 		write, read, _ := mk()
-		rec := newRecorder()
+		rec := stress.NewRecorder()
 		var wg sync.WaitGroup
 		wg.Add(writers + readers)
 		for w := 0; w < writers; w++ {
@@ -244,7 +245,7 @@ func e2StressAtomic(mk func() (func(int, int), func(int) int, int), writers, rea
 				defer wg.Done()
 				for i := 0; i < ops; i++ {
 					v := (1 + w*ops + i) % k
-					rec.write(w, v, func() { write(w, v) })
+					rec.Write(w, v, func() { write(w, v) })
 				}
 			}(w)
 		}
@@ -252,88 +253,14 @@ func e2StressAtomic(mk func() (func(int, int), func(int) int, int), writers, rea
 			go func(r int) {
 				defer wg.Done()
 				for i := 0; i < ops; i++ {
-					rec.read(writers+r, func() int { return read(r) })
+					rec.Read(writers+r, func() int { return read(r) })
 				}
 			}(r)
 		}
 		wg.Wait()
-		if _, err := linearize.Check(types.Register(1, k), 0, rec.history()); err != nil {
+		if rec.CheckAtomic(k, 0) != nil {
 			return false, trials
 		}
 	}
 	return true, trials
-}
-
-// recorder is a clock-stamped concurrent history recorder.
-type recorder struct {
-	mu    sync.Mutex
-	clock int64
-	ops   hist.History
-}
-
-func newRecorder() *recorder { return &recorder{} }
-
-func (r *recorder) tick() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.clock++
-	return int(r.clock)
-}
-
-func (r *recorder) rec(op hist.Op) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.ops = append(r.ops, op)
-}
-
-func (r *recorder) read(proc int, f func() int) {
-	begin := r.tick()
-	v := f()
-	r.rec(hist.Op{Proc: proc, Port: 1, Inv: types.Read, Resp: types.ValOf(v), Begin: begin, End: r.tick()})
-}
-
-func (r *recorder) write(proc, v int, f func()) {
-	begin := r.tick()
-	f()
-	r.rec(hist.Op{Proc: proc, Port: 1, Inv: types.Write(v), Resp: types.OK, Begin: begin, End: r.tick()})
-}
-
-func (r *recorder) history() hist.History {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return append(hist.History(nil), r.ops...)
-}
-
-// regular checks single-writer regularity: each read returns the latest
-// preceding write's value, an overlapping write's value, or init.
-func (r *recorder) regular(init int) bool {
-	h := r.history()
-	var writes, reads hist.History
-	for _, op := range h {
-		if op.Inv.Op == types.OpWrite {
-			writes = append(writes, op)
-		} else {
-			reads = append(reads, op)
-		}
-	}
-	for _, rd := range reads {
-		allowed := map[int]bool{}
-		latestEnd := -1
-		latestVal := init
-		for _, w := range writes {
-			if w.End < rd.Begin {
-				if w.End > latestEnd {
-					latestEnd = w.End
-					latestVal = w.Inv.A
-				}
-			} else if w.Begin < rd.End {
-				allowed[w.Inv.A] = true
-			}
-		}
-		allowed[latestVal] = true
-		if !allowed[rd.Resp.Val] {
-			return false
-		}
-	}
-	return true
 }

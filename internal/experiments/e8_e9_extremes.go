@@ -11,6 +11,7 @@ import (
 	"waitfree/internal/hist"
 	"waitfree/internal/linearize"
 	"waitfree/internal/program"
+	"waitfree/internal/stress"
 	"waitfree/internal/types"
 	"waitfree/internal/universal"
 )
@@ -235,7 +236,7 @@ func e9QueueTrial() (bool, error) {
 	if err != nil {
 		return false, err
 	}
-	rec := newRecorder()
+	rec := stress.NewRecorder()
 	var wg sync.WaitGroup
 	for p := 0; p < procs; p++ {
 		wg.Add(1)
@@ -246,16 +247,16 @@ func e9QueueTrial() (bool, error) {
 				if i%2 == 1 {
 					inv = types.Deq
 				}
-				begin := rec.tick()
+				begin := rec.Tick()
 				resp, err := u.Apply(p, inv)
 				if err != nil {
 					return
 				}
-				rec.rec(hist.Op{Proc: p, Port: p + 1, Inv: inv, Resp: resp, Begin: begin, End: rec.tick()})
+				rec.Record(hist.Op{Proc: p, Port: p + 1, Inv: inv, Resp: resp, Begin: begin, End: rec.Tick()})
 			}
 		}(p)
 	}
 	wg.Wait()
-	_, err = linearize.Check(types.Queue(procs, 10, 32), types.QueueState(), rec.history())
+	_, err = linearize.Check(types.Queue(procs, 10, 32), types.QueueState(), rec.History())
 	return err == nil, nil
 }

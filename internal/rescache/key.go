@@ -14,12 +14,14 @@
 package rescache
 
 import (
+	"cmp"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
 	"errors"
 	"fmt"
 
+	"waitfree/internal/core"
 	"waitfree/internal/explore"
 	"waitfree/internal/hierarchy"
 	"waitfree/internal/program"
@@ -54,7 +56,7 @@ type KeySpec struct {
 	Kind string
 	// Values is the consensus proposal range (0 = 2); consensus only.
 	Values int
-	// MaxK bounds the elimination witness search (0 = 3).
+	// MaxK bounds the elimination witness search (0 = hierarchy.DefaultMaxK).
 	MaxK int
 	// Implementation is the subject of consensus/bound/elimination.
 	Implementation *program.Implementation
@@ -90,16 +92,12 @@ func RequestKey(spec KeySpec) (Key, error) {
 		b = appendInt(b, int64(k))
 		b, err = appendImplementation(b, spec.Implementation, k)
 	case "bound":
-		k := targetValues(spec.Implementation)
+		k := core.TargetValues(spec.Implementation)
 		b = appendInt(b, int64(k))
 		b, err = appendImplementation(b, spec.Implementation, k)
 	case "elimination":
-		maxK := spec.MaxK
-		if maxK == 0 {
-			maxK = 3
-		}
-		b = appendInt(b, int64(maxK))
-		b, err = appendImplementation(b, spec.Implementation, targetValues(spec.Implementation))
+		b = appendInt(b, int64(cmp.Or(spec.MaxK, hierarchy.DefaultMaxK)))
+		b, err = appendImplementation(b, spec.Implementation, core.TargetValues(spec.Implementation))
 		if err == nil {
 			if spec.Substrate != nil {
 				b = append(b, 1)
@@ -138,17 +136,6 @@ func uncacheable(o explore.Options) error {
 		return fmt.Errorf("%w: RecordHistory", ErrUncacheable)
 	}
 	return nil
-}
-
-// targetValues mirrors the KindBound/KindElimination proposal range rule
-// (core.targetValues): k for a multi-valued consensus target, else 2.
-func targetValues(im *program.Implementation) int {
-	if im != nil && im.Target != nil && im.Target.Name == "multi-consensus" {
-		if k := len(im.Target.Alphabet); k >= 2 {
-			return k
-		}
-	}
-	return 2
 }
 
 // appendImplementation appends the behavioral canonical encoding of im

@@ -274,7 +274,7 @@ func (s *Server) runJob(j *Job) {
 	if resumable && len(j.chkpoint) > 0 {
 		cp := &waitfree.Checkpoint{}
 		if err := json.Unmarshal(j.chkpoint, cp); err == nil {
-			req.ResumeFrom = cp
+			req.Explore.ResumeFrom = cp
 			j.resumes++
 		} else {
 			s.opts.Logf("job %s: stored checkpoint unreadable, restarting: %v", j.id, err)

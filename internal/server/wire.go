@@ -47,7 +47,7 @@ type WireRequest struct {
 	Procs int `json:"procs,omitempty"`
 	// Values is the proposal-value range for consensus (0 = binary).
 	Values int `json:"values,omitempty"`
-	// MaxK bounds the elimination witness search (0 = 3).
+	// MaxK bounds the elimination witness search (0 = hierarchy.DefaultMaxK).
 	MaxK int `json:"max_k,omitempty"`
 	// Substrate names a register-free protocol for elimination's Section
 	// 5.3 route; "" uses the protocol's registry default (noisysticky-r
