@@ -17,13 +17,13 @@ import (
 	"waitfree/internal/consensus"
 	"waitfree/internal/core"
 	"waitfree/internal/durable"
+	"waitfree/internal/experiments"
 	"waitfree/internal/explore"
 	"waitfree/internal/faults"
 	"waitfree/internal/hierarchy"
 	"waitfree/internal/multivalue"
 	"waitfree/internal/onebit"
 	"waitfree/internal/program"
-	"waitfree/internal/registers"
 	"waitfree/internal/synth"
 	"waitfree/internal/types"
 	"waitfree/internal/universal"
@@ -83,48 +83,25 @@ func BenchmarkBitArrayScan(b *testing.B) {
 
 // ---- E2: Section 4.1 register chain ----
 
-// BenchmarkRegisterChain measures single operations at each layer of the
-// chain, bottom to top: costs grow with fan-out (readers/writers), the
+// BenchmarkRegisterChain explores every interleaving of each layer of the
+// chain at its E2 script, bottom to top, checking every leaf; leaves/op
+// shows how the interleavings grow with fan-out (readers/writers), the
 // price of wait-freedom from weak cells.
 func BenchmarkRegisterChain(b *testing.B) {
-	b.Run("atomic-bit", func(b *testing.B) {
-		bit := registers.NewAtomicBit(0)
-		for i := 0; i < b.N; i++ {
-			bit.Write(i & 1)
-			_ = bit.Read()
-		}
-	})
-	b.Run("lamport-mrbit/readers=8", func(b *testing.B) {
-		reg := registers.NewLamportMRBit(8, 0, func(init int) registers.Bit { return registers.NewAtomicBit(init) })
-		for i := 0; i < b.N; i++ {
-			reg.Write(i & 1)
-			_ = reg.Read(i % 8)
-		}
-	})
-	for _, k := range []int{4, 16} {
-		b.Run(fmt.Sprintf("vidyasankar/k=%d", k), func(b *testing.B) {
-			reg := registers.NewVidyasankar(k, 0, func(init int) registers.Bit { return registers.NewAtomicBit(init) })
+	for _, l := range experiments.RegisterLayers() {
+		b.Run(l.Impl.Name, func(b *testing.B) {
+			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				reg.Write(i % k)
-				_ = reg.Read()
-			}
-		})
-	}
-	for _, readers := range []int{2, 8} {
-		b.Run(fmt.Sprintf("mrsw-atomic/readers=%d", readers), func(b *testing.B) {
-			reg := registers.NewMRSWAtomic(readers, 0)
-			for i := 0; i < b.N; i++ {
-				reg.Write(i)
-				_ = reg.Read(i % readers)
-			}
-		})
-	}
-	for _, parties := range []int{2, 4} {
-		b.Run(fmt.Sprintf("mrmw-atomic/w=r=%d", parties), func(b *testing.B) {
-			reg := registers.NewMRMWAtomic(parties, parties, 0)
-			for i := 0; i < b.N; i++ {
-				reg.Write(i%parties, i)
-				_ = reg.Read(i % parties)
+				res, err := l.Explore()
+				if err != nil {
+					b.Fatal(err)
+				}
+				if res.Violation != nil {
+					b.Fatal(res.Violation)
+				}
+				if i == 0 {
+					b.ReportMetric(float64(res.Leaves), "leaves/op")
+				}
 			}
 		})
 	}

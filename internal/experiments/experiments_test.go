@@ -1,13 +1,16 @@
 package experiments
 
 import (
+	"fmt"
+	"os"
 	"strings"
 	"testing"
 )
 
 // TestAllExperimentsReproduce runs the full harness: every experiment must
-// complete and report REPRODUCED. This is the repository's top-level
-// regression test for the paper's results.
+// complete and report REPRODUCED, and EXPERIMENTS.md must embed exactly
+// the harness's Markdown between its first rule and its appendices. This
+// is the repository's top-level regression test for the paper's results.
 func TestAllExperimentsReproduce(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full harness")
@@ -32,6 +35,31 @@ func TestAllExperimentsReproduce(t *testing.T) {
 			}
 		}
 	}
+	doc, err := os.ReadFile("../../EXPERIMENTS.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const rule, appendix = "\n---\n\n", "---\n\n## Appendix"
+	start := strings.Index(string(doc), rule)
+	end := strings.Index(string(doc), appendix)
+	if start < 0 || end < start {
+		t.Fatalf("EXPERIMENTS.md lacks a %q rule before %q", rule, appendix)
+	}
+	if body, md := string(doc[start+len(rule):end]), Markdown(tables); body != md {
+		t.Errorf("EXPERIMENTS.md body differs from the harness output; regenerate it with go run ./cmd/experiments\n%s",
+			firstDifference(body, md))
+	}
+}
+
+// firstDifference reports the first line on which got and want differ.
+func firstDifference(got, want string) string {
+	g, w := strings.Split(got, "\n"), strings.Split(want, "\n")
+	for i := 0; i < len(g) && i < len(w); i++ {
+		if g[i] != w[i] {
+			return fmt.Sprintf("line %d:\n  document: %s\n  harness:  %s", i+1, g[i], w[i])
+		}
+	}
+	return fmt.Sprintf("document has %d lines, harness %d", len(g), len(w))
 }
 
 func TestMarkdownRendering(t *testing.T) {

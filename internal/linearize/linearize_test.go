@@ -203,3 +203,54 @@ func TestRandomSequentialHistoriesAlwaysLinearizable(t *testing.T) {
 		}
 	}
 }
+
+// TestCheckRegular is the table test of the single-writer regularity
+// condition, including the pending-operation cases that crash-injected
+// runs produce.
+func TestCheckRegular(t *testing.T) {
+	w := func(v, begin, end int) hist.Op {
+		return hist.Op{Proc: 0, Port: 1, Inv: types.Write(v), Resp: types.OK, Begin: begin, End: end}
+	}
+	r := func(proc, v, begin, end int) hist.Op {
+		return hist.Op{Proc: proc, Port: 1, Inv: types.Read, Resp: types.ValOf(v), Begin: begin, End: end}
+	}
+	pendingRead := hist.Op{Proc: 1, Port: 1, Inv: types.Read, Begin: 1, End: hist.Pending}
+	for _, tc := range []struct {
+		name    string
+		h       hist.History
+		regular bool
+	}{
+		{"initial_value", hist.History{r(1, 0, 1, 2)}, true},
+		{"never_written_value", hist.History{r(1, 7, 1, 2)}, false},
+		{"stale_read_overlapping_write", hist.History{w(1, 1, 4), r(1, 0, 2, 3)}, true},
+		{"new_read_overlapping_write", hist.History{w(1, 1, 4), r(1, 1, 2, 3)}, true},
+		{"stale_read_after_write", hist.History{w(1, 1, 2), r(1, 0, 3, 4)}, false},
+		{"latest_of_two_preceding_writes", hist.History{w(1, 1, 2), w(2, 3, 4), r(1, 2, 5, 6)}, true},
+		{"older_of_two_preceding_writes", hist.History{w(1, 1, 2), w(2, 3, 4), r(1, 1, 5, 6)}, false},
+		{"new_old_inversion", hist.History{w(1, 1, 6), r(1, 1, 2, 3), r(1, 0, 4, 5)}, true},
+		{"write_after_read", hist.History{r(1, 1, 1, 2), w(1, 3, 4)}, false},
+		// The writer crashed mid-write: the write never completes before a
+		// read, so it overlaps every read that ends after it begins.
+		{"pending_write_overlaps_later_read", hist.History{w(5, 1, hist.Pending), r(1, 5, 2, 3)}, true},
+		{"pending_write_keeps_initial_value", hist.History{w(5, 1, hist.Pending), r(1, 0, 2, 3)}, true},
+		{"pending_write_after_read", hist.History{r(1, 5, 1, 2), w(5, 3, hist.Pending)}, false},
+		{"pending_read_skipped", hist.History{pendingRead}, true},
+		// A crash-injected run: the crashed write took effect, and two
+		// readers around it see either value, in either order.
+		{"crash_injected_run", hist.History{
+			w(7, 1, hist.Pending),
+			r(1, 0, 2, 3), r(1, 7, 4, 5), r(1, 7, 8, 9),
+			r(2, 7, 3, 6), r(2, 0, 7, 10),
+		}, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			err := CheckRegular(tc.h, 0)
+			if tc.regular && err != nil {
+				t.Fatalf("regular history rejected: %v", err)
+			}
+			if !tc.regular && !errors.Is(err, ErrNotRegular) {
+				t.Fatalf("err = %v, want ErrNotRegular", err)
+			}
+		})
+	}
+}

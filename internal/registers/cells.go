@@ -2,28 +2,6 @@ package registers
 
 import "sync/atomic"
 
-// AtomicBit is the base cell of the chain: a single-reader, single-writer
-// atomic bit, simulated by hardware atomics. Everything else in the
-// package is constructed from cells like this one.
-type AtomicBit struct {
-	v atomic.Int32
-}
-
-var _ Bit = (*AtomicBit)(nil)
-
-// NewAtomicBit returns an atomic bit initialized to init.
-func NewAtomicBit(init int) *AtomicBit {
-	b := &AtomicBit{}
-	b.v.Store(int32(init & 1))
-	return b
-}
-
-// Read implements Bit.
-func (b *AtomicBit) Read() int { return int(b.v.Load()) }
-
-// Write implements Bit.
-func (b *AtomicBit) Write(v int) { b.v.Store(int32(v & 1)) }
-
 // writeWindow captures an in-progress write of a RegularBit.
 type writeWindow struct {
 	old    int32
@@ -37,8 +15,8 @@ type writeWindow struct {
 // may observe new-then-old — the new/old inversion that distinguishes
 // regular from atomic registers.
 //
-// BeginWrite/EndWrite expose the write window so tests can hold a write
-// open deterministically; Write performs both back to back.
+// BeginWrite/EndWrite expose the write window so a caller can hold a write
+// open deterministically.
 type RegularBit struct {
 	val    atomic.Int32
 	window atomic.Pointer[writeWindow]
@@ -50,8 +28,6 @@ type RegularBit struct {
 	flip atomic.Int32
 }
 
-var _ Bit = (*RegularBit)(nil)
-
 // NewRegularBit returns a regular bit initialized to init. choose may be
 // nil, in which case overlapping reads alternate old/new.
 func NewRegularBit(init int, choose func() bool) *RegularBit {
@@ -60,7 +36,7 @@ func NewRegularBit(init int, choose func() bool) *RegularBit {
 	return b
 }
 
-// Read implements Bit: overlapping reads consult the adversary.
+// Read returns the bit; reads overlapping a write consult the adversary.
 func (b *RegularBit) Read() int {
 	if w := b.window.Load(); w != nil && w.active {
 		if b.chooseOld() {
@@ -76,12 +52,6 @@ func (b *RegularBit) chooseOld() bool {
 		return b.Choose()
 	}
 	return b.flip.Add(1)%2 == 0
-}
-
-// Write implements Bit.
-func (b *RegularBit) Write(v int) {
-	b.BeginWrite(v)
-	b.EndWrite()
 }
 
 // BeginWrite opens a write window: until EndWrite, concurrent reads are

@@ -4,50 +4,29 @@
 // single-reader, single-writer bits.
 //
 // The paper cites the chain Lamport (86), Burns-Peterson (87), Peterson
-// (83), Peterson-Burns (87). This package implements, executably:
+// (83), Peterson-Burns (87). Every layer is a step machine (package
+// program), so the execution-tree explorer checks it exhaustively on
+// small scripts:
 //
-//   - simulated base cells: atomic and regular SRSW bits (a regular bit
-//     read that overlaps a write may return either the old or the new
-//     value — the adversary picks);
-//   - Lamport's multi-reader regular bit from SRSW regular bits;
-//   - Lamport's multi-reader regular multi-value register from regular
-//     bits (unary encoding, lowest-set-bit reads);
+//   - Lamport's multi-reader regular bit from SRSW bits;
+//   - Lamport's regular multi-value register from bits (unary encoding,
+//     lowest-set-bit reads);
 //   - Vidyasankar's SRSW multi-value atomic register from SRSW atomic
-//     bits (upscan/downscan);
-//   - a multi-reader atomic register from SRSW atomic cells (timestamped
-//     reader-announcement construction);
+//     bits (upscan, then a confirming downscan); package core compiles
+//     every SRSW register of a protocol with these machines;
+//   - a multi-reader atomic register from SRSW atomic registers
+//     (timestamped reader-announcement construction);
 //   - a multi-writer atomic register from multi-reader atomic registers
 //     (timestamp-maximum construction).
 //
-// The two top layers use unbounded sequence numbers where the cited papers
-// use bounded ones; DESIGN.md documents why this substitution preserves
-// the property the paper needs (a wait-free chain from SRSW bits to MRMW
-// multi-value registers, with bounded use in the Theorem 5 pipeline).
+// Each layer runs over atomic objects of the layer below; by the locality
+// of linearizability, composing the layers yields the whole chain. The two
+// top layers use timestamps where the cited papers use bounded sequence
+// numbers. A machine's capacity bounds its writes, so its timestamps are
+// bounded: a write beyond the capacity has no transition in the cell's
+// type and fails the run. DESIGN.md documents the substitution.
+//
+// The simulated regular bit (cells.go) is the base cell that shows why
+// the atomic layers exist: two reads overlapping one write may see the new
+// value and then the old one.
 package registers
-
-// Bit is a single-reader, single-writer bit register: one fixed process
-// calls Read, another fixed process calls Write.
-type Bit interface {
-	Read() int
-	Write(v int)
-}
-
-// MultiReaderBit is a single-writer bit readable by several processes;
-// readers identify themselves by index.
-type MultiReaderBit interface {
-	Read(reader int) int
-	Write(v int)
-}
-
-// MultiReaderReg is a single-writer, multi-value register readable by
-// several processes.
-type MultiReaderReg interface {
-	Read(reader int) int
-	Write(v int)
-}
-
-// MultiWriterReg is a multi-writer, multi-reader, multi-value register.
-type MultiWriterReg interface {
-	Read(reader int) int
-	Write(writer int, v int)
-}

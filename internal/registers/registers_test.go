@@ -1,108 +1,12 @@
 package registers
 
 import (
-	"math/rand"
-	"sync"
-	"sync/atomic"
 	"testing"
 
 	"waitfree/internal/hist"
 	"waitfree/internal/linearize"
 	"waitfree/internal/types"
 )
-
-// harness collects a concurrent history of register operations with a
-// global logical clock, for linearizability and regularity checking.
-type harness struct {
-	clock atomic.Int64
-	mu    sync.Mutex
-	ops   hist.History
-}
-
-func (h *harness) tick() int { return int(h.clock.Add(1)) }
-
-func (h *harness) record(op hist.Op) {
-	h.mu.Lock()
-	h.ops = append(h.ops, op)
-	h.mu.Unlock()
-}
-
-func (h *harness) read(proc int, f func() int) {
-	begin := h.tick()
-	v := f()
-	h.record(hist.Op{Proc: proc, Port: 1, Inv: types.Read, Resp: types.ValOf(v), Begin: begin, End: h.tick()})
-}
-
-func (h *harness) write(proc, v int, f func()) {
-	begin := h.tick()
-	f()
-	h.record(hist.Op{Proc: proc, Port: 1, Inv: types.Write(v), Resp: types.OK, Begin: begin, End: h.tick()})
-}
-
-// checkAtomic verifies the collected history is linearizable as a k-valued
-// register initialized to init.
-func (h *harness) checkAtomic(t *testing.T, k, init int) {
-	t.Helper()
-	spec := types.Register(1, k)
-	if _, err := linearize.Check(spec, init, h.ops); err != nil {
-		t.Fatalf("history not atomic: %v\n%v", err, h.ops)
-	}
-}
-
-// checkRegular verifies the single-writer regularity condition: every read
-// returns the value of the latest write that completed before it began, or
-// of some overlapping write, or the initial value if no write precedes it.
-func (h *harness) checkRegular(t *testing.T, init int) {
-	t.Helper()
-	var writes, reads hist.History
-	for _, op := range h.ops {
-		if op.Inv.Op == types.OpWrite {
-			writes = append(writes, op)
-		} else {
-			reads = append(reads, op)
-		}
-	}
-	for _, r := range reads {
-		allowed := map[int]bool{}
-		latest := hist.Op{Begin: -1, End: -1}
-		found := false
-		for _, w := range writes {
-			if w.End < r.Begin {
-				if !found || w.End > latest.End {
-					latest = w
-					found = true
-				}
-			} else if w.Begin < r.End {
-				allowed[w.Inv.A] = true // overlapping write
-			}
-		}
-		if found {
-			allowed[latest.Inv.A] = true
-		} else {
-			allowed[init] = true
-		}
-		if !allowed[r.Resp.Val] {
-			t.Fatalf("read %v not regular; allowed %v\nhistory: %v", r, allowed, h.ops)
-		}
-	}
-}
-
-// ---- base cells ----
-
-func TestAtomicBitSequential(t *testing.T) {
-	b := NewAtomicBit(1)
-	if b.Read() != 1 {
-		t.Error("initial value lost")
-	}
-	b.Write(0)
-	if b.Read() != 0 {
-		t.Error("write lost")
-	}
-	b.Write(3) // masked to bit
-	if b.Read() != 1 {
-		t.Error("mask failed")
-	}
-}
 
 func TestRegularBitOverlapAdversary(t *testing.T) {
 	calls := 0
@@ -130,17 +34,21 @@ func TestRegularBitIsNotAtomic(t *testing.T) {
 	choices := []bool{false, true} // first overlapping read: new; second: old
 	i := 0
 	b := NewRegularBit(0, func() bool { v := choices[i%2]; i++; return v })
-	var h harness
-	wBegin := h.tick()
 	b.BeginWrite(1)
-	h.read(1, b.Read) // returns new (1)
-	h.read(1, b.Read) // returns old (0): inversion
+	v1, v2 := b.Read(), b.Read()
 	b.EndWrite()
-	h.record(hist.Op{Proc: 0, Port: 1, Inv: types.Write(1), Resp: types.OK, Begin: wBegin, End: h.tick()})
-
-	h.checkRegular(t, 0)
-	spec := types.Register(1, 2)
-	if _, err := linearize.Check(spec, 0, h.ops); err == nil {
+	h := hist.History{
+		{Proc: 0, Port: 1, Inv: types.Write(1), Resp: types.OK, Begin: 0, End: 5},
+		{Proc: 1, Port: 1, Inv: types.Read, Resp: types.ValOf(v1), Begin: 1, End: 2},
+		{Proc: 1, Port: 1, Inv: types.Read, Resp: types.ValOf(v2), Begin: 3, End: 4},
+	}
+	if v1 != 1 || v2 != 0 {
+		t.Fatalf("adversary produced %d then %d, want new then old", v1, v2)
+	}
+	if err := linearize.CheckRegular(h, 0); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := linearize.Check(types.Register(1, 2), 0, h); err == nil {
 		t.Fatal("new/old inversion accepted as atomic")
 	}
 }
@@ -155,259 +63,5 @@ func TestRegularBitDefaultAlternation(t *testing.T) {
 	b.EndWrite()
 	if !saw[0] || !saw[1] {
 		t.Errorf("default adversary did not exercise both values: %v", saw)
-	}
-}
-
-// ---- Lamport layers ----
-
-func TestLamportMRBitSequential(t *testing.T) {
-	b := NewLamportMRBit(3, 1, func(init int) Bit { return NewAtomicBit(init) })
-	for r := 0; r < 3; r++ {
-		if b.Read(r) != 1 {
-			t.Errorf("reader %d missed initial value", r)
-		}
-	}
-	b.Write(0)
-	for r := 0; r < 3; r++ {
-		if b.Read(r) != 0 {
-			t.Errorf("reader %d missed write", r)
-		}
-	}
-	if b.BaseBits() != 3 {
-		t.Errorf("BaseBits = %d, want 3", b.BaseBits())
-	}
-}
-
-func TestLamportMRBitRegularUnderStress(t *testing.T) {
-	b := NewLamportMRBit(2, 0, func(init int) Bit { return NewRegularBit(init, nil) })
-	var h harness
-	var wg sync.WaitGroup
-	wg.Add(3)
-	go func() {
-		defer wg.Done()
-		for i := 0; i < 8; i++ {
-			v := i % 2
-			h.write(0, v, func() { b.Write(v) })
-		}
-	}()
-	for r := 0; r < 2; r++ {
-		go func(r int) {
-			defer wg.Done()
-			for i := 0; i < 8; i++ {
-				h.read(1+r, func() int { return b.Read(r) })
-			}
-		}(r)
-	}
-	wg.Wait()
-	h.checkRegular(t, 0)
-}
-
-func TestLamportMultiRegSequential(t *testing.T) {
-	reg := NewLamportMultiReg(5, 3, func(init int) MultiReaderBit {
-		return NewLamportMRBit(2, init, func(i int) Bit { return NewAtomicBit(i) })
-	})
-	if got := reg.Read(0); got != 3 {
-		t.Errorf("initial read = %d, want 3", got)
-	}
-	for _, v := range []int{0, 4, 2, 2, 1} {
-		reg.Write(v)
-		for r := 0; r < 2; r++ {
-			if got := reg.Read(r); got != v {
-				t.Errorf("reader %d: read = %d, want %d", r, got, v)
-			}
-		}
-	}
-	if reg.Values() != 5 {
-		t.Errorf("Values = %d", reg.Values())
-	}
-}
-
-func TestLamportMultiRegRegularUnderStress(t *testing.T) {
-	const k = 4
-	reg := NewLamportMultiReg(k, 0, func(init int) MultiReaderBit {
-		return NewLamportMRBit(2, init, func(i int) Bit { return NewRegularBit(i, nil) })
-	})
-	var h harness
-	rng := rand.New(rand.NewSource(5))
-	vals := make([]int, 10)
-	for i := range vals {
-		vals[i] = rng.Intn(k)
-	}
-	var wg sync.WaitGroup
-	wg.Add(3)
-	go func() {
-		defer wg.Done()
-		for _, v := range vals {
-			v := v
-			h.write(0, v, func() { reg.Write(v) })
-		}
-	}()
-	for r := 0; r < 2; r++ {
-		go func(r int) {
-			defer wg.Done()
-			for i := 0; i < 10; i++ {
-				h.read(1+r, func() int { return reg.Read(r) })
-			}
-		}(r)
-	}
-	wg.Wait()
-	h.checkRegular(t, 0)
-}
-
-// ---- Vidyasankar ----
-
-func TestVidyasankarSequential(t *testing.T) {
-	reg := NewVidyasankar(6, 2, func(init int) Bit { return NewAtomicBit(init) })
-	if got := reg.Read(); got != 2 {
-		t.Errorf("initial read = %d, want 2", got)
-	}
-	for _, v := range []int{0, 5, 3, 3, 1, 4} {
-		reg.Write(v)
-		if got := reg.Read(); got != v {
-			t.Errorf("read = %d, want %d", got, v)
-		}
-	}
-	if reg.BaseBits() != 6 {
-		t.Errorf("BaseBits = %d", reg.BaseBits())
-	}
-}
-
-func TestVidyasankarAtomicUnderStress(t *testing.T) {
-	const k = 4
-	for trial := 0; trial < 20; trial++ {
-		reg := NewVidyasankar(k, 0, func(init int) Bit { return NewAtomicBit(init) })
-		var h harness
-		rng := rand.New(rand.NewSource(int64(trial)))
-		vals := make([]int, 12)
-		for i := range vals {
-			vals[i] = rng.Intn(k)
-		}
-		var wg sync.WaitGroup
-		wg.Add(2)
-		go func() {
-			defer wg.Done()
-			for _, v := range vals {
-				v := v
-				h.write(0, v, func() { reg.Write(v) })
-			}
-		}()
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 12; i++ {
-				h.read(1, reg.Read)
-			}
-		}()
-		wg.Wait()
-		h.checkAtomic(t, k, 0)
-	}
-}
-
-// ---- MRSW atomic ----
-
-func TestMRSWAtomicSequential(t *testing.T) {
-	reg := NewMRSWAtomic(3, 7)
-	for r := 0; r < 3; r++ {
-		if got := reg.Read(r); got != 7 {
-			t.Errorf("reader %d initial = %d", r, got)
-		}
-	}
-	reg.Write(9)
-	for r := 0; r < 3; r++ {
-		if got := reg.Read(r); got != 9 {
-			t.Errorf("reader %d after write = %d", r, got)
-		}
-	}
-	if reg.BaseCells() != 12 {
-		t.Errorf("BaseCells = %d, want 12", reg.BaseCells())
-	}
-}
-
-func TestMRSWAtomicUnderStress(t *testing.T) {
-	const readers = 3
-	for trial := 0; trial < 20; trial++ {
-		reg := NewMRSWAtomic(readers, 0)
-		var h harness
-		var wg sync.WaitGroup
-		wg.Add(1 + readers)
-		go func() {
-			defer wg.Done()
-			for i := 1; i <= 10; i++ {
-				v := i
-				h.write(0, v, func() { reg.Write(v) })
-			}
-		}()
-		for r := 0; r < readers; r++ {
-			go func(r int) {
-				defer wg.Done()
-				for i := 0; i < 6; i++ {
-					h.read(1+r, func() int { return reg.Read(r) })
-				}
-			}(r)
-		}
-		wg.Wait()
-		h.checkAtomic(t, 11, 0)
-	}
-}
-
-// ---- MRMW atomic ----
-
-func TestMRMWAtomicSequential(t *testing.T) {
-	reg := NewMRMWAtomic(2, 2, 5)
-	for r := 0; r < 2; r++ {
-		if got := reg.Read(r); got != 5 {
-			t.Errorf("reader %d initial = %d", r, got)
-		}
-	}
-	reg.Write(0, 8)
-	reg.Write(1, 3)
-	for r := 0; r < 2; r++ {
-		if got := reg.Read(r); got != 3 {
-			t.Errorf("reader %d = %d, want 3 (last write)", r, got)
-		}
-	}
-	if reg.BaseCells() == 0 {
-		t.Error("BaseCells = 0")
-	}
-}
-
-func TestMRMWAtomicUnderStress(t *testing.T) {
-	const writers, readers = 2, 2
-	for trial := 0; trial < 20; trial++ {
-		reg := NewMRMWAtomic(writers, readers, 0)
-		var h harness
-		var wg sync.WaitGroup
-		wg.Add(writers + readers)
-		for w := 0; w < writers; w++ {
-			go func(w int) {
-				defer wg.Done()
-				for i := 0; i < 7; i++ {
-					v := 1 + w*7 + i // all distinct, nonzero
-					h.write(w, v, func() { reg.Write(w, v) })
-				}
-			}(w)
-		}
-		for r := 0; r < readers; r++ {
-			go func(r int) {
-				defer wg.Done()
-				for i := 0; i < 7; i++ {
-					h.read(writers+r, func() int { return reg.Read(r) })
-				}
-			}(r)
-		}
-		wg.Wait()
-		h.checkAtomic(t, 15, 0)
-	}
-}
-
-// TestWTagOrdering covers the lexicographic tag order.
-func TestWTagOrdering(t *testing.T) {
-	a := wTag{TS: 2, ID: 0}
-	b := wTag{TS: 1, ID: 5}
-	c := wTag{TS: 2, ID: 1}
-	if !a.after(b) || b.after(a) {
-		t.Error("timestamp order broken")
-	}
-	if !c.after(a) || a.after(c) {
-		t.Error("id tie-break broken")
 	}
 }

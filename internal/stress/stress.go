@@ -1,16 +1,12 @@
 // Package stress provides the concurrent correctness-testing harness used
-// by tests, experiments, and benchmarks: a clock-stamped history recorder,
-// regularity checking for single-writer registers, and ready-made stress
-// drivers for register-like objects. The exhaustive explorer (package
-// explore) proves properties of small instances; this package samples
-// large instances under the Go scheduler and checks the recorded histories
-// with the linearizability checker (package linearize) or the regularity
-// condition.
+// by tests and experiments: a clock-stamped history recorder whose
+// histories are checked for atomicity or single-writer regularity. The
+// exhaustive explorer (package explore) proves properties of small
+// instances; this package samples large instances under the Go scheduler
+// and checks the recorded histories with package linearize.
 package stress
 
 import (
-	"fmt"
-	"math/rand"
 	"sync"
 
 	"waitfree/internal/hist"
@@ -81,98 +77,9 @@ func (r *Recorder) CheckAtomic(k, init int) error {
 	return err
 }
 
-// CheckRegular verifies single-writer regularity: every read returns the
-// value of the latest write completed before it, of some overlapping
-// write, or the initial value. A pending write (End == hist.Pending, e.g.
-// the writer crashed mid-operation) never completes before any read; it
-// overlaps every read that begins after it starts, so its value is
-// allowed there. Pending reads returned no value and are skipped.
+// CheckRegular verifies single-writer regularity of the history (see
+// linearize.CheckRegular, which also fixes the handling of pending
+// operations).
 func (r *Recorder) CheckRegular(init int) error {
-	h := r.History()
-	var writes, reads hist.History
-	for _, op := range h {
-		if op.Inv.Op == types.OpWrite {
-			writes = append(writes, op)
-		} else {
-			reads = append(reads, op)
-		}
-	}
-	for _, rd := range reads {
-		if !rd.Complete() {
-			continue
-		}
-		allowed := map[int]bool{}
-		latestEnd := -1
-		latestVal := init
-		for _, w := range writes {
-			switch {
-			case w.Complete() && w.End < rd.Begin:
-				if w.End > latestEnd {
-					latestEnd = w.End
-					latestVal = w.Inv.A
-				}
-			case w.Begin < rd.End:
-				allowed[w.Inv.A] = true
-			}
-		}
-		allowed[latestVal] = true
-		if !allowed[rd.Resp.Val] {
-			return fmt.Errorf("stress: read %v not regular (allowed %v)", rd, allowed)
-		}
-	}
-	return nil
-}
-
-// RegisterUnderTest abstracts a multi-writer register for the stress
-// drivers; adapt single-writer registers by ignoring the writer index.
-type RegisterUnderTest struct {
-	Write func(writer, v int)
-	Read  func(reader int) int
-}
-
-// Config shapes a register stress run.
-type Config struct {
-	Writers, Readers int
-	Values           int // value range 0..Values-1
-	OpsPerParty      int
-	Seed             int64
-}
-
-// Run drives the register concurrently and returns the recorder. Writers
-// write pseudo-random values; readers read. Ops stay under the
-// linearizability checker's operation cap when
-// (Writers+Readers)*OpsPerParty <= 64.
-func Run(reg RegisterUnderTest, cfg Config) *Recorder {
-	rec := NewRecorder()
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	// Pre-draw write values so goroutines need no shared rng.
-	vals := make([][]int, cfg.Writers)
-	for w := range vals {
-		vals[w] = make([]int, cfg.OpsPerParty)
-		for i := range vals[w] {
-			vals[w][i] = rng.Intn(cfg.Values)
-		}
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < cfg.Writers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for _, v := range vals[w] {
-				v := v
-				rec.Write(w, v, func() { reg.Write(w, v) })
-			}
-		}(w)
-	}
-	for rd := 0; rd < cfg.Readers; rd++ {
-		wg.Add(1)
-		go func(rd int) {
-			defer wg.Done()
-			for i := 0; i < cfg.OpsPerParty; i++ {
-				rec.Read(cfg.Writers+rd, func() int { return reg.Read(rd) })
-			}
-		}(rd)
-	}
-	wg.Wait()
-	return rec
+	return linearize.CheckRegular(r.History(), init)
 }

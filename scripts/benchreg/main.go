@@ -10,7 +10,7 @@
 // non-test Go lines of every package in the module, so deletions show in
 // the trajectory next to the costs; those are never gated either.
 //
-//	go run ./scripts/benchreg -baseline BENCH_BASELINE.json -out BENCH_15.json
+//	go run ./scripts/benchreg -baseline BENCH_BASELINE.json -out BENCH_<n>.json
 //	go run ./scripts/benchreg -update          # refresh the baseline in place
 package main
 
@@ -55,7 +55,7 @@ var benchLine = regexp.MustCompile(`^(Benchmark\S+)\s+(\d+)\s+(.*)$`)
 
 func main() {
 	baselinePath := flag.String("baseline", "BENCH_BASELINE.json", "committed baseline to gate against")
-	outPath := flag.String("out", "", "write the fresh measurements to this file (e.g. BENCH_15.json)")
+	outPath := flag.String("out", "", "write the fresh measurements to this file (BENCH_<n>.json)")
 	bench := flag.String("bench", "BenchmarkConsensus", "benchmark pattern to run")
 	benchtime := flag.String("benchtime", "5x", "-benchtime passed to go test")
 	threshold := flag.Float64("threshold", 0.10, "maximum tolerated allocs/op regression (fraction)")
