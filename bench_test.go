@@ -10,7 +10,6 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
-	"sync"
 	"testing"
 	"time"
 
@@ -24,6 +23,7 @@ import (
 	"waitfree/internal/multivalue"
 	"waitfree/internal/onebit"
 	"waitfree/internal/program"
+	rt "waitfree/internal/runtime"
 	"waitfree/internal/synth"
 	"waitfree/internal/types"
 	"waitfree/internal/universal"
@@ -31,52 +31,30 @@ import (
 
 // ---- E1: Section 4.3 one-use bit array ----
 
-// BenchmarkOneUseBitArray measures one write+read pair on the direct
-// construction across array sizes: cost grows linearly in r (writes flip a
-// whole row) — the paper's r*(w+1) space bound made visible as time.
+// BenchmarkOneUseBitArray runs one reader of r reads against one writer of
+// w alternating writes on the Section 4.3 machines, free-running, across
+// array sizes r = w: each run builds (w+1)*r one-use bits and flips a row
+// per write — the paper's r*(w+1) space bound made visible as time.
 func BenchmarkOneUseBitArray(b *testing.B) {
 	for _, size := range []int{4, 16, 64, 256} {
 		b.Run(fmt.Sprintf("r=w=%d", size), func(b *testing.B) {
+			im := onebit.Implementation(size, size, 0)
+			scripts := [][]types.Invocation{make([]types.Invocation, size), make([]types.Invocation, size)}
+			for k := 0; k < size; k++ {
+				scripts[0][k] = types.Read
+				scripts[1][k] = types.Write(1 - k%2)
+			}
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				bit := onebit.NewBoundedBit(size, size, 0)
-				for k := 0; k < size; k++ {
-					if err := bit.Write(1 - k%2); err != nil {
-						b.Fatal(err)
-					}
-					if _, err := bit.Read(); err != nil {
-						b.Fatal(err)
-					}
+				r, err := rt.New(im, nil, nil)
+				if err != nil {
+					b.Fatal(err)
 				}
-				if i == 0 {
-					b.ReportMetric(float64(bit.Bits()), "one-use-bits")
+				if _, err := r.Run(scripts, nil); err != nil {
+					b.Fatal(err)
 				}
 			}
-		})
-	}
-}
-
-// BenchmarkBitArrayScan is the DESIGN.md ablation: the paper's resuming
-// row scan versus a reader that rescans from row 1 on every read.
-func BenchmarkBitArrayScan(b *testing.B) {
-	const size = 128
-	variants := map[string]func() *onebit.BoundedBit{
-		"resume":  func() *onebit.BoundedBit { return onebit.NewBoundedBit(size, size, 0) },
-		"restart": func() *onebit.BoundedBit { return onebit.NewBoundedBitRestartScan(size, size, 0) },
-	}
-	for name, mk := range variants {
-		b.Run(name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				bit := mk()
-				for k := 0; k < size; k++ {
-					if err := bit.Write(1 - k%2); err != nil {
-						b.Fatal(err)
-					}
-					if _, err := bit.Read(); err != nil {
-						b.Fatal(err)
-					}
-				}
-			}
+			b.ReportMetric(float64(len(im.Objects)), "one-use-bits")
 		})
 	}
 }
@@ -454,31 +432,35 @@ func BenchmarkNondetAdversary(b *testing.B) {
 
 // ---- E9: universal construction ----
 
+// BenchmarkUniversal measures fetch-and-add throughput of the universal
+// construction: each iteration is one free-running run of procs processes
+// sharing a fresh 64-operation log, reported per operation.
 func BenchmarkUniversal(b *testing.B) {
+	const ops = 64
+	faa := types.Inv(types.OpFAA, 1)
 	for _, procs := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("counter/procs=%d", procs), func(b *testing.B) {
-			// b.N operations total, split across procs goroutines, each
-			// owning one process slot of the construction.
-			each := b.N/procs + 1
-			u, err := universal.New(types.FetchAdd(procs), 0, procs, each*procs+procs)
+			im, err := universal.MachineImplementation(types.FetchAdd(procs), 0, procs, ops, []types.Invocation{faa})
 			if err != nil {
 				b.Fatal(err)
 			}
-			b.ResetTimer()
-			var wg sync.WaitGroup
-			for p := 0; p < procs; p++ {
-				wg.Add(1)
-				go func(p int) {
-					defer wg.Done()
-					for i := 0; i < each; i++ {
-						if _, err := u.Apply(p, types.Inv(types.OpFAA, 1)); err != nil {
-							b.Error(err)
-							return
-						}
-					}
-				}(p)
+			scripts := make([][]types.Invocation, procs)
+			for p := range scripts {
+				for i := 0; i < ops/procs; i++ {
+					scripts[p] = append(scripts[p], faa)
+				}
 			}
-			wg.Wait()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				r, err := rt.New(im, nil, nil)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := r.Run(scripts, nil); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*ops), "ns/faa")
 		})
 	}
 }

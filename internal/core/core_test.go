@@ -290,15 +290,9 @@ func TestEliminatedOutputUnderTokenScheduler(t *testing.T) {
 		t.Fatal(err)
 	}
 	for seed := int64(0); seed < 30; seed++ {
-		tok := sched.NewToken(2, seed, nil)
-		r, err := rt.New(report.Output, tok, nil)
+		outcome, err := rt.RunSeeded(report.Output, [][]types.Invocation{{types.Propose(0)}, {types.Propose(1)}}, seed)
 		if err != nil {
 			t.Fatal(err)
-		}
-		outcome, err := r.Run([][]types.Invocation{{types.Propose(0)}, {types.Propose(1)}}, nil)
-		tok.Stop()
-		if err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
 		}
 		if outcome.Responses[0][0] != outcome.Responses[1][0] {
 			t.Fatalf("seed %d: disagreement %v vs %v", seed,

@@ -4,8 +4,8 @@
 // figures — so the reproduction targets are its numbered constructions and
 // theorems, one experiment each (E1-E9, indexed in DESIGN.md). Each
 // experiment returns a Table whose rows are computed by exhaustive
-// exploration or stress execution, never asserted; EXPERIMENTS.md embeds
-// the generated output.
+// exploration or by seeded runs of the same machines, never asserted;
+// EXPERIMENTS.md embeds the generated output.
 package experiments
 
 import (

@@ -3,9 +3,10 @@
 //
 //   - Section 3's one-use bit type itself (types.OneUseBit);
 //   - Section 4.3's implementation of a bounded-use single-reader
-//     single-writer bit from an (w+1) x r array of one-use bits, both as
-//     machines for the Theorem 5 pipeline (this file) and as a direct
-//     concurrent construction for stress tests and benchmarks (bounded.go);
+//     single-writer bit from an (w+1) x r array of one-use bits, as step
+//     machines (this file): the explorer checks small arrays exhaustively,
+//     package runtime samples large ones, and the Theorem 5 pipeline
+//     splices them into host implementations;
 //   - Section 5.1/5.2's implementation of a one-use bit from one object of
 //     any non-trivial deterministic type, driven by the witnesses found by
 //     package hierarchy (fromtype.go);
@@ -109,6 +110,11 @@ func WriterMachine(a Array) program.Machine {
 			}
 			if s.Skip {
 				return program.ReturnAction(types.OK, s.Mem), s
+			}
+			if s.Mem.IW > a.W {
+				// Write bound exhausted: row W+1 is the sentinel, never
+				// flipped. Fail loudly via an invalid object access.
+				return program.InvokeAction(-1, types.Write(1)), s
 			}
 			if s.J == a.R {
 				// Row completely flipped: the logical write is done.

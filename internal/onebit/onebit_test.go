@@ -1,9 +1,7 @@
 package onebit
 
 import (
-	"errors"
 	"fmt"
-	"sync"
 	"testing"
 
 	"waitfree/internal/explore"
@@ -173,20 +171,77 @@ func TestBitArrayLinearizableAllInterleavings(t *testing.T) {
 	}
 }
 
-// ---- Section 4.3: direct concurrent construction ----
+// ---- Section 4.3: sequential budgets and concurrent runs ----
+
+// restartScanReader is the DESIGN.md ablation as a test mutant: the
+// Section 4.3 reader, except that every read rescans rows from 1 instead
+// of resuming from i_r. Each read still uses a fresh column, so the
+// one-use discipline holds and the bit stays regular, but a write whose
+// row flip straddles two reads can be seen by the earlier read and missed
+// by the later one (new/old inversion): the paper's resuming reader is
+// load-bearing for atomicity, not just cheaper.
+func restartScanReader(a Array) program.Machine {
+	reader := ReaderMachine(a)
+	return program.FuncMachine{
+		StartFn: func(inv types.Invocation, mem any) any {
+			m := decodeReaderMem(mem)
+			m.IR = 1
+			return reader.Start(inv, m)
+		},
+		NextFn: reader.Next,
+	}
+}
+
+// restartScanImplementation is Implementation with the mutant reader.
+func restartScanImplementation(r, w, init int) *program.Implementation {
+	im := Implementation(r, w, init)
+	im.Machines[0] = restartScanReader(Array{R: r, W: w, Init: init})
+	return im
+}
+
+// soloBit drives one bounded bit through program.Solo, threading the
+// reader's and the writer's persistent memories.
+type soloBit struct {
+	im         *program.Implementation
+	states     []types.State
+	rmem, wmem any
+}
+
+func newSoloBit(im *program.Implementation) *soloBit {
+	return &soloBit{im: im, states: im.InitialStates()}
+}
+
+func (b *soloBit) read() (int, error) {
+	res, err := program.Solo(b.im, b.states, 0, types.Read, b.rmem, 10_000)
+	if err != nil {
+		return 0, err
+	}
+	b.rmem = res.Mem
+	return res.Resp.Val, nil
+}
+
+func (b *soloBit) write(x int) error {
+	res, err := program.Solo(b.im, b.states, 1, types.Write(x), b.wmem, 10_000)
+	if err != nil {
+		return err
+	}
+	b.wmem = res.Mem
+	return nil
+}
 
 func TestBoundedBitSequential(t *testing.T) {
 	for _, restart := range []bool{false, true} {
-		b := NewBoundedBit(5, 4, 0)
+		im := Implementation(5, 4, 0)
 		if restart {
-			b = NewBoundedBitRestartScan(5, 4, 0)
+			im = restartScanImplementation(5, 4, 0)
 		}
-		if b.Bits() != 25 {
-			t.Errorf("Bits = %d, want 25", b.Bits())
+		if len(im.Objects) != 25 {
+			t.Errorf("one-use bits = %d, want 25", len(im.Objects))
 		}
+		b := newSoloBit(im)
 		check := func(want int) {
 			t.Helper()
-			got, err := b.Read()
+			got, err := b.read()
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -195,75 +250,74 @@ func TestBoundedBitSequential(t *testing.T) {
 			}
 		}
 		check(0)
-		if err := b.Write(1); err != nil {
+		if err := b.write(1); err != nil {
 			t.Fatal(err)
 		}
 		check(1)
-		if err := b.Write(1); err != nil { // redundant
+		if err := b.write(1); err != nil { // redundant
 			t.Fatal(err)
 		}
 		check(1)
-		if err := b.Write(0); err != nil {
+		if err := b.write(0); err != nil {
 			t.Fatal(err)
 		}
 		check(0)
 	}
 }
 
+// TestBoundedBitBudgets: the (r+1)-th read and the (w+1)-th value-changing
+// write fail instead of running off the array; redundant writes never
+// consume budget.
 func TestBoundedBitBudgets(t *testing.T) {
-	b := NewBoundedBit(1, 1, 0)
-	if _, err := b.Read(); err != nil {
+	b := newSoloBit(Implementation(1, 1, 0))
+	if _, err := b.read(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := b.Read(); !errors.Is(err, ErrReadBudget) {
-		t.Errorf("err = %v, want ErrReadBudget", err)
+	if _, err := b.read(); err == nil {
+		t.Error("read past the read bound succeeded")
 	}
-	if err := b.Write(1); err != nil {
+	if err := b.write(1); err != nil {
 		t.Fatal(err)
 	}
-	if err := b.Write(0); !errors.Is(err, ErrWriteBudget) {
-		t.Errorf("err = %v, want ErrWriteBudget", err)
-	}
-	// Redundant writes never consume budget.
-	if err := b.Write(1); err != nil {
+	if err := b.write(1); err != nil {
 		t.Errorf("redundant write failed: %v", err)
+	}
+	if err := b.write(0); err == nil {
+		t.Error("write past the write bound succeeded")
 	}
 }
 
+// bitScripts gives the reader r reads and the writer w alternating writes
+// 1, 0, 1, ...
+func bitScripts(r, w int) [][]types.Invocation {
+	reads := make([]types.Invocation, r)
+	for i := range reads {
+		reads[i] = types.Read
+	}
+	writes := make([]types.Invocation, w)
+	for i := range writes {
+		writes[i] = types.Write((i + 1) % 2)
+	}
+	return [][]types.Invocation{reads, writes}
+}
+
+// TestBoundedBitConcurrentStress runs the machines free-running, so the
+// Go scheduler picks the interleavings, and checks each history against
+// the SRSW bit type. Only the paper's resuming reader is atomic; the
+// restart-scan mutant is merely regular (see TestRestartScanIsNotAtomic).
 func TestBoundedBitConcurrentStress(t *testing.T) {
-	// Only the paper's resuming reader is atomic; the restart-scan
-	// ablation is merely regular (see TestRestartScanIsNotAtomic).
+	const r, w = 10, 9
 	for trial := 0; trial < 30; trial++ {
-		for _, restart := range []bool{false} {
-			const r, w = 10, 9
-			b := NewBoundedBit(r, w, 0)
-			if restart {
-				b = NewBoundedBitRestartScan(r, w, 0)
-			}
-			var h concHarness
-			done := make(chan struct{})
-			go func() {
-				defer close(done)
-				for i := 1; i <= w; i++ {
-					x := i % 2
-					h.write(x, func() {
-						if err := b.Write(x); err != nil {
-							t.Errorf("write: %v", err)
-						}
-					})
-				}
-			}()
-			for i := 0; i < r; i++ {
-				h.read(func() int {
-					v, err := b.Read()
-					if err != nil {
-						t.Errorf("read: %v", err)
-					}
-					return v
-				})
-			}
-			<-done
-			h.checkAtomicBit(t, 0)
+		runner, err := rt.New(Implementation(r, w, 0), nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, err := runner.Run(bitScripts(r, w), nil)
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		if _, err := linearize.Check(types.SRSWBit(), 0, out.History); err != nil {
+			t.Fatalf("trial %d: not linearizable: %v\n%v", trial, err, out.History)
 		}
 	}
 }
@@ -405,46 +459,6 @@ func TestFromConsensusRejectsWrongArity(t *testing.T) {
 	}
 }
 
-// concHarness is a tiny clock-stamped history recorder for the direct
-// BoundedBit stress test.
-type concHarness struct {
-	mu    sync.Mutex
-	ops   hist.History
-	clock int64
-}
-
-func (h *concHarness) tick() int {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	h.clock++
-	return int(h.clock)
-}
-
-func (h *concHarness) record(op hist.Op) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	h.ops = append(h.ops, op)
-}
-
-func (h *concHarness) read(f func() int) {
-	begin := h.tick()
-	v := f()
-	h.record(hist.Op{Proc: 0, Port: 1, Inv: types.Read, Resp: types.ValOf(v), Begin: begin, End: h.tick()})
-}
-
-func (h *concHarness) write(x int, f func()) {
-	begin := h.tick()
-	f()
-	h.record(hist.Op{Proc: 1, Port: 2, Inv: types.Write(x), Resp: types.OK, Begin: begin, End: h.tick()})
-}
-
-func (h *concHarness) checkAtomicBit(t *testing.T, init int) {
-	t.Helper()
-	if _, err := linearize.Check(types.SRSWBit(), init, h.ops); err != nil {
-		t.Fatalf("not linearizable: %v\n%v", err, h.ops)
-	}
-}
-
 // TestBitArrayMachinesUnderTokenScheduler drives the Section 4.3 machines
 // at a scale beyond the exhaustive explorer (r=20, w=19) through the
 // concurrent runtime with seeded global interleavings, checking each
@@ -452,32 +466,12 @@ func (h *concHarness) checkAtomicBit(t *testing.T, init int) {
 func TestBitArrayMachinesUnderTokenScheduler(t *testing.T) {
 	const r, w = 20, 19
 	for seed := int64(0); seed < 15; seed++ {
-		im := Implementation(r, w, 0)
-		tok := sched.NewToken(2, seed, nil)
-		runner, err := rt.New(im, tok, nil)
+		out, err := rt.RunSeeded(Implementation(r, w, 0), bitScripts(r, w), seed)
 		if err != nil {
 			t.Fatal(err)
 		}
-		reads := make([]types.Invocation, r)
-		for i := range reads {
-			reads[i] = types.Read
-		}
-		writes := make([]types.Invocation, w)
-		for i := range writes {
-			writes[i] = types.Write((i + 1) % 2)
-		}
-		out, err := runner.Run([][]types.Invocation{reads, writes}, nil)
-		tok.Stop()
-		if err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
-		h := out.History
-		for i := range h {
-			// Target ports: reader proc 0 -> port 1, writer proc 1 -> 2.
-			h[i].Port = h[i].Proc + 1
-		}
-		if _, err := linearize.Check(types.SRSWBit(), 0, h); err != nil {
-			t.Fatalf("seed %d: %v\n%v", seed, err, h)
+		if _, err := linearize.Check(types.SRSWBit(), 0, out.History); err != nil {
+			t.Fatalf("seed %d: %v\n%v", seed, err, out.History)
 		}
 	}
 }
@@ -550,43 +544,77 @@ func TestBitArrayMachineCrashMidWrite(t *testing.T) {
 	}
 }
 
-// TestRestartScanIsNotAtomic demonstrates deterministically that the
-// restart-scan ablation forfeits atomicity: freeze a write after flipping
-// only column 1 of its row; the first read (column 1) sees the flip and
-// returns the new value, the second read (column 2) misses it and returns
-// the old value — a new/old inversion no linearization permits. The
-// paper's resuming reader is immune: having seen row 1 flipped it never
-// rereads it.
+// TestRestartScanIsNotAtomic runs the exhaustive check of a write racing
+// two reads on the restart-scan mutant: some interleaving lets the first
+// read see the write's first column flipped and the second read miss it,
+// a new/old inversion no linearization permits. The paper's resuming
+// reader passes the same check.
 func TestRestartScanIsNotAtomic(t *testing.T) {
-	b := NewBoundedBitRestartScan(4, 3, 0)
-	b.flipPrefix(1) // a write(1) frozen after its first column
-	v1, err := b.Read()
-	if err != nil {
-		t.Fatal(err)
+	badLeaves := func(im *program.Implementation) (bad, leaves int64) {
+		t.Helper()
+		opts := explore.Options{
+			RecordHistory: true,
+			OnLeaf: func(l *explore.Leaf) error {
+				if _, err := linearize.Check(types.SRSWBit(), 0, l.History); err != nil {
+					bad++
+				}
+				return nil
+			},
+		}
+		res, err := explore.Run(im, [][]types.Invocation{{types.Read, types.Read}, {types.Write(1)}}, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return bad, res.Leaves
 	}
-	v2, err := b.Read()
-	if err != nil {
-		t.Fatal(err)
+	bad, leaves := badLeaves(restartScanImplementation(2, 1, 0))
+	if bad == 0 {
+		t.Fatalf("restart-scan mutant: 0 of %d leaves non-linearizable, want an inversion", leaves)
 	}
-	if v1 != 1 || v2 != 0 {
-		t.Fatalf("reads = %d, %d; want the 1,0 inversion", v1, v2)
+	t.Logf("restart-scan mutant: %d of %d leaves non-linearizable", bad, leaves)
+	if bad, leaves := badLeaves(Implementation(2, 1, 0)); bad != 0 {
+		t.Fatalf("resuming reader: %d of %d leaves non-linearizable", bad, leaves)
 	}
-	// The same frozen prefix under the resuming reader stays consistent.
-	rb := NewBoundedBit(4, 3, 0)
-	rb.flipPrefix(1)
-	v1, _ = rb.Read()
-	v2, _ = rb.Read()
-	if v2 < v1 {
-		t.Fatalf("resuming reader inverted: %d then %d", v1, v2)
+}
+
+// BenchmarkBitArrayScan is the DESIGN.md ablation: the paper's resuming
+// row scan versus the restart-scan mutant. Each round is a write followed
+// by a read, run one after the other on one Runner; the k-th restart read
+// rescans k rows.
+func BenchmarkBitArrayScan(b *testing.B) {
+	const size = 128
+	variants := []struct {
+		name string
+		mk   func() *program.Implementation
+	}{
+		{"resume", func() *program.Implementation { return Implementation(size, size, 0) }},
+		{"restart", func() *program.Implementation { return restartScanImplementation(size, size, 0) }},
 	}
-	// And the inversion history is indeed not linearizable.
-	h := hist.History{
-		{Proc: 1, Port: 2, Inv: types.Write(1), Resp: types.OK, Begin: 0, End: 7},
-		{Proc: 0, Port: 1, Inv: types.Read, Resp: types.ValOf(1), Begin: 1, End: 2},
-		{Proc: 0, Port: 1, Inv: types.Read, Resp: types.ValOf(0), Begin: 3, End: 4},
-	}
-	if _, err := linearize.Check(types.SRSWBit(), 0, h); err == nil {
-		t.Fatal("inversion history accepted as linearizable")
+	for _, v := range variants {
+		b.Run(v.name, func(b *testing.B) {
+			im := v.mk()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				runner, err := rt.New(im, nil, nil)
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+				var mems []any
+				for k := 0; k < size; k++ {
+					for _, scripts := range [][][]types.Invocation{
+						{nil, {types.Write(1 - k%2)}},
+						{{types.Read}, nil},
+					} {
+						out, err := runner.Run(scripts, mems)
+						if err != nil {
+							b.Fatal(err)
+						}
+						mems = out.Mems
+					}
+				}
+			}
+		})
 	}
 }
 

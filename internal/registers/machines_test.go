@@ -9,7 +9,6 @@ import (
 	"waitfree/internal/linearize"
 	"waitfree/internal/program"
 	"waitfree/internal/runtime"
-	"waitfree/internal/sched"
 	"waitfree/internal/types"
 )
 
@@ -151,20 +150,9 @@ func TestLamportMultiRegMachinesRegularExhaustive(t *testing.T) {
 func stressed(t *testing.T, im *program.Implementation, scripts [][]types.Invocation, seeds int, check func(hist.History) error) {
 	t.Helper()
 	for seed := int64(0); seed < int64(seeds); seed++ {
-		tok := sched.NewToken(im.Procs, seed, nil)
-		r, err := runtime.New(im, tok, nil)
+		out, err := runtime.RunSeeded(im, scripts, seed)
 		if err != nil {
 			t.Fatal(err)
-		}
-		out, err := r.Run(scripts, nil)
-		tok.Stop()
-		if err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
-		for p, crashed := range out.Crashed {
-			if crashed {
-				t.Fatalf("seed %d: process %d did not finish", seed, p)
-			}
 		}
 		if err := check(out.History); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)

@@ -5,8 +5,11 @@
 // recorded for linearizability checking.
 //
 // The execution-tree explorer (package explore) enumerates all behaviors
-// of small instances; this runtime samples behaviors of large instances at
-// speed, complementing the explorer for stress tests and benchmarks.
+// of small instances; this runtime samples behaviors of large instances of
+// the same machines, for tests, experiments and benchmarks. It is the
+// repository's only concurrent history recorder. RunSeeded is one sample:
+// a reproducible run under a seeded sched.Token schedule, whose history
+// the caller checks with package linearize.
 package runtime
 
 import (
@@ -56,11 +59,9 @@ func RandomResolver(seed int64) func(n int) int {
 
 // NewObject creates an object of the given type in the given initial
 // state. resolve picks among nondeterministic transitions (nil means
-// RandomResolver(DefaultSeed), private to this object).
+// RandomResolver(DefaultSeed), private to this object and created at the
+// object's first nondeterministic transition).
 func NewObject(spec *types.Spec, init types.State, resolve func(n int) int) *Object {
-	if resolve == nil {
-		resolve = RandomResolver(DefaultSeed)
-	}
 	return &Object{spec: spec, state: init, resolve: resolve}
 }
 
@@ -86,6 +87,9 @@ func (o *Object) Invoke(port int, inv types.Invocation) (types.Response, error) 
 	}
 	t := ts[0]
 	if len(ts) > 1 {
+		if o.resolve == nil {
+			o.resolve = RandomResolver(DefaultSeed)
+		}
 		// Normalize the user-supplied resolver's pick into [0, len(ts)):
 		// Go's % keeps the dividend's sign, so a negative return would
 		// otherwise index out of range.
@@ -268,4 +272,27 @@ func (r *Runner) runProc(p int, script []types.Invocation, out *Outcome, clock, 
 	}
 	out.Mems[p] = mem
 	return nil
+}
+
+// RunSeeded runs scripts on a fresh Runner for im under the sched.Token
+// schedule drawn from seed, and stops the scheduler afterwards. Token
+// crashes no one, so a process that did not finish its script is an
+// error, as is any error of the run itself.
+func RunSeeded(im *program.Implementation, scripts [][]types.Invocation, seed int64) (*Outcome, error) {
+	tok := sched.NewToken(im.Procs, seed, nil)
+	defer tok.Stop()
+	r, err := New(im, tok, nil)
+	if err != nil {
+		return nil, err
+	}
+	out, err := r.Run(scripts, nil)
+	if err != nil {
+		return nil, fmt.Errorf("seed %d: %w", seed, err)
+	}
+	for p, crashed := range out.Crashed {
+		if crashed {
+			return nil, fmt.Errorf("seed %d: process %d did not finish", seed, p)
+		}
+	}
+	return out, nil
 }

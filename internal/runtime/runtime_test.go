@@ -113,15 +113,9 @@ func TestConsensusUnderTokenSchedulerManySeeds(t *testing.T) {
 			consensus.TAS2, consensus.Queue2, consensus.FAA2, consensus.WeakLeader2,
 		} {
 			im := mk()
-			tok := sched.NewToken(im.Procs, seed, nil)
-			r, err := New(im, tok, nil)
+			out, err := RunSeeded(im, proposals(0, 1), seed)
 			if err != nil {
-				t.Fatal(err)
-			}
-			out, err := r.Run(proposals(0, 1), nil)
-			tok.Stop()
-			if err != nil {
-				t.Fatalf("%s seed %d: %v", im.Name, seed, err)
+				t.Fatalf("%s: %v", im.Name, err)
 			}
 			if out.Responses[0][0] != out.Responses[1][0] {
 				t.Fatalf("%s seed %d: disagreement %v vs %v",
@@ -169,14 +163,7 @@ func TestCrashToleranceWaitFreedom(t *testing.T) {
 
 func TestHistoryLinearizableAgainstConsensusSpec(t *testing.T) {
 	for seed := int64(0); seed < 20; seed++ {
-		im := consensus.Queue2()
-		tok := sched.NewToken(im.Procs, seed, nil)
-		r, err := New(im, tok, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		out, err := r.Run(proposals(0, 1), nil)
-		tok.Stop()
+		out, err := RunSeeded(consensus.Queue2(), proposals(0, 1), seed)
 		if err != nil {
 			t.Fatal(err)
 		}

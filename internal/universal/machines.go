@@ -1,39 +1,62 @@
+// Package universal implements Herlihy's universal construction: a
+// wait-free linearizable implementation of ANY deterministic sequential
+// type for n processes, built from consensus objects. It is the result
+// that motivates the whole hierarchy program reproduced by this repository
+// (Section 2.3 of Bazzi, Neiger, and Peterson): consensus number n means
+// every type is implementable for n processes.
+//
+// The construction is the classic announce-and-help form: processes agree,
+// slot by slot, on a log of operations using one consensus object per
+// slot. Before competing, a process announces its pending operation; when
+// competing for slot s, every process first tries to push the operation
+// announced by process s mod n, which guarantees that an announced
+// operation is decided within n slots of its announcement — wait-freedom,
+// not mere lock-freedom. Each process replays the agreed log against a
+// private replica to compute its responses.
+//
+// The construction is expressed as step machines (package program), so
+// the execution-tree explorer verifies small instances EXHAUSTIVELY —
+// every interleaving of every operation script — and package runtime runs
+// large instances concurrently, recording histories for package
+// linearize.
+//
+// Objects: one announcement register per process (holding that process's
+// current operation, encoded as an integer) and one multi-valued consensus
+// object per log slot (agreeing on which announced operation fills the
+// slot). Each process replays the agreed log against a private replica
+// carried in its persistent memory.
+//
+// Operation encoding: a process's k-th operation (1-based) with target-
+// invocation index i (into the implementation's fixed invocation alphabet)
+// is encoded as (k * len(alphabet)) + i; 0 means "nothing announced". The
+// consensus objects agree on (proc, encoded op) pairs packed the same way.
 package universal
 
 import (
+	"errors"
 	"fmt"
 
 	"waitfree/internal/program"
 	"waitfree/internal/types"
 )
 
-// This file expresses the universal construction as machines (package
-// program), so the execution-tree explorer can verify it EXHAUSTIVELY on
-// small instances — every interleaving of every operation script — rather
-// than only sampling it at runtime (universal.go).
-//
-// Objects: one announcement register per process (holding that process's
-// current operation, encoded as an integer) and one multi-valued consensus
-// object per log slot (agreeing on which announced operation fills the
-// slot). Each process replays the agreed log against a private replica
-// carried in its machine state.
-//
-// Operation encoding: a process's k-th operation (1-based) with target-
-// invocation index i (into the implementation's fixed invocation alphabet)
-// is encoded as (k * len(alphabet)) + i; 0 means "nothing announced". The
-// consensus objects agree on (proc, encoded op) pairs packed the same way.
+// ErrNondeterministic: replicas can only replay deterministic types.
+var ErrNondeterministic = errors.New("universal: type must be deterministic")
 
-// MachineImplementation builds an exhaustively-checkable universal
-// implementation of the target spec for procs processes, supporting at
-// most maxOps operations per process in total across all processes
-// combined... precisely: at most slots log slots. alphabet fixes the
-// invocation encoding and must cover every invocation the scripts use.
+// MachineImplementation builds a universal implementation of the target
+// spec, starting in state init, for procs processes (at most 8). Its log
+// has slots slots, one per operation of all processes combined; a run
+// that needs more fails loudly. alphabet fixes the invocation encoding
+// and must cover every invocation the scripts use.
 func MachineImplementation(target *types.Spec, init types.State, procs, slots int, alphabet []types.Invocation) (*program.Implementation, error) {
 	if !target.Deterministic {
 		return nil, fmt.Errorf("%w: %q", ErrNondeterministic, target.Name)
 	}
 	if procs < 1 || procs > target.Ports {
 		return nil, fmt.Errorf("universal: %d processes for a %d-port type", procs, target.Ports)
+	}
+	if maxProcs := len(umem{}.Applied); procs > maxProcs {
+		return nil, fmt.Errorf("universal: %d processes; the machines support at most %d", procs, maxProcs)
 	}
 	nAlpha := len(alphabet)
 	// Encoded announcement values: seq in 1..slots, invIdx in 0..nAlpha-1,
@@ -43,18 +66,20 @@ func MachineImplementation(target *types.Spec, init types.State, procs, slots in
 	cellRange := procs * annRange
 
 	objects := make([]program.ObjectDecl, 0, procs+slots)
+	annSpec := types.Register(procs, annRange)
 	for p := 0; p < procs; p++ {
 		objects = append(objects, program.ObjectDecl{
 			Name:   fmt.Sprintf("announce%d", p),
-			Spec:   types.Register(procs, annRange),
+			Spec:   annSpec,
 			Init:   0,
 			PortOf: program.AllPorts(procs),
 		})
 	}
+	slotSpec := types.MultiConsensus(procs, cellRange)
 	for s := 0; s < slots; s++ {
 		objects = append(objects, program.ObjectDecl{
 			Name:   fmt.Sprintf("slot%d", s),
-			Spec:   types.MultiConsensus(procs, cellRange),
+			Spec:   slotSpec,
 			Init:   types.ConsensusUndecided,
 			PortOf: program.AllPorts(procs),
 		})

@@ -114,6 +114,10 @@ func TestUniversalMachinesRejectsBadInputs(t *testing.T) {
 	if _, err := MachineImplementation(types.FetchAdd(2), 0, 3, 4, nil); err == nil {
 		t.Error("too many processes accepted")
 	}
+	// The machines track per-process progress for at most 8 processes.
+	if _, err := MachineImplementation(types.FetchAdd(9), 0, 9, 9, []types.Invocation{types.Inv(types.OpFAA, 1)}); err == nil {
+		t.Error("9 processes accepted")
+	}
 }
 
 // TestUniversalMachinesHelping forces the helping path: a process that

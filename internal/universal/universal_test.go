@@ -2,213 +2,206 @@ package universal
 
 import (
 	"errors"
-	"sync"
-	"sync/atomic"
+	"sort"
 	"testing"
 
-	"waitfree/internal/hist"
 	"waitfree/internal/linearize"
+	"waitfree/internal/program"
+	rt "waitfree/internal/runtime"
 	"waitfree/internal/types"
 )
 
-func TestSequentialCounter(t *testing.T) {
-	u, err := New(types.FetchAdd(2), 0, 2, 64)
+var faa1 = types.Inv(types.OpFAA, 1)
+
+// mustImpl builds a universal implementation or fails the test.
+func mustImpl(t *testing.T, target *types.Spec, init types.State, procs, slots int, alphabet []types.Invocation) *program.Implementation {
+	t.Helper()
+	im, err := MachineImplementation(target, init, procs, slots, alphabet)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return im
+}
+
+// solo runs one operation of process p through program.Solo, threading
+// p's persistent memory through mems.
+func solo(t *testing.T, im *program.Implementation, states []types.State, mems []any, p int, inv types.Invocation) types.Response {
+	t.Helper()
+	res, err := program.Solo(im, states, p, inv, mems[p], 1000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mems[p] = res.Mem
+	return res.Resp
+}
+
+func TestSequentialCounter(t *testing.T) {
+	im := mustImpl(t, types.FetchAdd(2), 0, 2, 64, []types.Invocation{faa1, types.Inv(types.OpFAA, 0)})
+	states, mems := im.InitialStates(), make([]any, 2)
 	for i := 0; i < 5; i++ {
-		resp, err := u.Apply(0, types.Inv(types.OpFAA, 1))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if resp != types.ValOf(i) {
+		if resp := solo(t, im, states, mems, 0, faa1); resp != types.ValOf(i) {
 			t.Fatalf("faa #%d = %v", i, resp)
 		}
 	}
-	resp, err := u.Apply(1, types.Inv(types.OpFAA, 0))
-	if err != nil || resp != types.ValOf(5) {
-		t.Fatalf("other process read %v, err %v", resp, err)
+	if resp := solo(t, im, states, mems, 1, types.Inv(types.OpFAA, 0)); resp != types.ValOf(5) {
+		t.Fatalf("other process read %v", resp)
 	}
-	if u.Len(1) != 6 {
-		t.Errorf("log position = %d, want 6", u.Len(1))
+	if pos := mems[1].(umem).Pos; pos != 6 {
+		t.Errorf("log position = %d, want 6", pos)
 	}
 }
 
 func TestSequentialQueue(t *testing.T) {
-	u, err := New(types.Queue(3, 4, 8), types.QueueState(), 3, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
+	alphabet := []types.Invocation{types.Enq(1), types.Enq(2), types.Enq(3), types.Deq}
+	im := mustImpl(t, types.Queue(3, 4, 8), types.QueueState(), 3, 64, alphabet)
+	states, mems := im.InitialStates(), make([]any, 3)
 	for _, v := range []int{3, 1, 2} {
-		if _, err := u.Apply(0, types.Enq(v)); err != nil {
-			t.Fatal(err)
-		}
+		solo(t, im, states, mems, 0, types.Enq(v))
 	}
 	for _, want := range []int{3, 1, 2} {
-		resp, err := u.Apply(1, types.Deq)
-		if err != nil || resp != types.ValOf(want) {
-			t.Fatalf("deq = %v, want val(%d) (err %v)", resp, want, err)
+		if resp := solo(t, im, states, mems, 1, types.Deq); resp != types.ValOf(want) {
+			t.Fatalf("deq = %v, want val(%d)", resp, want)
 		}
 	}
-	resp, err := u.Apply(2, types.Deq)
-	if err != nil || resp.Label != types.LabelEmpty {
-		t.Fatalf("deq on empty = %v, err %v", resp, err)
+	if resp := solo(t, im, states, mems, 2, types.Deq); resp.Label != types.LabelEmpty {
+		t.Fatalf("deq on empty = %v", resp)
 	}
 }
 
+// TestConcurrentCounterExactness runs the machines free-running, so the
+// Go scheduler picks the interleaving: the fetch-and-add responses across
+// all processes are exactly {0, ..., procs*each-1}, and each process's own
+// view is increasing.
 func TestConcurrentCounterExactness(t *testing.T) {
 	const procs, each = 4, 50
-	u, err := New(types.FetchAdd(procs), 0, procs, procs*each+procs)
+	im := mustImpl(t, types.FetchAdd(procs), 0, procs, procs*each+procs, []types.Invocation{faa1})
+	scripts := make([][]types.Invocation, procs)
+	for p := range scripts {
+		for i := 0; i < each; i++ {
+			scripts[p] = append(scripts[p], faa1)
+		}
+	}
+	r, err := rt.New(im, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	seen := make([][]int, procs)
-	var wg sync.WaitGroup
-	for p := 0; p < procs; p++ {
-		wg.Add(1)
-		go func(p int) {
-			defer wg.Done()
-			for i := 0; i < each; i++ {
-				resp, err := u.Apply(p, types.Inv(types.OpFAA, 1))
-				if err != nil {
-					t.Errorf("p%d: %v", p, err)
-					return
-				}
-				seen[p] = append(seen[p], resp.Val)
-			}
-		}(p)
+	out, err := r.Run(scripts, nil)
+	if err != nil {
+		t.Fatal(err)
 	}
-	wg.Wait()
-	// fetch-and-add responses across all processes must be exactly the set
-	// {0, ..., procs*each-1}: no duplicates, no gaps.
-	all := make(map[int]bool, procs*each)
-	for p := range seen {
-		for _, v := range seen[p] {
-			if all[v] {
-				t.Fatalf("duplicate counter value %d", v)
+	var all []int
+	for p, resps := range out.Responses {
+		for i, resp := range resps {
+			if i > 0 && resp.Val <= resps[i-1].Val {
+				t.Fatalf("p%d saw non-increasing values %v", p, resps)
 			}
-			all[v] = true
+			all = append(all, resp.Val)
 		}
 	}
-	for i := 0; i < procs*each; i++ {
-		if !all[i] {
-			t.Fatalf("missing counter value %d", i)
-		}
+	sort.Ints(all)
+	if len(all) != procs*each {
+		t.Fatalf("%d responses, want %d", len(all), procs*each)
 	}
-	// Each process's own view is monotone.
-	for p := range seen {
-		for i := 1; i < len(seen[p]); i++ {
-			if seen[p][i] <= seen[p][i-1] {
-				t.Fatalf("p%d saw non-monotone values %v", p, seen[p])
-			}
+	for i, v := range all {
+		if v != i {
+			t.Fatalf("responses are not exactly {0..%d}: %v", procs*each-1, all)
 		}
 	}
 }
 
+// TestConcurrentQueueLinearizable samples seeded schedules of three
+// processes mixing enqueues and dequeues; every history linearizes.
 func TestConcurrentQueueLinearizable(t *testing.T) {
 	const procs = 3
-	for trial := 0; trial < 10; trial++ {
-		u, err := New(types.Queue(procs, 10, 32), types.QueueState(), procs, 256)
+	target := types.Queue(procs, 10, 32)
+	alphabet := []types.Invocation{types.Deq}
+	scripts := make([][]types.Invocation, procs)
+	for p := range scripts {
+		for i := 0; i < 6; i++ {
+			inv := types.Enq(p*3 + i%3)
+			if i%2 == 1 {
+				inv = types.Deq
+			} else {
+				alphabet = append(alphabet, inv)
+			}
+			scripts[p] = append(scripts[p], inv)
+		}
+	}
+	im := mustImpl(t, target, types.QueueState(), procs, 18, alphabet)
+	for seed := int64(0); seed < 10; seed++ {
+		out, err := rt.RunSeeded(im, scripts, seed)
 		if err != nil {
 			t.Fatal(err)
 		}
-		var clock atomic.Int64
-		var mu sync.Mutex
-		var h hist.History
-		var wg sync.WaitGroup
-		for p := 0; p < procs; p++ {
-			wg.Add(1)
-			go func(p int) {
-				defer wg.Done()
-				for i := 0; i < 6; i++ {
-					inv := types.Enq(p*3 + i%3)
-					if i%2 == 1 {
-						inv = types.Deq
-					}
-					begin := int(clock.Add(1))
-					resp, err := u.Apply(p, inv)
-					if err != nil {
-						t.Errorf("p%d: %v", p, err)
-						return
-					}
-					end := int(clock.Add(1))
-					mu.Lock()
-					h = append(h, hist.Op{Proc: p, Port: p + 1, Inv: inv, Resp: resp, Begin: begin, End: end})
-					mu.Unlock()
-				}
-			}(p)
-		}
-		wg.Wait()
-		if _, err := linearize.Check(types.Queue(procs, 10, 32), types.QueueState(), h); err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
+		if _, err := linearize.Check(target, types.QueueState(), out.History); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
 		}
 	}
 }
 
+// TestLogCapacity: a log of two slots takes two operations; a run that
+// needs a third fails.
 func TestLogCapacity(t *testing.T) {
-	u, err := New(types.FetchAdd(1), 0, 1, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 2; i++ {
-		if _, err := u.Apply(0, types.Inv(types.OpFAA, 1)); err != nil {
+	im := mustImpl(t, types.FetchAdd(1), 0, 1, 2, []types.Invocation{faa1})
+	for ops, wantErr := range map[int]bool{2: false, 3: true} {
+		r, err := rt.New(im, nil, nil)
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	if _, err := u.Apply(0, types.Inv(types.OpFAA, 1)); !errors.Is(err, ErrLogFull) {
-		t.Fatalf("err = %v, want ErrLogFull", err)
+		script := make([]types.Invocation, ops)
+		for i := range script {
+			script[i] = faa1
+		}
+		if _, err := r.Run([][]types.Invocation{script}, nil); (err != nil) != wantErr {
+			t.Fatalf("%d operations on 2 slots: err = %v", ops, err)
+		}
 	}
 }
 
 func TestRejectsNondeterministicType(t *testing.T) {
-	if _, err := New(types.OneUseBit(), types.OneUseUnset, 2, 8); !errors.Is(err, ErrNondeterministic) {
+	if _, err := MachineImplementation(types.OneUseBit(), types.OneUseUnset, 2, 8, nil); !errors.Is(err, ErrNondeterministic) {
 		t.Fatalf("err = %v, want ErrNondeterministic", err)
 	}
 }
 
 func TestRejectsTooManyProcs(t *testing.T) {
-	if _, err := New(types.FetchAdd(2), 0, 3, 8); err == nil {
+	if _, err := MachineImplementation(types.FetchAdd(2), 0, 3, 8, []types.Invocation{faa1}); err == nil {
 		t.Fatal("3 processes on a 2-port type accepted")
 	}
 }
 
+// TestReplicasConverge: after every process writes five times and then
+// reads, each read returns its own process's replica, and replicas at the
+// same log position hold the same state.
 func TestReplicasConverge(t *testing.T) {
 	const procs = 3
-	u, err := New(types.Register(procs, 8), 0, procs, 64)
-	if err != nil {
-		t.Fatal(err)
+	alphabet := []types.Invocation{types.Read, types.Write(1), types.Write(2), types.Write(3)}
+	im := mustImpl(t, types.Register(procs, 8), 0, procs, 64, alphabet)
+	scripts := make([][]types.Invocation, procs)
+	for p := range scripts {
+		for i := 0; i < 5; i++ {
+			scripts[p] = append(scripts[p], types.Write(p+1))
+		}
+		scripts[p] = append(scripts[p], types.Read)
 	}
-	var wg sync.WaitGroup
-	for p := 0; p < procs; p++ {
-		wg.Add(1)
-		go func(p int) {
-			defer wg.Done()
-			for i := 0; i < 5; i++ {
-				if _, err := u.Apply(p, types.Write(p+1)); err != nil {
-					t.Errorf("p%d: %v", p, err)
-				}
-			}
-		}(p)
-	}
-	wg.Wait()
-	// Force every replica to catch up with a final read, then compare.
-	vals := make([]types.State, procs)
-	for p := 0; p < procs; p++ {
-		if _, err := u.Apply(p, types.Read); err != nil {
+	for seed := int64(0); seed < 10; seed++ {
+		out, err := rt.RunSeeded(im, scripts, seed)
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	for p := 0; p < procs; p++ {
-		vals[p] = u.State(p)
-	}
-	// After all activity ceased, replicas that have replayed the same
-	// prefix hold the same state; the final reads above do not force equal
-	// positions, so compare only processes at the same position.
-	for a := 0; a < procs; a++ {
-		for b := a + 1; b < procs; b++ {
-			if u.Len(a) == u.Len(b) && vals[a] != vals[b] {
-				t.Errorf("replicas %d and %d at position %d disagree: %v vs %v",
-					a, b, u.Len(a), vals[a], vals[b])
+		mems := make([]umem, procs)
+		for p := range mems {
+			mems[p] = out.Mems[p].(umem)
+			if got := out.Responses[p][5]; got != types.ValOf(mems[p].Replica.(int)) {
+				t.Errorf("seed %d: p%d read %v but its replica holds %v", seed, p, got, mems[p].Replica)
+			}
+		}
+		for a := 0; a < procs; a++ {
+			for b := a + 1; b < procs; b++ {
+				if mems[a].Pos == mems[b].Pos && mems[a].Replica != mems[b].Replica {
+					t.Errorf("seed %d: replicas %d and %d at position %d disagree: %v vs %v",
+						seed, a, b, mems[a].Pos, mems[a].Replica, mems[b].Replica)
+				}
 			}
 		}
 	}

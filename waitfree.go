@@ -452,19 +452,15 @@ var (
 	// OneUseBitFromConsensus builds a one-use bit from a 2-process
 	// consensus implementation (Section 5.3).
 	OneUseBitFromConsensus = onebit.FromConsensusImplementation
-	// NewBoundedBit is the direct concurrent form of the Section 4.3
-	// construction.
-	NewBoundedBit = onebit.NewBoundedBit
+	// UniversalImplementation builds Herlihy's universal construction (the
+	// result that gives hierarchy levels their meaning): a wait-free
+	// linearizable implementation of any deterministic type from consensus
+	// objects. spec and init describe the sequential type, procs (at most
+	// 8) the sharing processes, slots the log capacity in operations, and
+	// alphabet every invocation the processes will use. Run it with
+	// NewRunner or check it with Explore.
+	UniversalImplementation = universal.MachineImplementation
 )
-
-// Universal is a wait-free linearizable shared object of any
-// deterministic type, built from consensus cells (Herlihy's universal
-// construction — the result that gives hierarchy levels their meaning).
-type Universal = universal.Universal
-
-// NewUniversal builds a universal object: spec and init describe the
-// sequential type, procs the sharing processes, maxOps the log capacity.
-var NewUniversal = universal.New
 
 // Concurrent execution (package runtime and its schedulers).
 var (

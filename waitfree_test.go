@@ -116,33 +116,52 @@ func TestFacadeZoo(t *testing.T) {
 	}
 }
 
+// TestFacadeBoundedBit drives the Section 4.3 bit through one Runner, one
+// operation per run, threading the reader's and writer's memories.
 func TestFacadeBoundedBit(t *testing.T) {
-	b := waitfree.NewBoundedBit(4, 3, 1)
-	v, err := b.Read()
-	if err != nil || v != 1 {
-		t.Fatalf("read = %d, %v", v, err)
-	}
-	if err := b.Write(0); err != nil {
+	r, err := waitfree.NewRunner(waitfree.OneUseBitArray(4, 3, 1), nil, nil)
+	if err != nil {
 		t.Fatal(err)
 	}
-	v, err = b.Read()
-	if err != nil || v != 0 {
-		t.Fatalf("read after write = %d, %v", v, err)
+	var mems []any
+	step := func(p int, inv waitfree.Invocation) waitfree.Response {
+		t.Helper()
+		scripts := make([][]waitfree.Invocation, 2)
+		scripts[p] = []waitfree.Invocation{inv}
+		out, err := r.Run(scripts, mems)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mems = out.Mems
+		return out.Responses[p][0]
+	}
+	if v := step(0, waitfree.Read); v != waitfree.ValOf(1) {
+		t.Fatalf("read = %v", v)
+	}
+	step(1, waitfree.Write(0))
+	if v := step(0, waitfree.Read); v != waitfree.ValOf(0) {
+		t.Fatalf("read after write = %v", v)
 	}
 }
 
 func TestFacadeUniversal(t *testing.T) {
-	u, err := waitfree.NewUniversal(waitfree.NewFetchAdd(2), 0, 2, 16)
+	faa1, faa0 := waitfree.Inv("faa", 1), waitfree.Inv("faa", 0)
+	im, err := waitfree.UniversalImplementation(waitfree.NewFetchAdd(2), 0, 2, 16,
+		[]waitfree.Invocation{faa1, faa0})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := u.Apply(0, waitfree.Inv("faa", 1))
-	if err != nil || r != waitfree.ValOf(0) {
-		t.Fatalf("faa = %v, %v", r, err)
+	r, err := waitfree.NewRunner(im, nil, nil)
+	if err != nil {
+		t.Fatal(err)
 	}
-	r, err = u.Apply(1, waitfree.Inv("faa", 0))
-	if err != nil || r != waitfree.ValOf(1) {
-		t.Fatalf("faa(0) = %v, %v", r, err)
+	first, err := r.Run([][]waitfree.Invocation{{faa1}, nil}, nil)
+	if err != nil || first.Responses[0][0] != waitfree.ValOf(0) {
+		t.Fatalf("faa = %v, %v", first.Responses, err)
+	}
+	second, err := r.Run([][]waitfree.Invocation{nil, {faa0}}, first.Mems)
+	if err != nil || second.Responses[1][0] != waitfree.ValOf(1) {
+		t.Fatalf("faa(0) = %v, %v", second.Responses, err)
 	}
 }
 
