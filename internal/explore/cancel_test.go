@@ -22,7 +22,7 @@ func proposalScripts(proposals []int) [][]types.Invocation {
 
 // waitForGoroutines polls until the goroutine count drops back to at most
 // base, failing the test if it does not within two seconds. Exploration
-// workers and the progress ticker must all be joined by the time
+// workers and the supervisor must all be joined by the time
 // ConsensusKContext returns, so any surplus is a leak.
 func waitForGoroutines(t *testing.T, base int) {
 	t.Helper()
@@ -53,7 +53,7 @@ func TestConsensusCancellation(t *testing.T) {
 			Parallelism:      workers,
 			ProgressInterval: time.Millisecond,
 			OnProgress: func(s Stats) {
-				// Called from the single ticker goroutine; the final
+				// Called from the supervisor goroutine; the final
 				// snapshot is published before ConsensusKContext returns,
 				// so the main goroutine reads `last` happens-after.
 				last = s
@@ -181,6 +181,7 @@ func TestOptionsValidate(t *testing.T) {
 		{"negative stall after", Options{StallAfter: -time.Second}, true},
 		{"negative checkpoint every", Options{CheckpointEvery: -time.Second}, true},
 		{"checkpoint every without sink", Options{CheckpointEvery: time.Second}, true},
+		{"checkpoint sink without every", Options{OnCheckpoint: func(*Checkpoint) {}}, true},
 		{"checkpoint every with sink", Options{CheckpointEvery: time.Second, OnCheckpoint: func(*Checkpoint) {}}, false},
 		{"budgets", Options{MaxNodes: 10, StallAfter: time.Second}, false},
 	}

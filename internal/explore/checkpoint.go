@@ -3,7 +3,7 @@ package explore
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"sync/atomic"
 
 	"waitfree/internal/faults"
@@ -35,9 +35,11 @@ const CheckpointVersion = 1
 // range, process count, or fault model) or is malformed.
 var ErrBadCheckpoint = errors.New("explore: checkpoint does not match this run")
 
-// TreeResult is one fully explored, violation-free proposal-vector tree as
-// stored in a Checkpoint: the tree's merged counters, access bounds, and
-// decided values.
+// TreeResult is one proposal-vector tree's contribution to a consensus
+// report: its counters, access bounds, and decided values. It is the
+// engine's one per-tree record: every explored, replayed, or resumed tree
+// carries one, and a Checkpoint stores those of the fully explored,
+// violation-free trees.
 type TreeResult struct {
 	// Mask identifies the tree's proposal vector (ProposalVectorK order).
 	Mask      int              `json:"mask"`
@@ -91,7 +93,9 @@ func (c *Checkpoint) String() string {
 		c.Impl, c.Procs, c.Values, len(c.Trees), c.Roots)
 }
 
-// validateFor checks that the checkpoint belongs to this exact run shape.
+// validateFor checks that the checkpoint belongs to this exact run shape
+// and that every tree in it could have come from an exploration: bounds of
+// the right shape, no negative count, valid decisions.
 func (c *Checkpoint) validateFor(im *program.Implementation, k, roots int, model faults.Model) error {
 	if c.Version != CheckpointVersion {
 		return fmt.Errorf("%w: version %d, want %d", ErrBadCheckpoint, c.Version, CheckpointVersion)
@@ -122,62 +126,51 @@ func (c *Checkpoint) validateFor(im *program.Implementation, k, roots int, model
 		if len(tr.MaxAccess) != len(im.Objects) || len(tr.OpAccess) != len(im.Objects) || len(tr.ProcSteps) != im.Procs {
 			return fmt.Errorf("%w: tree %d has mismatched bound shapes", ErrBadCheckpoint, tr.Mask)
 		}
+		if !tr.nonNegative() {
+			return fmt.Errorf("%w: tree %d has a negative counter or bound", ErrBadCheckpoint, tr.Mask)
+		}
+		// A checkpointed tree is violation-free, so its decisions are valid:
+		// drawn from its own proposal vector, and sorted without repeats.
+		proposals := ProposalVectorK(tr.Mask, im.Procs, k)
+		for i, v := range tr.Decided {
+			if (i > 0 && v <= tr.Decided[i-1]) || !slices.Contains(proposals, v) {
+				return fmt.Errorf("%w: tree %d decided %v, not increasing values from proposals %v",
+					ErrBadCheckpoint, tr.Mask, tr.Decided, proposals)
+			}
+		}
 	}
 	return nil
 }
 
-// treeResultOf converts one completed tree outcome into its checkpoint
-// form.
-func treeResultOf(mask int, out *treeOutcome) TreeResult {
-	res := out.res
-	tr := TreeResult{
-		Mask:      mask,
-		Nodes:     res.Nodes,
-		Leaves:    res.Leaves,
-		MemoHits:  res.MemoHits,
-		Depth:     res.Depth,
-		MaxAccess: append([]int(nil), res.MaxAccess...),
-		OpAccess:  make([]map[string]int, len(res.OpAccess)),
-		ProcSteps: append([]int(nil), res.ProcSteps...),
-		Degraded:  res.Degraded,
-	}
-	for o, ops := range res.OpAccess {
-		tr.OpAccess[o] = make(map[string]int, len(ops))
-		for op, v := range ops {
-			tr.OpAccess[o][op] = v
+// nonNegative reports whether every counter and bound of the tree is >= 0.
+func (tr *TreeResult) nonNegative() bool {
+	bounds := slices.Concat([]int{tr.Depth}, tr.MaxAccess, tr.ProcSteps)
+	for _, ops := range tr.OpAccess {
+		for _, v := range ops {
+			bounds = append(bounds, v)
 		}
 	}
-	for v := range out.decided {
-		tr.Decided = append(tr.Decided, v)
-	}
-	sort.Ints(tr.Decided)
-	return tr
+	return tr.Nodes >= 0 && tr.Leaves >= 0 && tr.MemoHits >= 0 && slices.Min(bounds) >= 0
 }
 
-// outcome converts a checkpointed tree back into the in-memory form the
-// merge loop consumes.
-func (tr *TreeResult) outcome() treeOutcome {
-	res := &Result{
-		Nodes:     tr.Nodes,
-		Leaves:    tr.Leaves,
-		MemoHits:  tr.MemoHits,
-		Depth:     tr.Depth,
-		MaxAccess: append([]int(nil), tr.MaxAccess...),
-		OpAccess:  make([]map[string]int, len(tr.OpAccess)),
-		ProcSteps: append([]int(nil), tr.ProcSteps...),
-		Degraded:  tr.Degraded,
-	}
+// clone deep-copies the tree for a Checkpoint leaving the engine. Inside
+// the engine a tree's slices and maps are shared with its orbit's replayed
+// trees and with the checkpoint it was resumed from; the copy keeps a
+// published Checkpoint unaliased. Its nil and empty slices and maps match
+// what the encoded form has always carried, so checkpoint bytes are stable.
+func (tr *TreeResult) clone() TreeResult {
+	c := *tr
+	c.MaxAccess = append([]int(nil), tr.MaxAccess...)
+	c.OpAccess = make([]map[string]int, len(tr.OpAccess))
 	for o, ops := range tr.OpAccess {
-		res.OpAccess[o] = make(map[string]int, len(ops))
+		c.OpAccess[o] = make(map[string]int, len(ops))
 		for op, v := range ops {
-			res.OpAccess[o][op] = v
+			c.OpAccess[o][op] = v
 		}
 	}
-	decided := make(map[int]bool, len(tr.Decided))
-	for _, v := range tr.Decided {
-		decided[v] = true
-	}
-	return treeOutcome{res: res, decided: decided}
+	c.ProcSteps = append([]int(nil), tr.ProcSteps...)
+	c.Decided = append([]int(nil), tr.Decided...)
+	return c
 }
 
 // buildCheckpoint snapshots every fully explored, violation-free tree
@@ -199,10 +192,10 @@ func buildCheckpoint(im *program.Implementation, k, roots int, model faults.Mode
 			continue
 		}
 		out := &outcomes[mask]
-		if out.res == nil || out.err != nil || out.res.Violation != nil {
+		if out.err != nil || out.violation != nil {
 			continue
 		}
-		cp.Trees = append(cp.Trees, treeResultOf(mask, out))
+		cp.Trees = append(cp.Trees, out.TreeResult.clone())
 	}
 	return cp
 }

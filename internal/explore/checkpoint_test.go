@@ -178,6 +178,58 @@ func TestResumeFromValidation(t *testing.T) {
 	}
 }
 
+// TestResumeRejectsForgedTrees pins validateFor's per-tree checks. A
+// checkpointed tree is violation-free, so its decisions are strictly
+// increasing values from its own proposal vector, and no counter or bound
+// is negative. A tree breaking either is rejected with ErrBadCheckpoint
+// instead of being merged into a report that could still pass.
+func TestResumeRejectsForgedTrees(t *testing.T) {
+	im := consensus.CAS(2)
+	genuine := func(mask int) TreeResult {
+		out := exploreTree(context.Background(), im, 2, mask, Options{}, newCounters(1, 4), 0)
+		if out.err != nil || out.violation != nil {
+			t.Fatalf("mask %d: err %v, violation %v", mask, out.err, out.violation)
+		}
+		return out.TreeResult
+	}
+	resume := func(tr TreeResult) error {
+		cp := &Checkpoint{Version: CheckpointVersion, Impl: im.Name, Procs: 2, Values: 2, Roots: 4, Trees: []TreeResult{tr}}
+		_, err := Consensus(im, Options{ResumeFrom: cp})
+		return err
+	}
+	if err := resume(genuine(1)); err != nil {
+		t.Fatalf("genuine tree rejected: %v", err)
+	}
+	// Mask 0 proposes [0 0]; mask 1 proposes [1 0] and decides [0 1].
+	forgeries := []struct {
+		name  string
+		mask  int
+		forge func(*TreeResult)
+	}{
+		{"repeated decision", 1, func(tr *TreeResult) { tr.Decided = []int{0, 0} }},
+		{"unsorted decisions", 1, func(tr *TreeResult) { tr.Decided = []int{1, 0} }},
+		{"decision not proposed", 0, func(tr *TreeResult) { tr.Decided = []int{1} }},
+		{"negative decision", 1, func(tr *TreeResult) { tr.Decided = []int{-3, 0} }},
+		{"decision out of range", 1, func(tr *TreeResult) { tr.Decided = []int{0, 7} }},
+		{"negative nodes", 1, func(tr *TreeResult) { tr.Nodes = -5 }},
+		{"negative leaves", 1, func(tr *TreeResult) { tr.Leaves = -1 }},
+		{"negative memo hits", 1, func(tr *TreeResult) { tr.MemoHits = -1 }},
+		{"negative depth", 1, func(tr *TreeResult) { tr.Depth = -1 }},
+		{"negative max access", 1, func(tr *TreeResult) { tr.MaxAccess[0] = -1 }},
+		{"negative op access", 1, func(tr *TreeResult) { tr.OpAccess[0] = map[string]int{"cas": -1} }},
+		{"negative proc steps", 1, func(tr *TreeResult) { tr.ProcSteps[1] = -1 }},
+	}
+	for _, f := range forgeries {
+		t.Run(f.name, func(t *testing.T) {
+			tr := genuine(f.mask)
+			f.forge(&tr)
+			if err := resume(tr); !errors.Is(err, ErrBadCheckpoint) {
+				t.Errorf("err = %v, want ErrBadCheckpoint", err)
+			}
+		})
+	}
+}
+
 // TestCheckpointRemainingClamped pins Remaining on malformed counts: a
 // checkpoint claiming more trees than roots (rejected by validateFor, but
 // Remaining is also called on display paths before validation) must report

@@ -7,7 +7,6 @@ import (
 	"runtime"
 	"sort"
 	"strings"
-	"sync"
 	"sync/atomic"
 
 	"waitfree/internal/faults"
@@ -202,11 +201,12 @@ func ConsensusK(im *program.Implementation, k int, opts Options) (*ConsensusRepo
 }
 
 // treeOutcome is one proposal-vector tree's exploration, kept per mask so
-// the merge can replay sequential order regardless of completion order.
+// the merge can replay sequential order regardless of completion order:
+// the tree's record, plus its violation or its error.
 type treeOutcome struct {
-	res     *Result
-	decided map[int]bool
-	err     error
+	TreeResult
+	violation *Violation
+	err       error
 }
 
 // consensusScripts builds the one-Propose-per-process scripts of a
@@ -230,13 +230,35 @@ func consensusScripts(proposals []int) [][]types.Invocation {
 func exploreTree(ctx context.Context, im *program.Implementation, k, mask int, opts Options, ctr *counters, widx int) treeOutcome {
 	proposals := ProposalVectorK(mask, im.Procs, k)
 	scripts := consensusScripts(proposals)
-	decided := make(map[int]bool)
+	decided := make([]bool, k)
 	treeOpts := opts
 	treeOpts.OnLeaf = func(l *Leaf) error {
 		return checkConsensusLeaf(l, proposals, decided)
 	}
 	res, err := runTree(ctx, im, scripts, treeOpts, ctr, widx)
-	return treeOutcome{res: res, decided: decided, err: err}
+	if err != nil {
+		return treeOutcome{err: err}
+	}
+	out := treeOutcome{
+		TreeResult: TreeResult{
+			Mask:      mask,
+			Nodes:     res.Nodes,
+			Leaves:    res.Leaves,
+			MemoHits:  res.MemoHits,
+			Depth:     res.Depth,
+			MaxAccess: res.MaxAccess,
+			OpAccess:  res.OpAccess,
+			ProcSteps: res.ProcSteps,
+			Degraded:  res.Degraded,
+		},
+		violation: res.Violation,
+	}
+	for v, ok := range decided {
+		if ok {
+			out.Decided = append(out.Decided, v)
+		}
+	}
+	return out
 }
 
 // ConsensusKContext runs the k-valued check under a context. The trees are
@@ -316,30 +338,63 @@ func ConsensusKContext(ctx context.Context, im *program.Implementation, k int, o
 		ctr.orbitsTotal = len(orbits)
 	}
 
-	// Resume: trees recorded in the checkpoint are preloaded and never
-	// re-explored; the merge below cannot tell them from live outcomes, so
-	// a resumed run reaches the same report as an uninterrupted one.
-	// Checkpoints are symmetry-agnostic: a reduced run consumes unreduced
-	// checkpoints (and vice versa), and an orbit with any preloaded member
-	// replays the rest from it instead of exploring its representative.
 	// done[mask] flags outcomes that are complete and safe to read from
 	// other goroutines: workers store it (atomically, after writing the
 	// outcome) so the autosave supervisor and the partial-coverage merge
 	// can snapshot mid-run without racing.
 	outcomes := make([]treeOutcome, roots)
-	preloaded := make([]bool, roots)
 	done := make([]atomic.Bool, roots)
-	if opts.ResumeFrom != nil {
-		if err := opts.ResumeFrom.validateFor(im, k, roots, opts.Faults); err != nil {
+	// replayOrbit fills every tree of ob that is not yet done from src, a
+	// clean tree of the orbit whose role map onto the representative is
+	// srcPerm (nil: src is the representative).
+	replayOrbit := func(ob *orbit, src *TreeResult, srcPerm []int) {
+		fill := func(mask int, perm []int) {
+			if done[mask].Load() {
+				return
+			}
+			outcomes[mask].TreeResult = replayTree(src, mask, srcPerm, perm)
+			done[mask].Store(true)
+			ctr.treesDone.Add(1)
+			ctr.replayedTrees.Add(1)
+		}
+		fill(ob.rep, nil)
+		for i := range ob.members {
+			fill(ob.members[i].mask, ob.members[i].perm)
+		}
+	}
+
+	// Resume: trees recorded in the checkpoint are preloaded and never
+	// re-explored; the merge below cannot tell them from live outcomes, so
+	// a resumed run reaches the same report as an uninterrupted one.
+	// Checkpoints are symmetry-agnostic: a reduced run consumes unreduced
+	// checkpoints (and vice versa). Every orbit with a preloaded member is
+	// settled here, before any worker starts, by replaying the rest of the
+	// orbit from that member (checkpointed trees are always clean); the
+	// workers get only the orbits with nothing preloaded.
+	if cp := opts.ResumeFrom; cp != nil {
+		if err := cp.validateFor(im, k, roots, opts.Faults); err != nil {
 			return nil, err
 		}
-		for i := range opts.ResumeFrom.Trees {
-			tr := &opts.ResumeFrom.Trees[i]
-			outcomes[tr.Mask] = tr.outcome()
-			preloaded[tr.Mask] = true
+		for _, tr := range cp.Trees {
+			outcomes[tr.Mask].TreeResult = tr
 			done[tr.Mask].Store(true)
 		}
-		ctr.treesDone.Add(int64(len(opts.ResumeFrom.Trees)))
+		ctr.treesDone.Add(int64(len(cp.Trees)))
+		var pending []orbit
+		for _, ob := range orbits {
+			// The source: the representative, else the first preloaded member.
+			src, srcPerm := ob.rep, []int(nil)
+			for i := 0; !done[src].Load() && i < len(ob.members); i++ {
+				src, srcPerm = ob.members[i].mask, ob.members[i].perm
+			}
+			if !done[src].Load() {
+				pending = append(pending, ob)
+				continue
+			}
+			replayOrbit(&ob, &outcomes[src].TreeResult, srcPerm)
+			ctr.orbitsDone.Add(1)
+		}
+		orbits = pending
 	}
 
 	// The engine's internal run context: soft stops (node budget, stall
@@ -353,7 +408,14 @@ func ConsensusKContext(ctx context.Context, im *program.Implementation, k int, o
 	ctr.captureKeys = opts.StallAfter > 0
 	ctr.softCancel = softStop
 
-	stopProgress := startProgress(opts, ctr)
+	snapshotCP := func() *Checkpoint {
+		return buildCheckpoint(im, k, roots, opts.Faults, outcomes, done)
+	}
+	// workersDone closes when the last worker returns.
+	workersDone := make(chan struct{})
+	var live atomic.Int64
+	live.Store(int64(workers))
+	sup := startSupervisor(opts, ctr, im, k, snapshotCP, workersDone)
 
 	var next atomic.Int64 // work distribution: orbits claimed in representative-mask order
 	var stop atomic.Int64 // lowest mask whose tree errored or violated
@@ -366,12 +428,14 @@ func ConsensusKContext(ctx context.Context, im *program.Implementation, k int, o
 			}
 		}
 	}
-	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
-		wg.Add(1)
 		go func(widx int) {
-			defer wg.Done()
-			defer ctr.claimBeat(widx, -1)
+			defer func() {
+				ctr.claimBeat(widx, -1)
+				if live.Add(-1) == 0 {
+					close(workersDone)
+				}
+			}()
 			for {
 				if runCtx.Err() != nil {
 					return
@@ -386,83 +450,33 @@ func ConsensusKContext(ctx context.Context, im *program.Implementation, k int, o
 				}
 				ob := &orbits[idx]
 				ctr.claimBeat(widx, ob.rep)
-				// The orbit's source outcome: the preloaded representative
-				// if the resume checkpoint has it, else any preloaded
-				// member, else a live exploration of the representative.
-				var src *treeOutcome
-				var srcPerm []int // source's role map onto the representative (nil = it IS the representative)
-				if preloaded[ob.rep] {
-					src = &outcomes[ob.rep]
-				} else {
-					for i := range ob.members {
-						if preloaded[ob.members[i].mask] {
-							src, srcPerm = &outcomes[ob.members[i].mask], ob.members[i].perm
-							break
-						}
-					}
-				}
-				if src == nil {
-					out := exploreTree(runCtx, im, k, ob.rep, opts, ctr, widx)
-					outcomes[ob.rep] = out
-					done[ob.rep].Store(true)
-					ctr.treesDone.Add(1)
-					if out.err != nil || out.res.Violation != nil {
-						lowerStop(ob.rep)
-					}
-					src = &outcomes[ob.rep]
-				} else if !preloaded[ob.rep] {
-					// The representative itself replays from a preloaded
-					// member (checkpointed trees are always clean).
-					outcomes[ob.rep] = replayOutcome(src, srcPerm, nil)
-					done[ob.rep].Store(true)
-					ctr.treesDone.Add(1)
-					ctr.replayedTrees.Add(1)
-					src, srcPerm = &outcomes[ob.rep], nil
-				}
-				// Members replay only from a clean source: a violating or
-				// erred representative caps the merge at its own mask, so
+				out := &outcomes[ob.rep]
+				*out = exploreTree(runCtx, im, k, ob.rep, opts, ctr, widx)
+				done[ob.rep].Store(true)
+				ctr.treesDone.Add(1)
+				// Members replay only from a clean representative: a
+				// violating or erred one caps the merge at its own mask, so
 				// members — all strictly above it, the representative being
 				// the orbit minimum — could never be merged, exactly as an
 				// unreduced run sheds the masks above its first bad one.
-				if src.err == nil && src.res.Violation == nil {
-					for i := range ob.members {
-						m := &ob.members[i]
-						if preloaded[m.mask] {
-							continue
-						}
-						outcomes[m.mask] = replayOutcome(src, srcPerm, m.perm)
-						done[m.mask].Store(true)
-						ctr.treesDone.Add(1)
-						ctr.replayedTrees.Add(1)
-					}
+				if out.err != nil || out.violation != nil {
+					lowerStop(ob.rep)
+				} else {
+					replayOrbit(ob, &out.TreeResult, nil)
 				}
 				ctr.orbitsDone.Add(1)
 			}
 		}(w)
 	}
-	wgDone := make(chan struct{})
-	go func() {
-		wg.Wait()
-		close(wgDone)
-	}()
-	snapshotCP := func() *Checkpoint {
-		return buildCheckpoint(im, k, roots, opts.Faults, outcomes, done)
+	// A worker stuck inside user code never polls the context: the
+	// watchdog closes abandoned after its grace period so the run can
+	// still report (the stuck goroutine reclaims itself if the user code
+	// ever returns).
+	select {
+	case <-workersDone:
+	case <-sup.abandoned():
 	}
-	sup := startSupervisor(opts, ctr, im, k, snapshotCP, wgDone)
-	if sup != nil {
-		// A worker stuck inside user code never polls the context: the
-		// watchdog closes abandon after its grace period so the run can
-		// still report (the stuck goroutine reclaims itself if the user
-		// code ever returns).
-		select {
-		case <-wgDone:
-		case <-sup.abandon:
-		}
-		sup.stop()
-	} else {
-		<-wgDone
-	}
-	stopProgress()
+	sup.stop()
 
 	if err := ctx.Err(); errors.Is(err, context.Canceled) {
 		// Hard cancellation (the Ctrl-C contract): snapshot the frontier so
@@ -478,10 +492,7 @@ func ConsensusKContext(ctx context.Context, im *program.Implementation, k int, o
 		return partial, err
 	}
 
-	var stallErr *StallError
-	if sup != nil {
-		stallErr = sup.stallErr()
-	}
+	stallErr := sup.stallErr()
 	reason := ""
 	switch {
 	case ctx.Err() != nil: // deadline expiry: degrade, don't error
@@ -563,27 +574,27 @@ func abortedOutcome(out *treeOutcome) bool {
 // tree and classifying its violation. The error of an erred tree is
 // returned wrapped with the tree's proposal vector.
 func mergeTrees(report *ConsensusReport, outcomes []treeOutcome, last int, im *program.Implementation, k int) error {
-	decided := make(map[int]bool)
+	decided := make([]bool, k)
 	for mask := 0; mask <= last; mask++ {
 		out := &outcomes[mask]
 		report.Roots++
 		if out.err != nil {
 			return fmt.Errorf("proposals %v: %w", ProposalVectorK(mask, im.Procs, k), out.err)
 		}
-		mergeResult(report, out.res)
-		for v := range out.decided {
+		mergeResult(report, &out.TreeResult)
+		for _, v := range out.Decided {
 			decided[v] = true
 		}
-		if out.res.Violation != nil {
-			report.Violation = out.res.Violation
+		if out.violation != nil {
+			report.Violation = out.violation
 			report.ViolationProposals = ProposalVectorK(mask, im.Procs, k)
-			switch out.res.Violation.Kind {
+			switch out.violation.Kind {
 			case KindDepthExceeded, KindCycle, KindBlockedBySurvivorStarvation,
 				KindBlockedByRecoveryDivergence:
 				report.WaitFree = false
 			case KindLeafReject, KindInvalidAfterCrash, KindDecisionChangedAfterRecovery:
 				// checkConsensusLeaf prefixes the failed property.
-				if isValidityDetail(out.res.Violation.Detail) {
+				if isValidityDetail(out.violation.Detail) {
 					report.Validity = false
 				} else {
 					report.Agreement = false
@@ -592,10 +603,11 @@ func mergeTrees(report *ConsensusReport, outcomes []treeOutcome, last int, im *p
 			break
 		}
 	}
-	for v := range decided {
-		report.Decisions = append(report.Decisions, v)
+	for v, ok := range decided {
+		if ok {
+			report.Decisions = append(report.Decisions, v)
+		}
 	}
-	sort.Ints(report.Decisions)
 	return nil
 }
 
@@ -604,7 +616,7 @@ func mergeTrees(report *ConsensusReport, outcomes []treeOutcome, last int, im *p
 // Crashed processes (fault exploration) are exempt — they need not decide,
 // and their proposals still count for validity, matching crash-stop
 // consensus.
-func checkConsensusLeaf(l *Leaf, proposals []int, decided map[int]bool) error {
+func checkConsensusLeaf(l *Leaf, proposals []int, decided []bool) error {
 	var first types.Response
 	firstProc := -1
 	for p, resps := range l.Responses {
@@ -646,7 +658,7 @@ func isValidityDetail(detail string) bool {
 	return len(detail) >= len("validity") && detail[:len("validity")] == "validity"
 }
 
-func mergeResult(report *ConsensusReport, res *Result) {
+func mergeResult(report *ConsensusReport, res *TreeResult) {
 	report.Nodes += res.Nodes
 	report.Leaves += res.Leaves
 	report.MemoHits += res.MemoHits

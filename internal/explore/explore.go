@@ -113,8 +113,10 @@ type Options struct {
 	// ResumeFrom, if set, resumes a consensus exploration from a Checkpoint
 	// taken by a cancelled run: proposal-vector trees recorded in the
 	// checkpoint are merged from their stored results instead of being
-	// re-explored. Only ConsensusContext / ConsensusKContext honor it; Run
-	// rejects it (single trees have no frontier to resume).
+	// re-explored. The engine shares the checkpoint's slices and maps
+	// without copying or modifying them, so the caller must not modify it
+	// while the run is in flight. Only ConsensusContext / ConsensusKContext
+	// honor it; Run rejects it (single trees have no frontier to resume).
 	ResumeFrom *Checkpoint
 	// Symmetry selects process-permutation symmetry reduction for
 	// Consensus/ConsensusK: proposal vectors that are permutations of one
@@ -142,10 +144,10 @@ type Options struct {
 	// workers*flushEvery. 0 means unbounded. Run ignores MaxNodes (a
 	// single tree has no partial-merge frontier).
 	MaxNodes int64
-	// StallAfter arms the stall watchdog for the consensus engines: a
-	// supervisor goroutine flags any worker that makes no node progress
-	// for this long, stops the run, and surfaces a *StallError carrying
-	// the worker, its tree, and the config key of its last flushed
+	// StallAfter arms the stall watchdog for the consensus engines: the
+	// run's supervisor goroutine flags any worker that makes no node
+	// progress for this long, stops the run, and surfaces a *StallError
+	// carrying the worker, its tree, and the config key of its last flushed
 	// configuration — turning a wedged Spec.Step or Machine from a silent
 	// hang into a diagnosable report. 0 disables the watchdog. Run ignores
 	// StallAfter.
@@ -153,21 +155,26 @@ type Options struct {
 	// CheckpointEvery autosaves the consensus frontier: every interval,
 	// the supervisor snapshots a Checkpoint of the trees finished so far
 	// and hands it to OnCheckpoint, so an OOM-kill or power loss costs at
-	// most one interval of work. Requires OnCheckpoint; 0 with OnCheckpoint
-	// set means DefaultCheckpointEvery. Run ignores both.
+	// most one interval of work. Autosave needs both fields: setting one
+	// without the other is ErrBadOptions. Run ignores both.
 	CheckpointEvery time.Duration
 	// OnCheckpoint receives autosave snapshots (see CheckpointEvery). It
-	// is called from the supervisor goroutine only — never concurrently
-	// with itself — and the Checkpoint it receives is freshly built, never
-	// aliased by the engine afterwards. Callers typically persist it with
-	// the durable package.
+	// is called from the run's one supervisor goroutine, which also calls
+	// OnProgress, so the two hooks never run concurrently and a slow
+	// OnCheckpoint delays the next progress snapshot. The Checkpoint it
+	// receives is freshly built, never aliased by the engine afterwards.
+	// Callers typically persist it with the durable package.
 	OnCheckpoint func(*Checkpoint)
 	// OnProgress, if set, receives engine Stats snapshots every
 	// ProgressInterval while RunContext / ConsensusContext /
 	// ConsensusKContext execute, plus one final snapshot when the engine
 	// stops (normally, on violation, or on cancellation). Snapshots are
-	// observational (see Stats); they never influence the report.
-	// OnProgress is called from a single goroutine at a time.
+	// observational (see Stats); they never influence the report. The
+	// run's one supervisor goroutine makes the periodic calls (the same
+	// goroutine that calls OnCheckpoint, so a slow OnCheckpoint delays the
+	// next snapshot), and the caller's goroutine makes the final one after
+	// joining it: OnProgress is never called concurrently with itself or
+	// with OnCheckpoint.
 	OnProgress func(Stats)
 	// ProgressInterval is the OnProgress tick; 0 means
 	// DefaultProgressInterval. Ignored when OnProgress is nil.
@@ -217,8 +224,8 @@ func (o Options) Validate() error {
 	if o.CheckpointEvery < 0 {
 		return fmt.Errorf("%w: negative CheckpointEvery %v", ErrBadOptions, o.CheckpointEvery)
 	}
-	if o.CheckpointEvery > 0 && o.OnCheckpoint == nil {
-		return fmt.Errorf("%w: CheckpointEvery requires OnCheckpoint", ErrBadOptions)
+	if (o.CheckpointEvery > 0) != (o.OnCheckpoint != nil) {
+		return fmt.Errorf("%w: CheckpointEvery and OnCheckpoint must be set together", ErrBadOptions)
 	}
 	return nil
 }
@@ -529,8 +536,10 @@ func RunContext(ctx context.Context, im *program.Implementation, scripts [][]typ
 		return nil, fmt.Errorf("%w: ResumeFrom applies to consensus explorations only", ErrBadOptions)
 	}
 	ctr := newCounters(1, 1)
-	stop := startProgress(opts, ctr)
-	defer stop()
+	// A single tree has no frontier to autosave and no watchdog: the
+	// supervisor only publishes progress.
+	sup := startSupervisor(Options{OnProgress: opts.OnProgress, ProgressInterval: opts.ProgressInterval}, ctr, im, 0, nil, nil)
+	defer sup.stop()
 	res, err := runTree(ctx, im, scripts, opts, ctr, 0)
 	ctr.treesDone.Add(1)
 	return res, err

@@ -8,12 +8,6 @@ import (
 	"waitfree/internal/consensus"
 )
 
-// TestInstrumentedParity is the acceptance gate for the engine
-// instrumentation: turning on OnProgress (at an aggressive tick, so the
-// ticker races the exploration as hard as it can) must not change a single
-// semantic report field at any parallelism level. Verdict, Depth, Nodes,
-// Leaves, and MemoHits are compared against an uninstrumented baseline —
-// the same values PR 1 pinned for the corpus.
 // TestProgressSnapshotRetention pins the documented ownership contract of
 // Stats.WorkerNodes: every snapshot owns a freshly allocated slice, so an
 // OnProgress callback may retain it and read it from another goroutine
@@ -71,6 +65,11 @@ func TestProgressSnapshotRetention(t *testing.T) {
 	}
 }
 
+// TestInstrumentedParity is the acceptance gate for the engine
+// instrumentation: turning on OnProgress (at an aggressive tick, so the
+// ticker races the exploration as hard as it can) must not change a single
+// semantic report field at any parallelism level. Verdict, Depth, Nodes,
+// Leaves, and MemoHits are compared against an uninstrumented baseline.
 func TestInstrumentedParity(t *testing.T) {
 	for _, im := range consensus.Corpus() {
 		for _, memoize := range []bool{false, true} {

@@ -8,8 +8,8 @@ import (
 )
 
 // This file implements the engine's observability surface: cumulative
-// counters shared by all workers, point-in-time Stats snapshots, and the
-// progress ticker that publishes them through Options.OnProgress.
+// counters shared by all workers and point-in-time Stats snapshots, which
+// the run's supervisor (supervise.go) publishes through Options.OnProgress.
 //
 // Two kinds of numbers coexist and must not be confused:
 //
@@ -312,38 +312,4 @@ func (c *counters) snapshot() Stats {
 		s.Heartbeats[i] = hb
 	}
 	return s
-}
-
-// startProgress launches the OnProgress ticker. The returned stop function
-// joins the ticker goroutine and then publishes one final snapshot, so a
-// caller that cancels mid-run still observes the partial totals. OnProgress
-// is only ever called from one goroutine at a time.
-func startProgress(opts Options, ctr *counters) (stop func()) {
-	if opts.OnProgress == nil {
-		return func() {}
-	}
-	interval := opts.ProgressInterval
-	if interval <= 0 {
-		interval = DefaultProgressInterval
-	}
-	done := make(chan struct{})
-	joined := make(chan struct{})
-	go func() {
-		defer close(joined)
-		t := time.NewTicker(interval)
-		defer t.Stop()
-		for {
-			select {
-			case <-done:
-				return
-			case <-t.C:
-				opts.OnProgress(ctr.snapshot())
-			}
-		}
-	}()
-	return func() {
-		close(done)
-		<-joined
-		opts.OnProgress(ctr.snapshot())
-	}
 }

@@ -1,23 +1,22 @@
 package explore
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sync/atomic"
 	"time"
 
 	"waitfree/internal/program"
 )
 
-// This file implements the long-run supervision layer of the consensus
-// engines: periodic checkpoint autosave (Options.CheckpointEvery /
-// OnCheckpoint), the stall watchdog (Options.StallAfter), and the
-// partial-coverage contract (Options.MaxNodes and deadline expiry degrade
-// to a ConsensusReport with Partial set instead of erroring — see
-// ConsensusKContext).
-
-// DefaultCheckpointEvery is the autosave interval when OnCheckpoint is
-// set but CheckpointEvery is 0.
-const DefaultCheckpointEvery = 30 * time.Second
+// This file implements the supervision layer of the engines: one
+// background goroutine per run that publishes progress snapshots
+// (Options.OnProgress), autosaves the consensus frontier
+// (Options.CheckpointEvery / OnCheckpoint), and runs the stall watchdog
+// (Options.StallAfter); and the partial-coverage contract
+// (Options.MaxNodes and deadline expiry degrade to a ConsensusReport with
+// Partial set instead of erroring — see ConsensusKContext).
 
 // Coverage reasons.
 const (
@@ -89,63 +88,71 @@ func (e *StallError) Error() string {
 	return s
 }
 
-// supervisor is the per-run goroutine behind autosave and the stall
-// watchdog. It is started by ConsensusKContext when either is configured
-// and joined (stop) before the report is assembled, so reads of its stall
-// record never race.
+// supervisor is the per-run goroutine behind progress snapshots,
+// autosave, and the stall watchdog. It is started before the workers and
+// joined (stop) before the report is assembled, so reads of its stall
+// record never race. Its methods are no-ops on a nil supervisor, which is
+// what startSupervisor returns when the run asks for none of the three.
 type supervisor struct {
 	quit   chan struct{}
 	joined chan struct{}
 	// abandon is closed when a stalled worker failed to unwind within the
-	// grace period: the main goroutine stops waiting for the WaitGroup and
-	// assembles the partial report without it.
+	// grace period: the main goroutine stops waiting for the workers and
+	// assembles the partial report without them.
 	abandon chan struct{}
 	stall   atomic.Pointer[StallError]
+	// onProgress receives the final snapshot once the goroutine is joined.
+	onProgress func(Stats)
+	ctr        *counters
 }
 
-// startSupervisor launches the supervision loop, or returns nil when
-// neither autosave nor the watchdog is configured. snapshotCP must be
-// safe to call concurrently with running workers (it reads outcomes
-// through the done flags); wgDone closes when every worker has returned.
+// startSupervisor launches the supervision loop, or returns nil when the
+// run sets none of OnProgress, autosave, and the watchdog. snapshotCP must
+// be safe to call concurrently with running workers (it reads outcomes
+// through the done flags); workersDone closes when every worker has
+// returned. One ticker serves all three duties at the shortest of their
+// periods (the watchdog's is StallAfter/4, bounding detection latency past
+// the deadline); a longer duty runs every so many ticks.
 func startSupervisor(opts Options, ctr *counters, im *program.Implementation, k int,
-	snapshotCP func() *Checkpoint, wgDone <-chan struct{}) *supervisor {
-	autosave := opts.CheckpointEvery
-	if autosave == 0 && opts.OnCheckpoint != nil {
-		autosave = DefaultCheckpointEvery
+	snapshotCP func() *Checkpoint, workersDone <-chan struct{}) *supervisor {
+	progress := cmp.Or(opts.ProgressInterval, DefaultProgressInterval)
+	var periods []time.Duration
+	if opts.OnProgress != nil {
+		periods = append(periods, progress)
 	}
-	if autosave <= 0 && opts.StallAfter <= 0 {
+	if opts.OnCheckpoint != nil {
+		periods = append(periods, max(opts.CheckpointEvery, time.Millisecond))
+	}
+	if opts.StallAfter > 0 {
+		periods = append(periods, max(opts.StallAfter/4, time.Millisecond))
+	}
+	if len(periods) == 0 {
 		return nil
 	}
+	tick := slices.Min(periods)
+	progressTicks, saveTicks := max(1, int(progress/tick)), max(1, int(opts.CheckpointEvery/tick))
 	s := &supervisor{
-		quit:    make(chan struct{}),
-		joined:  make(chan struct{}),
-		abandon: make(chan struct{}),
-	}
-	// One ticker serves both duties: fast enough to autosave on time and
-	// to bound stall-detection latency to ~StallAfter/4 past the deadline.
-	tick := autosave
-	if opts.StallAfter > 0 {
-		if q := opts.StallAfter / 4; tick <= 0 || q < tick {
-			tick = q
-		}
-	}
-	if tick < time.Millisecond {
-		tick = time.Millisecond
+		quit:       make(chan struct{}),
+		joined:     make(chan struct{}),
+		abandon:    make(chan struct{}),
+		onProgress: opts.OnProgress,
+		ctr:        ctr,
 	}
 	go func() {
 		defer close(s.joined)
 		t := time.NewTicker(tick)
 		defer t.Stop()
-		lastSave := time.Now()
 		savedTrees := -1
-		for {
+		for n := 1; ; n++ {
 			select {
 			case <-s.quit:
 				return
 			case <-t.C:
 			}
-			if autosave > 0 && time.Since(lastSave) >= autosave {
-				lastSave = time.Now()
+			if opts.OnProgress != nil && n%progressTicks == 0 {
+				opts.OnProgress(ctr.snapshot())
+			}
+			if opts.OnCheckpoint != nil && n%saveTicks == 0 {
 				if cp := snapshotCP(); len(cp.Trees) != savedTrees {
 					savedTrees = len(cp.Trees)
 					opts.OnCheckpoint(cp)
@@ -179,15 +186,9 @@ func startSupervisor(opts Options, ctr *counters, im *program.Implementation, k 
 				// Grace period: workers that poll the context unwind within
 				// flushEvery nodes; one truly stuck inside user code never
 				// will, so cap the wait and abandon it.
-				grace := opts.StallAfter
-				if grace < 100*time.Millisecond {
-					grace = 100 * time.Millisecond
-				}
-				if grace > 2*time.Second {
-					grace = 2 * time.Second
-				}
+				grace := min(max(opts.StallAfter, 100*time.Millisecond), 2*time.Second)
 				select {
-				case <-wgDone:
+				case <-workersDone:
 					s.stall.Store(se)
 				case <-time.After(grace):
 					se.Abandoned = true
@@ -204,14 +205,34 @@ func startSupervisor(opts Options, ctr *counters, im *program.Implementation, k 
 	return s
 }
 
-// stop joins the supervisor; after it returns, stallErr is stable.
+// abandoned returns the channel closed when the watchdog gave up on a
+// stuck worker (nil, which never fires, on a nil supervisor).
+func (s *supervisor) abandoned() <-chan struct{} {
+	if s == nil {
+		return nil
+	}
+	return s.abandon
+}
+
+// stop joins the supervisor and then publishes one final progress
+// snapshot, so a caller that cancels mid-run still observes the partial
+// totals. After it returns, stallErr is stable.
 func (s *supervisor) stop() {
+	if s == nil {
+		return
+	}
 	close(s.quit)
 	<-s.joined
+	if s.onProgress != nil {
+		s.onProgress(s.ctr.snapshot())
+	}
 }
 
 // stallErr returns the watchdog's finding, nil if none. Only valid after
 // stop (or after abandon closed).
 func (s *supervisor) stallErr() *StallError {
+	if s == nil {
+		return nil
+	}
 	return s.stall.Load()
 }

@@ -3,6 +3,7 @@ package explore
 import (
 	"errors"
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
@@ -114,6 +115,50 @@ func TestConsensusAutosave(t *testing.T) {
 	if !reflect.DeepEqual(stripStats(resumed), stripStats(plain)) {
 		t.Errorf("resume from autosaved checkpoint differs from uninterrupted run\nresumed: %+v\nplain:   %+v",
 			resumed, plain)
+	}
+}
+
+// TestSupervisorOneGoroutine pins that one supervisor goroutine serves
+// both hooks of a run that sets OnProgress and autosave. Both callbacks
+// write one plain counter without synchronization, so under -race the test
+// fails if the hooks ever run on different goroutines unordered. It also
+// counts the goroutines alive during the hooks: the worker and the
+// supervisor, nothing else.
+func TestSupervisorOneGoroutine(t *testing.T) {
+	im := consensus.CASRegister3()
+	before := runtime.NumGoroutine()
+	var calls, progress, saves, extra int
+	hook := func() {
+		calls++
+		extra = max(extra, runtime.NumGoroutine()-before)
+	}
+	opts := Options{
+		// Unmemoized, so the run takes ~100ms, against 1ms ticks.
+		Parallelism:      1,
+		ProgressInterval: time.Millisecond,
+		OnProgress: func(Stats) {
+			hook()
+			progress++
+		},
+		CheckpointEvery: time.Millisecond,
+		OnCheckpoint: func(*Checkpoint) {
+			hook()
+			saves++
+		},
+	}
+	rep, err := Consensus(im, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.OK() {
+		t.Fatalf("supervised run changed the verdict: %s", rep.Summary())
+	}
+	if progress < 2 || saves == 0 || calls != progress+saves {
+		t.Fatalf("hooks fired %d progress and %d autosave times (%d calls), want at least one mid-run of each",
+			progress, saves, calls)
+	}
+	if extra > 2 {
+		t.Errorf("%d goroutines beyond the caller's during the run, want the worker and the supervisor only", extra)
 	}
 }
 

@@ -188,7 +188,7 @@ func planOrbits(im *program.Implementation, k, roots int, opts Options) (orbits 
 		// member tree traverses its (isomorphic) configurations in permuted
 		// order, so replayed MemoHits could drift from what an unreduced
 		// run would count. Every other aggregate is order-invariant; see
-		// the replayOutcome comment.
+		// the replayTree comment.
 		reason = fmt.Errorf("%w: MemoBudget eviction is traversal-order dependent", ErrNotSymmetric)
 	}
 	if reason == nil {
@@ -256,44 +256,31 @@ func invertPerm(perm []int) []int {
 	return inv
 }
 
-// replayOutcome derives one orbit tree's outcome from an already-known
-// sibling outcome without exploring it. src must be error- and
-// violation-free. srcPerm and dstPerm are the trees' role maps onto the
-// orbit representative (nil when the tree is the representative itself);
-// composing them relates the destination directly to the source, so a
-// resumed run can replay from any preloaded orbit member, not just the
-// representative.
+// replayTree derives the tree of mask from src, an already-known clean
+// tree of the same orbit, without exploring it. srcPerm and dstPerm are the
+// two trees' role maps onto the orbit representative (nil when the tree is
+// the representative itself); composing them relates the destination
+// directly to the source, so a resumed run can replay from any preloaded
+// orbit member, not just the representative.
 //
-// Soundness of the verbatim copies: the trees are isomorphic under process
+// Soundness of the shared fields: the trees are isomorphic under process
 // relabeling (uniform machines make a process's behavior a function of its
 // proposal alone; oblivious objects make transitions port-independent), and
 // although the member tree's DFS visits the isomorphic configurations in a
-// permuted order, every copied aggregate is order-invariant — Nodes/Leaves
+// permuted order, every shared aggregate is order-invariant — Nodes/Leaves
 // are sums over the virtual tree, Depth/MaxAccess/OpAccess are maxima over
 // paths, MemoHits counts incoming DAG edges beyond the first per distinct
 // configuration, the decided set is a union over leaves, and Degraded
-// (budget exhaustion) is excluded by planOrbits. Only ProcSteps is
-// relabeled: destination process p takes the bound of the source process
+// (budget exhaustion) is excluded by planOrbits. The slices and maps are
+// shared, not copied: no tree is mutated once done. Only ProcSteps is
+// rebuilt: destination process p takes the bound of the source process
 // playing the same representative role.
-func replayOutcome(src *treeOutcome, srcPerm, dstPerm []int) treeOutcome {
+func replayTree(src *TreeResult, mask int, srcPerm, dstPerm []int) TreeResult {
 	srcFromRep := invertPerm(srcPerm)
-	res := &Result{
-		Nodes:     src.res.Nodes,
-		Leaves:    src.res.Leaves,
-		MemoHits:  src.res.MemoHits,
-		Depth:     src.res.Depth,
-		MaxAccess: append([]int(nil), src.res.MaxAccess...),
-		OpAccess:  make([]map[string]int, len(src.res.OpAccess)),
-		ProcSteps: make([]int, len(src.res.ProcSteps)),
-		Degraded:  src.res.Degraded,
-	}
-	for o, ops := range src.res.OpAccess {
-		res.OpAccess[o] = make(map[string]int, len(ops))
-		for op, v := range ops {
-			res.OpAccess[o][op] = v
-		}
-	}
-	for p := range res.ProcSteps {
+	tr := *src
+	tr.Mask = mask
+	tr.ProcSteps = make([]int, len(src.ProcSteps))
+	for p := range tr.ProcSteps {
 		slot := p
 		if dstPerm != nil {
 			slot = dstPerm[p]
@@ -302,11 +289,7 @@ func replayOutcome(src *treeOutcome, srcPerm, dstPerm []int) treeOutcome {
 		if srcFromRep != nil {
 			q = srcFromRep[slot]
 		}
-		res.ProcSteps[p] = src.res.ProcSteps[q]
+		tr.ProcSteps[p] = src.ProcSteps[q]
 	}
-	decided := make(map[int]bool, len(src.decided))
-	for v := range src.decided {
-		decided[v] = true
-	}
-	return treeOutcome{res: res, decided: decided}
+	return tr
 }

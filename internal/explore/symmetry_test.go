@@ -300,7 +300,7 @@ func TestSymmetryResumeFromMemberTrees(t *testing.T) {
 		if out.err != nil {
 			t.Fatal(out.err)
 		}
-		cp.Trees = append(cp.Trees, treeResultOf(mask, &out))
+		cp.Trees = append(cp.Trees, out.TreeResult)
 	}
 	resumeOpts := opts
 	resumeOpts.ResumeFrom = cp

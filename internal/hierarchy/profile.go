@@ -165,15 +165,10 @@ func ClassifyZoo() ([]*Classification, error) {
 	return ClassifyZooContext(context.Background(), 1)
 }
 
-// ClassifyZooParallel classifies the zoo entries across parallelism
+// ClassifyZooContext classifies the zoo entries across parallelism
 // workers (0 means GOMAXPROCS). Entries are independent, so the result is
 // identical to the sequential ClassifyZoo: classifications come back in
-// zoo order, and the first error (in zoo order) wins.
-func ClassifyZooParallel(parallelism int) ([]*Classification, error) {
-	return ClassifyZooContext(context.Background(), parallelism)
-}
-
-// ClassifyZooContext is ClassifyZooParallel under a context: workers stop
+// zoo order, and the first error (in zoo order) wins. Workers stop
 // claiming entries once ctx is done, and the call returns ctx.Err().
 // Cancellation granularity is one zoo entry (entries classify in
 // milliseconds).

@@ -217,7 +217,7 @@ func appendSynthesis(b []byte, objs []synth.Object, opts synth.Options) ([]byte,
 		}
 		b = appendBytes(b, enc)
 		for p := 0; p < 2; p++ {
-			b = appendInt(b, int64(effectivePort(o, p)))
+			b = appendInt(b, int64(o.Port(p)))
 		}
 	}
 	b = appendInt(b, int64(opts.Depth))
@@ -235,19 +235,10 @@ func appendSynthesis(b []byte, objs []synth.Object, opts synth.Options) ([]byte,
 	}
 	budget := opts.Budget
 	if budget == 0 {
-		budget = 1e7 // synth.SearchContext's default
+		budget = synth.DefaultBudget
 	}
 	b = appendInt(b, budget)
 	return b, nil
-}
-
-// effectivePort mirrors synth.Object.port: nil PortOf means process p
-// uses port p+1.
-func effectivePort(o synth.Object, p int) int {
-	if o.PortOf == nil {
-		return p + 1
-	}
-	return o.PortOf[p]
 }
 
 // appendExplore appends the verdict-relevant exploration options. MaxDepth

@@ -35,10 +35,11 @@ type Options struct {
 	// with byte-identical reports.
 	Cache *rescache.Cache
 	// ProgressInterval is the engine stats cadence feeding SSE streams
-	// (0 = 250ms).
+	// (0 = the engine default, explore.DefaultProgressInterval).
 	ProgressInterval time.Duration
 	// CheckpointEvery is the durable autosave cadence for resumable jobs
-	// (0 = 2s); a killed daemon loses at most this much work per job.
+	// (0 = 2s; the engine autosaves only at a positive interval); a killed
+	// daemon loses at most this much work per job.
 	CheckpointEvery time.Duration
 	// MaxTimeout caps the per-job wall-clock deadline a submission may
 	// request through wire timeout_ms (0 = no cap). Requests above the cap
@@ -84,14 +85,15 @@ type Server struct {
 // re-queued — with their stored checkpoint when their kind supports
 // resume. Call Start to launch the workers.
 func New(opts Options) (*Server, error) {
+	if opts.ProgressInterval < 0 {
+		// Every job's engine would reject it; refuse the daemon instead.
+		return nil, fmt.Errorf("server: negative ProgressInterval %v", opts.ProgressInterval)
+	}
 	if opts.Workers <= 0 {
 		opts.Workers = runtime.GOMAXPROCS(0)
 	}
 	if opts.QueueDepth <= 0 {
 		opts.QueueDepth = 256
-	}
-	if opts.ProgressInterval <= 0 {
-		opts.ProgressInterval = 250 * time.Millisecond
 	}
 	if opts.CheckpointEvery <= 0 {
 		opts.CheckpointEvery = 2 * time.Second

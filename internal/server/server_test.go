@@ -44,6 +44,14 @@ func newTestServer(t *testing.T, opts Options) (*Server, *httptest.Server) {
 	return srv, ts
 }
 
+// TestNewRejectsNegativeProgressInterval pins that a negative stats
+// cadence refuses the daemon up front: every job's engine would reject it.
+func TestNewRejectsNegativeProgressInterval(t *testing.T) {
+	if _, err := New(Options{ProgressInterval: -time.Second}); err == nil {
+		t.Fatal("New accepted a negative ProgressInterval")
+	}
+}
+
 func submitJob(t *testing.T, ts *httptest.Server, body string) *JobView {
 	t.Helper()
 	v, status := postJob(t, ts, body)

@@ -56,8 +56,8 @@ type Object struct {
 	PortOf []int
 }
 
-// port returns process p's port on the object.
-func (o Object) port(p int) int {
+// Port returns process p's port on the object.
+func (o Object) Port(p int) int {
 	if o.PortOf == nil {
 		return p + 1
 	}
@@ -79,9 +79,14 @@ type Options struct {
 	// one strategy — the classic symmetry reduction that makes positive
 	// searches over announce-style object sets tractable.
 	Relabel *[2][]int
-	// Budget bounds the number of action assignments tried (0 = 1e7).
+	// Budget bounds the number of action assignments tried (0 =
+	// DefaultBudget).
 	Budget int64
 }
+
+// DefaultBudget is the assignment budget of a search whose Options.Budget
+// is 0.
+const DefaultBudget int64 = 1e7
 
 // phys resolves process p's virtual object index to a physical one.
 func (o Options) phys(p, obj int) int {
@@ -145,7 +150,7 @@ func SearchContext(ctx context.Context, objects []Object, opts Options) (Strateg
 		return nil, nil, fmt.Errorf("synth: depth must be positive")
 	}
 	if opts.Budget == 0 {
-		opts.Budget = 1e7
+		opts.Budget = DefaultBudget
 	}
 	s := &searcher{
 		ctx:      ctx,
@@ -353,7 +358,7 @@ func (s *searcher) step(c cfg, p int, act Action, key Key) ([]cfg, bool) {
 	}
 	obj := s.opts.phys(p, act.Obj)
 	decl := s.objects[obj]
-	ts := decl.Spec.Step(c.objs[obj], decl.port(p), act.Inv)
+	ts := decl.Spec.Step(c.objs[obj], decl.Port(p), act.Inv)
 	if len(ts) == 0 {
 		return nil, false
 	}

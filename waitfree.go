@@ -156,7 +156,7 @@ var (
 	// failures.
 	ErrBadFaultModel = faults.ErrBadModel
 	// ErrBadCheckpoint is the sentinel returned when ResumeFrom does not
-	// match the run it is offered to.
+	// match the run it is offered to or carries a malformed tree.
 	ErrBadCheckpoint = explore.ErrBadCheckpoint
 )
 
