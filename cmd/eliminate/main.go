@@ -8,8 +8,10 @@
 // Usage:
 //
 //	eliminate [-protocol tas|queue|stack|faa|swap|noisysticky] [-memoize]
-//	          [-parallel N] [-timeout D] [-progress D] [-json]
-//	          [-symmetry MODE] [-max-nodes N] [-stall-after D] [-cache DIR]
+//	          [-timeout D] [-json] [-cache DIR]
+//	          [-parallel N] [-progress D] [-symmetry MODE]
+//	          [-faults] [-max-crashes N] [-fault-mode MODE] [-max-recoveries N]
+//	          [-stall-after D] [-max-nodes N] [-memo-budget N] [-memo-spill DIR]
 //
 // The pipeline's explorations honor the long-run guards: -max-nodes,
 // -timeout, and -stall-after stop an oversized exploration with an
@@ -58,7 +60,7 @@ func run(args []string) error {
 	fs := flag.NewFlagSet("eliminate", flag.ContinueOnError)
 	name := fs.String("protocol", "tas", "protocol to transform: "+eliminableNames())
 	memoize := fs.Bool("memoize", false, "memoize configurations during exploration")
-	common := cliutil.Register(fs)
+	common := cliutil.Register(fs, cliutil.Output|cliutil.Engine)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -95,23 +97,10 @@ func run(args []string) error {
 		}
 	}
 
-	req.Cache, err = common.OpenCache()
-	if err != nil {
-		return err
-	}
-	ctx, cancel := common.Context()
-	defer cancel()
-	rep, err := waitfree.Check(ctx, req)
-	if rep != nil {
-		cliutil.LogCacheOutcome(rep.Cache)
-	}
-	if err != nil {
-		return err
-	}
-	if common.JSON {
-		return cliutil.WriteJSON(os.Stdout, rep)
-	}
-	fmt.Printf("input:  %v\n", req.Implementation)
-	fmt.Print(rep.String())
-	return nil
+	_, err = common.Run(req, func(rep *waitfree.Report) error {
+		fmt.Printf("input:  %v\n", req.Implementation)
+		fmt.Print(rep.String())
+		return nil
+	})
+	return err
 }

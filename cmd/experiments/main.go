@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	experiments [-only E4] [-timeout D] [-json] [-symmetry MODE] [-cache DIR]
+//	experiments [-only E4] [-timeout D] [-json] [-cache DIR]
 //
 // -cache DIR serves the harness's consensus explorations from the
 // content-addressed result cache across runs, storing fresh conclusive
@@ -31,7 +31,7 @@ func main() {
 func run(args []string) error {
 	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
 	only := fs.String("only", "", "run a single experiment (E1..E11)")
-	common := cliutil.Register(fs)
+	common := cliutil.Register(fs, cliutil.Output)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}

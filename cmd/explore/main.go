@@ -6,11 +6,12 @@
 //
 // Usage:
 //
-//	explore [-protocol NAME] [-procs N] [-memoize] [-parallel N]
-//	        [-timeout D] [-progress D] [-json] [-symmetry MODE]
-//	        [-faults] [-max-crashes N] [-fault-mode MODE]
+//	explore [-protocol NAME] [-procs N] [-memoize] [-valency] [-dot]
+//	        [-timeout D] [-json] [-cache DIR]
+//	        [-parallel N] [-progress D] [-symmetry MODE]
+//	        [-faults] [-max-crashes N] [-fault-mode MODE] [-max-recoveries N]
+//	        [-stall-after D] [-max-nodes N] [-memo-budget N] [-memo-spill DIR]
 //	        [-checkpoint FILE] [-checkpoint-every D]
-//	        [-stall-after D] [-max-nodes N] [-cache DIR]
 //
 // With -faults the explorer additionally enumerates every crash schedule
 // (up to -max-crashes per execution) and checks that the survivors still
@@ -74,7 +75,7 @@ func run(args []string) error {
 	memoize := fs.Bool("memoize", false, "memoize configurations")
 	valency := fs.Bool("valency", false, "run the FLP/Herlihy valency analysis on mixed proposals")
 	dot := fs.Bool("dot", false, "print the mixed-proposal execution tree as Graphviz DOT and exit")
-	common := cliutil.Register(fs)
+	common := cliutil.Register(fs, cliutil.Output|cliutil.Engine|cliutil.Checkpoint)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -130,69 +131,53 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
-	cache, err := common.OpenCache()
-	if err != nil {
-		return err
-	}
-	ctx, cancel := common.Context()
-	defer cancel()
-	rep, err := waitfree.Check(ctx, waitfree.Request{
+	rep, err := common.Run(waitfree.Request{
 		Kind:           waitfree.KindConsensus,
 		Implementation: im,
 		Explore:        exOpts,
-		Cache:          cache,
-	})
-	if rep != nil {
-		cliutil.LogCacheOutcome(rep.Cache)
-	}
-	if err != nil {
-		if rep != nil && rep.Checkpoint != nil && common.Checkpoint != "" {
-			if serr := common.SaveCheckpoint(rep.Checkpoint); serr != nil {
-				fmt.Fprintln(os.Stderr, "explore:", serr)
-			} else {
-				fmt.Fprintf(os.Stderr, "explore: interrupted; %s saved to %s — rerun the same command to resume\n",
-					rep.Checkpoint, common.Checkpoint)
-			}
-		}
-		return err
-	}
-	if rep.Consensus != nil && rep.Consensus.Partial {
-		// The run stopped early (-timeout, -max-nodes, -stall-after) with
-		// partial coverage: print what WAS covered, keep the resumable
-		// state, and exit nonzero — partial coverage is not a verdict.
-		if common.JSON {
-			if werr := cliutil.WriteJSON(os.Stdout, rep); werr != nil {
-				return werr
-			}
-		} else {
+	}, func(rep *waitfree.Report) error {
+		if rep.Consensus.Partial {
 			fmt.Print(rep.String())
+			return nil
 		}
-		if common.Checkpoint != "" {
-			if serr := common.SaveCheckpoint(rep.Checkpoint); serr != nil {
-				fmt.Fprintln(os.Stderr, "explore:", serr)
-			} else {
-				fmt.Fprintf(os.Stderr, "explore: %s saved to %s — rerun the same command to resume\n",
-					rep.Checkpoint, common.Checkpoint)
-			}
-		}
-		return fmt.Errorf("stopped with partial coverage (%s)", rep.Consensus.Coverage.Reason)
-	}
-	if common.Checkpoint != "" {
-		// The run completed: a stale checkpoint file would only confuse the
-		// next invocation.
-		os.Remove(common.Checkpoint)
-	}
-	if common.JSON {
-		if err := cliutil.WriteJSON(os.Stdout, rep); err != nil {
-			return err
-		}
-	} else {
 		fmt.Printf("checking %v\n\n", im)
 		fmt.Print(rep.String())
 		if v := rep.Consensus.Violation; v != nil {
 			fmt.Printf("\ncounterexample lanes (proposals %v):\n%s\n",
 				rep.Consensus.ViolationProposals, explore.FormatLanes(v.Schedule, im))
 		}
+		return nil
+	})
+	// save keeps the resumable state of a run that stopped short in the
+	// -checkpoint file.
+	save := func(cp *explore.Checkpoint, note string) {
+		if cp == nil || common.Checkpoint == "" {
+			return
+		}
+		if err := common.SaveCheckpoint(cp); err != nil {
+			fmt.Fprintln(os.Stderr, "explore:", err)
+			return
+		}
+		fmt.Fprintf(os.Stderr, "explore: %s%s saved to %s — rerun the same command to resume\n",
+			note, cp, common.Checkpoint)
+	}
+	if err != nil {
+		if rep != nil {
+			save(rep.Checkpoint, "interrupted; ")
+		}
+		return err
+	}
+	if rep.Consensus.Partial {
+		// The run stopped early (-timeout, -max-nodes, -stall-after) with
+		// partial coverage: Run printed what WAS covered; keep the resumable
+		// state, and exit nonzero — partial coverage is not a verdict.
+		save(rep.Checkpoint, "")
+		return fmt.Errorf("stopped with partial coverage (%s)", rep.Consensus.Coverage.Reason)
+	}
+	if common.Checkpoint != "" {
+		// The run completed: a stale checkpoint file would only confuse the
+		// next invocation.
+		os.Remove(common.Checkpoint)
 	}
 	if !rep.OK() {
 		return fmt.Errorf("implementation is incorrect")

@@ -99,3 +99,38 @@ func TestRunDurabilityFlagValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestRunFlagSet pins the shared flags explore registers: each one its
+// pipeline reads parses, and -seed, which no pipeline reads, is refused at
+// parse time. Every run carries -timeout=1ns so that a flag that parses
+// stops at once.
+func TestRunFlagSet(t *testing.T) {
+	dir := t.TempDir()
+	kept := []string{"-timeout=1ns", "-json", "-cache=" + dir, "-parallel=1",
+		"-progress=1ms", "-faults", "-max-crashes=1", "-fault-mode=crash-stop",
+		"-max-recoveries=0", "-symmetry=auto", "-stall-after=1m", "-max-nodes=100", "-memo-budget=100",
+		"-memo-spill=" + dir,
+		"-checkpoint=" + filepath.Join(dir, "cp"), "-checkpoint-every=1s"}
+	refused := []string{"-seed=9"}
+	for _, arg := range kept {
+		if err := run([]string{"-protocol=casregister3", arg, "-timeout=1ns"}); parseFailed(err) {
+			t.Errorf("%s: %v", arg, err)
+		}
+	}
+	for _, arg := range refused {
+		if err := run([]string{"-protocol=casregister3", arg, "-timeout=1ns"}); !refusedAtParse(err) {
+			t.Errorf("%s: err = %v, want a flag-parse error", arg, err)
+		}
+	}
+}
+
+// refusedAtParse reports whether err is the flag package's refusal of a
+// flag the command does not define.
+func refusedAtParse(err error) bool {
+	return err != nil && strings.HasPrefix(err.Error(), "flag provided but not defined")
+}
+
+// parseFailed reports whether err is any flag-parse error.
+func parseFailed(err error) bool {
+	return refusedAtParse(err) || err != nil && strings.HasPrefix(err.Error(), "invalid ")
+}

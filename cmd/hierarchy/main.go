@@ -5,13 +5,13 @@
 //
 // Usage:
 //
-//	hierarchy [-witnesses] [-parallel N] [-timeout D] [-progress D] [-json]
-//	          [-symmetry MODE] [-max-nodes N] [-stall-after D] [-cache DIR]
+//	hierarchy [-witnesses] [-audit] [-timeout D] [-json] [-cache DIR] [-parallel N]
 //
-// The classification explorations honor the long-run guards: -max-nodes,
-// -timeout, and -stall-after stop an oversized exploration early instead
-// of running unbounded. With -audit, specs whose state spaces exceed the
-// lint budget are reported as inconclusive rather than silently passed.
+// The classification runs the zoo under its own fixed exploration bounds:
+// -parallel spreads the zoo entries over workers, and -timeout stops the
+// run early instead of running unbounded. With -audit, specs whose state
+// spaces exceed the lint budget are reported as inconclusive rather than
+// silently passed.
 // Entries whose own witness searches truncate are likewise marked
 // inconclusive ("?" in the TRIVIAL column). -cache DIR serves a repeat
 // classification from the content-addressed result cache with
@@ -42,7 +42,7 @@ func run(args []string) error {
 	fs := flag.NewFlagSet("hierarchy", flag.ContinueOnError)
 	witnesses := fs.Bool("witnesses", false, "print the full Section 5.1/5.2 witnesses per type")
 	audit := fs.Bool("audit", false, "lint every zoo spec: declared flags vs computed behavior")
-	common := cliutil.Register(fs)
+	common := cliutil.Register(fs, cliutil.Output|cliutil.Parallel)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -79,42 +79,26 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
-	cache, err := common.OpenCache()
-	if err != nil {
-		return err
-	}
-	ctx, cancel := common.Context()
-	defer cancel()
-	rep, err := waitfree.Check(ctx, waitfree.Request{
+	_, err = common.Run(waitfree.Request{
 		Kind:    waitfree.KindClassification,
 		Explore: exOpts,
-		Cache:   cache,
-	})
-	if rep != nil {
-		cliutil.LogCacheOutcome(rep.Cache)
-	}
-	if err != nil {
-		return err
-	}
-	if common.JSON {
-		return cliutil.WriteJSON(os.Stdout, rep)
-	}
-
-	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(w, "TYPE\tOBLIVIOUS\tDETERMINISTIC\tTRIVIAL\tCONSENSUS#\th_m\tTHEOREM 5")
-	for _, c := range rep.Classifications {
-		trivial := fmt.Sprintf("%v", c.Trivial)
-		if c.Inconclusive {
-			trivial += "?" // truncated witness search: bounded claim, not a verdict
+	}, func(rep *waitfree.Report) error {
+		w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
+		fmt.Fprintln(w, "TYPE\tOBLIVIOUS\tDETERMINISTIC\tTRIVIAL\tCONSENSUS#\th_m\tTHEOREM 5")
+		for _, c := range rep.Classifications {
+			trivial := fmt.Sprintf("%v", c.Trivial)
+			if c.Inconclusive {
+				trivial += "?" // truncated witness search: bounded claim, not a verdict
+			}
+			fmt.Fprintf(w, "%s\t%v\t%v\t%s\t%s\t%s\t%s\n",
+				c.Name, c.Oblivious, c.Deterministic, trivial, c.Consensus, c.HM, c.Theorem5)
 		}
-		fmt.Fprintf(w, "%s\t%v\t%v\t%s\t%s\t%s\t%s\n",
-			c.Name, c.Oblivious, c.Deterministic, trivial, c.Consensus, c.HM, c.Theorem5)
-	}
-	if err := w.Flush(); err != nil {
-		return err
-	}
-
-	if *witnesses {
+		if err := w.Flush(); err != nil {
+			return err
+		}
+		if !*witnesses {
+			return nil
+		}
 		fmt.Println()
 		fmt.Println("Witnesses (how each non-trivial deterministic type implements a one-use bit):")
 		for _, c := range rep.Classifications {
@@ -126,6 +110,7 @@ func run(args []string) error {
 				fmt.Printf("  %-18s %v\n", "", "Section 5.1 form: "+c.ObliviousWitness.String())
 			}
 		}
-	}
-	return nil
+		return nil
+	})
+	return err
 }

@@ -7,8 +7,10 @@
 //
 //	synthesize [-objects tas|tas+bits|cas|sticky|register|onebits]
 //	           [-depth N] [-symmetric] [-budget N]
-//	           [-parallel N] [-timeout D] [-progress D] [-json]
-//	           [-symmetry MODE] [-max-nodes N] [-stall-after D] [-cache DIR]
+//	           [-timeout D] [-json] [-cache DIR]
+//	           [-parallel N] [-progress D] [-symmetry MODE]
+//	           [-faults] [-max-crashes N] [-fault-mode MODE] [-max-recoveries N]
+//	           [-stall-after D] [-max-nodes N] [-memo-budget N] [-memo-spill DIR]
 //
 // The re-verification exploration honors the long-run guards: -max-nodes,
 // -timeout, and -stall-after stop an oversized re-verification with an
@@ -25,6 +27,7 @@ import (
 
 	"waitfree"
 	"waitfree/internal/cliutil"
+	"waitfree/internal/synth"
 )
 
 // objectSetNames renders the registry's object-set names for flag help
@@ -47,10 +50,10 @@ func main() {
 func run(args []string) error {
 	fs := flag.NewFlagSet("synthesize", flag.ContinueOnError)
 	setName := fs.String("objects", "tas+bits", "object set: "+objectSetNames())
-	depth := fs.Int("depth", 3, "maximum object accesses per process")
+	depth := fs.Int("depth", synth.DefaultDepth, "maximum object accesses per process")
 	symmetric := fs.Bool("symmetric", false, "search symmetric strategies only (faster, weaker negatives)")
 	budget := fs.Int64("budget", 5e7, "assignment budget")
-	common := cliutil.Register(fs)
+	common := cliutil.Register(fs, cliutil.Output|cliutil.Engine)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -59,8 +62,6 @@ func run(args []string) error {
 		return fmt.Errorf("unknown object set %q (have %s)", *setName, objectSetNames())
 	}
 
-	ctx, cancel := common.Context()
-	defer cancel()
 	if !common.JSON {
 		fmt.Printf("searching for a 2-process consensus protocol over %q (depth <= %d, symmetric=%v)\n",
 			*setName, *depth, *symmetric)
@@ -69,38 +70,25 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
-	cache, err := common.OpenCache()
-	if err != nil {
-		return err
-	}
-	rep, err := waitfree.Check(ctx, waitfree.Request{
+	_, err = common.Run(waitfree.Request{
 		Kind:      waitfree.KindSynthesis,
 		Objects:   objects,
 		Synthesis: waitfree.SynthOptions{Depth: *depth, Symmetric: *symmetric, Budget: *budget},
 		Explore:   exOpts,
-		Cache:     cache,
+	}, func(rep *waitfree.Report) error {
+		s := rep.Synthesis
+		switch s.Verdict {
+		case "impossible":
+			fmt.Printf("NO PROTOCOL exists within the bound (exhausted after %d assignments, %d configurations)\n",
+				s.Assignments, s.Configs)
+		case "unknown":
+			fmt.Printf("verdict UNKNOWN: budget exhausted (%d assignments)\n", s.Assignments)
+		default:
+			fmt.Printf("protocol FOUND after %d assignments, %d configurations:\n\n%s\n",
+				s.Assignments, s.Configs, s.Strategy)
+			fmt.Printf("independent re-verification: %s\n", s.Reverification.Summary())
+		}
+		return nil
 	})
-	if rep != nil {
-		cliutil.LogCacheOutcome(rep.Cache)
-	}
-	if err != nil {
-		return err
-	}
-	if common.JSON {
-		return cliutil.WriteJSON(os.Stdout, rep)
-	}
-
-	s := rep.Synthesis
-	switch s.Verdict {
-	case "impossible":
-		fmt.Printf("NO PROTOCOL exists within the bound (exhausted after %d assignments, %d configurations)\n",
-			s.Assignments, s.Configs)
-	case "unknown":
-		fmt.Printf("verdict UNKNOWN: budget exhausted (%d assignments)\n", s.Assignments)
-	default:
-		fmt.Printf("protocol FOUND after %d assignments, %d configurations:\n\n%s\n",
-			s.Assignments, s.Configs, s.Strategy)
-		fmt.Printf("independent re-verification: %s\n", s.Reverification.Summary())
-	}
-	return nil
+	return err
 }

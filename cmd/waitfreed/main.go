@@ -26,6 +26,7 @@ import (
 	"time"
 
 	"waitfree"
+	"waitfree/internal/explore"
 	"waitfree/internal/fsx"
 	"waitfree/internal/server"
 )
@@ -38,7 +39,7 @@ func main() {
 	workers := flag.Int("workers", 0, "verification worker pool size (0: GOMAXPROCS)")
 	queueDepth := flag.Int("queue", 0, "admission queue depth (0: 256)")
 	checkpointEvery := flag.Duration("checkpoint-every", 2*time.Second, "durable checkpoint autosave interval for resumable jobs")
-	progress := flag.Duration("progress", 250*time.Millisecond, "SSE progress stats interval")
+	progress := flag.Duration("progress", 0, fmt.Sprintf("SSE progress stats interval (0: the engine default, %v)", explore.DefaultProgressInterval))
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "graceful shutdown budget")
 	maxTimeout := flag.Duration("max-timeout", 0, "cap on the per-job deadline clients may request via timeout_ms (0: no cap)")
 	flag.Parse()

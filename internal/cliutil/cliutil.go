@@ -1,13 +1,19 @@
-// Package cliutil owns the flags and plumbing shared by every
-// verification CLI: -parallel (worker count), -timeout (run deadline),
-// -progress (live engine statistics on stderr), -json (the
-// machine-readable report on stdout), the crash fault model (-faults,
-// -max-crashes, -fault-mode), -seed (reproducible runner
-// nondeterminism), -symmetry (process-permutation reduction), and
-// -checkpoint (resumable run state on disk). The
-// three commands that used to parse -parallel independently (explore,
-// hierarchy, eliminate) now share this one definition, and every command
-// gets the observability and fault flags for free.
+// Package cliutil owns the flags and run plumbing shared by the
+// verification CLIs. The shared flags come in groups, and each command
+// registers only the groups its pipeline reads, so a flag the command
+// would ignore is refused at parse time instead:
+//
+//   - Output: -timeout (run deadline), -json (the machine-readable report
+//     on stdout) and -cache (the content-addressed result cache);
+//   - Engine: -parallel (worker count), -progress (live engine statistics
+//     on stderr), the crash fault model (-faults, -max-crashes,
+//     -fault-mode, -max-recoveries), -symmetry (process-permutation
+//     reduction), the soft stops (-stall-after, -max-nodes) and the memo
+//     budget (-memo-budget, -memo-spill); Parallel is -parallel alone;
+//   - Checkpoint: -checkpoint and -checkpoint-every (resumable run state on
+//     disk).
+//
+// Run is the run sequence the commands share around waitfree.Check.
 package cliutil
 
 import (
@@ -22,11 +28,30 @@ import (
 	"os/signal"
 	"time"
 
+	"waitfree"
 	"waitfree/internal/durable"
 	"waitfree/internal/explore"
 	"waitfree/internal/faults"
 	"waitfree/internal/rescache"
-	"waitfree/internal/runtime"
+)
+
+// Group selects shared flags for Register; combine groups with |.
+type Group uint8
+
+const (
+	// Output is -timeout, -json and -cache.
+	Output Group = 1 << iota
+	// Parallel is -parallel alone, for a pipeline that reads no other
+	// engine flag.
+	Parallel
+	// engineRest is every Engine flag but -parallel.
+	engineRest
+	// Checkpoint is -checkpoint and -checkpoint-every.
+	Checkpoint
+	// Engine is -parallel, -progress, -faults, -max-crashes, -fault-mode,
+	// -max-recoveries, -symmetry, -stall-after, -max-nodes, -memo-budget
+	// and -memo-spill.
+	Engine = Parallel | engineRest
 )
 
 // Flags are the switches shared by the verification CLIs.
@@ -52,8 +77,6 @@ type Flags struct {
 	// MaxRecoveries bounds recover edges per execution under
 	// -fault-mode crash-recovery (0 elsewhere; validated by the model).
 	MaxRecoveries int
-	// Seed seeds the runner's nondeterminism resolver (see Resolver).
-	Seed int64
 	// Symmetry selects process-permutation symmetry reduction for the
 	// consensus engines; the default SymmetryAuto reduces exactly when the
 	// implementation qualifies, so reports never change, only work.
@@ -88,47 +111,55 @@ type Flags struct {
 	MemoSpillDir string
 }
 
-// Register installs the shared flags on fs and returns the destination.
-func Register(fs *flag.FlagSet) *Flags {
-	f := &Flags{MaxCrashes: 1, Seed: runtime.DefaultSeed, Symmetry: explore.SymmetryAuto}
-	fs.IntVar(&f.Parallel, "parallel", 0, "worker count for independent subtasks (0 = GOMAXPROCS)")
-	fs.DurationVar(&f.Timeout, "timeout", 0, "abort the run after this duration (e.g. 30s; 0 = no timeout)")
-	fs.DurationVar(&f.Progress, "progress", 0, "print engine progress to stderr at this interval (e.g. 500ms; 0 = off)")
-	fs.BoolVar(&f.JSON, "json", false, "emit the machine-readable JSON report on stdout")
-	fs.BoolVar(&f.Faults, "faults", false, "explore crash faults exhaustively (crash-stop model)")
-	fs.IntVar(&f.MaxCrashes, "max-crashes", 1, "crash budget per execution when -faults is set")
-	fs.Func("fault-mode", `crash semantics: "crash-stop" (anytime), "crash-start" (before the first step), or "crash-recovery" (crashed processes may restart; see -max-recoveries)`,
-		func(s string) error {
-			mode, err := faults.ParseMode(s)
-			if err != nil {
-				return err
-			}
-			f.FaultMode = mode
-			return nil
-		})
-	fs.IntVar(&f.MaxRecoveries, "max-recoveries", 0, `recovery budget per execution with -fault-mode crash-recovery`)
-	fs.Int64Var(&f.Seed, "seed", runtime.DefaultSeed, "seed for the runner's nondeterminism resolver")
-	fs.Func("symmetry", `symmetry reduction: "off", "auto" (reduce when the protocol qualifies; default), or "require"`,
-		func(s string) error {
-			mode, err := explore.ParseSymmetryMode(s)
-			if err != nil {
-				return err
-			}
-			f.Symmetry = mode
-			return nil
-		})
-	fs.StringVar(&f.Checkpoint, "checkpoint", "", "resumable-run file: loaded if present, written on cancellation or partial coverage")
-	fs.DurationVar(&f.CheckpointEvery, "checkpoint-every", 0, "autosave the -checkpoint file at this interval while the run is in flight (e.g. 30s; 0 = off)")
-	fs.DurationVar(&f.StallAfter, "stall-after", 0, "stop with a partial report when a worker makes no progress for this long (e.g. 1m; 0 = off)")
-	fs.Int64Var(&f.MaxNodes, "max-nodes", 0, "soft node budget: degrade to a partial-coverage report after this many configurations (0 = unbounded)")
-	fs.StringVar(&f.CacheDir, "cache", "", "result cache DIR: serve repeat requests from the content-addressed cache and store fresh verdicts into it")
-	fs.IntVar(&f.MemoBudget, "memo-budget", 0, "cap resident memo entries per execution tree (0 = unbounded; without -memo-spill the report degrades)")
-	fs.StringVar(&f.MemoSpillDir, "memo-spill", "", "spill evicted memo entries to DIR so -memo-budget trades memory for disk without degrading")
+// Register installs the shared flags of groups on fs and returns the
+// destination. Fields of groups left out keep their defaults.
+func Register(fs *flag.FlagSet, groups Group) *Flags {
+	f := &Flags{MaxCrashes: 1, Symmetry: explore.SymmetryAuto}
+	if groups&Output != 0 {
+		fs.DurationVar(&f.Timeout, "timeout", 0, "abort the run after this duration (e.g. 30s; 0 = no timeout)")
+		fs.BoolVar(&f.JSON, "json", false, "emit the machine-readable JSON report on stdout")
+		fs.StringVar(&f.CacheDir, "cache", "", "result cache DIR: serve repeat requests from the content-addressed cache and store fresh verdicts into it")
+	}
+	if groups&Parallel != 0 {
+		fs.IntVar(&f.Parallel, "parallel", 0, "worker count for independent subtasks (0 = GOMAXPROCS)")
+	}
+	if groups&engineRest != 0 {
+		fs.DurationVar(&f.Progress, "progress", 0, "print engine progress to stderr at this interval (e.g. 500ms; 0 = off)")
+		fs.BoolVar(&f.Faults, "faults", false, "explore crash faults exhaustively (crash-stop model)")
+		fs.IntVar(&f.MaxCrashes, "max-crashes", 1, "crash budget per execution when -faults is set")
+		fs.Func("fault-mode", `crash semantics: "crash-stop" (anytime), "crash-start" (before the first step), or "crash-recovery" (crashed processes may restart; see -max-recoveries)`,
+			func(s string) error {
+				mode, err := faults.ParseMode(s)
+				if err != nil {
+					return err
+				}
+				f.FaultMode = mode
+				return nil
+			})
+		fs.IntVar(&f.MaxRecoveries, "max-recoveries", 0, `recovery budget per execution with -fault-mode crash-recovery`)
+		fs.Func("symmetry", `symmetry reduction: "off", "auto" (reduce when the protocol qualifies; default), or "require"`,
+			func(s string) error {
+				mode, err := explore.ParseSymmetryMode(s)
+				if err != nil {
+					return err
+				}
+				f.Symmetry = mode
+				return nil
+			})
+		fs.DurationVar(&f.StallAfter, "stall-after", 0, "stop with a partial report when a worker makes no progress for this long (e.g. 1m; 0 = off)")
+		fs.Int64Var(&f.MaxNodes, "max-nodes", 0, "soft node budget: degrade to a partial-coverage report after this many configurations (0 = unbounded)")
+		fs.IntVar(&f.MemoBudget, "memo-budget", 0, "cap resident memo entries per execution tree (0 = unbounded; without -memo-spill the report degrades)")
+		fs.StringVar(&f.MemoSpillDir, "memo-spill", "", "spill evicted memo entries to DIR so -memo-budget trades memory for disk without degrading")
+	}
+	if groups&Checkpoint != 0 {
+		fs.StringVar(&f.Checkpoint, "checkpoint", "", "resumable-run file: loaded if present, written on cancellation or partial coverage")
+		fs.DurationVar(&f.CheckpointEvery, "checkpoint-every", 0, "autosave the -checkpoint file at this interval while the run is in flight (e.g. 30s; 0 = off)")
+	}
 	return f
 }
 
-// OpenCache opens the -cache result cache (nil cache without the flag —
-// callers pass it straight to waitfree's Request.Cache either way).
+// OpenCache opens the -cache result cache (a nil cache without the flag,
+// which every consumer treats as no cache).
 func (f *Flags) OpenCache() (*rescache.Cache, error) {
 	if f.CacheDir == "" {
 		return nil, nil
@@ -138,14 +169,6 @@ func (f *Flags) OpenCache() (*rescache.Cache, error) {
 		return nil, fmt.Errorf("open cache: %w", err)
 	}
 	return c, nil
-}
-
-// LogCacheOutcome prints the cache's one-line verdict for a request to
-// stderr; a no-op without -cache (outcome nil).
-func LogCacheOutcome(outcome *rescache.Outcome) {
-	if outcome != nil {
-		fmt.Fprintln(os.Stderr, outcome.String())
-	}
 }
 
 // Context returns the run context honoring -timeout and Ctrl-C: an
@@ -200,12 +223,6 @@ func (f *Flags) Options(opts explore.Options) (explore.Options, error) {
 	return opts, nil
 }
 
-// Resolver returns the -seed-keyed nondeterminism resolver for
-// runner-based commands.
-func (f *Flags) Resolver() func(n int) int {
-	return runtime.RandomResolver(f.Seed)
-}
-
 // LoadCheckpoint reads the -checkpoint file through the durable layer. No
 // flag or no file yet is a fresh start, reported as (nil, nil); an
 // unreadable, empty, truncated, or checksum-corrupt file is an error
@@ -238,6 +255,33 @@ func (f *Flags) SaveCheckpoint(cp *explore.Checkpoint) error {
 		return fmt.Errorf("save checkpoint: %w", err)
 	}
 	return nil
+}
+
+// Run is the run sequence the verification commands share: open the
+// -cache, run waitfree.Check under the -timeout/Ctrl-C context, and log
+// the cache outcome to stderr. A report that comes back without error is
+// written to stdout as JSON under -json and handed to human otherwise. On
+// error the report, if any, is returned too: it may carry a resumable
+// checkpoint.
+func (f *Flags) Run(req waitfree.Request, human func(*waitfree.Report) error) (*waitfree.Report, error) {
+	cache, err := f.OpenCache()
+	if err != nil {
+		return nil, err
+	}
+	req.Cache = cache
+	ctx, cancel := f.Context()
+	defer cancel()
+	rep, err := waitfree.Check(ctx, req)
+	if rep != nil && rep.Cache != nil {
+		fmt.Fprintln(os.Stderr, rep.Cache.String())
+	}
+	if err != nil {
+		return rep, err
+	}
+	if f.JSON {
+		return rep, WriteJSON(os.Stdout, rep)
+	}
+	return rep, human(rep)
 }
 
 // WriteJSON marshals v onto w, indented, as the -json output format.

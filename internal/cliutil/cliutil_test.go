@@ -19,7 +19,7 @@ import (
 
 func TestRegisterParsesSharedFlags(t *testing.T) {
 	fs := flag.NewFlagSet("x", flag.ContinueOnError)
-	f := Register(fs)
+	f := Register(fs, Output|Engine)
 	if err := fs.Parse([]string{"-parallel", "3", "-timeout", "2s", "-progress", "150ms", "-json"}); err != nil {
 		t.Fatal(err)
 	}
@@ -28,15 +28,30 @@ func TestRegisterParsesSharedFlags(t *testing.T) {
 	}
 }
 
+// TestRegisterParsesDurabilityFlags is the checkpoint-group test: the
+// Checkpoint group adds -checkpoint and -checkpoint-every, and without it
+// both are refused at parse time.
 func TestRegisterParsesDurabilityFlags(t *testing.T) {
 	fs := flag.NewFlagSet("x", flag.ContinueOnError)
-	f := Register(fs)
+	f := Register(fs, Engine|Checkpoint)
 	args := []string{"-checkpoint", "cp", "-checkpoint-every", "30s", "-stall-after", "1m", "-max-nodes", "5000"}
 	if err := fs.Parse(args); err != nil {
 		t.Fatal(err)
 	}
 	if f.Checkpoint != "cp" || f.CheckpointEvery != 30*time.Second || f.StallAfter != time.Minute || f.MaxNodes != 5000 {
 		t.Fatalf("parsed %+v", f)
+	}
+	if err := fs.Parse([]string{"-checkpoint", "cp.json"}); err != nil || f.Checkpoint != "cp.json" {
+		t.Fatalf("-checkpoint cp.json: %v, parsed %q", err, f.Checkpoint)
+	}
+
+	for _, arg := range []string{"-checkpoint=cp", "-checkpoint-every=30s"} {
+		bare := flag.NewFlagSet("y", flag.ContinueOnError)
+		bare.SetOutput(io.Discard)
+		Register(bare, Output|Engine)
+		if err := bare.Parse([]string{arg}); err == nil {
+			t.Errorf("%s accepted without the Checkpoint group", arg)
+		}
 	}
 }
 
@@ -122,23 +137,20 @@ func TestSupervise(t *testing.T) {
 
 func TestRegisterParsesFaultFlags(t *testing.T) {
 	fs := flag.NewFlagSet("x", flag.ContinueOnError)
-	f := Register(fs)
-	if err := fs.Parse([]string{"-faults", "-max-crashes", "2", "-fault-mode", "crash-start", "-seed", "42", "-checkpoint", "cp.json"}); err != nil {
+	f := Register(fs, Engine)
+	if err := fs.Parse([]string{"-faults", "-max-crashes", "2", "-fault-mode", "crash-start"}); err != nil {
 		t.Fatal(err)
 	}
-	if !f.Faults || f.MaxCrashes != 2 || f.FaultMode != faults.CrashBeforeFirstStep || f.Seed != 42 || f.Checkpoint != "cp.json" {
+	if !f.Faults || f.MaxCrashes != 2 || f.FaultMode != faults.CrashBeforeFirstStep {
 		t.Fatalf("parsed %+v", f)
 	}
 	opts := mustOptions(t, f, explore.Options{})
 	if opts.Faults.MaxCrashes != 2 || opts.Faults.Mode != faults.CrashBeforeFirstStep {
 		t.Fatalf("fault model not folded: %+v", opts.Faults)
 	}
-	if f.Resolver() == nil {
-		t.Fatal("no resolver")
-	}
 
 	// Defaults: faults off, model not folded, even with a crash budget.
-	g := Register(flag.NewFlagSet("y", flag.ContinueOnError))
+	g := Register(flag.NewFlagSet("y", flag.ContinueOnError), Engine)
 	if g.Faults || g.MaxCrashes != 1 {
 		t.Fatalf("defaults %+v", g)
 	}
@@ -149,7 +161,7 @@ func TestRegisterParsesFaultFlags(t *testing.T) {
 	// A bad mode is a flag-parse error, not a deferred one.
 	bad := flag.NewFlagSet("z", flag.ContinueOnError)
 	bad.SetOutput(io.Discard)
-	Register(bad)
+	Register(bad, Engine)
 	if err := bad.Parse([]string{"-fault-mode", "byzantine"}); err == nil {
 		t.Fatal("unknown -fault-mode accepted")
 	}
@@ -157,7 +169,7 @@ func TestRegisterParsesFaultFlags(t *testing.T) {
 
 func TestRegisterParsesRecoveryFlags(t *testing.T) {
 	fs := flag.NewFlagSet("x", flag.ContinueOnError)
-	f := Register(fs)
+	f := Register(fs, Engine)
 	if err := fs.Parse([]string{"-faults", "-max-crashes", "1", "-fault-mode", "crash-recovery", "-max-recoveries", "2"}); err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +187,7 @@ func TestRegisterParsesRecoveryFlags(t *testing.T) {
 
 	// -max-recoveries outside crash-recovery mode folds into a model the
 	// engine rejects: the contradiction surfaces at Validate, not silently.
-	g := Register(flag.NewFlagSet("y", flag.ContinueOnError))
+	g := Register(flag.NewFlagSet("y", flag.ContinueOnError), Engine)
 	g.Faults, g.MaxCrashes, g.MaxRecoveries = true, 1, 1
 	if err := mustOptions(t, g, explore.Options{}).Faults.Validate(); err == nil {
 		t.Fatal("crash-stop model with a recovery budget validated")

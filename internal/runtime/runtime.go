@@ -46,7 +46,7 @@ const DefaultSeed int64 = 1
 // transitions uniformly at random from the given seed. The returned
 // function is safe for concurrent use and may be shared across objects;
 // with a fixed seed and a serializing scheduler the whole run is
-// reproducible (and the CLIs' -seed flag feeds through here).
+// reproducible.
 func RandomResolver(seed int64) func(n int) int {
 	rng := rand.New(rand.NewSource(seed))
 	var mu sync.Mutex

@@ -191,6 +191,9 @@ func TestWireRejects(t *testing.T) {
 		{"recoveries under crash-stop", `{"api":"v1","kind":"consensus","protocol":"cas","explore":{"faults":{"max_crashes":1,"max_recoveries":1}}}`, 400, "bad_request"},
 		{"bad fault mode", `{"api":"v1","kind":"consensus","protocol":"cas","explore":{"faults":{"max_crashes":1,"mode":"byzantine"}}}`, 400, "bad_request"},
 		{"classification with faults", `{"api":"v1","kind":"classification","explore":{"faults":{"max_crashes":1}}}`, 400, "bad_request"},
+		{"classification with memoize", `{"api":"v1","kind":"classification","explore":{"memoize":true}}`, 400, "bad_request"},
+		{"classification with max_nodes", `{"api":"v1","kind":"classification","explore":{"max_nodes":5}}`, 400, "bad_request"},
+		{"classification with stall_after_ms", `{"api":"v1","kind":"classification","explore":{"stall_after_ms":100}}`, 400, "bad_request"},
 		{"not json", `not json`, 400, "bad_request"},
 	}
 	for _, c := range cases {
@@ -220,6 +223,21 @@ func TestWireRejects(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusNotFound {
 		t.Errorf("unknown job: status %d, want 404", resp.StatusCode)
+	}
+}
+
+// TestCompileClassificationOptions pins the explore options a
+// classification request may still carry: parallelism, which the zoo
+// classification reads, and max_depth and symmetry, which clients vary to
+// draw cache keys.
+func TestCompileClassificationOptions(t *testing.T) {
+	req, err := Compile(&WireRequest{API: APIVersion, Kind: "classification",
+		Explore: WireExplore{Parallelism: 2, MaxDepth: 1001, Symmetry: "off"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if req.Explore.Parallelism != 2 || req.Explore.MaxDepth != 1001 {
+		t.Fatalf("compiled %+v", req.Explore)
 	}
 }
 

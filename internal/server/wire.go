@@ -24,6 +24,7 @@ import (
 	"time"
 
 	"waitfree"
+	"waitfree/internal/synth"
 )
 
 // APIVersion is the wire schema version this server speaks. Submissions
@@ -214,10 +215,24 @@ func Compile(w *WireRequest) (waitfree.Request, error) {
 			return req, err
 		}
 		// Classification runs the zoo under its own fixed exploration
-		// discipline; a submitted fault model would be silently ignored,
-		// so fail it at the door instead.
-		if w.Explore.Faults != nil {
-			return req, badRequest("kind %q takes no explore.faults", w.Kind)
+		// discipline and reads only explore.parallelism; the options it
+		// would silently ignore fail at the door instead. max_depth and
+		// symmetry are still accepted: they are in use on classification
+		// requests (the service benchmark varies them to draw fresh and
+		// repeat cache keys), and max_depth is part of the cache key.
+		e := w.Explore
+		for _, f := range []struct {
+			name string
+			set  bool
+		}{
+			{"faults", e.Faults != nil},
+			{"memoize", e.Memoize},
+			{"max_nodes", e.MaxNodes != 0},
+			{"stall_after_ms", e.StallAfterMS != 0},
+		} {
+			if f.set {
+				return req, badRequest("kind %q takes no explore.%s", w.Kind, f.name)
+			}
 		}
 	case waitfree.KindSynthesis:
 		if err := w.rejectInapplicable("objects", "synthesis"); err != nil {
@@ -239,7 +254,7 @@ func Compile(w *WireRequest) (waitfree.Request, error) {
 			}
 		}
 		if req.Synthesis.Depth == 0 {
-			req.Synthesis.Depth = 3
+			req.Synthesis.Depth = synth.DefaultDepth
 		}
 	default:
 		return req, badRequest("unknown kind %q", w.Kind)

@@ -84,6 +84,10 @@ type Options struct {
 	Budget int64
 }
 
+// DefaultDepth is the access bound per process that the synthesize
+// command and the daemon search when the caller names none.
+const DefaultDepth = 3
+
 // DefaultBudget is the assignment budget of a search whose Options.Budget
 // is 0.
 const DefaultBudget int64 = 1e7
