@@ -251,6 +251,28 @@ func BenchmarkConsensusNoMemo(b *testing.B) {
 	}
 }
 
+// BenchmarkConsensusSpill measures the memo spill tier on memoized sticky
+// n=5 with symmetry off: a MemoBudget of 128 entries per tree, far below
+// each tree's memo, so evicted summaries are written to a per-tree spill
+// file and read back on later misses. The report matches the unbounded
+// run's; the cost of the spill record codec and its I/O is what moves.
+func BenchmarkConsensusSpill(b *testing.B) {
+	im := consensus.Sticky(5)
+	opts := explore.Options{Memoize: true, Symmetry: explore.SymmetryOff, MemoBudget: 128, MemoSpillDir: b.TempDir()}
+	var nodes int64
+	for i := 0; i < b.N; i++ {
+		report, err := explore.Consensus(im, opts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if !report.OK() || report.Degraded || report.Stats.MemoSpilled == 0 {
+			b.Fatalf("spilled %d: %s", report.Stats.MemoSpilled, report.Summary())
+		}
+		nodes = report.Stats.Nodes
+	}
+	b.ReportMetric(float64(nodes), "explored-nodes")
+}
+
 // BenchmarkConsensusAutosave measures the durable-autosave overhead on
 // sticky n=4: the same exploration with periodic checksummed checkpoint
 // writes off, at 5s, and at 1s. The supervisor ticker and heartbeat

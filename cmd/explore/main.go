@@ -31,7 +31,8 @@
 // only the work shrinks. -cache DIR serves repeat (and process-permuted)
 // requests from the content-addressed result cache with byte-identical
 // JSON, storing fresh conclusive verdicts on the way out; resumed and
-// partial runs bypass it.
+// partial runs bypass it. -dot reads only -protocol and -procs and refuses
+// any other flag; -valency prints text and refuses -json.
 //
 // Protocols come from the waitfree.Protocols registry: tas, queue, stack,
 // faa, swap, weakleader, naive (incorrect, registers only), casregister3,
@@ -78,6 +79,23 @@ func run(args []string) error {
 	common := cliutil.Register(fs, cliutil.Output|cliutil.Engine|cliutil.Checkpoint)
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	// -dot draws one tree and exits before any run: it reads -protocol and
+	// -procs alone, so any other flag set with it would be ignored.
+	if *dot {
+		var ignored []string
+		fs.Visit(func(f *flag.Flag) {
+			if f.Name != "dot" && f.Name != "protocol" && f.Name != "procs" {
+				ignored = append(ignored, "-"+f.Name)
+			}
+		})
+		if len(ignored) > 0 {
+			return fmt.Errorf("-dot reads only -protocol and -procs; drop %s", strings.Join(ignored, " "))
+		}
+	}
+	// The valency analysis prints human-readable text only.
+	if *valency && common.JSON {
+		return errors.New("-valency has no JSON form; drop -json or -valency")
 	}
 
 	info, ok := waitfree.LookupProtocol(*name)
@@ -183,7 +201,7 @@ func run(args []string) error {
 		return fmt.Errorf("implementation is incorrect")
 	}
 
-	if *valency && !common.JSON {
+	if *valency {
 		proposals := make([]int, im.Procs)
 		for p := range proposals {
 			proposals[p] = p % 2 // mixed proposals: the bivalent start

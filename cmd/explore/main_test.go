@@ -103,7 +103,9 @@ func TestRunDurabilityFlagValidation(t *testing.T) {
 // TestRunFlagSet pins the shared flags explore registers: each one its
 // pipeline reads parses, and -seed, which no pipeline reads, is refused at
 // parse time. Every run carries -timeout=1ns so that a flag that parses
-// stops at once.
+// stops at once. -dot refuses, by name, every shared flag set with it (it
+// exits before reading any), and -valency refuses -json (it has no JSON
+// form).
 func TestRunFlagSet(t *testing.T) {
 	dir := t.TempDir()
 	kept := []string{"-timeout=1ns", "-json", "-cache=" + dir, "-parallel=1",
@@ -121,6 +123,16 @@ func TestRunFlagSet(t *testing.T) {
 		if err := run([]string{"-protocol=casregister3", arg, "-timeout=1ns"}); !refusedAtParse(err) {
 			t.Errorf("%s: err = %v, want a flag-parse error", arg, err)
 		}
+	}
+	for _, arg := range kept {
+		name, _, _ := strings.Cut(arg, "=")
+		err := run([]string{"-protocol=cas", "-dot", arg})
+		if err == nil || !strings.Contains(err.Error(), name) {
+			t.Errorf("-dot %s: err = %v, want a refusal naming %s", arg, err, name)
+		}
+	}
+	if err := run([]string{"-protocol=tas", "-valency", "-json"}); err == nil || !strings.Contains(err.Error(), "-json") {
+		t.Errorf("-valency -json: err = %v, want a refusal naming -json", err)
 	}
 }
 

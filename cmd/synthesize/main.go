@@ -52,7 +52,7 @@ func run(args []string) error {
 	setName := fs.String("objects", "tas+bits", "object set: "+objectSetNames())
 	depth := fs.Int("depth", synth.DefaultDepth, "maximum object accesses per process")
 	symmetric := fs.Bool("symmetric", false, "search symmetric strategies only (faster, weaker negatives)")
-	budget := fs.Int64("budget", 5e7, "assignment budget")
+	budget := fs.Int64("budget", 0, fmt.Sprintf("assignment budget (0 = synth.DefaultBudget, %d, the daemon's default)", synth.DefaultBudget))
 	common := cliutil.Register(fs, cliutil.Output|cliutil.Engine)
 	if err := fs.Parse(args); err != nil {
 		return err

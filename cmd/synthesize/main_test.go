@@ -2,8 +2,11 @@ package main
 
 import (
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
+
+	"waitfree/internal/synth"
 )
 
 func TestRunFindsProtocol(t *testing.T) {
@@ -27,6 +30,27 @@ func TestRunRefutes(t *testing.T) {
 func TestRunBudget(t *testing.T) {
 	if err := run([]string{"-objects", "tas+bits", "-depth", "3", "-budget", "100"}); err != nil {
 		t.Fatal(err) // budget exhaustion is reported, not an error
+	}
+}
+
+// TestRunDefaultBudgetIsDaemons pins -budget's default to the wire job's
+// (synth.DefaultBudget): a run with the flag left out and one naming that
+// budget are the same request, so the second is a cache hit and the
+// cache holds one entry.
+func TestRunDefaultBudgetIsDaemons(t *testing.T) {
+	dir := t.TempDir()
+	for _, extra := range [][]string{nil, {"-budget", strconv.FormatInt(synth.DefaultBudget, 10)}} {
+		args := append([]string{"-objects", "cas", "-depth", "1", "-symmetric", "-json", "-cache", dir}, extra...)
+		if err := run(args); err != nil {
+			t.Fatal(err)
+		}
+	}
+	entries, err := filepath.Glob(filepath.Join(dir, "*.wfres"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 {
+		t.Fatalf("%d cache entries, want 1: the default budget is not synth.DefaultBudget", len(entries))
 	}
 }
 

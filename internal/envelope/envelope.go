@@ -1,11 +1,11 @@
 // Package envelope owns the line format of every durable artifact in the
 // repo: checkpoint files (internal/durable), result-cache entries
-// (internal/rescache), daemon job files (internal/server), and the
-// explorer's memo spill tier (internal/explore). It is a leaf package
-// above internal/fsx, imported directly by each of them, so that packages
-// durable itself depends on (the explorer) can use the codec without an
-// import cycle. Encode and Decode are the codec; ReadFile is the one
-// retrying read of an envelope file.
+// (internal/rescache) and daemon job files (internal/server). The
+// explorer's memo spill tier does not use it: its file is private to one
+// execution tree and deleted with it, so it writes compact binary records
+// of its own (internal/explore/spill.go). It is a leaf package above
+// internal/fsx, imported directly by each of its users. Encode and Decode
+// are the codec; ReadFile is the one retrying read of an envelope file.
 //
 // The line format, with a caller-chosen magic line and record kind:
 //
@@ -19,7 +19,7 @@
 // trailer's payload additionally pins the record count and the whole
 // preceding byte stream, and must be exactly the form Encode writes.
 // Header and record payloads must not contain newlines (JSON payloads
-// never do; binary payloads are base64-encoded by their callers).
+// never do; a binary payload must be text-encoded by its caller).
 // Truncation at any byte offset leaves a detectable — and, per record,
 // salvageable — prefix.
 package envelope

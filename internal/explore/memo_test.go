@@ -537,8 +537,8 @@ func TestMemoSpillPreservesHits(t *testing.T) {
 }
 
 // TestSpillRecordRoundTrip exercises the spill codec directly: arbitrary
-// (newline-containing) keys and summaries survive the base64+envelope
-// round trip, absent keys miss, and a corrupted record is dropped —
+// (newline- and NUL-containing) keys and summaries survive the binary
+// record round trip, absent keys miss, and a corrupted record is dropped —
 // confined to its own entry, never served, never breaking the tier.
 func TestSpillRecordRoundTrip(t *testing.T) {
 	sp := newMemoSpill(t.TempDir(), nil)
@@ -561,7 +561,7 @@ func TestSpillRecordRoundTrip(t *testing.T) {
 		t.Fatal("phantom hit for a key never stored")
 	}
 
-	// Flip one byte of the stored envelope: the checksum must catch it, the
+	// Flip one byte of the stored record: the checksum must catch it, the
 	// load must miss, the run must be flagged (the entry's hit is lost for
 	// good) — and only that record dies; the tier keeps working.
 	if _, err := sp.f.WriteAt([]byte{'#'}, 1); err != nil {

@@ -3,29 +3,32 @@ package explore
 import (
 	"bytes"
 	"context"
-	"encoding/base64"
+	"crypto/sha256"
 	"encoding/binary"
 	"io"
 
-	"waitfree/internal/envelope"
 	"waitfree/internal/fsx"
 )
 
 // This file implements the memo table's disk-spill tier (Options.
 // MemoSpillDir): instead of forgetting an evicted summary, the table
-// serializes it into a per-record checksummed durable envelope appended to
-// a spill file, remembers the record's offset, and serves it back on a
-// later lookup. A budgeted run with a spill tier therefore scores exactly
-// the memo hits of an unbounded run — the budget trades memory for disk —
-// and never sets the Degraded flag.
+// serializes it into a checksummed binary record appended to a spill
+// file, remembers the record's offset, and serves it back on a later
+// lookup. A budgeted run with a spill tier therefore scores exactly the
+// memo hits of an unbounded run — the budget trades memory for disk — and
+// never sets the Degraded flag.
 //
-// Each spilled entry is written as an independent durable envelope
-// (internal/durable line format, magic spillMagic, record kind "sum") at a
-// known offset, so a single entry can be read back and integrity-checked
-// without touching the rest of the file. Envelope payloads must be
-// newline-free; memo keys and summary encodings are arbitrary bytes, so
-// both are base64-encoded (the key as the header — verified on load
-// against the requested key — and the summary as the single record).
+// Each spilled entry is one independent record at a known offset, so a
+// single entry can be read back and integrity-checked without touching
+// the rest of the file:
+//
+//	uvarint(len(key)) ‖ key ‖ summary varints ‖ SHA-256(all preceding bytes)
+//
+// The summary varints are appendSummary's. A load serves a record only
+// if its checksum holds and its stored key equals the requested one.
+// Nothing but this table ever reads the file, so the record carries no
+// magic or version; store and load encode into and read from buffers the
+// spill owns and reuses.
 //
 // The spill file is private to one memo table (one execution tree),
 // created lazily in MemoSpillDir on the first eviction and deleted when
@@ -42,12 +45,7 @@ import (
 // spill tier; it only loses hits, and `lost` reports honestly when it
 // has.
 
-const (
-	spillMagic = "waitfree-memospill-v1"
-	spillKind  = "sum"
-)
-
-// spillRef locates one entry's envelope within the spill file.
+// spillRef locates one entry's record within the spill file.
 type spillRef struct {
 	off int64
 	len int
@@ -56,13 +54,16 @@ type spillRef struct {
 // memoSpill is the disk tier behind a memoTable. Like the table, it is
 // owned by one explorer and driven from its goroutine only. Its index is
 // the one place the memo still converts keys to strings: a spill store
-// or reload is the cold path, next to an envelope write or read.
+// or reload is the cold path, next to a record write or read.
 type memoSpill struct {
 	dir   string
 	fsys  fsx.FS
 	f     fsx.File
 	index map[string]spillRef
 	off   int64
+
+	wbuf []byte // store's record encoding, reused across stores
+	rbuf []byte // load's read buffer, reused across loads
 
 	broken  bool // tier dead for the rest of the tree
 	rebuilt bool // the one allowed rebuild has been spent
@@ -105,14 +106,15 @@ func (sp *memoSpill) writeBlock(block []byte) error {
 	})
 }
 
-// store appends sum's envelope to the spill file. It reports whether the
+// store appends sum's record to the spill file. It reports whether the
 // entry is durably spilled; on false the caller degrades for this entry.
 // An unabsorbed write failure buys one rebuild before breaking the tier.
 func (sp *memoSpill) store(key []byte, sum *summary) bool {
 	if sp.broken {
 		return false
 	}
-	block := encodeSpillRecord(key, sum)
+	sp.wbuf = appendSpillRecord(sp.wbuf[:0], key, sum)
+	block := sp.wbuf
 	if sp.writeBlock(block) != nil {
 		if !sp.rebuild() || sp.writeBlock(block) != nil {
 			sp.breakTier()
@@ -125,7 +127,7 @@ func (sp *memoSpill) store(key []byte, sum *summary) bool {
 }
 
 // load reads the entry spilled under key back into a fresh summary,
-// verifying the envelope checksums and the stored key. A missing index
+// verifying the record checksum and the stored key. A missing index
 // entry is an ordinary miss. A read the retries cannot absorb walks the
 // same rebuild-then-break ladder as store; an integrity failure is
 // confined to the one record — it is dropped (a lost hit) and the rest of
@@ -138,7 +140,10 @@ func (sp *memoSpill) load(key []byte) (*summary, bool) {
 	if !ok {
 		return nil, false
 	}
-	buf := make([]byte, ref.len)
+	if cap(sp.rbuf) < ref.len {
+		sp.rbuf = make([]byte, ref.len)
+	}
+	buf := sp.rbuf[:ref.len]
 	err := sp.policy().Do(context.Background(), func() error {
 		_, rerr := sp.f.ReadAt(buf, ref.off)
 		return rerr
@@ -149,8 +154,8 @@ func (sp *memoSpill) load(key []byte) (*summary, bool) {
 		}
 		return nil, false
 	}
-	sum, ok := decodeSpillRecord(key, buf)
-	if !ok {
+	gotKey, sum, ok := decodeSpillRecord(buf)
+	if !ok || !bytes.Equal(gotKey, key) {
 		delete(sp.index, string(key))
 		sp.lost = true
 		return nil, false
@@ -206,11 +211,10 @@ func (sp *memoSpill) close() {
 
 // ---- record codec ----
 
-// encodeSummary renders a summary's aggregate fields (never the transient
-// retained/spilled bookkeeping) as varints: height, nodes, leaves, len(acc),
-// acc values.
-func encodeSummary(sum *summary) []byte {
-	b := make([]byte, 0, 16+5*len(sum.acc))
+// appendSummary appends a summary's aggregate fields (never the transient
+// ref/retained/spilled bookkeeping) to b as varints: height, nodes,
+// leaves, len(acc), acc values.
+func appendSummary(b []byte, sum *summary) []byte {
 	b = binary.AppendVarint(b, int64(sum.height))
 	b = binary.AppendVarint(b, sum.nodes)
 	b = binary.AppendVarint(b, sum.leaves)
@@ -221,59 +225,75 @@ func encodeSummary(sum *summary) []byte {
 	return b
 }
 
+// minimal reports whether binary.Uvarint or binary.Varint read a varint
+// of n bytes from the head of b in the minimal encoding the Append forms
+// write (a multi-byte varint never ends in a zero byte), so every
+// accepted record re-encodes to its own bytes. n <= 0 is a read error.
+func minimal(b []byte, n int) bool {
+	return n == 1 || n > 1 && b[n-1] != 0
+}
+
+// decodeSummary is appendSummary's inverse; it accepts exactly the bytes
+// appendSummary writes.
 func decodeSummary(b []byte) (*summary, bool) {
-	sum := &summary{}
-	h, n := binary.Varint(b)
-	if n <= 0 {
-		return nil, false
+	var f [3]int64 // height, nodes, leaves
+	for i := range f {
+		v, n := binary.Varint(b)
+		if !minimal(b, n) {
+			return nil, false
+		}
+		f[i], b = v, b[n:]
 	}
-	b = b[n:]
-	sum.height = int(h)
-	if sum.nodes, n = binary.Varint(b); n <= 0 {
-		return nil, false
-	}
-	b = b[n:]
-	if sum.leaves, n = binary.Varint(b); n <= 0 {
-		return nil, false
-	}
-	b = b[n:]
 	cnt, n := binary.Uvarint(b)
-	if n <= 0 {
+	// Every acc value takes at least one byte: a count beyond the
+	// remaining bytes is corrupt, and must not size an allocation.
+	if !minimal(b, n) || cnt > uint64(len(b)-n) {
 		return nil, false
 	}
 	b = b[n:]
+	sum := &summary{height: int(f[0]), nodes: f[1], leaves: f[2]}
 	if cnt > 0 {
 		sum.acc = make([]int32, cnt)
 		for i := range sum.acc {
 			v, n := binary.Varint(b)
-			if n <= 0 {
+			if !minimal(b, n) || v != int64(int32(v)) {
 				return nil, false
 			}
-			b = b[n:]
-			sum.acc[i] = int32(v)
+			sum.acc[i], b = int32(v), b[n:]
 		}
 	}
 	return sum, len(b) == 0
 }
 
-func encodeSpillRecord(key []byte, sum *summary) []byte {
-	hdr := base64.StdEncoding.AppendEncode(nil, key)
-	payload := base64.StdEncoding.AppendEncode(nil, encodeSummary(sum))
-	return envelope.Encode(spillMagic, spillKind, hdr, [][]byte{payload})
+// appendSpillRecord appends the spill record of key and sum to b.
+func appendSpillRecord(b, key []byte, sum *summary) []byte {
+	start := len(b)
+	b = binary.AppendUvarint(b, uint64(len(key)))
+	b = append(b, key...)
+	b = appendSummary(b, sum)
+	h := sha256.Sum256(b[start:])
+	return append(b, h[:]...)
 }
 
-func decodeSpillRecord(key, block []byte) (*summary, bool) {
-	hdr, recs, err := envelope.Decode(spillMagic, spillKind, block)
-	if err != nil || len(recs) != 1 {
-		return nil, false
+// decodeSpillRecord checks rec's SHA-256 and splits it into the stored
+// key (aliasing rec) and a fresh summary. It accepts exactly the bytes
+// appendSpillRecord writes; anything else — a failed checksum, a
+// truncated or overlong field, trailing bytes — is ok=false.
+func decodeSpillRecord(rec []byte) (key []byte, sum *summary, ok bool) {
+	if len(rec) < sha256.Size {
+		return nil, nil, false
 	}
-	gotKey, err := base64.StdEncoding.AppendDecode(nil, hdr)
-	if err != nil || !bytes.Equal(gotKey, key) {
-		return nil, false
+	body := rec[:len(rec)-sha256.Size]
+	if sha256.Sum256(body) != [sha256.Size]byte(rec[len(body):]) {
+		return nil, nil, false
 	}
-	raw, err := base64.StdEncoding.AppendDecode(nil, recs[0])
-	if err != nil {
-		return nil, false
+	klen, n := binary.Uvarint(body)
+	if !minimal(body, n) || klen > uint64(len(body)-n) {
+		return nil, nil, false
 	}
-	return decodeSummary(raw)
+	key = body[n : n+int(klen)]
+	if sum, ok = decodeSummary(body[n+int(klen):]); !ok {
+		return nil, nil, false
+	}
+	return key, sum, true
 }

@@ -14,7 +14,10 @@
 // faults, an immediate bail-out for permanent ones (the out-of-space
 // class), so "how does this repo behave on a flaky disk" has a single
 // answer; and the one atomic write built on it (WriteAtomic, write.go),
-// which checkpoints, cache entries and job files all go through. See
+// which checkpoints, cache entries and job files all go through. The
+// memo spill is the one tier without a whole-file write: it appends
+// checksummed binary records with File.WriteAt and reads them back with
+// File.ReadAt, one op per record, retried under the same policy. See
 // DESIGN.md section 14 for the per-tier degradation ladders built on top.
 package fsx
 
