@@ -7,6 +7,7 @@
 package waitfree_test
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"path/filepath"
@@ -23,7 +24,6 @@ import (
 	"waitfree/internal/multivalue"
 	"waitfree/internal/onebit"
 	"waitfree/internal/program"
-	rt "waitfree/internal/runtime"
 	"waitfree/internal/synth"
 	"waitfree/internal/types"
 	"waitfree/internal/universal"
@@ -31,10 +31,11 @@ import (
 
 // ---- E1: Section 4.3 one-use bit array ----
 
-// BenchmarkOneUseBitArray runs one reader of r reads against one writer of
-// w alternating writes on the Section 4.3 machines, free-running, across
-// array sizes r = w: each run builds (w+1)*r one-use bits and flips a row
-// per write — the paper's r*(w+1) space bound made visible as time.
+// BenchmarkOneUseBitArray walks one reader of r reads against one writer
+// of w alternating writes on the Section 4.3 machines, one seeded walk per
+// iteration, across array sizes r = w: each walk builds (w+1)*r one-use
+// bits and flips a row per write — the paper's r*(w+1) space bound made
+// visible as time.
 func BenchmarkOneUseBitArray(b *testing.B) {
 	for _, size := range []int{4, 16, 64, 256} {
 		b.Run(fmt.Sprintf("r=w=%d", size), func(b *testing.B) {
@@ -44,13 +45,13 @@ func BenchmarkOneUseBitArray(b *testing.B) {
 				scripts[0][k] = types.Read
 				scripts[1][k] = types.Write(1 - k%2)
 			}
+			// Each one-use bit is read at most once and written at most
+			// once.
+			s := explore.Schedule{MaxDepth: 2 * len(im.Objects)}
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				r, err := rt.New(im, nil, nil)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if _, err := r.Run(scripts, nil); err != nil {
+				s.Seed = int64(i)
+				if _, err := explore.Walk(im, scripts, s); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -70,7 +71,7 @@ func BenchmarkRegisterChain(b *testing.B) {
 		b.Run(l.Impl.Name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				res, err := l.Explore()
+				res, err := l.Explore(context.Background())
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -455,7 +456,7 @@ func BenchmarkNondetAdversary(b *testing.B) {
 // ---- E9: universal construction ----
 
 // BenchmarkUniversal measures fetch-and-add throughput of the universal
-// construction: each iteration is one free-running run of procs processes
+// construction: each iteration is one seeded walk of procs processes
 // sharing a fresh 64-operation log, reported per operation.
 func BenchmarkUniversal(b *testing.B) {
 	const ops = 64
@@ -474,11 +475,7 @@ func BenchmarkUniversal(b *testing.B) {
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				r, err := rt.New(im, nil, nil)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if _, err := r.Run(scripts, nil); err != nil {
+				if _, err := explore.Walk(im, scripts, explore.Schedule{Seed: int64(i)}); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -377,6 +377,13 @@ func DecodeReport(data []byte) (*Report, error) {
 	default:
 		return nil, fmt.Errorf("%w: unknown kind %q", ErrBadReport, rep.Kind)
 	}
+	// A violation object without a kind decodes to the zero kind, which
+	// no run produces and which would re-marshal as an undecodable tag.
+	for _, cr := range rep.consensusReports() {
+		if v := cr.Violation; v != nil && v.Kind == 0 {
+			return nil, fmt.Errorf("%w: violation without a kind", ErrBadReport)
+		}
+	}
 	return rep, nil
 }
 

@@ -61,14 +61,9 @@ func run() error {
 
 	// A concrete crashing run, for flavor: crash process 0 before its very
 	// first step and watch process 1 decide alone.
-	runner, err := waitfree.NewRunner(out,
-		waitfree.NewCrashScheduler(map[int]int{0: 0}), waitfree.RandomResolver(1))
-	if err != nil {
-		return err
-	}
-	outcome, err := runner.Run([][]waitfree.Invocation{
+	outcome, err := waitfree.Walk(out, [][]waitfree.Invocation{
 		{waitfree.Propose(0)}, {waitfree.Propose(1)},
-	}, nil)
+	}, waitfree.WalkSchedule{Seed: 1, CrashAfter: map[int]int{0: 0}})
 	if err != nil {
 		return err
 	}

@@ -2,8 +2,10 @@
 // (the context of Section 2.3) says a type that solves n-process consensus
 // implements EVERY type for n processes. This example runs the universal
 // construction — consensus objects driving replicated state machines — to
-// give four goroutines a wait-free linearizable FIFO queue and a wait-free
-// counter, types that have no simple lock-free realization of their own.
+// give concurrent processes a wait-free linearizable counter and FIFO
+// queue, types that have no simple lock-free realization of their own.
+// Each is one seeded walk: an interleaving of every process's operations
+// picked by the seed.
 package main
 
 import (
@@ -24,8 +26,7 @@ func run() error {
 	const procs = 4
 
 	// A wait-free shared counter: every fetch-and-add response is unique —
-	// the construction hands out exactly the values 0..N-1. The runner
-	// gives each process its own goroutine.
+	// the construction hands out exactly the values 0..N-1.
 	faa := waitfree.Inv("faa", 1)
 	ctr, err := waitfree.UniversalImplementation(waitfree.NewFetchAdd(procs), 0, procs, 100,
 		[]waitfree.Invocation{faa})
@@ -38,11 +39,7 @@ func run() error {
 			scripts[p] = append(scripts[p], faa)
 		}
 	}
-	runner, err := waitfree.NewRunner(ctr, nil, nil)
-	if err != nil {
-		return err
-	}
-	out, err := runner.Run(scripts, nil)
+	out, err := waitfree.Walk(ctr, scripts, waitfree.WalkSchedule{Seed: 1})
 	if err != nil {
 		return err
 	}
@@ -59,53 +56,50 @@ func run() error {
 			dups++
 		}
 	}
-	fmt.Printf("universal counter: %d increments by %d goroutines, %d duplicates, max=%d\n",
+	fmt.Printf("universal counter: %d increments by %d processes, %d duplicates, max=%d\n",
 		len(got), procs, dups, got[len(got)-1])
 
-	// A wait-free shared queue: two producers enqueue tagged values
-	// concurrently, then a consumer drains the queue. The two phases are
-	// two runs on one runner: the objects persist, and each process's
-	// replica is carried over through the outcome's memories.
+	// A wait-free shared queue: two producers enqueue tagged values while a
+	// consumer dequeues, all in one walk. Nothing may come out twice, and
+	// each producer's values must come out in the order it enqueued them.
 	deq := waitfree.Inv("deq")
 	alphabet := []waitfree.Invocation{deq}
-	producers := make([][]waitfree.Invocation, procs)
+	queueScripts := make([][]waitfree.Invocation, 3)
 	for p := 0; p < 2; p++ {
 		for i := 0; i < 5; i++ {
 			enq := waitfree.Inv("enq", p*5+i)
-			producers[p] = append(producers[p], enq)
+			queueScripts[p] = append(queueScripts[p], enq)
 			alphabet = append(alphabet, enq)
 		}
 	}
-	// The drain dequeues once per element plus once to find the queue empty.
-	drain := make([][]waitfree.Invocation, procs)
-	for i := 0; i <= 10; i++ {
-		drain[3] = append(drain[3], deq)
+	for i := 0; i < 10; i++ {
+		queueScripts[2] = append(queueScripts[2], deq)
 	}
-	q, err := waitfree.UniversalImplementation(waitfree.NewQueue(procs, 10, 64), waitfree.QueueStateOf(),
-		procs, 21, alphabet)
+	q, err := waitfree.UniversalImplementation(waitfree.NewQueue(3, 10, 64), waitfree.QueueStateOf(),
+		3, 20, alphabet)
 	if err != nil {
 		return err
 	}
-	runner, err = waitfree.NewRunner(q, nil, nil)
+	walked, err := waitfree.Walk(q, queueScripts, waitfree.WalkSchedule{Seed: 1})
 	if err != nil {
 		return err
 	}
-	produced, err := runner.Run(producers, nil)
-	if err != nil {
-		return err
-	}
-	drained, err := runner.Run(drain, produced.Mems)
-	if err != nil {
-		return err
-	}
+	seen := make(map[int]bool)
+	last := []int{-1, -1} // per producer, the last index dequeued
 	n := 0
-	for _, resp := range drained.Responses[3] {
+	for _, resp := range walked.Responses[2] {
 		if resp.Label == "empty" {
-			break
+			continue
 		}
+		producer, index := resp.Val/5, resp.Val%5
+		if seen[resp.Val] || index <= last[producer] {
+			return fmt.Errorf("queue broke FIFO: dequeued %v after %v", resp, walked.Responses[2])
+		}
+		seen[resp.Val] = true
+		last[producer] = index
 		n++
 	}
-	fmt.Printf("universal queue: 10 enqueued concurrently, %d drained\n", n)
+	fmt.Printf("universal queue: 10 enqueued while 10 dequeues ran, %d dequeued, no duplicates, FIFO per producer\n", n)
 	fmt.Println("every operation above was wait-free and linearizable — powered by consensus.")
 	return nil
 }

@@ -8,8 +8,6 @@ import (
 	"waitfree/internal/consensus"
 	"waitfree/internal/explore"
 	"waitfree/internal/program"
-	rt "waitfree/internal/runtime"
-	"waitfree/internal/sched"
 	"waitfree/internal/types"
 )
 
@@ -236,10 +234,10 @@ func TestEliminateThreeProcess(t *testing.T) {
 	}
 }
 
-// TestEliminatedOutputCrashTolerance drives a transformed protocol in the
-// concurrent runtime with crash injection: whatever step the crashed
-// process stops at, the survivor must still decide a proposed value —
-// wait-freedom of the register-free output under stopping failures.
+// TestEliminatedOutputCrashTolerance walks a transformed protocol with
+// crash injection: whatever step the crashed process stops at, the
+// survivor must still decide a proposed value — wait-freedom of the
+// register-free output under stopping failures.
 func TestEliminatedOutputCrashTolerance(t *testing.T) {
 	report, err := EliminateRegisters(consensus.TAS2(), explore.Options{}, 3)
 	if err != nil {
@@ -251,14 +249,11 @@ func TestEliminatedOutputCrashTolerance(t *testing.T) {
 	maxSteps := report.OutputReport.Depth
 	for crashProc := 0; crashProc < 2; crashProc++ {
 		for crashAfter := 0; crashAfter <= maxSteps; crashAfter++ {
-			r, err := rt.New(out, sched.NewCrash(map[int]int{crashProc: crashAfter}), nil)
-			if err != nil {
-				t.Fatal(err)
-			}
 			scripts := [][]types.Invocation{
 				{types.Propose(crashProc)}, {types.Propose(1 - crashProc)},
 			}
-			outcome, err := r.Run(scripts, nil)
+			s := explore.Schedule{Seed: int64(crashAfter), CrashAfter: map[int]int{crashProc: crashAfter}}
+			outcome, err := explore.Walk(out, scripts, s)
 			if err != nil {
 				t.Fatalf("crash p%d@%d: %v", crashProc, crashAfter, err)
 			}
@@ -281,16 +276,16 @@ func TestEliminatedOutputCrashTolerance(t *testing.T) {
 	}
 }
 
-// TestEliminatedOutputUnderTokenScheduler samples seeded global
-// interleavings of a transformed protocol — complementary evidence to the
-// exhaustive explorer on the same object.
+// TestEliminatedOutputUnderTokenScheduler samples seeded walks of a
+// transformed protocol — complementary evidence to the exhaustive
+// explorer on the same object.
 func TestEliminatedOutputUnderTokenScheduler(t *testing.T) {
 	report, err := EliminateRegisters(consensus.Queue2(), explore.Options{}, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for seed := int64(0); seed < 30; seed++ {
-		outcome, err := rt.RunSeeded(report.Output, [][]types.Invocation{{types.Propose(0)}, {types.Propose(1)}}, seed)
+		outcome, err := explore.Walk(report.Output, [][]types.Invocation{{types.Propose(0)}, {types.Propose(1)}}, explore.Schedule{Seed: seed})
 		if err != nil {
 			t.Fatal(err)
 		}

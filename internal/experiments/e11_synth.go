@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"strconv"
@@ -32,7 +33,7 @@ import (
 // Negative verdicts are exhaustive for the stated bound (and search mode);
 // the paper-level claims hold for all bounds (FLP and Herlihy), which
 // synthesis corroborates rather than proves.
-func E11() (*Table, error) {
+func E11(ctx context.Context) (*Table, error) {
 	t := &Table{
 		ID:    "E11",
 		Title: "Hierarchy separations via bounded protocol synthesis (h_1 vs h_1^r vs h_m)",
@@ -77,7 +78,7 @@ func E11() (*Table, error) {
 	allOK := true
 	for _, c := range cases {
 		opts := synth.Options{Depth: c.depth, Symmetric: c.symmetric, Budget: 1e9}
-		st, stats, err := synth.Search(c.objects, opts)
+		st, stats, err := synth.SearchContext(ctx, c.objects, opts)
 		mode := "asymmetric"
 		if c.symmetric {
 			mode = "symmetric"

@@ -1,13 +1,14 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"strconv"
 
 	"waitfree/internal/explore"
 	"waitfree/internal/linearize"
 	"waitfree/internal/onebit"
-	"waitfree/internal/runtime"
+	"waitfree/internal/program"
 	"waitfree/internal/types"
 )
 
@@ -18,8 +19,8 @@ import (
 // interleaving of the reader's r reads and the writer's w writes and check
 // each complete history linearizable against the SRSW bit type, and that
 // no one-use bit is read or written more than once. Sampled part: the same
-// machines at r = 24, w = 23 under 40 seeded schedules of package runtime.
-func E1() (*Table, error) {
+// machines at r = 24, w = 23 along 40 seeded walks (explore.Walk).
+func E1(ctx context.Context) (*Table, error) {
 	t := &Table{
 		ID:    "E1",
 		Title: "Bounded-use SRSW bit from one-use bits (Section 4.3)",
@@ -29,28 +30,9 @@ func E1() (*Table, error) {
 		Columns: []string{"r", "w", "init", "writes", "one-use bits", "interleavings",
 			"linearizable", "one-use discipline"},
 	}
-	cases := []struct {
-		r, w, init int
-		writes     []int
-	}{
-		{1, 1, 0, []int{1}},
-		{2, 1, 0, []int{1}},
-		{2, 2, 0, []int{1, 0}},
-		{3, 2, 1, []int{0, 1}},
-		{2, 3, 0, []int{1, 0, 1}},
-		{3, 3, 0, []int{1, 1, 0}}, // includes a redundant write
-	}
 	allOK := true
-	for _, tc := range cases {
-		im := onebit.Implementation(tc.r, tc.w, tc.init)
-		reads := make([]types.Invocation, tc.r)
-		for i := range reads {
-			reads[i] = types.Read
-		}
-		writes := make([]types.Invocation, len(tc.writes))
-		for i, x := range tc.writes {
-			writes[i] = types.Write(x)
-		}
+	for _, tc := range e1Cases {
+		im, scripts := tc.instance()
 		linearizable := true
 		opts := explore.Options{
 			RecordHistory: true,
@@ -62,7 +44,7 @@ func E1() (*Table, error) {
 				return nil
 			},
 		}
-		res, err := explore.Run(im, [][]types.Invocation{reads, writes}, opts)
+		res, err := explore.RunContext(ctx, im, scripts, opts)
 		if err != nil {
 			return nil, fmt.Errorf("E1 r=%d w=%d: %w", tc.r, tc.w, err)
 		}
@@ -84,7 +66,10 @@ func E1() (*Table, error) {
 	}
 
 	// Sample the same machines at a size the explorer cannot enumerate.
-	sampledOK, seeds := e1Sampled()
+	sampledOK, seeds, err := e1Sampled(ctx)
+	if err != nil {
+		return nil, err
+	}
 	allOK = allOK && sampledOK
 	t.Rows = append(t.Rows, []string{
 		"24", "23", "0", "alternating", strconv.Itoa(24 * 24),
@@ -97,9 +82,41 @@ func E1() (*Table, error) {
 	return t, nil
 }
 
-// e1Sampled runs the Section 4.3 machines at r = 24, w = 23 under seeded
-// Token schedules and checks each run's history against the SRSW bit type.
-func e1Sampled() (bool, int) {
+// e1Case is one exhaustive row of E1: an r-read reader against a writer
+// of the given writes, on a bit initialized to init.
+type e1Case struct {
+	r, w, init int
+	writes     []int
+}
+
+// e1Cases are E1's exhaustive rows.
+var e1Cases = []e1Case{
+	{1, 1, 0, []int{1}},
+	{2, 1, 0, []int{1}},
+	{2, 2, 0, []int{1, 0}},
+	{3, 2, 1, []int{0, 1}},
+	{2, 3, 0, []int{1, 0, 1}},
+	{3, 3, 0, []int{1, 1, 0}}, // includes a redundant write
+}
+
+// instance builds the row's implementation and its reader and writer
+// scripts.
+func (tc e1Case) instance() (*program.Implementation, [][]types.Invocation) {
+	reads := make([]types.Invocation, tc.r)
+	for i := range reads {
+		reads[i] = types.Read
+	}
+	writes := make([]types.Invocation, len(tc.writes))
+	for i, x := range tc.writes {
+		writes[i] = types.Write(x)
+	}
+	return onebit.Implementation(tc.r, tc.w, tc.init), [][]types.Invocation{reads, writes}
+}
+
+// e1Sampled walks the Section 4.3 machines at r = 24, w = 23 under seeded
+// schedules and checks each walk's history against the SRSW bit type. ctx
+// is checked between walks.
+func e1Sampled(ctx context.Context) (bool, int, error) {
 	const seeds, r, w = 40, 24, 23
 	im := onebit.Implementation(r, w, 0)
 	reads := make([]types.Invocation, r)
@@ -111,13 +128,16 @@ func e1Sampled() (bool, int) {
 		writes[i] = types.Write((i + 1) % 2)
 	}
 	for seed := int64(0); seed < seeds; seed++ {
-		out, err := runtime.RunSeeded(im, [][]types.Invocation{reads, writes}, seed)
-		if err != nil {
-			return false, seeds
+		if err := ctx.Err(); err != nil {
+			return false, seeds, err
 		}
-		if _, err := linearize.Check(types.SRSWBit(), 0, out.History); err != nil {
-			return false, seeds
+		walked, err := explore.Walk(im, [][]types.Invocation{reads, writes}, explore.Schedule{Seed: seed})
+		if err != nil {
+			return false, seeds, nil
+		}
+		if _, err := linearize.Check(types.SRSWBit(), 0, walked.History); err != nil {
+			return false, seeds, nil
 		}
 	}
-	return true, seeds
+	return true, seeds, nil
 }

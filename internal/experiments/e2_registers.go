@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"strconv"
 	"strings"
@@ -21,7 +22,7 @@ import (
 // — regularity for the Lamport layers, atomicity (linearizability) for the
 // rest. The base regular bit is additionally shown NOT to be atomic (the
 // new/old inversion), which is why the atomic layers exist.
-func E2() (*Table, error) {
+func E2(ctx context.Context) (*Table, error) {
 	t := &Table{
 		ID:    "E2",
 		Title: "Register construction chain (Section 4.1)",
@@ -41,7 +42,7 @@ func E2() (*Table, error) {
 		"1 (deterministic adversary)", "regular but NOT atomic", yn(allOK)})
 
 	for _, l := range RegisterLayers() {
-		res, err := l.Explore()
+		res, err := l.Explore(ctx)
 		if err != nil {
 			return nil, err
 		}
@@ -105,9 +106,9 @@ func RegisterLayers() []RegisterLayer {
 	}
 }
 
-// Explore runs every interleaving of the layer's scripts, checking each
-// leaf history; a failed check is the result's Violation.
-func (l RegisterLayer) Explore() (*explore.Result, error) {
+// Explore runs every interleaving of the layer's scripts under ctx,
+// checking each leaf history; a failed check is the result's Violation.
+func (l RegisterLayer) Explore(ctx context.Context) (*explore.Result, error) {
 	check := func(h hist.History) error { return linearize.CheckRegular(h, 0) }
 	if l.Atomic {
 		check = func(h hist.History) error {
@@ -115,7 +116,7 @@ func (l RegisterLayer) Explore() (*explore.Result, error) {
 			return err
 		}
 	}
-	return explore.Run(l.Impl, l.Scripts, explore.Options{
+	return explore.RunContext(ctx, l.Impl, l.Scripts, explore.Options{
 		RecordHistory: true,
 		OnLeaf:        func(leaf *explore.Leaf) error { return check(leaf.History) },
 	})

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"strconv"
@@ -9,7 +10,6 @@ import (
 	"waitfree/internal/explore"
 	"waitfree/internal/linearize"
 	"waitfree/internal/program"
-	"waitfree/internal/runtime"
 	"waitfree/internal/types"
 	"waitfree/internal/universal"
 )
@@ -102,7 +102,7 @@ func weakLeaderNoRegisters() *program.Implementation {
 // consensus cells into a wait-free linearizable object of any
 // deterministic type; measured here on a counter (exactness) and a queue
 // (linearizability).
-func E9() (*Table, error) {
+func E9(ctx context.Context) (*Table, error) {
 	t := &Table{
 		ID:    "E9",
 		Title: "Universality of consensus (Herlihy; Section 2.3 context)",
@@ -116,7 +116,7 @@ func E9() (*Table, error) {
 
 	// Counter exactness: procs * each increments, all distinct, no gaps.
 	const procs, each, counterSeeds = 4, 40, 5
-	exact, err := e9Counter(procs, each, counterSeeds)
+	exact, err := e9Counter(ctx, procs, each, counterSeeds)
 	if err != nil {
 		return nil, err
 	}
@@ -127,7 +127,7 @@ func E9() (*Table, error) {
 
 	// Queue linearizability across seeded schedules.
 	const queueSeeds = 8
-	queueOK, err := e9Queue(queueSeeds)
+	queueOK, err := e9Queue(ctx, queueSeeds)
 	if err != nil {
 		return nil, err
 	}
@@ -197,12 +197,12 @@ func e9MachineCheck(target *types.Spec, init types.State, alphabet []types.Invoc
 	return ok, res.Leaves, nil
 }
 
-// e9Counter runs procs processes of each fetch-and-add(1) operations
-// under seeded Token schedules. A counter history linearizes iff its
-// responses are exactly {0..N-1} and an operation that ends before another
-// begins got the smaller value; the history is too long for
-// linearize.Check, so the check is made directly.
-func e9Counter(procs, each, seeds int) (bool, error) {
+// e9Counter walks procs processes of each fetch-and-add(1) operations
+// under seeded schedules. A counter history linearizes iff its responses
+// are exactly {0..N-1} and an operation that ends before another begins
+// got the smaller value; the history is too long for linearize.Check, so
+// the check is made directly. ctx is checked between walks.
+func e9Counter(ctx context.Context, procs, each, seeds int) (bool, error) {
 	faa := types.Inv(types.OpFAA, 1)
 	im, err := universal.MachineImplementation(types.FetchAdd(procs), 0, procs, procs*each, []types.Invocation{faa})
 	if err != nil {
@@ -215,11 +215,14 @@ func e9Counter(procs, each, seeds int) (bool, error) {
 		}
 	}
 	for seed := int64(0); seed < int64(seeds); seed++ {
-		out, err := runtime.RunSeeded(im, scripts, seed)
+		if err := ctx.Err(); err != nil {
+			return false, err
+		}
+		w, err := explore.Walk(im, scripts, explore.Schedule{Seed: seed})
 		if err != nil {
 			return false, nil
 		}
-		h := out.History
+		h := w.History
 		if len(h) != procs*each {
 			return false, nil
 		}
@@ -233,9 +236,10 @@ func e9Counter(procs, each, seeds int) (bool, error) {
 	return true, nil
 }
 
-// e9Queue runs three processes mixing enqueues and dequeues under seeded
-// Token schedules and checks each history against the queue type.
-func e9Queue(seeds int) (bool, error) {
+// e9Queue walks three processes mixing enqueues and dequeues under seeded
+// schedules and checks each history against the queue type. ctx is
+// checked between walks.
+func e9Queue(ctx context.Context, seeds int) (bool, error) {
 	const procs = 3
 	target := types.Queue(procs, 10, 32)
 	alphabet := []types.Invocation{types.Deq}
@@ -255,11 +259,14 @@ func e9Queue(seeds int) (bool, error) {
 		return false, err
 	}
 	for seed := int64(0); seed < int64(seeds); seed++ {
-		out, err := runtime.RunSeeded(im, scripts, seed)
+		if err := ctx.Err(); err != nil {
+			return false, err
+		}
+		w, err := explore.Walk(im, scripts, explore.Schedule{Seed: seed})
 		if err != nil {
 			return false, nil
 		}
-		if _, err := linearize.Check(target, types.QueueState(), out.History); err != nil {
+		if _, err := linearize.Check(target, types.QueueState(), w.History); err != nil {
 			return false, nil
 		}
 	}

@@ -4,7 +4,7 @@
 // figures — so the reproduction targets are its numbered constructions and
 // theorems, one experiment each (E1-E9, indexed in DESIGN.md). Each
 // experiment returns a Table whose rows are computed by exhaustive
-// exploration or by seeded runs of the same machines, never asserted;
+// exploration or by seeded walks of the same machines, never asserted;
 // EXPERIMENTS.md embeds the generated output.
 package experiments
 
@@ -51,13 +51,21 @@ func Markdown(tables []*Table) string {
 	return b.String()
 }
 
-// runners lists every experiment in order.
+// runners lists every experiment in order. E1, E2, E9 and E11 — the
+// experiments that take more than a moment — honor ctx themselves; the
+// others finish quickly and ignore it.
 var runners = []struct {
 	id  string
-	run func() (*Table, error)
+	run func(context.Context) (*Table, error)
 }{
-	{"E1", E1}, {"E2", E2}, {"E3", E3}, {"E4", E4}, {"E5", E5}, {"E6", E6},
-	{"E7", E7}, {"E8", E8}, {"E9", E9}, {"E10", E10}, {"E11", E11},
+	{"E1", E1}, {"E2", E2}, {"E3", quick(E3)}, {"E4", quick(E4)}, {"E5", quick(E5)},
+	{"E6", quick(E6)}, {"E7", quick(E7)}, {"E8", quick(E8)}, {"E9", E9}, {"E10", quick(E10)},
+	{"E11", E11},
+}
+
+// quick adapts an experiment that does not take a context.
+func quick(run func() (*Table, error)) func(context.Context) (*Table, error) {
+	return func(context.Context) (*Table, error) { return run() }
 }
 
 // All runs every experiment in order.
@@ -65,17 +73,17 @@ func All() ([]*Table, error) {
 	return AllContext(context.Background())
 }
 
-// AllContext runs every experiment in order, checking ctx between
-// experiments (individual experiments run to completion; they are all
-// sub-second). Cancellation returns the tables finished so far alongside
-// ctx.Err().
+// AllContext runs every experiment in order under ctx: it checks ctx
+// between experiments, and the long ones (see runners) check it inside.
+// Cancellation returns the tables finished so far alongside an error
+// wrapping ctx.Err().
 func AllContext(ctx context.Context) ([]*Table, error) {
 	tables := make([]*Table, 0, len(runners))
 	for _, r := range runners {
 		if err := ctx.Err(); err != nil {
 			return tables, err
 		}
-		t, err := r.run()
+		t, err := r.run(ctx)
 		if err != nil {
 			return tables, err
 		}
@@ -91,7 +99,7 @@ func RunOne(ctx context.Context, id string) (*Table, error) {
 	}
 	for _, r := range runners {
 		if r.id == id {
-			return r.run()
+			return r.run(ctx)
 		}
 	}
 	return nil, fmt.Errorf("unknown experiment %q", id)

@@ -1,10 +1,17 @@
 package experiments
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"os"
 	"strings"
 	"testing"
+	"time"
+
+	"waitfree/internal/explore"
+	"waitfree/internal/program"
+	"waitfree/internal/types"
 )
 
 // TestAllExperimentsReproduce runs the full harness: every experiment must
@@ -115,5 +122,60 @@ func TestE8AdversaryFindsCounterexample(t *testing.T) {
 	}
 	if table.Rows[1][3] != "NO" {
 		t.Errorf("without-registers agreement = %q", table.Rows[1][3])
+	}
+}
+
+// TestTimeoutStopsLongExperiment: a deadline interrupts E11's synthesis
+// mid-search instead of waiting for the whole table.
+func TestTimeoutStopsLongExperiment(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
+	defer cancel()
+	start := time.Now()
+	_, err := RunOne(ctx, "E11")
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
+	}
+	if took := time.Since(start); took > 5*time.Second {
+		t.Errorf("E11 stopped %v after a 1s deadline", took)
+	}
+}
+
+// TestWalkedLeavesAreTreeLeaves: on E1's exhaustive rows and the three
+// smallest E2 layers, every seeded walk ends on a leaf of the explored
+// tree of the same scripts — the sampled rows and the exhaustive rows
+// share one step semantics.
+func TestWalkedLeavesAreTreeLeaves(t *testing.T) {
+	type instance struct {
+		name    string
+		im      *program.Implementation
+		scripts [][]types.Invocation
+	}
+	var cases []instance
+	for _, tc := range e1Cases {
+		im, scripts := tc.instance()
+		cases = append(cases, instance{fmt.Sprintf("E1 r=%d w=%d", tc.r, tc.w), im, scripts})
+	}
+	for _, l := range RegisterLayers()[:3] {
+		cases = append(cases, instance{l.Name, l.Impl, l.Scripts})
+	}
+	for _, c := range cases {
+		walked := make(map[string]int64)
+		for seed := int64(0); seed < 50; seed++ {
+			w, err := explore.Walk(c.im, c.scripts, explore.Schedule{Seed: seed})
+			if err != nil {
+				t.Fatalf("%s seed %d: %v", c.name, seed, err)
+			}
+			walked[explore.FormatSchedule(w.Schedule)] = seed
+		}
+		_, err := explore.Run(c.im, c.scripts, explore.Options{OnLeaf: func(l *explore.Leaf) error {
+			delete(walked, explore.FormatSchedule(l.Schedule))
+			return nil
+		}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for path, seed := range walked {
+			t.Errorf("%s seed %d: walked path is no leaf of the tree:\n%s", c.name, seed, path)
+		}
 	}
 }

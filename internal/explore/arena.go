@@ -354,14 +354,15 @@ type procStep struct {
 // that the caller set Stepped on the clone (CrashBeforeFirstStep), which
 // the stale pre-state segment does not reflect. A cached advance replays
 // responses but no history events, so RecordHistory runs bypass the cache
-// and step the machine directly. Errors are not cached.
+// and step the machine directly. Nothing else keys on a history run's
+// process segments either (Memoize is excluded, and Valency runs without
+// histories), so the stepped process's segment is dropped, not
+// re-encoded; keyHex encodes a dropped segment on demand. Errors are not
+// cached.
 func (e *explorer) stepProcCached(c *config, p int, resp types.Response, forced bool) error {
 	if e.opts.RecordHistory {
-		if err := e.startNextOp(c, p, resp); err != nil {
-			return err
-		}
-		c.procEnc[p] = e.encodeProcSeg(&c.procs[p])
-		return nil
+		c.procEnc[p] = nil
+		return e.startNextOp(c, p, resp)
 	}
 	b := e.stepScratch[:0]
 	b = binary.AppendVarint(b, int64(p))
@@ -417,7 +418,23 @@ func appendFlatKey(b []byte, c *config) []byte {
 
 // keyHex renders c's key as hex for diagnostics (panic context, stall
 // heartbeats). It builds the key in a fresh buffer, so it is safe even
-// when the encoder's buffer was mid-append.
+// when the encoder's buffer was mid-append, and encodes the process
+// segments a history run dropped with a fresh encoder.
 func keyHex(c *config) string {
-	return hex.EncodeToString(appendFlatKey(nil, c))
+	dropped := false
+	for _, s := range c.procEnc {
+		dropped = dropped || s == nil
+	}
+	if !dropped {
+		return hex.EncodeToString(appendFlatKey(nil, c))
+	}
+	var enc keyEncoder
+	d := *c
+	d.procEnc = make([][]byte, len(c.procs))
+	for p, s := range c.procEnc {
+		if d.procEnc[p] = s; s == nil {
+			d.procEnc[p] = enc.appendProc(nil, &c.procs[p])
+		}
+	}
+	return hex.EncodeToString(appendFlatKey(nil, &d))
 }

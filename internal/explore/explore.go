@@ -997,12 +997,10 @@ func (e *explorer) dfs(c *config, depth int) (*summary, error) {
 // crash branches come first so that a violation reachable both with and
 // without crashes surfaces with its crash-annotated schedule. Under
 // crash-recovery it then explores, for each crashed process, the branch
-// where that process recovers here: volatile state (machine state,
-// pending access, per-process memory) resets to initial, the interrupted
-// target operation re-runs from its start, and the shared object states
-// persist. The crash budget counts crash events, not currently-crashed
-// processes: crashes + recoveries, since every recovery implies a prior
-// crash and a recovery never refunds the budget. With MaxRecoveries=0
+// where that process recovers here (recoverChild). The crash budget
+// counts crash events, not currently-crashed processes: crashes +
+// recoveries, since every recovery implies a prior crash and a recovery
+// never refunds the budget. With MaxRecoveries=0
 // both sums and branch sets are exactly the crash-stop ones.
 func (e *explorer) expand(c *config, depth int, sum *summary, crashes, recoveries int) error {
 	if e.opts.Faults.Enabled() && crashes+recoveries < e.opts.Faults.MaxCrashes {
@@ -1014,10 +1012,7 @@ func (e *explorer) expand(c *config, depth int, sum *summary, crashes, recoverie
 			if e.opts.Faults.Mode == faults.CrashBeforeFirstStep && ps.Stepped {
 				continue
 			}
-			child := e.cloneConfig(c)
-			child.procs[p].Crashed = true
-			child.procEnc[p] = e.encodeProcSeg(&child.procs[p])
-			e.schedule = append(e.schedule, StepRecord{Proc: p, Obj: -1, Crash: true})
+			child := e.crashChild(c, p)
 			// A crash is not an object access: it consumes no depth budget
 			// and bumps no access counters (mergeCrashChild), matching the
 			// paper's counting of low-level operations only. Termination is
@@ -1040,19 +1035,6 @@ func (e *explorer) expand(c *config, depth int, sum *summary, crashes, recoverie
 				continue
 			}
 			e.curConfig, e.curProc, e.curDepth = c, p, depth
-			child := e.cloneConfig(c)
-			ps := &child.procs[p]
-			ps.Crashed = false
-			ps.Recoveries++
-			// Volatile state is lost; the shared objects (child.objs) and
-			// the process's progress through its script (OpIdx — decided
-			// operations stay decided) persist. The interrupted operation
-			// re-runs from its start with a fresh machine state and nil
-			// memory.
-			ps.Mst = nil
-			ps.Pending = program.Action{}
-			ps.Mem = nil
-			e.schedule = append(e.schedule, StepRecord{Proc: p, Obj: -1, Recover: true})
 			respMark := len(e.responses[p])
 			histMark := len(e.history)
 			clockMark := e.clock
@@ -1061,10 +1043,9 @@ func (e *explorer) expand(c *config, depth int, sum *summary, crashes, recoverie
 				prevOpen = e.openOp[p]
 			}
 
-			err := e.startNextOp(child, p, types.Response{})
+			child, err := e.recoverChild(c, p)
 			var childSum *summary
 			if err == nil {
-				child.procEnc[p] = e.encodeProcSeg(&child.procs[p])
 				// Like a crash, a recovery is not an object access: no
 				// depth budget, no access counters. Termination holds
 				// because each recovery strictly increases the total
@@ -1164,6 +1145,41 @@ func (e *explorer) expand(c *config, depth int, sum *summary, crashes, recoverie
 		}
 	}
 	return nil
+}
+
+// crashChild returns a recycled clone of c in which live process p has
+// crashed, and records the CRASH on the path. Every engine places crashes
+// through it: the DFS on each crash edge, Walk at each CrashAfter point.
+func (e *explorer) crashChild(c *config, p int) *config {
+	child := e.cloneConfig(c)
+	child.procs[p].Crashed = true
+	child.procEnc[p] = e.encodeProcSeg(&child.procs[p])
+	e.schedule = append(e.schedule, StepRecord{Proc: p, Obj: -1, Crash: true})
+	return child
+}
+
+// recoverChild returns a recycled clone of c in which crashed process p
+// has re-entered from its recovery section, and records the RECOVER on the
+// path. This is the one definition of a recovery: volatile state (machine
+// state, pending access, per-process memory) is lost; the shared objects
+// and the process's progress through its script (OpIdx — decided
+// operations stay decided) persist. The interrupted operation re-runs from
+// its start, opening a fresh history entry, while its old entry stays
+// pending forever: a crashed access never returns.
+func (e *explorer) recoverChild(c *config, p int) (*config, error) {
+	child := e.cloneConfig(c)
+	ps := &child.procs[p]
+	ps.Crashed = false
+	ps.Recoveries++
+	ps.Mst = nil
+	ps.Pending = program.Action{}
+	ps.Mem = nil
+	e.schedule = append(e.schedule, StepRecord{Proc: p, Obj: -1, Recover: true})
+	if err := e.startNextOp(child, p, types.Response{}); err != nil {
+		return child, err
+	}
+	child.procEnc[p] = e.encodeProcSeg(&child.procs[p])
+	return child, nil
 }
 
 // undoHistory rewinds the recorded history to the state it had when

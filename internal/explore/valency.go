@@ -76,6 +76,9 @@ func ValencySet(mask uint64) []int {
 // Valency analyzes the execution tree of a consensus implementation from
 // one proposal vector. Decision values must lie in 0..63.
 func Valency(im *program.Implementation, proposals []int, opts Options) (*ValencyReport, error) {
+	// The analysis reads no histories, and it keys configurations on
+	// process segments, which a history run drops (stepProcCached).
+	opts.RecordHistory = false
 	e, root, err := newExplorer(im, consensusScripts(proposals), opts)
 	if err != nil {
 		return nil, err

@@ -1,0 +1,160 @@
+package explore
+
+import (
+	"fmt"
+	"math/rand"
+	"runtime/debug"
+
+	"waitfree/internal/faults"
+	"waitfree/internal/program"
+	"waitfree/internal/types"
+)
+
+// Schedule is the adversary of one Walk: a pure function of its fields,
+// so equal schedules walk equal paths.
+type Schedule struct {
+	// Seed drives every choice: at each step the next process is picked
+	// uniformly among the enabled ones (in index order), and a
+	// nondeterministic object's transition uniformly among those allowed.
+	Seed int64
+	// CrashAfter[p] crashes process p once it has made that many object
+	// accesses (0: before its first). Processes absent from the map never
+	// crash; a process that finishes its script within the limit does not
+	// crash either.
+	CrashAfter map[int]int
+	// Recoveries[p] lets a crashed p re-enter at once from its recovery
+	// section, up to this many times (recoverChild defines what survives).
+	// Each recovery resets p's access count, so p crashes again after
+	// another CrashAfter[p] accesses; once the budget is spent the crash
+	// is permanent.
+	Recoveries map[int]int
+	// MaxDepth bounds the walk's object accesses; 0 means DefaultMaxDepth.
+	MaxDepth int
+}
+
+// Walked is the leaf one Walk reached, owned by the caller: History is
+// recorded, Schedule carries the CRASH and RECOVER records, and Crashed
+// and Recoveries always have one entry per process.
+type Walked struct {
+	Leaf
+	// Mems[p] is process p's persistent memory at the end of the walk (at
+	// its last crash, for a process that stayed down).
+	Mems []any
+}
+
+// Walk follows one root-to-leaf path of the execution tree of im under
+// scripts, choosing every edge from s. It steps through the explorer's own
+// edge code — the transition and step caches, crashChild and recoverChild
+// — so every leaf it reaches is a leaf of the tree Run explores with the
+// matching fault model; Walk samples instances too large to enumerate.
+// A walk longer than MaxDepth accesses is a *Violation of kind
+// KindDepthExceeded; a panic in a type spec or machine is a
+// *faults.PanicError.
+func Walk(im *program.Implementation, scripts [][]types.Invocation, s Schedule) (w *Walked, err error) {
+	var e *explorer
+	defer func() {
+		if r := recover(); r != nil {
+			proc, where := -1, "root configuration"
+			if e != nil {
+				proc, where = e.curProc, e.panicContext()
+			}
+			w, err = nil, faults.NewPanicError("explore", proc, where, r, debug.Stack())
+		}
+	}()
+	var c *config
+	e, c, err = newExplorer(im, scripts, Options{RecordHistory: true, MaxDepth: s.MaxDepth})
+	if err != nil {
+		return nil, err
+	}
+	e.encodeSegments(c)
+	rng := rand.New(rand.NewSource(s.Seed))
+	accesses := make([]int, im.Procs)
+	// crashDue applies p's due crashes and recoveries; a recovery may be
+	// due to crash again at once (CrashAfter 0).
+	crashDue := func(p int) error {
+		for {
+			limit, ok := s.CrashAfter[p]
+			if ps := &c.procs[p]; !ok || ps.Done || ps.Crashed || accesses[p] < limit {
+				return nil
+			}
+			e.curConfig, e.curProc = c, p
+			old := c
+			c = e.crashChild(old, p)
+			e.recycleConfig(old)
+			if c.procs[p].Recoveries >= s.Recoveries[p] {
+				return nil
+			}
+			old = c
+			if c, err = e.recoverChild(old, p); err != nil {
+				return err
+			}
+			e.recycleConfig(old)
+			accesses[p] = 0
+		}
+	}
+	for p := range c.procs {
+		if err := crashDue(p); err != nil {
+			return nil, err
+		}
+	}
+	live := make([]int, 0, im.Procs)
+	for depth := 0; ; depth++ {
+		live = live[:0]
+		for p := range c.procs {
+			if !c.procs[p].Done && !c.procs[p].Crashed {
+				live = append(live, p)
+			}
+		}
+		if len(live) == 0 {
+			return e.walked(c, depth), nil
+		}
+		if depth >= e.opts.MaxDepth {
+			return nil, &Violation{Kind: KindDepthExceeded,
+				Detail: fmt.Sprintf("execution reached %d object accesses", depth), Schedule: e.schedule}
+		}
+		p := live[rng.Intn(len(live))]
+		e.curConfig, e.curProc, e.curDepth = c, p, depth
+		act := c.procs[p].Pending
+		cts, err := e.applyCached(c, p, act)
+		if err != nil {
+			return nil, fmt.Errorf("process %d at depth %d: %w", p, depth, err)
+		}
+		t := cts[0]
+		if len(cts) > 1 {
+			t = cts[rng.Intn(len(cts))]
+		}
+		c.objs[act.Obj], c.objEnc[act.Obj] = t.next, t.nextEnc
+		e.schedule = append(e.schedule, StepRecord{Proc: p, Obj: act.Obj, Inv: act.Inv, Resp: t.resp})
+		e.clock++ // the access itself is a clock event, as in expand
+		if err := e.stepProcCached(c, p, t.resp, false); err != nil {
+			return nil, err
+		}
+		accesses[p]++
+		if err := crashDue(p); err != nil {
+			return nil, err
+		}
+	}
+}
+
+// walked hands the finished walk's path data to the caller; the explorer
+// is discarded, so nothing is copied.
+func (e *explorer) walked(c *config, depth int) *Walked {
+	n := len(c.procs)
+	w := &Walked{
+		Leaf: Leaf{
+			Responses:  e.responses,
+			Depth:      depth,
+			History:    e.history,
+			Schedule:   e.schedule,
+			Crashed:    make([]bool, n),
+			Recoveries: make([]int, n),
+		},
+		Mems: make([]any, n),
+	}
+	for p := range c.procs {
+		w.Crashed[p] = c.procs[p].Crashed
+		w.Recoveries[p] = c.procs[p].Recoveries
+		w.Mems[p] = c.procs[p].Mem
+	}
+	return w
+}

@@ -1,15 +1,16 @@
-// Package faults is the fault-injection vocabulary shared by the three
-// execution engines (packages explore, runtime, and sched).
+// Package faults is the fault-injection vocabulary of the execution
+// engine (package explore).
 //
 // Wait-freedom is the paper's central liveness property: every process
 // decides in a bounded number of its own steps no matter how many of the
-// others crash (Section 2.2). The sampling runtime has always been able to
-// crash processes mid-run (sched.Crash); this package makes crash faults a
+// others crash (Section 2.2). This package makes crash faults a
 // first-class, exhaustively explorable dimension of the execution-tree
-// explorer as well. A Model describes which crash schedules the explorer
-// enumerates; a PanicError is the structured form a panicking type spec or
-// machine takes when an engine's panic recovery converts it into an error
-// instead of letting it kill the process.
+// explorer. A Model describes which crash schedules the explorer
+// enumerates (a seeded explore.Walk places its crashes by its own
+// Schedule, through the same crash and recovery edges); a PanicError is
+// the structured form a panicking type spec or machine takes when the
+// engine's panic recovery converts it into an error instead of letting it
+// kill the process.
 package faults
 
 import (
@@ -147,14 +148,12 @@ func (m Model) String() string {
 }
 
 // PanicError is a panic from user-supplied code (a type spec's transition
-// function or a process machine) converted into a structured error by an
-// engine's recovery layer. The engines install recovery so that one
-// panicking spec cannot kill the whole process: the explorer surfaces the
-// panic as the run's error, and the concurrent runtime surfaces it as the
-// panicking process's error while the other process goroutines finish
-// normally.
+// function or a process machine) converted into a structured error by the
+// engine's recovery layer, so that one panicking spec cannot kill the
+// whole process: an exploration or a walk surfaces the panic as its
+// error.
 type PanicError struct {
-	// Engine names the recovery site ("explore" or "runtime").
+	// Engine names the recovery site ("explore").
 	Engine string `json:"engine"`
 	// Proc is the process whose step panicked, or -1 when unknown.
 	Proc int `json:"proc"`

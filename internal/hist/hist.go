@@ -1,7 +1,8 @@
 // Package hist represents concurrent histories of operations on a single
 // shared object: the input to the linearizability checker (package
 // linearize) and the output of the execution-tree explorer (package
-// explore) and the concurrent runtime (package runtime).
+// explore), recorded at every leaf of an explored tree and along every
+// seeded walk (explore.Walk).
 //
 // A history is a set of operations, each with an invocation, a response,
 // the port it used, and a real-time interval [Begin, End] on a global

@@ -5,7 +5,7 @@
 //   - Section 4.3's implementation of a bounded-use single-reader
 //     single-writer bit from an (w+1) x r array of one-use bits, as step
 //     machines (this file): the explorer checks small arrays exhaustively,
-//     package runtime samples large ones, and the Theorem 5 pipeline
+//     explore.Walk samples large ones, and the Theorem 5 pipeline
 //     splices them into host implementations;
 //   - Section 5.1/5.2's implementation of a one-use bit from one object of
 //     any non-trivial deterministic type, driven by the witnesses found by

@@ -9,8 +9,6 @@ import (
 	"waitfree/internal/hist"
 	"waitfree/internal/linearize"
 	"waitfree/internal/program"
-	rt "waitfree/internal/runtime"
-	"waitfree/internal/sched"
 	"waitfree/internal/types"
 )
 
@@ -301,18 +299,14 @@ func bitScripts(r, w int) [][]types.Invocation {
 	return [][]types.Invocation{reads, writes}
 }
 
-// TestBoundedBitConcurrentStress runs the machines free-running, so the
-// Go scheduler picks the interleavings, and checks each history against
-// the SRSW bit type. Only the paper's resuming reader is atomic; the
-// restart-scan mutant is merely regular (see TestRestartScanIsNotAtomic).
+// TestBoundedBitConcurrentStress walks the machines under 30 seeds and
+// checks each history against the SRSW bit type. Only the paper's
+// resuming reader is atomic; the restart-scan mutant is merely regular
+// (see TestRestartScanIsNotAtomic).
 func TestBoundedBitConcurrentStress(t *testing.T) {
 	const r, w = 10, 9
 	for trial := 0; trial < 30; trial++ {
-		runner, err := rt.New(Implementation(r, w, 0), nil, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		out, err := runner.Run(bitScripts(r, w), nil)
+		out, err := explore.Walk(Implementation(r, w, 0), bitScripts(r, w), explore.Schedule{Seed: int64(trial)})
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -460,13 +454,12 @@ func TestFromConsensusRejectsWrongArity(t *testing.T) {
 }
 
 // TestBitArrayMachinesUnderTokenScheduler drives the Section 4.3 machines
-// at a scale beyond the exhaustive explorer (r=20, w=19) through the
-// concurrent runtime with seeded global interleavings, checking each
-// history against the SRSW bit type.
+// at a scale beyond the exhaustive explorer (r=20, w=19) along seeded
+// walks, checking each history against the SRSW bit type.
 func TestBitArrayMachinesUnderTokenScheduler(t *testing.T) {
 	const r, w = 20, 19
 	for seed := int64(0); seed < 15; seed++ {
-		out, err := rt.RunSeeded(Implementation(r, w, 0), bitScripts(r, w), seed)
+		out, err := explore.Walk(Implementation(r, w, 0), bitScripts(r, w), explore.Schedule{Seed: seed})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -476,8 +469,8 @@ func TestBitArrayMachinesUnderTokenScheduler(t *testing.T) {
 	}
 }
 
-// TestBitArrayMachineCrashMidWrite crashes the writer in the middle of a
-// row flip; the reader must still complete all its reads with values
+// TestBitArrayMachineCrashMidWrite crashes the writer at every point of
+// its row flips; the reader must still complete all its reads with values
 // consistent with the one-use bit semantics (the half-flipped row makes
 // the interrupted write forever concurrent, so either value is legal for
 // reads after the crash).
@@ -485,17 +478,13 @@ func TestBitArrayMachineCrashMidWrite(t *testing.T) {
 	const r, w = 4, 3
 	for crashAfter := 0; crashAfter <= r*w; crashAfter++ {
 		im := Implementation(r, w, 0)
-		cr := sched.NewCrash(map[int]int{1: crashAfter})
-		runner, err := rt.New(im, cr, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
 		reads := make([]types.Invocation, r)
 		for i := range reads {
 			reads[i] = types.Read
 		}
 		writes := []types.Invocation{types.Write(1), types.Write(0), types.Write(1)}
-		out, err := runner.Run([][]types.Invocation{reads, writes}, nil)
+		s := explore.Schedule{Seed: int64(crashAfter), CrashAfter: map[int]int{1: crashAfter}}
+		out, err := explore.Walk(im, [][]types.Invocation{reads, writes}, s)
 		if err != nil {
 			t.Fatalf("crash@%d: %v", crashAfter, err)
 		}
@@ -579,8 +568,8 @@ func TestRestartScanIsNotAtomic(t *testing.T) {
 
 // BenchmarkBitArrayScan is the DESIGN.md ablation: the paper's resuming
 // row scan versus the restart-scan mutant. Each round is a write followed
-// by a read, run one after the other on one Runner; the k-th restart read
-// rescans k rows.
+// by a read, run one after the other through program.Solo on one set of
+// object states; the k-th restart read rescans k rows.
 func BenchmarkBitArrayScan(b *testing.B) {
 	const size = 128
 	variants := []struct {
@@ -594,23 +583,18 @@ func BenchmarkBitArrayScan(b *testing.B) {
 		b.Run(v.name, func(b *testing.B) {
 			im := v.mk()
 			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				runner, err := rt.New(im, nil, nil)
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.StartTimer()
-				var mems []any
+				states := im.InitialStates()
+				mems := make([]any, 2)
 				for k := 0; k < size; k++ {
-					for _, scripts := range [][][]types.Invocation{
-						{nil, {types.Write(1 - k%2)}},
-						{{types.Read}, nil},
-					} {
-						out, err := runner.Run(scripts, mems)
+					for _, op := range []struct {
+						p   int
+						inv types.Invocation
+					}{{1, types.Write(1 - k%2)}, {0, types.Read}} {
+						res, err := program.Solo(im, states, op.p, op.inv, mems[op.p], 4*size)
 						if err != nil {
 							b.Fatal(err)
 						}
-						mems = out.Mems
+						mems[op.p] = res.Mem
 					}
 				}
 			}

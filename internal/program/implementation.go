@@ -94,7 +94,6 @@ func (im *Implementation) Validate() error {
 			return fmt.Errorf("%w: object %d (%s) assigns ports for %d of %d processes",
 				ErrBadObjectID, i, obj.Name, len(obj.PortOf), im.Procs)
 		}
-		used := make(map[int]int, im.Procs)
 		for p, port := range obj.PortOf {
 			if port == 0 {
 				continue
@@ -103,11 +102,14 @@ func (im *Implementation) Validate() error {
 				return fmt.Errorf("%w: object %d (%s) gives process %d port %d of %d",
 					ErrBadObjectID, i, obj.Name, p, port, obj.Spec.Ports)
 			}
-			if prev, ok := used[port]; ok {
-				return fmt.Errorf("%w: object %d (%s) port %d shared by processes %d and %d",
-					ErrBadObjectID, i, obj.Name, port, prev, p)
+			// Pairwise, not a map: Solo validates on every call, and the
+			// Section 4.3 arrays declare tens of thousands of objects.
+			for prev := 0; prev < p; prev++ {
+				if obj.PortOf[prev] == port {
+					return fmt.Errorf("%w: object %d (%s) port %d shared by processes %d and %d",
+						ErrBadObjectID, i, obj.Name, port, prev, p)
+				}
 			}
-			used[port] = p
 		}
 	}
 	return nil

@@ -23,7 +23,7 @@ type SoloResult struct {
 // resolves nondeterministic object transitions by taking the first allowed
 // branch and enforces a step budget. Solo is the reference driver used by
 // unit tests and by sequential sanity checks; concurrent execution lives in
-// packages explore and runtime.
+// package explore (Run enumerates interleavings, Walk samples one).
 func Solo(im *Implementation, states []types.State, p int, inv types.Invocation, mem any, budget int) (SoloResult, error) {
 	if err := im.Validate(); err != nil {
 		return SoloResult{}, err

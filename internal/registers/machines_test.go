@@ -8,7 +8,6 @@ import (
 	"waitfree/internal/hist"
 	"waitfree/internal/linearize"
 	"waitfree/internal/program"
-	"waitfree/internal/runtime"
 	"waitfree/internal/types"
 )
 
@@ -144,13 +143,13 @@ func TestLamportMultiRegMachinesRegularExhaustive(t *testing.T) {
 	}
 }
 
-// stressed runs scripts on im concurrently under a seeded Token scheduler,
-// once per seed, and applies check to each run's history. It samples
-// scripts longer than the explorer can enumerate.
+// stressed walks scripts on im once per seed and applies check to each
+// walk's history. It samples scripts longer than the explorer can
+// enumerate.
 func stressed(t *testing.T, im *program.Implementation, scripts [][]types.Invocation, seeds int, check func(hist.History) error) {
 	t.Helper()
 	for seed := int64(0); seed < int64(seeds); seed++ {
-		out, err := runtime.RunSeeded(im, scripts, seed)
+		out, err := explore.Walk(im, scripts, explore.Schedule{Seed: seed})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -16,8 +16,8 @@
 //
 // The construction is expressed as step machines (package program), so
 // the execution-tree explorer verifies small instances EXHAUSTIVELY —
-// every interleaving of every operation script — and package runtime runs
-// large instances concurrently, recording histories for package
+// every interleaving of every operation script — and explore.Walk samples
+// seeded executions of large instances, recording histories for package
 // linearize.
 //
 // Objects: one announcement register per process (holding that process's

@@ -5,9 +5,9 @@ import (
 	"sort"
 	"testing"
 
+	"waitfree/internal/explore"
 	"waitfree/internal/linearize"
 	"waitfree/internal/program"
-	rt "waitfree/internal/runtime"
 	"waitfree/internal/types"
 )
 
@@ -68,10 +68,10 @@ func TestSequentialQueue(t *testing.T) {
 	}
 }
 
-// TestConcurrentCounterExactness runs the machines free-running, so the
-// Go scheduler picks the interleaving: the fetch-and-add responses across
-// all processes are exactly {0, ..., procs*each-1}, and each process's own
-// view is increasing.
+// TestConcurrentCounterExactness walks the machines under seeded
+// interleavings: the fetch-and-add responses across all processes are
+// exactly {0, ..., procs*each-1}, and each process's own view is
+// increasing.
 func TestConcurrentCounterExactness(t *testing.T) {
 	const procs, each = 4, 50
 	im := mustImpl(t, types.FetchAdd(procs), 0, procs, procs*each+procs, []types.Invocation{faa1})
@@ -81,16 +81,21 @@ func TestConcurrentCounterExactness(t *testing.T) {
 			scripts[p] = append(scripts[p], faa1)
 		}
 	}
-	r, err := rt.New(im, nil, nil)
-	if err != nil {
-		t.Fatal(err)
+	for seed := int64(0); seed < 3; seed++ {
+		out, err := explore.Walk(im, scripts, explore.Schedule{Seed: seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkCounterExact(t, out.Responses, procs*each)
 	}
-	out, err := r.Run(scripts, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+}
+
+// checkCounterExact checks that per-process responses are increasing and
+// that together they are exactly {0, ..., n-1}.
+func checkCounterExact(t *testing.T, responses [][]types.Response, n int) {
+	t.Helper()
 	var all []int
-	for p, resps := range out.Responses {
+	for p, resps := range responses {
 		for i, resp := range resps {
 			if i > 0 && resp.Val <= resps[i-1].Val {
 				t.Fatalf("p%d saw non-increasing values %v", p, resps)
@@ -99,12 +104,12 @@ func TestConcurrentCounterExactness(t *testing.T) {
 		}
 	}
 	sort.Ints(all)
-	if len(all) != procs*each {
-		t.Fatalf("%d responses, want %d", len(all), procs*each)
+	if len(all) != n {
+		t.Fatalf("%d responses, want %d", len(all), n)
 	}
 	for i, v := range all {
 		if v != i {
-			t.Fatalf("responses are not exactly {0..%d}: %v", procs*each-1, all)
+			t.Fatalf("responses are not exactly {0..%d}: %v", n-1, all)
 		}
 	}
 }
@@ -129,7 +134,7 @@ func TestConcurrentQueueLinearizable(t *testing.T) {
 	}
 	im := mustImpl(t, target, types.QueueState(), procs, 18, alphabet)
 	for seed := int64(0); seed < 10; seed++ {
-		out, err := rt.RunSeeded(im, scripts, seed)
+		out, err := explore.Walk(im, scripts, explore.Schedule{Seed: seed})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -144,15 +149,11 @@ func TestConcurrentQueueLinearizable(t *testing.T) {
 func TestLogCapacity(t *testing.T) {
 	im := mustImpl(t, types.FetchAdd(1), 0, 1, 2, []types.Invocation{faa1})
 	for ops, wantErr := range map[int]bool{2: false, 3: true} {
-		r, err := rt.New(im, nil, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
 		script := make([]types.Invocation, ops)
 		for i := range script {
 			script[i] = faa1
 		}
-		if _, err := r.Run([][]types.Invocation{script}, nil); (err != nil) != wantErr {
+		if _, err := explore.Walk(im, [][]types.Invocation{script}, explore.Schedule{}); (err != nil) != wantErr {
 			t.Fatalf("%d operations on 2 slots: err = %v", ops, err)
 		}
 	}
@@ -185,7 +186,7 @@ func TestReplicasConverge(t *testing.T) {
 		scripts[p] = append(scripts[p], types.Read)
 	}
 	for seed := int64(0); seed < 10; seed++ {
-		out, err := rt.RunSeeded(im, scripts, seed)
+		out, err := explore.Walk(im, scripts, explore.Schedule{Seed: seed})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -100,6 +100,8 @@ func TestDecodeReportRejects(t *testing.T) {
 		{"unknown kind", `{"schema":1,"kind":"mystery","elapsed_ns":0}`},
 		{"unknown violation kind", `{"schema":1,"kind":"consensus","elapsed_ns":0,"consensus":{"violation":{"kind":"mystery","detail":""}}}`},
 		{"violation kind not a tag", `{"schema":1,"kind":"consensus","elapsed_ns":0,"consensus":{"violation":{"kind":3,"detail":""}}}`},
+		{"violation without a kind", `{"schema":1,"kind":"consensus","consensus":{"violation":{}}}`},
+		{"elimination violation without a kind", `{"schema":1,"kind":"elimination","elimination":{"output_report":{"violation":{"detail":"x"}}}}`},
 	}
 	for _, c := range cases {
 		if _, err := DecodeReport([]byte(c.data)); !errors.Is(err, ErrBadReport) {

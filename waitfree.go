@@ -38,8 +38,6 @@ import (
 	"waitfree/internal/onebit"
 	"waitfree/internal/program"
 	"waitfree/internal/rescache"
-	runtimepkg "waitfree/internal/runtime"
-	"waitfree/internal/sched"
 	"waitfree/internal/synth"
 	"waitfree/internal/types"
 	"waitfree/internal/universal"
@@ -91,6 +89,10 @@ type (
 	// SymmetryMode selects process-permutation symmetry reduction for the
 	// consensus checks (ExploreOptions.Symmetry).
 	SymmetryMode = explore.SymmetryMode
+	// WalkSchedule is the adversary of one Walk: a seed for every
+	// scheduling and nondeterministic choice, plus per-process crash and
+	// recovery points.
+	WalkSchedule = explore.Schedule
 )
 
 // Symmetry reduction modes (ExploreOptions.Symmetry).
@@ -415,6 +417,11 @@ var (
 	Explore = explore.Run
 	// ExploreContext is Explore under a context.
 	ExploreContext = explore.RunContext
+	// Walk follows one execution of an implementation, chosen by a
+	// WalkSchedule, through the explorer's own step semantics, and returns
+	// its responses, history, schedule and final memories: the sampling
+	// form of Explore for instances too large to enumerate.
+	Walk = explore.Walk
 	// ComputeValency runs the FLP/Herlihy valency analysis of one
 	// execution tree: bivalent/univalent configuration counts and the
 	// critical configurations with their arbitrating objects.
@@ -457,43 +464,10 @@ var (
 	// linearizable implementation of any deterministic type from consensus
 	// objects. spec and init describe the sequential type, procs (at most
 	// 8) the sharing processes, slots the log capacity in operations, and
-	// alphabet every invocation the processes will use. Run it with
-	// NewRunner or check it with Explore.
+	// alphabet every invocation the processes will use. Sample it with
+	// Walk or check it with Explore.
 	UniversalImplementation = universal.MachineImplementation
 )
-
-// Concurrent execution (package runtime and its schedulers).
-var (
-	// NewRunner builds a concurrent runner for an implementation: one
-	// goroutine per process against mutex-atomic objects, gated by a
-	// scheduler (nil = free-running).
-	NewRunner = runtimepkg.New
-	// NewCrashScheduler crashes process p after after[p] steps.
-	NewCrashScheduler = sched.NewCrash
-	// NewRecoverScheduler crashes process p after after[p] steps and lets
-	// it recover (volatile state lost, step counter reset) up to times[p]
-	// times before the crash turns permanent.
-	NewRecoverScheduler = sched.NewRecover
-	// NewTokenScheduler serializes all steps into one seeded pseudo-random
-	// global order (reproducible interleavings).
-	NewTokenScheduler = sched.NewToken
-	// NewStutterScheduler delays one chosen process: each of its steps
-	// waits for a quota of steps by the others (the "arbitrarily slow but
-	// live" adversary wait-freedom is defined against).
-	NewStutterScheduler = sched.NewStutter
-	// RandomResolver builds a seeded resolver for nondeterministic
-	// transitions, shared safely across a runner's objects.
-	RandomResolver = runtimepkg.RandomResolver
-)
-
-// RunOutcome is the result of one concurrent run.
-type RunOutcome = runtimepkg.Outcome
-
-// RecoverScheduler is the optional crash-recovery extension of a
-// scheduler: after Next(p) reports a crash, the runtime asks Recover(p)
-// whether p may re-enter from its recovery section with fresh volatile
-// state (NewRecoverScheduler is the built-in implementation).
-type RecoverScheduler = sched.RecoverScheduler
 
 // Hierarchy analyses.
 var (

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"waitfree"
+	"waitfree/internal/program"
 )
 
 // The tests in this file exercise the public facade exactly as a
@@ -116,31 +117,38 @@ func TestFacadeZoo(t *testing.T) {
 	}
 }
 
-// TestFacadeBoundedBit drives the Section 4.3 bit through one Runner, one
-// operation per run, threading the reader's and writer's memories.
-func TestFacadeBoundedBit(t *testing.T) {
-	r, err := waitfree.NewRunner(waitfree.OneUseBitArray(4, 3, 1), nil, nil)
+// soloStep runs one operation of process p alone on states, threading p's
+// persistent memory through mems.
+func soloStep(t *testing.T, im *waitfree.Implementation, states []waitfree.State, mems []any, p int, inv waitfree.Invocation) waitfree.Response {
+	t.Helper()
+	res, err := program.Solo(im, states, p, inv, mems[p], 1000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var mems []any
-	step := func(p int, inv waitfree.Invocation) waitfree.Response {
-		t.Helper()
-		scripts := make([][]waitfree.Invocation, 2)
-		scripts[p] = []waitfree.Invocation{inv}
-		out, err := r.Run(scripts, mems)
-		if err != nil {
-			t.Fatal(err)
-		}
-		mems = out.Mems
-		return out.Responses[p][0]
-	}
-	if v := step(0, waitfree.Read); v != waitfree.ValOf(1) {
+	mems[p] = res.Mem
+	return res.Resp
+}
+
+// TestFacadeBoundedBit drives the Section 4.3 bit one operation at a time,
+// threading the reader's and writer's memories, then walks a reader racing
+// a writer.
+func TestFacadeBoundedBit(t *testing.T) {
+	im := waitfree.OneUseBitArray(4, 3, 1)
+	states, mems := im.InitialStates(), make([]any, 2)
+	if v := soloStep(t, im, states, mems, 0, waitfree.Read); v != waitfree.ValOf(1) {
 		t.Fatalf("read = %v", v)
 	}
-	step(1, waitfree.Write(0))
-	if v := step(0, waitfree.Read); v != waitfree.ValOf(0) {
+	soloStep(t, im, states, mems, 1, waitfree.Write(0))
+	if v := soloStep(t, im, states, mems, 0, waitfree.Read); v != waitfree.ValOf(0) {
 		t.Fatalf("read after write = %v", v)
+	}
+	scripts := [][]waitfree.Invocation{{waitfree.Read, waitfree.Read}, {waitfree.Write(0)}}
+	w, err := waitfree.Walk(im, scripts, waitfree.WalkSchedule{Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(w.Responses[0]) != 2 || len(w.History) != 3 {
+		t.Fatalf("walk: responses %v, history %v", w.Responses, w.History)
 	}
 }
 
@@ -151,17 +159,19 @@ func TestFacadeUniversal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := waitfree.NewRunner(im, nil, nil)
+	states, mems := im.InitialStates(), make([]any, 2)
+	if v := soloStep(t, im, states, mems, 0, faa1); v != waitfree.ValOf(0) {
+		t.Fatalf("faa = %v", v)
+	}
+	if v := soloStep(t, im, states, mems, 1, faa0); v != waitfree.ValOf(1) {
+		t.Fatalf("faa(0) = %v", v)
+	}
+	w, err := waitfree.Walk(im, [][]waitfree.Invocation{{faa1, faa1}, {faa1}}, waitfree.WalkSchedule{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	first, err := r.Run([][]waitfree.Invocation{{faa1}, nil}, nil)
-	if err != nil || first.Responses[0][0] != waitfree.ValOf(0) {
-		t.Fatalf("faa = %v, %v", first.Responses, err)
-	}
-	second, err := r.Run([][]waitfree.Invocation{nil, {faa0}}, first.Mems)
-	if err != nil || second.Responses[1][0] != waitfree.ValOf(1) {
-		t.Fatalf("faa(0) = %v, %v", second.Responses, err)
+	if got := len(w.Responses[0]) + len(w.Responses[1]); got != 3 {
+		t.Fatalf("walk decided %d operations, want 3", got)
 	}
 }
 
