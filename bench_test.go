@@ -102,7 +102,7 @@ func BenchmarkAccessBound(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			var nodes int64
 			for i := 0; i < b.N; i++ {
-				report, err := explore.Consensus(mk(), explore.Options{})
+				report, err := explore.ConsensusKContext(context.Background(), mk(), 2, explore.Options{})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -119,7 +119,7 @@ func BenchmarkExplorerMemoization(b *testing.B) {
 	for _, memo := range []bool{false, true} {
 		b.Run(fmt.Sprintf("memoize=%v", memo), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := explore.Consensus(consensus.CAS(4), explore.Options{Memoize: memo}); err != nil {
+				if _, err := explore.ConsensusKContext(context.Background(), consensus.CAS(4), 2, explore.Options{Memoize: memo}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -139,7 +139,7 @@ func BenchmarkExplorerParallel(b *testing.B) {
 		}
 		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				report, err := explore.Consensus(consensus.CAS(4), explore.Options{Memoize: true, Parallelism: workers})
+				report, err := explore.ConsensusKContext(context.Background(), consensus.CAS(4), 2, explore.Options{Memoize: true, Parallelism: workers})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -172,7 +172,7 @@ func BenchmarkConsensusSymmetry(b *testing.B) {
 					im := mk(procs)
 					var nodes int64
 					for i := 0; i < b.N; i++ {
-						report, err := explore.Consensus(im, explore.Options{Memoize: true, Symmetry: mode})
+						report, err := explore.ConsensusKContext(context.Background(), im, 2, explore.Options{Memoize: true, Symmetry: mode})
 						if err != nil {
 							b.Fatal(err)
 						}
@@ -207,7 +207,7 @@ func BenchmarkConsensusFaults(b *testing.B) {
 			im := c.mk()
 			var nodes int64
 			for i := 0; i < b.N; i++ {
-				report, err := explore.Consensus(im, explore.Options{Memoize: true, Faults: c.model})
+				report, err := explore.ConsensusKContext(context.Background(), im, 2, explore.Options{Memoize: true, Faults: c.model})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -238,7 +238,7 @@ func BenchmarkConsensusNoMemo(b *testing.B) {
 		b.Run(c.name, func(b *testing.B) {
 			var nodes int64
 			for i := 0; i < b.N; i++ {
-				report, err := explore.Consensus(c.im, explore.Options{Faults: c.model})
+				report, err := explore.ConsensusKContext(context.Background(), c.im, 2, explore.Options{Faults: c.model})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -262,7 +262,7 @@ func BenchmarkConsensusSpill(b *testing.B) {
 	opts := explore.Options{Memoize: true, Symmetry: explore.SymmetryOff, MemoBudget: 128, MemoSpillDir: b.TempDir()}
 	var nodes int64
 	for i := 0; i < b.N; i++ {
-		report, err := explore.Consensus(im, opts)
+		report, err := explore.ConsensusKContext(context.Background(), im, 2, opts)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -303,7 +303,7 @@ func BenchmarkConsensusAutosave(b *testing.B) {
 			}
 			im := consensus.Sticky(4)
 			for i := 0; i < b.N; i++ {
-				report, err := explore.Consensus(im, opts)
+				report, err := explore.ConsensusKContext(context.Background(), im, 2, opts)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -357,7 +357,7 @@ func BenchmarkOneUseFromConsensus(b *testing.B) {
 	b.Run("explore-all-interleavings", func(b *testing.B) {
 		scripts := [][]types.Invocation{{types.Read}, {types.Write(1)}}
 		for i := 0; i < b.N; i++ {
-			res, err := explore.Run(im, scripts, explore.Options{})
+			res, err := explore.RunContext(context.Background(), im, scripts, explore.Options{})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -415,7 +415,7 @@ func BenchmarkEliminate(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			var outDepth int
 			for i := 0; i < b.N; i++ {
-				report, err := core.EliminateRegisters(mkP(), explore.Options{}, 3)
+				report, err := core.EliminateRegistersContext(context.Background(), mkP(), explore.Options{}, 3)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -430,7 +430,7 @@ func BenchmarkEliminate(b *testing.B) {
 
 func BenchmarkHierarchyEquality(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := hierarchy.ClassifyZoo(); err != nil {
+		if _, err := hierarchy.ClassifyZooContext(context.Background(), 1); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -441,7 +441,7 @@ func BenchmarkHierarchyEquality(b *testing.B) {
 func BenchmarkNondetAdversary(b *testing.B) {
 	var nodes int64
 	for i := 0; i < b.N; i++ {
-		report, err := explore.Consensus(consensus.WeakLeader2(), explore.Options{})
+		report, err := explore.ConsensusKContext(context.Background(), consensus.WeakLeader2(), 2, explore.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -492,7 +492,7 @@ func BenchmarkMultiValued(b *testing.B) {
 	for _, k := range []int{2, 4, 8} {
 		b.Run(fmt.Sprintf("check/k=%d", k), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				report, err := explore.ConsensusK(multivalue.FromBinary(2, k), k, explore.Options{Memoize: true})
+				report, err := explore.ConsensusKContext(context.Background(), multivalue.FromBinary(2, k), k, explore.Options{Memoize: true})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -504,7 +504,7 @@ func BenchmarkMultiValued(b *testing.B) {
 	}
 	b.Run("eliminate/k=4", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := core.EliminateRegisters(multivalue.FromBinarySRSW(4), explore.Options{Memoize: true}, 3); err != nil {
+			if _, err := core.EliminateRegistersContext(context.Background(), multivalue.FromBinarySRSW(4), explore.Options{Memoize: true}, 3); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -541,7 +541,7 @@ func BenchmarkSynth(b *testing.B) {
 	b.Run("find/cas", func(b *testing.B) {
 		objects := []synth.Object{{Name: "cas", Spec: types.CompareSwap(2, 3), Init: 2}}
 		for i := 0; i < b.N; i++ {
-			if _, _, err := synth.Search(objects, synth.Options{Depth: 1, Symmetric: true}); err != nil {
+			if _, _, err := synth.SearchContext(context.Background(), objects, synth.Options{Depth: 1, Symmetric: true}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -549,7 +549,7 @@ func BenchmarkSynth(b *testing.B) {
 	b.Run("find/augqueue", func(b *testing.B) {
 		objects := []synth.Object{{Name: "aq", Spec: types.AugmentedQueue(2, 2, 2), Init: types.QueueState()}}
 		for i := 0; i < b.N; i++ {
-			if _, _, err := synth.Search(objects, synth.Options{Depth: 2, Symmetric: true}); err != nil {
+			if _, _, err := synth.SearchContext(context.Background(), objects, synth.Options{Depth: 2, Symmetric: true}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -557,7 +557,7 @@ func BenchmarkSynth(b *testing.B) {
 	b.Run("refute/tas-alone", func(b *testing.B) {
 		objects := []synth.Object{{Name: "tas", Spec: types.TestAndSet(2), Init: 0}}
 		for i := 0; i < b.N; i++ {
-			_, _, err := synth.Search(objects, synth.Options{Depth: 3, Budget: 1e9})
+			_, _, err := synth.SearchContext(context.Background(), objects, synth.Options{Depth: 3, Budget: 1e9})
 			if !errors.Is(err, synth.ErrNoProtocol) {
 				b.Fatal(err)
 			}

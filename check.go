@@ -20,10 +20,7 @@ import (
 // Theorem 5 register elimination, zoo classification, and protocol
 // synthesis — runs behind one call, Check(ctx, Request), returning one
 // JSON-marshalable Report. The context gives callers cancellation and
-// deadlines; Request.Explore.OnProgress gives them live engine Stats. The
-// per-pipeline entry points (CheckConsensus, AccessBounds,
-// EliminateRegisters, ClassifyZoo, SynthesizeProtocol, and their Context
-// forms) remain available for callers that want the concrete types.
+// deadlines; Request.Explore.OnProgress gives them live engine Stats.
 
 // CheckKind selects the pipeline a Request runs.
 type CheckKind string
@@ -450,7 +447,7 @@ func runSynthesis(ctx context.Context, req Request) (*SynthesisReport, error) {
 	rep.StrategyMap = st
 	rep.Strategy = st.Format(req.Objects)
 	im := synth.Implementation("synthesized", req.Objects, st, req.Synthesis)
-	rep.Reverification, err = explore.ConsensusContext(ctx, im, req.Explore)
+	rep.Reverification, err = explore.ConsensusKContext(ctx, im, 2, req.Explore)
 	if err != nil {
 		return rep, err
 	}

@@ -1,35 +1,41 @@
 package waitfree_test
 
 import (
+	"context"
 	"fmt"
 
 	"waitfree"
 )
 
-// ExampleEliminateRegisters runs the paper's Theorem 5 pipeline on the
+// ExampleCheck_elimination runs the paper's Theorem 5 pipeline on the
 // classic queue-based consensus protocol.
-func ExampleEliminateRegisters() {
-	report, err := waitfree.EliminateRegisters(
-		waitfree.Queue2Consensus(), waitfree.ExploreOptions{}, 3)
+func ExampleCheck_elimination() {
+	rep, err := waitfree.Check(context.Background(), waitfree.Request{
+		Kind:           waitfree.KindElimination,
+		Implementation: waitfree.Queue2Consensus(),
+		MaxK:           3,
+	})
 	if err != nil {
 		fmt.Println("error:", err)
 		return
 	}
-	fmt.Println(report.Summary())
+	fmt.Println(rep.Elimination.Summary())
 	// Output:
 	// queue-2consensus: D=5, 2 registers -> 4 one-use bits -> 4 queue objects; output D=6, ok=true
 }
 
-// ExampleCheckConsensus model-checks a register-free protocol over every
+// ExampleCheck_consensus model-checks a register-free protocol over every
 // proposal vector and interleaving.
-func ExampleCheckConsensus() {
-	report, err := waitfree.CheckConsensus(
-		waitfree.CASConsensus(2), waitfree.ExploreOptions{})
+func ExampleCheck_consensus() {
+	rep, err := waitfree.Check(context.Background(), waitfree.Request{
+		Kind:           waitfree.KindConsensus,
+		Implementation: waitfree.CASConsensus(2),
+	})
 	if err != nil {
 		fmt.Println("error:", err)
 		return
 	}
-	fmt.Println(report.Summary())
+	fmt.Println(rep.Consensus.Summary())
 	// Output:
 	// OK: procs=2 roots=4 D=2 nodes=20 leaves=8 agreement=true validity=true waitfree=true
 }

@@ -29,23 +29,32 @@ func run() error {
 	// First the input protocol itself, under exhaustive <=1-crash
 	// exploration.
 	input := waitfree.Queue2Consensus()
-	rep, err := waitfree.CheckConsensusContext(ctx, input,
-		waitfree.ExploreOptions{Memoize: true, Faults: oneCrash})
+	opts := waitfree.ExploreOptions{Memoize: true, Faults: oneCrash}
+	rep, err := waitfree.Check(ctx, waitfree.Request{
+		Kind:           waitfree.KindConsensus,
+		Implementation: input,
+		Explore:        opts,
+	})
 	if err != nil {
 		return err
 	}
-	fmt.Printf("input protocol:  %s\n", rep.Summary())
+	fmt.Printf("input protocol:  %s\n", rep.Consensus.Summary())
 	if !rep.OK() {
 		return fmt.Errorf("queue protocol failed under crash exploration")
 	}
 
 	// Then eliminate its registers (Theorem 5) and re-verify the
 	// register-free output the same way.
-	elim, err := waitfree.EliminateRegistersContext(ctx, input,
-		waitfree.ExploreOptions{Memoize: true, Faults: oneCrash}, 3)
+	rep, err = waitfree.Check(ctx, waitfree.Request{
+		Kind:           waitfree.KindElimination,
+		Implementation: input,
+		Explore:        opts,
+		MaxK:           3,
+	})
 	if err != nil {
 		return err
 	}
+	elim := rep.Elimination
 	out := elim.Output
 	outRep := elim.OutputReport
 	fmt.Printf("register-free:   %s\n", outRep.Summary())

@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -66,18 +67,26 @@ func run() error {
 	// Model-check a classic consensus protocol: 2-process consensus from
 	// one test-and-set object plus two SRSW bit registers. The checker
 	// explores every interleaving from every proposal vector.
-	report, err := waitfree.CheckConsensus(waitfree.TAS2Consensus(), waitfree.ExploreOptions{})
+	ctx := context.Background()
+	rep, err := waitfree.Check(ctx, waitfree.Request{
+		Kind:           waitfree.KindConsensus,
+		Implementation: waitfree.TAS2Consensus(),
+	})
 	if err != nil {
 		return err
 	}
-	fmt.Printf("tas-2consensus: %s\n", report.Summary())
+	fmt.Printf("tas-2consensus: %s\n", rep.Consensus.Summary())
 
 	// And watch the checker catch an incorrect protocol: registers alone
 	// cannot solve 2-process consensus.
-	report, err = waitfree.CheckConsensus(waitfree.NaiveRegisterConsensus(), waitfree.ExploreOptions{})
+	rep, err = waitfree.Check(ctx, waitfree.Request{
+		Kind:           waitfree.KindConsensus,
+		Implementation: waitfree.NaiveRegisterConsensus(),
+	})
 	if err != nil {
 		return err
 	}
+	report := rep.Consensus
 	fmt.Printf("naive-register-2consensus: %s\n", report.Summary())
 	if report.Violation != nil {
 		fmt.Printf("counterexample schedule has %d steps\n", len(report.Violation.Schedule))

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -23,10 +24,15 @@ func run() error {
 	input := waitfree.Queue2Consensus()
 	fmt.Printf("input:  %v\n", input)
 
-	report, err := waitfree.EliminateRegisters(input, waitfree.ExploreOptions{}, 3)
+	rep, err := waitfree.Check(context.Background(), waitfree.Request{
+		Kind:           waitfree.KindElimination,
+		Implementation: input,
+		MaxK:           3,
+	})
 	if err != nil {
 		return err
 	}
+	report := rep.Elimination
 
 	fmt.Printf("output: %v\n\n", report.Output)
 

@@ -8,7 +8,7 @@
 package main
 
 import (
-	"errors"
+	"context"
 	"fmt"
 	"log"
 
@@ -27,21 +27,24 @@ func run() error {
 	aq := []waitfree.SynthObject{{
 		Name: "aq", Spec: waitfree.NewAugmentedQueue(2, 2, 2), Init: waitfree.QueueStateOf(),
 	}}
-	opts := waitfree.SynthOptions{Depth: 2, Symmetric: true}
-	st, stats, err := waitfree.SynthesizeProtocol(aq, opts)
+	// Check re-verifies a found protocol with the independent exhaustive
+	// checker.
+	ctx := context.Background()
+	rep, err := waitfree.Check(ctx, waitfree.Request{
+		Kind:      waitfree.KindSynthesis,
+		Objects:   aq,
+		Synthesis: waitfree.SynthOptions{Depth: 2, Symmetric: true},
+	})
 	if err != nil {
 		return err
+	}
+	syn := rep.Synthesis
+	if !syn.Found() {
+		return fmt.Errorf("augmented queue: synthesis verdict %s", syn.Verdict)
 	}
 	fmt.Printf("augmented queue: protocol found after %d assignments:\n%s\n",
-		stats.Assignments, st.Format(aq))
-
-	// Re-verify it with the independent exhaustive checker.
-	im := waitfree.StrategyImplementation("synthesized-augqueue", aq, st, opts)
-	report, err := waitfree.CheckConsensus(im, waitfree.ExploreOptions{})
-	if err != nil {
-		return err
-	}
-	fmt.Printf("re-verification: %s\n\n", report.Summary())
+		syn.Assignments, syn.Strategy)
+	fmt.Printf("re-verification: %s\n\n", syn.Reverification.Summary())
 
 	// Negative: one test-and-set object alone. The loser learns that it
 	// lost but can never learn what the winner proposed — and the search
@@ -49,21 +52,30 @@ func run() error {
 	tas := []waitfree.SynthObject{{
 		Name: "tas", Spec: waitfree.NewTestAndSet(2), Init: 0,
 	}}
-	_, stats, err = waitfree.SynthesizeProtocol(tas, waitfree.SynthOptions{Depth: 3})
-	if errors.Is(err, waitfree.ErrNoProtocol) {
-		fmt.Printf("one test-and-set alone: NO protocol exists within 3 accesses per process\n")
-		fmt.Printf("(exhausted after %d assignments — h_1(test-and-set) = 1)\n\n", stats.Assignments)
-	} else if err != nil {
+	rep, err = waitfree.Check(ctx, waitfree.Request{
+		Kind:      waitfree.KindSynthesis,
+		Objects:   tas,
+		Synthesis: waitfree.SynthOptions{Depth: 3},
+	})
+	if err != nil {
 		return err
+	}
+	if rep.Synthesis.Verdict == "impossible" {
+		fmt.Printf("one test-and-set alone: NO protocol exists within 3 accesses per process\n")
+		fmt.Printf("(exhausted after %d assignments — h_1(test-and-set) = 1)\n\n", rep.Synthesis.Assignments)
 	}
 
 	// The h_m side: many test-and-set objects DO solve consensus without
 	// registers — the Theorem 5 pipeline builds the protocol.
-	pipeline, err := waitfree.EliminateRegisters(waitfree.TAS2Consensus(), waitfree.ExploreOptions{}, 3)
+	rep, err = waitfree.Check(ctx, waitfree.Request{
+		Kind:           waitfree.KindElimination,
+		Implementation: waitfree.TAS2Consensus(),
+		MaxK:           3,
+	})
 	if err != nil {
 		return err
 	}
-	fmt.Printf("the Theorem 5 pipeline: %s\n", pipeline.Summary())
+	fmt.Printf("the Theorem 5 pipeline: %s\n", rep.Elimination.Summary())
 	fmt.Println("\nso: h_1(tas) = 1 < h_1^r(tas) = 2 = h_m(tas) — registers matter for one")
 	fmt.Println("object and stop mattering for many, exactly as the paper proves.")
 	return nil

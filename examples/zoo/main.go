@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -20,12 +21,13 @@ func main() {
 }
 
 func run() error {
-	cs, err := waitfree.ClassifyZoo()
+	ctx := context.Background()
+	rep, err := waitfree.Check(ctx, waitfree.Request{Kind: waitfree.KindClassification})
 	if err != nil {
 		return err
 	}
 	fmt.Println("type zoo classification:")
-	for _, c := range cs {
+	for _, c := range rep.Classifications {
 		kind := "deterministic"
 		if !c.Deterministic {
 			kind = "nondeterministic"
@@ -50,20 +52,27 @@ func run() error {
 	// adversary picks which. With registers, the two-access protocol
 	// solves consensus in every adversary resolution:
 	fmt.Println("\n--- the nondeterministic corner ---")
-	report, err := waitfree.CheckConsensus(waitfree.WeakLeader2Consensus(), waitfree.ExploreOptions{})
+	rep, err = waitfree.Check(ctx, waitfree.Request{
+		Kind:           waitfree.KindConsensus,
+		Implementation: waitfree.WeakLeader2Consensus(),
+	})
 	if err != nil {
 		return err
 	}
-	fmt.Printf("weak-leader WITH registers:    %s\n", report.Summary())
+	fmt.Printf("weak-leader WITH registers:    %s\n", rep.Consensus.Summary())
 
 	// Without registers, the same election cannot transmit the winner's
 	// proposal. The natural protocol — decide your own value if you win,
 	// give up and guess otherwise — fails agreement, and the explorer
 	// exhibits the adversary resolution that breaks it:
-	report, err = waitfree.CheckConsensus(weakLeaderNoRegisters(), waitfree.ExploreOptions{})
+	rep, err = waitfree.Check(ctx, waitfree.Request{
+		Kind:           waitfree.KindConsensus,
+		Implementation: weakLeaderNoRegisters(),
+	})
 	if err != nil {
 		return err
 	}
+	report := rep.Consensus
 	fmt.Printf("weak-leader WITHOUT registers: %s\n", report.Summary())
 	if report.Violation != nil {
 		fmt.Println("adversary's counterexample:")

@@ -41,10 +41,15 @@ func TestFaultExplorationPinned(t *testing.T) {
 	}
 	// The access bounds are a crash-free property (crash edges cost no
 	// low-level operations), so fault exploration must not inflate them.
-	plain, err := waitfree.CheckConsensus(rep.Elimination.Output, waitfree.ExploreOptions{Memoize: true})
+	plainRep, err := waitfree.Check(context.Background(), waitfree.Request{
+		Kind:           waitfree.KindConsensus,
+		Implementation: rep.Elimination.Output,
+		Explore:        waitfree.ExploreOptions{Memoize: true},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	plain := plainRep.Consensus
 	if out.Depth != plain.Depth {
 		t.Errorf("crash exploration changed the depth bound: %d vs %d", out.Depth, plain.Depth)
 	}

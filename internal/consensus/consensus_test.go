@@ -1,6 +1,7 @@
 package consensus
 
 import (
+	"context"
 	"testing"
 
 	"waitfree/internal/explore"
@@ -15,7 +16,7 @@ func TestAllTwoProcessProtocolsCorrect(t *testing.T) {
 	for _, im := range RegisterUsing() {
 		im := im
 		t.Run(im.Name, func(t *testing.T) {
-			report, err := explore.Consensus(im, explore.Options{})
+			report, err := explore.ConsensusKContext(context.Background(), im, 2, explore.Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -30,7 +31,7 @@ func TestAllTwoProcessProtocolsCorrect(t *testing.T) {
 }
 
 func TestWeakLeader2CorrectUnderAllAdversaries(t *testing.T) {
-	report, err := explore.Consensus(WeakLeader2(), explore.Options{})
+	report, err := explore.ConsensusKContext(context.Background(), WeakLeader2(), 2, explore.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +42,7 @@ func TestWeakLeader2CorrectUnderAllAdversaries(t *testing.T) {
 
 func TestCASConsensusScales(t *testing.T) {
 	for _, procs := range []int{2, 3, 4} {
-		report, err := explore.Consensus(CAS(procs), explore.Options{Memoize: true})
+		report, err := explore.ConsensusKContext(context.Background(), CAS(procs), 2, explore.Options{Memoize: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -56,7 +57,7 @@ func TestCASConsensusScales(t *testing.T) {
 
 func TestStickyConsensusScales(t *testing.T) {
 	for _, procs := range []int{2, 3} {
-		report, err := explore.Consensus(Sticky(procs), explore.Options{Memoize: true})
+		report, err := explore.ConsensusKContext(context.Background(), Sticky(procs), 2, explore.Options{Memoize: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -71,7 +72,7 @@ func TestStickyConsensusScales(t *testing.T) {
 }
 
 func TestNaiveRegisterProtocolFails(t *testing.T) {
-	report, err := explore.Consensus(NaiveRegister2(), explore.Options{})
+	report, err := explore.ConsensusKContext(context.Background(), NaiveRegister2(), 2, explore.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +105,7 @@ func TestElectionObjectAccessBounds(t *testing.T) {
 	for _, im := range RegisterUsing() {
 		im := im
 		t.Run(im.Name, func(t *testing.T) {
-			report, err := explore.Consensus(im, explore.Options{})
+			report, err := explore.ConsensusKContext(context.Background(), im, 2, explore.Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -142,7 +143,7 @@ func TestSoloDecidesOwnValue(t *testing.T) {
 
 func TestAugQueueConsensusScales(t *testing.T) {
 	for _, procs := range []int{2, 3} {
-		report, err := explore.Consensus(AugQueue(procs), explore.Options{Memoize: true})
+		report, err := explore.ConsensusKContext(context.Background(), AugQueue(procs), 2, explore.Options{Memoize: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -158,7 +159,7 @@ func TestAugQueueConsensusScales(t *testing.T) {
 
 func TestFetchConsConsensusScales(t *testing.T) {
 	for _, procs := range []int{2, 3, 4} {
-		report, err := explore.Consensus(FetchCons(procs), explore.Options{Memoize: true})
+		report, err := explore.ConsensusKContext(context.Background(), FetchCons(procs), 2, explore.Options{Memoize: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -175,7 +176,7 @@ func TestFetchConsConsensusScales(t *testing.T) {
 func TestNoisyStickyConsensus(t *testing.T) {
 	// The register-free substrate verifies under every adversary
 	// resolution of the unstuck reads.
-	report, err := explore.Consensus(NoisySticky2(), explore.Options{})
+	report, err := explore.ConsensusKContext(context.Background(), NoisySticky2(), 2, explore.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +184,7 @@ func TestNoisyStickyConsensus(t *testing.T) {
 		t.Fatalf("%s\n%v", report.Summary(), report.Violation)
 	}
 	// And so does the register-using variant.
-	report, err = explore.Consensus(NoisySticky2R(), explore.Options{})
+	report, err = explore.ConsensusKContext(context.Background(), NoisySticky2R(), 2, explore.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package consensus
 
 import (
+	"context"
 	"testing"
 
 	"waitfree/internal/explore"
@@ -16,7 +17,7 @@ func TestCASRegister3Correct(t *testing.T) {
 	if err := im.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	report, err := explore.Consensus(im, explore.Options{Memoize: true})
+	report, err := explore.ConsensusKContext(context.Background(), im, 2, explore.Options{Memoize: true})
 	if err != nil {
 		t.Fatal(err)
 	}

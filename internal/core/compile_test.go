@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -123,7 +124,7 @@ func TestCompiledRegisterLinearizable(t *testing.T) {
 				return nil
 			},
 		}
-		res, err := explore.Run(im, [][]types.Invocation{readScript, writeScript}, opts)
+		res, err := explore.RunContext(context.Background(), im, [][]types.Invocation{readScript, writeScript}, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -145,7 +146,7 @@ func TestMultiValuedEliminationEndToEnd(t *testing.T) {
 		t.Skip("large exhaustive exploration")
 	}
 	input := multivalue.FromBinarySRSW(4)
-	report, err := EliminateRegisters(input, explore.Options{Memoize: true}, 3)
+	report, err := EliminateRegistersContext(context.Background(), input, explore.Options{Memoize: true}, 3)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"strings"
 	"testing"
@@ -12,7 +13,7 @@ import (
 )
 
 func TestBoundRejectsBrokenInput(t *testing.T) {
-	_, err := Bound(consensus.NaiveRegister2(), explore.Options{})
+	_, err := BoundContext(context.Background(), consensus.NaiveRegister2(), explore.Options{})
 	if !errors.Is(err, ErrNotWaitFree) {
 		t.Fatalf("err = %v, want ErrNotWaitFree", err)
 	}
@@ -20,7 +21,7 @@ func TestBoundRejectsBrokenInput(t *testing.T) {
 
 func TestRegisterBoundsTAS2(t *testing.T) {
 	im := consensus.TAS2()
-	report, err := Bound(im, explore.Options{})
+	report, err := BoundContext(context.Background(), im, explore.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +41,7 @@ func TestRegisterBoundsTAS2(t *testing.T) {
 
 func TestRegisterBoundsRejectsGeneralRegisters(t *testing.T) {
 	im := consensus.NaiveRegister2() // uses multi-writer registers
-	report, err := explore.Consensus(im, explore.Options{})
+	report, err := explore.ConsensusKContext(context.Background(), im, 2, explore.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +70,7 @@ func TestEliminateRegistersAllProtocols(t *testing.T) {
 	for _, im := range consensus.RegisterUsing() {
 		im := im
 		t.Run(im.Name, func(t *testing.T) {
-			report, err := EliminateRegisters(im, explore.Options{}, 3)
+			report, err := EliminateRegistersContext(context.Background(), im, explore.Options{}, 3)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -109,7 +110,7 @@ func TestEliminateRegistersAllProtocols(t *testing.T) {
 // transformed protocol: a process running alone decides its own value.
 func TestEliminatedOutputsSolo(t *testing.T) {
 	for _, mk := range consensus.RegisterUsing() {
-		report, err := EliminateRegisters(mk, explore.Options{}, 3)
+		report, err := EliminateRegistersContext(context.Background(), mk, explore.Options{}, 3)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -133,7 +134,7 @@ func TestEliminatedOutputsSolo(t *testing.T) {
 // bits present), and after step 3 it verifies register-free.
 func TestPipelineStepsIndividually(t *testing.T) {
 	im := consensus.TAS2()
-	report, err := Bound(im, explore.Options{})
+	report, err := BoundContext(context.Background(), im, explore.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +152,7 @@ func TestPipelineStepsIndividually(t *testing.T) {
 	if n := step1.CountObjects("srsw-bit"); n != 0 {
 		t.Fatalf("step1 registers = %d, want 0", n)
 	}
-	mid, err := explore.Consensus(step1, explore.Options{})
+	mid, err := explore.ConsensusKContext(context.Background(), step1, 2, explore.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,11 +173,11 @@ func TestPipelineStepsIndividually(t *testing.T) {
 // TestEliminateWithMemoization checks the pipeline under the memoized
 // explorer (the ablation configuration) produces the same verdict.
 func TestEliminateWithMemoization(t *testing.T) {
-	plain, err := EliminateRegisters(consensus.TAS2(), explore.Options{}, 3)
+	plain, err := EliminateRegistersContext(context.Background(), consensus.TAS2(), explore.Options{}, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	memo, err := EliminateRegisters(consensus.TAS2(), explore.Options{Memoize: true}, 3)
+	memo, err := EliminateRegistersContext(context.Background(), consensus.TAS2(), explore.Options{Memoize: true}, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +194,7 @@ func TestEliminateWithMemoization(t *testing.T) {
 // becomes up to r+w+1 object accesses, each scaled by the witness
 // sequence length k).
 func TestOutputDepthGrowth(t *testing.T) {
-	report, err := EliminateRegisters(consensus.TAS2(), explore.Options{}, 3)
+	report, err := EliminateRegistersContext(context.Background(), consensus.TAS2(), explore.Options{}, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +211,7 @@ func TestEliminateThreeProcess(t *testing.T) {
 	if testing.Short() {
 		t.Skip("exhaustive 3-process exploration")
 	}
-	report, err := EliminateRegisters(consensus.CASRegister3(), explore.Options{Memoize: true}, 3)
+	report, err := EliminateRegistersContext(context.Background(), consensus.CASRegister3(), explore.Options{Memoize: true}, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,7 +240,7 @@ func TestEliminateThreeProcess(t *testing.T) {
 // survivor must still decide a proposed value — wait-freedom of the
 // register-free output under stopping failures.
 func TestEliminatedOutputCrashTolerance(t *testing.T) {
-	report, err := EliminateRegisters(consensus.TAS2(), explore.Options{}, 3)
+	report, err := EliminateRegistersContext(context.Background(), consensus.TAS2(), explore.Options{}, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,7 +281,7 @@ func TestEliminatedOutputCrashTolerance(t *testing.T) {
 // transformed protocol — complementary evidence to the exhaustive
 // explorer on the same object.
 func TestEliminatedOutputUnderTokenScheduler(t *testing.T) {
-	report, err := EliminateRegisters(consensus.Queue2(), explore.Options{}, 3)
+	report, err := EliminateRegistersContext(context.Background(), consensus.Queue2(), explore.Options{}, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -306,11 +307,11 @@ func TestEliminateVia53(t *testing.T) {
 	input := consensus.NoisySticky2R()
 
 	// The deterministic route must refuse the nondeterministic type.
-	if _, err := EliminateRegisters(input, explore.Options{}, 3); err == nil {
+	if _, err := EliminateRegistersContext(context.Background(), input, explore.Options{}, 3); err == nil {
 		t.Fatal("Section 5.2 route accepted a nondeterministic type")
 	}
 
-	report, err := EliminateRegistersVia53(input, consensus.NoisySticky2(), explore.Options{})
+	report, err := EliminateRegistersVia53Context(context.Background(), input, consensus.NoisySticky2(), explore.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -342,7 +343,7 @@ func TestEliminateVia53(t *testing.T) {
 // register-free, or the transformation would smuggle registers back.
 func TestVia53RejectsRegisterBearingSubstrate(t *testing.T) {
 	input := consensus.NoisySticky2R()
-	if _, err := EliminateRegistersVia53(input, consensus.TAS2(), explore.Options{}); !errors.Is(err, ErrUnsupportedRegister) {
+	if _, err := EliminateRegistersVia53Context(context.Background(), input, consensus.TAS2(), explore.Options{}); !errors.Is(err, ErrUnsupportedRegister) {
 		t.Fatalf("err = %v, want ErrUnsupportedRegister", err)
 	}
 }
@@ -353,7 +354,7 @@ func TestVia53RejectsRegisterBearingSubstrate(t *testing.T) {
 func TestVia53RejectsInvalidSubstrate(t *testing.T) {
 	sub := consensus.NoisySticky2()
 	sub.Machines = sub.Machines[:1]
-	_, err := EliminateRegistersVia53(consensus.NoisySticky2R(), sub, explore.Options{})
+	_, err := EliminateRegistersVia53Context(context.Background(), consensus.NoisySticky2R(), sub, explore.Options{})
 	if err == nil || !strings.Contains(err.Error(), "onebit: consensus substrate") {
 		t.Fatalf("err = %v, want the substrate's validation error", err)
 	}

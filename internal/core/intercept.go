@@ -6,7 +6,7 @@
 //
 //  0. CompileSRSWRegisters (Section 4.1): compile every k-valued SRSW
 //     register into k SRSW bits (Vidyasankar's construction).
-//  1. Bound (Section 4.2): explore the implementation's execution trees
+//  1. BoundContext (Section 4.2): explore the implementation's execution trees
 //     and extract, for every register b, exact bounds r_b and w_b on how
 //     often b is read and written along any execution.
 //  2. RegistersToOneUseBits (Section 4.3): replace each register by an
@@ -20,9 +20,9 @@
 //     OneUseBitsToConsensus (Section 5.3) replaces it by a private copy of
 //     a register-free 2-process consensus implementation over T.
 //
-// EliminateRegisters and EliminateRegistersVia53 run the whole chain on
-// their route and model-check both endpoints, closing the loop on
-// h_m^r(T) <= h_m(T).
+// EliminateRegistersContext and EliminateRegistersVia53Context run the
+// whole chain on their route and model-check both endpoints, closing the
+// loop on h_m^r(T) <= h_m(T).
 package core
 
 import (

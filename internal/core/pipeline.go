@@ -53,19 +53,14 @@ func TargetValues(im *program.Implementation) int {
 	return 2
 }
 
-// Bound runs the Section 4.2 analysis: it explores all execution trees of
-// the consensus implementation and returns the report carrying the uniform
-// depth bound D and the exact per-object, per-operation access bounds.
-// The input must verify (agreement, validity, wait-freedom); otherwise
-// ErrNotWaitFree. Multi-valued consensus targets are handled with k^n
-// trees; opts.Parallelism fans them across workers without changing the
-// report (see explore.ConsensusK).
-func Bound(im *program.Implementation, opts explore.Options) (*explore.ConsensusReport, error) {
-	return BoundContext(context.Background(), im, opts)
-}
-
-// BoundContext is Bound under a context: cancellation or deadline expiry
-// aborts the exploration promptly and returns ctx.Err() (see
+// BoundContext runs the Section 4.2 analysis: it explores all execution
+// trees of the consensus implementation and returns the report carrying
+// the uniform depth bound D and the exact per-object, per-operation access
+// bounds. The input must verify (agreement, validity, wait-freedom);
+// otherwise ErrNotWaitFree. Multi-valued consensus targets are handled
+// with k^n trees; opts.Parallelism fans them across workers without
+// changing the report. Cancellation or deadline expiry aborts the
+// exploration promptly and returns ctx.Err() (see
 // explore.ConsensusKContext for the engine semantics, including
 // Options.OnProgress observability).
 func BoundContext(ctx context.Context, im *program.Implementation, opts explore.Options) (*explore.ConsensusReport, error) {
@@ -99,7 +94,7 @@ type RegisterBound struct {
 }
 
 // RegisterBounds extracts the SRSW-bit registers of im and their bounds
-// from a Bound report. Registers that are never read or never written in
+// from a BoundContext report. Registers that are never read or never written in
 // any execution still get bounds of at least 1 so that the Section 4.3
 // geometry is well-formed.
 func RegisterBounds(im *program.Implementation, report *explore.ConsensusReport) ([]RegisterBound, error) {
@@ -284,20 +279,15 @@ func (r *Report) String() string {
 	return b.String()
 }
 
-// EliminateRegisters runs the full Theorem 5 pipeline on a consensus
-// implementation over SRSW-bit registers and objects of one non-trivial
-// deterministic type, verifying both endpoints. opts configures both
-// explorations (Memoize is recommended for larger protocols, and
-// opts.Parallelism spreads each verification's proposal-vector trees
-// across workers). maxK bounds the Section 5.2 witness search (0 means
-// hierarchy.DefaultMaxK).
-func EliminateRegisters(im *program.Implementation, opts explore.Options, maxK int) (*Report, error) {
-	return EliminateRegistersContext(context.Background(), im, opts, maxK)
-}
-
-// EliminateRegistersContext is EliminateRegisters under a context: both
-// endpoint verifications honor ctx cancellation/deadlines and publish
-// engine progress via opts.OnProgress.
+// EliminateRegistersContext runs the full Theorem 5 pipeline on a
+// consensus implementation over SRSW-bit registers and objects of one
+// non-trivial deterministic type, verifying both endpoints. opts
+// configures both explorations (Memoize is recommended for larger
+// protocols, and opts.Parallelism spreads each verification's
+// proposal-vector trees across workers). maxK bounds the Section 5.2
+// witness search (0 means hierarchy.DefaultMaxK). Both endpoint
+// verifications honor ctx cancellation/deadlines and publish engine
+// progress via opts.OnProgress.
 func EliminateRegistersContext(ctx context.Context, im *program.Implementation, opts explore.Options, maxK int) (*Report, error) {
 	return eliminate(ctx, im, opts, func(compiled *program.Implementation) (realization, error) {
 		spec, inits, err := InferType(compiled)

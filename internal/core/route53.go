@@ -37,18 +37,12 @@ func OneUseBitsToConsensus(im *program.Implementation, substrate *program.Implem
 	})
 }
 
-// EliminateRegistersVia53 runs the full pipeline using the Section 5.3
-// route: Section 4.2 bounds, Section 4.3 one-use bits, and then the given
-// register-free consensus substrate (the h_m >= 2 witness for the
+// EliminateRegistersVia53Context runs the full pipeline using the Section
+// 5.3 route: Section 4.2 bounds, Section 4.3 one-use bits, and then the
+// given register-free consensus substrate (the h_m >= 2 witness for the
 // implementation's type) in place of the Section 5.2 witness. Both
-// endpoints are verified exhaustively.
-func EliminateRegistersVia53(im *program.Implementation, substrate *program.Implementation, opts explore.Options) (*Report, error) {
-	return EliminateRegistersVia53Context(context.Background(), im, substrate, opts)
-}
-
-// EliminateRegistersVia53Context is EliminateRegistersVia53 under a
-// context: both endpoint verifications honor ctx cancellation/deadlines
-// and publish engine progress via opts.OnProgress.
+// endpoints are verified exhaustively; both verifications honor ctx
+// cancellation/deadlines and publish engine progress via opts.OnProgress.
 func EliminateRegistersVia53Context(ctx context.Context, im *program.Implementation, substrate *program.Implementation, opts explore.Options) (*Report, error) {
 	typeName := "(substrate objects)"
 	if len(substrate.Objects) > 0 {

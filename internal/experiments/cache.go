@@ -21,11 +21,11 @@ func SetCache(c *rescache.Cache) { cache = c }
 
 // checkConsensus explores im as k-valued consensus through the waitfree
 // facade, so the result cache (when set) can serve repeat runs. The
-// returned report is the same ConsensusReport explore.ConsensusK would
+// returned report is the same ConsensusReport explore.ConsensusKContext would
 // produce, except Elapsed/Stats are canonicalized when the cache is
 // active (cold and warm runs must marshal byte-identically).
-func checkConsensus(im *program.Implementation, k int, opts explore.Options) (*explore.ConsensusReport, error) {
-	rep, err := waitfree.Check(context.Background(), waitfree.Request{
+func checkConsensus(ctx context.Context, im *program.Implementation, k int, opts explore.Options) (*explore.ConsensusReport, error) {
+	rep, err := waitfree.Check(ctx, waitfree.Request{
 		Kind:           waitfree.KindConsensus,
 		Implementation: im,
 		Values:         k,

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"strconv"
 
@@ -18,7 +19,7 @@ import (
 // the bits to one-use bits (Section 4.3), and the one-use bits to binary
 // consensus-type objects (Section 5.2) — yielding k-valued consensus from
 // objects of the binary consensus type ALONE, verified over all k^2 trees.
-func E10() (*Table, error) {
+func E10(ctx context.Context) (*Table, error) {
 	t := &Table{
 		ID:    "E10",
 		Title: "Extension: multi-valued consensus, register-free via the full pipeline",
@@ -34,7 +35,7 @@ func E10() (*Table, error) {
 	allOK := true
 	for _, k := range []int{2, 3, 4} {
 		input := multivalue.FromBinarySRSW(k)
-		report, err := core.EliminateRegisters(input, explore.Options{Memoize: true}, 3)
+		report, err := core.EliminateRegistersContext(ctx, input, explore.Options{Memoize: true}, 3)
 		if err != nil {
 			return nil, fmt.Errorf("E10 k=%d: %w", k, err)
 		}
@@ -54,7 +55,7 @@ func E10() (*Table, error) {
 	}
 
 	// The plain (non-SRSW) construction at n = 3 as a breadth check.
-	mv3, err := checkConsensus(multivalue.FromBinary(3, 3), 3, explore.Options{Memoize: true})
+	mv3, err := checkConsensus(ctx, multivalue.FromBinary(3, 3), 3, explore.Options{Memoize: true})
 	if err != nil {
 		return nil, fmt.Errorf("E10 n=3: %w", err)
 	}

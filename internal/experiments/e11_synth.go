@@ -91,7 +91,7 @@ func E11(ctx context.Context) (*Table, error) {
 			rowOK = c.wantFound
 			if rowOK {
 				im := synth.Implementation("synth-"+c.name, c.objects, st, opts)
-				ok, verr := checkBinaryConsensus(im)
+				ok, verr := checkBinaryConsensus(ctx, im)
 				if verr != nil {
 					return nil, fmt.Errorf("E11 %s: %w", c.name, verr)
 				}
@@ -122,7 +122,7 @@ func E11(ctx context.Context) (*Table, error) {
 	// test-and-set object plus two SRSW bits, verified exhaustively. (Full
 	// synthesis at depth 3 over three objects exceeds a sensible budget;
 	// existence is what the hierarchy value needs.)
-	tasR, err := checkBinaryConsensus(consensus.TAS2())
+	tasR, err := checkBinaryConsensus(ctx, consensus.TAS2())
 	if err != nil {
 		return nil, err
 	}
@@ -146,8 +146,8 @@ func E11(ctx context.Context) (*Table, error) {
 	return t, nil
 }
 
-func checkBinaryConsensus(im *program.Implementation) (bool, error) {
-	report, err := checkConsensus(im, 2, explore.Options{})
+func checkBinaryConsensus(ctx context.Context, im *program.Implementation) (bool, error) {
+	report, err := checkConsensus(ctx, im, 2, explore.Options{})
 	if err != nil {
 		return false, err
 	}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"strconv"
 
@@ -13,7 +14,7 @@ import (
 // a uniform access bound D, obtained by exploring its (finitely many)
 // finite execution trees. The explorer computes D exactly, per protocol,
 // along with the tree sizes the Koenig-lemma argument reasons about.
-func E3() (*Table, error) {
+func E3(ctx context.Context) (*Table, error) {
 	t := &Table{
 		ID:    "E3",
 		Title: "Access bounds in wait-free consensus (Section 4.2)",
@@ -47,7 +48,7 @@ func E3() (*Table, error) {
 	allOK := true
 	for _, tc := range cases {
 		im := tc.mk()
-		report, err := checkConsensus(im, 2, explore.Options{Memoize: im.Procs > 2})
+		report, err := checkConsensus(ctx, im, 2, explore.Options{Memoize: im.Procs > 2})
 		if err != nil {
 			return nil, fmt.Errorf("E3 %s: %w", tc.name, err)
 		}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"strconv"
 
@@ -17,7 +18,7 @@ import (
 // pair, build the derived one-use bit, and verify it by exploring all
 // interleavings of one read and one write against the one-use bit type.
 // Trivial types are confirmed to yield no witness.
-func E4() (*Table, error) {
+func E4(ctx context.Context) (*Table, error) {
 	t := &Table{
 		ID:    "E4",
 		Title: "One-use bits from non-trivial deterministic types (Sections 5.1/5.2)",
@@ -57,7 +58,7 @@ func E4() (*Table, error) {
 				"none (trivial)", "-"})
 			continue
 		}
-		ok, err := checkOneUseBit(im)
+		ok, err := checkOneUseBit(ctx, im)
 		if err != nil {
 			return nil, fmt.Errorf("E4 %s: %w", tc.spec.Name, err)
 		}
@@ -75,7 +76,7 @@ func E4() (*Table, error) {
 // one-use bit via a 2-process consensus object (reader proposes 0, writer
 // proposes 1) — including nondeterministic types, where the explorer also
 // branches over every adversary resolution.
-func E5() (*Table, error) {
+func E5(ctx context.Context) (*Table, error) {
 	t := &Table{
 		ID:    "E5",
 		Title: "One-use bits from 2-process consensus (Section 5.3)",
@@ -101,7 +102,7 @@ func E5() (*Table, error) {
 		if err != nil {
 			return nil, fmt.Errorf("E5 %s: %w", tc.name, err)
 		}
-		ok, leaves, err := checkOneUseBitCounting(im)
+		ok, leaves, err := checkOneUseBitCounting(ctx, im)
 		if err != nil {
 			return nil, fmt.Errorf("E5 %s: %w", tc.name, err)
 		}
@@ -115,12 +116,12 @@ func E5() (*Table, error) {
 	return t, nil
 }
 
-func checkOneUseBit(im *program.Implementation) (bool, error) {
-	ok, _, err := checkOneUseBitCounting(im)
+func checkOneUseBit(ctx context.Context, im *program.Implementation) (bool, error) {
+	ok, _, err := checkOneUseBitCounting(ctx, im)
 	return ok, err
 }
 
-func checkOneUseBitCounting(im *program.Implementation) (bool, int64, error) {
+func checkOneUseBitCounting(ctx context.Context, im *program.Implementation) (bool, int64, error) {
 	ok := true
 	opts := explore.Options{
 		RecordHistory: true,
@@ -133,7 +134,7 @@ func checkOneUseBitCounting(im *program.Implementation) (bool, int64, error) {
 		},
 	}
 	scripts := [][]types.Invocation{{types.Read}, {types.Write(1)}}
-	res, err := explore.Run(im, scripts, opts)
+	res, err := explore.RunContext(ctx, im, scripts, opts)
 	if err != nil {
 		return false, 0, err
 	}

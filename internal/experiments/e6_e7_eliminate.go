@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"strconv"
 
@@ -15,7 +16,7 @@ import (
 // register-using protocol: bounds (4.2), register-to-one-use-bit rewriting
 // (4.3), one-use-bit realization from T (5.2), with exhaustive verification
 // of both endpoints.
-func E6() (*Table, error) {
+func E6(ctx context.Context) (*Table, error) {
 	t := &Table{
 		ID:    "E6",
 		Title: "Register elimination — constructive Theorem 5",
@@ -42,7 +43,7 @@ func E6() (*Table, error) {
 	allOK := true
 	for _, tc := range cases {
 		im := tc.mk()
-		report, err := core.EliminateRegisters(im, explore.Options{Memoize: tc.memo}, 3)
+		report, err := core.EliminateRegistersContext(ctx, im, explore.Options{Memoize: tc.memo}, 3)
 		if err != nil {
 			return nil, fmt.Errorf("E6 %s: %w", tc.name, err)
 		}
@@ -61,7 +62,7 @@ func E6() (*Table, error) {
 	// (noisy-sticky). The Section 5.2 witness machinery is unavailable, so
 	// the one-use bits are realized from the type's own register-free
 	// 2-consensus implementation (Section 5.3).
-	via53, err := core.EliminateRegistersVia53(
+	via53, err := core.EliminateRegistersVia53Context(ctx,
 		consensus.NoisySticky2R(), consensus.NoisySticky2(), explore.Options{})
 	if err != nil {
 		return nil, fmt.Errorf("E6 via-5.3: %w", err)
@@ -89,7 +90,7 @@ func E6() (*Table, error) {
 // consensus protocol (h_m^r >= 2 witness), the pipeline produces a
 // register-free witness (h_m >= 2); for level-1 and trivial types, the
 // classification records the equality argument.
-func E7() (*Table, error) {
+func E7(ctx context.Context) (*Table, error) {
 	t := &Table{
 		ID:    "E7",
 		Title: "h_m = h_m^r on the deterministic zoo (Theorem 5)",
@@ -113,11 +114,11 @@ func E7() (*Table, error) {
 	allOK := true
 	for _, tc := range cases {
 		in := tc.mk()
-		inReport, err := checkConsensus(in, 2, explore.Options{})
+		inReport, err := checkConsensus(ctx, in, 2, explore.Options{})
 		if err != nil {
 			return nil, fmt.Errorf("E7 %s: %w", tc.typeName, err)
 		}
-		pipeline, err := core.EliminateRegisters(tc.mk(), explore.Options{}, 3)
+		pipeline, err := core.EliminateRegistersContext(ctx, tc.mk(), explore.Options{}, 3)
 		if err != nil {
 			return nil, fmt.Errorf("E7 %s: %w", tc.typeName, err)
 		}
@@ -133,7 +134,7 @@ func E7() (*Table, error) {
 	}
 
 	// Level-1 deterministic types: the equality holds with both sides at 1.
-	cs, err := hierarchy.ClassifyZoo()
+	cs, err := hierarchy.ClassifyZooContext(ctx, 1)
 	if err != nil {
 		return nil, err
 	}

@@ -20,7 +20,7 @@ import (
 // with registers, the two-access protocol solves consensus under every
 // adversary resolution; without registers, the natural protocol is broken
 // by an explicit adversary resolution that the explorer exhibits.
-func E8() (*Table, error) {
+func E8(ctx context.Context) (*Table, error) {
 	t := &Table{
 		ID:    "E8",
 		Title: "Nondeterminism is necessary for the h_m / h_m^r gap (Section 6)",
@@ -31,11 +31,11 @@ func E8() (*Table, error) {
 			"the type alone carry only the adversary-controlled win/lose bit.",
 		Columns: []string{"configuration", "roots", "nodes", "agreement", "outcome"},
 	}
-	withRegs, err := checkConsensus(consensus.WeakLeader2(), 2, explore.Options{})
+	withRegs, err := checkConsensus(ctx, consensus.WeakLeader2(), 2, explore.Options{})
 	if err != nil {
 		return nil, fmt.Errorf("E8 with registers: %w", err)
 	}
-	noRegs, err := checkConsensus(weakLeaderNoRegisters(), 2, explore.Options{})
+	noRegs, err := checkConsensus(ctx, weakLeaderNoRegisters(), 2, explore.Options{})
 	if err != nil {
 		return nil, fmt.Errorf("E8 without registers: %w", err)
 	}
@@ -150,7 +150,7 @@ func E9(ctx context.Context) (*Table, error) {
 			[]types.Invocation{types.Enq(1), types.Deq},
 			[][]types.Invocation{{types.Enq(1)}, {types.Deq}}},
 	} {
-		ok, leaves, err := e9MachineCheck(mc.target, mc.init, mc.alphabet, mc.scripts)
+		ok, leaves, err := e9MachineCheck(ctx, mc.target, mc.init, mc.alphabet, mc.scripts)
 		if err != nil {
 			return nil, fmt.Errorf("E9 %s: %w", mc.name, err)
 		}
@@ -167,7 +167,7 @@ func E9(ctx context.Context) (*Table, error) {
 
 // e9MachineCheck runs the machine-form universal construction through the
 // explorer, checking every leaf history against the target.
-func e9MachineCheck(target *types.Spec, init types.State, alphabet []types.Invocation, scripts [][]types.Invocation) (bool, int64, error) {
+func e9MachineCheck(ctx context.Context, target *types.Spec, init types.State, alphabet []types.Invocation, scripts [][]types.Invocation) (bool, int64, error) {
 	totalOps := 0
 	for _, s := range scripts {
 		totalOps += len(s)
@@ -187,7 +187,7 @@ func e9MachineCheck(target *types.Spec, init types.State, alphabet []types.Invoc
 			return nil
 		},
 	}
-	res, err := explore.Run(im, scripts, opts)
+	res, err := explore.RunContext(ctx, im, scripts, opts)
 	if err != nil {
 		return false, 0, err
 	}

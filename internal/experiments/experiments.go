@@ -51,30 +51,18 @@ func Markdown(tables []*Table) string {
 	return b.String()
 }
 
-// runners lists every experiment in order. E1, E2, E9 and E11 — the
-// experiments that take more than a moment — honor ctx themselves; the
-// others finish quickly and ignore it.
+// runners lists every experiment in order. Each passes ctx to the engines
+// it calls, so cancellation or a deadline stops any of them promptly.
 var runners = []struct {
 	id  string
 	run func(context.Context) (*Table, error)
 }{
-	{"E1", E1}, {"E2", E2}, {"E3", quick(E3)}, {"E4", quick(E4)}, {"E5", quick(E5)},
-	{"E6", quick(E6)}, {"E7", quick(E7)}, {"E8", quick(E8)}, {"E9", E9}, {"E10", quick(E10)},
-	{"E11", E11},
-}
-
-// quick adapts an experiment that does not take a context.
-func quick(run func() (*Table, error)) func(context.Context) (*Table, error) {
-	return func(context.Context) (*Table, error) { return run() }
-}
-
-// All runs every experiment in order.
-func All() ([]*Table, error) {
-	return AllContext(context.Background())
+	{"E1", E1}, {"E2", E2}, {"E3", E3}, {"E4", E4}, {"E5", E5}, {"E6", E6},
+	{"E7", E7}, {"E8", E8}, {"E9", E9}, {"E10", E10}, {"E11", E11},
 }
 
 // AllContext runs every experiment in order under ctx: it checks ctx
-// between experiments, and the long ones (see runners) check it inside.
+// between experiments, and each experiment checks it inside.
 // Cancellation returns the tables finished so far alongside an error
 // wrapping ctx.Err().
 func AllContext(ctx context.Context) ([]*Table, error) {

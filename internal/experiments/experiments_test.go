@@ -22,7 +22,7 @@ func TestAllExperimentsReproduce(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full harness")
 	}
-	tables, err := All()
+	tables, err := AllContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +107,7 @@ func TestVerdictHelpers(t *testing.T) {
 
 // TestE8AdversaryFindsCounterexample pins the E8 counterexample details.
 func TestE8AdversaryFindsCounterexample(t *testing.T) {
-	table, err := E8()
+	table, err := E8(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,6 +140,19 @@ func TestTimeoutStopsLongExperiment(t *testing.T) {
 	}
 }
 
+// TestEveryExperimentHonoursContext: each experiment, run under an
+// already-cancelled context, stops with an error wrapping
+// context.Canceled instead of computing its table.
+func TestEveryExperimentHonoursContext(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, r := range runners {
+		if _, err := r.run(ctx); !errors.Is(err, context.Canceled) {
+			t.Errorf("%s: err = %v, want context.Canceled", r.id, err)
+		}
+	}
+}
+
 // TestWalkedLeavesAreTreeLeaves: on E1's exhaustive rows and the three
 // smallest E2 layers, every seeded walk ends on a leaf of the explored
 // tree of the same scripts — the sampled rows and the exhaustive rows
@@ -167,7 +180,7 @@ func TestWalkedLeavesAreTreeLeaves(t *testing.T) {
 			}
 			walked[explore.FormatSchedule(w.Schedule)] = seed
 		}
-		_, err := explore.Run(c.im, c.scripts, explore.Options{OnLeaf: func(l *explore.Leaf) error {
+		_, err := explore.RunContext(context.Background(), c.im, c.scripts, explore.Options{OnLeaf: func(l *explore.Leaf) error {
 			delete(walked, explore.FormatSchedule(l.Schedule))
 			return nil
 		}})

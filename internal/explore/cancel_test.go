@@ -63,7 +63,7 @@ func TestConsensusCancellation(t *testing.T) {
 				}
 			},
 		}
-		rep, err := ConsensusContext(ctx, im, opts)
+		rep, err := ConsensusKContext(ctx, im, 2, opts)
 		returned := time.Now()
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("workers=%d: err = %v, want context.Canceled", workers, err)
@@ -112,7 +112,7 @@ func TestConsensusCancellation(t *testing.T) {
 func TestConsensusPreCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := ConsensusContext(ctx, consensus.TAS2(), Options{}); !errors.Is(err, context.Canceled) {
+	if _, err := ConsensusKContext(ctx, consensus.TAS2(), 2, Options{}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }
@@ -125,7 +125,7 @@ func TestConsensusPreCancelled(t *testing.T) {
 func TestConsensusDeadline(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Millisecond)
 	defer cancel()
-	rep, err := ConsensusContext(ctx, consensus.CASRegister3(), Options{})
+	rep, err := ConsensusKContext(ctx, consensus.CASRegister3(), 2, Options{})
 	if err != nil {
 		t.Fatalf("err = %v, want nil (deadline degrades to a partial report)", err)
 	}
@@ -196,11 +196,11 @@ func TestOptionsValidate(t *testing.T) {
 	}
 	// The engine entry points must report the same sentinel.
 	im := consensus.TAS2()
-	if _, err := Consensus(im, Options{MaxDepth: -1}); !errors.Is(err, ErrBadOptions) {
+	if _, err := ConsensusKContext(context.Background(), im, 2, Options{MaxDepth: -1}); !errors.Is(err, ErrBadOptions) {
 		t.Errorf("Consensus: err = %v, want ErrBadOptions", err)
 	}
 	scripts := proposalScripts([]int{0, 1})
-	if _, err := Run(im, scripts, Options{Memoize: true, RecordHistory: true}); !errors.Is(err, ErrBadOptions) {
+	if _, err := RunContext(context.Background(), im, scripts, Options{Memoize: true, RecordHistory: true}); !errors.Is(err, ErrBadOptions) {
 		t.Errorf("Run: err = %v, want ErrBadOptions", err)
 	}
 }

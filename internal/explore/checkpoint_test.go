@@ -28,7 +28,7 @@ func cancelMidRun(t *testing.T, opts Options) *Checkpoint {
 			cancel()
 		}
 	}
-	rep, err := ConsensusContext(ctx, im, opts)
+	rep, err := ConsensusKContext(ctx, im, 2, opts)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -71,11 +71,11 @@ func TestCheckpointResumeEquality(t *testing.T) {
 		resumeOpts := base
 		resumeOpts.ResumeFrom = &restored
 		resumeOpts.Parallelism = 2
-		resumed, err := Consensus(im, resumeOpts)
+		resumed, err := ConsensusKContext(context.Background(), im, 2, resumeOpts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		uninterrupted, err := Consensus(im, base)
+		uninterrupted, err := ConsensusKContext(context.Background(), im, 2, base)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -94,7 +94,7 @@ func TestCheckpointResumeEquality(t *testing.T) {
 // exact violation report of an uninterrupted run.
 func TestCheckpointResumeViolating(t *testing.T) {
 	im := consensus.NaiveRegister2()
-	uninterrupted, err := Consensus(im, Options{Memoize: true})
+	uninterrupted, err := ConsensusKContext(context.Background(), im, 2, Options{Memoize: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +106,7 @@ func TestCheckpointResumeViolating(t *testing.T) {
 		Values:  2,
 		Roots:   4,
 	}
-	resumed, err := Consensus(im, Options{Memoize: true, ResumeFrom: cp})
+	resumed, err := ConsensusKContext(context.Background(), im, 2, Options{Memoize: true, ResumeFrom: cp})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +133,7 @@ func TestResumeFromValidation(t *testing.T) {
 			Roots:   4,
 		}
 	}
-	if _, err := Consensus(im, Options{ResumeFrom: good()}); err != nil {
+	if _, err := ConsensusKContext(context.Background(), im, 2, Options{ResumeFrom: good()}); err != nil {
 		t.Fatalf("well-formed empty checkpoint rejected: %v", err)
 	}
 	mutations := []struct {
@@ -166,14 +166,14 @@ func TestResumeFromValidation(t *testing.T) {
 	for _, m := range mutations {
 		cp := good()
 		m.mut(cp)
-		if _, err := Consensus(im, Options{ResumeFrom: cp}); !errors.Is(err, ErrBadCheckpoint) {
+		if _, err := ConsensusKContext(context.Background(), im, 2, Options{ResumeFrom: cp}); !errors.Is(err, ErrBadCheckpoint) {
 			t.Errorf("%s: err = %v, want ErrBadCheckpoint", m.name, err)
 		}
 	}
 
 	// Single-tree runs have no frontier: Run must reject ResumeFrom.
 	scripts := proposalScripts([]int{0, 1})
-	if _, err := Run(im, scripts, Options{ResumeFrom: good()}); !errors.Is(err, ErrBadOptions) {
+	if _, err := RunContext(context.Background(), im, scripts, Options{ResumeFrom: good()}); !errors.Is(err, ErrBadOptions) {
 		t.Errorf("Run accepted ResumeFrom: %v", err)
 	}
 }
@@ -194,7 +194,7 @@ func TestResumeRejectsForgedTrees(t *testing.T) {
 	}
 	resume := func(tr TreeResult) error {
 		cp := &Checkpoint{Version: CheckpointVersion, Impl: im.Name, Procs: 2, Values: 2, Roots: 4, Trees: []TreeResult{tr}}
-		_, err := Consensus(im, Options{ResumeFrom: cp})
+		_, err := ConsensusKContext(context.Background(), im, 2, Options{ResumeFrom: cp})
 		return err
 	}
 	if err := resume(genuine(1)); err != nil {

@@ -166,11 +166,6 @@ func (r *ConsensusReport) String() string {
 	return b.String()
 }
 
-// ProposalVector decodes bit p of mask as process p's proposal.
-func ProposalVector(mask, procs int) []int {
-	return ProposalVectorK(mask, procs, 2)
-}
-
 // ProposalVectorK decodes base-k digit p of mask as process p's proposal.
 func ProposalVectorK(mask, procs, k int) []int {
 	vec := make([]int, procs)
@@ -179,25 +174,6 @@ func ProposalVectorK(mask, procs, k int) []int {
 		mask /= k
 	}
 	return vec
-}
-
-// Consensus explores every execution of im from every binary proposal
-// vector and checks agreement, validity, and wait-freedom. Options.OnLeaf
-// and RecordHistory are reserved for the checker and must be unset.
-// Options.Parallelism fans the independent trees across workers.
-func Consensus(im *program.Implementation, opts Options) (*ConsensusReport, error) {
-	return ConsensusKContext(context.Background(), im, 2, opts)
-}
-
-// ConsensusContext is Consensus under a context (see ConsensusKContext).
-func ConsensusContext(ctx context.Context, im *program.Implementation, opts Options) (*ConsensusReport, error) {
-	return ConsensusKContext(ctx, im, 2, opts)
-}
-
-// ConsensusK is the k-valued generalization of Consensus: processes may
-// propose any value in 0..k-1, giving k^n execution trees.
-func ConsensusK(im *program.Implementation, k int, opts Options) (*ConsensusReport, error) {
-	return ConsensusKContext(context.Background(), im, k, opts)
 }
 
 // treeOutcome is one proposal-vector tree's exploration, kept per mask so
@@ -261,8 +237,11 @@ func exploreTree(ctx context.Context, im *program.Implementation, k, mask int, o
 	return out
 }
 
-// ConsensusKContext runs the k-valued check under a context. The trees are
-// independent, so they are fanned across min(Options.Parallelism, k^n)
+// ConsensusKContext explores every execution of im from every proposal
+// vector over 0..k-1 (k^n execution trees; k = 2 is binary consensus) and
+// checks agreement, validity, and wait-freedom. Options.OnLeaf and
+// RecordHistory are reserved for the checker and must be unset. The trees
+// are independent, so they are fanned across min(Options.Parallelism, k^n)
 // workers; outcomes are merged in proposal-vector order, which makes the
 // report a pure function of the implementation — identical at every
 // parallelism level, including the Nodes/Leaves/MemoHits accounting.
@@ -287,7 +266,7 @@ func ConsensusKContext(ctx context.Context, im *program.Implementation, k int, o
 		return nil, err
 	}
 	if opts.OnLeaf != nil || opts.RecordHistory {
-		return nil, fmt.Errorf("%w: Consensus drives OnLeaf and histories internally", ErrBadOptions)
+		return nil, fmt.Errorf("%w: the consensus check drives OnLeaf and histories internally", ErrBadOptions)
 	}
 	if k < 2 {
 		return nil, fmt.Errorf("%w: need at least 2 proposal values, got %d", ErrBadScripts, k)

@@ -38,7 +38,7 @@ import (
 // DefaultMaxDepth is the per-path step budget when Options.MaxDepth is 0.
 const DefaultMaxDepth = 4096
 
-// Options configures a Run.
+// Options configures a RunContext or ConsensusKContext exploration.
 type Options struct {
 	// MaxDepth is the per-path object-access budget; exceeding it is
 	// reported as a wait-freedom violation. 0 means DefaultMaxDepth.
@@ -60,10 +60,10 @@ type Options struct {
 	// valid only during the call. A callback that keeps leaf data must
 	// copy it. History is the exception: each leaf gets its own copy.
 	OnLeaf func(*Leaf) error
-	// Parallelism bounds the number of worker goroutines Consensus and
-	// ConsensusK use to explore independent proposal-vector trees
+	// Parallelism bounds the number of worker goroutines
+	// ConsensusKContext uses to explore independent proposal-vector trees
 	// concurrently: 0 means runtime.GOMAXPROCS(0), 1 forces sequential
-	// exploration. Run itself always explores its single tree
+	// exploration. RunContext itself always explores its single tree
 	// sequentially. Every field of the merged ConsensusReport — verdicts,
 	// Depth, access bounds, Nodes, Leaves, and MemoHits — is identical at
 	// every parallelism level, because each tree owns its memo table and
@@ -116,10 +116,10 @@ type Options struct {
 	// re-explored. The engine shares the checkpoint's slices and maps
 	// without copying or modifying them, so the caller must not modify it
 	// while the run is in flight. Only ConsensusContext / ConsensusKContext
-	// honor it; Run rejects it (single trees have no frontier to resume).
+	// honor it; RunContext rejects it (single trees have no frontier to resume).
 	ResumeFrom *Checkpoint
 	// Symmetry selects process-permutation symmetry reduction for
-	// Consensus/ConsensusK: proposal vectors that are permutations of one
+	// ConsensusKContext: proposal vectors that are permutations of one
 	// another generate isomorphic execution trees when the implementation
 	// is process-symmetric (declared SymmetricProcs over oblivious, fully
 	// ported objects), so only one representative tree per orbit is
@@ -130,7 +130,7 @@ type Options struct {
 	// SymmetryOff (the zero value) explores every tree; SymmetryAuto
 	// reduces when the implementation qualifies and silently falls back
 	// otherwise; SymmetryRequire errors with ErrNotSymmetric instead of
-	// falling back. Run ignores Symmetry (a single tree has no orbit), and
+	// falling back. RunContext ignores Symmetry (a single tree has no orbit), and
 	// MemoBudget disables reduction (eviction timing is traversal-order
 	// dependent; see planOrbits).
 	Symmetry SymmetryMode
@@ -141,7 +141,7 @@ type Options struct {
 	// far the run got — with a nil error, consistent with the Degraded
 	// memo-budget contract. The budget is soft: workers notice it at their
 	// next counter flush, so the overshoot is bounded by
-	// workers*flushEvery. 0 means unbounded. Run ignores MaxNodes (a
+	// workers*flushEvery. 0 means unbounded. RunContext ignores MaxNodes (a
 	// single tree has no partial-merge frontier).
 	MaxNodes int64
 	// StallAfter arms the stall watchdog for the consensus engines: the
@@ -149,14 +149,14 @@ type Options struct {
 	// progress for this long, stops the run, and surfaces a *StallError
 	// carrying the worker, its tree, and the config key of its last flushed
 	// configuration — turning a wedged Spec.Step or Machine from a silent
-	// hang into a diagnosable report. 0 disables the watchdog. Run ignores
+	// hang into a diagnosable report. 0 disables the watchdog. RunContext ignores
 	// StallAfter.
 	StallAfter time.Duration
 	// CheckpointEvery autosaves the consensus frontier: every interval,
 	// the supervisor snapshots a Checkpoint of the trees finished so far
 	// and hands it to OnCheckpoint, so an OOM-kill or power loss costs at
 	// most one interval of work. Autosave needs both fields: setting one
-	// without the other is ErrBadOptions. Run ignores both.
+	// without the other is ErrBadOptions. RunContext ignores both.
 	CheckpointEvery time.Duration
 	// OnCheckpoint receives autosave snapshots (see CheckpointEvery). It
 	// is called from the run's one supervisor goroutine, which also calls
@@ -398,7 +398,7 @@ func (v *Violation) Error() string {
 	return fmt.Sprintf("explore: %v: %s\nschedule:\n%s", v.Kind, v.Detail, FormatSchedule(v.Schedule))
 }
 
-// Result aggregates a Run.
+// Result aggregates a RunContext exploration.
 type Result struct {
 	Nodes    int64
 	Leaves   int64
@@ -514,16 +514,10 @@ type config struct {
 	procEnc [][]byte
 }
 
-// Run explores all executions of im in which process p performs the target
-// invocations scripts[p], in order. It returns the tree's aggregate result;
-// semantic findings are reported in Result.Violation, structural problems
-// as errors. Run is RunContext with a background context.
-func Run(im *program.Implementation, scripts [][]types.Invocation, opts Options) (*Result, error) {
-	return RunContext(context.Background(), im, scripts, opts)
-}
-
-// RunContext is Run under a context: cancellation or deadline expiry stops
-// the exploration within flushEvery configurations and returns ctx.Err()
+// RunContext explores all executions of im in which process p performs the
+// target invocations scripts[p], in order. It returns the tree's aggregate
+// result; semantic findings are reported in Result.Violation, structural
+// problems as errors. Cancellation or deadline expiry stops the exploration within flushEvery configurations and returns ctx.Err()
 // (context.Canceled or context.DeadlineExceeded). If opts.OnProgress is
 // set, engine Stats are published on the configured tick and once more
 // when the run stops, so a cancelled run still surfaces its partial

@@ -1,6 +1,7 @@
 package explore
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -159,7 +160,7 @@ func noObjectImpl(m program.Machine, procs int) *program.Implementation {
 
 func TestCASConsensusCorrect(t *testing.T) {
 	for _, procs := range []int{2, 3} {
-		report, err := Consensus(casConsensusImpl(procs), Options{})
+		report, err := ConsensusKContext(context.Background(), casConsensusImpl(procs), 2, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -180,7 +181,7 @@ func TestCASConsensusCorrect(t *testing.T) {
 }
 
 func TestTASConsensusCorrectAndBounded(t *testing.T) {
-	report, err := Consensus(tasConsensusImpl(), Options{})
+	report, err := ConsensusKContext(context.Background(), tasConsensusImpl(), 2, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +208,7 @@ func TestTASConsensusCorrectAndBounded(t *testing.T) {
 }
 
 func TestAgreementViolationDetected(t *testing.T) {
-	report, err := Consensus(noObjectImpl(selfishMachine, 2), Options{})
+	report, err := ConsensusKContext(context.Background(), noObjectImpl(selfishMachine, 2), 2, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +224,7 @@ func TestAgreementViolationDetected(t *testing.T) {
 }
 
 func TestValidityViolationDetected(t *testing.T) {
-	report, err := Consensus(noObjectImpl(stubbornMachine, 2), Options{})
+	report, err := ConsensusKContext(context.Background(), noObjectImpl(stubbornMachine, 2), 2, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,7 +241,7 @@ func TestNonWaitFreeDetectedByCycle(t *testing.T) {
 	im.Objects = []program.ObjectDecl{
 		{Name: "r", Spec: types.Register(1, 2), Init: 0, PortOf: program.AllPorts(1)},
 	}
-	report, err := Consensus(im, Options{Memoize: true})
+	report, err := ConsensusKContext(context.Background(), im, 2, Options{Memoize: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,7 +258,7 @@ func TestNonWaitFreeDetectedByDepth(t *testing.T) {
 	im.Objects = []program.ObjectDecl{
 		{Name: "r", Spec: types.Register(1, 2), Init: 0, PortOf: program.AllPorts(1)},
 	}
-	report, err := Consensus(im, Options{MaxDepth: 50})
+	report, err := ConsensusKContext(context.Background(), im, 2, Options{MaxDepth: 50})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,11 +274,11 @@ func TestNonWaitFreeDetectedByDepth(t *testing.T) {
 }
 
 func TestMemoizationPreservesVerdictsAndBounds(t *testing.T) {
-	plain, err := Consensus(casConsensusImpl(3), Options{})
+	plain, err := ConsensusKContext(context.Background(), casConsensusImpl(3), 2, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	memo, err := Consensus(casConsensusImpl(3), Options{Memoize: true})
+	memo, err := ConsensusKContext(context.Background(), casConsensusImpl(3), 2, Options{Memoize: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -349,7 +350,7 @@ func TestRecordHistoryLinearizable(t *testing.T) {
 			return nil
 		},
 	}
-	res, err := Run(im, scripts, opts)
+	res, err := RunContext(context.Background(), im, scripts, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -377,7 +378,7 @@ var twoOpScripts = [][]types.Invocation{
 // the responses the leaf reports.
 func TestRecordHistoryClosesEveryOp(t *testing.T) {
 	leaves := 0
-	res, err := Run(identityRegisterImpl(), twoOpScripts, Options{
+	res, err := RunContext(context.Background(), identityRegisterImpl(), twoOpScripts, Options{
 		RecordHistory: true,
 		OnLeaf: func(l *Leaf) error {
 			leaves++
@@ -422,7 +423,7 @@ func TestRecordHistoryClosesEveryOp(t *testing.T) {
 func TestMemoizedLeavesCarryFullResponses(t *testing.T) {
 	vectors := func(memo bool) map[string]bool {
 		seen := make(map[string]bool)
-		res, err := Run(identityRegisterImpl(), twoOpScripts, Options{
+		res, err := RunContext(context.Background(), identityRegisterImpl(), twoOpScripts, Options{
 			Memoize: memo,
 			OnLeaf: func(l *Leaf) error {
 				for p, script := range twoOpScripts {
@@ -471,18 +472,18 @@ func decodeInv(code int) types.Invocation {
 
 func TestRunRejectsBadShapes(t *testing.T) {
 	im := casConsensusImpl(2)
-	if _, err := Run(im, nil, Options{}); err == nil {
+	if _, err := RunContext(context.Background(), im, nil, Options{}); err == nil {
 		t.Error("script count mismatch accepted")
 	}
 	scripts := [][]types.Invocation{{types.Propose(0)}, {types.Propose(0)}}
-	if _, err := Run(im, scripts, Options{Memoize: true, RecordHistory: true}); err == nil {
+	if _, err := RunContext(context.Background(), im, scripts, Options{Memoize: true, RecordHistory: true}); err == nil {
 		t.Error("memoize+history accepted")
 	}
 }
 
 func TestEmptyScriptsProduceSingleLeaf(t *testing.T) {
 	im := casConsensusImpl(2)
-	res, err := Run(im, [][]types.Invocation{{}, {}}, Options{})
+	res, err := RunContext(context.Background(), im, [][]types.Invocation{{}, {}}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -492,11 +493,11 @@ func TestEmptyScriptsProduceSingleLeaf(t *testing.T) {
 }
 
 func TestProposalVector(t *testing.T) {
-	got := ProposalVector(5, 4)
+	got := ProposalVectorK(5, 4, 2)
 	want := []int{1, 0, 1, 0}
 	for i := range want {
 		if got[i] != want[i] {
-			t.Fatalf("ProposalVector(5,4) = %v, want %v", got, want)
+			t.Fatalf("ProposalVectorK(5, 4, 2) = %v, want %v", got, want)
 		}
 	}
 }
@@ -585,7 +586,7 @@ func TestLeafSchedulePlausible(t *testing.T) {
 		copies = append(copies, copyLeaf(l))
 		return nil
 	}}
-	res, err := Run(im, scripts, opts)
+	res, err := RunContext(context.Background(), im, scripts, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -646,7 +647,7 @@ func TestProposalVectorK(t *testing.T) {
 }
 
 func TestConsensusKRejectsBadK(t *testing.T) {
-	if _, err := ConsensusK(casConsensusImpl(2), 1, Options{}); err == nil {
+	if _, err := ConsensusKContext(context.Background(), casConsensusImpl(2), 1, Options{}); err == nil {
 		t.Error("k=1 accepted")
 	}
 }
@@ -683,7 +684,7 @@ func TestFormatLanes(t *testing.T) {
 }
 
 func TestProcStepsBounds(t *testing.T) {
-	report, err := Consensus(tasConsensusImpl(), Options{})
+	report, err := ConsensusKContext(context.Background(), tasConsensusImpl(), 2, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package explore
 
 import (
+	"context"
 	"errors"
 	"reflect"
 	"strings"
@@ -23,14 +24,14 @@ var oneCrash = faults.Model{MaxCrashes: 1}
 // prefix of a crash-free one.
 func TestQueue2UnderCrashExploration(t *testing.T) {
 	im := consensus.Queue2()
-	plain, err := Consensus(im, Options{Memoize: true})
+	plain, err := ConsensusKContext(context.Background(), im, 2, Options{Memoize: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, mode := range []faults.Mode{faults.CrashStop, faults.CrashBeforeFirstStep} {
 		for _, memoize := range []bool{false, true} {
 			opts := Options{Memoize: memoize, Faults: faults.Model{MaxCrashes: 1, Mode: mode}}
-			rep, err := Consensus(im, opts)
+			rep, err := ConsensusKContext(context.Background(), im, 2, opts)
 			if err != nil {
 				t.Fatalf("mode=%v memoize=%v: %v", mode, memoize, err)
 			}
@@ -66,7 +67,7 @@ func TestQueue2UnderCrashExploration(t *testing.T) {
 // nothing to check) and must not flag a correct protocol.
 func TestAllProcessesMayCrash(t *testing.T) {
 	im := consensus.TAS2()
-	rep, err := Consensus(im, Options{Memoize: true, Faults: faults.Model{MaxCrashes: im.Procs}})
+	rep, err := ConsensusKContext(context.Background(), im, 2, Options{Memoize: true, Faults: faults.Model{MaxCrashes: im.Procs}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +142,7 @@ func spinnerImpl() *program.Implementation {
 func TestSurvivorStarvationCounterexample(t *testing.T) {
 	im := spinnerImpl()
 
-	rep, err := Consensus(im, Options{Memoize: true, Faults: oneCrash})
+	rep, err := ConsensusKContext(context.Background(), im, 2, Options{Memoize: true, Faults: oneCrash})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +165,7 @@ func TestSurvivorStarvationCounterexample(t *testing.T) {
 
 	// The depth-bounded analogue (no memoization, so no cycle detection):
 	// the spin must exhaust the budget and still classify as starvation.
-	rep, err = Consensus(im, Options{MaxDepth: 32, Faults: oneCrash})
+	rep, err = ConsensusKContext(context.Background(), im, 2, Options{MaxDepth: 32, Faults: oneCrash})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +174,7 @@ func TestSurvivorStarvationCounterexample(t *testing.T) {
 	}
 
 	// Crash-free contrast: a plain cycle, no crash records anywhere.
-	rep, err = Consensus(im, Options{Memoize: true})
+	rep, err = ConsensusKContext(context.Background(), im, 2, Options{Memoize: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +224,7 @@ func soloDecideImpl() *program.Implementation {
 // failure, with the crash in the schedule.
 func TestInvalidAfterCrashCounterexample(t *testing.T) {
 	im := soloDecideImpl()
-	rep, err := Consensus(im, Options{Memoize: true, Faults: oneCrash})
+	rep, err := ConsensusKContext(context.Background(), im, 2, Options{Memoize: true, Faults: oneCrash})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,7 +256,7 @@ func TestLeafCrashedAnnotation(t *testing.T) {
 	scripts := proposalScripts([]int{0, 1})
 	var crashFree, crashed int
 	var copies []Leaf
-	res, err := Run(im, scripts, Options{
+	res, err := RunContext(context.Background(), im, scripts, Options{
 		Faults: oneCrash,
 		OnLeaf: func(l *Leaf) error {
 			copies = append(copies, copyLeaf(l))
@@ -311,12 +312,12 @@ func TestFaultParityAcrossParallelism(t *testing.T) {
 				// protocols' spin instead of walking to DefaultMaxDepth.
 				opts.MaxDepth = 64
 			}
-			seq, seqErr := Consensus(im, opts)
+			seq, seqErr := ConsensusKContext(context.Background(), im, 2, opts)
 			stripStats(seq)
 			for _, workers := range []int{2, 4} {
 				popts := opts
 				popts.Parallelism = workers
-				par, parErr := Consensus(im, popts)
+				par, parErr := ConsensusKContext(context.Background(), im, 2, popts)
 				stripStats(par)
 				if (seqErr == nil) != (parErr == nil) {
 					t.Fatalf("%s memoize=%v workers=%d: error mismatch: %v vs %v",
@@ -342,11 +343,11 @@ func TestFaultParityAcrossParallelism(t *testing.T) {
 // every level (Result, report, Stats) with the evictions counted.
 func TestMemoBudgetDegradation(t *testing.T) {
 	im := consensus.Queue2()
-	full, err := Consensus(im, Options{Memoize: true})
+	full, err := ConsensusKContext(context.Background(), im, 2, Options{Memoize: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	tight, err := Consensus(im, Options{Memoize: true, MemoBudget: 4, Faults: oneCrash})
+	tight, err := ConsensusKContext(context.Background(), im, 2, Options{Memoize: true, MemoBudget: 4, Faults: oneCrash})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -371,12 +372,12 @@ func TestMemoBudgetDegradation(t *testing.T) {
 
 	// Degraded runs must preserve parity too: eviction is deterministic.
 	opts := Options{Memoize: true, MemoBudget: 4, Faults: oneCrash}
-	seq, err := Consensus(im, opts)
+	seq, err := ConsensusKContext(context.Background(), im, 2, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	opts.Parallelism = 4
-	par, err := Consensus(im, opts)
+	par, err := ConsensusKContext(context.Background(), im, 2, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -412,7 +413,7 @@ func TestExplorerPanicRecovery(t *testing.T) {
 		Machines: []program.Machine{explodingMachine, explodingMachine},
 	}
 	for _, workers := range []int{1, 4} {
-		_, err := Consensus(im, Options{Parallelism: workers})
+		_, err := ConsensusKContext(context.Background(), im, 2, Options{Parallelism: workers})
 		var pe *faults.PanicError
 		if !errors.As(err, &pe) {
 			t.Fatalf("workers=%d: err = %v, want *faults.PanicError", workers, err)

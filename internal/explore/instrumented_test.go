@@ -1,6 +1,7 @@
 package explore
 
 import (
+	"context"
 	"sync"
 	"testing"
 	"time"
@@ -47,7 +48,7 @@ func TestProgressSnapshotRetention(t *testing.T) {
 			mu.Unlock()
 		},
 	}
-	if _, err := Consensus(consensus.CAS(3), opts); err != nil {
+	if _, err := ConsensusKContext(context.Background(), consensus.CAS(3), 2, opts); err != nil {
 		t.Fatal(err)
 	}
 	close(done)
@@ -73,7 +74,7 @@ func TestProgressSnapshotRetention(t *testing.T) {
 func TestInstrumentedParity(t *testing.T) {
 	for _, im := range consensus.Corpus() {
 		for _, memoize := range []bool{false, true} {
-			base, baseErr := Consensus(im, Options{Memoize: memoize})
+			base, baseErr := ConsensusKContext(context.Background(), im, 2, Options{Memoize: memoize})
 			for _, workers := range []int{1, 2, 4} {
 				opts := Options{
 					Memoize:          memoize,
@@ -81,7 +82,7 @@ func TestInstrumentedParity(t *testing.T) {
 					ProgressInterval: time.Millisecond,
 					OnProgress:       func(Stats) {},
 				}
-				got, err := Consensus(im, opts)
+				got, err := ConsensusKContext(context.Background(), im, 2, opts)
 				if (baseErr == nil) != (err == nil) {
 					t.Fatalf("%s memoize=%v workers=%d: error mismatch: %v vs %v",
 						im.Name, memoize, workers, baseErr, err)

@@ -1,6 +1,7 @@
 package explore
 
 import (
+	"context"
 	"encoding/binary"
 	"fmt"
 	"math/rand"
@@ -492,12 +493,12 @@ func BenchmarkMemo(b *testing.B) {
 // degrade (the flag keeps meaning "the memo lost entries for good").
 func TestMemoSpillPreservesHits(t *testing.T) {
 	im := consensus.Queue2()
-	full, err := Consensus(im, Options{Memoize: true, Faults: oneCrash})
+	full, err := ConsensusKContext(context.Background(), im, 2, Options{Memoize: true, Faults: oneCrash})
 	if err != nil {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
-	spill, err := Consensus(im, Options{
+	spill, err := ConsensusKContext(context.Background(), im, 2, Options{
 		Memoize: true, MemoBudget: 4, MemoSpillDir: dir, Faults: oneCrash,
 	})
 	if err != nil {
@@ -527,7 +528,7 @@ func TestMemoSpillPreservesHits(t *testing.T) {
 		t.Errorf("spill file survived tree completion: %v", entries)
 	}
 
-	noSpill, err := Consensus(im, Options{Memoize: true, MemoBudget: 4, Faults: oneCrash})
+	noSpill, err := ConsensusKContext(context.Background(), im, 2, Options{Memoize: true, MemoBudget: 4, Faults: oneCrash})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package explore
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -28,10 +29,10 @@ func stripStats(r *ConsensusReport) *ConsensusReport {
 func TestConsensusParallelMatchesSequential(t *testing.T) {
 	for _, im := range consensus.Corpus() {
 		for _, memoize := range []bool{false, true} {
-			seq, seqErr := Consensus(im, Options{Memoize: memoize, Parallelism: 1})
+			seq, seqErr := ConsensusKContext(context.Background(), im, 2, Options{Memoize: memoize, Parallelism: 1})
 			stripStats(seq)
 			for _, workers := range []int{0, 2, 4} {
-				par, parErr := Consensus(im, Options{Memoize: memoize, Parallelism: workers})
+				par, parErr := ConsensusKContext(context.Background(), im, 2, Options{Memoize: memoize, Parallelism: workers})
 				stripStats(par)
 				if (seqErr == nil) != (parErr == nil) {
 					t.Fatalf("%s memoize=%v workers=%d: error mismatch: %v vs %v",
@@ -53,11 +54,11 @@ func TestConsensusParallelMatchesSequential(t *testing.T) {
 // (k^n roots) the binary test misses.
 func TestConsensusKParallelMatchesSequential(t *testing.T) {
 	im := consensus.CAS(2)
-	seq, err := ConsensusK(im, 3, Options{Memoize: true, Parallelism: 1})
+	seq, err := ConsensusKContext(context.Background(), im, 3, Options{Memoize: true, Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := ConsensusK(im, 3, Options{Memoize: true, Parallelism: 3})
+	par, err := ConsensusKContext(context.Background(), im, 3, Options{Memoize: true, Parallelism: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package explore
 
 import (
+	"context"
 	"reflect"
 	"strings"
 	"testing"
@@ -39,8 +40,8 @@ func TestCrashRecoveryZeroBudgetParity(t *testing.T) {
 					if !memoize {
 						stop.MaxDepth, rec.MaxDepth = 64, 64
 					}
-					a, aErr := Consensus(im, stop)
-					b, bErr := Consensus(im, rec)
+					a, aErr := ConsensusKContext(context.Background(), im, 2, stop)
+					b, bErr := ConsensusKContext(context.Background(), im, 2, rec)
 					if (aErr == nil) != (bErr == nil) {
 						t.Fatalf("%s memoize=%v sym=%v workers=%d: error mismatch: %v vs %v",
 							im.Name, memoize, sym, workers, aErr, bErr)
@@ -71,11 +72,11 @@ func TestCrashRecoveryZeroBudgetParity(t *testing.T) {
 // is still explored, plus every recovery continuation).
 func TestRecoveryFindsMoreBehavior(t *testing.T) {
 	im := consensus.TAS2()
-	stop, err := Consensus(im, Options{Memoize: true, Faults: oneCrash})
+	stop, err := ConsensusKContext(context.Background(), im, 2, Options{Memoize: true, Faults: oneCrash})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec, err := Consensus(im, Options{Memoize: true, Faults: oneRecovery})
+	rec, err := ConsensusKContext(context.Background(), im, 2, Options{Memoize: true, Faults: oneRecovery})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +106,7 @@ func TestRecoveryFindsMoreBehavior(t *testing.T) {
 // schedule, and the kind must name the recovery.
 func TestDecisionChangedAfterRecoveryCounterexample(t *testing.T) {
 	im := consensus.NaiveRegister2()
-	rep, err := Consensus(im, Options{Memoize: true, Faults: oneRecovery})
+	rep, err := ConsensusKContext(context.Background(), im, 2, Options{Memoize: true, Faults: oneRecovery})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +201,7 @@ func TestRecoveryDivergenceCounterexample(t *testing.T) {
 
 	// Contrast first: correct without recoveries, in both prior modes.
 	for _, fm := range []faults.Model{{}, oneCrash} {
-		rep, err := Consensus(im, Options{Memoize: true, Faults: fm})
+		rep, err := ConsensusKContext(context.Background(), im, 2, Options{Memoize: true, Faults: fm})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -209,7 +210,7 @@ func TestRecoveryDivergenceCounterexample(t *testing.T) {
 		}
 	}
 
-	rep, err := Consensus(im, Options{Memoize: true, Faults: oneRecovery})
+	rep, err := ConsensusKContext(context.Background(), im, 2, Options{Memoize: true, Faults: oneRecovery})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +230,7 @@ func TestRecoveryDivergenceCounterexample(t *testing.T) {
 	}
 
 	// Depth-bounded analogue: no cycle detection, the budget trips instead.
-	rep, err = Consensus(im, Options{MaxDepth: 32, Faults: oneRecovery})
+	rep, err = ConsensusKContext(context.Background(), im, 2, Options{MaxDepth: 32, Faults: oneRecovery})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,7 +249,7 @@ func TestLeafRecoveriesAnnotation(t *testing.T) {
 	scripts := proposalScripts([]int{0, 1})
 	var plain, recovered int
 	var copies []Leaf
-	res, err := Run(im, scripts, Options{
+	res, err := RunContext(context.Background(), im, scripts, Options{
 		Faults: oneRecovery,
 		OnLeaf: func(l *Leaf) error {
 			copies = append(copies, copyLeaf(l))
@@ -296,7 +297,7 @@ func TestLeafRecoveriesAnnotation(t *testing.T) {
 // the same process.
 func TestRecoveryBudgetCountsCrashEvents(t *testing.T) {
 	im := consensus.TAS2()
-	_, err := Run(im, proposalScripts([]int{0, 1}), Options{
+	_, err := RunContext(context.Background(), im, proposalScripts([]int{0, 1}), Options{
 		Faults: oneRecovery,
 		OnLeaf: func(l *Leaf) error {
 			crashes, recovers := 0, 0

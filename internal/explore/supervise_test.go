@@ -1,6 +1,7 @@
 package explore
 
 import (
+	"context"
 	"errors"
 	"reflect"
 	"runtime"
@@ -26,7 +27,7 @@ func TestConsensusMaxNodesPartial(t *testing.T) {
 	// node count.
 	budgeted := base
 	budgeted.MaxNodes = 500
-	rep, err := Consensus(im, budgeted)
+	rep, err := ConsensusKContext(context.Background(), im, 2, budgeted)
 	if err != nil {
 		t.Fatalf("err = %v, want nil (budget stop degrades to a partial report)", err)
 	}
@@ -53,11 +54,11 @@ func TestConsensusMaxNodesPartial(t *testing.T) {
 
 	resumeOpts := base
 	resumeOpts.ResumeFrom = rep.Checkpoint
-	resumed, err := Consensus(im, resumeOpts)
+	resumed, err := ConsensusKContext(context.Background(), im, 2, resumeOpts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	uninterrupted, err := Consensus(im, base)
+	uninterrupted, err := ConsensusKContext(context.Background(), im, 2, base)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +90,7 @@ func TestConsensusAutosave(t *testing.T) {
 			last = cp
 		},
 	}
-	rep, err := Consensus(im, opts)
+	rep, err := ConsensusKContext(context.Background(), im, 2, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,11 +105,11 @@ func TestConsensusAutosave(t *testing.T) {
 	}
 
 	// The last mid-run snapshot must be a sound resume point.
-	resumed, err := Consensus(im, Options{ResumeFrom: last})
+	resumed, err := ConsensusKContext(context.Background(), im, 2, Options{ResumeFrom: last})
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, err := Consensus(im, Options{})
+	plain, err := ConsensusKContext(context.Background(), im, 2, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +147,7 @@ func TestSupervisorOneGoroutine(t *testing.T) {
 			saves++
 		},
 	}
-	rep, err := Consensus(im, opts)
+	rep, err := ConsensusKContext(context.Background(), im, 2, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +167,7 @@ func TestSupervisorOneGoroutine(t *testing.T) {
 // final snapshot: one per worker, all idle once the engine has joined
 // them.
 func TestConsensusHeartbeats(t *testing.T) {
-	rep, err := Consensus(consensus.TAS2(), Options{Parallelism: 2})
+	rep, err := ConsensusKContext(context.Background(), consensus.TAS2(), 2, Options{Parallelism: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +232,7 @@ func TestConsensusStallWatchdog(t *testing.T) {
 		StallAfter:  30 * time.Millisecond,
 	}
 	start := time.Now()
-	rep, err := Consensus(im, opts)
+	rep, err := ConsensusKContext(context.Background(), im, 2, opts)
 	elapsed := time.Since(start)
 
 	var se *StallError

@@ -32,7 +32,7 @@ import (
 //     each process's access capability to the process taking its role.
 
 // SymmetryMode selects process-permutation symmetry reduction for
-// Consensus/ConsensusK (Options.Symmetry).
+// ConsensusKContext (Options.Symmetry).
 type SymmetryMode int
 
 const (

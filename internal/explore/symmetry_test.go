@@ -70,10 +70,10 @@ func TestSymmetric(t *testing.T) {
 func TestSymmetryParityCorpus(t *testing.T) {
 	for _, im := range consensus.Corpus() {
 		for _, memoize := range []bool{false, true} {
-			base, baseErr := Consensus(im, Options{Memoize: memoize, Parallelism: 1})
+			base, baseErr := ConsensusKContext(context.Background(), im, 2, Options{Memoize: memoize, Parallelism: 1})
 			stripStats(base)
 			for _, workers := range []int{1, 2, 0} {
-				red, redErr := Consensus(im, Options{Memoize: memoize, Parallelism: workers, Symmetry: SymmetryAuto})
+				red, redErr := ConsensusKContext(context.Background(), im, 2, Options{Memoize: memoize, Parallelism: workers, Symmetry: SymmetryAuto})
 				stripStats(red)
 				if (baseErr == nil) != (redErr == nil) {
 					t.Fatalf("%s memoize=%v workers=%d: error mismatch: %v vs %v",
@@ -98,11 +98,11 @@ func TestSymmetryParityCorpus(t *testing.T) {
 // violating run too: the merge must stop at the same mask either way.
 func TestSymmetryKParity(t *testing.T) {
 	im := consensus.CAS(2)
-	base, err := ConsensusK(im, 3, Options{Memoize: true})
+	base, err := ConsensusKContext(context.Background(), im, 3, Options{Memoize: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	red, err := ConsensusK(im, 3, Options{Memoize: true, Symmetry: SymmetryRequire})
+	red, err := ConsensusKContext(context.Background(), im, 3, Options{Memoize: true, Symmetry: SymmetryRequire})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,11 +121,11 @@ func TestSymmetryReducesWork(t *testing.T) {
 	for _, im := range []*program.Implementation{
 		consensus.CAS(3), consensus.Sticky(3), consensus.AugQueue(3), consensus.FetchCons(3),
 	} {
-		full, err := Consensus(im, Options{})
+		full, err := ConsensusKContext(context.Background(), im, 2, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		red, err := Consensus(im, Options{Symmetry: SymmetryRequire})
+		red, err := ConsensusKContext(context.Background(), im, 2, Options{Symmetry: SymmetryRequire})
 		if err != nil {
 			t.Fatalf("%s: %v", im.Name, err)
 		}
@@ -151,18 +151,18 @@ func TestSymmetryReducesWork(t *testing.T) {
 // Validate rejects out-of-range modes.
 func TestSymmetryModes(t *testing.T) {
 	// TAS2's SRSW prefer bits are not fully ported: not symmetric.
-	if _, err := Consensus(consensus.TAS2(), Options{Symmetry: SymmetryRequire}); !errors.Is(err, ErrNotSymmetric) {
+	if _, err := ConsensusKContext(context.Background(), consensus.TAS2(), 2, Options{Symmetry: SymmetryRequire}); !errors.Is(err, ErrNotSymmetric) {
 		t.Errorf("Require on TAS2: err = %v, want ErrNotSymmetric", err)
 	}
 	// A memo budget makes MemoHits traversal-order dependent: excluded.
-	if _, err := Consensus(consensus.CAS(3), Options{Memoize: true, MemoBudget: 8, Symmetry: SymmetryRequire}); !errors.Is(err, ErrNotSymmetric) {
+	if _, err := ConsensusKContext(context.Background(), consensus.CAS(3), 2, Options{Memoize: true, MemoBudget: 8, Symmetry: SymmetryRequire}); !errors.Is(err, ErrNotSymmetric) {
 		t.Errorf("Require with MemoBudget: err = %v, want ErrNotSymmetric", err)
 	}
-	base, err := Consensus(consensus.TAS2(), Options{})
+	base, err := ConsensusKContext(context.Background(), consensus.TAS2(), 2, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	auto, err := Consensus(consensus.TAS2(), Options{Symmetry: SymmetryAuto})
+	auto, err := ConsensusKContext(context.Background(), consensus.TAS2(), 2, Options{Symmetry: SymmetryAuto})
 	if err != nil {
 		t.Fatalf("Auto on an asymmetric protocol must fall back, got %v", err)
 	}
@@ -173,7 +173,7 @@ func TestSymmetryModes(t *testing.T) {
 		t.Error("Auto fallback changed the report")
 	}
 	for _, bad := range []SymmetryMode{-1, 99} {
-		if _, err := Consensus(consensus.CAS(2), Options{Symmetry: bad}); !errors.Is(err, ErrBadOptions) {
+		if _, err := ConsensusKContext(context.Background(), consensus.CAS(2), 2, Options{Symmetry: bad}); !errors.Is(err, ErrBadOptions) {
 			t.Errorf("Symmetry=%d: err = %v, want ErrBadOptions", int(bad), err)
 		}
 	}
@@ -233,11 +233,11 @@ func ownValue3() *program.Implementation {
 // always an orbit representative (representatives are orbit minima).
 func TestSymmetryViolationParity(t *testing.T) {
 	im := ownValue3()
-	base, err := Consensus(im, Options{})
+	base, err := ConsensusKContext(context.Background(), im, 2, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	red, err := Consensus(im, Options{Symmetry: SymmetryRequire})
+	red, err := ConsensusKContext(context.Background(), im, 2, Options{Symmetry: SymmetryRequire})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,12 +258,12 @@ func TestSymmetryViolationParity(t *testing.T) {
 func TestSymmetryFaultsParity(t *testing.T) {
 	im := consensus.Sticky(3)
 	opts := Options{Faults: faults.Model{MaxCrashes: 1}}
-	base, err := Consensus(im, opts)
+	base, err := ConsensusKContext(context.Background(), im, 2, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	opts.Symmetry = SymmetryRequire
-	red, err := Consensus(im, opts)
+	red, err := ConsensusKContext(context.Background(), im, 2, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,7 +283,7 @@ func TestSymmetryFaultsParity(t *testing.T) {
 func TestSymmetryResumeFromMemberTrees(t *testing.T) {
 	im := consensus.Sticky(3)
 	opts := Options{Memoize: true}
-	base, err := Consensus(im, opts)
+	base, err := ConsensusKContext(context.Background(), im, 2, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -305,7 +305,7 @@ func TestSymmetryResumeFromMemberTrees(t *testing.T) {
 	resumeOpts := opts
 	resumeOpts.ResumeFrom = cp
 	resumeOpts.Symmetry = SymmetryRequire
-	red, err := Consensus(im, resumeOpts)
+	red, err := ConsensusKContext(context.Background(), im, 2, resumeOpts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -350,14 +350,14 @@ func TestVerifyOrbitRootsCatchesLiar(t *testing.T) {
 		}},
 		Machines: []program.Machine{machine(0), machine(1), machine(2)},
 	}
-	if _, err := Consensus(im, Options{Symmetry: SymmetryRequire}); !errors.Is(err, ErrNotSymmetric) {
+	if _, err := ConsensusKContext(context.Background(), im, 2, Options{Symmetry: SymmetryRequire}); !errors.Is(err, ErrNotSymmetric) {
 		t.Errorf("root certificate accepted a lying declaration: err = %v", err)
 	}
-	base, err := Consensus(im, Options{})
+	base, err := ConsensusKContext(context.Background(), im, 2, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	auto, err := Consensus(im, Options{Symmetry: SymmetryAuto})
+	auto, err := ConsensusKContext(context.Background(), im, 2, Options{Symmetry: SymmetryAuto})
 	if err != nil {
 		t.Fatal(err)
 	}

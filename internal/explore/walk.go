@@ -45,8 +45,9 @@ type Walked struct {
 // Walk follows one root-to-leaf path of the execution tree of im under
 // scripts, choosing every edge from s. It steps through the explorer's own
 // edge code — the transition and step caches, crashChild and recoverChild
-// — so every leaf it reaches is a leaf of the tree Run explores with the
-// matching fault model; Walk samples instances too large to enumerate.
+// — so every leaf it reaches is a leaf of the tree RunContext explores
+// with the matching fault model; Walk samples instances too large to
+// enumerate.
 // A walk longer than MaxDepth accesses is a *Violation of kind
 // KindDepthExceeded; a panic in a type spec or machine is a
 // *faults.PanicError.

@@ -1,6 +1,7 @@
 package explore
 
 import (
+	"context"
 	"errors"
 	"reflect"
 	"strings"
@@ -524,7 +525,7 @@ func leafSet(t *testing.T, im *program.Implementation, scripts [][]types.Invocat
 		leaves[FormatSchedule(l.Schedule)] = true
 		return nil
 	}
-	res, err := Run(im, scripts, opts)
+	res, err := RunContext(context.Background(), im, scripts, opts)
 	if err != nil || res.Violation != nil {
 		t.Fatalf("%s: %v %v", im.Name, err, res.Violation)
 	}

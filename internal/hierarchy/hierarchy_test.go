@@ -1,6 +1,7 @@
 package hierarchy
 
 import (
+	"context"
 	"errors"
 	"strings"
 	"testing"
@@ -182,7 +183,7 @@ func TestFindPairLatchFlagNeedsK2(t *testing.T) {
 }
 
 func TestClassifyZoo(t *testing.T) {
-	cs, err := ClassifyZoo()
+	cs, err := ClassifyZooContext(context.Background(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -68,7 +68,7 @@ func (c *Classification) String() string {
 // Standard zoo classification bounds: DefaultMaxK bounds the Section 5.2
 // pair search and DefaultReachLimit bounds reachability queries. Exported
 // so callers keying results on the classification (internal/rescache) can
-// name the exact parameters ClassifyZoo runs with.
+// name the exact parameters ClassifyZooContext runs with.
 const (
 	DefaultMaxK       = 3
 	DefaultReachLimit = 64
@@ -160,15 +160,10 @@ func Zoo() []Entry {
 	}
 }
 
-// ClassifyZoo classifies every zoo entry with standard bounds.
-func ClassifyZoo() ([]*Classification, error) {
-	return ClassifyZooContext(context.Background(), 1)
-}
-
-// ClassifyZooContext classifies the zoo entries across parallelism
-// workers (0 means GOMAXPROCS). Entries are independent, so the result is
-// identical to the sequential ClassifyZoo: classifications come back in
-// zoo order, and the first error (in zoo order) wins. Workers stop
+// ClassifyZooContext classifies every zoo entry with standard bounds
+// across parallelism workers (0 means GOMAXPROCS). Entries are
+// independent, so the result is identical at every parallelism:
+// classifications come back in zoo order, and the first error (in zoo order) wins. Workers stop
 // claiming entries once ctx is done, and the call returns ctx.Err().
 // Cancellation granularity is one zoo entry (entries classify in
 // milliseconds).

@@ -1,6 +1,7 @@
 package multivalue
 
 import (
+	"context"
 	"testing"
 
 	"waitfree/internal/explore"
@@ -53,7 +54,7 @@ func TestFromBinaryExhaustive(t *testing.T) {
 		if err := im.Validate(); err != nil {
 			t.Fatalf("n=%d k=%d: %v", tc.procs, tc.k, err)
 		}
-		report, err := explore.ConsensusK(im, tc.k, explore.Options{Memoize: true})
+		report, err := explore.ConsensusKContext(context.Background(), im, tc.k, explore.Options{Memoize: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -72,7 +73,7 @@ func TestFromBinaryThreeProcs(t *testing.T) {
 		t.Skip("exhaustive 3-process exploration")
 	}
 	im := FromBinary(3, 3)
-	report, err := explore.ConsensusK(im, 3, explore.Options{Memoize: true})
+	report, err := explore.ConsensusKContext(context.Background(), im, 3, explore.Options{Memoize: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +88,7 @@ func TestFromBinarySRSWExhaustive(t *testing.T) {
 		if err := im.Validate(); err != nil {
 			t.Fatalf("k=%d: %v", k, err)
 		}
-		report, err := explore.ConsensusK(im, k, explore.Options{Memoize: true})
+		report, err := explore.ConsensusKContext(context.Background(), im, k, explore.Options{Memoize: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -121,7 +122,7 @@ func TestSoloDecidesOwnValue(t *testing.T) {
 // construction promises: announce[p] is written only by process p.
 func TestAnnouncementsAreSingleWriter(t *testing.T) {
 	im := FromBinary(2, 4)
-	report, err := explore.ConsensusK(im, 4, explore.Options{Memoize: true})
+	report, err := explore.ConsensusKContext(context.Background(), im, 4, explore.Options{Memoize: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package onebit
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -26,7 +27,7 @@ func checkLinearizableAgainst(t *testing.T, im *program.Implementation, target *
 			return nil
 		},
 	}
-	res, err := explore.Run(im, scripts, opts)
+	res, err := explore.RunContext(context.Background(), im, scripts, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -550,7 +551,7 @@ func TestRestartScanIsNotAtomic(t *testing.T) {
 				return nil
 			},
 		}
-		res, err := explore.Run(im, [][]types.Invocation{{types.Read, types.Read}, {types.Write(1)}}, opts)
+		res, err := explore.RunContext(context.Background(), im, [][]types.Invocation{{types.Read, types.Read}, {types.Write(1)}}, opts)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -82,28 +82,23 @@ var (
 // Validate checks structural well-formedness: machine count, object
 // declarations, port ranges, and the at-most-one-process-per-port rule.
 func (im *Implementation) Validate() error {
-	if len(im.Machines) != im.Procs {
-		return fmt.Errorf("%w: %d machines for %d processes", ErrNoMachines, len(im.Machines), im.Procs)
+	if err := im.machineCountError(); err != nil {
+		return err
 	}
 	for i := range im.Objects {
 		obj := &im.Objects[i]
-		if obj.Spec == nil {
-			return fmt.Errorf("%w: object %d (%s) has no spec", ErrBadObjectID, i, obj.Name)
-		}
-		if len(obj.PortOf) != im.Procs {
-			return fmt.Errorf("%w: object %d (%s) assigns ports for %d of %d processes",
-				ErrBadObjectID, i, obj.Name, len(obj.PortOf), im.Procs)
+		if err := im.declError(i); err != nil {
+			return err
 		}
 		for p, port := range obj.PortOf {
+			if err := im.portError(i, p); err != nil {
+				return err
+			}
 			if port == 0 {
 				continue
 			}
-			if port < 1 || port > obj.Spec.Ports {
-				return fmt.Errorf("%w: object %d (%s) gives process %d port %d of %d",
-					ErrBadObjectID, i, obj.Name, p, port, obj.Spec.Ports)
-			}
-			// Pairwise, not a map: Solo validates on every call, and the
-			// Section 4.3 arrays declare tens of thousands of objects.
+			// Pairwise, not a map: the Section 4.3 arrays declare tens of
+			// thousands of objects.
 			for prev := 0; prev < p; prev++ {
 				if obj.PortOf[prev] == port {
 					return fmt.Errorf("%w: object %d (%s) port %d shared by processes %d and %d",
@@ -111,6 +106,39 @@ func (im *Implementation) Validate() error {
 				}
 			}
 		}
+	}
+	return nil
+}
+
+// machineCountError checks that there is one machine per process.
+func (im *Implementation) machineCountError() error {
+	if len(im.Machines) != im.Procs {
+		return fmt.Errorf("%w: %d machines for %d processes", ErrNoMachines, len(im.Machines), im.Procs)
+	}
+	return nil
+}
+
+// declError checks that object i has a spec and one port entry per
+// process.
+func (im *Implementation) declError(i int) error {
+	obj := &im.Objects[i]
+	if obj.Spec == nil {
+		return fmt.Errorf("%w: object %d (%s) has no spec", ErrBadObjectID, i, obj.Name)
+	}
+	if len(obj.PortOf) != im.Procs {
+		return fmt.Errorf("%w: object %d (%s) assigns ports for %d of %d processes",
+			ErrBadObjectID, i, obj.Name, len(obj.PortOf), im.Procs)
+	}
+	return nil
+}
+
+// portError checks that process p's port on object i, if it has one, is
+// in 1..Spec.Ports. It assumes declError(i) passed.
+func (im *Implementation) portError(i, p int) error {
+	obj := &im.Objects[i]
+	if port := obj.PortOf[p]; port != 0 && (port < 1 || port > obj.Spec.Ports) {
+		return fmt.Errorf("%w: object %d (%s) gives process %d port %d of %d",
+			ErrBadObjectID, i, obj.Name, p, port, obj.Spec.Ports)
 	}
 	return nil
 }

@@ -138,33 +138,44 @@ func TestConstMachine(t *testing.T) {
 	}
 }
 
+// TestValidateCatchesBadPortAssignments: Validate refuses each malformed
+// implementation, and Solo refuses those whose fault a solo run of
+// process 0 reads (a shared port needs a second process to matter).
 func TestValidateCatchesBadPortAssignments(t *testing.T) {
-	base := faaImpl()
-
-	im := *base
-	im.Machines = nil
-	if err := im.Validate(); !errors.Is(err, ErrNoMachines) {
-		t.Errorf("missing machines: err = %v", err)
+	cases := []struct {
+		name   string
+		mutate func(im *Implementation)
+		want   error
+		solo   bool
+	}{
+		{"missing machines", func(im *Implementation) { im.Machines = nil }, ErrNoMachines, true},
+		{"port out of range", func(im *Implementation) {
+			im.Objects = []ObjectDecl{{Name: "bad", Spec: types.FetchAdd(1), Init: 0, PortOf: []int{7}}}
+		}, ErrBadObjectID, true},
+		{"shared port", func(im *Implementation) {
+			im.Procs = 2
+			im.Machines = []Machine{faaTwiceMachine, faaTwiceMachine}
+			im.Objects = []ObjectDecl{{Name: "shared", Spec: types.FetchAdd(2), Init: 0, PortOf: []int{1, 1}}}
+		}, ErrBadObjectID, false},
+		{"short PortOf", func(im *Implementation) {
+			im.Objects = []ObjectDecl{{Name: "short", Spec: types.FetchAdd(1), Init: 0, PortOf: nil}}
+		}, ErrBadObjectID, true},
+		{"no spec", func(im *Implementation) {
+			im.Objects = []ObjectDecl{{Name: "nospec", Init: 0, PortOf: []int{1}}}
+		}, ErrBadObjectID, true},
 	}
-
-	im = *base
-	im.Objects = []ObjectDecl{{Name: "bad", Spec: types.FetchAdd(1), Init: 0, PortOf: []int{7}}}
-	if err := im.Validate(); !errors.Is(err, ErrBadObjectID) {
-		t.Errorf("port out of range: err = %v", err)
-	}
-
-	im = *base
-	im.Procs = 2
-	im.Machines = []Machine{faaTwiceMachine, faaTwiceMachine}
-	im.Objects = []ObjectDecl{{Name: "shared", Spec: types.FetchAdd(2), Init: 0, PortOf: []int{1, 1}}}
-	if err := im.Validate(); !errors.Is(err, ErrBadObjectID) {
-		t.Errorf("shared port: err = %v", err)
-	}
-
-	im = *base
-	im.Objects = []ObjectDecl{{Name: "short", Spec: types.FetchAdd(1), Init: 0, PortOf: nil}}
-	if err := im.Validate(); !errors.Is(err, ErrBadObjectID) {
-		t.Errorf("short PortOf: err = %v", err)
+	for _, tc := range cases {
+		im := faaImpl()
+		tc.mutate(im)
+		if err := im.Validate(); !errors.Is(err, tc.want) {
+			t.Errorf("%s: Validate err = %v, want %v", tc.name, err, tc.want)
+		}
+		if !tc.solo {
+			continue
+		}
+		if _, err := Solo(im, im.InitialStates(), 0, types.Read, nil, 10); !errors.Is(err, tc.want) {
+			t.Errorf("%s: Solo err = %v, want %v", tc.name, err, tc.want)
+		}
 	}
 }
 

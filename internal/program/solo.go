@@ -23,9 +23,14 @@ type SoloResult struct {
 // resolves nondeterministic object transitions by taking the first allowed
 // branch and enforces a step budget. Solo is the reference driver used by
 // unit tests and by sequential sanity checks; concurrent execution lives in
-// package explore (Run enumerates interleavings, Walk samples one).
+// package explore (RunContext enumerates interleavings, Walk samples one).
+//
+// Solo validates only what a solo run reads: the machine count up front,
+// and at each access the declaration of the accessed object and p's port
+// on it (Validate's errors, without its cost on implementations with tens
+// of thousands of objects).
 func Solo(im *Implementation, states []types.State, p int, inv types.Invocation, mem any, budget int) (SoloResult, error) {
-	if err := im.Validate(); err != nil {
+	if err := im.machineCountError(); err != nil {
 		return SoloResult{}, err
 	}
 	if p < 0 || p >= im.Procs {
@@ -50,8 +55,14 @@ func Solo(im *Implementation, states []types.State, p int, inv types.Invocation,
 			if act.Obj < 0 || act.Obj >= len(im.Objects) {
 				return SoloResult{}, fmt.Errorf("program: process %d invoked unknown object %d", p, act.Obj)
 			}
+			if err := im.declError(act.Obj); err != nil {
+				return SoloResult{}, err
+			}
+			if err := im.portError(act.Obj, p); err != nil {
+				return SoloResult{}, err
+			}
 			decl := &im.Objects[act.Obj]
-			port := decl.Port(p)
+			port := decl.PortOf[p]
 			if port == 0 {
 				return SoloResult{}, fmt.Errorf("program: process %d has no port on object %d (%s)", p, act.Obj, decl.Name)
 			}

@@ -1,6 +1,7 @@
 package registers
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -47,7 +48,7 @@ func linearizable(im *program.Implementation, init int) func(hist.History) error
 // the test on a structural error or an empty tree.
 func explored(t *testing.T, im *program.Implementation, scripts [][]types.Invocation, check func(hist.History) error) *explore.Result {
 	t.Helper()
-	res, err := explore.Run(im, scripts, explore.Options{
+	res, err := explore.RunContext(context.Background(), im, scripts, explore.Options{
 		RecordHistory: true,
 		OnLeaf:        func(l *explore.Leaf) error { return check(l.History) },
 	})
@@ -92,7 +93,7 @@ func TestLamportMRBitMachinesNotAtomic(t *testing.T) {
 		{types.Write(1)},
 	}
 	sawNonAtomic := false
-	res, err := explore.Run(im, scripts, explore.Options{
+	res, err := explore.RunContext(context.Background(), im, scripts, explore.Options{
 		RecordHistory: true,
 		OnLeaf: func(l *explore.Leaf) error {
 			// Reader 0 sees 1 while reader 1's LAST read — beginning
@@ -398,7 +399,7 @@ func TestTimestampCapacityEnforced(t *testing.T) {
 		{MRSWMachines(1, 2, 1, 0), [][]types.Invocation{reads(1), writes(1, 0)}},
 		{MRMWMachines(2, 1, 2, 1, 0), [][]types.Invocation{writes(1), writes(0), reads(1)}},
 	} {
-		if _, err := explore.Run(tc.im, tc.scripts, explore.Options{}); err == nil {
+		if _, err := explore.RunContext(context.Background(), tc.im, tc.scripts, explore.Options{}); err == nil {
 			t.Errorf("%s: write beyond capacity accepted", tc.im.Name)
 		}
 	}

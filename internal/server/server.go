@@ -462,14 +462,12 @@ func (s *Server) submit(raw []byte) (*Job, error) {
 		// reverse order would lose an accepted job to a crash between
 		// enqueue and save.
 		if s.store.enabled() {
-			_ = removeJobFile(s.store, j.id)
+			_ = s.store.remove(j.id)
 		}
 		return nil, &WireError{Code: CodeQueueFull, Message: "admission queue is full"}
 	}
 	return j, nil
 }
-
-func removeJobFile(st *store, id string) error { return st.remove(id) }
 
 // job looks a job up by id.
 func (s *Server) job(id string) (*Job, bool) {

@@ -35,7 +35,7 @@ import (
 	"waitfree/internal/types"
 )
 
-// Errors reported by Search.
+// Errors reported by SearchContext.
 var (
 	// ErrBudget: the assignment budget was exhausted before the search
 	// completed; the verdict is unknown.
@@ -139,16 +139,12 @@ type Stats struct {
 // many game configurations.
 const ctxCheckEvery = 1024
 
-// Search looks for a 2-process binary consensus protocol over the given
-// objects. On success it returns the strategy; if the bounded space is
-// exhausted it returns ErrNoProtocol; if the budget runs out, ErrBudget.
-func Search(objects []Object, opts Options) (Strategy, *Stats, error) {
-	return SearchContext(context.Background(), objects, opts)
-}
-
-// SearchContext is Search under a context: cancellation or deadline
-// expiry aborts the search within ctxCheckEvery configurations and
-// returns ctx.Err() together with the effort spent so far.
+// SearchContext looks for a 2-process binary consensus protocol over the
+// given objects. On success it returns the strategy; if the bounded space
+// is exhausted it returns ErrNoProtocol; if the budget runs out,
+// ErrBudget. Cancellation or deadline expiry aborts the search within
+// ctxCheckEvery configurations and returns ctx.Err() together with the
+// effort spent so far.
 func SearchContext(ctx context.Context, objects []Object, opts Options) (Strategy, *Stats, error) {
 	if opts.Depth < 1 {
 		return nil, nil, fmt.Errorf("synth: depth must be positive")
@@ -463,7 +459,7 @@ func Implementation(name string, objects []Object, st Strategy, opts Options) *p
 				}
 				act, assigned := st[Key{Proc: proc, Proposal: ps.Prop, Obs: ps.Obs}]
 				if !assigned {
-					// Unreachable for strategies returned by Search.
+					// Unreachable for strategies returned by SearchContext.
 					return program.ReturnAction(types.ValOf(ps.Prop), nil), ps
 				}
 				if act.Decide {

@@ -1,6 +1,7 @@
 package synth
 
 import (
+	"context"
 	"errors"
 	"strings"
 	"testing"
@@ -25,7 +26,7 @@ func stickyObject() Object {
 func reverify(t *testing.T, objects []Object, st Strategy, symmetric bool) {
 	t.Helper()
 	im := Implementation("synthesized", objects, st, Options{Symmetric: symmetric})
-	report, err := explore.Consensus(im, explore.Options{})
+	report, err := explore.ConsensusKContext(context.Background(), im, 2, explore.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +38,7 @@ func reverify(t *testing.T, objects []Object, st Strategy, symmetric bool) {
 
 func TestSynthesizesCASProtocol(t *testing.T) {
 	objects := []Object{casObject()}
-	st, stats, err := Search(objects, Options{Depth: 1, Symmetric: true})
+	st, stats, err := SearchContext(context.Background(), objects, Options{Depth: 1, Symmetric: true})
 	if err != nil {
 		t.Fatalf("err = %v (stats %+v)", err, stats)
 	}
@@ -46,7 +47,7 @@ func TestSynthesizesCASProtocol(t *testing.T) {
 
 func TestSynthesizesStickyProtocol(t *testing.T) {
 	objects := []Object{stickyObject()}
-	st, _, err := Search(objects, Options{Depth: 2, Symmetric: true})
+	st, _, err := SearchContext(context.Background(), objects, Options{Depth: 2, Symmetric: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +61,7 @@ func TestSynthesizesStickyProtocol(t *testing.T) {
 func TestTASAloneImpossible(t *testing.T) {
 	objects := []Object{tasObject()}
 	for _, symmetric := range []bool{true, false} {
-		_, stats, err := Search(objects, Options{Depth: 3, Symmetric: symmetric})
+		_, stats, err := SearchContext(context.Background(), objects, Options{Depth: 3, Symmetric: symmetric})
 		if !errors.Is(err, ErrNoProtocol) {
 			t.Fatalf("symmetric=%v: err = %v (stats %+v), want ErrNoProtocol", symmetric, err, stats)
 		}
@@ -71,7 +72,7 @@ func TestTASAloneImpossible(t *testing.T) {
 // synthesis discovers the enqueue-then-peek protocol on its own.
 func TestAugmentedQueueProtocolFound(t *testing.T) {
 	objects := []Object{{Name: "aq", Spec: types.AugmentedQueue(2, 2, 2), Init: types.QueueState()}}
-	st, _, err := Search(objects, Options{Depth: 2, Symmetric: true})
+	st, _, err := SearchContext(context.Background(), objects, Options{Depth: 2, Symmetric: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +86,7 @@ func TestRegisterAloneImpossible(t *testing.T) {
 		t.Skip("multi-second exhaustive search")
 	}
 	objects := []Object{{Name: "r", Spec: types.Register(2, 2), Init: 0}}
-	_, _, err := Search(objects, Options{Depth: 2, Symmetric: false, Budget: 1e9})
+	_, _, err := SearchContext(context.Background(), objects, Options{Depth: 2, Symmetric: false, Budget: 1e9})
 	if !errors.Is(err, ErrNoProtocol) {
 		t.Fatalf("err = %v, want ErrNoProtocol", err)
 	}
@@ -101,7 +102,7 @@ func TestSRSWBitsAloneImpossible(t *testing.T) {
 		{Name: "r0", Spec: types.SRSWBit(), Init: 0, PortOf: []int{2, 1}},
 		{Name: "r1", Spec: types.SRSWBit(), Init: 0, PortOf: []int{1, 2}},
 	}
-	_, _, err := Search(objects, Options{Depth: 2, Symmetric: false, Budget: 1e9})
+	_, _, err := SearchContext(context.Background(), objects, Options{Depth: 2, Symmetric: false, Budget: 1e9})
 	if !errors.Is(err, ErrNoProtocol) {
 		t.Fatalf("err = %v, want ErrNoProtocol", err)
 	}
@@ -121,12 +122,12 @@ func TestRelabelRoleSymmetry(t *testing.T) {
 		// Virtual object 0 = "my cell", 1 = "the other's cell".
 		Relabel: &[2][]int{{0, 1}, {1, 0}},
 	}
-	st, _, err := Search(objects, opts)
+	st, _, err := SearchContext(context.Background(), objects, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	im := Implementation("role-symmetric", objects, st, opts)
-	report, err := explore.Consensus(im, explore.Options{})
+	report, err := explore.ConsensusKContext(context.Background(), im, 2, explore.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +143,7 @@ func TestOneUseBitsAloneImpossible(t *testing.T) {
 		{Name: "b0", Spec: types.OneUseBit(), Init: types.OneUseUnset},
 		{Name: "b1", Spec: types.OneUseBit(), Init: types.OneUseUnset},
 	}
-	_, _, err := Search(objects, Options{Depth: 2, Symmetric: true, Budget: 5e7})
+	_, _, err := SearchContext(context.Background(), objects, Options{Depth: 2, Symmetric: true, Budget: 5e7})
 	if !errors.Is(err, ErrNoProtocol) {
 		t.Fatalf("err = %v, want ErrNoProtocol", err)
 	}
@@ -154,21 +155,21 @@ func TestBudgetSurfaces(t *testing.T) {
 		{Name: "r0", Spec: types.Bit(2), Init: 0},
 		{Name: "r1", Spec: types.Bit(2), Init: 0},
 	}
-	_, _, err := Search(objects, Options{Depth: 3, Budget: 10})
+	_, _, err := SearchContext(context.Background(), objects, Options{Depth: 3, Budget: 10})
 	if !errors.Is(err, ErrBudget) {
 		t.Fatalf("err = %v, want ErrBudget", err)
 	}
 }
 
 func TestSearchRejectsBadDepth(t *testing.T) {
-	if _, _, err := Search(nil, Options{}); err == nil {
+	if _, _, err := SearchContext(context.Background(), nil, Options{}); err == nil {
 		t.Error("zero depth accepted")
 	}
 }
 
 func TestStrategyFormat(t *testing.T) {
 	objects := []Object{casObject()}
-	st, _, err := Search(objects, Options{Depth: 1, Symmetric: true})
+	st, _, err := SearchContext(context.Background(), objects, Options{Depth: 1, Symmetric: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +200,7 @@ func TestMixedWeakTypesImpossible(t *testing.T) {
 		{Name: "tg", Spec: types.Toggle(2), Init: 0},
 		{Name: "lf", Spec: types.LatchFlag(), Init: types.LatchFlagInit(), PortOf: []int{1, 2}},
 	}
-	_, _, err := Search(objects, Options{Depth: 2, Symmetric: true, Budget: 1e9})
+	_, _, err := SearchContext(context.Background(), objects, Options{Depth: 2, Symmetric: true, Budget: 1e9})
 	if !errors.Is(err, ErrNoProtocol) {
 		t.Fatalf("err = %v, want ErrNoProtocol", err)
 	}

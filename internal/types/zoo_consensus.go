@@ -42,7 +42,7 @@ func Consensus(ports int) *Spec {
 // MultiConsensus returns the k-valued n-process consensus type: like the
 // paper's binary T_{c,n} but with proposals 0..k-1. It is the target type
 // of the multi-valued-from-binary construction (package multivalue) and of
-// the generalized checker explore.ConsensusK.
+// the generalized checker explore.ConsensusKContext.
 func MultiConsensus(ports, k int) *Spec {
 	alphabet := make([]Invocation, k)
 	for v := range alphabet {

@@ -1,6 +1,7 @@
 package universal
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -34,7 +35,7 @@ func checkUniversalExhaustively(t *testing.T, target *types.Spec, init types.Sta
 			return nil
 		},
 	}
-	res, err := explore.Run(im, scripts, opts)
+	res, err := explore.RunContext(context.Background(), im, scripts, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +136,7 @@ func TestUniversalMachinesHelping(t *testing.T) {
 		t.Fatal(err)
 	}
 	scripts := [][]types.Invocation{{types.Write(1)}, {types.Read}}
-	res, err := explore.Run(im, scripts, explore.Options{})
+	res, err := explore.RunContext(context.Background(), im, scripts, explore.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

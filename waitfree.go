@@ -11,14 +11,18 @@
 //     program per process (Implementation, Machine).
 //   - The execution-tree explorer enumerates all interleavings and
 //     nondeterministic resolutions of an implementation, decides
-//     agreement/validity/wait-freedom for consensus, and computes the
-//     Section 4.2 access bounds (CheckConsensus).
-//   - EliminateRegisters is the constructive Theorem 5: it rewrites a
+//     agreement/validity/wait-freedom for consensus (Check with
+//     KindConsensus), and computes the Section 4.2 access bounds
+//     (KindBound).
+//   - KindElimination is the constructive Theorem 5: it rewrites a
 //     consensus implementation over objects of a non-trivial deterministic
 //     type T plus SRSW-bit registers into one over objects of T alone,
 //     via one-use bits, and verifies the result.
-//   - ClassifyZoo reports triviality, the Section 5.1/5.2 witnesses, and
-//     hierarchy positions for the whole type zoo.
+//   - KindClassification reports triviality, the Section 5.1/5.2
+//     witnesses, and hierarchy positions for the whole type zoo.
+//
+// Check (check.go) is the one verification entry point: every pipeline
+// runs behind it and returns one JSON-marshalable Report.
 //
 // The deeper machinery lives in internal packages (types, program,
 // explore, linearize, registers, onebit, hierarchy, consensus, core,
@@ -267,18 +271,9 @@ var (
 	ErrSynthBudget = synth.ErrBudget
 )
 
-// Synthesis entry points.
-var (
-	// SynthesizeProtocol searches for a 2-process consensus protocol over
-	// the given objects, or exhaustively refutes its existence within the
-	// access bound.
-	SynthesizeProtocol = synth.Search
-	// SynthesizeProtocolContext is the context-aware form.
-	SynthesizeProtocolContext = synth.SearchContext
-	// StrategyImplementation converts a synthesized strategy into a
-	// runnable implementation for independent re-verification.
-	StrategyImplementation = synth.Implementation
-)
+// StrategyImplementation converts a synthesized strategy into a runnable
+// implementation for independent re-verification.
+var StrategyImplementation = synth.Implementation
 
 // Type zoo constructors (see internal/types for the full semantics).
 var (
@@ -400,27 +395,16 @@ type (
 // validation failure (incompatible or negative fields).
 var ErrBadExploreOptions = explore.ErrBadOptions
 
-// Verification entry points.
+// Single-tree exploration and analysis; whole verifications go through
+// Check.
 var (
-	// CheckConsensus explores every execution of a consensus
-	// implementation and checks agreement, validity, and wait-freedom.
-	CheckConsensus = explore.Consensus
-	// CheckConsensusK is the k-valued generalization of CheckConsensus.
-	CheckConsensusK = explore.ConsensusK
-	// CheckConsensusContext and CheckConsensusKContext are the
-	// context-aware forms: cancellation/deadlines stop the engine
-	// promptly, and ExploreOptions.OnProgress streams engine statistics.
-	CheckConsensusContext  = explore.ConsensusContext
-	CheckConsensusKContext = explore.ConsensusKContext
-	// Explore runs the execution-tree explorer with explicit per-process
-	// scripts of target invocations.
-	Explore = explore.Run
-	// ExploreContext is Explore under a context.
+	// ExploreContext runs the execution-tree explorer under a context
+	// with explicit per-process scripts of target invocations.
 	ExploreContext = explore.RunContext
 	// Walk follows one execution of an implementation, chosen by a
 	// WalkSchedule, through the explorer's own step semantics, and returns
 	// its responses, history, schedule and final memories: the sampling
-	// form of Explore for instances too large to enumerate.
+	// form of ExploreContext for instances too large to enumerate.
 	Walk = explore.Walk
 	// ComputeValency runs the FLP/Herlihy valency analysis of one
 	// execution tree: bivalent/univalent configuration counts and the
@@ -435,21 +419,6 @@ type ValencyReport = explore.ValencyReport
 
 // The paper's machinery.
 var (
-	// EliminateRegisters runs the constructive Theorem 5 pipeline
-	// (deterministic route: Sections 4.2, 4.3, 5.2).
-	EliminateRegisters = core.EliminateRegisters
-	// EliminateRegistersContext is the context-aware form.
-	EliminateRegistersContext = core.EliminateRegistersContext
-	// EliminateRegistersVia53 runs the pipeline's h_m >= 2 route: one-use
-	// bits realized from a register-free 2-consensus substrate over the
-	// implementation's (possibly nondeterministic) type (Section 5.3).
-	EliminateRegistersVia53 = core.EliminateRegistersVia53
-	// EliminateRegistersVia53Context is the context-aware form.
-	EliminateRegistersVia53Context = core.EliminateRegistersVia53Context
-	// AccessBounds runs the Section 4.2 analysis alone.
-	AccessBounds = core.Bound
-	// AccessBoundsContext is the context-aware form.
-	AccessBoundsContext = core.BoundContext
 	// OneUseBitArray builds the standalone Section 4.3 implementation of a
 	// bounded SRSW bit from (w+1) x r one-use bits.
 	OneUseBitArray = onebit.Implementation
@@ -465,17 +434,12 @@ var (
 	// objects. spec and init describe the sequential type, procs (at most
 	// 8) the sharing processes, slots the log capacity in operations, and
 	// alphabet every invocation the processes will use. Sample it with
-	// Walk or check it with Explore.
+	// Walk or check it with ExploreContext.
 	UniversalImplementation = universal.MachineImplementation
 )
 
 // Hierarchy analyses.
 var (
-	// ClassifyZoo classifies the built-in type zoo.
-	ClassifyZoo = hierarchy.ClassifyZoo
-	// ClassifyZooContext classifies the zoo under a context across
-	// parallel workers.
-	ClassifyZooContext = hierarchy.ClassifyZooContext
 	// Classify classifies one type.
 	Classify = hierarchy.Classify
 	// FindPair searches for a Section 5.2 minimal non-trivial pair.

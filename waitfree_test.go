@@ -1,6 +1,7 @@
 package waitfree_test
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -11,12 +12,22 @@ import (
 // The tests in this file exercise the public facade exactly as a
 // downstream user would; deep behavior is tested in the internal packages.
 
-func TestFacadeEliminateRegisters(t *testing.T) {
-	report, err := waitfree.EliminateRegisters(
-		waitfree.TAS2Consensus(), waitfree.ExploreOptions{}, 3)
+// check runs req through waitfree.Check, failing the test on an error.
+func check(t *testing.T, req waitfree.Request) *waitfree.Report {
+	t.Helper()
+	rep, err := waitfree.Check(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return rep
+}
+
+func TestFacadeEliminateRegisters(t *testing.T) {
+	report := check(t, waitfree.Request{
+		Kind:           waitfree.KindElimination,
+		Implementation: waitfree.TAS2Consensus(),
+		MaxK:           3,
+	}).Elimination
 	if !report.OutputReport.OK() {
 		t.Fatal(report.OutputReport.Summary())
 	}
@@ -26,28 +37,29 @@ func TestFacadeEliminateRegisters(t *testing.T) {
 }
 
 func TestFacadeCheckConsensus(t *testing.T) {
-	good, err := waitfree.CheckConsensus(waitfree.CASConsensus(2), waitfree.ExploreOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	good := check(t, waitfree.Request{
+		Kind:           waitfree.KindConsensus,
+		Implementation: waitfree.CASConsensus(2),
+	}).Consensus
 	if !good.OK() {
 		t.Fatal(good.Summary())
 	}
-	bad, err := waitfree.CheckConsensus(waitfree.NaiveRegisterConsensus(), waitfree.ExploreOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	bad := check(t, waitfree.Request{
+		Kind:           waitfree.KindConsensus,
+		Implementation: waitfree.NaiveRegisterConsensus(),
+	}).Consensus
 	if bad.OK() {
 		t.Fatal("register-only protocol accepted")
 	}
 }
 
 func TestFacadeCheckConsensusK(t *testing.T) {
-	report, err := waitfree.CheckConsensusK(
-		waitfree.MultiValuedConsensus(2, 3), 3, waitfree.ExploreOptions{Memoize: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	report := check(t, waitfree.Request{
+		Kind:           waitfree.KindConsensus,
+		Implementation: waitfree.MultiValuedConsensus(2, 3),
+		Values:         3,
+		Explore:        waitfree.ExploreOptions{Memoize: true},
+	}).Consensus
 	if !report.OK() {
 		t.Fatal(report.Summary())
 	}
@@ -108,10 +120,7 @@ func TestFacadeValency(t *testing.T) {
 }
 
 func TestFacadeZoo(t *testing.T) {
-	cs, err := waitfree.ClassifyZoo()
-	if err != nil {
-		t.Fatal(err)
-	}
+	cs := check(t, waitfree.Request{Kind: waitfree.KindClassification}).Classifications
 	if len(cs) < 18 {
 		t.Errorf("zoo size = %d", len(cs))
 	}
@@ -200,21 +209,22 @@ func TestFacadeAuditSpec(t *testing.T) {
 }
 
 func TestFacadeVia53(t *testing.T) {
-	report, err := waitfree.EliminateRegistersVia53(
-		waitfree.NoisySticky2RConsensus(), waitfree.NoisySticky2Consensus(), waitfree.ExploreOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	report := check(t, waitfree.Request{
+		Kind:           waitfree.KindElimination,
+		Implementation: waitfree.NoisySticky2RConsensus(),
+		Substrate:      waitfree.NoisySticky2Consensus(),
+	}).Elimination
 	if !report.OutputReport.OK() {
 		t.Fatal(report.OutputReport.Summary())
 	}
 }
 
 func TestFacadeFetchCons(t *testing.T) {
-	report, err := waitfree.CheckConsensus(waitfree.FetchConsConsensus(3), waitfree.ExploreOptions{Memoize: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	report := check(t, waitfree.Request{
+		Kind:           waitfree.KindConsensus,
+		Implementation: waitfree.FetchConsConsensus(3),
+		Explore:        waitfree.ExploreOptions{Memoize: true},
+	}).Consensus
 	if !report.OK() || report.Depth != 3 {
 		t.Fatal(report.Summary())
 	}
@@ -222,13 +232,17 @@ func TestFacadeFetchCons(t *testing.T) {
 
 func TestFacadeSynthesis(t *testing.T) {
 	objects := []waitfree.SynthObject{{Name: "cas", Spec: waitfree.NewCompareSwap(2, 3), Init: 2}}
-	st, _, err := waitfree.SynthesizeProtocol(objects, waitfree.SynthOptions{Depth: 1, Symmetric: true})
-	if err != nil {
-		t.Fatal(err)
+	syn := check(t, waitfree.Request{
+		Kind:      waitfree.KindSynthesis,
+		Objects:   objects,
+		Synthesis: waitfree.SynthOptions{Depth: 1, Symmetric: true},
+	}).Synthesis
+	if !syn.Found() {
+		t.Fatalf("verdict %s", syn.Verdict)
 	}
-	im := waitfree.StrategyImplementation("t", objects, st, waitfree.SynthOptions{Symmetric: true})
-	report, err := waitfree.CheckConsensus(im, waitfree.ExploreOptions{})
-	if err != nil || !report.OK() {
-		t.Fatalf("%v %v", err, report)
+	im := waitfree.StrategyImplementation("t", objects, syn.StrategyMap, waitfree.SynthOptions{Symmetric: true})
+	report := check(t, waitfree.Request{Kind: waitfree.KindConsensus, Implementation: im}).Consensus
+	if !report.OK() {
+		t.Fatal(report.Summary())
 	}
 }
