@@ -252,6 +252,39 @@ func BenchmarkConsensusNoMemo(b *testing.B) {
 	}
 }
 
+// BenchmarkConsensusMemo measures the memoized explorer on the two
+// largest members of perfbench's verify-batch, with symmetry off so every
+// tree is walked: the augmented queue at n=5 under crash-stop with one
+// crash, and sticky n=6. Both spend their time in the memo keys, the
+// transition and step caches and the per-edge config updates.
+func BenchmarkConsensusMemo(b *testing.B) {
+	cases := []struct {
+		name  string
+		im    *program.Implementation
+		model faults.Model
+	}{
+		{"augqueue5-c1-off", consensus.AugQueue(5), faults.Model{Mode: faults.CrashStop, MaxCrashes: 1}},
+		{"sticky6-off", consensus.Sticky(6), faults.Model{}},
+	}
+	for _, c := range cases {
+		b.Run(c.name, func(b *testing.B) {
+			opts := explore.Options{Memoize: true, Symmetry: explore.SymmetryOff, Faults: c.model}
+			var nodes int64
+			for i := 0; i < b.N; i++ {
+				report, err := explore.ConsensusKContext(context.Background(), c.im, 2, opts)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if !report.OK() {
+					b.Fatal(report.Summary())
+				}
+				nodes = report.Stats.Nodes
+			}
+			b.ReportMetric(float64(nodes), "explored-nodes")
+		})
+	}
+}
+
 // BenchmarkConsensusSpill measures the memo spill tier on memoized sticky
 // n=5 with symmetry off: a MemoBudget of 128 entries per tree, far below
 // each tree's memo, so evicted summaries are written to a per-tree spill

@@ -1,18 +1,14 @@
 package explore
 
 import (
-	"encoding/binary"
-	"encoding/hex"
-
 	"waitfree/internal/program"
-	"waitfree/internal/types"
 )
 
-// This file implements the hot path's allocation machinery: dense interned
+// This file implements the hot path's allocation machinery — dense interned
 // access-counter ids, slab arenas for summary records and their counter
-// slices, a byte arena for cached configuration-segment encodings, and
-// free lists for the per-edge config clones and the summaries that are not
-// retained by the memo. Together they take the per-node allocation count
+// slices, a byte arena for the key tables' keys, and free lists for the
+// crash and recovery config clones and the summaries that are not
+// retained by the memo — and the transition and step caches. Together they take the per-node allocation count
 // from ~8 (summary + counter map + three clone slices + key string + map
 // growth) to amortized fractions of one: slabs are handed out in large
 // chunks, clones and non-retained summaries are recycled immediately after
@@ -45,14 +41,14 @@ func (a *accTable) id(k accKey) int32 {
 }
 
 // Slab sizes: summaries are handed out in chunks of up to sumSlab, counter
-// slices carved from int32 chunks of up to accSlab, and segment encodings
-// and memo keys from byte chunks of up to segSlab. Chunks start small and
-// double per refill — explorers are per-tree, and most trees in a
-// consensus sweep are small, so fixed maximal slabs would dominate a small
-// tree's footprint. Each refill abandons the rest of the previous chunk,
-// so while chunks double an arena may allocate twice what it stores; the
-// small segSlab bounds that waste in the memo's key arena, which stores
-// about one key per node.
+// slices carved from int32 chunks of up to accSlab, and the key tables'
+// keys (interned segments, memo id keys) from byte chunks of up to segSlab.
+// Chunks start small and double per refill — explorers are per-tree, and
+// most trees in a consensus sweep are small, so fixed maximal slabs would
+// dominate a small tree's footprint. Each refill abandons the rest of the
+// previous chunk, so while chunks double an arena may allocate twice what
+// it stores; the small segSlab bounds that waste in the memo's key arena,
+// which stores about one key per node.
 // Exhausted chunks are abandoned to the GC
 // wholesale when the configs/summaries referencing them die — at the
 // latest when the tree completes and the explorer itself is dropped.
@@ -113,8 +109,8 @@ func (a *summaryArena) allocAcc(n int) []int32 {
 	return out
 }
 
-// byteArena hands out immutable byte segments (cached component
-// encodings) from slab chunks. The zero value is ready to use.
+// byteArena hands out byte keys from slab chunks. The zero value is ready
+// to use.
 type byteArena struct {
 	buf   []byte
 	chunk int
@@ -123,13 +119,7 @@ type byteArena struct {
 // save copies b into the arena and returns the stored copy, capped at its
 // own length so later saves never alias it.
 func (a *byteArena) save(b []byte) []byte {
-	return a.saveCap(b, len(b))
-}
-
-// saveCap is save with room to spare: the stored copy has capacity
-// c >= len(b), so its owner may later overwrite it in place with any
-// value of up to c bytes.
-func (a *byteArena) saveCap(b []byte, c int) []byte {
+	c := len(b)
 	if cap(a.buf)-len(a.buf) < c {
 		size := a.chunk * 2
 		if size == 0 {
@@ -146,8 +136,7 @@ func (a *byteArena) saveCap(b []byte, c int) []byte {
 	}
 	n := len(a.buf)
 	a.buf = append(a.buf, b...)
-	a.buf = a.buf[:n+c]
-	return a.buf[n : n+len(b) : n+c]
+	return a.buf[n : n+c : n+c]
 }
 
 // initAcct builds the dense-id caches on first use: per-process and
@@ -188,7 +177,10 @@ func (e *explorer) newSummary() *summary {
 		for i := range acc {
 			acc[i] = 0
 		}
-		*s = summary{nodes: 1, acc: acc}
+		// Field by field: rewriting the whole record would store its acc
+		// pointer again, a write barrier per node while the GC runs.
+		s.height, s.nodes, s.leaves = 0, 1, 0
+		s.ref, s.retained, s.spilled = false, false, false
 		return s
 	}
 	s := e.sums.newSummary()
@@ -217,10 +209,9 @@ func (e *explorer) growAcc(s *summary, need int) {
 	s.acc = acc
 }
 
-// cloneConfig is the hot-path clone: slice contents are copied into a
+// cloneConfig is the hot-path clone: the two id vectors are copied into a
 // recycled config when one is available, so steady-state cloning allocates
-// nothing. Under the flat layout the cached segment encodings are carried
-// over (slice headers only — segments are immutable arena bytes).
+// nothing — and, the vectors being pointer-free, copies no pointers.
 func (e *explorer) cloneConfig(c *config) *config {
 	var d *config
 	if n := len(e.freeCfgs); n > 0 {
@@ -231,21 +222,19 @@ func (e *explorer) cloneConfig(c *config) *config {
 	}
 	d.objs = append(d.objs[:0], c.objs...)
 	d.procs = append(d.procs[:0], c.procs...)
-	d.objEnc = append(d.objEnc[:0], c.objEnc...)
-	d.procEnc = append(d.procEnc[:0], c.procEnc...)
 	return d
 }
 
 // walkChild visits the child of c reached by process p taking the cached
 // transition t on object obj, for the tree walkers outside the DFS
-// (Valency, Dot): a recycled clone of c stepped through the step cache,
-// handed to visit, then recycled with e.responses rewound. The DFS steps
-// in place instead.
+// (Valency, Dot, which never record histories): a recycled clone of c
+// stepped through the step cache, handed to visit, then recycled with
+// e.responses rewound. The DFS steps in place instead.
 func (e *explorer) walkChild(c *config, p, obj int, t cachedTrans, visit func(*config) error) error {
 	child := e.cloneConfig(c)
-	child.objs[obj], child.objEnc[obj] = t.next, t.nextEnc
+	child.objs[obj] = t.next
 	mark := len(e.responses[p])
-	err := e.stepProcCached(child, p, t.resp, false)
+	err := e.stepProc(child, p, t.resp, false)
 	if err == nil {
 		err = visit(child)
 	}
@@ -264,177 +253,108 @@ func (e *explorer) recycleConfig(c *config) {
 	e.freeCfgs = append(e.freeCfgs, c)
 }
 
-// encodeObjSeg encodes one object state as an immutable arena segment.
-func (e *explorer) encodeObjSeg(state any) []byte {
-	e.segScratch = e.enc.appendAny(e.segScratch[:0], state)
-	return e.segs.save(e.segScratch)
-}
+// transKey keys the transition cache: the object, the id of its state, the
+// accessing port, and the invocation id.
+type transKey struct{ obj, state, port, inv int32 }
 
-// encodeProcSeg encodes one process control state as an immutable arena
-// segment.
-func (e *explorer) encodeProcSeg(ps *procState) []byte {
-	e.segScratch = e.enc.appendProc(e.segScratch[:0], ps)
-	return e.segs.save(e.segScratch)
-}
+// cachedTrans is one outcome of an object access: the interned successor
+// state and the response id. A transition's outcomes are one run of
+// e.transList, shared by every edge that replays it and never mutated.
+type cachedTrans struct{ next, resp int32 }
 
-// encodeSegments (re)builds every cached segment of c — used once at the
-// root; per-edge updates re-encode only the changed components.
-func (e *explorer) encodeSegments(c *config) {
-	c.objEnc = make([][]byte, len(c.objs))
-	for i := range c.objs {
-		c.objEnc[i] = e.encodeObjSeg(c.objs[i])
-	}
-	c.procEnc = make([][]byte, len(c.procs))
-	for p := range c.procs {
-		c.procEnc[p] = e.encodeProcSeg(&c.procs[p])
-	}
-}
+// transRef locates one cached transition's outcomes in e.transList.
+type transRef struct{ off, n int32 }
 
-// cachedTrans is one outcome of an object access with the successor
-// state's flat segment encoded exactly once, when the transition first
-// enters the cache. Cached slices and segments are shared across every
-// edge that replays the transition and are never mutated.
-type cachedTrans struct {
-	next    any
-	resp    types.Response
-	nextEnc []byte
-}
-
-// applyCached is Spec.Apply behind the transition cache: the
-// cache key reuses the object's already-encoded state segment, so a hit —
-// the overwhelmingly common case, since reachable (state, port, inv)
-// triples are few (bounded by one component's state count, not the
-// configuration count) — costs one map probe and zero allocations,
+// applyCached is Spec.Apply behind the transition cache. A hit — the
+// overwhelmingly common case, since reachable (state, port, inv) triples
+// are few (bounded by one component's state count, not the configuration
+// count) — is one probe of a fixed-size key and allocates nothing,
 // skipping the user Step function, its per-call []Transition, and the
-// successor-segment encodings. Soundness rests on the same contracts the
+// successor states' interning. Soundness rests on the same contracts the
 // memoizer already assumes: Spec.Step is pure and segment encoding is
-// injective. Errors are not cached (they abort the run).
-func (e *explorer) applyCached(c *config, p int, act program.Action) ([]cachedTrans, error) {
+// injective, so equal state ids are equal states. Errors are not cached
+// (they abort the run).
+func (e *explorer) applyCached(c *config, p int, act *program.Action, inv int32) ([]cachedTrans, error) {
 	decl := &e.im.Objects[act.Obj]
 	port := decl.Port(p)
-	b := e.transScratch[:0]
-	b = binary.AppendVarint(b, int64(act.Obj))
-	b = append(b, c.objEnc[act.Obj]...)
-	b = binary.AppendVarint(b, int64(port))
-	b = appendInvocation(b, act.Inv)
-	e.transScratch = b
-	if ts, ok := e.transCache[string(b)]; ok {
-		return ts, nil
+	k := transKey{obj: int32(act.Obj), state: c.objs[act.Obj], port: int32(port), inv: inv}
+	if r, ok := e.transCache[k]; ok {
+		e.transHits++
+		return e.transList[r.off : r.off+r.n : r.off+r.n], nil
 	}
-	ts, err := decl.Spec.Apply(c.objs[act.Obj], port, act.Inv)
+	ts, err := decl.Spec.Apply(e.obj(c.objs[act.Obj]), port, act.Inv)
 	if err != nil {
 		return nil, err
 	}
-	cts := make([]cachedTrans, len(ts))
-	for i, t := range ts {
-		cts[i] = cachedTrans{next: t.Next, resp: t.Resp, nextEnc: e.encodeObjSeg(t.Next)}
+	e.transMisses++
+	r := transRef{off: int32(len(e.transList)), n: int32(len(ts))}
+	for _, t := range ts {
+		e.transList = append(e.transList, cachedTrans{next: e.internObj(t.Next), resp: e.resps.id(t.Resp)})
 	}
 	if e.transCache == nil {
-		e.transCache = make(map[string][]cachedTrans)
+		e.transCache = make(map[transKey]transRef)
 	}
-	e.transCache[string(b)] = cts
-	return cts, nil
+	e.transCache[k] = r
+	return e.transList[r.off : r.off+r.n : r.off+r.n], nil
 }
+
+// stepKey keys the step cache: the process, the id of its pre-state, the
+// response id, and the forced-step flag (0 or 1). Four int32s make a
+// 16-byte key, which Go maps hash and compare with their fixed-size fast
+// paths.
+type stepKey struct{ p, state, resp, forced int32 }
 
 // procStep is a cached startNextOp outcome: the stepping process's
-// resulting state, its flat segment (encoded once), and the target
+// resulting state id, and the run of e.stepResps holding the target
 // responses the advance completed (replayed into e.responses on a hit,
 // mirroring endOp; the caller's respMark undo then rewinds them as usual).
-type procStep struct {
-	ps    procState
-	enc   []byte
-	resps []types.Response
-}
+type procStep struct{ next, respOff, respN int32 }
 
-// stepProcCached advances process p of c over a completed access with
-// response resp, through the step cache. The key is p plus p's
-// already-encoded pre-state segment plus resp — by the machine contract
-// (deterministic, comparable states) that determines the entire advance,
-// including any chain of zero-access operations it completes. forced marks
-// that the caller set Stepped on the clone (CrashBeforeFirstStep), which
-// the stale pre-state segment does not reflect. A cached advance replays
-// responses but no history events, so RecordHistory runs bypass the cache
-// and step the machine directly. Nothing else keys on a history run's
-// process segments either (Memoize is excluded, and Valency runs without
-// histories), so the stepped process's segment is dropped, not
-// re-encoded; keyHex encodes a dropped segment on demand. Errors are not
-// cached.
-func (e *explorer) stepProcCached(c *config, p int, resp types.Response, forced bool) error {
-	if e.opts.RecordHistory {
-		c.procEnc[p] = nil
-		return e.startNextOp(c, p, resp)
+// stepProc advances process p of c over a completed access with response
+// id resp, through the step cache. The key is p, p's pre-state id and
+// resp — by the machine contract (deterministic, comparable states) that
+// determines the entire advance, including any chain of zero-access
+// operations it completes. forced sets Stepped first (CrashBeforeFirstStep),
+// which the pre-state id does not reflect, so it is part of the key. A
+// cached advance replays responses but no history events, so history runs
+// bypass the cache and step their scratch state in place; the caller
+// saves and restores the slot where it backtracks. Errors are not cached.
+func (e *explorer) stepProc(c *config, p int, resp int32, forced bool) error {
+	if c.procs[p] < 0 {
+		ps := &e.scratch[p]
+		if forced {
+			ps.Stepped = true
+		}
+		return e.startNextOp(ps, p, e.resps.vals[resp])
 	}
-	b := e.stepScratch[:0]
-	b = binary.AppendVarint(b, int64(p))
+	k := stepKey{p: int32(p), state: c.procs[p], resp: resp}
 	if forced {
-		b = append(b, 1)
-	} else {
-		b = append(b, 0)
+		k.forced = 1
 	}
-	b = append(b, c.procEnc[p]...)
-	b = appendResponse(b, resp)
-	e.stepScratch = b
-	if st, ok := e.stepCache[string(b)]; ok {
-		c.procs[p] = st.ps
-		c.procEnc[p] = st.enc
-		e.responses[p] = append(e.responses[p], st.resps...)
+	if st, ok := e.stepCache[k]; ok {
+		e.stepHits++
+		c.procs[p] = st.next
+		if st.respN > 0 {
+			e.responses[p] = append(e.responses[p], e.stepResps[st.respOff:st.respOff+st.respN]...)
+		}
 		return nil
 	}
+	ps := *e.proc(c.procs[p])
+	if forced {
+		ps.Stepped = true
+	}
 	mark := len(e.responses[p])
-	if err := e.startNextOp(c, p, resp); err != nil {
+	if err := e.startNextOp(&ps, p, e.resps.vals[resp]); err != nil {
 		return err
 	}
-	enc := e.encodeProcSeg(&c.procs[p])
-	c.procEnc[p] = enc
-	st := procStep{ps: c.procs[p], enc: enc}
-	if n := len(e.responses[p]) - mark; n > 0 {
-		st.resps = append([]types.Response(nil), e.responses[p][mark:]...)
-	}
+	e.stepMisses++
+	done := e.responses[p][mark:]
+	st := procStep{next: e.internProc(&ps), respOff: int32(len(e.stepResps)), respN: int32(len(done))}
+	e.stepResps = append(e.stepResps, done...)
 	if e.stepCache == nil {
-		e.stepCache = make(map[string]procStep)
+		e.stepCache = make(map[stepKey]procStep)
 	}
-	e.stepCache[string(b)] = st
+	e.stepCache[k] = st
+	c.procs[p] = st.next
 	return nil
-}
-
-// flatKey assembles c's key from its cached segments into the encoder's
-// reused buffer: object segments, separator, process segments. The
-// returned slice is invalidated by the next flatKey call.
-func (e *explorer) flatKey(c *config) []byte {
-	e.enc.buf = appendFlatKey(e.enc.buf[:0], c)
-	return e.enc.buf
-}
-
-func appendFlatKey(b []byte, c *config) []byte {
-	for _, s := range c.objEnc {
-		b = append(b, s...)
-	}
-	b = append(b, tagSep)
-	for _, s := range c.procEnc {
-		b = append(b, s...)
-	}
-	return b
-}
-
-// keyHex renders c's key as hex for diagnostics (panic context, stall
-// heartbeats). It builds the key in a fresh buffer, so it is safe even
-// when the encoder's buffer was mid-append, and encodes the process
-// segments a history run dropped with a fresh encoder.
-func keyHex(c *config) string {
-	dropped := false
-	for _, s := range c.procEnc {
-		dropped = dropped || s == nil
-	}
-	if !dropped {
-		return hex.EncodeToString(appendFlatKey(nil, c))
-	}
-	var enc keyEncoder
-	d := *c
-	d.procEnc = make([][]byte, len(c.procs))
-	for p, s := range c.procEnc {
-		if d.procEnc[p] = s; s == nil {
-			d.procEnc[p] = enc.appendProc(nil, &c.procs[p])
-		}
-	}
-	return hex.EncodeToString(appendFlatKey(nil, &d))
 }

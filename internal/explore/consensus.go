@@ -416,7 +416,7 @@ func ConsensusKContext(ctx context.Context, im *program.Implementation, k int, o
 				}
 			}()
 			for {
-				if runCtx.Err() != nil {
+				if ctxErr(runCtx) != nil {
 					return
 				}
 				idx := int(next.Add(1) - 1)
@@ -474,7 +474,7 @@ func ConsensusKContext(ctx context.Context, im *program.Implementation, k int, o
 	stallErr := sup.stallErr()
 	reason := ""
 	switch {
-	case ctx.Err() != nil: // deadline expiry: degrade, don't error
+	case ctxErr(ctx) != nil: // deadline expiry: degrade, don't error
 		reason = CoverageDeadline
 	case ctr.tripReason.Load() == tripStall:
 		reason = CoverageStall

@@ -21,11 +21,13 @@ var ErrDotBudget = errors.New("explore: execution tree exceeds the DOT node budg
 // digraph with at most maxNodes nodes. Leaves are double circles labeled
 // with the processes' final responses; edges are labeled proc:inv->resp.
 func Dot(im *program.Implementation, scripts [][]types.Invocation, opts Options, maxNodes int) (string, error) {
+	// The rendering reads no histories, and it steps children through
+	// the step cache, which a history run bypasses.
+	opts.RecordHistory = false
 	e, root, err := newExplorer(im, scripts, opts)
 	if err != nil {
 		return "", err
 	}
-	e.encodeSegments(root)
 
 	var b strings.Builder
 	b.WriteString("digraph executiontree {\n")
@@ -53,29 +55,30 @@ func (d *dotBuilder) walk(c *config, depth int) (int, error) {
 	d.nextID++
 
 	allDone := true
-	for p := range c.procs {
-		if !c.procs[p].Done {
+	for _, pid := range c.procs {
+		if !d.e.proc(pid).Done {
 			allDone = false
 			break
 		}
 	}
 	if allDone {
 		labels := make([]string, len(c.procs))
-		for p := range c.procs {
-			labels[p] = fmt.Sprintf("p%d:%v", p, c.procs[p].Resp)
+		for p, pid := range c.procs {
+			labels[p] = fmt.Sprintf("p%d:%v", p, d.e.proc(pid).Resp)
 		}
 		fmt.Fprintf(d.b, "  n%d [shape=doublecircle, label=\"%s\"];\n",
 			id, strings.Join(labels, "\\n"))
 		return id, nil
 	}
-	fmt.Fprintf(d.b, "  n%d [label=\"%s\"];\n", id, dotStateLabel(c))
+	fmt.Fprintf(d.b, "  n%d [label=\"%s\"];\n", id, d.stateLabel(c))
 
-	for p := range c.procs {
-		if c.procs[p].Done {
+	for p, pid := range c.procs {
+		if d.e.proc(pid).Done {
 			continue
 		}
-		act := c.procs[p].Pending
-		cts, err := d.e.applyCached(c, p, act)
+		act := d.e.proc(pid).Pending
+		inv := d.e.pendingInv(c, p)
+		cts, err := d.e.applyCached(c, p, &act, inv)
 		if err != nil {
 			return 0, err
 		}
@@ -89,17 +92,17 @@ func (d *dotBuilder) walk(c *config, depth int) (int, error) {
 				return 0, err
 			}
 			fmt.Fprintf(d.b, "  n%d -> n%d [label=\"p%d:%s.%v→%v\"];\n",
-				id, childID, p, d.e.im.Objects[act.Obj].Name, act.Inv, t.resp)
+				id, childID, p, d.e.im.Objects[act.Obj].Name, act.Inv, d.e.resps.vals[t.resp])
 		}
 	}
 	return id, nil
 }
 
-// dotStateLabel renders the object states compactly.
-func dotStateLabel(c *config) string {
+// stateLabel renders the object states compactly.
+func (d *dotBuilder) stateLabel(c *config) string {
 	parts := make([]string, len(c.objs))
-	for i, s := range c.objs {
-		parts[i] = types.StateKey(s)
+	for i, id := range c.objs {
+		parts[i] = types.StateKey(d.e.obj(id))
 	}
 	return strings.Join(parts, ",")
 }

@@ -47,8 +47,8 @@ type Options struct {
 	// paper's trees replicate such configurations; memoizing changes cost,
 	// never verdicts. Memoization also enables exact cycle detection. It
 	// only adds the per-tree memo table: every run, memoized or not, walks
-	// its edges through the same key segments and transition and step
-	// caches. Incompatible with RecordHistory.
+	// its edges through the same interned configurations and transition
+	// and step caches. Incompatible with RecordHistory.
 	Memoize bool
 	// RecordHistory attaches the complete concurrent history of target
 	// operations to each Leaf, for linearizability checking.
@@ -244,7 +244,7 @@ type Leaf struct {
 	// (RecordHistory mode only).
 	History hist.History
 	// Schedule is the access sequence of this execution, including its
-	// CRASH and RECOVER records; it aliases the explorer's current path.
+	// CRASH and RECOVER records, rendered from the explorer's current path.
 	Schedule []StepRecord
 	// Crashed[p] reports whether process p crashed along this execution
 	// and never came back (fault exploration only; nil when Options.Faults
@@ -468,6 +468,8 @@ type summary struct {
 
 // procState is one process's part of a configuration. All fields are
 // comparable values; machine states and memories must be pointer-free.
+// Configurations do not hold procStates: they hold the ids the explorer's
+// process intern table gives them (intern.go).
 type procState struct {
 	OpIdx   int
 	Done    bool
@@ -497,21 +499,19 @@ type procState struct {
 	Stepped bool
 }
 
+// config is one node of an execution tree in the interned layout
+// (intern.go): objs[i] is the id of object i's state in the explorer's
+// object intern table, procs[p] the id of process p's control state in its
+// process intern table (or, in a history run, the scratch reference ^p).
+// Both vectors are pointer-free, so clones and the DFS's save/restore
+// copy ints, and together they are the configuration's memo key
+// (explorer.idKey) — fixed-width for the whole tree — and valency's map
+// key. Each component is encoded once per tree, when the intern table
+// first sees it, and the id key stands for the concatenation of those
+// segments, which keyHex still renders for diagnostics.
 type config struct {
-	objs  []types.State
-	procs []procState
-
-	// objEnc[i] / procEnc[p] cache the key-encoder segment of the
-	// corresponding component (the flat layout): each component is encoded
-	// once, when it changes, and every key of the configuration — the memo
-	// key, valency's map key, the diagnostic hex — is the concatenation of
-	// the cached segments (explorer.flatKey) instead of a re-walk of the
-	// whole configuration. The segments also key the transition and step
-	// caches. Segments are immutable arena bytes shared freely between a
-	// config and its clones. Maintained on every run; a config built
-	// without them (a test's bare config) gets them at its first dfs.
-	objEnc  [][]byte
-	procEnc [][]byte
+	objs  []int32
+	procs []int32
 }
 
 // RunContext explores all executions of im in which process p performs the
@@ -545,7 +545,7 @@ func runTree(ctx context.Context, im *program.Implementation, scripts [][]types.
 	// Check up front so an already-dead context never starts a tree —
 	// the in-DFS poll only fires every flushEvery configurations, which a
 	// small tree may never reach.
-	if err := ctx.Err(); err != nil {
+	if err := ctxErr(ctx); err != nil {
 		return nil, err
 	}
 	e, root, err := newExplorer(im, scripts, opts)
@@ -581,24 +581,46 @@ func newExplorer(im *program.Implementation, scripts [][]types.Invocation, opts 
 	}
 	if opts.Memoize {
 		e.memo = newMemoTable(opts.MemoBudget, opts.MemoSpillDir, opts.FS)
-		e.enc.buf = make([]byte, 0, 256) // every node's key is assembled here
-	}
-	root := &config{
-		objs:  im.InitialStates(),
-		procs: make([]procState, im.Procs),
 	}
 	e.responses = make([][]types.Response, im.Procs)
 	for p := 0; p < im.Procs; p++ {
 		e.responses[p] = make([]types.Response, 0, len(scripts[p]))
-		root.procs[p] = procState{Mem: nil}
-		if err := e.startNextOp(root, p, types.Response{}); err != nil {
-			return nil, nil, err
-		}
 	}
-	// The root's segments are encoded at its first use (dfs, or the tree
-	// walkers), so building a root only to certify it (verifyOrbitRoots)
-	// encodes nothing.
+	root, err := e.newRoot()
+	if err != nil {
+		return nil, nil, err
+	}
 	return e, root, nil
+}
+
+// newRoot builds the root configuration of e.scripts: the initial object
+// states, and every process advanced to its first object access. A history
+// run's processes live in e.scratch (intern.go); every other run interns
+// them.
+func (e *explorer) newRoot() (*config, error) {
+	c := &config{objs: make([]int32, len(e.im.Objects)), procs: make([]int32, e.im.Procs)}
+	for i, s := range e.im.InitialStates() {
+		c.objs[i] = e.internObj(s)
+	}
+	if e.opts.RecordHistory {
+		e.scratch = make([]procState, e.im.Procs)
+	}
+	for p := range c.procs {
+		e.responses[p] = e.responses[p][:0]
+		if e.opts.RecordHistory {
+			if err := e.startNextOp(&e.scratch[p], p, types.Response{}); err != nil {
+				return nil, err
+			}
+			c.procs[p] = scratchRef(p)
+			continue
+		}
+		var ps procState
+		if err := e.startNextOp(&ps, p, types.Response{}); err != nil {
+			return nil, err
+		}
+		c.procs[p] = e.internProc(&ps)
+	}
+	return c, nil
 }
 
 // explore runs the DFS from root and aggregates the result. A panic in
@@ -622,7 +644,7 @@ func (e *explorer) explore(root *config) (res *Result, err error) {
 	im := e.im
 	sum, err := e.dfs(root, 0)
 	e.flushCounters(0)
-	e.flushMemoCounters()
+	e.flushTreeCounters()
 	res = &Result{
 		Nodes:     sum.nodes,
 		Leaves:    sum.leaves,
@@ -661,10 +683,16 @@ func (e *explorer) explore(root *config) (res *Result, err error) {
 	return res, nil
 }
 
-// flushMemoCounters publishes the memo table's eviction telemetry into the
-// shared engine counters once, when the tree finishes.
-func (e *explorer) flushMemoCounters() {
-	if e.ctr == nil || e.memo == nil {
+// flushTreeCounters publishes the intern tables' sizes and the memo
+// table's eviction telemetry into the shared engine counters once, when
+// the tree finishes.
+func (e *explorer) flushTreeCounters() {
+	if e.ctr == nil {
+		return
+	}
+	e.ctr.internedObjs.Add(int64(e.objTab.nextID))
+	e.ctr.internedProcs.Add(int64(e.procTab.nextID))
+	if e.memo == nil {
 		return
 	}
 	if n := e.memo.evictions; n != 0 {
@@ -686,6 +714,21 @@ func (e *explorer) flushMemoCounters() {
 	}
 }
 
+// ctxErr is ctx.Err(), except that a deadline already past counts as
+// expired even before its timer has fired. The timer needs a free P to
+// run, and workers that allocate little may hold every P for a whole
+// preemption period, which would let a short deadline overrun by many
+// milliseconds.
+func ctxErr(ctx context.Context) error {
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	if dl, ok := ctx.Deadline(); ok && !time.Now().Before(dl) {
+		return context.DeadlineExceeded
+	}
+	return nil
+}
+
 // errAbort unwinds the DFS after a violation was recorded.
 var errAbort = errors.New("explore: aborted")
 
@@ -705,14 +748,30 @@ type explorer struct {
 	pendLeaves int64
 	pendMemo   int64
 	sinceFlush int
+	// Cache telemetry since the last flush (Stats).
+	transHits, transMisses int64
+	stepHits, stepMisses   int64
 
 	// memo deduplicates configurations (nil unless Memoize); entries
-	// holding grayMark are on the current DFS stack (cycle detection). enc
-	// renders component segments and assembles keys from them. The table
-	// is single-owner: this explorer (one execution tree) is its only user.
+	// holding grayMark are on the current DFS stack (cycle detection).
+	// keyBuf is idKey's reused buffer. The table is single-owner: this
+	// explorer (one execution tree) is its only user.
 	memo     *memoTable
-	enc      keyEncoder
+	keyBuf   []byte
 	memoHits int64
+
+	// The interned layout (intern.go): enc renders component segments,
+	// segScratch is the reusable buffer it renders into, and objTab /
+	// procTab intern object and process states under their segments.
+	// scratch holds a history run's live process states. invs and resps
+	// give invocations and responses the small ids the caches key on.
+	enc        keyEncoder
+	segScratch []byte
+	objTab     keyTable[types.State]
+	procTab    keyTable[procInfo]
+	scratch    []procState
+	invs       idSet[types.Invocation]
+	resps      idSet[types.Response]
 
 	// Dense access-counter ids (arena.go): acct interns accKeys, procIDs /
 	// objIDs are fixed-position lookup slices, opIDs[obj] lazily interns
@@ -722,32 +781,29 @@ type explorer struct {
 	objIDs  []int32
 	opIDs   []map[string]int32
 
-	// Allocation machinery (arena.go): slab arenas for summaries, counter
-	// slices, and segment encodings, plus free lists for configs and
-	// non-retained summaries. segScratch is the reusable encode buffer
-	// behind encodeObjSeg/encodeProcSeg (separate from enc.buf, which may
-	// hold an assembled key).
-	sums       summaryArena
-	segs       byteArena
-	segScratch []byte
-	freeSums   []*summary
-	freeCfgs   []*config
+	// Allocation machinery (arena.go): slab arenas for summaries and
+	// counter slices, plus free lists for configs and non-retained
+	// summaries.
+	sums     summaryArena
+	freeSums []*summary
+	freeCfgs []*config
 
-	// transCache memoizes Spec.Apply results, keyed by
-	// (object, encoded state segment, port, invocation); stepCache does
-	// the same for startNextOp, keyed by (process, encoded pre-state
-	// segment, response). Sound because Spec.Step and machines are
-	// documented as deterministic pure functions (the same contract
-	// Parallelism > 1 relies on) and the segment encodings are injective
-	// per encoder; together they turn the per-edge user-code calls, their
-	// allocations, and the successor segment encodings into no-alloc map
-	// hits. Both are bounded by per-component state counts — roots of the
-	// configuration count — so they stay negligible with or without a memo
-	// table, and under MemoBudget.
-	transCache   map[string][]cachedTrans
-	transScratch []byte
-	stepCache    map[string]procStep
-	stepScratch  []byte
+	// transCache memoizes Spec.Apply results, keyed by (object, state id,
+	// port, invocation id), with the outcomes in runs of transList;
+	// stepCache does the same for startNextOp, keyed by (process, pre-state
+	// id, response id), with completed responses in runs of stepResps.
+	// Sound because Spec.Step and machines are documented as deterministic
+	// pure functions (the same contract Parallelism > 1 relies on) and the
+	// segment encodings behind the ids are injective; together they turn
+	// the per-edge user-code calls, their allocations, and the successor
+	// states' interning into no-alloc probes of fixed-size keys. Both are
+	// bounded by per-component state counts — roots of the configuration
+	// count — so they stay negligible with or without a memo table, and
+	// under MemoBudget.
+	transCache map[transKey]transRef
+	transList  []cachedTrans
+	stepCache  map[stepKey]procStep
+	stepResps  []types.Response
 
 	// leafView is the one Leaf handed to every OnLeaf call; leafCrashed
 	// and leafRecoveries back its Crashed and Recoveries slices, which are
@@ -756,8 +812,12 @@ type explorer struct {
 	leafCrashed    []bool
 	leafRecoveries []int
 
-	// Path-local data (push/pop around recursion).
+	// Path-local data (push/pop around recursion). path is the current
+	// schedule in pointer-free form; schedule renders it as StepRecords on
+	// demand (scheduleView), its first synced records still current.
+	path      []pathStep
 	schedule  []StepRecord
+	synced    int
 	responses [][]types.Response
 	history   hist.History
 	openOp    []int // per proc: index into history of the open op, -1 if none
@@ -780,16 +840,16 @@ func (e *explorer) panicContext() string {
 	if e.curConfig == nil {
 		return "root configuration"
 	}
-	return fmt.Sprintf("depth %d, config key %s", e.curDepth, keyHex(e.curConfig))
+	return fmt.Sprintf("depth %d, config key %s", e.curDepth, e.keyHex(e.curConfig))
 }
 
-// startNextOp advances process p past any number of operation boundaries:
-// it feeds resp to the machine and folds zero-access returns and starts
-// until the process either has a pending object access or is done. Local
-// steps consume no tree edges, matching the paper's counting of low-level
-// operations only.
-func (e *explorer) startNextOp(c *config, p int, resp types.Response) error {
-	ps := &c.procs[p]
+// startNextOp advances process p, in state ps, past any number of
+// operation boundaries: it feeds resp to the machine and folds zero-access
+// returns and starts until the process either has a pending object access
+// or is done. Local steps consume no tree edges, matching the paper's
+// counting of low-level operations only. ps is a private copy (or a
+// history run's scratch slot), never an interned state.
+func (e *explorer) startNextOp(ps *procState, p int, resp types.Response) error {
 	m := e.im.Machines[p]
 	if ps.Done {
 		return nil
@@ -801,7 +861,7 @@ func (e *explorer) startNextOp(c *config, p int, resp types.Response) error {
 			return nil
 		}
 		// Entry point of the next target operation.
-		e.beginOp(c, p)
+		e.beginOp(ps, p)
 	}
 	for {
 		if ps.Done {
@@ -821,14 +881,14 @@ func (e *explorer) startNextOp(c *config, p int, resp types.Response) error {
 			ps.Pending = act
 			return nil
 		case program.KindReturn:
-			e.endOp(c, p, act)
+			e.endOp(ps, p, act)
 			if ps.OpIdx >= len(e.scripts[p]) {
 				ps.Done = true
 				ps.Mst = nil
 				ps.Pending = program.Action{}
 				return nil
 			}
-			e.beginOp(c, p)
+			e.beginOp(ps, p)
 			resp = types.Response{}
 		default:
 			return fmt.Errorf("explore: process %d produced invalid action kind %d", p, act.Kind)
@@ -836,8 +896,7 @@ func (e *explorer) startNextOp(c *config, p int, resp types.Response) error {
 	}
 }
 
-func (e *explorer) beginOp(c *config, p int) {
-	ps := &c.procs[p]
+func (e *explorer) beginOp(ps *procState, p int) {
 	inv := e.scripts[p][ps.OpIdx]
 	ps.Mst = e.im.Machines[p].Start(inv, ps.Mem)
 	if e.opts.RecordHistory {
@@ -859,8 +918,7 @@ func (e *explorer) beginOp(c *config, p int) {
 	}
 }
 
-func (e *explorer) endOp(c *config, p int, act program.Action) {
-	ps := &c.procs[p]
+func (e *explorer) endOp(ps *procState, p int, act program.Action) {
 	e.responses[p] = append(e.responses[p], act.Resp)
 	ps.Resp = act.Resp
 	ps.Mem = act.Mem
@@ -878,18 +936,12 @@ func (e *explorer) dfs(c *config, depth int) (*summary, error) {
 	if e.acct == nil {
 		e.initAcct() // bare explorers (tests) enter here without explore()
 	}
-	if c.objEnc == nil {
-		// The root (or a test's bare config): encode every component
-		// once; children inherit the segments and re-encode only what an
-		// edge changes.
-		e.encodeSegments(c)
-	}
 	sum := e.newSummary()
 	e.pendNodes++
 	if e.sinceFlush++; e.sinceFlush >= flushEvery {
 		e.flushCounters(depth)
 		if e.ctx != nil {
-			if err := e.ctx.Err(); err != nil {
+			if err := ctxErr(e.ctx); err != nil {
 				return sum, err
 			}
 		}
@@ -899,11 +951,12 @@ func (e *explorer) dfs(c *config, depth int) (*summary, error) {
 	allDone := true
 	crashes := 0
 	recoveries := 0
-	for p := range c.procs {
-		recoveries += c.procs[p].Recoveries
-		if c.procs[p].Crashed {
+	for _, id := range c.procs {
+		ps := e.proc(id)
+		recoveries += ps.Recoveries
+		if ps.Crashed {
 			crashes++
-		} else if !c.procs[p].Done {
+		} else if !ps.Done {
 			allDone = false
 		}
 	}
@@ -948,7 +1001,7 @@ func (e *explorer) dfs(c *config, depth int) (*summary, error) {
 
 	var memoID int32
 	if e.opts.Memoize {
-		cached, id := e.memo.acquire(e.flatKey(c))
+		cached, id := e.memo.acquire(e.idKey(c))
 		if cached != nil {
 			if cached == grayMark {
 				switch {
@@ -997,14 +1050,22 @@ func (e *explorer) dfs(c *config, depth int) (*summary, error) {
 // never refunds the budget. With MaxRecoveries=0
 // both sums and branch sets are exactly the crash-stop ones.
 func (e *explorer) expand(c *config, depth int, sum *summary, crashes, recoveries int) error {
+	// A history run's processes live in e.scratch, which the edges below
+	// mutate in place: each saves the slot it changes and restores it after
+	// the child subtree, as it restores c's ids.
+	history := e.opts.RecordHistory
+	var saved procState
 	if e.opts.Faults.Enabled() && crashes+recoveries < e.opts.Faults.MaxCrashes {
 		for p := range c.procs {
-			ps := &c.procs[p]
+			ps := e.proc(c.procs[p])
 			if ps.Done || ps.Crashed {
 				continue
 			}
 			if e.opts.Faults.Mode == faults.CrashBeforeFirstStep && ps.Stepped {
 				continue
+			}
+			if history {
+				saved = *ps
 			}
 			child := e.crashChild(c, p)
 			// A crash is not an object access: it consumes no depth budget
@@ -1015,7 +1076,10 @@ func (e *explorer) expand(c *config, depth int, sum *summary, crashes, recoverie
 			if childSum != nil {
 				e.mergeCrashChild(sum, childSum)
 			}
-			e.schedule = e.schedule[:len(e.schedule)-1]
+			e.popStep()
+			if history {
+				e.scratch[p] = saved
+			}
 			if err != nil {
 				return err
 			}
@@ -1025,7 +1089,7 @@ func (e *explorer) expand(c *config, depth int, sum *summary, crashes, recoverie
 	}
 	if crashes > 0 && recoveries < e.opts.Faults.MaxRecoveries {
 		for p := range c.procs {
-			if !c.procs[p].Crashed {
+			if !e.proc(c.procs[p]).Crashed {
 				continue
 			}
 			e.curConfig, e.curProc, e.curDepth = c, p, depth
@@ -1035,6 +1099,9 @@ func (e *explorer) expand(c *config, depth int, sum *summary, crashes, recoverie
 			prevOpen := -1
 			if e.openOp != nil {
 				prevOpen = e.openOp[p]
+			}
+			if history {
+				saved = e.scratch[p]
 			}
 
 			child, err := e.recoverChild(c, p)
@@ -1050,9 +1117,10 @@ func (e *explorer) expand(c *config, depth int, sum *summary, crashes, recoverie
 				e.mergeCrashChild(sum, childSum)
 			}
 
-			e.schedule = e.schedule[:len(e.schedule)-1]
+			e.popStep()
 			e.responses[p] = e.responses[p][:respMark]
-			if e.opts.RecordHistory {
+			if history {
+				e.scratch[p] = saved
 				e.undoHistory(histMark, clockMark)
 				// The re-executed operation's entry stole p's open-op slot
 				// from the interrupted operation (which stays pending
@@ -1066,51 +1134,49 @@ func (e *explorer) expand(c *config, depth int, sum *summary, crashes, recoverie
 			e.recycleConfig(child)
 		}
 	}
+	forcedStep := e.opts.Faults.Enabled() && e.opts.Faults.Mode == faults.CrashBeforeFirstStep
 	for p := range c.procs {
-		if c.procs[p].Done || c.procs[p].Crashed {
+		if ps := e.proc(c.procs[p]); ps.Done || ps.Crashed {
 			continue
 		}
 		e.curConfig, e.curProc, e.curDepth = c, p, depth
-		act := c.procs[p].Pending
-		cts, err := e.applyCached(c, p, act)
+		act := e.proc(c.procs[p]).Pending
+		inv := e.pendingInv(c, p)
+		cts, err := e.applyCached(c, p, &act, inv)
 		if err != nil {
 			return fmt.Errorf("process %d at depth %d: %w", p, depth, err)
 		}
-		opID := e.opAccID(act.Obj, act.Inv.Op)
+		opID := e.pendingOpAcc(c, p)
 		objID := e.objIDs[act.Obj]
 		procID := e.procIDs[p]
-		forcedStep := e.opts.Faults.Enabled() && e.opts.Faults.Mode == faults.CrashBeforeFirstStep
+		oldObj, oldProc := c.objs[act.Obj], c.procs[p]
 		for _, t := range cts {
 			// Step in place: exactly one object and one process change on
-			// this edge, so instead of cloning the whole configuration
-			// (procStates are pointer-dense — the copies and their write
-			// barriers dominated the hot path) the edge saves the two
-			// changed slots and their segments, mutates, explores the
-			// child subtree, and restores. Configs are strictly
-			// stack-scoped — nothing below retains the pointer — and
-			// every expand call restores c before returning, so after the
-			// restore c is the parent again for the next transition.
-			oldObj, oldObjSeg := c.objs[act.Obj], c.objEnc[act.Obj]
-			oldProc, oldProcSeg := c.procs[p], c.procEnc[p]
-			c.objs[act.Obj] = t.next
-			if forcedStep {
-				c.procs[p].Stepped = true
+			// this edge, so instead of cloning the configuration the edge
+			// saves the two changed ids (and a history run's scratch
+			// state), mutates, explores the child subtree, and restores.
+			// Configs are strictly stack-scoped — nothing below retains
+			// the pointer — and every expand call restores c before
+			// returning, so after the restore c is the parent again for the
+			// next transition.
+			if history {
+				saved = e.scratch[p]
 			}
+			c.objs[act.Obj] = t.next
 
 			// Path-local bookkeeping with undo.
-			e.schedule = append(e.schedule, StepRecord{Proc: p, Obj: act.Obj, Inv: act.Inv, Resp: t.resp})
+			e.path = append(e.path, pathStep{proc: int32(p), obj: int32(act.Obj), inv: inv, resp: t.resp})
 			respMark := len(e.responses[p])
 			histMark := len(e.history)
 			clockMark := e.clock
-			if e.opts.RecordHistory {
+			if history {
 				e.clock++ // the access itself is a clock event
 			}
 
-			// The object's successor segment comes pre-encoded with the
-			// cached transition, and the process advances (with its
-			// segment) through the step cache; everything else is shared.
-			c.objEnc[act.Obj] = t.nextEnc
-			err := e.stepProcCached(c, p, t.resp, forcedStep)
+			// The object's successor state comes interned with the cached
+			// transition, and the process advances through the step cache;
+			// everything else is shared.
+			err := e.stepProc(c, p, t.resp, forcedStep)
 			var childSum *summary
 			if err == nil {
 				childSum, err = e.dfs(c, depth+1)
@@ -1118,17 +1184,19 @@ func (e *explorer) expand(c *config, depth int, sum *summary, crashes, recoverie
 
 			// Restore the parent configuration before any other code
 			// (merges, error returns) can observe c.
-			c.objs[act.Obj], c.objEnc[act.Obj] = oldObj, oldObjSeg
-			c.procs[p], c.procEnc[p] = oldProc, oldProcSeg
+			c.objs[act.Obj], c.procs[p] = oldObj, oldProc
+			if history {
+				e.scratch[p] = saved
+			}
 
 			if childSum != nil {
 				e.mergeChild(sum, childSum, opID, objID, procID)
 			}
 
 			// Undo path-local bookkeeping.
-			e.schedule = e.schedule[:len(e.schedule)-1]
+			e.popStep()
 			e.responses[p] = e.responses[p][:respMark]
-			if e.opts.RecordHistory {
+			if history {
 				e.undoHistory(histMark, clockMark)
 			}
 
@@ -1143,12 +1211,16 @@ func (e *explorer) expand(c *config, depth int, sum *summary, crashes, recoverie
 
 // crashChild returns a recycled clone of c in which live process p has
 // crashed, and records the CRASH on the path. Every engine places crashes
-// through it: the DFS on each crash edge, Walk at each CrashAfter point.
+// through it: the DFS on each crash edge, Walk at each CrashAfter point. A
+// history run crashes p's scratch state in place; the DFS restores it.
 func (e *explorer) crashChild(c *config, p int) *config {
 	child := e.cloneConfig(c)
-	child.procs[p].Crashed = true
-	child.procEnc[p] = e.encodeProcSeg(&child.procs[p])
-	e.schedule = append(e.schedule, StepRecord{Proc: p, Obj: -1, Crash: true})
+	if id := c.procs[p]; id < 0 {
+		e.scratch[p].Crashed = true
+	} else {
+		child.procs[p] = e.crashedID(id)
+	}
+	e.path = append(e.path, pathStep{proc: int32(p), obj: -1, kind: stepCrash})
 	return child
 }
 
@@ -1159,21 +1231,78 @@ func (e *explorer) crashChild(c *config, p int) *config {
 // and the process's progress through its script (OpIdx — decided
 // operations stay decided) persist. The interrupted operation re-runs from
 // its start, opening a fresh history entry, while its old entry stays
-// pending forever: a crashed access never returns.
+// pending forever: a crashed access never returns. A history run recovers
+// p's scratch state in place; the DFS restores it.
 func (e *explorer) recoverChild(c *config, p int) (*config, error) {
 	child := e.cloneConfig(c)
-	ps := &child.procs[p]
+	var ps *procState
+	var fresh procState
+	if c.procs[p] < 0 {
+		ps = &e.scratch[p]
+	} else {
+		fresh = *e.proc(c.procs[p])
+		ps = &fresh
+	}
 	ps.Crashed = false
 	ps.Recoveries++
 	ps.Mst = nil
 	ps.Pending = program.Action{}
 	ps.Mem = nil
-	e.schedule = append(e.schedule, StepRecord{Proc: p, Obj: -1, Recover: true})
-	if err := e.startNextOp(child, p, types.Response{}); err != nil {
+	e.path = append(e.path, pathStep{proc: int32(p), obj: -1, kind: stepRecover})
+	if err := e.startNextOp(ps, p, types.Response{}); err != nil {
 		return child, err
 	}
-	child.procEnc[p] = e.encodeProcSeg(&child.procs[p])
+	if c.procs[p] >= 0 {
+		child.procs[p] = e.internProc(ps)
+	}
 	return child, nil
+}
+
+// pathStep is one record of the current path: an access by proc on obj,
+// with the invocation and response as ids, or a CRASH or RECOVER record.
+// Pushing one stores no pointer, so the per-edge schedule bookkeeping costs
+// no write barrier.
+type pathStep struct {
+	proc, obj, inv, resp int32
+	kind                 uint8
+}
+
+// Path record kinds.
+const (
+	stepAccess uint8 = iota
+	stepCrash
+	stepRecover
+)
+
+// popStep removes the last path record.
+func (e *explorer) popStep() {
+	e.path = e.path[:len(e.path)-1]
+	if e.synced > len(e.path) {
+		e.synced = len(e.path)
+	}
+}
+
+// scheduleView returns the current path as StepRecords, rendering only the
+// records pushed since the previous view; across a DFS that is amortized
+// constant work per edge. The slice is reused by later views.
+func (e *explorer) scheduleView() []StepRecord {
+	if n := len(e.path); cap(e.schedule) < n {
+		// Sized to the path on first use (a Walk renders its path once),
+		// doubling after that.
+		grown := make([]StepRecord, e.synced, max(n, 2*cap(e.schedule)))
+		copy(grown, e.schedule[:e.synced])
+		e.schedule = grown
+	}
+	e.schedule = e.schedule[:e.synced]
+	for _, s := range e.path[e.synced:] {
+		r := StepRecord{Proc: int(s.proc), Obj: int(s.obj), Crash: s.kind == stepCrash, Recover: s.kind == stepRecover}
+		if s.kind == stepAccess {
+			r.Inv, r.Resp = e.invs.vals[s.inv], e.resps.vals[s.resp]
+		}
+		e.schedule = append(e.schedule, r)
+	}
+	e.synced = len(e.path)
+	return e.schedule
 }
 
 // undoHistory rewinds the recorded history to the state it had when
@@ -1269,11 +1398,13 @@ func (e *explorer) leaf(c *config, depth, crashes, recoveries int) error {
 		return nil
 	}
 	// One borrowed view per explorer (see Options.OnLeaf): the slices are
-	// refilled in place, and Schedule aliases the current path, capped so
-	// an append by the callback cannot write into the explorer's stack.
+	// refilled in place, and Schedule is the explorer's rendering of the
+	// current path, capped so an append by the callback cannot write into
+	// it.
 	leaf := &e.leafView
 	leaf.Depth = depth
-	leaf.Schedule = e.schedule[:len(e.schedule):len(e.schedule)]
+	sched := e.scheduleView()
+	leaf.Schedule = sched[:len(sched):len(sched)]
 	if leaf.Responses == nil {
 		leaf.Responses = make([][]types.Response, e.im.Procs)
 	}
@@ -1285,8 +1416,8 @@ func (e *explorer) leaf(c *config, depth, crashes, recoveries int) error {
 		if e.leafCrashed == nil {
 			e.leafCrashed = make([]bool, e.im.Procs)
 		}
-		for p := range c.procs {
-			e.leafCrashed[p] = c.procs[p].Crashed
+		for p, id := range c.procs {
+			e.leafCrashed[p] = e.proc(id).Crashed
 		}
 		leaf.Crashed = e.leafCrashed
 	}
@@ -1295,8 +1426,8 @@ func (e *explorer) leaf(c *config, depth, crashes, recoveries int) error {
 		if e.leafRecoveries == nil {
 			e.leafRecoveries = make([]int, e.im.Procs)
 		}
-		for p := range c.procs {
-			e.leafRecoveries[p] = c.procs[p].Recoveries
+		for p, id := range c.procs {
+			e.leafRecoveries[p] = e.proc(id).Recoveries
 		}
 		leaf.Recoveries = e.leafRecoveries
 	}
@@ -1338,6 +1469,13 @@ func (e *explorer) flushCounters(depth int) {
 		e.ctr.memoHits.Add(e.pendMemo)
 		e.pendMemo = 0
 	}
+	if e.transHits|e.transMisses|e.stepHits|e.stepMisses != 0 {
+		e.ctr.transHits.Add(e.transHits)
+		e.ctr.transMisses.Add(e.transMisses)
+		e.ctr.stepHits.Add(e.stepHits)
+		e.ctr.stepMisses.Add(e.stepMisses)
+		e.transHits, e.transMisses, e.stepHits, e.stepMisses = 0, 0, 0, 0
+	}
 	e.ctr.curDepth.Store(int64(depth))
 	e.ctr.bumpMaxDepth(int64(depth))
 	if e.memo != nil && e.memo.isDegraded() {
@@ -1348,7 +1486,7 @@ func (e *explorer) flushCounters(depth int) {
 	beat.lastProgress.Store(time.Now().UnixNano())
 	beat.depth.Store(int64(depth))
 	if e.ctr.captureKeys && e.curConfig != nil {
-		key := keyHex(e.curConfig)
+		key := e.keyHex(e.curConfig)
 		beat.key.Store(&key)
 	}
 	if e.ctr.maxNodes > 0 && e.ctr.nodes.Load() >= e.ctr.maxNodes {
@@ -1363,6 +1501,6 @@ func (e *explorer) violate(kind ViolationKind, detail string) {
 	e.violation = &Violation{
 		Kind:     kind,
 		Detail:   detail,
-		Schedule: append([]StepRecord(nil), e.schedule...),
+		Schedule: append([]StepRecord(nil), e.scheduleView()...),
 	}
 }

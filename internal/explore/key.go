@@ -12,26 +12,25 @@ import (
 	"waitfree/internal/types"
 )
 
-// This file implements the explorer's configuration keys (the memo table
-// they index lives in memo.go).
+// This file implements the key encoder behind the explorer's configuration
+// keys (the interned layout that uses it lives in intern.go, the table that
+// indexes it in memo.go).
 //
-// A configuration (object states + per-process control states) must be
-// rendered into a map key once per DFS node under memoization. The
-// rendering used to be fmt.Sprintf("%#v|%#v", ...), which spends most of
-// its time in fmt's reflection-based formatter; profiles of memoized runs
-// showed the key rendering dominating the exploration itself. The encoder
-// below renders each component — one object state, one process control
-// state — into a segment, with hand-rolled fast paths for the framework's
-// own value types (ints, strings, Response, Invocation, Action) and a
-// single reflection walk for user-defined machine/object states, interning
-// their reflect.Types into small ids. Every configuration key is the
-// concatenation of its cached segments (flatKey, arena.go); only the
-// symmetry certificate (canonKey) re-encodes a whole configuration.
+// Key rendering used to be fmt.Sprintf("%#v|%#v", ...), which spends most
+// of its time in fmt's reflection-based formatter. The encoder below
+// renders each component — one object state, one process control state —
+// into a segment, with hand-rolled fast paths for the framework's own
+// value types (ints, strings, Response, Invocation, Action) and a single
+// reflection walk for user-defined machine/object states, interning their
+// reflect.Types into small ids. Each distinct component is encoded once
+// per tree, when the intern tables first see it; configurations are keyed
+// on the resulting component ids, and the segment concatenation is what
+// those id keys stand for.
 //
-// Keys only need to be injective and stable within one encoder: type-id
-// interning is per-encoder, so encounter order cannot differ between two
-// encodings of equal configs. The memo table still lives for a single
-// execution tree — memo hits skip the per-leaf checks, and validity
+// Segments only need to be injective and stable within one encoder:
+// type-id interning is per-encoder, so encounter order cannot differ
+// between two encodings of equal values. The memo table still lives for a
+// single execution tree — memo hits skip the per-leaf checks, and validity
 // depends on the tree's proposal vector — but the per-tree restriction no
 // longer caps deduplication across symmetric trees: the symmetry layer
 // (symmetry.go) goes further than sharing a table across the orbit of a
@@ -58,11 +57,11 @@ const (
 	tagMap
 )
 
-// keyEncoder renders configurations into compact deterministic byte keys.
-// Not safe for concurrent use; each explorer owns one. The zero value is
-// ready to use, so an explorer that never encodes pays nothing for it.
+// keyEncoder renders configuration components into compact deterministic
+// byte segments. Not safe for concurrent use; each explorer owns one. The
+// zero value is ready to use, so an explorer that never encodes pays
+// nothing for it.
 type keyEncoder struct {
-	buf     []byte
 	typeIDs map[reflect.Type]uint64
 }
 
@@ -97,41 +96,6 @@ func (e *keyEncoder) appendProc(b []byte, ps *procState) []byte {
 	b = e.appendAny(b, ps.Mst)
 	b = e.appendAction(b, ps.Pending)
 	return appendResponse(b, ps.Resp)
-}
-
-// canonKey encodes c up to process permutation: the object states
-// positionally (a process permutation of a fully ported oblivious
-// implementation fixes every object slot), then the per-process encodings
-// in sorted byte order. Configurations that differ only by a renaming of
-// behaviorally identical processes therefore share a canonical key — the
-// certificate verifyOrbitRoots checks before symmetry reduction trusts a
-// declared SymmetricProcs. Off the memo hot path, so the key is freshly
-// allocated (unlike flatKey's reused buffer) and survives later calls.
-// perm lists the processes in canonical order (perm[i] occupies slot i);
-// equal encodings tie-break by index, keeping the order deterministic.
-func (e *keyEncoder) canonKey(c *config) (key []byte, perm []int) {
-	encs := make([][]byte, len(c.procs))
-	for p := range c.procs {
-		encs[p] = e.appendProc(nil, &c.procs[p])
-	}
-	perm = make([]int, len(c.procs))
-	for i := range perm {
-		perm[i] = i
-	}
-	sort.Slice(perm, func(i, j int) bool {
-		if cmp := bytes.Compare(encs[perm[i]], encs[perm[j]]); cmp != 0 {
-			return cmp < 0
-		}
-		return perm[i] < perm[j]
-	})
-	for i := range c.objs {
-		key = e.appendAny(key, c.objs[i])
-	}
-	key = append(key, tagSep)
-	for _, p := range perm {
-		key = append(key, encs[p]...)
-	}
-	return key, perm
 }
 
 func appendResponse(b []byte, r types.Response) []byte {

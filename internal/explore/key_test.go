@@ -8,15 +8,34 @@ import (
 	"waitfree/internal/types"
 )
 
-// keyOf renders c's key the way the explorer does: encode its segments,
-// then concatenate them with flatKey.
-func keyOf(e *explorer, c *config) string {
-	e.encodeSegments(c)
-	return string(e.flatKey(c))
+// rawConfig is a configuration given by its component values, before the
+// explorer interns them.
+type rawConfig struct {
+	objs  []types.State
+	procs []procState
 }
 
-func testConfig(objState types.State, mem any, resp types.Response) *config {
-	return &config{
+// intern interns c's components in e's tables, as newRoot does.
+func (e *explorer) intern(c *rawConfig) *config {
+	ic := &config{objs: make([]int32, len(c.objs)), procs: make([]int32, len(c.procs))}
+	for i, s := range c.objs {
+		ic.objs[i] = e.internObj(s)
+	}
+	for p := range c.procs {
+		ic.procs[p] = e.internProc(&c.procs[p])
+	}
+	return ic
+}
+
+// keyOf interns c in e and renders its segment concatenation: the
+// encoding e's id keys stand for, and the one keyHex prints. Unlike the id
+// keys, which are per-tree, it is comparable across encoders.
+func keyOf(e *explorer, c *rawConfig) string {
+	return string(e.appendSegKey(nil, e.intern(c)))
+}
+
+func testConfig(objState types.State, mem any, resp types.Response) *rawConfig {
+	return &rawConfig{
 		objs: []types.State{objState},
 		procs: []procState{
 			{OpIdx: 1, Mem: mem, Mst: 3, Pending: program.Action{Kind: program.KindInvoke, Obj: 0, Inv: types.TAS}, Resp: resp},
@@ -28,7 +47,7 @@ func testConfig(objState types.State, mem any, resp types.Response) *config {
 func TestConfigKeyInjective(t *testing.T) {
 	e := &explorer{}
 	base := testConfig(0, nil, types.ValOf(0))
-	variants := []*config{
+	variants := []*rawConfig{
 		testConfig(1, nil, types.ValOf(0)),        // object state differs
 		testConfig(0, 7, types.ValOf(0)),          // memory differs
 		testConfig(0, nil, types.ValOf(1)),        // response differs
@@ -54,7 +73,7 @@ func TestConfigKeyDeterministic(t *testing.T) {
 	// must not corrupt) and across encoders (type-id interning follows
 	// encounter order, which equal encode sequences share).
 	type userState struct{ A, B int }
-	mk := func() *config { return testConfig(userState{1, 2}, userState{3, 4}, types.OK) }
+	mk := func() *rawConfig { return testConfig(userState{1, 2}, userState{3, 4}, types.OK) }
 	e1, e2 := &explorer{}, &explorer{}
 	k1a := keyOf(e1, mk())
 	_ = keyOf(e1, testConfig(userState{9, 9}, nil, types.OK)) // perturb the buffer
@@ -122,14 +141,14 @@ func TestConfigKeyMapDeterministic(t *testing.T) {
 // permutation, sensitive to everything else, with perm listing the
 // processes in canonical slot order.
 func TestCanonKey(t *testing.T) {
-	e := &keyEncoder{}
+	e := &explorer{}
 	c := testConfig(0, 7, types.ValOf(1))
-	swapped := &config{
+	swapped := &rawConfig{
 		objs:  c.objs,
 		procs: []procState{c.procs[1], c.procs[0]},
 	}
-	k1, perm1 := e.canonKey(c)
-	k2, perm2 := e.canonKey(swapped)
+	k1, perm1 := e.canonKey(e.intern(c))
+	k2, perm2 := e.canonKey(e.intern(swapped))
 	if !bytes.Equal(k1, k2) {
 		t.Error("canonical keys differ under process permutation")
 	}
@@ -140,15 +159,15 @@ func TestCanonKey(t *testing.T) {
 	// canonKey is canonical, not lossy: a genuinely different process state
 	// must still change the key.
 	other := testConfig(0, 8, types.ValOf(1))
-	if k3, _ := e.canonKey(other); bytes.Equal(k1, k3) {
+	if k3, _ := e.canonKey(e.intern(other)); bytes.Equal(k1, k3) {
 		t.Error("canonical key ignored a memory difference")
 	}
 	// Object states are positional, not sorted: swapping distinct object
 	// states must change the key.
-	twoObjs := &config{objs: []types.State{0, 1}, procs: c.procs}
-	objsSwapped := &config{objs: []types.State{1, 0}, procs: c.procs}
-	ka, _ := e.canonKey(twoObjs)
-	kb, _ := e.canonKey(objsSwapped)
+	twoObjs := &rawConfig{objs: []types.State{0, 1}, procs: c.procs}
+	objsSwapped := &rawConfig{objs: []types.State{1, 0}, procs: c.procs}
+	ka, _ := e.canonKey(e.intern(twoObjs))
+	kb, _ := e.canonKey(e.intern(objsSwapped))
 	if bytes.Equal(ka, kb) {
 		t.Error("canonical key conflated permuted object states")
 	}
@@ -156,14 +175,14 @@ func TestCanonKey(t *testing.T) {
 
 // FuzzCanonKeyPermutationInvariant fuzzes the defining property of the
 // canonical key: for every configuration and every permutation pi of its
-// processes, canonKey(c) == canonKey(pi(c)) under one encoder.
+// processes, canonKey(c) == canonKey(pi(c)) under one explorer.
 func FuzzCanonKeyPermutationInvariant(f *testing.F) {
 	f.Add(0, 1, 2, "s", uint8(1))
 	f.Add(7, 7, -3, "", uint8(5))
 	f.Add(-1, 0, 1, "xyz", uint8(3))
 	perms3 := [][3]int{{0, 1, 2}, {0, 2, 1}, {1, 0, 2}, {1, 2, 0}, {2, 0, 1}, {2, 1, 0}}
 	f.Fuzz(func(t *testing.T, a, b, c int, s string, permSeed uint8) {
-		cfg := &config{
+		cfg := &rawConfig{
 			objs: []types.State{a % 4, s},
 			procs: []procState{
 				{OpIdx: a & 3, Mem: a, Mst: s, Resp: types.ValOf(b & 7)},
@@ -172,39 +191,39 @@ func FuzzCanonKeyPermutationInvariant(f *testing.F) {
 			},
 		}
 		pi := perms3[int(permSeed)%len(perms3)]
-		permuted := &config{
+		permuted := &rawConfig{
 			objs:  cfg.objs,
 			procs: []procState{cfg.procs[pi[0]], cfg.procs[pi[1]], cfg.procs[pi[2]]},
 		}
-		e := &keyEncoder{}
-		k1, _ := e.canonKey(cfg)
-		k2, _ := e.canonKey(permuted)
+		e := &explorer{}
+		k1, _ := e.canonKey(e.intern(cfg))
+		k2, _ := e.canonKey(e.intern(permuted))
 		if !bytes.Equal(k1, k2) {
 			t.Errorf("canonKey not permutation-invariant under pi=%v\n%x\n%x", pi, k1, k2)
 		}
 	})
 }
 
-// BenchmarkConfigKey compares the per-node key cost — concatenating
-// cached segments — against encoding every segment afresh, on a
+// BenchmarkConfigKey compares the per-node key cost — assembling the id
+// key from a config's interned ids — against interning every component
+// afresh (encoding its segment and probing the intern table, a hit), on a
 // configuration with user-defined (reflection-path) states.
 func BenchmarkConfigKey(b *testing.B) {
 	type userState struct{ A, B, C int }
-	c := testConfig(userState{1, 2, 3}, userState{4, 5, 6}, types.OK)
-	b.Run("flatKey", func(b *testing.B) {
+	raw := testConfig(userState{1, 2, 3}, userState{4, 5, 6}, types.OK)
+	b.Run("idKey", func(b *testing.B) {
 		e := &explorer{}
-		e.encodeSegments(c)
+		c := e.intern(raw)
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			_ = e.flatKey(c)
+			_ = e.idKey(c)
 		}
 	})
-	b.Run("encodeSegments+flatKey", func(b *testing.B) {
+	b.Run("intern+idKey", func(b *testing.B) {
 		e := &explorer{}
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			e.encodeSegments(c)
-			_ = e.flatKey(c)
+			_ = e.idKey(e.intern(raw))
 		}
 	})
 }

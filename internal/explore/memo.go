@@ -7,37 +7,34 @@ import (
 	"waitfree/internal/fsx"
 )
 
-// This file implements the configuration memo: an open-addressing hash
-// table keyed directly on the arena bytes flatKey assembles, owned by one
-// explorer (one execution tree) and driven from its goroutine only.
+// This file implements the explorer's one hash table, keyTable, and the
+// configuration memo built on it. A keyTable maps byte keys to dense int32
+// ids and keeps one value per id; it backs both the memo (keys are the
+// fixed-width id vectors of configurations, intern.go) and the intern
+// tables that give every distinct object state and process state its id
+// (keys are the component segments key.go encodes). Every table is owned
+// by one explorer (one execution tree) and driven from its goroutine only.
 //
 // Entries live in dense pages and are named by stable int32 ids. A
 // linear-probing index of id+1 values (0 = empty slot) points into them;
-// each entry keeps its key bytes — copied once, into a key arena
-// the table owns — next to their hash, so growing the index and deleting
-// from it (backward-shift deletion, no tombstones) never rehash a key.
-// dfs makes one call per node: acquire hashes the key once and probes
-// once, returning either a hit or the id of a freshly inserted gray entry;
-// settle or drop then finishes the node by id, without hashing again.
-// Resident hits and misses allocate nothing once the arena is warm.
+// each entry keeps its key bytes — copied once, into a key arena the table
+// owns — next to their hash, so growing the index and deleting from it
+// (backward-shift deletion, no tombstones; the memo only) never rehash a
+// key. dfs makes one memo call per node: acquire hashes the key once and
+// probes once, returning either a hit or the id of a freshly inserted gray
+// entry; settle or drop then finishes the node by id, without hashing
+// again. Resident hits and misses allocate nothing once the arena is warm.
 
-// grayMark is the sentinel stored while a configuration is on the current
-// DFS stack; encountering it again along one path is a cycle (the
-// implementation is not wait-free).
-var grayMark = &summary{}
-
-// memoEntry is one slot of the table's entry pages. An entry is free
-// (sum == nil, its id on the free list), gray (sum == grayMark: on the DFS
-// stack), or cached (any other sum: counted against the budget and, in a
-// budgeted table, referenced exactly once from the clock). A cached
-// entry's second-chance bit is its summary's ref field.
-type memoEntry struct {
-	key  []byte // the table's own copy; the buffer is kept across reuse
+// keyEntry is one slot of a keyTable's entry pages: the table's own copy
+// of the key (the buffer is kept across reuse of a freed id), its hash,
+// and the id's value.
+type keyEntry[V any] struct {
+	key  []byte
 	hash uint64
-	sum  *summary
+	val  V
 }
 
-// Entry pages hold memoPageSize entries each, so a big tree's entries are
+// Entry pages hold memoPageSize entries each, so a big table's entries are
 // never copied to grow; page 0 alone grows by appending, so a small tree
 // allocates only what it uses.
 const (
@@ -45,7 +42,150 @@ const (
 	memoPageSize  = 1 << memoPageShift
 )
 
-// memoTable is the per-tree configuration memo.
+// keyTable is an open-addressing hash table from byte keys to dense int32
+// ids, each carrying a V. The zero value is ready to use. Ids are handed
+// out in insertion order and, once freed (the memo's drop and eviction),
+// reused LIFO.
+type keyTable[V any] struct {
+	seed   maphash.Seed
+	pages  [][]keyEntry[V]
+	nextID int32     // entries ever allocated: ids [0, nextID) exist
+	free   []int32   // ids of free entries, reused LIFO
+	index  []int32   // id+1 per slot, 0 = empty; len is a power of two
+	live   int       // entries linked into the index
+	keys   byteArena // backing store of the entries' key buffers
+}
+
+// find looks kb up with one hash and one probe run. It returns kb's id, or
+// -1 and the empty slot where add must link it. The index is grown first
+// if one more entry would pass half load, so the slot stays valid for an
+// add that follows at once.
+func (t *keyTable[V]) find(kb []byte) (id int32, h, slot uint64) {
+	if 2*(t.live+1) > len(t.index) {
+		t.grow()
+	}
+	h = maphash.Bytes(t.seed, kb)
+	mask := uint64(len(t.index) - 1)
+	i := h & mask
+	for s := t.index[i]; s != 0; s = t.index[i] {
+		if e := t.entry(s - 1); e.hash == h && bytes.Equal(e.key, kb) {
+			return s - 1, h, i
+		}
+		i = (i + 1) & mask
+	}
+	return -1, h, i
+}
+
+// add copies kb into a free entry (or a new one) holding v and links it at
+// slot, which find returned for kb with no table change since.
+func (t *keyTable[V]) add(kb []byte, h, slot uint64, v V) int32 {
+	var id int32
+	if n := len(t.free); n > 0 {
+		id = t.free[n-1]
+		t.free = t.free[:n-1]
+	} else {
+		id = t.nextID
+		t.nextID++
+		p := int(id >> memoPageShift)
+		if p == len(t.pages) {
+			size := memoPageSize
+			if p == 0 {
+				size = 32
+			}
+			t.pages = append(t.pages, make([]keyEntry[V], 0, size))
+		}
+		t.pages[p] = append(t.pages[p], keyEntry[V]{})
+	}
+	e := t.entry(id)
+	if cap(e.key) >= len(kb) {
+		e.key = append(e.key[:0], kb...)
+	} else {
+		e.key = t.keys.save(kb)
+	}
+	e.hash, e.val = h, v
+	t.index[slot] = id + 1
+	t.live++
+	return id
+}
+
+// entry returns the entry named id.
+func (t *keyTable[V]) entry(id int32) *keyEntry[V] {
+	return &t.pages[id>>memoPageShift][id&(memoPageSize-1)]
+}
+
+// remove unlinks id from the index and returns it to the free list,
+// keeping its key buffer for reuse; its value is reset.
+func (t *keyTable[V]) remove(id int32) {
+	t.unlink(id)
+	var zero V
+	t.entry(id).val = zero
+	t.free = append(t.free, id)
+	t.live--
+}
+
+// unlink removes id's slot from the index with backward-shift deletion:
+// later members of the probe run move into the hole whenever that keeps
+// them reachable from their home slot, so no tombstones accumulate.
+func (t *keyTable[V]) unlink(id int32) {
+	mask := uint64(len(t.index) - 1)
+	i := t.entry(id).hash & mask
+	for t.index[i] != id+1 {
+		i = (i + 1) & mask
+	}
+	for j := (i + 1) & mask; t.index[j] != 0; j = (j + 1) & mask {
+		home := t.entry(t.index[j]-1).hash & mask
+		// The entry at j may fill the hole at i unless its home lies
+		// cyclically in (i, j].
+		var stays bool
+		if i <= j {
+			stays = i < home && home <= j
+		} else {
+			stays = home > i || home <= j
+		}
+		if !stays {
+			t.index[i] = t.index[j]
+			i = j
+		}
+	}
+	t.index[i] = 0
+}
+
+// grow doubles the index (to 64 slots on first use, which also seeds the
+// hash) and relinks every entry of the old index by its stored hash.
+func (t *keyTable[V]) grow() {
+	old := t.index
+	n := 2 * len(old)
+	if n == 0 {
+		n = 64
+		t.seed = maphash.MakeSeed()
+	}
+	t.index = make([]int32, n)
+	mask := uint64(n - 1)
+	for _, s := range old {
+		if s == 0 {
+			continue
+		}
+		i := t.entry(s-1).hash & mask
+		for t.index[i] != 0 {
+			i = (i + 1) & mask
+		}
+		t.index[i] = s
+	}
+}
+
+// grayMark is the sentinel stored while a configuration is on the current
+// DFS stack; encountering it again along one path is a cycle (the
+// implementation is not wait-free).
+var grayMark = &summary{}
+
+// memoTable is the per-tree configuration memo: a keyTable whose values
+// are the settled summaries. An entry is free (val == nil, its id on the
+// free list), gray (val == grayMark: on the DFS stack), or cached (any
+// other summary: counted against the budget and, in a budgeted table,
+// referenced exactly once from the clock). A cached entry's second-chance
+// bit is its summary's ref field. Every key of one tree has the same
+// length (the tree's id-vector width), so a freed entry's key buffer
+// always fits the next key that reuses it.
 //
 // A positive budget caps the number of cached entries. Gray entries are
 // the DFS stack: they never count toward the budget and are never
@@ -66,16 +206,9 @@ const (
 // match the unbounded run, and the table never degrades. Without one,
 // eviction loses memo hits and the table is flagged degraded.
 type memoTable struct {
-	seed   maphash.Seed
+	keyTable[*summary]
 	budget int
-
-	pages  [][]memoEntry
-	nextID int32     // entries ever allocated: ids [0, nextID) exist
-	free   []int32   // ids of free entries, reused LIFO
-	index  []int32   // id+1 per slot, 0 = empty; len is a power of two
-	live   int       // gray + cached entries
-	count  int       // cached entries: the budgeted population
-	keys   byteArena // backing store of the entries' key buffers
+	count  int // cached entries: the budgeted population
 
 	// clock is the second-chance queue of cached entry ids in settle
 	// order, consumed from clockHead (budgeted tables only).
@@ -95,7 +228,7 @@ type memoTable struct {
 }
 
 func newMemoTable(budget int, spillDir string, fsys fsx.FS) *memoTable {
-	t := &memoTable{seed: maphash.MakeSeed(), budget: budget}
+	t := &memoTable{budget: budget}
 	if spillDir != "" && budget > 0 {
 		t.spill = newMemoSpill(spillDir, fsys)
 	}
@@ -126,23 +259,20 @@ func (t *memoTable) release() {
 // kb is copied into the table as a gray entry and its id returned, for the
 // caller to finish with settle or drop. kb is not retained.
 func (t *memoTable) acquire(kb []byte) (hit *summary, id int32) {
-	if 2*(t.live+1) > len(t.index) {
-		t.grow()
-	}
-	h := maphash.Bytes(t.seed, kb)
-	mask := uint64(len(t.index) - 1)
-	i := h & mask
-	for s := t.index[i]; s != 0; s = t.index[i] {
-		if e := t.entry(s - 1); e.hash == h && bytes.Equal(e.key, kb) {
-			if e.sum != grayMark {
-				e.sum.ref = true
-			}
-			return e.sum, -1
+	id, h, slot := t.find(kb)
+	if id >= 0 {
+		sum := t.entry(id).val
+		if sum != grayMark {
+			sum.ref = true
 		}
-		i = (i + 1) & mask
+		return sum, -1
 	}
-	id = t.alloc(kb, h)
-	t.index[i] = id + 1
+	if t.budget > 0 && t.clock == nil {
+		// First use: size the clock for the index, so small trees skip
+		// append's 1, 2, 4, ... regrowth.
+		t.clock = make([]int32, 0, len(t.index)/2)
+	}
+	id = t.add(kb, h, slot, grayMark)
 	if t.spill != nil {
 		if sum, ok := t.spill.load(kb); ok {
 			sum.spilled = true // already on disk; never rewrite on re-evict
@@ -158,7 +288,7 @@ func (t *memoTable) acquire(kb []byte) (hit *summary, id int32) {
 // (a later hit would observe the reuse).
 func (t *memoTable) settle(id int32, sum *summary) {
 	sum.retained = true
-	t.entry(id).sum = sum
+	t.entry(id).val = sum
 	t.count++
 	if t.budget > 0 { // an unbudgeted table never evicts: no clock
 		t.clockPush(id)
@@ -171,8 +301,7 @@ func (t *memoTable) settle(id int32, sum *summary) {
 // drop removes gray entry id (a subtree that errored: its configuration
 // leaves the stack without a summary).
 func (t *memoTable) drop(id int32) {
-	t.unlink(id)
-	t.freeEntry(id)
+	t.remove(id)
 }
 
 // evict reclaims cached entries until the count is back within budget:
@@ -190,16 +319,15 @@ func (t *memoTable) evict() {
 		}
 		t.evictScans++
 		e := t.entry(id)
-		sum := e.sum
+		sum := e.val
 		if sum.ref {
 			sum.ref = false
 			t.clockPush(id) // second chance
 			continue
 		}
-		t.unlink(id)
 		t.count--
 		t.evictions++
-		// The spill tier copies the key before freeEntry lets the next
+		// The spill tier copies the key before remove lets the next
 		// insert overwrite its buffer. A failed spill write loses the entry
 		// after all, so the run degrades exactly as without a spill tier.
 		if t.spill != nil && (sum.spilled || t.spill.store(e.key, sum)) {
@@ -207,59 +335,8 @@ func (t *memoTable) evict() {
 		} else {
 			t.degraded = true
 		}
-		t.freeEntry(id)
+		t.remove(id)
 	}
-}
-
-// entry returns the entry named id.
-func (t *memoTable) entry(id int32) *memoEntry {
-	return &t.pages[id>>memoPageShift][id&(memoPageSize-1)]
-}
-
-// alloc takes a free entry (or a new one), copies kb into its key buffer —
-// in place when the buffer a freed entry left behind is large enough —
-// and marks it gray.
-func (t *memoTable) alloc(kb []byte, h uint64) int32 {
-	var id int32
-	if n := len(t.free); n > 0 {
-		id = t.free[n-1]
-		t.free = t.free[:n-1]
-	} else {
-		id = t.nextID
-		t.nextID++
-		p := int(id >> memoPageShift)
-		if p == len(t.pages) {
-			size := memoPageSize
-			if p == 0 {
-				size = 32
-			}
-			t.pages = append(t.pages, make([]memoEntry, 0, size))
-		}
-		t.pages[p] = append(t.pages[p], memoEntry{})
-	}
-	e := t.entry(id)
-	if cap(e.key) >= len(kb) {
-		e.key = append(e.key[:0], kb...)
-	} else {
-		c := len(kb)
-		if t.budget > 0 {
-			// Budgeted entries are recycled: slack lets the next,
-			// slightly longer key reuse the buffer instead of stranding it.
-			c += c / 4
-		}
-		e.key = t.keys.saveCap(kb, c)
-	}
-	e.hash, e.sum = h, grayMark
-	t.live++
-	return id
-}
-
-// freeEntry returns an unlinked entry's id to the free list, keeping its
-// key buffer for reuse.
-func (t *memoTable) freeEntry(id int32) {
-	t.entry(id).sum = nil
-	t.free = append(t.free, id)
-	t.live--
 }
 
 // clockPush appends id to the clock, first compacting the consumed prefix
@@ -274,67 +351,13 @@ func (t *memoTable) clockPush(id int32) {
 	t.clock = append(t.clock, id)
 }
 
-// unlink removes id's slot from the index with backward-shift deletion:
-// later members of the probe run move into the hole whenever that keeps
-// them reachable from their home slot, so no tombstones accumulate.
-func (t *memoTable) unlink(id int32) {
-	mask := uint64(len(t.index) - 1)
-	i := t.entry(id).hash & mask
-	for t.index[i] != id+1 {
-		i = (i + 1) & mask
-	}
-	for j := (i + 1) & mask; t.index[j] != 0; j = (j + 1) & mask {
-		home := t.entry(t.index[j]-1).hash & mask
-		// The entry at j may fill the hole at i unless its home lies
-		// cyclically in (i, j].
-		var stays bool
-		if i <= j {
-			stays = i < home && home <= j
-		} else {
-			stays = home > i || home <= j
-		}
-		if !stays {
-			t.index[i] = t.index[j]
-			i = j
-		}
-	}
-	t.index[i] = 0
-}
-
-// grow doubles the index (to 64 slots on first use) and reinserts every
-// live entry by its stored hash.
-func (t *memoTable) grow() {
-	n := 2 * len(t.index)
-	if n == 0 {
-		n = 64
-		if t.budget > 0 {
-			// First use: size the clock for the index, so small trees skip
-			// append's 1, 2, 4, ... regrowth.
-			t.clock = make([]int32, 0, n/2)
-		}
-	}
-	t.index = make([]int32, n)
-	mask := uint64(n - 1)
-	for id := int32(0); id < t.nextID; id++ {
-		e := t.entry(id)
-		if e.sum == nil {
-			continue
-		}
-		i := e.hash & mask
-		for t.index[i] != 0 {
-			i = (i + 1) & mask
-		}
-		t.index[i] = id + 1
-	}
-}
-
 // grayKeys returns the keys currently marked on-stack (test hook: after a
 // run no gray marks may survive, or a later exploration reusing the table
 // would report a phantom cycle).
 func (t *memoTable) grayKeys() []string {
 	var out []string
 	for id := int32(0); id < t.nextID; id++ {
-		if e := t.entry(id); e.sum == grayMark {
+		if e := t.entry(id); e.val == grayMark {
 			out = append(out, string(e.key))
 		}
 	}

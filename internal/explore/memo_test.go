@@ -221,7 +221,7 @@ func (m *memoModel) check(t *testing.T, step int, tbl *memoTable) {
 	resident, cached := 0, 0
 	for id := int32(0); id < tbl.nextID; id++ {
 		e := tbl.entry(id)
-		if e.sum == nil {
+		if e.val == nil {
 			continue
 		}
 		resident++
@@ -229,11 +229,11 @@ func (m *memoModel) check(t *testing.T, step int, tbl *memoTable) {
 		switch {
 		case !ok:
 			t.Fatalf("step %d: table holds %q, model does not", step, e.key)
-		case want.gray != (e.sum == grayMark):
-			t.Fatalf("step %d: %q gray=%v in the table, %v in the model", step, e.key, e.sum == grayMark, want.gray)
-		case !want.gray && (want.nodes != e.sum.nodes || want.ref != e.sum.ref):
+		case want.gray != (e.val == grayMark):
+			t.Fatalf("step %d: %q gray=%v in the table, %v in the model", step, e.key, e.val == grayMark, want.gray)
+		case !want.gray && (want.nodes != e.val.nodes || want.ref != e.val.ref):
 			t.Fatalf("step %d: %q holds (nodes %d, ref %v), model (nodes %d, ref %v)",
-				step, e.key, e.sum.nodes, e.sum.ref, want.nodes, want.ref)
+				step, e.key, e.val.nodes, e.val.ref, want.nodes, want.ref)
 		}
 		if !want.gray {
 			cached++

@@ -86,6 +86,21 @@ type Stats struct {
 	StorageRetries int64 `json:"storage_retries,omitempty"`
 	SpillRebuilds  int64 `json:"spill_rebuilds,omitempty"`
 	SpillBroken    bool  `json:"spill_broken,omitempty"`
+	// TransHits and TransMisses count transition-cache lookups (one per
+	// live process per expanded configuration) that found a cached
+	// Spec.Apply outcome or had to compute one; StepHits and StepMisses do
+	// the same for the step cache (one per edge; history runs bypass it).
+	// They are flushed with Nodes.
+	TransHits   int64 `json:"trans_hits,omitempty"`
+	TransMisses int64 `json:"trans_misses,omitempty"`
+	StepHits    int64 `json:"step_hits,omitempty"`
+	StepMisses  int64 `json:"step_misses,omitempty"`
+	// InternedObjs and InternedProcs sum, over finished trees, the
+	// distinct object states and process states each tree's intern tables
+	// held: the component state counts the caches and memo keys are
+	// bounded by.
+	InternedObjs  int64 `json:"interned_objs,omitempty"`
+	InternedProcs int64 `json:"interned_procs,omitempty"`
 	// Heartbeats[w] is worker w's liveness record: what it is exploring
 	// and when it last flushed progress. The stall watchdog
 	// (Options.StallAfter) reads the same records; snapshots copy them, so
@@ -182,6 +197,12 @@ type counters struct {
 	storageRetries atomic.Int64
 	spillRebuilds  atomic.Int64
 	spillBroken    atomic.Bool
+	transHits      atomic.Int64
+	transMisses    atomic.Int64
+	stepHits       atomic.Int64
+	stepMisses     atomic.Int64
+	internedObjs   atomic.Int64
+	internedProcs  atomic.Int64
 
 	workerNodes []atomic.Int64
 	beats       []workerBeat
@@ -282,6 +303,12 @@ func (c *counters) snapshot() Stats {
 		StorageRetries: c.storageRetries.Load(),
 		SpillRebuilds:  c.spillRebuilds.Load(),
 		SpillBroken:    c.spillBroken.Load(),
+		TransHits:      c.transHits.Load(),
+		TransMisses:    c.transMisses.Load(),
+		StepHits:       c.stepHits.Load(),
+		StepMisses:     c.stepMisses.Load(),
+		InternedObjs:   c.internedObjs.Load(),
+		InternedProcs:  c.internedProcs.Load(),
 		Elapsed:        time.Since(c.start),
 	}
 	s.Frontier = s.TreesTotal - s.TreesDone

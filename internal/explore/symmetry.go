@@ -205,20 +205,27 @@ func planOrbits(im *program.Implementation, k, roots int, opts Options) (orbits 
 
 // verifyOrbitRoots certifies the declared symmetry dynamically: every
 // member tree's root configuration must equal its representative's root up
-// to process permutation — equal canonical keys under one shared encoder.
-// This catches implementations that declare SymmetricProcs but whose
-// machines actually treat processes differently (the declaration itself is
-// not mechanically checkable). Roots are cheap to build — each is one
-// newExplorer call, no tree is explored.
+// to process permutation — equal canonical keys, their segments interned
+// by one shared explorer. This catches implementations that declare
+// SymmetricProcs but whose machines actually treat processes differently
+// (the declaration itself is not mechanically checkable). Roots are cheap
+// to build — each is one newRoot call, no tree is explored.
 func verifyOrbitRoots(im *program.Implementation, k int, orbits []orbit) error {
-	enc := &keyEncoder{}
+	var e *explorer
 	rootKey := func(mask int) ([]byte, error) {
 		scripts := consensusScripts(ProposalVectorK(mask, im.Procs, k))
-		_, root, err := newExplorer(im, scripts, Options{})
+		var root *config
+		var err error
+		if e == nil {
+			e, root, err = newExplorer(im, scripts, Options{})
+		} else {
+			e.scripts = scripts
+			root, err = e.newRoot()
+		}
 		if err != nil {
 			return nil, err
 		}
-		key, _ := enc.canonKey(root)
+		key, _ := e.canonKey(root)
 		return key, nil
 	}
 	for i := range orbits {

@@ -77,13 +77,12 @@ func ValencySet(mask uint64) []int {
 // one proposal vector. Decision values must lie in 0..63.
 func Valency(im *program.Implementation, proposals []int, opts Options) (*ValencyReport, error) {
 	// The analysis reads no histories, and it keys configurations on
-	// process segments, which a history run drops (stepProcCached).
+	// interned process ids, which a history run does not assign.
 	opts.RecordHistory = false
 	e, root, err := newExplorer(im, consensusScripts(proposals), opts)
 	if err != nil {
 		return nil, err
 	}
-	e.encodeSegments(root)
 	v := &valencyAnalysis{e: e, memo: make(map[string]uint64), seenCrit: make(map[string]bool)}
 	rootMask, err := v.valency(root, 0)
 	if err != nil {
@@ -128,21 +127,21 @@ func (v *valencyAnalysis) valency(c *config, depth int) (uint64, error) {
 		return 0, fmt.Errorf("explore: valency analysis exceeded %d steps (not wait-free?)", v.e.opts.MaxDepth)
 	}
 	allDone := true
-	for p := range c.procs {
-		if !c.procs[p].Done {
+	for _, id := range c.procs {
+		if !v.e.proc(id).Done {
 			allDone = false
 			break
 		}
 	}
 	if allDone {
 		// Leaf: all processes decided; agreement gives a single value.
-		val := c.procs[0].Resp.Val
+		val := v.e.proc(c.procs[0]).Resp.Val
 		if val < 0 || val > 63 {
 			return 0, fmt.Errorf("explore: decision %d outside 0..63", val)
 		}
 		return 1 << uint(val), nil
 	}
-	key := string(v.e.flatKey(c))
+	key := string(v.e.idKey(c))
 	if mask, ok := v.memo[key]; ok {
 		return mask, nil
 	}
@@ -150,13 +149,14 @@ func (v *valencyAnalysis) valency(c *config, depth int) (uint64, error) {
 	var mask uint64
 	var pending []PendingStep
 	var childMasks []uint64
-	for p := range c.procs {
-		if c.procs[p].Done {
+	for p, id := range c.procs {
+		if v.e.proc(id).Done {
 			continue
 		}
-		act := c.procs[p].Pending
+		act := v.e.proc(id).Pending
 		pending = append(pending, PendingStep{Proc: p, Obj: act.Obj, Inv: act.Inv})
-		cts, err := v.e.applyCached(c, p, act)
+		inv := v.e.pendingInv(c, p)
+		cts, err := v.e.applyCached(c, p, &act, inv)
 		if err != nil {
 			return 0, err
 		}

@@ -67,7 +67,6 @@ func Walk(im *program.Implementation, scripts [][]types.Invocation, s Schedule) 
 	if err != nil {
 		return nil, err
 	}
-	e.encodeSegments(c)
 	rng := rand.New(rand.NewSource(s.Seed))
 	accesses := make([]int, im.Procs)
 	// crashDue applies p's due crashes and recoveries; a recovery may be
@@ -75,14 +74,14 @@ func Walk(im *program.Implementation, scripts [][]types.Invocation, s Schedule) 
 	crashDue := func(p int) error {
 		for {
 			limit, ok := s.CrashAfter[p]
-			if ps := &c.procs[p]; !ok || ps.Done || ps.Crashed || accesses[p] < limit {
+			if ps := e.proc(c.procs[p]); !ok || ps.Done || ps.Crashed || accesses[p] < limit {
 				return nil
 			}
 			e.curConfig, e.curProc = c, p
 			old := c
 			c = e.crashChild(old, p)
 			e.recycleConfig(old)
-			if c.procs[p].Recoveries >= s.Recoveries[p] {
+			if e.proc(c.procs[p]).Recoveries >= s.Recoveries[p] {
 				return nil
 			}
 			old = c
@@ -101,8 +100,8 @@ func Walk(im *program.Implementation, scripts [][]types.Invocation, s Schedule) 
 	live := make([]int, 0, im.Procs)
 	for depth := 0; ; depth++ {
 		live = live[:0]
-		for p := range c.procs {
-			if !c.procs[p].Done && !c.procs[p].Crashed {
+		for p, id := range c.procs {
+			if ps := e.proc(id); !ps.Done && !ps.Crashed {
 				live = append(live, p)
 			}
 		}
@@ -111,12 +110,13 @@ func Walk(im *program.Implementation, scripts [][]types.Invocation, s Schedule) 
 		}
 		if depth >= e.opts.MaxDepth {
 			return nil, &Violation{Kind: KindDepthExceeded,
-				Detail: fmt.Sprintf("execution reached %d object accesses", depth), Schedule: e.schedule}
+				Detail: fmt.Sprintf("execution reached %d object accesses", depth), Schedule: e.scheduleView()}
 		}
 		p := live[rng.Intn(len(live))]
 		e.curConfig, e.curProc, e.curDepth = c, p, depth
-		act := c.procs[p].Pending
-		cts, err := e.applyCached(c, p, act)
+		act := e.proc(c.procs[p]).Pending
+		inv := e.pendingInv(c, p)
+		cts, err := e.applyCached(c, p, &act, inv)
 		if err != nil {
 			return nil, fmt.Errorf("process %d at depth %d: %w", p, depth, err)
 		}
@@ -124,10 +124,10 @@ func Walk(im *program.Implementation, scripts [][]types.Invocation, s Schedule) 
 		if len(cts) > 1 {
 			t = cts[rng.Intn(len(cts))]
 		}
-		c.objs[act.Obj], c.objEnc[act.Obj] = t.next, t.nextEnc
-		e.schedule = append(e.schedule, StepRecord{Proc: p, Obj: act.Obj, Inv: act.Inv, Resp: t.resp})
+		c.objs[act.Obj] = t.next
+		e.path = append(e.path, pathStep{proc: int32(p), obj: int32(act.Obj), inv: inv, resp: t.resp})
 		e.clock++ // the access itself is a clock event, as in expand
-		if err := e.stepProcCached(c, p, t.resp, false); err != nil {
+		if err := e.stepProc(c, p, t.resp, false); err != nil {
 			return nil, err
 		}
 		accesses[p]++
@@ -146,16 +146,17 @@ func (e *explorer) walked(c *config, depth int) *Walked {
 			Responses:  e.responses,
 			Depth:      depth,
 			History:    e.history,
-			Schedule:   e.schedule,
+			Schedule:   e.scheduleView(),
 			Crashed:    make([]bool, n),
 			Recoveries: make([]int, n),
 		},
 		Mems: make([]any, n),
 	}
-	for p := range c.procs {
-		w.Crashed[p] = c.procs[p].Crashed
-		w.Recoveries[p] = c.procs[p].Recoveries
-		w.Mems[p] = c.procs[p].Mem
+	for p, id := range c.procs {
+		ps := e.proc(id)
+		w.Crashed[p] = ps.Crashed
+		w.Recoveries[p] = ps.Recoveries
+		w.Mems[p] = ps.Mem
 	}
 	return w
 }

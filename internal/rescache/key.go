@@ -20,6 +20,7 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"sync"
 
 	"waitfree/internal/core"
 	"waitfree/internal/explore"
@@ -158,9 +159,21 @@ func appendImplementation(b []byte, im *program.Implementation, k int) ([]byte, 
 // appendZoo keys the classification pipeline: the encoding of every zoo
 // entry (spec and each initial state), its literature numbers (they are
 // echoed into the report), and the classification bounds. A zoo change in
-// a new binary therefore misses old entries.
+// a new binary therefore misses old entries. The zoo is compiled into the
+// binary, so the encoding is computed once per process (zooKey).
 func appendZoo(b []byte) ([]byte, error) {
+	z, err := zooKey()
+	if err != nil {
+		return nil, err
+	}
+	return append(b, z...), nil
+}
+
+// zooKey is appendZoo's encoding, computed on first use: re-tabulating
+// every zoo spec made each classification key cost milliseconds.
+var zooKey = sync.OnceValues(func() ([]byte, error) {
 	entries := hierarchy.Zoo()
+	var b []byte
 	b = appendInt(b, int64(len(entries)))
 	for _, e := range entries {
 		b = appendInt(b, int64(len(e.Inits)))
@@ -173,7 +186,7 @@ func appendZoo(b []byte) ([]byte, error) {
 	b = appendInt(b, hierarchy.DefaultMaxK)
 	b = appendInt(b, hierarchy.DefaultReachLimit)
 	return b, nil
-}
+})
 
 // appendSpec encodes one spec+init behaviorally when its reachable state
 // space is bounded, and structurally otherwise (some zoo members — fetch-
