@@ -6,14 +6,15 @@ import (
 
 // This file implements the hot path's allocation machinery — dense interned
 // access-counter ids, slab arenas for summary records and their counter
-// slices, a byte arena for the key tables' keys, and free lists for the
-// crash and recovery config clones and the summaries that are not
-// retained by the memo — and the transition and step caches. Together they take the per-node allocation count
-// from ~8 (summary + counter map + three clone slices + key string + map
-// growth) to amortized fractions of one: slabs are handed out in large
-// chunks, clones and non-retained summaries are recycled immediately after
-// their merge, and whole arenas die with the tree instead of feeding the
-// GC one node at a time.
+// slices, a byte arena for the key tables' keys, and a free list for the
+// summaries that are not retained by the memo — and the transition and
+// step caches. Together with in-place stepping, which allocates no child
+// configs at all, they take the per-node allocation count from ~8
+// (summary + counter map + three clone slices + key string + map growth)
+// to amortized fractions of one: slabs are handed out in large chunks,
+// non-retained summaries are recycled immediately after their merge, and
+// whole arenas die with the tree instead of feeding the GC one node at a
+// time.
 
 // accTable interns accKeys (per-object totals, per-(object, op) counters,
 // per-process step counters) into dense int32 ids, replacing the per-node
@@ -209,48 +210,21 @@ func (e *explorer) growAcc(s *summary, need int) {
 	s.acc = acc
 }
 
-// cloneConfig is the hot-path clone: the two id vectors are copied into a
-// recycled config when one is available, so steady-state cloning allocates
-// nothing — and, the vectors being pointer-free, copies no pointers.
-func (e *explorer) cloneConfig(c *config) *config {
-	var d *config
-	if n := len(e.freeCfgs); n > 0 {
-		d = e.freeCfgs[n-1]
-		e.freeCfgs = e.freeCfgs[:n-1]
-	} else {
-		d = &config{}
-	}
-	d.objs = append(d.objs[:0], c.objs...)
-	d.procs = append(d.procs[:0], c.procs...)
-	return d
-}
-
 // walkChild visits the child of c reached by process p taking the cached
 // transition t on object obj, for the tree walkers outside the DFS
-// (Valency, Dot, which never record histories): a recycled clone of c
-// stepped through the step cache, handed to visit, then recycled with
-// e.responses rewound. The DFS steps in place instead.
-func (e *explorer) walkChild(c *config, p, obj int, t cachedTrans, visit func(*config) error) error {
-	child := e.cloneConfig(c)
-	child.objs[obj] = t.next
+// (Valency, Dot): like a DFS edge it steps c in place through the step
+// cache, calls visit, and restores c and e.responses.
+func (e *explorer) walkChild(c *config, p, obj int, t cachedTrans, visit func() error) error {
+	oldObj, oldProc := c.objs[obj], c.procs[p]
+	c.objs[obj] = t.next
 	mark := len(e.responses[p])
-	err := e.stepProc(child, p, t.resp, false)
+	err := e.stepProc(c, p, t.resp, false)
 	if err == nil {
-		err = visit(child)
+		err = visit()
 	}
+	c.objs[obj], c.procs[p] = oldObj, oldProc
 	e.responses[p] = e.responses[p][:mark]
-	e.recycleConfig(child)
 	return err
-}
-
-// recycleConfig returns a fully-merged child config to the free list.
-// Configs are strictly stack-scoped (the explorer retains keys, never
-// configs), so recycling after the child's subtree completes is safe.
-func (e *explorer) recycleConfig(c *config) {
-	if e.curConfig == c {
-		e.curConfig = nil // keep the panic/heartbeat breadcrumb honest
-	}
-	e.freeCfgs = append(e.freeCfgs, c)
 }
 
 // transKey keys the transition cache: the object, the id of its state, the
@@ -307,7 +281,8 @@ type stepKey struct{ p, state, resp, forced int32 }
 // procStep is a cached startNextOp outcome: the stepping process's
 // resulting state id, and the run of e.stepResps holding the target
 // responses the advance completed (replayed into e.responses on a hit,
-// mirroring endOp; the caller's respMark undo then rewinds them as usual).
+// as startNextOp appends them; the caller's respMark undo then rewinds
+// them as usual).
 type procStep struct{ next, respOff, respN int32 }
 
 // stepProc advances process p of c over a completed access with response
@@ -315,10 +290,10 @@ type procStep struct{ next, respOff, respN int32 }
 // resp — by the machine contract (deterministic, comparable states) that
 // determines the entire advance, including any chain of zero-access
 // operations it completes. forced sets Stepped first (CrashBeforeFirstStep),
-// which the pre-state id does not reflect, so it is part of the key. A
-// cached advance replays responses but no history events, so history runs
-// bypass the cache and step their scratch state in place; the caller
-// saves and restores the slot where it backtracks. Errors are not cached.
+// which the pre-state id does not reflect, so it is part of the key. The
+// responses are all a history needs (historyView), so every run but a
+// Walk steps through the cache; a Walk's scratch state is stepped in
+// place. Errors are not cached.
 func (e *explorer) stepProc(c *config, p int, resp int32, forced bool) error {
 	if c.procs[p] < 0 {
 		ps := &e.scratch[p]

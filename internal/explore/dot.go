@@ -21,8 +21,7 @@ var ErrDotBudget = errors.New("explore: execution tree exceeds the DOT node budg
 // digraph with at most maxNodes nodes. Leaves are double circles labeled
 // with the processes' final responses; edges are labeled proc:inv->resp.
 func Dot(im *program.Implementation, scripts [][]types.Invocation, opts Options, maxNodes int) (string, error) {
-	// The rendering reads no histories, and it steps children through
-	// the step cache, which a history run bypasses.
+	// The rendering reads no histories.
 	opts.RecordHistory = false
 	e, root, err := newExplorer(im, scripts, opts)
 	if err != nil {
@@ -84,8 +83,8 @@ func (d *dotBuilder) walk(c *config, depth int) (int, error) {
 		}
 		for _, t := range cts {
 			var childID int
-			err := d.e.walkChild(c, p, act.Obj, t, func(child *config) (err error) {
-				childID, err = d.walk(child, depth+1)
+			err := d.e.walkChild(c, p, act.Obj, t, func() (err error) {
+				childID, err = d.walk(c, depth+1)
 				return err
 			})
 			if err != nil {

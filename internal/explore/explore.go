@@ -51,14 +51,16 @@ type Options struct {
 	// and step caches. Incompatible with RecordHistory.
 	Memoize bool
 	// RecordHistory attaches the complete concurrent history of target
-	// operations to each Leaf, for linearizability checking.
+	// operations to each Leaf, for linearizability checking. The history
+	// is rendered at the leaf from the explorer's path, like the Schedule;
+	// the run otherwise steps exactly like any other.
 	RecordHistory bool
 	// OnLeaf, if set, is called at every leaf. Returning an error aborts
 	// exploration and surfaces as a KindLeafReject violation. The *Leaf
 	// is a borrowed view: the explorer reuses it, and its Responses,
 	// Schedule, Crashed and Recoveries slices, for every leaf, so they are
 	// valid only during the call. A callback that keeps leaf data must
-	// copy it. History is the exception: each leaf gets its own copy.
+	// copy it. History is the exception: each leaf gets its own rendering.
 	OnLeaf func(*Leaf) error
 	// Parallelism bounds the number of worker goroutines
 	// ConsensusKContext uses to explore independent proposal-vector trees
@@ -240,8 +242,8 @@ type Leaf struct {
 	Responses [][]types.Response
 	// Depth is the number of object accesses along this execution.
 	Depth int
-	// History is the concurrent history of target operations
-	// (RecordHistory mode only).
+	// History is the concurrent history of target operations, rendered
+	// from the explorer's current path (RecordHistory mode only).
 	History hist.History
 	// Schedule is the access sequence of this execution, including its
 	// CRASH and RECOVER records, rendered from the explorer's current path.
@@ -502,11 +504,11 @@ type procState struct {
 // config is one node of an execution tree in the interned layout
 // (intern.go): objs[i] is the id of object i's state in the explorer's
 // object intern table, procs[p] the id of process p's control state in its
-// process intern table (or, in a history run, the scratch reference ^p).
-// Both vectors are pointer-free, so clones and the DFS's save/restore
-// copy ints, and together they are the configuration's memo key
-// (explorer.idKey) — fixed-width for the whole tree — and valency's map
-// key. Each component is encoded once per tree, when the intern table
+// process intern table (or, in a Walk, the scratch reference ^p). Every
+// edge steps a config in place, and both vectors are pointer-free, so the
+// DFS's save/restore copies ints. Together they are the configuration's
+// memo key (explorer.idKey) — fixed-width for the whole tree — and
+// valency's map key. Each component is encoded once per tree, when the intern table
 // first sees it, and the id key stands for the concatenation of those
 // segments, which keyHex still renders for diagnostics.
 type config struct {
@@ -561,14 +563,28 @@ func runTree(ctx context.Context, im *program.Implementation, scripts [][]types.
 // newExplorer validates the run's shape and builds the explorer and the
 // root configuration (every process advanced to its first object access).
 func newExplorer(im *program.Implementation, scripts [][]types.Invocation, opts Options) (*explorer, *config, error) {
-	if err := im.Validate(); err != nil {
+	e, err := initExplorer(im, scripts, opts)
+	if err != nil {
 		return nil, nil, err
+	}
+	root, err := e.newRoot()
+	if err != nil {
+		return nil, nil, err
+	}
+	return e, root, nil
+}
+
+// initExplorer validates the run's shape and builds the explorer, without
+// a root: newExplorer builds the interned one, Walk its scratch one.
+func initExplorer(im *program.Implementation, scripts [][]types.Invocation, opts Options) (*explorer, error) {
+	if err := im.Validate(); err != nil {
+		return nil, err
 	}
 	if err := opts.Validate(); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if len(scripts) != im.Procs {
-		return nil, nil, fmt.Errorf("%w: %d scripts for %d processes", ErrBadScripts, len(scripts), im.Procs)
+		return nil, fmt.Errorf("%w: %d scripts for %d processes", ErrBadScripts, len(scripts), im.Procs)
 	}
 	if opts.MaxDepth == 0 {
 		opts.MaxDepth = DefaultMaxDepth
@@ -586,39 +602,39 @@ func newExplorer(im *program.Implementation, scripts [][]types.Invocation, opts 
 	for p := 0; p < im.Procs; p++ {
 		e.responses[p] = make([]types.Response, 0, len(scripts[p]))
 	}
-	root, err := e.newRoot()
-	if err != nil {
-		return nil, nil, err
-	}
-	return e, root, nil
+	return e, nil
 }
 
 // newRoot builds the root configuration of e.scripts: the initial object
-// states, and every process advanced to its first object access. A history
-// run's processes live in e.scratch (intern.go); every other run interns
-// them.
+// states, and every process advanced to its first object access. A Walk's
+// processes live in e.scratch (intern.go), which Walk sizes before calling
+// newRoot; every other run interns them. A history run also records each
+// process's root count of completed target ops, which historyView reads.
 func (e *explorer) newRoot() (*config, error) {
 	c := &config{objs: make([]int32, len(e.im.Objects)), procs: make([]int32, e.im.Procs)}
 	for i, s := range e.im.InitialStates() {
 		c.objs[i] = e.internObj(s)
 	}
 	if e.opts.RecordHistory {
-		e.scratch = make([]procState, e.im.Procs)
+		e.histProcs = make([]histProc, e.im.Procs)
 	}
 	for p := range c.procs {
 		e.responses[p] = e.responses[p][:0]
-		if e.opts.RecordHistory {
+		if e.scratch != nil {
 			if err := e.startNextOp(&e.scratch[p], p, types.Response{}); err != nil {
 				return nil, err
 			}
 			c.procs[p] = scratchRef(p)
-			continue
+		} else {
+			var ps procState
+			if err := e.startNextOp(&ps, p, types.Response{}); err != nil {
+				return nil, err
+			}
+			c.procs[p] = e.internProc(&ps)
 		}
-		var ps procState
-		if err := e.startNextOp(&ps, p, types.Response{}); err != nil {
-			return nil, err
+		if e.histProcs != nil {
+			e.histProcs[p].root = len(e.responses[p])
 		}
-		c.procs[p] = e.internProc(&ps)
 	}
 	return c, nil
 }
@@ -763,7 +779,7 @@ type explorer struct {
 	// The interned layout (intern.go): enc renders component segments,
 	// segScratch is the reusable buffer it renders into, and objTab /
 	// procTab intern object and process states under their segments.
-	// scratch holds a history run's live process states. invs and resps
+	// scratch holds a Walk's live process states. invs and resps
 	// give invocations and responses the small ids the caches key on.
 	enc        keyEncoder
 	segScratch []byte
@@ -782,11 +798,9 @@ type explorer struct {
 	opIDs   []map[string]int32
 
 	// Allocation machinery (arena.go): slab arenas for summaries and
-	// counter slices, plus free lists for configs and non-retained
-	// summaries.
+	// counter slices, plus a free list for non-retained summaries.
 	sums     summaryArena
 	freeSums []*summary
-	freeCfgs []*config
 
 	// transCache memoizes Spec.Apply results, keyed by (object, state id,
 	// port, invocation id), with the outcomes in runs of transList;
@@ -813,15 +827,15 @@ type explorer struct {
 	leafRecoveries []int
 
 	// Path-local data (push/pop around recursion). path is the current
-	// schedule in pointer-free form; schedule renders it as StepRecords on
-	// demand (scheduleView), its first synced records still current.
+	// execution in pointer-free form, its only record: schedule renders it
+	// as StepRecords on demand (scheduleView), its first synced records
+	// still current, and historyView renders it, with responses, as a
+	// history. histProcs is set in history runs only (newRoot).
 	path      []pathStep
 	schedule  []StepRecord
 	synced    int
 	responses [][]types.Response
-	history   hist.History
-	openOp    []int // per proc: index into history of the open op, -1 if none
-	clock     int
+	histProcs []histProc
 
 	// Panic-recovery breadcrumbs: the configuration being expanded, the
 	// process being stepped, and its depth. Pointer/int stores only, so the
@@ -848,7 +862,9 @@ func (e *explorer) panicContext() string {
 // returns and starts until the process either has a pending object access
 // or is done. Local steps consume no tree edges, matching the paper's
 // counting of low-level operations only. ps is a private copy (or a
-// history run's scratch slot), never an interned state.
+// Walk's scratch slot), never an interned state. Each completed operation
+// appends its response to e.responses[p], where the path's history
+// rendering finds it.
 func (e *explorer) startNextOp(ps *procState, p int, resp types.Response) error {
 	m := e.im.Machines[p]
 	if ps.Done {
@@ -861,7 +877,7 @@ func (e *explorer) startNextOp(ps *procState, p int, resp types.Response) error 
 			return nil
 		}
 		// Entry point of the next target operation.
-		e.beginOp(ps, p)
+		ps.Mst = m.Start(e.scripts[p][ps.OpIdx], ps.Mem)
 	}
 	for {
 		if ps.Done {
@@ -881,54 +897,21 @@ func (e *explorer) startNextOp(ps *procState, p int, resp types.Response) error 
 			ps.Pending = act
 			return nil
 		case program.KindReturn:
-			e.endOp(ps, p, act)
+			e.responses[p] = append(e.responses[p], act.Resp)
+			ps.Resp = act.Resp
+			ps.Mem = act.Mem
+			ps.OpIdx++
 			if ps.OpIdx >= len(e.scripts[p]) {
 				ps.Done = true
 				ps.Mst = nil
 				ps.Pending = program.Action{}
 				return nil
 			}
-			e.beginOp(ps, p)
+			ps.Mst = m.Start(e.scripts[p][ps.OpIdx], ps.Mem)
 			resp = types.Response{}
 		default:
 			return fmt.Errorf("explore: process %d produced invalid action kind %d", p, act.Kind)
 		}
-	}
-}
-
-func (e *explorer) beginOp(ps *procState, p int) {
-	inv := e.scripts[p][ps.OpIdx]
-	ps.Mst = e.im.Machines[p].Start(inv, ps.Mem)
-	if e.opts.RecordHistory {
-		if e.openOp == nil {
-			e.openOp = make([]int, e.im.Procs)
-			for i := range e.openOp {
-				e.openOp[i] = -1
-			}
-		}
-		e.openOp[p] = len(e.history)
-		e.history = append(e.history, hist.Op{
-			Proc:  p,
-			Port:  p + 1, // convention: process p holds target port p+1
-			Inv:   inv,
-			Begin: e.clock,
-			End:   hist.Pending,
-		})
-		e.clock++
-	}
-}
-
-func (e *explorer) endOp(ps *procState, p int, act program.Action) {
-	e.responses[p] = append(e.responses[p], act.Resp)
-	ps.Resp = act.Resp
-	ps.Mem = act.Mem
-	ps.OpIdx++
-	if e.opts.RecordHistory {
-		idx := e.openOp[p]
-		e.history[idx].Resp = act.Resp
-		e.history[idx].End = e.clock
-		e.openOp[p] = -1
-		e.clock++
 	}
 }
 
@@ -1044,17 +1027,17 @@ func (e *explorer) dfs(c *config, depth int) (*summary, error) {
 // crash branches come first so that a violation reachable both with and
 // without crashes surfaces with its crash-annotated schedule. Under
 // crash-recovery it then explores, for each crashed process, the branch
-// where that process recovers here (recoverChild). The crash budget
+// where that process recovers here (recoverProc). The crash budget
 // counts crash events, not currently-crashed processes: crashes +
 // recoveries, since every recovery implies a prior crash and a recovery
 // never refunds the budget. With MaxRecoveries=0
 // both sums and branch sets are exactly the crash-stop ones.
 func (e *explorer) expand(c *config, depth int, sum *summary, crashes, recoveries int) error {
-	// A history run's processes live in e.scratch, which the edges below
-	// mutate in place: each saves the slot it changes and restores it after
-	// the child subtree, as it restores c's ids.
-	history := e.opts.RecordHistory
-	var saved procState
+	// Every edge below steps c in place: it saves the ids it changes,
+	// explores the child subtree, and restores them before any other code
+	// (merges, error returns) can observe c. Configs are strictly
+	// stack-scoped — nothing below retains the pointer — so after the
+	// restore c is the parent again for the next edge.
 	if e.opts.Faults.Enabled() && crashes+recoveries < e.opts.Faults.MaxCrashes {
 		for p := range c.procs {
 			ps := e.proc(c.procs[p])
@@ -1064,27 +1047,22 @@ func (e *explorer) expand(c *config, depth int, sum *summary, crashes, recoverie
 			if e.opts.Faults.Mode == faults.CrashBeforeFirstStep && ps.Stepped {
 				continue
 			}
-			if history {
-				saved = *ps
-			}
-			child := e.crashChild(c, p)
+			old := c.procs[p]
+			e.crashProc(c, p)
 			// A crash is not an object access: it consumes no depth budget
 			// and bumps no access counters (mergeCrashChild), matching the
 			// paper's counting of low-level operations only. Termination is
 			// still guaranteed — each crash strictly shrinks the live set.
-			childSum, err := e.dfs(child, depth)
+			childSum, err := e.dfs(c, depth)
+			c.procs[p] = old
 			if childSum != nil {
 				e.mergeCrashChild(sum, childSum)
 			}
 			e.popStep()
-			if history {
-				e.scratch[p] = saved
-			}
 			if err != nil {
 				return err
 			}
 			e.recycleSummary(childSum)
-			e.recycleConfig(child)
 		}
 	}
 	if crashes > 0 && recoveries < e.opts.Faults.MaxRecoveries {
@@ -1093,45 +1071,27 @@ func (e *explorer) expand(c *config, depth int, sum *summary, crashes, recoverie
 				continue
 			}
 			e.curConfig, e.curProc, e.curDepth = c, p, depth
+			old := c.procs[p]
 			respMark := len(e.responses[p])
-			histMark := len(e.history)
-			clockMark := e.clock
-			prevOpen := -1
-			if e.openOp != nil {
-				prevOpen = e.openOp[p]
-			}
-			if history {
-				saved = e.scratch[p]
-			}
-
-			child, err := e.recoverChild(c, p)
+			err := e.recoverProc(c, p)
 			var childSum *summary
 			if err == nil {
 				// Like a crash, a recovery is not an object access: no
 				// depth budget, no access counters. Termination holds
 				// because each recovery strictly increases the total
 				// recovery count, which MaxRecoveries bounds.
-				childSum, err = e.dfs(child, depth)
+				childSum, err = e.dfs(c, depth)
 			}
+			c.procs[p] = old
 			if childSum != nil {
 				e.mergeCrashChild(sum, childSum)
 			}
-
 			e.popStep()
 			e.responses[p] = e.responses[p][:respMark]
-			if history {
-				e.scratch[p] = saved
-				e.undoHistory(histMark, clockMark)
-				// The re-executed operation's entry stole p's open-op slot
-				// from the interrupted operation (which stays pending
-				// forever — a crashed access never returns); restore it.
-				e.openOp[p] = prevOpen
-			}
 			if err != nil {
 				return err
 			}
 			e.recycleSummary(childSum)
-			e.recycleConfig(child)
 		}
 	}
 	forcedStep := e.opts.Faults.Enabled() && e.opts.Faults.Mode == faults.CrashBeforeFirstStep
@@ -1151,55 +1111,25 @@ func (e *explorer) expand(c *config, depth int, sum *summary, crashes, recoverie
 		procID := e.procIDs[p]
 		oldObj, oldProc := c.objs[act.Obj], c.procs[p]
 		for _, t := range cts {
-			// Step in place: exactly one object and one process change on
-			// this edge, so instead of cloning the configuration the edge
-			// saves the two changed ids (and a history run's scratch
-			// state), mutates, explores the child subtree, and restores.
-			// Configs are strictly stack-scoped — nothing below retains
-			// the pointer — and every expand call restores c before
-			// returning, so after the restore c is the parent again for the
-			// next transition.
-			if history {
-				saved = e.scratch[p]
-			}
-			c.objs[act.Obj] = t.next
-
-			// Path-local bookkeeping with undo.
-			e.path = append(e.path, pathStep{proc: int32(p), obj: int32(act.Obj), inv: inv, resp: t.resp})
-			respMark := len(e.responses[p])
-			histMark := len(e.history)
-			clockMark := e.clock
-			if history {
-				e.clock++ // the access itself is a clock event
-			}
-
+			// Exactly one object and one process change on an access edge.
 			// The object's successor state comes interned with the cached
 			// transition, and the process advances through the step cache;
 			// everything else is shared.
+			c.objs[act.Obj] = t.next
+			respMark := len(e.responses[p])
 			err := e.stepProc(c, p, t.resp, forcedStep)
+			e.path = append(e.path, pathStep{proc: int32(p), obj: int32(act.Obj), inv: inv, resp: t.resp,
+				ops: int32(len(e.responses[p]))})
 			var childSum *summary
 			if err == nil {
 				childSum, err = e.dfs(c, depth+1)
 			}
-
-			// Restore the parent configuration before any other code
-			// (merges, error returns) can observe c.
 			c.objs[act.Obj], c.procs[p] = oldObj, oldProc
-			if history {
-				e.scratch[p] = saved
-			}
-
 			if childSum != nil {
 				e.mergeChild(sum, childSum, opID, objID, procID)
 			}
-
-			// Undo path-local bookkeeping.
 			e.popStep()
 			e.responses[p] = e.responses[p][:respMark]
-			if history {
-				e.undoHistory(histMark, clockMark)
-			}
-
 			if err != nil {
 				return err
 			}
@@ -1209,32 +1139,29 @@ func (e *explorer) expand(c *config, depth int, sum *summary, crashes, recoverie
 	return nil
 }
 
-// crashChild returns a recycled clone of c in which live process p has
-// crashed, and records the CRASH on the path. Every engine places crashes
-// through it: the DFS on each crash edge, Walk at each CrashAfter point. A
-// history run crashes p's scratch state in place; the DFS restores it.
-func (e *explorer) crashChild(c *config, p int) *config {
-	child := e.cloneConfig(c)
+// crashProc crashes live process p of c in place and records the CRASH on
+// the path. Every engine places crashes through it: the DFS on each crash
+// edge, which restores c.procs[p] after the subtree, and Walk at each
+// CrashAfter point, which never does. A Walk's scratch state is crashed in
+// place.
+func (e *explorer) crashProc(c *config, p int) {
 	if id := c.procs[p]; id < 0 {
 		e.scratch[p].Crashed = true
 	} else {
-		child.procs[p] = e.crashedID(id)
+		c.procs[p] = e.crashedID(id)
 	}
-	e.path = append(e.path, pathStep{proc: int32(p), obj: -1, kind: stepCrash})
-	return child
+	e.path = append(e.path, pathStep{proc: int32(p), obj: -1, kind: stepCrash, ops: int32(len(e.responses[p]))})
 }
 
-// recoverChild returns a recycled clone of c in which crashed process p
-// has re-entered from its recovery section, and records the RECOVER on the
-// path. This is the one definition of a recovery: volatile state (machine
-// state, pending access, per-process memory) is lost; the shared objects
-// and the process's progress through its script (OpIdx — decided
-// operations stay decided) persist. The interrupted operation re-runs from
-// its start, opening a fresh history entry, while its old entry stays
-// pending forever: a crashed access never returns. A history run recovers
-// p's scratch state in place; the DFS restores it.
-func (e *explorer) recoverChild(c *config, p int) (*config, error) {
-	child := e.cloneConfig(c)
+// recoverProc re-enters crashed process p of c from its recovery section,
+// in place like crashProc, and records the RECOVER on the path. This is the
+// one definition of a recovery: volatile state (machine state, pending
+// access, per-process memory) is lost; the shared objects and the
+// process's progress through its script (OpIdx — decided operations stay
+// decided) persist. The interrupted operation re-runs from its start, so
+// historyView gives it a fresh entry, while its old entry stays pending
+// forever: a crashed access never returns.
+func (e *explorer) recoverProc(c *config, p int) error {
 	var ps *procState
 	var fresh procState
 	if c.procs[p] < 0 {
@@ -1248,23 +1175,22 @@ func (e *explorer) recoverChild(c *config, p int) (*config, error) {
 	ps.Mst = nil
 	ps.Pending = program.Action{}
 	ps.Mem = nil
-	e.path = append(e.path, pathStep{proc: int32(p), obj: -1, kind: stepRecover})
-	if err := e.startNextOp(ps, p, types.Response{}); err != nil {
-		return child, err
+	err := e.startNextOp(ps, p, types.Response{})
+	e.path = append(e.path, pathStep{proc: int32(p), obj: -1, kind: stepRecover, ops: int32(len(e.responses[p]))})
+	if err == nil && c.procs[p] >= 0 {
+		c.procs[p] = e.internProc(ps)
 	}
-	if c.procs[p] >= 0 {
-		child.procs[p] = e.internProc(ps)
-	}
-	return child, nil
+	return err
 }
 
 // pathStep is one record of the current path: an access by proc on obj,
 // with the invocation and response as ids, or a CRASH or RECOVER record.
-// Pushing one stores no pointer, so the per-edge schedule bookkeeping costs
-// no write barrier.
+// ops is proc's count of completed target operations after the step, the
+// length of its e.responses. Pushing one stores no pointer, so the per-edge
+// bookkeeping costs no write barrier.
 type pathStep struct {
-	proc, obj, inv, resp int32
-	kind                 uint8
+	proc, obj, inv, resp, ops int32
+	kind                      uint8
 }
 
 // Path record kinds.
@@ -1305,26 +1231,88 @@ func (e *explorer) scheduleView() []StepRecord {
 	return e.schedule
 }
 
-// undoHistory rewinds the recorded history to the state it had when
-// len(e.history) was histMark and e.clock was clockMark: ops opened at or
-// after the mark are discarded wholesale, and ops completed at or after
-// the mark are reopened.
-func (e *explorer) undoHistory(histMark, clockMark int) {
-	for i := histMark; i < len(e.history); i++ {
-		if e.openOp[e.history[i].Proc] == i {
-			e.openOp[e.history[i].Proc] = -1
+// histProc is one process's part of a history rendering: root is its
+// count of target operations completed at the root, before any access
+// (set by newRoot); open and done are historyView's cursor — the index of
+// its open entry, and its count of completed operations so far.
+type histProc struct {
+	root, open, done int
+}
+
+// historyView renders the concurrent history of target operations along
+// the current path into a fresh slice the caller owns. The path is the
+// only record of it: every process opens its first operation at the root,
+// and the root counts and the path records' ops counts say which
+// operations each step completed, each completion opening the process's
+// next scripted operation. Clock events come in the order the steps made
+// them: the root advance of each process, p = 0 first; then per access
+// record the access itself followed by its completions; per RECOVER record
+// a fresh entry for the interrupted operation followed by its completions;
+// and nothing for a CRASH, whose interrupted entry stays pending.
+func (e *explorer) historyView() hist.History {
+	size := 0 // every completed operation, plus one entry per interruption
+	for _, rs := range e.responses {
+		size += len(rs)
+	}
+	for _, s := range e.path {
+		if s.kind == stepCrash {
+			size++
 		}
 	}
-	e.history = e.history[:histMark]
-	for i := range e.history {
-		op := &e.history[i]
-		if op.End != hist.Pending && op.End >= clockMark {
-			op.End = hist.Pending
-			op.Resp = types.Response{}
-			e.openOp[op.Proc] = i
+	b := histBuilder{e: e, h: make(hist.History, 0, size)}
+	for p := range e.histProcs {
+		e.histProcs[p].done = 0
+		b.begin(p)
+		b.complete(p, e.histProcs[p].root)
+	}
+	for _, s := range e.path {
+		switch p := int(s.proc); s.kind {
+		case stepAccess:
+			b.tick++
+			b.complete(p, int(s.ops))
+		case stepRecover:
+			b.begin(p)
+			b.complete(p, int(s.ops))
 		}
 	}
-	e.clock = clockMark
+	return b.h
+}
+
+// histBuilder is historyView's rendering state.
+type histBuilder struct {
+	e    *explorer
+	h    hist.History
+	tick int
+}
+
+// begin opens process p's next scripted operation, if it has one.
+func (b *histBuilder) begin(p int) {
+	hp := &b.e.histProcs[p]
+	if hp.done >= len(b.e.scripts[p]) {
+		return
+	}
+	hp.open = len(b.h)
+	b.h = append(b.h, hist.Op{
+		Proc:  p,
+		Port:  p + 1, // convention: process p holds target port p+1
+		Inv:   b.e.scripts[p][hp.done],
+		Begin: b.tick,
+		End:   hist.Pending,
+	})
+	b.tick++
+}
+
+// complete closes process p's open operations, opening the next after
+// each, until p has completed n.
+func (b *histBuilder) complete(p, n int) {
+	hp := &b.e.histProcs[p]
+	for hp.done < n {
+		op := &b.h[hp.open]
+		op.Resp, op.End = b.e.responses[p][hp.done], b.tick
+		b.tick++
+		hp.done++
+		b.begin(p)
+	}
 }
 
 // mergeChild folds a child subtree summary (reached via one access by the
@@ -1432,8 +1420,9 @@ func (e *explorer) leaf(c *config, depth, crashes, recoveries int) error {
 		leaf.Recoveries = e.leafRecoveries
 	}
 	if e.opts.RecordHistory {
-		// Copied, not borrowed: callers may rewrite the history they get.
-		leaf.History = append(hist.History(nil), e.history...)
+		// Rendered fresh, not borrowed: callers may rewrite the history
+		// they get.
+		leaf.History = e.historyView()
 	}
 	if err := e.opts.OnLeaf(leaf); err != nil {
 		switch {

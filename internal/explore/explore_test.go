@@ -372,10 +372,10 @@ var twoOpScripts = [][]types.Invocation{
 	{types.Write(0), types.Read},
 }
 
-// TestRecordHistoryClosesEveryOp pins the step-cache bypass of history
-// runs: a cached advance replays responses but no history events, so
-// every leaf's History must still hold every scripted op, closed, with
-// the responses the leaf reports.
+// TestRecordHistoryClosesEveryOp pins the history rendered from the path:
+// history runs step through the step cache, whose hits replay responses
+// and nothing else, so every leaf's History must still hold every
+// scripted op, closed, with the responses the leaf reports.
 func TestRecordHistoryClosesEveryOp(t *testing.T) {
 	leaves := 0
 	res, err := RunContext(context.Background(), identityRegisterImpl(), twoOpScripts, Options{

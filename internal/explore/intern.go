@@ -13,10 +13,11 @@ import (
 // object state and every distinct process control state a tree reaches is
 // stored once, in one of the explorer's two intern tables (keyTables,
 // memo.go), keyed on its key-encoder segment (key.go) and named by a dense
-// int32 id. A configuration is then two pointer-free id vectors: cloning,
-// saving and restoring one copies ints, with no write barriers, and its
-// memo key is the vector itself, fixed-width for the whole tree (the
-// COLLAPSE idea of Holzmann's "State Compression in SPIN", SPIN'97).
+// int32 id. A configuration is then two pointer-free id vectors: saving
+// and restoring one around an in-place edge copies ints, with no write
+// barriers, and its memo key is the vector itself, fixed-width for the
+// whole tree (the COLLAPSE idea of Holzmann's "State Compression in
+// SPIN", SPIN'97).
 //
 // Soundness rests on the contract the memo and both caches already share:
 // segment encoding is injective, so two states get one id exactly when
@@ -24,14 +25,15 @@ import (
 // when their segment concatenations are equal. That concatenation is
 // still what keyHex renders for diagnostics.
 //
-// History runs (RecordHistory: Walk, and RunContext callers checking
-// linearizability) step processes without interning them, so they encode
-// no segment per step and grow no table with the node count: each
-// process's one live state sits in e.scratch, and its id in the config is
-// the scratch reference ^p. The DFS saves and restores that slot around
-// every edge that changes it; Walk, which never backtracks, mutates it in
-// place. Object states are interned in every run — the transition cache
-// keys on them, and their count is bounded by the objects' state spaces.
+// Walk alone steps processes without interning them: a walk visits most
+// states once, so interning would encode a segment and grow the table on
+// nearly every step, for step-cache hits it rarely gets. Each process's
+// one live state sits in e.scratch, and its id in the config is the
+// scratch reference ^p; Walk, which never backtracks, mutates the slot in
+// place. Every DFS interns, history runs included: their histories are
+// rendered from the path (historyView). Object states are interned in
+// every run — the transition cache keys on them, and their count is
+// bounded by the objects' state spaces.
 
 // procInfo is one interned process state together with ids the hot path
 // derives from it once, on first use, instead of once per edge. Each
@@ -46,7 +48,7 @@ type procInfo struct {
 	crashed int32
 }
 
-// scratchRef is the id a history run's config holds for process p.
+// scratchRef is the id a Walk's config holds for process p.
 func scratchRef(p int) int32 { return ^int32(p) }
 
 // internObj returns the id of object state s, interning it on first
@@ -76,7 +78,7 @@ func (e *explorer) internProc(ps *procState) int32 {
 func (e *explorer) obj(id int32) types.State { return e.objTab.entry(id).val }
 
 // proc returns the process state named id: an interned state, or a
-// history run's scratch slot. Interned states are shared by every config
+// Walk's scratch slot. Interned states are shared by every config
 // holding the id and must never be written through the pointer, which is
 // valid only until the next internProc (the table's first page grows by
 // appending).
@@ -88,8 +90,8 @@ func (e *explorer) proc(id int32) *procState {
 }
 
 // pendingInv returns the transition-cache id of process p's pending
-// invocation in c, computed once per interned state (and per edge for a
-// history run's scratch states).
+// invocation in c, computed once per interned state (and per step for a
+// Walk's scratch states).
 func (e *explorer) pendingInv(c *config, p int) int32 {
 	id := c.procs[p]
 	if id < 0 {
@@ -103,15 +105,11 @@ func (e *explorer) pendingInv(c *config, p int) int32 {
 }
 
 // pendingOpAcc returns the access-counter id of process p's pending access
-// in c — (object, operation) — computed like pendingInv. Only the DFS
-// counts accesses; the walkers (Walk, Valency, Dot) never ask.
+// in c — (object, operation) — computed once per interned state. Only the
+// DFS, whose process states are all interned, counts accesses; the walkers
+// (Walk, Valency, Dot) never ask.
 func (e *explorer) pendingOpAcc(c *config, p int) int32 {
-	id := c.procs[p]
-	if id < 0 {
-		act := &e.scratch[p].Pending
-		return e.opAccID(act.Obj, act.Inv.Op)
-	}
-	info := &e.procTab.entry(id).val
+	info := &e.procTab.entry(c.procs[p]).val
 	if info.opAcc < 0 {
 		info.opAcc = e.opAccID(info.ps.Pending.Obj, info.ps.Pending.Inv.Op)
 	}
@@ -175,8 +173,8 @@ func (e *explorer) idKey(c *config) []byte {
 
 // appendSegKey appends c's segment concatenation — object segments,
 // separator, process segments — to b: the key the id key stands for. A
-// history run's scratch states have no segment and are encoded with a
-// fresh encoder.
+// Walk's scratch states have no segment and are encoded with a fresh
+// encoder.
 func (e *explorer) appendSegKey(b []byte, c *config) []byte {
 	for _, id := range c.objs {
 		b = append(b, e.objTab.entry(id).key...)

@@ -208,9 +208,10 @@ func TestCacheHitsAllocFree(t *testing.T) {
 }
 
 // TestStatsCacheCounters pins the cache and intern counters of Stats: a
-// memoized run hits both caches far more often than it misses them, every
-// miss interned at most one new state, and a history run, which bypasses
-// the step cache and interns no process state, reports neither.
+// memoized run hits both caches far more often than it misses them, and
+// every miss interned at most one new state. A history run steps like any
+// other run — through both caches, interning its process states — while a
+// Walk, which keeps its process states in scratch slots, interns none.
 func TestStatsCacheCounters(t *testing.T) {
 	rep, err := ConsensusKContext(context.Background(), consensus.Sticky(3), 2, Options{Memoize: true, Parallelism: 1})
 	if err != nil {
@@ -232,12 +233,22 @@ func TestStatsCacheCounters(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if last.StepHits != 0 || last.StepMisses != 0 || last.InternedProcs != 0 {
-		t.Errorf("history run: step %d/%d, %d interned process states, want none",
+	if last.StepHits == 0 || last.StepMisses == 0 || last.InternedProcs == 0 {
+		t.Errorf("history run: step %d/%d, %d interned process states, want the step cache hit and process states interned",
 			last.StepHits, last.StepMisses, last.InternedProcs)
 	}
 	if last.TransHits+last.TransMisses == 0 || last.InternedObjs == 0 {
 		t.Errorf("history run: trans %d/%d, %d interned object states, want the transition cache used and object states interned",
 			last.TransHits, last.TransMisses, last.InternedObjs)
+	}
+	_, e, err := walk(consensus.TAS2(), scripts, Schedule{Seed: 1, CrashAfter: map[int]int{0: 1}, Recoveries: map[int]int{0: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := e.procTab.nextID; n != 0 {
+		t.Errorf("walk: %d interned process states, want none", n)
+	}
+	if e.objTab.nextID == 0 {
+		t.Error("walk: no interned object states, want the transition cache's")
 	}
 }

@@ -89,7 +89,7 @@ type Stats struct {
 	// TransHits and TransMisses count transition-cache lookups (one per
 	// live process per expanded configuration) that found a cached
 	// Spec.Apply outcome or had to compute one; StepHits and StepMisses do
-	// the same for the step cache (one per edge; history runs bypass it).
+	// the same for the step cache (one per access edge outside a Walk).
 	// They are flushed with Nodes.
 	TransHits   int64 `json:"trans_hits,omitempty"`
 	TransMisses int64 `json:"trans_misses,omitempty"`

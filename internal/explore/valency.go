@@ -76,8 +76,7 @@ func ValencySet(mask uint64) []int {
 // Valency analyzes the execution tree of a consensus implementation from
 // one proposal vector. Decision values must lie in 0..63.
 func Valency(im *program.Implementation, proposals []int, opts Options) (*ValencyReport, error) {
-	// The analysis reads no histories, and it keys configurations on
-	// interned process ids, which a history run does not assign.
+	// The analysis reads no histories.
 	opts.RecordHistory = false
 	e, root, err := newExplorer(im, consensusScripts(proposals), opts)
 	if err != nil {
@@ -162,8 +161,8 @@ func (v *valencyAnalysis) valency(c *config, depth int) (uint64, error) {
 		}
 		var childMask uint64
 		for _, t := range cts {
-			err := v.e.walkChild(c, p, act.Obj, t, func(child *config) error {
-				m, err := v.valency(child, depth+1)
+			err := v.e.walkChild(c, p, act.Obj, t, func() error {
+				m, err := v.valency(c, depth+1)
 				childMask |= m
 				return err
 			})

@@ -23,7 +23,7 @@ type Schedule struct {
 	// crash either.
 	CrashAfter map[int]int
 	// Recoveries[p] lets a crashed p re-enter at once from its recovery
-	// section, up to this many times (recoverChild defines what survives).
+	// section, up to this many times (recoverProc defines what survives).
 	// Each recovery resets p's access count, so p crashes again after
 	// another CrashAfter[p] accesses; once the budget is spent the crash
 	// is permanent.
@@ -44,15 +44,20 @@ type Walked struct {
 
 // Walk follows one root-to-leaf path of the execution tree of im under
 // scripts, choosing every edge from s. It steps through the explorer's own
-// edge code — the transition and step caches, crashChild and recoverChild
+// edge code — the transition and step caches, crashProc and recoverProc
 // — so every leaf it reaches is a leaf of the tree RunContext explores
 // with the matching fault model; Walk samples instances too large to
 // enumerate.
 // A walk longer than MaxDepth accesses is a *Violation of kind
 // KindDepthExceeded; a panic in a type spec or machine is a
 // *faults.PanicError.
-func Walk(im *program.Implementation, scripts [][]types.Invocation, s Schedule) (w *Walked, err error) {
-	var e *explorer
+func Walk(im *program.Implementation, scripts [][]types.Invocation, s Schedule) (*Walked, error) {
+	w, _, err := walk(im, scripts, s)
+	return w, err
+}
+
+// walk is Walk, also returning the explorer it walked with.
+func walk(im *program.Implementation, scripts [][]types.Invocation, s Schedule) (w *Walked, e *explorer, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			proc, where := -1, "root configuration"
@@ -62,10 +67,16 @@ func Walk(im *program.Implementation, scripts [][]types.Invocation, s Schedule) 
 			w, err = nil, faults.NewPanicError("explore", proc, where, r, debug.Stack())
 		}
 	}()
-	var c *config
-	e, c, err = newExplorer(im, scripts, Options{RecordHistory: true, MaxDepth: s.MaxDepth})
+	if e, err = initExplorer(im, scripts, Options{RecordHistory: true, MaxDepth: s.MaxDepth}); err != nil {
+		return nil, nil, err
+	}
+	// A walk has no subtrees to share, so its processes step in scratch
+	// slots rather than the intern table: interning would cost a segment
+	// encoding and a table entry per step that cache hits rarely repay.
+	e.scratch = make([]procState, im.Procs)
+	c, err := e.newRoot()
 	if err != nil {
-		return nil, err
+		return nil, e, err
 	}
 	rng := rand.New(rand.NewSource(s.Seed))
 	accesses := make([]int, im.Procs)
@@ -78,23 +89,19 @@ func Walk(im *program.Implementation, scripts [][]types.Invocation, s Schedule) 
 				return nil
 			}
 			e.curConfig, e.curProc = c, p
-			old := c
-			c = e.crashChild(old, p)
-			e.recycleConfig(old)
+			e.crashProc(c, p)
 			if e.proc(c.procs[p]).Recoveries >= s.Recoveries[p] {
 				return nil
 			}
-			old = c
-			if c, err = e.recoverChild(old, p); err != nil {
+			if err := e.recoverProc(c, p); err != nil {
 				return err
 			}
-			e.recycleConfig(old)
 			accesses[p] = 0
 		}
 	}
 	for p := range c.procs {
 		if err := crashDue(p); err != nil {
-			return nil, err
+			return nil, e, err
 		}
 	}
 	live := make([]int, 0, im.Procs)
@@ -106,10 +113,10 @@ func Walk(im *program.Implementation, scripts [][]types.Invocation, s Schedule) 
 			}
 		}
 		if len(live) == 0 {
-			return e.walked(c, depth), nil
+			return e.walked(c, depth), e, nil
 		}
 		if depth >= e.opts.MaxDepth {
-			return nil, &Violation{Kind: KindDepthExceeded,
+			return nil, e, &Violation{Kind: KindDepthExceeded,
 				Detail: fmt.Sprintf("execution reached %d object accesses", depth), Schedule: e.scheduleView()}
 		}
 		p := live[rng.Intn(len(live))]
@@ -118,34 +125,35 @@ func Walk(im *program.Implementation, scripts [][]types.Invocation, s Schedule) 
 		inv := e.pendingInv(c, p)
 		cts, err := e.applyCached(c, p, &act, inv)
 		if err != nil {
-			return nil, fmt.Errorf("process %d at depth %d: %w", p, depth, err)
+			return nil, e, fmt.Errorf("process %d at depth %d: %w", p, depth, err)
 		}
 		t := cts[0]
 		if len(cts) > 1 {
 			t = cts[rng.Intn(len(cts))]
 		}
 		c.objs[act.Obj] = t.next
-		e.path = append(e.path, pathStep{proc: int32(p), obj: int32(act.Obj), inv: inv, resp: t.resp})
-		e.clock++ // the access itself is a clock event, as in expand
 		if err := e.stepProc(c, p, t.resp, false); err != nil {
-			return nil, err
+			return nil, e, err
 		}
+		e.path = append(e.path, pathStep{proc: int32(p), obj: int32(act.Obj), inv: inv, resp: t.resp,
+			ops: int32(len(e.responses[p]))})
 		accesses[p]++
 		if err := crashDue(p); err != nil {
-			return nil, err
+			return nil, e, err
 		}
 	}
 }
 
-// walked hands the finished walk's path data to the caller; the explorer
-// is discarded, so nothing is copied.
+// walked hands the finished walk's path data to the caller: the explorer
+// takes no further step, so Responses and Schedule are not copied, and
+// History is rendered fresh.
 func (e *explorer) walked(c *config, depth int) *Walked {
 	n := len(c.procs)
 	w := &Walked{
 		Leaf: Leaf{
 			Responses:  e.responses,
 			Depth:      depth,
-			History:    e.history,
+			History:    e.historyView(),
 			Schedule:   e.scheduleView(),
 			Crashed:    make([]bool, n),
 			Recoveries: make([]int, n),

@@ -190,6 +190,9 @@ func TestWireRejects(t *testing.T) {
 		{"recoveries without crashes", `{"api":"v1","kind":"consensus","protocol":"cas","explore":{"faults":{"max_crashes":0,"max_recoveries":1}}}`, 400, "bad_request"},
 		{"recoveries under crash-stop", `{"api":"v1","kind":"consensus","protocol":"cas","explore":{"faults":{"max_crashes":1,"max_recoveries":1}}}`, 400, "bad_request"},
 		{"bad fault mode", `{"api":"v1","kind":"consensus","protocol":"cas","explore":{"faults":{"max_crashes":1,"mode":"byzantine"}}}`, 400, "bad_request"},
+		{"bad fault mode without crashes", `{"api":"v1","kind":"consensus","protocol":"cas","explore":{"faults":{"max_crashes":0,"mode":"byzantine"}}}`, 400, "bad_request"},
+		{"negative max_crashes", `{"api":"v1","kind":"consensus","protocol":"cas","explore":{"faults":{"max_crashes":-1}}}`, 400, "bad_request"},
+		{"negative max_recoveries", `{"api":"v1","kind":"consensus","protocol":"cas","explore":{"faults":{"max_crashes":0,"max_recoveries":-1}}}`, 400, "bad_request"},
 		{"classification with faults", `{"api":"v1","kind":"classification","explore":{"faults":{"max_crashes":1}}}`, 400, "bad_request"},
 		{"classification with memoize", `{"api":"v1","kind":"classification","explore":{"memoize":true}}`, 400, "bad_request"},
 		{"classification with max_nodes", `{"api":"v1","kind":"classification","explore":{"max_nodes":5}}`, 400, "bad_request"},

@@ -312,27 +312,31 @@ func compileExplore(w WireExplore) (waitfree.ExploreOptions, error) {
 		return o, fmt.Errorf("%w: %v", waitfree.ErrBadRequest, err)
 	}
 	o.Symmetry = mode
-	if w.Faults != nil {
-		if w.Faults.MaxCrashes <= 0 && w.Faults.MaxRecoveries > 0 {
+	if f := w.Faults; f != nil {
+		if f.MaxCrashes < 0 || f.MaxRecoveries < 0 {
+			return o, badRequest("negative faults bound")
+		}
+		if f.MaxCrashes == 0 && f.MaxRecoveries > 0 {
 			return o, badRequest("faults.max_recoveries requires a positive faults.max_crashes")
 		}
-		if w.Faults.MaxCrashes > 0 {
-			fm := w.Faults.Mode
-			if fm == "" {
-				fm = "crash-stop"
-			}
-			mode, err := waitfree.ParseFaultMode(fm)
-			if err != nil {
-				return o, fmt.Errorf("%w: %v", waitfree.ErrBadRequest, err)
-			}
+		// The mode is parsed even when max_crashes is 0 (no faults), so a
+		// misspelled mode is refused rather than ignored.
+		fm := f.Mode
+		if fm == "" {
+			fm = "crash-stop"
+		}
+		mode, err := waitfree.ParseFaultMode(fm)
+		if err != nil {
+			return o, fmt.Errorf("%w: %v", waitfree.ErrBadRequest, err)
+		}
+		if f.MaxCrashes > 0 {
 			o.Faults = waitfree.FaultModel{
-				MaxCrashes:    w.Faults.MaxCrashes,
+				MaxCrashes:    f.MaxCrashes,
 				Mode:          mode,
-				MaxRecoveries: w.Faults.MaxRecoveries,
+				MaxRecoveries: f.MaxRecoveries,
 			}
-			// Validate eagerly (MaxRecoveries without crash-recovery mode,
-			// negative bounds) so a malformed model fails at the door, not
-			// on a pool worker.
+			// Validate eagerly (MaxRecoveries without crash-recovery mode)
+			// so a malformed model fails at the door, not on a pool worker.
 			if err := o.Faults.Validate(); err != nil {
 				return o, fmt.Errorf("%w: %v", waitfree.ErrBadRequest, err)
 			}
