@@ -558,7 +558,7 @@ func BenchmarkValency(b *testing.B) {
 				proposals[p] = p % 2
 			}
 			for i := 0; i < b.N; i++ {
-				if _, err := explore.Valency(im, proposals, explore.Options{}); err != nil {
+				if _, err := explore.Valency(im, proposals); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -119,7 +119,7 @@ func run(args []string) error {
 		for p := range scripts {
 			scripts[p] = []types.Invocation{types.Propose(p % 2)}
 		}
-		out, err := explore.Dot(im, scripts, explore.Options{}, 4000)
+		out, err := explore.Dot(im, scripts, 4000)
 		if err != nil {
 			return err
 		}
@@ -206,7 +206,7 @@ func run(args []string) error {
 		for p := range proposals {
 			proposals[p] = p % 2 // mixed proposals: the bivalent start
 		}
-		v, err := explore.Valency(im, proposals, explore.Options{})
+		v, err := explore.Valency(im, proposals)
 		if err != nil {
 			return err
 		}

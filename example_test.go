@@ -67,8 +67,7 @@ func ExampleIsTrivial() {
 // ExampleComputeValency exposes the FLP/Herlihy bivalence structure of a
 // consensus protocol's execution tree.
 func ExampleComputeValency() {
-	report, err := waitfree.ComputeValency(
-		waitfree.TAS2Consensus(), []int{0, 1}, waitfree.ExploreOptions{})
+	report, err := waitfree.ComputeValency(waitfree.TAS2Consensus(), []int{0, 1})
 	if err != nil {
 		fmt.Println("error:", err)
 		return

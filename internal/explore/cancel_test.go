@@ -42,7 +42,9 @@ func waitForGoroutines(t *testing.T, base int) {
 // progress tick), every worker goroutine exits, and the final Stats
 // snapshot — published after the workers stop — is internally consistent.
 func TestConsensusCancellation(t *testing.T) {
-	im := consensus.CASRegister3() // ~200ms sequential: plenty of mid-tree surface
+	// Unmemoized, this instance takes seconds over 32 trees, so the first
+	// 1ms progress tick always lands mid-run.
+	im := consensus.Sticky(5)
 	for _, workers := range []int{1, 4} {
 		base := runtime.NumGoroutine()
 		ctx, cancel := context.WithCancel(context.Background())

@@ -20,10 +20,9 @@ var ErrDotBudget = errors.New("explore: execution tree exceeds the DOT node budg
 // Dot renders the execution tree of im under the given scripts as a DOT
 // digraph with at most maxNodes nodes. Leaves are double circles labeled
 // with the processes' final responses; edges are labeled proc:inv->resp.
-func Dot(im *program.Implementation, scripts [][]types.Invocation, opts Options, maxNodes int) (string, error) {
-	// The rendering reads no histories.
-	opts.RecordHistory = false
-	e, root, err := newExplorer(im, scripts, opts)
+// The tree is the fault-free one, without symmetry reduction.
+func Dot(im *program.Implementation, scripts [][]types.Invocation, maxNodes int) (string, error) {
+	e, root, err := newExplorer(im, scripts, Options{})
 	if err != nil {
 		return "", err
 	}

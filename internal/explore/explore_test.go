@@ -613,7 +613,7 @@ func TestLeafSchedulePlausible(t *testing.T) {
 func TestDotRendersTree(t *testing.T) {
 	im := casConsensusImpl(2)
 	scripts := [][]types.Invocation{{types.Propose(0)}, {types.Propose(1)}}
-	dot, err := Dot(im, scripts, Options{}, 100)
+	dot, err := Dot(im, scripts, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -631,7 +631,7 @@ func TestDotRendersTree(t *testing.T) {
 func TestDotBudget(t *testing.T) {
 	im := casConsensusImpl(3)
 	scripts := [][]types.Invocation{{types.Propose(0)}, {types.Propose(1)}, {types.Propose(0)}}
-	if _, err := Dot(im, scripts, Options{}, 3); !errors.Is(err, ErrDotBudget) {
+	if _, err := Dot(im, scripts, 3); !errors.Is(err, ErrDotBudget) {
 		t.Fatalf("err = %v, want ErrDotBudget", err)
 	}
 }

@@ -74,11 +74,10 @@ func ValencySet(mask uint64) []int {
 }
 
 // Valency analyzes the execution tree of a consensus implementation from
-// one proposal vector. Decision values must lie in 0..63.
-func Valency(im *program.Implementation, proposals []int, opts Options) (*ValencyReport, error) {
-	// The analysis reads no histories.
-	opts.RecordHistory = false
-	e, root, err := newExplorer(im, consensusScripts(proposals), opts)
+// one proposal vector, without faults or symmetry reduction. Decision
+// values must lie in 0..63.
+func Valency(im *program.Implementation, proposals []int) (*ValencyReport, error) {
+	e, root, err := newExplorer(im, consensusScripts(proposals), Options{})
 	if err != nil {
 		return nil, err
 	}

@@ -7,7 +7,7 @@ import (
 )
 
 func TestValencyTASConsensus(t *testing.T) {
-	report, err := Valency(tasConsensusImpl(), []int{0, 1}, Options{})
+	report, err := Valency(tasConsensusImpl(), []int{0, 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +45,7 @@ func TestValencyTASConsensus(t *testing.T) {
 }
 
 func TestValencySameProposalsUnivalent(t *testing.T) {
-	report, err := Valency(tasConsensusImpl(), []int{1, 1}, Options{})
+	report, err := Valency(tasConsensusImpl(), []int{1, 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +61,7 @@ func TestValencySameProposalsUnivalent(t *testing.T) {
 }
 
 func TestValencyCASConsensus(t *testing.T) {
-	report, err := Valency(casConsensusImpl(3), []int{0, 1, 1}, Options{})
+	report, err := Valency(casConsensusImpl(3), []int{0, 1, 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +76,7 @@ func TestValencyCASConsensus(t *testing.T) {
 }
 
 func TestValencyRejectsBadShape(t *testing.T) {
-	if _, err := Valency(tasConsensusImpl(), []int{0}, Options{}); err == nil {
+	if _, err := Valency(tasConsensusImpl(), []int{0}); err == nil {
 		t.Error("proposal count mismatch accepted")
 	}
 }

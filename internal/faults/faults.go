@@ -14,6 +14,7 @@
 package faults
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 )
@@ -60,29 +61,31 @@ func (m Mode) MarshalJSON() ([]byte, error) {
 	return []byte(`"` + m.String() + `"`), nil
 }
 
-// UnmarshalJSON accepts the tags produced by MarshalJSON, the aliases
-// ParseMode accepts, and bare integers (for hand-written checkpoints).
-// The canonical tag for each mode is whatever String renders; the
+// UnmarshalJSON accepts every spelling ParseMode accepts except the empty
+// tag, and the bare integers 0..2 (for hand-written checkpoints). The
+// canonical tag for each mode is whatever String renders; the
 // "crash-start" alias for CrashBeforeFirstStep is accepted everywhere a
 // mode is decoded, but never produced.
 func (m *Mode) UnmarshalJSON(b []byte) error {
-	switch string(b) {
-	case `"crash-stop"`, "0":
-		*m = CrashStop
-	case `"crash-before-first-step"`, `"crash-start"`, "1":
-		*m = CrashBeforeFirstStep
-	case `"crash-recovery"`, "2":
-		*m = CrashRecovery
-	default:
+	if len(b) == 1 && '0' <= b[0] && b[0] <= '0'+byte(CrashRecovery) {
+		*m = Mode(b[0] - '0')
+		return nil
+	}
+	var s string
+	if json.Unmarshal(b, &s) != nil || s == "" {
 		return fmt.Errorf("faults: unknown mode %s", b)
 	}
+	mode, err := ParseMode(s)
+	if err != nil {
+		return err
+	}
+	*m = mode
 	return nil
 }
 
 // ParseMode parses the tags produced by Mode.String plus the
 // "crash-start" alias (used by the CLI -fault-mode flag and the daemon
-// wire schema). It accepts exactly the same vocabulary as UnmarshalJSON's
-// string tags.
+// wire schema); the empty tag means CrashStop.
 func ParseMode(s string) (Mode, error) {
 	switch s {
 	case "", "crash-stop":

@@ -3,6 +3,7 @@ package faults
 import (
 	"encoding/json"
 	"errors"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -27,11 +28,16 @@ func TestModeRoundTrips(t *testing.T) {
 	}
 	// Bare integers are accepted for hand-written checkpoint files.
 	var m Mode
-	if err := json.Unmarshal([]byte("1"), &m); err != nil || m != CrashBeforeFirstStep {
-		t.Errorf("integer mode: %v, %v", m, err)
+	for _, mode := range []Mode{CrashStop, CrashBeforeFirstStep, CrashRecovery} {
+		if err := json.Unmarshal([]byte(strconv.Itoa(int(mode))), &m); err != nil || m != mode {
+			t.Errorf("integer mode %d: %v, %v", int(mode), m, err)
+		}
 	}
-	if err := json.Unmarshal([]byte(`"crash-restart"`), &m); err == nil {
-		t.Error("unknown mode tag accepted")
+	// JSON has no empty-tag form, and no integer beyond the modes.
+	for _, bad := range []string{`"crash-restart"`, `""`, "3", "-1", "1.0", "null"} {
+		if err := json.Unmarshal([]byte(bad), &m); err == nil {
+			t.Errorf("mode %s accepted", bad)
+		}
 	}
 }
 

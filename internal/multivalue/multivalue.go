@@ -60,7 +60,7 @@ type mvState struct {
 	V      int // own proposal
 	Round  int // current bit round
 	Prefix int // agreed bits so far (packed, MSB first)
-	Scan   int // announcement index being scanned
+	Scan   int // index of the scan-list entry being read
 	Champ  int // value whose bit we champion this round
 }
 
@@ -69,8 +69,11 @@ func announceObj(p int) int         { return p }
 func bitObj(procs, j int) int       { return procs + j }
 func totalObjects(procs, b int) int { return procs + b }
 
-// machine builds process p's program.
-func machine(p, procs, k int) program.Machine {
+// machine builds process p's program. scan lists the processes whose
+// announcements p reads, in order, when its own proposal has fallen off
+// the agreed prefix; Scan indexes it, and an exhausted scan leaves Scan at
+// the last index.
+func machine(p, procs, k int, scan []int) program.Machine {
 	b := Bits(k)
 	return program.FuncMachine{
 		StartFn: func(inv types.Invocation, _ any) any {
@@ -99,7 +102,7 @@ func machine(p, procs, k int) program.Machine {
 					}
 					s.Scan = 0
 					s.PC = 2
-					return program.InvokeAction(announceObj(0), types.Read), s
+					return program.InvokeAction(announceObj(scan[0]), types.Read), s
 				case 2:
 					// Scanning announcements for a prefix-consistent value.
 					if resp.Val != 0 && prefixMatches(resp.Val-1, s.Prefix, s.Round, b) {
@@ -107,15 +110,15 @@ func machine(p, procs, k int) program.Machine {
 						s.PC = 3
 						continue
 					}
-					s.Scan++
-					if s.Scan >= procs {
+					if s.Scan == len(scan)-1 {
 						// Unreachable by the invariant; champion own value
 						// so the machine stays total.
 						s.Champ = s.V
 						s.PC = 3
 						continue
 					}
-					return program.InvokeAction(announceObj(s.Scan), types.Read), s
+					s.Scan++
+					return program.InvokeAction(announceObj(scan[s.Scan]), types.Read), s
 				case 3:
 					// Propose the champion's bit for this round.
 					s.PC = 4
@@ -134,6 +137,20 @@ func machine(p, procs, k int) program.Machine {
 	}
 }
 
+// appendBits appends the b binary consensus objects bit0..bit{b-1}, one
+// per bit round, to objects.
+func appendBits(objects []program.ObjectDecl, procs, b int) []program.ObjectDecl {
+	for j := 0; j < b; j++ {
+		objects = append(objects, program.ObjectDecl{
+			Name:   fmt.Sprintf("bit%d", j),
+			Spec:   types.Consensus(procs),
+			Init:   types.ConsensusUndecided,
+			PortOf: program.AllPorts(procs),
+		})
+	}
+	return objects
+}
+
 // FromBinary builds k-valued consensus for procs processes from B binary
 // consensus objects and procs announcement registers (multi-reader,
 // single-writer by discipline).
@@ -148,17 +165,14 @@ func FromBinary(procs, k int) *program.Implementation {
 			PortOf: program.AllPorts(procs),
 		})
 	}
-	for j := 0; j < b; j++ {
-		objects = append(objects, program.ObjectDecl{
-			Name:   fmt.Sprintf("bit%d", j),
-			Spec:   types.Consensus(procs),
-			Init:   types.ConsensusUndecided,
-			PortOf: program.AllPorts(procs),
-		})
+	objects = appendBits(objects, procs, b)
+	all := make([]int, procs)
+	for p := range all {
+		all[p] = p
 	}
 	machines := make([]program.Machine, procs)
 	for p := range machines {
-		machines[p] = machine(p, procs, k)
+		machines[p] = machine(p, procs, k, all)
 	}
 	return &program.Implementation{
 		Name:     fmt.Sprintf("multivalue-consensus(n=%d,k=%d)", procs, k),
@@ -172,81 +186,23 @@ func FromBinary(procs, k int) *program.Implementation {
 // FromBinarySRSW is the 2-process variant whose announcement registers are
 // single-reader single-writer (each process reads only the other's
 // announcement), making it a valid input for the Theorem 5 pipeline after
-// core.CompileSRSWRegisters turns the k-valued registers into bits. The
-// scan phase is specialized: a process with an inconsistent value reads
-// the OTHER process's announcement (the only other candidate).
+// core.CompileSRSWRegisters turns the k-valued registers into bits. Its
+// scan phase reads only the OTHER process's announcement (the only other
+// candidate).
 func FromBinarySRSW(k int) *program.Implementation {
 	const procs = 2
-	b := Bits(k)
-	mkMachine := func(p int) program.Machine {
-		other := 1 - p
-		return program.FuncMachine{
-			StartFn: func(inv types.Invocation, _ any) any {
-				return mvState{PC: 0, V: inv.A}
-			},
-			NextFn: func(state any, resp types.Response) (program.Action, any) {
-				s, ok := state.(mvState)
-				if !ok {
-					panic("multivalue: machine driven with foreign state")
-				}
-				for {
-					switch s.PC {
-					case 0:
-						s.PC = 1
-						return program.InvokeAction(announceObj(p), types.Write(s.V+1)), s
-					case 1:
-						if s.Round == b {
-							return program.ReturnAction(types.ValOf(s.Prefix), nil), s
-						}
-						if prefixMatches(s.V, s.Prefix, s.Round, b) {
-							s.Champ = s.V
-							s.PC = 3
-							continue
-						}
-						s.PC = 2
-						return program.InvokeAction(announceObj(other), types.Read), s
-					case 2:
-						if resp.Val != 0 && prefixMatches(resp.Val-1, s.Prefix, s.Round, b) {
-							s.Champ = resp.Val - 1
-						} else {
-							s.Champ = s.V // unreachable by the invariant
-						}
-						s.PC = 3
-						continue
-					case 3:
-						s.PC = 4
-						return program.InvokeAction(bitObj(procs, s.Round),
-							types.Propose(bitOf(s.Champ, s.Round, b))), s
-					case 4:
-						s.Prefix = s.Prefix<<1 | resp.Val
-						s.Round++
-						s.PC = 1
-					default:
-						panic(fmt.Sprintf("multivalue: invalid pc %d", s.PC))
-					}
-				}
-			},
-		}
-	}
 	objects := []program.ObjectDecl{
 		// announce0 written by process 0, read by process 1.
 		{Name: "announce0", Spec: types.SRSWRegister(k + 1), Init: 0, PortOf: program.PairPorts(procs, 1, 0)},
 		// announce1 written by process 1, read by process 0.
 		{Name: "announce1", Spec: types.SRSWRegister(k + 1), Init: 0, PortOf: program.PairPorts(procs, 0, 1)},
 	}
-	for j := 0; j < b; j++ {
-		objects = append(objects, program.ObjectDecl{
-			Name:   fmt.Sprintf("bit%d", j),
-			Spec:   types.Consensus(procs),
-			Init:   types.ConsensusUndecided,
-			PortOf: program.AllPorts(procs),
-		})
-	}
+	objects = appendBits(objects, procs, Bits(k))
 	return &program.Implementation{
 		Name:     fmt.Sprintf("multivalue-srsw-consensus(k=%d)", k),
 		Target:   types.MultiConsensus(procs, k),
 		Procs:    procs,
 		Objects:  objects,
-		Machines: []program.Machine{mkMachine(0), mkMachine(1)},
+		Machines: []program.Machine{machine(0, procs, k, []int{1}), machine(1, procs, k, []int{0})},
 	}
 }

@@ -83,22 +83,15 @@ func LamportMRBitMachines(readers, init int) *program.Implementation {
 // smallest instance that exercises the unary upscan against concurrent
 // downward clears.
 //
-// Object layout: bit[j] for value level j (reader on port 1, writer on
-// port 2). Write(v): set bit[v], clear bit[v-1..0]. Read: upscan for the
-// first set bit.
+// Object layout: level[j] for value level j, the bits of
+// VidyasankarDecls (reader on port 1, writer on port 2). Write(v) is
+// VidyasankarWriter's: set level[v], clear level[v-1..0]. Read: upscan
+// for the first set bit, without Vidyasankar's confirming downscan.
 func LamportMultiRegMachines(k, init int) *program.Implementation {
-	objects := make([]program.ObjectDecl, k)
-	for j := 0; j < k; j++ {
-		b := 0
-		if j == init {
-			b = 1
-		}
-		objects[j] = program.ObjectDecl{
-			Name:   fmt.Sprintf("level%d", j),
-			Spec:   types.SRSWBit(),
-			Init:   b,
-			PortOf: program.PairPorts(2, 0, 1),
-		}
+	// Vidyasankar's bits, named by value level.
+	objects := VidyasankarDecls("", 2, 0, 1, k, init)
+	for j := range objects {
+		objects[j].Name = fmt.Sprintf("level%d", j)
 	}
 	type rst struct {
 		PC int
@@ -117,32 +110,12 @@ func LamportMultiRegMachines(k, init int) *program.Implementation {
 			return program.InvokeAction(s.J, types.Read), rst{PC: 1, J: s.J}
 		},
 	}
-	type wst struct {
-		PC  int
-		V   int
-		Clr int
-	}
-	writer := program.FuncMachine{
-		StartFn: func(inv types.Invocation, _ any) any {
-			return wst{V: inv.A, Clr: inv.A - 1}
-		},
-		NextFn: func(state any, _ types.Response) (program.Action, any) {
-			s := state.(wst)
-			if s.PC == 0 {
-				return program.InvokeAction(s.V, types.Write(1)), wst{PC: 1, V: s.V, Clr: s.Clr}
-			}
-			if s.Clr >= 0 {
-				return program.InvokeAction(s.Clr, types.Write(0)), wst{PC: 1, V: s.V, Clr: s.Clr - 1}
-			}
-			return program.ReturnAction(types.OK, nil), s
-		},
-	}
 	return &program.Implementation{
 		Name:     fmt.Sprintf("lamport-multireg(k=%d)", k),
 		Target:   types.SRSWRegister(k),
 		Procs:    2,
 		Objects:  objects,
-		Machines: []program.Machine{reader, writer},
+		Machines: []program.Machine{reader, VidyasankarWriter(0, k)},
 	}
 }
 

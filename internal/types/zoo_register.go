@@ -56,34 +56,14 @@ func Bit(ports int) *Spec {
 	return s
 }
 
-// SRSWBit returns the single-reader single-writer atomic bit: a 2-port,
-// port-aware type on which port 1 may only read and port 2 may only write.
+// SRSWBit returns the single-reader single-writer atomic bit: the 2-valued
+// SRSWRegister, on which port 1 may only read and port 2 may only write.
 // This is the register form the Theorem 5 pipeline consumes — Section 4.1
 // of the paper reduces all registers to these.
 func SRSWBit() *Spec {
-	return &Spec{
-		Name:          "srsw-bit",
-		Ports:         2,
-		Oblivious:     false,
-		Deterministic: true,
-		Alphabet:      []Invocation{Read, Write(0), Write(1)},
-		Step: func(q State, port int, inv Invocation) []Transition {
-			cur, ok := q.(int)
-			if !ok {
-				return nil
-			}
-			switch {
-			case inv.Op == OpRead && port == 1:
-				return []Transition{{Next: cur, Resp: ValOf(cur)}}
-			case inv.Op == OpWrite && port == 2:
-				if inv.A != 0 && inv.A != 1 {
-					return nil
-				}
-				return []Transition{{Next: inv.A, Resp: OK}}
-			}
-			return nil
-		},
-	}
+	s := SRSWRegister(2)
+	s.Name = "srsw-bit"
+	return s
 }
 
 // SRSWBitReaderPort and SRSWBitWriterPort name the port convention of

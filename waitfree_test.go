@@ -109,8 +109,7 @@ func TestFacadeCustomType(t *testing.T) {
 }
 
 func TestFacadeValency(t *testing.T) {
-	report, err := waitfree.ComputeValency(
-		waitfree.TAS2Consensus(), []int{0, 1}, waitfree.ExploreOptions{})
+	report, err := waitfree.ComputeValency(waitfree.TAS2Consensus(), []int{0, 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +187,7 @@ func TestFacadeExportDot(t *testing.T) {
 	scripts := [][]waitfree.Invocation{
 		{waitfree.Propose(0)}, {waitfree.Propose(1)},
 	}
-	dot, err := waitfree.ExportDot(waitfree.CASConsensus(2), scripts, waitfree.ExploreOptions{}, 100)
+	dot, err := waitfree.ExportDot(waitfree.CASConsensus(2), scripts, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
