@@ -231,12 +231,11 @@ func singleObject(name string, procs int, obj program.ObjectDecl, accesses int,
 	}
 	obj.PortOf = program.AllPorts(procs)
 	return &program.Implementation{
-		Name:           name,
-		Target:         types.Consensus(procs),
-		Procs:          procs,
-		SymmetricProcs: true,
-		Objects:        []program.ObjectDecl{obj},
-		Machines:       machines,
+		Name:     name,
+		Target:   types.Consensus(procs),
+		Procs:    procs,
+		Objects:  []program.ObjectDecl{obj},
+		Machines: machines,
 	}
 }
 

@@ -123,18 +123,19 @@ type Options struct {
 	// Symmetry selects process-permutation symmetry reduction for
 	// ConsensusKContext: proposal vectors that are permutations of one
 	// another generate isomorphic execution trees when the implementation
-	// is process-symmetric (declared SymmetricProcs over oblivious, fully
-	// ported objects), so only one representative tree per orbit is
-	// explored and the other members replay its outcome. The merged
-	// ConsensusReport is byte-identical to an unreduced run — verdicts,
-	// Depth, access bounds, Nodes, Leaves, MemoHits — while the engine
-	// Stats, which count work actually performed, shrink by up to n!.
-	// SymmetryOff (the zero value) explores every tree; SymmetryAuto
-	// reduces when the implementation qualifies and silently falls back
-	// otherwise; SymmetryRequire errors with ErrNotSymmetric instead of
-	// falling back. RunContext ignores Symmetry (a single tree has no orbit), and
-	// MemoBudget disables reduction (eviction timing is traversal-order
-	// dependent; see planOrbits).
+	// is process-symmetric, so only one representative tree per orbit is
+	// explored and the other members replay its outcome. Symmetry is
+	// inferred, never declared: the implementation's tabulation must show
+	// identical machines over oblivious, fully ported objects (see
+	// symmetry.go). The merged ConsensusReport is byte-identical to an
+	// unreduced run — verdicts, Depth, access bounds, Nodes, Leaves,
+	// MemoHits — while the engine Stats, which count work actually
+	// performed, shrink by up to n!. SymmetryOff (the zero value) explores
+	// every tree; SymmetryAuto reduces when the implementation qualifies
+	// and silently falls back otherwise; SymmetryRequire errors with
+	// ErrNotSymmetric instead of falling back. RunContext ignores Symmetry
+	// (a single tree has no orbit), and MemoBudget disables reduction
+	// (eviction timing is traversal-order dependent; see planOrbits).
 	Symmetry SymmetryMode
 	// MaxNodes is a soft budget on explored configurations for the
 	// consensus engines: once the engine counters pass it, workers stop

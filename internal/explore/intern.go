@@ -1,10 +1,8 @@
 package explore
 
 import (
-	"bytes"
 	"encoding/binary"
 	"encoding/hex"
-	"sort"
 
 	"waitfree/internal/types"
 )
@@ -196,40 +194,4 @@ func (e *explorer) appendSegKey(b []byte, c *config) []byte {
 // settled table entries, so it is safe even after a panic mid-encode.
 func (e *explorer) keyHex(c *config) string {
 	return hex.EncodeToString(e.appendSegKey(nil, c))
-}
-
-// canonKey encodes c up to process permutation: the object segments
-// positionally (a process permutation of a fully ported oblivious
-// implementation fixes every object slot), then the interned process
-// segments in sorted byte order. Configurations that differ only by a
-// renaming of behaviorally identical processes therefore share a
-// canonical key — the certificate verifyOrbitRoots checks before symmetry
-// reduction trusts a declared SymmetricProcs. Keys of two configs compare
-// only when both were interned by one explorer. Off the hot path, so the
-// key is freshly allocated. perm lists the processes in canonical order
-// (perm[i] occupies slot i); equal segments tie-break by index, keeping
-// the order deterministic.
-func (e *explorer) canonKey(c *config) (key []byte, perm []int) {
-	segs := make([][]byte, len(c.procs))
-	for p, id := range c.procs {
-		segs[p] = e.procTab.entry(id).key
-	}
-	perm = make([]int, len(c.procs))
-	for i := range perm {
-		perm[i] = i
-	}
-	sort.Slice(perm, func(i, j int) bool {
-		if cmp := bytes.Compare(segs[perm[i]], segs[perm[j]]); cmp != 0 {
-			return cmp < 0
-		}
-		return perm[i] < perm[j]
-	})
-	for _, id := range c.objs {
-		key = append(key, e.objTab.entry(id).key...)
-	}
-	key = append(key, tagSep)
-	for _, p := range perm {
-		key = append(key, segs[p]...)
-	}
-	return key, perm
 }

@@ -35,8 +35,8 @@ import (
 // longer caps deduplication across symmetric trees: the symmetry layer
 // (symmetry.go) goes further than sharing a table across the orbit of a
 // proposal vector's permutations, skipping the member trees outright and
-// replaying the representative's outcome, with canonKey certifying at the
-// roots that the orbit really is one tree up to process renaming.
+// replaying the representative's outcome, once the implementation's
+// tabulation (canon.go) certifies that the processes are interchangeable.
 
 // Key tags. Every encoded value starts with a tag byte so that values of
 // different shapes can never collide byte-wise (e.g. int 1 vs true vs "1").

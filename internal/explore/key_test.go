@@ -1,7 +1,6 @@
 package explore
 
 import (
-	"bytes"
 	"testing"
 
 	"waitfree/internal/program"
@@ -135,73 +134,6 @@ func TestConfigKeyMapDeterministic(t *testing.T) {
 		}
 		seen[k] = i
 	}
-}
-
-// TestCanonKey pins the canonical key: invariant under process
-// permutation, sensitive to everything else, with perm listing the
-// processes in canonical slot order.
-func TestCanonKey(t *testing.T) {
-	e := &explorer{}
-	c := testConfig(0, 7, types.ValOf(1))
-	swapped := &rawConfig{
-		objs:  c.objs,
-		procs: []procState{c.procs[1], c.procs[0]},
-	}
-	k1, perm1 := e.canonKey(e.intern(c))
-	k2, perm2 := e.canonKey(e.intern(swapped))
-	if !bytes.Equal(k1, k2) {
-		t.Error("canonical keys differ under process permutation")
-	}
-	// The two orderings pick mirrored slot assignments of the same config.
-	if perm1[0] == perm1[1] || perm2[0] != perm1[1] || perm2[1] != perm1[0] {
-		t.Errorf("perms %v / %v are not mirrored assignments", perm1, perm2)
-	}
-	// canonKey is canonical, not lossy: a genuinely different process state
-	// must still change the key.
-	other := testConfig(0, 8, types.ValOf(1))
-	if k3, _ := e.canonKey(e.intern(other)); bytes.Equal(k1, k3) {
-		t.Error("canonical key ignored a memory difference")
-	}
-	// Object states are positional, not sorted: swapping distinct object
-	// states must change the key.
-	twoObjs := &rawConfig{objs: []types.State{0, 1}, procs: c.procs}
-	objsSwapped := &rawConfig{objs: []types.State{1, 0}, procs: c.procs}
-	ka, _ := e.canonKey(e.intern(twoObjs))
-	kb, _ := e.canonKey(e.intern(objsSwapped))
-	if bytes.Equal(ka, kb) {
-		t.Error("canonical key conflated permuted object states")
-	}
-}
-
-// FuzzCanonKeyPermutationInvariant fuzzes the defining property of the
-// canonical key: for every configuration and every permutation pi of its
-// processes, canonKey(c) == canonKey(pi(c)) under one explorer.
-func FuzzCanonKeyPermutationInvariant(f *testing.F) {
-	f.Add(0, 1, 2, "s", uint8(1))
-	f.Add(7, 7, -3, "", uint8(5))
-	f.Add(-1, 0, 1, "xyz", uint8(3))
-	perms3 := [][3]int{{0, 1, 2}, {0, 2, 1}, {1, 0, 2}, {1, 2, 0}, {2, 0, 1}, {2, 1, 0}}
-	f.Fuzz(func(t *testing.T, a, b, c int, s string, permSeed uint8) {
-		cfg := &rawConfig{
-			objs: []types.State{a % 4, s},
-			procs: []procState{
-				{OpIdx: a & 3, Mem: a, Mst: s, Resp: types.ValOf(b & 7)},
-				{OpIdx: b & 3, Done: b&4 != 0, Mem: s, Mst: c, Pending: program.Action{Kind: program.KindInvoke, Obj: a & 1, Inv: types.TAS}},
-				{OpIdx: c & 3, Crashed: c&4 != 0, Stepped: a&4 != 0, Mem: nil, Mst: b, Resp: types.OK},
-			},
-		}
-		pi := perms3[int(permSeed)%len(perms3)]
-		permuted := &rawConfig{
-			objs:  cfg.objs,
-			procs: []procState{cfg.procs[pi[0]], cfg.procs[pi[1]], cfg.procs[pi[2]]},
-		}
-		e := &explorer{}
-		k1, _ := e.canonKey(e.intern(cfg))
-		k2, _ := e.canonKey(e.intern(permuted))
-		if !bytes.Equal(k1, k2) {
-			t.Errorf("canonKey not permutation-invariant under pi=%v\n%x\n%x", pi, k1, k2)
-		}
-	})
 }
 
 // BenchmarkConfigKey compares the per-node key cost — assembling the id

@@ -61,16 +61,6 @@ type Implementation struct {
 	Procs    int
 	Objects  []ObjectDecl
 	Machines []Machine
-	// SymmetricProcs declares that the processes are interchangeable: every
-	// machine runs the same program (behaviorally identical for identical
-	// target invocations), so renaming processes maps executions to
-	// executions. The declaration is the scalarset idiom of symmetry-reduced
-	// model checking — it cannot be verified mechanically (machines are
-	// functions), but explore verifies its observable consequences on the
-	// object declarations and at every execution-tree root before relying on
-	// it. Constructors that build one shared Machine value for all processes
-	// should set it; per-process closures (port-aware protocols) must not.
-	SymmetricProcs bool
 }
 
 // Errors reported by Validate.

@@ -25,8 +25,4 @@
 // numbers. A machine's capacity bounds its writes, so its timestamps are
 // bounded: a write beyond the capacity has no transition in the cell's
 // type and fails the run. DESIGN.md documents the substitution.
-//
-// The simulated regular bit (cells.go) is the base cell that shows why
-// the atomic layers exist: two reads overlapping one write may see the new
-// value and then the old one.
 package registers

@@ -118,9 +118,6 @@ var (
 	// ErrNotSymmetric is the sentinel wrapped when SymmetryRequire is set
 	// but the run cannot be symmetry-reduced.
 	ErrNotSymmetric = explore.ErrNotSymmetric
-	// ProcessSymmetric reports whether an implementation satisfies the
-	// statically checkable process-symmetry conditions.
-	ProcessSymmetric = explore.Symmetric
 )
 
 // Fault injection: exhaustive crash exploration, structured panic
