@@ -55,9 +55,18 @@ import (
 
 func main() {
 	if err := run(os.Args[1:]); err != nil {
-		fmt.Fprintln(os.Stderr, "explore:", err)
+		fmt.Fprintln(os.Stderr, errorLine(err))
 		os.Exit(1)
 	}
+}
+
+// errorLine renders err for stderr behind the command's "explore: "
+// prefix, once: the engine's errors already carry it.
+func errorLine(err error) string {
+	if msg := err.Error(); strings.HasPrefix(msg, "explore: ") {
+		return msg
+	}
+	return "explore: " + err.Error()
 }
 
 // protocolNames renders the registry's names for flag help and errors.
@@ -173,7 +182,7 @@ func run(args []string) error {
 			return
 		}
 		if err := common.SaveCheckpoint(cp); err != nil {
-			fmt.Fprintln(os.Stderr, "explore:", err)
+			fmt.Fprintln(os.Stderr, errorLine(err))
 			return
 		}
 		fmt.Fprintf(os.Stderr, "explore: %s%s saved to %s — rerun the same command to resume\n",

@@ -36,6 +36,26 @@ func TestRunUnknownProtocol(t *testing.T) {
 	}
 }
 
+// TestRunErrorPrefixOnce pins the stderr form of refusals: the engine's
+// errors already carry the "explore: " prefix, so the command must not add
+// a second one, and its own errors still get one.
+func TestRunErrorPrefixOnce(t *testing.T) {
+	for _, args := range [][]string{
+		{"-protocol", "naive", "-symmetry", "require"},
+		{"-protocol", "cas", "-procs", "21"},
+		{"-protocol", "ghost"},
+	} {
+		err := run(args)
+		if err == nil {
+			t.Fatalf("%v: no error", args)
+		}
+		line := errorLine(err)
+		if !strings.HasPrefix(line, "explore: ") || strings.HasPrefix(line, "explore: explore: ") {
+			t.Errorf("%v: stderr line %q, want the prefix exactly once", args, line)
+		}
+	}
+}
+
 func TestRunSharedFlags(t *testing.T) {
 	if err := run([]string{"-protocol", "tas", "-json", "-parallel", "2", "-progress", "1ms"}); err != nil {
 		t.Fatal(err)

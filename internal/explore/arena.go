@@ -1,20 +1,19 @@
 package explore
 
 import (
-	"waitfree/internal/program"
+	"slices"
 )
 
-// This file implements the hot path's allocation machinery — dense interned
-// access-counter ids, slab arenas for summary records and their counter
-// slices, a byte arena for the key tables' keys, and a free list for the
-// summaries that are not retained by the memo — and the transition and
-// step caches. Together with in-place stepping, which allocates no child
-// configs at all, they take the per-node allocation count from ~8
-// (summary + counter map + three clone slices + key string + map growth)
-// to amortized fractions of one: slabs are handed out in large chunks,
-// non-retained summaries are recycled immediately after their merge, and
-// whole arenas die with the tree instead of feeding the GC one node at a
-// time.
+// This file implements the hot path's storage: dense interned
+// access-counter ids, the summaries' counter arrays (one reused buffer
+// per DFS level, and the memo's int32 slab), the intern tables' key
+// arena, and the transition and step caches. A node allocates nothing:
+// its counters live in its level's buffer, which every node at that level
+// reuses; settle copies them into the memo's slab; and both caches are
+// rows of plain values indexed by ids the edge already holds — no key is
+// built, hashed or compared. What a tree does allocate (rows, slab
+// chunks, pages) starts small, grows geometrically, holds no pointers
+// where it is per node, and dies with the tree.
 
 // accTable interns accKeys (per-object totals, per-(object, op) counters,
 // per-process step counters) into dense int32 ids, replacing the per-node
@@ -41,77 +40,124 @@ func (a *accTable) id(k accKey) int32 {
 	return id
 }
 
-// Slab sizes: summaries are handed out in chunks of up to sumSlab, counter
-// slices carved from int32 chunks of up to accSlab, and the key tables'
-// keys (interned segments, memo id keys) from byte chunks of up to segSlab.
-// Chunks start small and double per refill — explorers are per-tree, and
-// most trees in a consensus sweep are small, so fixed maximal slabs would
-// dominate a small tree's footprint. Each refill abandons the rest of the
-// previous chunk, so while chunks double an arena may allocate twice what
-// it stores; the small segSlab bounds that waste in the memo's key arena,
-// which stores about one key per node.
-// Exhausted chunks are abandoned to the GC
-// wholesale when the configs/summaries referencing them die — at the
-// latest when the tree completes and the explorer itself is dropped.
-const (
-	sumSlab = 512
-	accSlab = 16 * 1024
-	segSlab = 8 * 1024
-)
-
-// summaryArena hands out summary records and int32 counter slices from
-// slab chunks. The zero value is ready to use.
-type summaryArena struct {
-	sums     []summary
-	acc      []int32
-	sumChunk int
-	accChunk int
-}
-
-func (a *summaryArena) newSummary() *summary {
-	if len(a.sums) == 0 {
-		n := a.sumChunk * 2
-		if n == 0 {
-			n = 32
-		}
-		if n > sumSlab {
-			n = sumSlab
-		}
-		a.sumChunk = n
-		a.sums = make([]summary, n)
+// initAcct builds the dense-id caches on first use: per-process and
+// per-object-total ids at fixed positions in lookup slices, per-object
+// operation ids interned lazily (opAccID) as expansions encounter them.
+func (e *explorer) initAcct() {
+	e.acct = newAccTable()
+	e.procIDs = make([]int32, e.im.Procs)
+	for p := 0; p < e.im.Procs; p++ {
+		e.procIDs[p] = e.acct.id(procKey(p))
 	}
-	s := &a.sums[0]
-	a.sums = a.sums[1:]
-	return s
+	e.objIDs = make([]int32, len(e.im.Objects))
+	e.opIDs = make([]map[string]int32, len(e.im.Objects))
+	for i := range e.im.Objects {
+		e.objIDs[i] = e.acct.id(accKey{Obj: i})
+		e.opIDs[i] = make(map[string]int32)
+	}
 }
 
-// allocAcc returns a zeroed int32 slice of length n with no spare
-// capacity, so appends by a confused caller can never alias a neighbor.
-func (a *summaryArena) allocAcc(n int) []int32 {
+// opAccID returns the dense id of the (obj, op) counter. It runs once per
+// interned process state (pendingOpAcc), never per edge.
+func (e *explorer) opAccID(obj int, op string) int32 {
+	m := e.opIDs[obj]
+	id, ok := m[op]
+	if !ok {
+		id = e.acct.id(accKey{Obj: obj, Op: op})
+		m[op] = id
+	}
+	return id
+}
+
+// levelBatch is how many levels' counter buffers one allocation makes.
+// Each buffer has room for twice the counters the table had then, since
+// the table grows while the first paths discover operations.
+const levelBatch = 16
+
+// levelAcc returns the zeroed counters of a node expanded at DFS level
+// lvl: the level's buffer, sized to the current counter table. Nodes at
+// one level are expanded one after another, and a node's summary is
+// merged into its parent before its next sibling starts, so they can all
+// share the buffer.
+func (e *explorer) levelAcc(lvl int) []int32 {
+	n := len(e.acct.keys)
+	if lvl == len(e.levelBufs) {
+		batch := make([]int32, 2*levelBatch*n)
+		for i := 0; i < levelBatch; i++ {
+			e.levelBufs = append(e.levelBufs, batch[2*i*n:2*i*n:2*(i+1)*n])
+		}
+	}
+	if cap(e.levelBufs[lvl]) < n {
+		e.levelBufs[lvl] = make([]int32, 0, 2*n)
+	}
+	acc := e.levelBufs[lvl][:n]
+	clear(acc)
+	return acc
+}
+
+// growAcc widens s.acc to the full counter table (which has grown since
+// s was sized), preserving existing counts. A level buffer with room
+// grows in place; otherwise the new slice replaces it when the node
+// finishes (expandNode).
+func (e *explorer) growAcc(s *summary) {
+	n := len(e.acct.keys)
+	if n <= cap(s.acc) {
+		old := len(s.acc)
+		s.acc = s.acc[:n]
+		clear(s.acc[old:])
+		return
+	}
+	acc := make([]int32, n)
+	copy(acc, s.acc)
+	s.acc = acc
+}
+
+// accChunkShift splits an accSlab reference into chunk and offset: a
+// chunk holds at most 1<<accChunkShift counters, unless it was made for
+// one region that is larger still.
+const accChunkShift = 16
+
+// accSlab stores the memo's counter arrays, each a contiguous region of
+// one chunk named by a uint32 reference (chunk<<accChunkShift | offset).
+// Chunks start small and double up to the shift's limit, so a small tree
+// stays small and a big one never copies a chunk to grow it. The zero
+// value is ready to use.
+type accSlab struct {
+	chunks [][]int32
+}
+
+// alloc reserves a region of n counters and returns its reference.
+func (s *accSlab) alloc(n int) uint32 {
+	last := len(s.chunks) - 1
+	if last < 0 || len(s.chunks[last])+n > cap(s.chunks[last]) {
+		size := 512
+		if last >= 0 {
+			size = min(2*cap(s.chunks[last]), 1<<accChunkShift)
+		}
+		s.chunks = append(s.chunks, make([]int32, 0, max(size, n)))
+		last++
+	}
+	off := len(s.chunks[last])
+	s.chunks[last] = s.chunks[last][:off+n]
+	return uint32(last)<<accChunkShift | uint32(off)
+}
+
+// at returns the n counters of the region at ref.
+func (s *accSlab) at(ref uint32, n int) []int32 {
 	if n == 0 {
 		return nil
 	}
-	if len(a.acc) < n {
-		size := a.accChunk * 2
-		if size == 0 {
-			size = 512
-		}
-		if size > accSlab {
-			size = accSlab
-		}
-		a.accChunk = size
-		if n > size {
-			size = n
-		}
-		a.acc = make([]int32, size)
-	}
-	out := a.acc[:n:n]
-	a.acc = a.acc[n:]
-	return out
+	off := int(ref & (1<<accChunkShift - 1))
+	return s.chunks[ref>>accChunkShift][off : off+n : off+n]
 }
 
-// byteArena hands out byte keys from slab chunks. The zero value is ready
-// to use.
+// Key arena chunks start at 2KB and double up to segSlab. Each refill
+// abandons the rest of the previous chunk, so while chunks double the
+// arena may allocate twice what it stores.
+const segSlab = 8 * 1024
+
+// byteArena hands out the intern tables' keys from slab chunks. The zero
+// value is ready to use.
 type byteArena struct {
 	buf   []byte
 	chunk int
@@ -140,123 +186,115 @@ func (a *byteArena) save(b []byte) []byte {
 	return a.buf[n : n+c : n+c]
 }
 
-// initAcct builds the dense-id caches on first use: per-process and
-// per-object-total ids at fixed positions in lookup slices, per-object
-// operation ids interned lazily (opAccID) as expansions encounter them.
-func (e *explorer) initAcct() {
-	e.acct = newAccTable()
-	e.procIDs = make([]int32, e.im.Procs)
-	for p := 0; p < e.im.Procs; p++ {
-		e.procIDs[p] = e.acct.id(procKey(p))
-	}
-	e.objIDs = make([]int32, len(e.im.Objects))
-	e.opIDs = make([]map[string]int32, len(e.im.Objects))
-	for i := range e.im.Objects {
-		e.objIDs[i] = e.acct.id(accKey{Obj: i})
-		e.opIDs[i] = make(map[string]int32)
-	}
-}
-
-// opAccID returns the dense id of the (obj, op) counter.
-func (e *explorer) opAccID(obj int, op string) int32 {
-	m := e.opIDs[obj]
-	id, ok := m[op]
-	if !ok {
-		id = e.acct.id(accKey{Obj: obj, Op: op})
-		m[op] = id
-	}
-	return id
-}
-
-// newSummary returns a summary with nodes=1 and a zeroed (possibly nil)
-// counter slice, recycled from the free list when one is available.
-func (e *explorer) newSummary() *summary {
-	if n := len(e.freeSums); n > 0 {
-		s := e.freeSums[n-1]
-		e.freeSums = e.freeSums[:n-1]
-		acc := s.acc
-		for i := range acc {
-			acc[i] = 0
-		}
-		// Field by field: rewriting the whole record would store its acc
-		// pointer again, a write barrier per node while the GC runs.
-		s.height, s.nodes, s.leaves = 0, 1, 0
-		s.ref, s.retained, s.spilled = false, false, false
-		return s
-	}
-	s := e.sums.newSummary()
-	s.nodes = 1
-	return s
-}
-
-// recycleSummary returns a merged child summary to the free list. Callers
-// must never recycle a summary the memo retains (settle sets retained) — a
-// later memo hit would observe the recycled record.
-func (e *explorer) recycleSummary(s *summary) {
-	if s == nil || s.retained {
-		return
-	}
-	e.freeSums = append(e.freeSums, s)
-}
-
-// growAcc widens s.acc to at least need counters (and at least the full
-// current table, amortizing regrowth), preserving existing counts.
-func (e *explorer) growAcc(s *summary, need int) {
-	if n := len(e.acct.keys); need < n {
-		need = n
-	}
-	acc := e.sums.allocAcc(need)
-	copy(acc, s.acc)
-	s.acc = acc
-}
-
 // walkChild visits the child of c reached by process p taking the cached
 // transition t on object obj, for the tree walkers outside the DFS
 // (Valency, Dot): like a DFS edge it steps c in place through the step
-// cache, calls visit, and restores c and e.responses.
+// cache, calls visit, and restores c and p's path responses.
 func (e *explorer) walkChild(c *config, p, obj int, t cachedTrans, visit func() error) error {
 	oldObj, oldProc := c.objs[obj], c.procs[p]
 	c.objs[obj] = t.next
-	mark := len(e.responses[p])
+	mark := e.respN[p]
 	err := e.stepProc(c, p, t.resp, false)
 	if err == nil {
 		err = visit()
 	}
 	c.objs[obj], c.procs[p] = oldObj, oldProc
-	e.responses[p] = e.responses[p][:mark]
+	e.respN[p] = mark
 	return err
 }
-
-// transKey keys the transition cache: the object, the id of its state, the
-// accessing port, and the invocation id.
-type transKey struct{ obj, state, port, inv int32 }
 
 // cachedTrans is one outcome of an object access: the interned successor
 // state and the response id. A transition's outcomes are one run of
 // e.transList, shared by every edge that replays it and never mutated.
 type cachedTrans struct{ next, resp int32 }
 
-// transRef locates one cached transition's outcomes in e.transList.
+// transRef locates one cached transition's outcomes in e.transList. The
+// zero value is an empty cache slot: Spec.Apply never succeeds with no
+// outcome.
 type transRef struct{ off, n int32 }
 
-// applyCached is Spec.Apply behind the transition cache. A hit — the
-// overwhelmingly common case, since reachable (state, port, inv) triples
-// are few (bounded by one component's state count, not the configuration
-// count) — is one probe of a fixed-size key and allocates nothing,
+// procStep is a cached startNextOp outcome: the stepping process's
+// resulting state id, and the run of e.stepResps holding the target
+// responses the advance completed (replayed into the path responses on a
+// hit, as startNextOp pushes them; the caller's respMark undo then rewinds
+// them as usual). An empty cache slot holds next = -1.
+type procStep struct{ next, respOff, respN int32 }
+
+// emptyStep fills the step cache's new slots.
+var emptyStep = procStep{next: -1}
+
+// cacheRows is one cache's row table: rows[id] is the row of one
+// (component, state id) pair, indexed by a slot number. Rows are carved
+// from shared chunks (a new chunk doubles the last, from 64 slots), so a
+// tree's rows cost a few allocations, not a few per row. The zero value
+// is ready to use.
+type cacheRows[T any] struct {
+	rows  [][]T
+	chunk []T
+}
+
+// slot returns the slot of row id, or nil if it was never filled.
+func (r *cacheRows[T]) slot(id, slot int) *T {
+	if id < len(r.rows) {
+		if row := r.rows[id]; slot < len(row) {
+			return &row[slot]
+		}
+	}
+	return nil
+}
+
+// fill returns the slot of row id for writing, growing the row table to
+// hold id and the row to hold slot and at least width slots (the width
+// the row's id sets have now, so it need not regrow until they grow). New
+// slots hold empty; a regrown row moves to a fresh run of the chunk.
+func (r *cacheRows[T]) fill(id, slot, width int, empty T) *T {
+	if id >= len(r.rows) {
+		r.rows = slices.Grow(r.rows, max(id+1, 2*len(r.rows), 16)-len(r.rows))[:id+1]
+	}
+	row := r.rows[id]
+	if slot >= len(row) {
+		n := max(slot+1, width, 2*len(row))
+		if cap(r.chunk)-len(r.chunk) < n {
+			r.chunk = make([]T, 0, max(2*cap(r.chunk), n, 64))
+		}
+		grown := r.chunk[len(r.chunk) : len(r.chunk)+n : len(r.chunk)+n]
+		r.chunk = r.chunk[:len(r.chunk)+n]
+		copy(grown, row)
+		for i := len(row); i < n; i++ {
+			grown[i] = empty
+		}
+		row = grown
+		r.rows[id] = row
+	}
+	return &row[slot]
+}
+
+// applyCached is Spec.Apply, for process p's pending access to object obj
+// (whose invocation has cache id inv), behind the transition cache: a row per
+// (object-state id, object), indexed by invocation id and port. A hit —
+// the overwhelmingly common case, since reachable (state, port, inv)
+// triples are few (bounded by one component's state count, not the
+// configuration count) — is three indexed loads and allocates nothing,
 // skipping the user Step function, its per-call []Transition, and the
 // successor states' interning. Soundness rests on the same contracts the
 // memoizer already assumes: Spec.Step is pure and segment encoding is
 // injective, so equal state ids are equal states. Errors are not cached
 // (they abort the run).
-func (e *explorer) applyCached(c *config, p int, act *program.Action, inv int32) ([]cachedTrans, error) {
-	decl := &e.im.Objects[act.Obj]
+func (e *explorer) applyCached(c *config, p, obj int, inv int32) ([]cachedTrans, error) {
+	decl := &e.im.Objects[obj]
 	port := decl.Port(p)
-	k := transKey{obj: int32(act.Obj), state: c.objs[act.Obj], port: int32(port), inv: inv}
-	if r, ok := e.transCache[k]; ok {
+	state := c.objs[obj]
+	// Implementation.Validate keeps every port in 1..Ports, and
+	// startNextOp refuses an access through port 0, so each (inv, port)
+	// has its own slot.
+	ports := decl.Spec.Ports
+	slot := int(inv)*ports + port - 1
+	row := int(state)*len(e.im.Objects) + obj
+	if r := e.transRows.slot(row, slot); r != nil && r.n != 0 {
 		e.transHits++
 		return e.transList[r.off : r.off+r.n : r.off+r.n], nil
 	}
-	ts, err := decl.Spec.Apply(e.obj(c.objs[act.Obj]), port, act.Inv)
+	ts, err := decl.Spec.Apply(e.obj(state), port, e.proc(c.procs[p]).Pending.Inv)
 	if err != nil {
 		return nil, err
 	}
@@ -265,35 +303,20 @@ func (e *explorer) applyCached(c *config, p int, act *program.Action, inv int32)
 	for _, t := range ts {
 		e.transList = append(e.transList, cachedTrans{next: e.internObj(t.Next), resp: e.resps.id(t.Resp)})
 	}
-	if e.transCache == nil {
-		e.transCache = make(map[transKey]transRef)
-	}
-	e.transCache[k] = r
+	*e.transRows.fill(row, slot, len(e.invs.vals)*ports, transRef{}) = r
 	return e.transList[r.off : r.off+r.n : r.off+r.n], nil
 }
 
-// stepKey keys the step cache: the process, the id of its pre-state, the
-// response id, and the forced-step flag (0 or 1). Four int32s make a
-// 16-byte key, which Go maps hash and compare with their fixed-size fast
-// paths.
-type stepKey struct{ p, state, resp, forced int32 }
-
-// procStep is a cached startNextOp outcome: the stepping process's
-// resulting state id, and the run of e.stepResps holding the target
-// responses the advance completed (replayed into e.responses on a hit,
-// as startNextOp appends them; the caller's respMark undo then rewinds
-// them as usual).
-type procStep struct{ next, respOff, respN int32 }
-
 // stepProc advances process p of c over a completed access with response
-// id resp, through the step cache. The key is p, p's pre-state id and
-// resp — by the machine contract (deterministic, comparable states) that
-// determines the entire advance, including any chain of zero-access
-// operations it completes. forced sets Stepped first (CrashBeforeFirstStep),
-// which the pre-state id does not reflect, so it is part of the key. The
-// responses are all a history needs (historyView), so every run but a
-// Walk steps through the cache; a Walk's scratch state is stepped in
-// place. Errors are not cached.
+// id resp, through the step cache: a row per (pre-state id, process),
+// indexed by 2*resp+forced. By the machine contract (deterministic,
+// comparable states) p, its pre-state and resp determine the entire
+// advance, including any chain of zero-access operations it completes.
+// forced sets Stepped first (CrashBeforeFirstStep), which the pre-state
+// id does not reflect, so it is part of the index. The responses are all
+// a history needs (historyView), so every run but a Walk steps through the
+// cache; a Walk's scratch state is stepped in place. Errors are not
+// cached.
 func (e *explorer) stepProc(c *config, p int, resp int32, forced bool) error {
 	if c.procs[p] < 0 {
 		ps := &e.scratch[p]
@@ -302,34 +325,33 @@ func (e *explorer) stepProc(c *config, p int, resp int32, forced bool) error {
 		}
 		return e.startNextOp(ps, p, e.resps.vals[resp])
 	}
-	k := stepKey{p: int32(p), state: c.procs[p], resp: resp}
+	state := c.procs[p]
+	slot := 2 * int(resp)
 	if forced {
-		k.forced = 1
+		slot++
 	}
-	if st, ok := e.stepCache[k]; ok {
+	row := int(state)*len(c.procs) + p
+	if st := e.stepRows.slot(row, slot); st != nil && st.next >= 0 {
 		e.stepHits++
 		c.procs[p] = st.next
 		if st.respN > 0 {
-			e.responses[p] = append(e.responses[p], e.stepResps[st.respOff:st.respOff+st.respN]...)
+			e.respN[p] += copy(e.respBuf[p][e.respN[p]:], e.stepResps[st.respOff:st.respOff+st.respN])
 		}
 		return nil
 	}
-	ps := *e.proc(c.procs[p])
+	ps := *e.proc(state)
 	if forced {
 		ps.Stepped = true
 	}
-	mark := len(e.responses[p])
+	mark := e.respN[p]
 	if err := e.startNextOp(&ps, p, e.resps.vals[resp]); err != nil {
 		return err
 	}
 	e.stepMisses++
-	done := e.responses[p][mark:]
+	done := e.respBuf[p][mark:e.respN[p]]
 	st := procStep{next: e.internProc(&ps), respOff: int32(len(e.stepResps)), respN: int32(len(done))}
 	e.stepResps = append(e.stepResps, done...)
-	if e.stepCache == nil {
-		e.stepCache = make(map[stepKey]procStep)
-	}
-	e.stepCache[k] = st
+	*e.stepRows.fill(row, slot, 2*len(e.resps.vals), emptyStep) = st
 	c.procs[p] = st.next
 	return nil
 }

@@ -76,7 +76,7 @@ func (d *dotBuilder) walk(c *config, depth int) (int, error) {
 		}
 		act := d.e.proc(pid).Pending
 		inv := d.e.pendingInv(c, p)
-		cts, err := d.e.applyCached(c, p, &act, inv)
+		cts, err := d.e.applyCached(c, p, act.Obj, inv)
 		if err != nil {
 			return 0, err
 		}

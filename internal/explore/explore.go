@@ -447,26 +447,19 @@ type accKey struct {
 // procKey returns the accKey carrying process p's step counter.
 func procKey(p int) accKey { return accKey{Obj: -(p + 1)} }
 
-// summary is the subtree aggregate computed bottom-up. Access counters are
-// a dense int32 slice indexed by the explorer's accTable ids (arena.go)
-// rather than a per-node map; a zero counter means the key was absent from
-// the old map form, so conversions back to the named report maps skip
-// zeroes.
+// summary is the subtree aggregate computed bottom-up and passed by
+// value. Access counters are a dense int32 slice indexed by the explorer's
+// accTable ids (arena.go) rather than a per-node map; a zero counter means
+// the key was absent from the old map form, so conversions back to the
+// named report maps skip zeroes. The slice is borrowed: a node's counters
+// are its DFS level's buffer, and a memo hit's alias the memo's slab, so
+// a summary is merged into its parent before the DFS moves on, and the
+// memo keeps a copy (settle).
 type summary struct {
 	height int
 	nodes  int64
 	leaves int64
 	acc    []int32
-
-	// Memo-table bookkeeping (never part of the aggregate): ref is the
-	// second-chance bit of the memo entry holding the summary (a hit sets
-	// it, the eviction clock clears it; never set on grayMark); retained
-	// marks a summary owned by the memo (settle sets it — recycleSummary
-	// must never take one); spilled marks a summary already written to the
-	// spill tier, so a re-eviction after a spill load never rewrites it.
-	ref      bool
-	retained bool
-	spilled  bool
 }
 
 // procState is one process's part of a configuration. All fields are
@@ -599,9 +592,17 @@ func initExplorer(im *program.Implementation, scripts [][]types.Invocation, opts
 	if opts.Memoize {
 		e.memo = newMemoTable(opts.MemoBudget, opts.MemoSpillDir, opts.FS)
 	}
-	e.responses = make([][]types.Response, im.Procs)
-	for p := 0; p < im.Procs; p++ {
-		e.responses[p] = make([]types.Response, 0, len(scripts[p]))
+	// A process completes each scripted operation at most once along a
+	// path, so its buffer never grows.
+	total := 0
+	for _, sc := range scripts {
+		total += len(sc)
+	}
+	buf := make([]int32, total)
+	e.respBuf = make([][]int32, im.Procs)
+	e.respN = make([]int, im.Procs)
+	for p, sc := range scripts {
+		e.respBuf[p], buf = buf[:len(sc):len(sc)], buf[len(sc):]
 	}
 	return e, nil
 }
@@ -620,7 +621,7 @@ func (e *explorer) newRoot() (*config, error) {
 		e.histProcs = make([]histProc, e.im.Procs)
 	}
 	for p := range c.procs {
-		e.responses[p] = e.responses[p][:0]
+		e.respN[p] = 0
 		if e.scratch != nil {
 			if err := e.startNextOp(&e.scratch[p], p, types.Response{}); err != nil {
 				return nil, err
@@ -634,7 +635,7 @@ func (e *explorer) newRoot() (*config, error) {
 			c.procs[p] = e.internProc(&ps)
 		}
 		if e.histProcs != nil {
-			e.histProcs[p].root = len(e.responses[p])
+			e.histProcs[p].root = e.respN[p]
 		}
 	}
 	return c, nil
@@ -659,7 +660,7 @@ func (e *explorer) explore(root *config) (res *Result, err error) {
 		e.initAcct()
 	}
 	im := e.im
-	sum, err := e.dfs(root, 0)
+	sum, err := e.dfs(root, 0, e.tally(root))
 	e.flushCounters(0)
 	e.flushTreeCounters()
 	res = &Result{
@@ -769,8 +770,8 @@ type explorer struct {
 	transHits, transMisses int64
 	stepHits, stepMisses   int64
 
-	// memo deduplicates configurations (nil unless Memoize); entries
-	// holding grayMark are on the current DFS stack (cycle detection).
+	// memo deduplicates configurations (nil unless Memoize); its gray
+	// entries are the current DFS stack (cycle detection).
 	// keyBuf is idKey's reused buffer. The table is single-owner: this
 	// explorer (one execution tree) is its only user.
 	memo     *memoTable
@@ -779,13 +780,15 @@ type explorer struct {
 
 	// The interned layout (intern.go): enc renders component segments,
 	// segScratch is the reusable buffer it renders into, and objTab /
-	// procTab intern object and process states under their segments.
-	// scratch holds a Walk's live process states. invs and resps
-	// give invocations and responses the small ids the caches key on.
+	// procTab intern object and process states under their segments,
+	// and procMeta[id] is the hot part of process state id. scratch
+	// holds a Walk's live process states. invs and resps give
+	// invocations and responses the small ids the caches key on.
 	enc        keyEncoder
 	segScratch []byte
 	objTab     keyTable[types.State]
 	procTab    keyTable[procInfo]
+	procMeta   []procMeta
 	scratch    []procState
 	invs       idSet[types.Invocation]
 	resps      idSet[types.Response]
@@ -798,27 +801,29 @@ type explorer struct {
 	objIDs  []int32
 	opIDs   []map[string]int32
 
-	// Allocation machinery (arena.go): slab arenas for summaries and
-	// counter slices, plus a free list for non-retained summaries.
-	sums     summaryArena
-	freeSums []*summary
+	// Counter buffers (arena.go): levelBufs[l] holds the counters of the
+	// node being expanded at DFS level l, the number of nested expansions
+	// (level) above it.
+	levelBufs [][]int32
+	level     int
 
-	// transCache memoizes Spec.Apply results, keyed by (object, state id,
-	// port, invocation id), with the outcomes in runs of transList;
-	// stepCache does the same for startNextOp, keyed by (process, pre-state
-	// id, response id), with completed responses in runs of stepResps.
-	// Sound because Spec.Step and machines are documented as deterministic
-	// pure functions (the same contract Parallelism > 1 relies on) and the
-	// segment encodings behind the ids are injective; together they turn
-	// the per-edge user-code calls, their allocations, and the successor
-	// states' interning into no-alloc probes of fixed-size keys. Both are
-	// bounded by per-component state counts — roots of the configuration
-	// count — so they stay negligible with or without a memo table, and
-	// under MemoBudget.
-	transCache map[transKey]transRef
-	transList  []cachedTrans
-	stepCache  map[stepKey]procStep
-	stepResps  []types.Response
+	// The transition and step caches (arena.go). transRows holds a row
+	// per (object-state id, object) of Spec.Apply results indexed by
+	// (invocation id, port), with the outcomes in runs of transList;
+	// stepRows a row per (process-state id, process) of startNextOp
+	// results indexed by (response id, forced bit), with completed
+	// responses in runs of stepResps. Sound because Spec.Step and
+	// machines are documented as deterministic pure functions (the same
+	// contract Parallelism > 1 relies on) and the segment encodings behind
+	// the ids are injective; together they turn the per-edge user-code
+	// calls, their allocations, and the successor states' interning into
+	// indexed loads. Both are bounded by per-component state counts —
+	// roots of the configuration count — so they stay negligible with or
+	// without a memo table, and under MemoBudget.
+	transRows cacheRows[transRef]
+	transList []cachedTrans
+	stepRows  cacheRows[procStep]
+	stepResps []int32
 
 	// leafView is the one Leaf handed to every OnLeaf call; leafCrashed
 	// and leafRecoveries back its Crashed and Recoveries slices, which are
@@ -831,11 +836,16 @@ type explorer struct {
 	// execution in pointer-free form, its only record: schedule renders it
 	// as StepRecords on demand (scheduleView), its first synced records
 	// still current, and historyView renders it, with responses, as a
-	// history. histProcs is set in history runs only (newRoot).
+	// history. respBuf[p][:respN[p]] are the response ids of the target
+	// operations process p completed along the path (pathResps); the
+	// buffers hold a whole script, so the path's per-edge bookkeeping
+	// stores counts, never a slice. histProcs is set in history runs only
+	// (newRoot).
 	path      []pathStep
 	schedule  []StepRecord
 	synced    int
-	responses [][]types.Response
+	respBuf   [][]int32
+	respN     []int
 	histProcs []histProc
 
 	// Panic-recovery breadcrumbs: the configuration being expanded, the
@@ -846,6 +856,35 @@ type explorer struct {
 	curDepth  int
 
 	violation *Violation
+}
+
+// breadcrumb records the configuration, process and depth being stepped
+// for panic recovery. A tree steps one config in place, so the pointer is
+// stored only when it changes: the per-edge update writes no pointer.
+func (e *explorer) breadcrumb(c *config, p, depth int) {
+	if e.curConfig != c {
+		e.curConfig = c
+	}
+	e.curProc, e.curDepth = p, depth
+}
+
+// pathResps returns the response ids of the target operations process p
+// completed along the path, in order.
+func (e *explorer) pathResps(p int) []int32 { return e.respBuf[p][:e.respN[p]] }
+
+// pushResp records that process p completed its next target operation
+// with response id resp.
+func (e *explorer) pushResp(p int, resp int32) {
+	e.respBuf[p][e.respN[p]] = resp
+	e.respN[p]++
+}
+
+// appendResps appends process p's path responses to dst as values.
+func (e *explorer) appendResps(dst []types.Response, p int) []types.Response {
+	for _, id := range e.pathResps(p) {
+		dst = append(dst, e.resps.vals[id])
+	}
+	return dst
 }
 
 // panicContext renders the recovery breadcrumbs, including the offending
@@ -864,7 +903,7 @@ func (e *explorer) panicContext() string {
 // or is done. Local steps consume no tree edges, matching the paper's
 // counting of low-level operations only. ps is a private copy (or a
 // Walk's scratch slot), never an interned state. Each completed operation
-// appends its response to e.responses[p], where the path's history
+// records its response (pushResp), where the path's history
 // rendering finds it.
 func (e *explorer) startNextOp(ps *procState, p int, resp types.Response) error {
 	m := e.im.Machines[p]
@@ -898,7 +937,7 @@ func (e *explorer) startNextOp(ps *procState, p int, resp types.Response) error 
 			ps.Pending = act
 			return nil
 		case program.KindReturn:
-			e.responses[p] = append(e.responses[p], act.Resp)
+			e.pushResp(p, e.resps.id(act.Resp))
 			ps.Resp = act.Resp
 			ps.Mem = act.Mem
 			ps.OpIdx++
@@ -916,11 +955,56 @@ func (e *explorer) startNextOp(ps *procState, p int, resp types.Response) error 
 	}
 }
 
-func (e *explorer) dfs(c *config, depth int) (*summary, error) {
+// procTally is the census of a configuration's processes that dfs needs:
+// how many are crashed, their total recovery count, and how many are
+// live and not done (a leaf has none). An edge changes one process, so
+// expand derives a child's tally from its parent's (retally) instead of
+// dfs scanning every process at every node.
+type procTally struct {
+	crashes, recoveries, running int
+}
+
+// tallyOf is the tally of interned process state id alone.
+func (e *explorer) tallyOf(id int32) procTally {
+	m := &e.procMeta[id]
+	t := procTally{recoveries: int(m.recoveries)}
+	if m.flags&metaCrashed != 0 {
+		t.crashes = 1
+	} else if m.flags&metaDone == 0 {
+		t.running = 1
+	}
+	return t
+}
+
+// tally is the tally of c.
+func (e *explorer) tally(c *config) procTally {
+	var t procTally
+	for _, id := range c.procs {
+		pt := e.tallyOf(id)
+		t.crashes += pt.crashes
+		t.recoveries += pt.recoveries
+		t.running += pt.running
+	}
+	return t
+}
+
+// retally returns t with one process's state old replaced by new.
+func (e *explorer) retally(t procTally, old, new int32) procTally {
+	a, b := e.tallyOf(old), e.tallyOf(new)
+	return procTally{
+		crashes:    t.crashes - a.crashes + b.crashes,
+		recoveries: t.recoveries - a.recoveries + b.recoveries,
+		running:    t.running - a.running + b.running,
+	}
+}
+
+// dfs explores the subtree of c, at depth object accesses from the root,
+// and returns its summary; t is c's tally.
+func (e *explorer) dfs(c *config, depth int, t procTally) (summary, error) {
 	if e.acct == nil {
 		e.initAcct() // bare explorers (tests) enter here without explore()
 	}
-	sum := e.newSummary()
+	sum := summary{nodes: 1}
 	e.pendNodes++
 	if e.sinceFlush++; e.sinceFlush >= flushEvery {
 		e.flushCounters(depth)
@@ -932,18 +1016,8 @@ func (e *explorer) dfs(c *config, depth int) (*summary, error) {
 	}
 	// A process counts as finished when it is done or crashed: a leaf of a
 	// faulty execution only requires the survivors to have completed.
-	allDone := true
-	crashes := 0
-	recoveries := 0
-	for _, id := range c.procs {
-		ps := e.proc(id)
-		recoveries += ps.Recoveries
-		if ps.Crashed {
-			crashes++
-		} else if !ps.Done {
-			allDone = false
-		}
-	}
+	allDone := t.running == 0
+	crashes, recoveries := t.crashes, t.recoveries
 	// Under crash-recovery, a crashed process may re-enter as long as the
 	// total recovery budget is not exhausted. MaxRecoveries is only
 	// nonzero in that mode (Model.Validate), so the other modes never
@@ -966,7 +1040,8 @@ func (e *explorer) dfs(c *config, depth int) (*summary, error) {
 		// total recovery count, so no cycle can pass through it, and every
 		// path reaching it must re-run the leaf check, exactly like an
 		// ordinary leaf.
-		err := e.expand(c, depth, sum, crashes, recoveries)
+		sum.acc = e.levelAcc(e.level)
+		err := e.expandNode(c, depth, &sum, t)
 		return sum, err
 	}
 	if depth >= e.opts.MaxDepth {
@@ -985,24 +1060,23 @@ func (e *explorer) dfs(c *config, depth int) (*summary, error) {
 
 	var memoID int32
 	if e.opts.Memoize {
-		cached, id := e.memo.acquire(e.idKey(c))
-		if cached != nil {
-			if cached == grayMark {
-				switch {
-				case recoveries > 0:
-					e.violate(KindBlockedByRecoveryDivergence,
-						fmt.Sprintf("configuration repeats along one execution after %d recover(y/ies)", recoveries))
-				case crashes > 0:
-					e.violate(KindBlockedBySurvivorStarvation,
-						fmt.Sprintf("survivor configuration repeats along one execution after %d crash(es)", crashes))
-				default:
-					e.violate(KindCycle, "configuration repeats along one execution")
-				}
-				return sum, errAbort
+		cached, id, found := e.memo.acquire(e.idKey(c))
+		switch found {
+		case memoOnStack:
+			switch {
+			case recoveries > 0:
+				e.violate(KindBlockedByRecoveryDivergence,
+					fmt.Sprintf("configuration repeats along one execution after %d recover(y/ies)", recoveries))
+			case crashes > 0:
+				e.violate(KindBlockedBySurvivorStarvation,
+					fmt.Sprintf("survivor configuration repeats along one execution after %d crash(es)", crashes))
+			default:
+				e.violate(KindCycle, "configuration repeats along one execution")
 			}
+			return sum, errAbort
+		case memoHit:
 			e.memoHits++
 			e.pendMemo++
-			e.recycleSummary(sum) // fresh, nothing merged: reuse it
 			return cached, nil
 		}
 		memoID = id // gray until settled or dropped below
@@ -1011,15 +1085,31 @@ func (e *explorer) dfs(c *config, depth int) (*summary, error) {
 	// All error returns below must clear the gray mark, or a later visit
 	// of this configuration would report a phantom cycle; expand has a
 	// single exit so the cleanup cannot be skipped by any error path.
-	err := e.expand(c, depth, sum, crashes, recoveries)
+	sum.acc = e.levelAcc(e.level)
+	err := e.expandNode(c, depth, &sum, t)
 	if e.opts.Memoize {
 		if err != nil {
 			e.memo.drop(memoID)
 		} else {
-			e.memo.settle(memoID, sum)
+			e.memo.settle(memoID, &sum)
 		}
 	}
 	return sum, err
+}
+
+// expandNode expands c, whose summary's counters the caller took from
+// this level's buffer (levelAcc; assigned in dfs, to its local, so the
+// store needs no write barrier), one level deeper for the children, and
+// keeps the buffer if a merge had to replace it (growAcc).
+func (e *explorer) expandNode(c *config, depth int, sum *summary, t procTally) error {
+	lvl := e.level
+	e.level++
+	err := e.expand(c, depth, sum, t)
+	e.level--
+	if cap(sum.acc) > cap(e.levelBufs[lvl]) {
+		e.levelBufs[lvl] = sum.acc
+	}
+	return err
 }
 
 // expand explores every enabled step of every process from c, folding the
@@ -1033,7 +1123,8 @@ func (e *explorer) dfs(c *config, depth int) (*summary, error) {
 // recoveries, since every recovery implies a prior crash and a recovery
 // never refunds the budget. With MaxRecoveries=0
 // both sums and branch sets are exactly the crash-stop ones.
-func (e *explorer) expand(c *config, depth int, sum *summary, crashes, recoveries int) error {
+func (e *explorer) expand(c *config, depth int, sum *summary, t procTally) error {
+	crashes, recoveries := t.crashes, t.recoveries
 	// Every edge below steps c in place: it saves the ids it changes,
 	// explores the child subtree, and restores them before any other code
 	// (merges, error returns) can observe c. Configs are strictly
@@ -1041,11 +1132,11 @@ func (e *explorer) expand(c *config, depth int, sum *summary, crashes, recoverie
 	// restore c is the parent again for the next edge.
 	if e.opts.Faults.Enabled() && crashes+recoveries < e.opts.Faults.MaxCrashes {
 		for p := range c.procs {
-			ps := e.proc(c.procs[p])
-			if ps.Done || ps.Crashed {
+			flags := e.procMeta[c.procs[p]].flags
+			if flags&(metaDone|metaCrashed) != 0 {
 				continue
 			}
-			if e.opts.Faults.Mode == faults.CrashBeforeFirstStep && ps.Stepped {
+			if e.opts.Faults.Mode == faults.CrashBeforeFirstStep && flags&metaStepped != 0 {
 				continue
 			}
 			old := c.procs[p]
@@ -1054,87 +1145,79 @@ func (e *explorer) expand(c *config, depth int, sum *summary, crashes, recoverie
 			// and bumps no access counters (mergeCrashChild), matching the
 			// paper's counting of low-level operations only. Termination is
 			// still guaranteed — each crash strictly shrinks the live set.
-			childSum, err := e.dfs(c, depth)
+			child, err := e.dfs(c, depth, e.retally(t, old, c.procs[p]))
+			e.mergeCrashChild(sum, &child)
 			c.procs[p] = old
-			if childSum != nil {
-				e.mergeCrashChild(sum, childSum)
-			}
 			e.popStep()
 			if err != nil {
 				return err
 			}
-			e.recycleSummary(childSum)
 		}
 	}
 	if crashes > 0 && recoveries < e.opts.Faults.MaxRecoveries {
 		for p := range c.procs {
-			if !e.proc(c.procs[p]).Crashed {
+			if e.procMeta[c.procs[p]].flags&metaCrashed == 0 {
 				continue
 			}
-			e.curConfig, e.curProc, e.curDepth = c, p, depth
+			e.breadcrumb(c, p, depth)
 			old := c.procs[p]
-			respMark := len(e.responses[p])
+			respMark := e.respN[p]
 			err := e.recoverProc(c, p)
-			var childSum *summary
 			if err == nil {
 				// Like a crash, a recovery is not an object access: no
 				// depth budget, no access counters. Termination holds
 				// because each recovery strictly increases the total
 				// recovery count, which MaxRecoveries bounds.
-				childSum, err = e.dfs(c, depth)
+				var child summary
+				child, err = e.dfs(c, depth, e.retally(t, old, c.procs[p]))
+				e.mergeCrashChild(sum, &child)
 			}
 			c.procs[p] = old
-			if childSum != nil {
-				e.mergeCrashChild(sum, childSum)
-			}
 			e.popStep()
-			e.responses[p] = e.responses[p][:respMark]
+			e.respN[p] = respMark
 			if err != nil {
 				return err
 			}
-			e.recycleSummary(childSum)
 		}
 	}
 	forcedStep := e.opts.Faults.Enabled() && e.opts.Faults.Mode == faults.CrashBeforeFirstStep
 	for p := range c.procs {
-		if ps := e.proc(c.procs[p]); ps.Done || ps.Crashed {
+		m := &e.procMeta[c.procs[p]]
+		if m.flags&(metaDone|metaCrashed) != 0 {
 			continue
 		}
-		e.curConfig, e.curProc, e.curDepth = c, p, depth
-		act := e.proc(c.procs[p]).Pending
+		obj := int(m.obj)
+		e.breadcrumb(c, p, depth)
 		inv := e.pendingInv(c, p)
-		cts, err := e.applyCached(c, p, &act, inv)
+		cts, err := e.applyCached(c, p, obj, inv)
 		if err != nil {
 			return fmt.Errorf("process %d at depth %d: %w", p, depth, err)
 		}
 		opID := e.pendingOpAcc(c, p)
-		objID := e.objIDs[act.Obj]
+		objID := e.objIDs[obj]
 		procID := e.procIDs[p]
-		oldObj, oldProc := c.objs[act.Obj], c.procs[p]
-		for _, t := range cts {
+		oldObj, oldProc := c.objs[obj], c.procs[p]
+		for _, out := range cts {
 			// Exactly one object and one process change on an access edge.
 			// The object's successor state comes interned with the cached
 			// transition, and the process advances through the step cache;
 			// everything else is shared.
-			c.objs[act.Obj] = t.next
-			respMark := len(e.responses[p])
-			err := e.stepProc(c, p, t.resp, forcedStep)
-			e.path = append(e.path, pathStep{proc: int32(p), obj: int32(act.Obj), inv: inv, resp: t.resp,
-				ops: int32(len(e.responses[p]))})
-			var childSum *summary
+			c.objs[obj] = out.next
+			respMark := e.respN[p]
+			err := e.stepProc(c, p, out.resp, forcedStep)
+			e.path = append(e.path, pathStep{proc: int32(p), obj: int32(obj), inv: inv, resp: out.resp,
+				ops: int32(e.respN[p])})
 			if err == nil {
-				childSum, err = e.dfs(c, depth+1)
+				var child summary
+				child, err = e.dfs(c, depth+1, e.retally(t, oldProc, c.procs[p]))
+				e.mergeChild(sum, &child, opID, objID, procID)
 			}
-			c.objs[act.Obj], c.procs[p] = oldObj, oldProc
-			if childSum != nil {
-				e.mergeChild(sum, childSum, opID, objID, procID)
-			}
+			c.objs[obj], c.procs[p] = oldObj, oldProc
 			e.popStep()
-			e.responses[p] = e.responses[p][:respMark]
+			e.respN[p] = respMark
 			if err != nil {
 				return err
 			}
-			e.recycleSummary(childSum)
 		}
 	}
 	return nil
@@ -1151,7 +1234,7 @@ func (e *explorer) crashProc(c *config, p int) {
 	} else {
 		c.procs[p] = e.crashedID(id)
 	}
-	e.path = append(e.path, pathStep{proc: int32(p), obj: -1, kind: stepCrash, ops: int32(len(e.responses[p]))})
+	e.path = append(e.path, pathStep{proc: int32(p), obj: -1, kind: stepCrash, ops: int32(e.respN[p])})
 }
 
 // recoverProc re-enters crashed process p of c from its recovery section,
@@ -1177,7 +1260,7 @@ func (e *explorer) recoverProc(c *config, p int) error {
 	ps.Pending = program.Action{}
 	ps.Mem = nil
 	err := e.startNextOp(ps, p, types.Response{})
-	e.path = append(e.path, pathStep{proc: int32(p), obj: -1, kind: stepRecover, ops: int32(len(e.responses[p]))})
+	e.path = append(e.path, pathStep{proc: int32(p), obj: -1, kind: stepRecover, ops: int32(e.respN[p])})
 	if err == nil && c.procs[p] >= 0 {
 		c.procs[p] = e.internProc(ps)
 	}
@@ -1187,7 +1270,7 @@ func (e *explorer) recoverProc(c *config, p int) error {
 // pathStep is one record of the current path: an access by proc on obj,
 // with the invocation and response as ids, or a CRASH or RECOVER record.
 // ops is proc's count of completed target operations after the step, the
-// length of its e.responses. Pushing one stores no pointer, so the per-edge
+// count of its path responses. Pushing one stores no pointer, so the per-edge
 // bookkeeping costs no write barrier.
 type pathStep struct {
 	proc, obj, inv, resp, ops int32
@@ -1252,8 +1335,8 @@ type histProc struct {
 // and nothing for a CRASH, whose interrupted entry stays pending.
 func (e *explorer) historyView() hist.History {
 	size := 0 // every completed operation, plus one entry per interruption
-	for _, rs := range e.responses {
-		size += len(rs)
+	for _, n := range e.respN {
+		size += n
 	}
 	for _, s := range e.path {
 		if s.kind == stepCrash {
@@ -1309,7 +1392,7 @@ func (b *histBuilder) complete(p, n int) {
 	hp := &b.e.histProcs[p]
 	for hp.done < n {
 		op := &b.h[hp.open]
-		op.Resp, op.End = b.e.responses[p][hp.done], b.tick
+		op.Resp, op.End = b.e.resps.vals[b.e.respBuf[p][hp.done]], b.tick
 		b.tick++
 		hp.done++
 		b.begin(p)
@@ -1317,47 +1400,33 @@ func (b *histBuilder) complete(p, n int) {
 }
 
 // mergeChild folds a child subtree summary (reached via one access by the
-// stepping process) into the parent summary. The edge access increments
-// the child's per-path counters at the three dense ids — (obj, op),
-// (obj, "") and the process's step counter — and the per-path maximum is
-// taken elementwise; the merge allocates nothing per edge (the parent's
-// counter slice grows at most to the interning table's size, from the
-// arena). A zero counter means "key absent" in the old map semantics: a
-// bumped id the child never touched still contributes the edge itself
-// (max with 1), exactly as the map merge did.
+// stepping process) into the parent summary. The per-path maximum is taken
+// elementwise, with no branch per counter; then the edge access bumps the
+// child's counters at the three dense ids — (obj, op), (obj, "") and the
+// process's step counter — and those three are maxed again. A zero counter
+// means "key absent" in the old map semantics, so a bumped id the child
+// never touched (at or past its length, or zero) still contributes the
+// edge itself (1), exactly as the map merge did. The merge allocates
+// nothing unless the counter table grew during the child's subtree
+// (growAcc).
 func (e *explorer) mergeChild(parent, child *summary, opID, objID, procID int32) {
 	parent.nodes += child.nodes
 	parent.leaves += child.leaves
-	if h := child.height + 1; h > parent.height {
-		parent.height = h
+	parent.height = max(parent.height, child.height+1)
+	cacc := child.acc
+	if n := max(len(cacc), int(max(opID, objID, procID))+1); len(parent.acc) < n {
+		e.growAcc(parent)
 	}
-	need := len(child.acc)
-	if int(opID) >= need {
-		need = int(opID) + 1
-	}
-	if int(objID) >= need {
-		need = int(objID) + 1
-	}
-	if int(procID) >= need {
-		need = int(procID) + 1
-	}
-	if len(parent.acc) < need {
-		e.growAcc(parent, need)
-	}
-	pacc := parent.acc
-	for i, v := range child.acc {
-		switch int32(i) {
-		case opID, objID, procID:
-			v++
-		}
-		if v > pacc[i] {
-			pacc[i] = v
-		}
+	pacc := parent.acc[:len(cacc)]
+	for i, v := range cacc {
+		pacc[i] = max(pacc[i], v)
 	}
 	for _, id := range [3]int32{opID, objID, procID} {
-		if int(id) >= len(child.acc) && pacc[id] < 1 {
-			pacc[id] = 1
+		v := int32(1)
+		if int(id) < len(cacc) {
+			v = cacc[id] + 1
 		}
+		parent.acc[id] = max(parent.acc[id], v)
 	}
 }
 
@@ -1368,17 +1437,13 @@ func (e *explorer) mergeChild(parent, child *summary, opID, objID, procID int32)
 func (e *explorer) mergeCrashChild(parent, child *summary) {
 	parent.nodes += child.nodes
 	parent.leaves += child.leaves
-	if child.height > parent.height {
-		parent.height = child.height
-	}
+	parent.height = max(parent.height, child.height)
 	if len(parent.acc) < len(child.acc) {
-		e.growAcc(parent, len(child.acc))
+		e.growAcc(parent)
 	}
-	pacc := parent.acc
+	pacc := parent.acc[:len(child.acc)]
 	for i, v := range child.acc {
-		if v > pacc[i] {
-			pacc[i] = v
-		}
+		pacc[i] = max(pacc[i], v)
 	}
 }
 
@@ -1398,7 +1463,7 @@ func (e *explorer) leaf(c *config, depth, crashes, recoveries int) error {
 		leaf.Responses = make([][]types.Response, e.im.Procs)
 	}
 	for p := 0; p < e.im.Procs; p++ {
-		leaf.Responses[p] = append(leaf.Responses[p][:0], e.responses[p]...)
+		leaf.Responses[p] = e.appendResps(leaf.Responses[p][:0], p)
 	}
 	leaf.Crashed = nil
 	if crashes > 0 {

@@ -1,6 +1,7 @@
 package explore
 
 import (
+	"bytes"
 	"encoding/binary"
 	"encoding/hex"
 
@@ -9,13 +10,15 @@ import (
 
 // This file implements the interned configuration layout. Every distinct
 // object state and every distinct process control state a tree reaches is
-// stored once, in one of the explorer's two intern tables (keyTables,
-// memo.go), keyed on its key-encoder segment (key.go) and named by a dense
-// int32 id. A configuration is then two pointer-free id vectors: saving
-// and restoring one around an in-place edge copies ints, with no write
+// stored once, in one of the explorer's two intern tables (keyTable below),
+// keyed on its key-encoder segment (key.go) and named by a dense int32 id.
+// A configuration is then two pointer-free id vectors: saving and
+// restoring one around an in-place edge copies ints, with no write
 // barriers, and its memo key is the vector itself, fixed-width for the
-// whole tree (the COLLAPSE idea of Holzmann's "State Compression in
-// SPIN", SPIN'97).
+// whole tree (the COLLAPSE idea of Holzmann's "State Compression in SPIN",
+// SPIN'97). The hot path reaches the intern tables only on a cache miss:
+// the transition and step caches (arena.go) hand out successor ids by
+// index, so a warm edge neither encodes nor hashes a segment.
 //
 // Soundness rests on the contract the memo and both caches already share:
 // segment encoding is injective, so two states get one id exactly when
@@ -33,17 +36,133 @@ import (
 // every run — the transition cache keys on them, and their count is
 // bounded by the objects' state spaces.
 
-// procInfo is one interned process state together with ids the hot path
-// derives from it once, on first use, instead of once per edge. Each
-// derived id is -1 until computed.
+// keyTable is an intern table: an open-addressing hash table from
+// variable-length byte keys (component segments) to dense int32 ids,
+// handed out in insertion order, each carrying a V. Entries are never
+// removed. The zero value is ready to use.
+//
+// Entries live in pages of memoPageSize and are named by their ids. A
+// linear-probing index of id+1 values (0 = empty slot) points into them;
+// each entry keeps its key bytes — copied once, into a key arena the
+// table owns — next to their hashKey, so growing the index never rehashes
+// a key.
+type keyTable[V any] struct {
+	pages  [][]keyEntry[V]
+	nextID int32     // entries allocated: ids [0, nextID) exist
+	index  []int32   // id+1 per slot, 0 = empty; len is a power of two
+	keys   byteArena // backing store of the entries' keys
+}
+
+// keyEntry is one entry of a keyTable: the table's own copy of the key,
+// its hash, and the id's value.
+type keyEntry[V any] struct {
+	key  []byte
+	hash uint64
+	val  V
+}
+
+// find looks kb up with one hash and one probe run. It returns kb's id, or
+// -1 and the empty slot where add must link it. The index is grown first
+// if one more entry would pass half load, so the slot stays valid for an
+// add that follows at once.
+func (t *keyTable[V]) find(kb []byte) (id int32, h, slot uint64) {
+	if 2*(int(t.nextID)+1) > len(t.index) {
+		t.grow()
+	}
+	h = hashKey(kb)
+	mask := uint64(len(t.index) - 1)
+	i := h & mask
+	for s := t.index[i]; s != 0; s = t.index[i] {
+		if e := t.entry(s - 1); e.hash == h && bytes.Equal(e.key, kb) {
+			return s - 1, h, i
+		}
+		i = (i + 1) & mask
+	}
+	return -1, h, i
+}
+
+// add copies kb into a new entry holding v and links it at slot, which
+// find returned for kb with no table change since.
+func (t *keyTable[V]) add(kb []byte, h, slot uint64, v V) int32 {
+	id := t.nextID
+	t.nextID++
+	p := int(id >> memoPageShift)
+	if p == len(t.pages) {
+		size := memoPageSize
+		if p == 0 {
+			size = 32
+		}
+		t.pages = append(t.pages, make([]keyEntry[V], 0, size))
+	}
+	t.pages[p] = append(t.pages[p], keyEntry[V]{key: t.keys.save(kb), hash: h, val: v})
+	t.index[slot] = id + 1
+	return id
+}
+
+// entry returns the entry named id.
+func (t *keyTable[V]) entry(id int32) *keyEntry[V] {
+	return &t.pages[id>>memoPageShift][id&(memoPageSize-1)]
+}
+
+// grow doubles the index (to 64 slots on first use) and relinks every
+// entry by its stored hash.
+func (t *keyTable[V]) grow() {
+	n := max(2*len(t.index), 64)
+	t.index = make([]int32, n)
+	mask := uint64(n - 1)
+	for id := int32(0); id < t.nextID; id++ {
+		i := t.entry(id).hash & mask
+		for t.index[i] != 0 {
+			i = (i + 1) & mask
+		}
+		t.index[i] = id + 1
+	}
+}
+
+// procInfo is one interned process state together with the id of its
+// crash edge (this state with Crashed set), derived on first use; -1
+// until computed.
 type procInfo struct {
-	ps procState
-	// inv is the transition-cache id of the pending invocation, and opAcc
-	// the access-counter id of (pending object, operation).
-	inv   int32
-	opAcc int32
-	// crashed is the id of this state with Crashed set: the crash edge.
+	ps      procState
 	crashed int32
+}
+
+// procMeta is what the DFS reads of an interned process state at every
+// node: whether it is done, crashed or has stepped, its recovery count and
+// its pending object, with two ids derived on first use instead of once
+// per edge (-1 until computed): inv, the transition-cache id of the
+// pending invocation, and opAcc, the access-counter id of (pending object,
+// operation). The metas form one pointer-free array indexed by
+// process-state id (e.procMeta), so a node's scan of its processes reads
+// a few words per process, not the interned procState.
+type procMeta struct {
+	recoveries int32
+	obj        int32
+	inv        int32
+	opAcc      int32
+	flags      uint8
+}
+
+// procMeta flags.
+const (
+	metaDone uint8 = 1 << iota
+	metaCrashed
+	metaStepped
+)
+
+// newProcMeta returns the meta of process state ps.
+func newProcMeta(ps *procState) procMeta {
+	m := procMeta{recoveries: int32(ps.Recoveries), obj: int32(ps.Pending.Obj), inv: -1, opAcc: -1}
+	if ps.Done {
+		m.flags |= metaDone
+	}
+	if ps.Crashed {
+		m.flags |= metaCrashed
+	}
+	if ps.Stepped {
+		m.flags |= metaStepped
+	}
+	return m
 }
 
 // scratchRef is the id a Walk's config holds for process p.
@@ -67,7 +186,8 @@ func (e *explorer) internProc(ps *procState) int32 {
 	e.segScratch = e.enc.appendProc(e.segScratch[:0], ps)
 	id, h, slot := e.procTab.find(e.segScratch)
 	if id < 0 {
-		id = e.procTab.add(e.segScratch, h, slot, procInfo{ps: *ps, inv: -1, opAcc: -1, crashed: -1})
+		id = e.procTab.add(e.segScratch, h, slot, procInfo{ps: *ps, crashed: -1})
+		e.procMeta = append(e.procMeta, newProcMeta(ps))
 	}
 	return id
 }
@@ -95,11 +215,11 @@ func (e *explorer) pendingInv(c *config, p int) int32 {
 	if id < 0 {
 		return e.invs.id(e.scratch[p].Pending.Inv)
 	}
-	info := &e.procTab.entry(id).val
-	if info.inv < 0 {
-		info.inv = e.invs.id(info.ps.Pending.Inv)
+	m := &e.procMeta[id]
+	if m.inv < 0 {
+		m.inv = e.invs.id(e.proc(id).Pending.Inv)
 	}
-	return info.inv
+	return m.inv
 }
 
 // pendingOpAcc returns the access-counter id of process p's pending access
@@ -107,11 +227,11 @@ func (e *explorer) pendingInv(c *config, p int) int32 {
 // DFS, whose process states are all interned, counts accesses; the walkers
 // (Walk, Valency, Dot) never ask.
 func (e *explorer) pendingOpAcc(c *config, p int) int32 {
-	info := &e.procTab.entry(c.procs[p]).val
-	if info.opAcc < 0 {
-		info.opAcc = e.opAccID(info.ps.Pending.Obj, info.ps.Pending.Inv.Op)
+	m := &e.procMeta[c.procs[p]]
+	if m.opAcc < 0 {
+		m.opAcc = e.opAccID(int(m.obj), e.proc(c.procs[p]).Pending.Inv.Op)
 	}
-	return info.opAcc
+	return m.opAcc
 }
 
 // crashedID returns the id of interned process state id with Crashed set.

@@ -69,27 +69,27 @@ func checkInternedKeys(t *testing.T, name string, e *explorer, nobjs, nprocs int
 	segKeys := make(map[string]string)
 	c := &config{objs: make([]int32, nobjs), procs: make([]int32, nprocs)}
 	for id := int32(0); id < e.memo.nextID; id++ {
-		ent := e.memo.entry(id)
-		if ent.val == nil {
+		if e.memo.rec(id).state == memoFree {
 			continue
 		}
-		if len(ent.key) != 4*(nobjs+nprocs) {
-			t.Fatalf("%s: memo key of %d bytes, want %d", name, len(ent.key), 4*(nobjs+nprocs))
+		key := e.memo.key(id)
+		if len(key) != 4*(nobjs+nprocs) {
+			t.Fatalf("%s: memo key of %d bytes, want %d", name, len(key), 4*(nobjs+nprocs))
 		}
 		for i := range c.objs {
-			c.objs[i] = int32(binary.LittleEndian.Uint32(ent.key[4*i:]))
+			c.objs[i] = int32(binary.LittleEndian.Uint32(key[4*i:]))
 		}
 		for p := range c.procs {
-			c.procs[p] = int32(binary.LittleEndian.Uint32(ent.key[4*(nobjs+p):]))
+			c.procs[p] = int32(binary.LittleEndian.Uint32(key[4*(nobjs+p):]))
 		}
-		if !bytes.Equal(e.idKey(c), ent.key) {
-			t.Fatalf("%s: memo key %x does not round-trip through idKey", name, ent.key)
+		if !bytes.Equal(e.idKey(c), key) {
+			t.Fatalf("%s: memo key %x does not round-trip through idKey", name, key)
 		}
 		seg := string(e.appendSegKey(nil, c))
 		if prev, dup := segKeys[seg]; dup {
-			t.Fatalf("%s: id keys %x and %x have one segment key %x", name, prev, ent.key, seg)
+			t.Fatalf("%s: id keys %x and %x have one segment key %x", name, prev, key, seg)
 		}
-		segKeys[seg] = string(ent.key)
+		segKeys[seg] = string(key)
 	}
 	if len(segKeys) == 0 {
 		t.Fatalf("%s: memo holds no entries", name)
@@ -106,14 +106,14 @@ func cacheBenchExplorer(b *testing.B) (*explorer, *config, int) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	if _, err := e.dfs(root, 0); err != nil {
+	if _, err := e.dfs(root, 0, e.tally(root)); err != nil {
 		b.Fatal(err)
 	}
 	return e, root, 0
 }
 
 // BenchmarkTransCache is the transition cache's row in the per-layer
-// ledger: the hit path of applyCached, one fixed-size key probe.
+// ledger: the hit path of applyCached, indexed loads of its row.
 func BenchmarkTransCache(b *testing.B) {
 	e, c, p := cacheBenchExplorer(b)
 	act := e.proc(c.procs[p]).Pending
@@ -121,20 +121,20 @@ func BenchmarkTransCache(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := e.applyCached(c, p, &act, inv); err != nil {
+		if _, err := e.applyCached(c, p, act.Obj, inv); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
 // BenchmarkStepCache is the step cache's row in the per-layer ledger: the
-// hit path of stepProc, one fixed-size key probe plus the restore of the
+// hit path of stepProc, indexed loads of its row plus the restore of the
 // stepped process id.
 func BenchmarkStepCache(b *testing.B) {
 	e, c, p := cacheBenchExplorer(b)
 	act := e.proc(c.procs[p]).Pending
 	inv := e.pendingInv(c, p)
-	cts, err := e.applyCached(c, p, &act, inv)
+	cts, err := e.applyCached(c, p, act.Obj, inv)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -146,7 +146,7 @@ func BenchmarkStepCache(b *testing.B) {
 			b.Fatal(err)
 		}
 		c.procs[p] = old
-		e.responses[p] = e.responses[p][:0]
+		e.respN[p] = 0
 	}
 }
 
@@ -179,12 +179,12 @@ func TestCacheHitsAllocFree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.dfs(c, 0); err != nil {
+	if _, err := e.dfs(c, 0, e.tally(c)); err != nil {
 		t.Fatal(err)
 	}
 	act := e.proc(c.procs[0]).Pending
 	inv := e.pendingInv(c, 0)
-	cts, err := e.applyCached(c, 0, &act, inv)
+	cts, err := e.applyCached(c, 0, act.Obj, inv)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,14 +192,14 @@ func TestCacheHitsAllocFree(t *testing.T) {
 	ps := *e.proc(old)
 	var obj types.State = e.obj(c.objs[0])
 	if a := testing.AllocsPerRun(100, func() {
-		if _, err := e.applyCached(c, 0, &act, inv); err != nil {
+		if _, err := e.applyCached(c, 0, act.Obj, inv); err != nil {
 			panic(err)
 		}
 		if err := e.stepProc(c, 0, cts[0].resp, false); err != nil {
 			panic(err)
 		}
 		c.procs[0] = old
-		e.responses[0] = e.responses[0][:0]
+		e.respN[0] = 0
 		_ = e.internObj(obj)
 		_ = e.internProc(&ps)
 	}); a != 0 {

@@ -2,190 +2,136 @@ package explore
 
 import (
 	"bytes"
-	"hash/maphash"
+	"encoding/binary"
+	"math/bits"
 
 	"waitfree/internal/fsx"
 )
 
-// This file implements the explorer's one hash table, keyTable, and the
-// configuration memo built on it. A keyTable maps byte keys to dense int32
-// ids and keeps one value per id; it backs both the memo (keys are the
-// fixed-width id vectors of configurations, intern.go) and the intern
-// tables that give every distinct object state and process state its id
-// (keys are the component segments key.go encodes). Every table is owned
-// by one explorer (one execution tree) and driven from its goroutine only.
+// This file implements the per-tree configuration memo and the hash both
+// of the explorer's hash tables use. The memo maps a configuration's id
+// key (intern.go: the tree's fixed-width vector of state ids) to the
+// settled summary of its subtree. Every table is owned by one explorer
+// (one execution tree) and driven from its goroutine only.
 //
-// Entries live in dense pages and are named by stable int32 ids. A
-// linear-probing index of id+1 values (0 = empty slot) points into them;
-// each entry keeps its key bytes — copied once, into a key arena the table
-// owns — next to their hash, so growing the index and deleting from it
-// (backward-shift deletion, no tombstones; the memo only) never rehash a
-// key. dfs makes one memo call per node: acquire hashes the key once and
-// probes once, returning either a hit or the id of a freshly inserted gray
-// entry; settle or drop then finishes the node by id, without hashing
-// again. Resident hits and misses allocate nothing once the arena is warm.
+// Nothing in a memo entry is a pointer. Entries are named by dense int32
+// ids and live in pages of two parallel arrays: the keys, inline at
+// id*width in one byte array, and the records (memoRec), which hold the
+// entry's state, its key's hash and its summary — height, nodes, leaves
+// and the place of its access counters in an int32 slab (accSlab,
+// arena.go). So the GC never scans a page, and settling or evicting an
+// entry writes no pointer. A linear-probing index of id+1 values (0 =
+// empty slot) points into the pages; a probe compares the stored hash,
+// then the inline key. Growing the index and deleting from it
+// (backward-shift deletion, no tombstones) read the stored hash and never
+// rehash a key.
+//
+// dfs makes one memo call per node: acquire hashes the key once and probes
+// once, returning either a hit, a gray entry (the configuration is on the
+// DFS stack), or the id of a freshly inserted gray entry; settle or drop
+// then finishes the node by id, without hashing again. Resident hits and
+// misses allocate nothing once the pages are warm.
 
-// keyEntry is one slot of a keyTable's entry pages: the table's own copy
-// of the key (the buffer is kept across reuse of a freed id), its hash,
-// and the id's value.
-type keyEntry[V any] struct {
-	key  []byte
-	hash uint64
-	val  V
+// hashMul and hashMul2 are the odd 64-bit multipliers of hashKey's two
+// lanes.
+const (
+	hashMul  = 0x9e3779b97f4a7c15
+	hashMul2 = 0xc2b2ae3d27d4eb4f
+)
+
+// hashKey hashes kb eight bytes at a time in two independent lanes, so
+// their multiplies overlap: each word is folded into its lane by an xor
+// and a multiply, a bijection of the lane, so two keys of one length that
+// differ in a single word never collide. murmur3's 64-bit finalizer then
+// spreads every bit of the joined lanes over the low bits the index uses.
+// It is unseeded, so a table's layout is the same in every run.
+func hashKey(kb []byte) uint64 {
+	a, b := uint64(len(kb))*hashMul, uint64(hashMul2)
+	for ; len(kb) >= 16; kb = kb[16:] {
+		a = (a ^ binary.LittleEndian.Uint64(kb)) * hashMul
+		b = (b ^ binary.LittleEndian.Uint64(kb[8:])) * hashMul2
+	}
+	if len(kb) >= 8 {
+		a = (a ^ binary.LittleEndian.Uint64(kb)) * hashMul
+		kb = kb[8:]
+	}
+	if len(kb) >= 4 {
+		b = (b ^ uint64(binary.LittleEndian.Uint32(kb))) * hashMul2
+		kb = kb[4:]
+	}
+	for _, c := range kb {
+		a = (a ^ uint64(c)) * hashMul
+	}
+	h := a ^ bits.RotateLeft64(b, 31)
+	h ^= h >> 33
+	h *= 0xff51afd7ed558ccd
+	h ^= h >> 33
+	return h
 }
 
 // Entry pages hold memoPageSize entries each, so a big table's entries are
-// never copied to grow; page 0 alone grows by appending, so a small tree
-// allocates only what it uses.
+// never copied to grow; page 0 alone starts at memoFirstPage entries and
+// grows fourfold when full, so a small tree allocates little.
 const (
 	memoPageShift = 10
 	memoPageSize  = 1 << memoPageShift
+	memoFirstPage = 32
 )
 
-// keyTable is an open-addressing hash table from byte keys to dense int32
-// ids, each carrying a V. The zero value is ready to use. Ids are handed
-// out in insertion order and, once freed (the memo's drop and eviction),
-// reused LIFO.
-type keyTable[V any] struct {
-	seed   maphash.Seed
-	pages  [][]keyEntry[V]
-	nextID int32     // entries ever allocated: ids [0, nextID) exist
-	free   []int32   // ids of free entries, reused LIFO
-	index  []int32   // id+1 per slot, 0 = empty; len is a power of two
-	live   int       // entries linked into the index
-	keys   byteArena // backing store of the entries' key buffers
+// Memo entry states. The low bits (memoStateMask) say whether an id is
+// free, gray (its configuration is on the DFS stack) or cached (settled);
+// memoRef and memoSpilled are flags of a cached entry: its second-chance
+// bit (a hit sets it, the eviction clock clears it) and whether its
+// summary is already in the spill tier (a re-eviction after a spill load
+// never rewrites it).
+const (
+	memoFree uint8 = iota
+	memoGray
+	memoCached
+
+	memoStateMask uint8 = 3
+	memoRef       uint8 = 1 << 2
+	memoSpilled   uint8 = 1 << 3
+)
+
+// memoRec is one entry's record: everything but the key, and no pointer.
+// The summary's fields share the record rather than parallel arrays of
+// their own, so a hit reads one record (one cache line) and its counters. accCap is the capacity of
+// the counter region at accOff, kept when the id is freed so the next
+// entry reusing the id reuses the region when its counters fit.
+type memoRec struct {
+	nodes, leaves int64
+	height        int32
+	accOff        uint32
+	accLen        int32
+	accCap        int32
+	hash          uint32 // the low 32 bits of hashKey(key)
+	state         uint8
 }
 
-// find looks kb up with one hash and one probe run. It returns kb's id, or
-// -1 and the empty slot where add must link it. The index is grown first
-// if one more entry would pass half load, so the slot stays valid for an
-// add that follows at once.
-func (t *keyTable[V]) find(kb []byte) (id int32, h, slot uint64) {
-	if 2*(t.live+1) > len(t.index) {
-		t.grow()
-	}
-	h = maphash.Bytes(t.seed, kb)
-	mask := uint64(len(t.index) - 1)
-	i := h & mask
-	for s := t.index[i]; s != 0; s = t.index[i] {
-		if e := t.entry(s - 1); e.hash == h && bytes.Equal(e.key, kb) {
-			return s - 1, h, i
-		}
-		i = (i + 1) & mask
-	}
-	return -1, h, i
+// memoPage is one page of entries: keys[i*width:(i+1)*width] and recs[i]
+// belong to entry (page<<memoPageShift)+i.
+type memoPage struct {
+	keys []byte
+	recs []memoRec
 }
 
-// add copies kb into a free entry (or a new one) holding v and links it at
-// slot, which find returned for kb with no table change since.
-func (t *keyTable[V]) add(kb []byte, h, slot uint64, v V) int32 {
-	var id int32
-	if n := len(t.free); n > 0 {
-		id = t.free[n-1]
-		t.free = t.free[:n-1]
-	} else {
-		id = t.nextID
-		t.nextID++
-		p := int(id >> memoPageShift)
-		if p == len(t.pages) {
-			size := memoPageSize
-			if p == 0 {
-				size = 32
-			}
-			t.pages = append(t.pages, make([]keyEntry[V], 0, size))
-		}
-		t.pages[p] = append(t.pages[p], keyEntry[V]{})
-	}
-	e := t.entry(id)
-	if cap(e.key) >= len(kb) {
-		e.key = append(e.key[:0], kb...)
-	} else {
-		e.key = t.keys.save(kb)
-	}
-	e.hash, e.val = h, v
-	t.index[slot] = id + 1
-	t.live++
-	return id
-}
+// memoFound is what acquire found for a key.
+type memoFound uint8
 
-// entry returns the entry named id.
-func (t *keyTable[V]) entry(id int32) *keyEntry[V] {
-	return &t.pages[id>>memoPageShift][id&(memoPageSize-1)]
-}
+const (
+	memoMiss    memoFound = iota // inserted as a fresh gray entry
+	memoOnStack                  // a gray entry: the configuration repeats along the path
+	memoHit                      // a cached summary, resident or reloaded from the spill tier
+)
 
-// remove unlinks id from the index and returns it to the free list,
-// keeping its key buffer for reuse; its value is reset.
-func (t *keyTable[V]) remove(id int32) {
-	t.unlink(id)
-	var zero V
-	t.entry(id).val = zero
-	t.free = append(t.free, id)
-	t.live--
-}
-
-// unlink removes id's slot from the index with backward-shift deletion:
-// later members of the probe run move into the hole whenever that keeps
-// them reachable from their home slot, so no tombstones accumulate.
-func (t *keyTable[V]) unlink(id int32) {
-	mask := uint64(len(t.index) - 1)
-	i := t.entry(id).hash & mask
-	for t.index[i] != id+1 {
-		i = (i + 1) & mask
-	}
-	for j := (i + 1) & mask; t.index[j] != 0; j = (j + 1) & mask {
-		home := t.entry(t.index[j]-1).hash & mask
-		// The entry at j may fill the hole at i unless its home lies
-		// cyclically in (i, j].
-		var stays bool
-		if i <= j {
-			stays = i < home && home <= j
-		} else {
-			stays = home > i || home <= j
-		}
-		if !stays {
-			t.index[i] = t.index[j]
-			i = j
-		}
-	}
-	t.index[i] = 0
-}
-
-// grow doubles the index (to 64 slots on first use, which also seeds the
-// hash) and relinks every entry of the old index by its stored hash.
-func (t *keyTable[V]) grow() {
-	old := t.index
-	n := 2 * len(old)
-	if n == 0 {
-		n = 64
-		t.seed = maphash.MakeSeed()
-	}
-	t.index = make([]int32, n)
-	mask := uint64(n - 1)
-	for _, s := range old {
-		if s == 0 {
-			continue
-		}
-		i := t.entry(s-1).hash & mask
-		for t.index[i] != 0 {
-			i = (i + 1) & mask
-		}
-		t.index[i] = s
-	}
-}
-
-// grayMark is the sentinel stored while a configuration is on the current
-// DFS stack; encountering it again along one path is a cycle (the
-// implementation is not wait-free).
-var grayMark = &summary{}
-
-// memoTable is the per-tree configuration memo: a keyTable whose values
-// are the settled summaries. An entry is free (val == nil, its id on the
-// free list), gray (val == grayMark: on the DFS stack), or cached (any
-// other summary: counted against the budget and, in a budgeted table,
-// referenced exactly once from the clock). A cached entry's second-chance
-// bit is its summary's ref field. Every key of one tree has the same
-// length (the tree's id-vector width), so a freed entry's key buffer
-// always fits the next key that reuses it.
+// memoTable is the per-tree configuration memo. An entry is free (its id
+// on the free list), gray (on the DFS stack) or cached (counted against
+// the budget and, in a budgeted table, referenced exactly once from the
+// clock). Every key of one tree has the same width, fixed by the first
+// acquire, so a freed entry's key slot always fits the next key that
+// reuses it. Ids are handed out in insertion order and, once freed (drop
+// and eviction), reused LIFO.
 //
 // A positive budget caps the number of cached entries. Gray entries are
 // the DFS stack: they never count toward the budget and are never
@@ -196,9 +142,9 @@ var grayMark = &summary{}
 // insert, never a full-table scan. Eviction order depends only on the
 // acquire/settle/drop sequence, not on hash placement or entry ids, so an
 // exploration evicts deterministically and budgeted reports stay
-// identical at every parallelism level. A freed entry's id and key buffer
-// are reused by the next insert, so a budgeted table's memory stays
-// bounded by its budget plus the DFS depth.
+// identical at every parallelism level. A freed entry's id, key slot and
+// counter region are reused by the next insert, so a budgeted table's
+// memory stays bounded by its budget plus the DFS depth.
 //
 // With a spill tier (Options.MemoSpillDir) evicted entries move to a
 // checksummed disk file instead of being forgotten, and a later acquire
@@ -206,7 +152,14 @@ var grayMark = &summary{}
 // match the unbounded run, and the table never degrades. Without one,
 // eviction loses memo hits and the table is flagged degraded.
 type memoTable struct {
-	keyTable[*summary]
+	width  int // key bytes per entry
+	pages  []memoPage
+	nextID int32   // entries ever allocated: ids [0, nextID) exist
+	free   []int32 // ids of free entries, reused LIFO
+	index  []int32 // id+1 per slot, 0 = empty; len is a power of two
+	live   int     // entries linked into the index
+	acc    accSlab // the cached summaries' access counters
+
 	budget int
 	count  int // cached entries: the budgeted population
 
@@ -228,7 +181,7 @@ type memoTable struct {
 }
 
 func newMemoTable(budget int, spillDir string, fsys fsx.FS) *memoTable {
-	t := &memoTable{budget: budget}
+	t := &memoTable{budget: budget, width: -1}
 	if spillDir != "" && budget > 0 {
 		t.spill = newMemoSpill(spillDir, fsys)
 	}
@@ -251,44 +204,137 @@ func (t *memoTable) release() {
 	}
 }
 
+// rec returns the record of entry id. The pointer is valid until the next
+// insert (page 0 grows by copying).
+func (t *memoTable) rec(id int32) *memoRec {
+	return &t.pages[id>>memoPageShift].recs[id&(memoPageSize-1)]
+}
+
+// key returns the inline key of entry id.
+func (t *memoTable) key(id int32) []byte {
+	i := int(id&(memoPageSize-1)) * t.width
+	return t.pages[id>>memoPageShift].keys[i : i+t.width : i+t.width]
+}
+
+// view returns the summary rec holds. Its counters alias the table's slab:
+// they stay valid until the next settle, which may reuse the region.
+func (t *memoTable) view(rec *memoRec) summary {
+	return summary{height: int(rec.height), nodes: rec.nodes, leaves: rec.leaves, acc: t.acc.at(rec.accOff, int(rec.accLen))}
+}
+
 // acquire looks kb up with one hash and one probe. A resident hit returns
-// the stored summary — grayMark for a configuration on the DFS stack — and
-// sets a cached entry's second-chance bit. On a resident miss the spill
-// tier is consulted; a spilled summary is decoded, re-admitted as a cached
-// entry (possibly evicting another), and served — still a hit. Otherwise
-// kb is copied into the table as a gray entry and its id returned, for the
-// caller to finish with settle or drop. kb is not retained.
-func (t *memoTable) acquire(kb []byte) (hit *summary, id int32) {
+// the stored summary and sets the entry's second-chance bit; a gray entry
+// is reported as memoOnStack. On a resident miss the spill tier is
+// consulted; a spilled summary is decoded, re-admitted as a cached entry
+// (possibly evicting another), and served — still a hit. Otherwise kb is
+// copied into the table as a gray entry and its id returned, for the
+// caller to finish with settle or drop. kb is not retained, and a hit's
+// counters are valid until the next settle.
+func (t *memoTable) acquire(kb []byte) (hit summary, id int32, found memoFound) {
+	if t.width != len(kb) {
+		if t.width >= 0 {
+			panic("explore: memo keys of one tree differ in width")
+		}
+		t.width = len(kb)
+	}
 	id, h, slot := t.find(kb)
 	if id >= 0 {
-		sum := t.entry(id).val
-		if sum != grayMark {
-			sum.ref = true
+		rec := t.rec(id)
+		if rec.state&memoStateMask == memoGray {
+			return summary{}, id, memoOnStack
 		}
-		return sum, -1
+		rec.state |= memoRef
+		return t.view(rec), -1, memoHit
 	}
 	if t.budget > 0 && t.clock == nil {
 		// First use: size the clock for the index, so small trees skip
 		// append's 1, 2, 4, ... regrowth.
 		t.clock = make([]int32, 0, len(t.index)/2)
 	}
-	id = t.add(kb, h, slot, grayMark)
+	id = t.add(kb, h, slot)
 	if t.spill != nil {
 		if sum, ok := t.spill.load(kb); ok {
-			sum.spilled = true // already on disk; never rewrite on re-evict
-			t.settle(id, sum)
-			return sum, -1
+			// Served from the decoded copy: the admission may evict the
+			// entry again at once.
+			t.admit(id, sum, memoSpilled)
+			return *sum, -1, memoHit
 		}
 	}
-	return nil, id
+	return summary{}, id, memoMiss
 }
 
-// settle turns gray entry id into a cached entry holding sum. The memo
-// owns sum from here on: the explorer's free list must never recycle it
-// (a later hit would observe the reuse).
+// find looks kb up with one hash and one probe run. It returns kb's id, or
+// -1 and the empty slot where add must link it. The index is grown first
+// if one more entry would pass half load, so the slot stays valid for an
+// add that follows at once.
+func (t *memoTable) find(kb []byte) (id int32, h uint64, slot uint64) {
+	if 2*(t.live+1) > len(t.index) {
+		t.grow()
+	}
+	h = hashKey(kb)
+	mask := uint64(len(t.index) - 1)
+	i := h & mask
+	for s := t.index[i]; s != 0; s = t.index[i] {
+		if t.rec(s-1).hash == uint32(h) && bytes.Equal(t.key(s-1), kb) {
+			return s - 1, h, i
+		}
+		i = (i + 1) & mask
+	}
+	return -1, h, i
+}
+
+// add copies kb into a free entry (or a new one), marks it gray and links
+// it at slot, which find returned for kb with no table change since.
+func (t *memoTable) add(kb []byte, h, slot uint64) int32 {
+	var id int32
+	if n := len(t.free); n > 0 {
+		id = t.free[n-1]
+		t.free = t.free[:n-1]
+	} else {
+		id = t.nextID
+		t.nextID++
+		p := int(id >> memoPageShift)
+		if p == len(t.pages) {
+			t.pages = append(t.pages, memoPage{})
+		}
+		if pg := &t.pages[p]; int(id&(memoPageSize-1)) == len(pg.recs) {
+			// Pages are made at full length, so an insert writes no
+			// slice header; only page 0 grows, by copying.
+			size := memoPageSize
+			if p == 0 {
+				size = min(max(4*len(pg.recs), memoFirstPage), memoPageSize)
+			}
+			keys, recs := make([]byte, size*t.width), make([]memoRec, size)
+			copy(keys, pg.keys)
+			copy(recs, pg.recs)
+			pg.keys, pg.recs = keys, recs
+		}
+	}
+	copy(t.key(id), kb)
+	rec := t.rec(id)
+	rec.hash, rec.state = uint32(h), memoGray
+	t.index[slot] = id + 1
+	t.live++
+	return id
+}
+
+// settle turns gray entry id into a cached entry holding a copy of sum.
 func (t *memoTable) settle(id int32, sum *summary) {
-	sum.retained = true
-	t.entry(id).val = sum
+	t.admit(id, sum, 0)
+}
+
+// admit copies sum into gray entry id, which becomes cached with the
+// given flags, and evicts if the budget is exceeded.
+func (t *memoTable) admit(id int32, sum *summary, flags uint8) {
+	rec := t.rec(id)
+	n := len(sum.acc)
+	if int32(n) > rec.accCap {
+		rec.accOff, rec.accCap = t.acc.alloc(n), int32(n)
+	}
+	copy(t.acc.at(rec.accOff, n), sum.acc)
+	rec.accLen = int32(n)
+	rec.height, rec.nodes, rec.leaves = int32(sum.height), sum.nodes, sum.leaves
+	rec.state = memoCached | flags
 	t.count++
 	if t.budget > 0 { // an unbudgeted table never evicts: no clock
 		t.clockPush(id)
@@ -302,6 +348,61 @@ func (t *memoTable) settle(id int32, sum *summary) {
 // leaves the stack without a summary).
 func (t *memoTable) drop(id int32) {
 	t.remove(id)
+}
+
+// remove unlinks id from the index and returns it to the free list,
+// keeping its key slot and counter region for reuse.
+func (t *memoTable) remove(id int32) {
+	t.unlink(id)
+	t.rec(id).state = memoFree
+	t.free = append(t.free, id)
+	t.live--
+}
+
+// unlink removes id's slot from the index with backward-shift deletion:
+// later members of the probe run move into the hole whenever that keeps
+// them reachable from their home slot, so no tombstones accumulate.
+func (t *memoTable) unlink(id int32) {
+	mask := uint64(len(t.index) - 1)
+	i := uint64(t.rec(id).hash) & mask
+	for t.index[i] != id+1 {
+		i = (i + 1) & mask
+	}
+	for j := (i + 1) & mask; t.index[j] != 0; j = (j + 1) & mask {
+		home := uint64(t.rec(t.index[j]-1).hash) & mask
+		// The entry at j may fill the hole at i unless its home lies
+		// cyclically in (i, j].
+		var stays bool
+		if i <= j {
+			stays = i < home && home <= j
+		} else {
+			stays = home > i || home <= j
+		}
+		if !stays {
+			t.index[i] = t.index[j]
+			i = j
+		}
+	}
+	t.index[i] = 0
+}
+
+// grow doubles the index (to 64 slots on first use) and relinks every
+// entry of the old index by its stored hash.
+func (t *memoTable) grow() {
+	old := t.index
+	n := max(2*len(old), 64)
+	t.index = make([]int32, n)
+	mask := uint64(n - 1)
+	for _, s := range old {
+		if s == 0 {
+			continue
+		}
+		i := uint64(t.rec(s-1).hash) & mask
+		for t.index[i] != 0 {
+			i = (i + 1) & mask
+		}
+		t.index[i] = s
+	}
 }
 
 // evict reclaims cached entries until the count is back within budget:
@@ -318,25 +419,29 @@ func (t *memoTable) evict() {
 			t.clockHead = 0
 		}
 		t.evictScans++
-		e := t.entry(id)
-		sum := e.val
-		if sum.ref {
-			sum.ref = false
+		rec := t.rec(id)
+		if rec.state&memoRef != 0 {
+			rec.state &^= memoRef
 			t.clockPush(id) // second chance
 			continue
 		}
 		t.count--
 		t.evictions++
-		// The spill tier copies the key before remove lets the next
-		// insert overwrite its buffer. A failed spill write loses the entry
-		// after all, so the run degrades exactly as without a spill tier.
-		if t.spill != nil && (sum.spilled || t.spill.store(e.key, sum)) {
+		// A failed spill write loses the entry after all, so the run
+		// degrades exactly as without a spill tier.
+		if t.spill != nil && (rec.state&memoSpilled != 0 || t.spillStore(id, rec)) {
 			t.spilled++
 		} else {
 			t.degraded = true
 		}
 		t.remove(id)
 	}
+}
+
+// spillStore writes entry id's key and summary to the spill tier.
+func (t *memoTable) spillStore(id int32, rec *memoRec) bool {
+	sum := t.view(rec)
+	return t.spill.store(t.key(id), &sum)
 }
 
 // clockPush appends id to the clock, first compacting the consumed prefix
@@ -357,8 +462,8 @@ func (t *memoTable) clockPush(id int32) {
 func (t *memoTable) grayKeys() []string {
 	var out []string
 	for id := int32(0); id < t.nextID; id++ {
-		if e := t.entry(id); e.val == grayMark {
-			out = append(out, string(e.key))
+		if t.rec(id).state&memoStateMask == memoGray {
+			out = append(out, string(t.key(id)))
 		}
 	}
 	return out

@@ -16,29 +16,30 @@ import (
 // memoInsert acquires key, which must miss, and settles it with sum.
 func memoInsert(t testing.TB, tbl *memoTable, key string, sum *summary) {
 	t.Helper()
-	hit, id := tbl.acquire([]byte(key))
-	if hit != nil {
-		t.Fatalf("acquire(%q) hit %p, want a miss", key, hit)
+	_, id, found := tbl.acquire([]byte(key))
+	if found != memoMiss {
+		t.Fatalf("acquire(%q) found %d, want a miss", key, found)
 	}
 	tbl.settle(id, sum)
 }
 
 // TestMemoTableBasics pins the id API on an unbudgeted table: a miss
-// inserts a gray entry, a second acquire of it reports grayMark, settle
-// turns it into a cached hit and drop forgets it.
+// inserts a gray entry, a second acquire of it reports memoOnStack,
+// settle turns it into a cached hit carrying a copy of the summary, drop
+// forgets it, and a key of another width is refused.
 func TestMemoTableBasics(t *testing.T) {
 	m := newMemoTable(0, "", nil)
-	sum := &summary{}
-	keys := []string{"", "a", "b", "aa", "\x00\x01", "longer key with bytes"}
+	sum := &summary{height: 2, nodes: 5, leaves: 3, acc: []int32{0, 4, 1}}
+	keys := []string{"\x00\x00\x00\x00", "aaaa", "bbbb", "aabb", "\x00\x01\x02\x03", "long"}
 	ids := make([]int32, len(keys))
 	for i, k := range keys {
-		hit, id := m.acquire([]byte(k))
-		if hit != nil || id < 0 {
+		_, id, found := m.acquire([]byte(k))
+		if found != memoMiss || id < 0 {
 			t.Fatalf("empty table contains %q", k)
 		}
 		ids[i] = id
-		if hit, _ := m.acquire([]byte(k)); hit != grayMark {
-			t.Fatalf("acquire(%q) on the stack = %v, want grayMark", k, hit)
+		if _, _, found := m.acquire([]byte(k)); found != memoOnStack {
+			t.Fatalf("acquire(%q) on the stack found %d, want memoOnStack", k, found)
 		}
 	}
 	if got := len(m.grayKeys()); got != len(keys) {
@@ -49,7 +50,7 @@ func TestMemoTableBasics(t *testing.T) {
 			m.settle(ids[i], sum)
 		} else {
 			m.drop(ids[i])
-			if hit, id := m.acquire([]byte(k)); hit != nil {
+			if _, id, found := m.acquire([]byte(k)); found != memoMiss {
 				t.Fatalf("dropped key %q still present", k)
 			} else {
 				m.settle(id, sum)
@@ -62,11 +63,19 @@ func TestMemoTableBasics(t *testing.T) {
 	if m.count != len(keys) {
 		t.Fatalf("count = %d, want %d", m.count, len(keys))
 	}
+	sum.acc[1] = 99 // the table holds a copy
 	for _, k := range keys {
-		if v, _ := m.acquire([]byte(k)); v != sum {
-			t.Fatalf("acquire(%q) = %v, want the settled summary", k, v)
+		v, _, found := m.acquire([]byte(k))
+		if found != memoHit || v.height != 2 || v.nodes != 5 || v.leaves != 3 || !reflect.DeepEqual(v.acc, []int32{0, 4, 1}) {
+			t.Fatalf("acquire(%q) = %+v (found %d), want the settled summary", k, v, found)
 		}
 	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a key of another width was accepted")
+		}
+	}()
+	m.acquire([]byte("wider"))
 }
 
 // TestMemoPutNoEvictStorm is the regression test for the evict-storm bug:
@@ -82,7 +91,7 @@ func TestMemoPutNoEvictStorm(t *testing.T) {
 	// A deep DFS stack: gray marks alone exceed the whole budget. They
 	// hold no budget slot, so nothing is scanned and nothing is evicted.
 	for i := 0; i < 4*budget; i++ {
-		if hit, _ := tbl.acquire([]byte(fmt.Sprintf("gray%d", i))); hit != nil {
+		if _, _, found := tbl.acquire([]byte(fmt.Sprintf("gray%04d", i))); found != memoMiss {
 			t.Fatalf("fresh gray key hit")
 		}
 	}
@@ -97,7 +106,7 @@ func TestMemoPutNoEvictStorm(t *testing.T) {
 	// reclaims exactly one entry with exactly one clock scan.
 	const inserts = 1000
 	for i := 0; i < inserts; i++ {
-		memoInsert(t, tbl, fmt.Sprintf("key%d", i), &summary{nodes: 1})
+		memoInsert(t, tbl, fmt.Sprintf("key%05d", i), &summary{nodes: 1})
 	}
 	if n := tbl.count; n != budget {
 		t.Fatalf("resident count = %d, want budget %d", n, budget)
@@ -112,7 +121,7 @@ func TestMemoPutNoEvictStorm(t *testing.T) {
 
 	// Acquiring a resident key again takes no new budget slot: no
 	// eviction, no change to the count.
-	if hit, _ := tbl.acquire([]byte(fmt.Sprintf("key%d", inserts-1))); hit == nil || hit == grayMark {
+	if _, _, found := tbl.acquire([]byte(fmt.Sprintf("key%05d", inserts-1))); found != memoHit {
 		t.Fatalf("newest resident entry missing")
 	}
 	if got := tbl.evictions; got != ev {
@@ -124,18 +133,18 @@ func TestMemoPutNoEvictStorm(t *testing.T) {
 
 	// Second chance: a hit since last consideration spares the entry for
 	// one extra scan, then the next-oldest entry goes.
-	head := fmt.Sprintf("key%d", inserts-budget) // oldest resident
-	if hit, _ := tbl.acquire([]byte(head)); hit == nil {
+	head := fmt.Sprintf("key%05d", inserts-budget) // oldest resident
+	if _, _, found := tbl.acquire([]byte(head)); found != memoHit {
 		t.Fatalf("resident entry %q missing", head)
 	}
-	memoInsert(t, tbl, "fresh", &summary{nodes: 1})
+	memoInsert(t, tbl, "fresh000", &summary{nodes: 1})
 	if got := tbl.evictScans - scans; got != 2 {
 		t.Fatalf("second chance cost %d scans, want 2 (requeue + evict)", got)
 	}
 	if got := tbl.evictions - ev; got != 1 {
 		t.Fatalf("second chance evicted %d entries, want 1", got)
 	}
-	if hit, _ := tbl.acquire([]byte(head)); hit == nil {
+	if _, _, found := tbl.acquire([]byte(head)); found != memoHit {
 		t.Fatalf("referenced entry %q was evicted despite its second chance", head)
 	}
 }
@@ -215,28 +224,36 @@ func (m *memoModel) admit(key string) {
 // check compares every observable part of tbl with the model: resident
 // keys with their gray/cached state, summaries and second-chance bits,
 // the clock order, the budget count, the index population and the
-// eviction telemetry.
+// eviction telemetry. Every resident key must also be reachable by a
+// probe from its home slot, whatever deletions shifted its run.
 func (m *memoModel) check(t *testing.T, step int, tbl *memoTable) {
 	t.Helper()
 	resident, cached := 0, 0
 	for id := int32(0); id < tbl.nextID; id++ {
-		e := tbl.entry(id)
-		if e.val == nil {
+		rec := tbl.rec(id)
+		st := rec.state & memoStateMask
+		if st == memoFree {
 			continue
 		}
 		resident++
-		want, ok := m.entries[string(e.key)]
+		key := tbl.key(id)
+		want, ok := m.entries[string(key)]
+		gray := st == memoGray
+		ref := rec.state&memoRef != 0
 		switch {
 		case !ok:
-			t.Fatalf("step %d: table holds %q, model does not", step, e.key)
-		case want.gray != (e.val == grayMark):
-			t.Fatalf("step %d: %q gray=%v in the table, %v in the model", step, e.key, e.val == grayMark, want.gray)
-		case !want.gray && (want.nodes != e.val.nodes || want.ref != e.val.ref):
+			t.Fatalf("step %d: table holds %q, model does not", step, key)
+		case want.gray != gray:
+			t.Fatalf("step %d: %q gray=%v in the table, %v in the model", step, key, gray, want.gray)
+		case !want.gray && (want.nodes != rec.nodes || want.ref != ref):
 			t.Fatalf("step %d: %q holds (nodes %d, ref %v), model (nodes %d, ref %v)",
-				step, e.key, e.val.nodes, e.val.ref, want.nodes, want.ref)
+				step, key, rec.nodes, ref, want.nodes, want.ref)
 		}
 		if !want.gray {
 			cached++
+		}
+		if got, _, _ := tbl.find(key); got != id {
+			t.Fatalf("step %d: %q (id %d) unreachable: find gives %d", step, key, id, got)
 		}
 	}
 	if resident != len(m.entries) || resident != tbl.live {
@@ -259,7 +276,7 @@ func (m *memoModel) check(t *testing.T, step int, tbl *memoTable) {
 		t.Fatalf("step %d: clock holds %d ids, model %d keys", step, len(clock), len(m.clock))
 	}
 	for i, id := range clock {
-		if got := string(tbl.entry(id).key); got != m.clock[i] {
+		if got := string(tbl.key(id)); got != m.clock[i] {
 			t.Fatalf("step %d: clock[%d] = %q, model %q", step, i, got, m.clock[i])
 		}
 	}
@@ -272,11 +289,20 @@ func (m *memoModel) check(t *testing.T, step int, tbl *memoTable) {
 // TestMemoTableMatchesModel drives the table and the model with the same
 // seeded random acquire/settle/drop sequences — hits on cached and gray
 // entries, misses, spill reloads — at several budgets, with and without a
-// spill tier, and compares them after every step. Keys vary in length so
-// freed entries' key buffers are reused both in place and by
-// reallocation. The wide cases use enough keys to fill several entry
-// pages. At the end every gray entry is finished and none may survive.
+// spill tier, and compares them after every step. Settled summaries carry
+// counters of varying length, so freed entries' counter regions are
+// reused both in place and by reallocation. The wide cases use enough
+// keys to fill several entry pages. At the end every gray entry is
+// finished and none may survive.
 func TestMemoTableMatchesModel(t *testing.T) {
+	keys := func(n int, seed int64) []string {
+		rng := rand.New(rand.NewSource(seed))
+		out := make([]string, n)
+		for i := range out {
+			out[i] = fmt.Sprintf("k%05d|%s", i, strings.Repeat(string(rune('a'+rng.Intn(26))), 6))
+		}
+		return out
+	}
 	for _, budget := range []int{0, 1, 8, 64} {
 		for _, spill := range []bool{false, true} {
 			for seed := int64(1); seed <= 3; seed++ {
@@ -286,19 +312,53 @@ func TestMemoTableMatchesModel(t *testing.T) {
 					if spill {
 						dir = t.TempDir()
 					}
-					runMemoModel(t, budget, dir, seed, 3*budget+16, 2000)
+					runMemoModel(t, budget, dir, seed, keys(3*budget+16, seed), 2000)
 				})
 			}
 		}
 	}
 	for _, budget := range []int{0, memoPageSize + memoPageSize/2} {
 		t.Run(fmt.Sprintf("wide/budget=%d", budget), func(t *testing.T) {
-			runMemoModel(t, budget, t.TempDir(), 1, 3*memoPageSize, 6000)
+			runMemoModel(t, budget, t.TempDir(), 1, keys(3*memoPageSize, 1), 6000)
 		})
 	}
 }
 
-func runMemoModel(t *testing.T, budget int, spillDir string, seed int64, nkeys, steps int) {
+// TestMemoTableCollisions runs the model test over id keys that collide
+// in the low bits of hashKey, so every probe walks one long run, index
+// growth keeps them in it, and every drop and eviction shifts its members
+// back. hashKey is unseeded, so the keys are found by brute force: 8-byte
+// keys (two ids) whose hashes agree in their low 12 bits, enough for
+// every index size these tables reach. The model check probes every
+// resident key after every step, and no gray entry may survive.
+func TestMemoTableCollisions(t *testing.T) {
+	const lowBits = 1<<12 - 1
+	var keys []string
+	want := hashKey(make([]byte, 8)) & lowBits
+	kb := make([]byte, 8)
+	for i := uint32(0); len(keys) < 96; i++ {
+		binary.LittleEndian.PutUint32(kb, i%97)
+		binary.LittleEndian.PutUint32(kb[4:], i/97)
+		if hashKey(kb)&lowBits == want {
+			keys = append(keys, string(kb))
+		}
+	}
+	for _, budget := range []int{0, 4, 32} {
+		for _, spill := range []bool{false, true} {
+			t.Run(fmt.Sprintf("budget=%d/spill=%v", budget, spill), func(t *testing.T) {
+				dir := ""
+				if spill {
+					dir = t.TempDir()
+				}
+				runMemoModel(t, budget, dir, 7, keys, 3000)
+			})
+		}
+	}
+}
+
+// runMemoModel drives tbl and the model through steps random operations
+// over keys, all of one width, and finishes every gray entry at the end.
+func runMemoModel(t *testing.T, budget int, spillDir string, seed int64, keys []string, steps int) {
 	rng := rand.New(rand.NewSource(seed))
 	tbl := newMemoTable(budget, spillDir, nil)
 	defer tbl.release()
@@ -307,10 +367,6 @@ func runMemoModel(t *testing.T, budget int, spillDir string, seed int64, nkeys, 
 		spillOn: tbl.spill != nil,
 		entries: make(map[string]*modelEntry),
 		spill:   make(map[string]int64),
-	}
-	keys := make([]string, nkeys)
-	for i := range keys {
-		keys[i] = fmt.Sprintf("k%d|%s", i, strings.Repeat("x", rng.Intn(12)))
 	}
 	type grayEntry struct {
 		key string
@@ -321,7 +377,11 @@ func runMemoModel(t *testing.T, budget int, spillDir string, seed int64, nkeys, 
 		g := grays[i]
 		grays = append(grays[:i], grays[i+1:]...)
 		if settle {
-			tbl.settle(g.id, &summary{nodes: int64(step)})
+			acc := make([]int32, rng.Intn(5))
+			for j := range acc {
+				acc[j] = int32(step + j)
+			}
+			tbl.settle(g.id, &summary{nodes: int64(step), acc: acc})
 			m.settle(g.key, int64(step))
 		} else {
 			tbl.drop(g.id)
@@ -333,20 +393,25 @@ func runMemoModel(t *testing.T, budget int, spillDir string, seed int64, nkeys, 
 		case r < 5 || len(grays) == 0:
 			key := keys[rng.Intn(len(keys))]
 			wantGray, wantNodes, wantHit := m.acquire(key)
-			hit, id := tbl.acquire([]byte(key))
+			hit, id, found := tbl.acquire([]byte(key))
 			switch {
 			case !wantHit:
-				if hit != nil || id < 0 {
-					t.Fatalf("step %d: acquire(%q) = (%v, %d), model misses", step, key, hit, id)
+				if found != memoMiss || id < 0 {
+					t.Fatalf("step %d: acquire(%q) = (%d, %d), model misses", step, key, found, id)
 				}
 				grays = append(grays, grayEntry{key, id})
 			case wantGray:
-				if hit != grayMark {
-					t.Fatalf("step %d: acquire(%q) = %v, model reports it on the stack", step, key, hit)
+				if found != memoOnStack {
+					t.Fatalf("step %d: acquire(%q) found %d, model reports it on the stack", step, key, found)
 				}
 			default:
-				if hit == nil || hit == grayMark || hit.nodes != wantNodes {
-					t.Fatalf("step %d: acquire(%q) = %v, model hits nodes=%d", step, key, hit, wantNodes)
+				if found != memoHit || hit.nodes != wantNodes {
+					t.Fatalf("step %d: acquire(%q) = %+v (found %d), model hits nodes=%d", step, key, hit, found, wantNodes)
+				}
+				for j, v := range hit.acc {
+					if v != int32(wantNodes)+int32(j) {
+						t.Fatalf("step %d: acquire(%q) counters %v, settled at step %d", step, key, hit.acc, wantNodes)
+					}
 				}
 			}
 		case r < 9:
@@ -382,7 +447,7 @@ func TestMemoAcquireAllocFree(t *testing.T) {
 	}
 	i := 0
 	if a := testing.AllocsPerRun(1000, func() {
-		if hit, _ := hitTbl.acquire(keys[i%len(keys)]); hit != sum {
+		if hit, _, found := hitTbl.acquire(keys[i%len(keys)]); found != memoHit || hit.nodes != sum.nodes {
 			panic("resident key missed")
 		}
 		i++
@@ -394,8 +459,8 @@ func TestMemoAcquireAllocFree(t *testing.T) {
 	// every settle evicts the oldest entry.
 	evTbl := newMemoTable(64, "", nil)
 	missSettle := func() {
-		hit, id := evTbl.acquire(keys[i%len(keys)])
-		if hit != nil {
+		_, id, found := evTbl.acquire(keys[i%len(keys)])
+		if found != memoMiss {
 			panic("evicted key hit")
 		}
 		evTbl.settle(id, sum)
@@ -410,8 +475,8 @@ func TestMemoAcquireAllocFree(t *testing.T) {
 
 	dropTbl := newMemoTable(0, "", nil)
 	missDrop := func() {
-		hit, id := dropTbl.acquire(keys[i%len(keys)])
-		if hit != nil {
+		_, id, found := dropTbl.acquire(keys[i%len(keys)])
+		if found != memoMiss {
 			panic("dropped key hit")
 		}
 		dropTbl.drop(id)
@@ -430,7 +495,7 @@ func TestMemoAcquireAllocFree(t *testing.T) {
 func BenchmarkMemo(b *testing.B) {
 	key := func(buf []byte, i int) []byte {
 		buf = append(buf[:0], "memo-bench-configuration-key/"...)
-		return binary.AppendUvarint(buf, uint64(i))
+		return binary.LittleEndian.AppendUint32(buf, uint32(i))
 	}
 	sum := &summary{nodes: 1}
 	b.Run("hit", func(b *testing.B) {
@@ -439,14 +504,14 @@ func BenchmarkMemo(b *testing.B) {
 		var buf []byte
 		for i := 0; i < n; i++ {
 			buf = key(buf, i)
-			_, id := tbl.acquire(buf)
+			_, id, _ := tbl.acquire(buf)
 			tbl.settle(id, sum)
 		}
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			buf = key(buf, i%n)
-			if hit, _ := tbl.acquire(buf); hit != sum {
+			if _, _, found := tbl.acquire(buf); found != memoHit {
 				b.Fatal("resident key missed")
 			}
 		}
@@ -468,8 +533,8 @@ func BenchmarkMemo(b *testing.B) {
 				b.StartTimer()
 			}
 			buf = key(buf, i)
-			hit, id := tbl.acquire(buf)
-			if hit != nil {
+			_, id, found := tbl.acquire(buf)
+			if found != memoMiss {
 				b.Fatal("fresh key hit")
 			}
 			tbl.settle(id, sum)

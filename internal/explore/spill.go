@@ -211,9 +211,8 @@ func (sp *memoSpill) close() {
 
 // ---- record codec ----
 
-// appendSummary appends a summary's aggregate fields (never the transient
-// ref/retained/spilled bookkeeping) to b as varints: height, nodes,
-// leaves, len(acc), acc values.
+// appendSummary appends a summary's aggregate fields to b as varints:
+// height, nodes, leaves, len(acc), acc values.
 func appendSummary(b []byte, sum *summary) []byte {
 	b = binary.AppendVarint(b, int64(sum.height))
 	b = binary.AppendVarint(b, sum.nodes)

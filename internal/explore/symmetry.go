@@ -4,7 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"waitfree/internal/program"
 	"waitfree/internal/types"
@@ -148,46 +148,71 @@ type orbit struct {
 }
 
 // computeOrbits partitions the masks 0..roots-1 into orbits: two masks are
-// equivalent iff their proposal vectors have equal multisets. Iterating
-// masks in ascending order makes the first mask of each class its minimum
-// — the vector with digits non-increasing, since ProposalVectorK weights
-// digit p by k^p — so orbits come out ordered by representative mask.
+// equivalent iff their proposal vectors have equal multisets, that is,
+// equal count vectors. The count vector's canonical vector — its values in
+// non-increasing order — is the orbit's minimal mask, since
+// ProposalVectorK weights digit p by k^p, and it keys the orbit: iterating
+// masks in ascending order meets each orbit first at that mask, so orbits
+// come out ordered by representative mask, each member after its
+// representative. No map or string is built per mask.
 func computeOrbits(procs, k, roots int) []orbit {
-	index := make(map[string]int)
+	// orbitOf[rep] is 1 + the index of the orbit represented by rep.
+	orbitOf := make([]int32, roots)
 	var orbits []orbit
+	vec := make([]int, procs)
+	canon := make([]int, procs)
+	perms := make([]int, 0, roots*procs) // one backing array for every member's perm
 	for mask := 0; mask < roots; mask++ {
-		vec := ProposalVectorK(mask, procs, k)
-		sorted := append([]int(nil), vec...)
-		sort.Sort(sort.Reverse(sort.IntSlice(sorted)))
-		key := fmt.Sprint(sorted)
-		oi, ok := index[key]
-		if !ok {
-			index[key] = len(orbits)
+		m := mask
+		for p := range vec {
+			vec[p] = m % k
+			m /= k
+		}
+		copy(canon, vec)
+		slices.Sort(canon)
+		slices.Reverse(canon)
+		rep := 0
+		for p := procs - 1; p >= 0; p-- {
+			rep = rep*k + canon[p]
+		}
+		if rep == mask {
+			orbitOf[mask] = int32(len(orbits) + 1)
 			orbits = append(orbits, orbit{rep: mask})
 			continue
 		}
-		ob := &orbits[oi]
-		repVec := ProposalVectorK(ob.rep, procs, k)
-		ob.members = append(ob.members, orbitMember{mask: mask, perm: matchPerm(vec, repVec)})
+		ob := &orbits[orbitOf[rep]-1]
+		n := len(perms)
+		perms = appendMatchPerm(perms, vec, canon)
+		ob.members = append(ob.members, orbitMember{mask: mask, perm: perms[n:len(perms):len(perms)]})
 	}
 	return orbits
 }
 
-// matchPerm returns perm with member[p] == rep[perm[p]], assigning equal
-// values by ascending position on both sides. Any consistent assignment is
-// sound: processes proposing equal values are behaviorally identical under
-// a symmetric implementation, so their roles are interchangeable.
-func matchPerm(member, rep []int) []int {
-	posByVal := make(map[int][]int, len(rep))
-	for q, v := range rep {
-		posByVal[v] = append(posByVal[v], q)
-	}
-	perm := make([]int, len(member))
+// appendMatchPerm appends perm with member[p] == rep[perm[p]] to dst,
+// assigning equal values by ascending position on both sides: the j-th
+// process proposing v in member plays the j-th process proposing v in
+// rep. Any consistent assignment is sound: processes proposing equal
+// values are behaviorally identical under a symmetric implementation, so
+// their roles are interchangeable.
+func appendMatchPerm(dst, member, rep []int) []int {
 	for p, v := range member {
-		perm[p] = posByVal[v][0]
-		posByVal[v] = posByVal[v][1:]
+		j := 0 // earlier processes of member proposing v
+		for _, u := range member[:p] {
+			if u == v {
+				j++
+			}
+		}
+		for q, u := range rep {
+			if u == v {
+				if j == 0 {
+					dst = append(dst, q)
+					break
+				}
+				j--
+			}
+		}
 	}
-	return perm
+	return dst
 }
 
 // singletonOrbits is the degenerate partition of an unreduced run: every

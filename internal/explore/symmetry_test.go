@@ -3,7 +3,9 @@ package explore
 import (
 	"context"
 	"errors"
+	"fmt"
 	"reflect"
+	"sort"
 	"testing"
 
 	"waitfree/internal/consensus"
@@ -40,6 +42,54 @@ func TestComputeOrbits(t *testing.T) {
 		}
 		if !reflect.DeepEqual(masks, wantMembers[ob.rep]) {
 			t.Errorf("rep %d has members %v, want %v", ob.rep, masks, wantMembers[ob.rep])
+		}
+	}
+}
+
+// referenceOrbits is the string-keyed partition computeOrbits replaced:
+// masks keyed by fmt.Sprint of their sorted proposal vector, first-seen
+// order, with each member's role map matched through a map of positions.
+func referenceOrbits(procs, k, roots int) []orbit {
+	index := make(map[string]int)
+	var orbits []orbit
+	for mask := 0; mask < roots; mask++ {
+		vec := ProposalVectorK(mask, procs, k)
+		sorted := append([]int(nil), vec...)
+		sort.Sort(sort.Reverse(sort.IntSlice(sorted)))
+		key := fmt.Sprint(sorted)
+		oi, ok := index[key]
+		if !ok {
+			index[key] = len(orbits)
+			orbits = append(orbits, orbit{rep: mask})
+			continue
+		}
+		posByVal := make(map[int][]int)
+		for q, v := range ProposalVectorK(orbits[oi].rep, procs, k) {
+			posByVal[v] = append(posByVal[v], q)
+		}
+		perm := make([]int, procs)
+		for p, v := range vec {
+			perm[p] = posByVal[v][0]
+			posByVal[v] = posByVal[v][1:]
+		}
+		orbits[oi].members = append(orbits[oi].members, orbitMember{mask: mask, perm: perm})
+	}
+	return orbits
+}
+
+// TestComputeOrbitsMatchesReference pins the count-vector partition to the
+// string-keyed one it replaced: the same orbits, representatives, members
+// and role maps, in the same order, for binary and wider proposal sets.
+func TestComputeOrbitsMatchesReference(t *testing.T) {
+	for _, tc := range []struct{ procs, k int }{
+		{1, 2}, {2, 2}, {3, 2}, {5, 2}, {8, 2}, {3, 3}, {4, 3}, {2, 5}, {5, 4},
+	} {
+		roots := 1
+		for i := 0; i < tc.procs; i++ {
+			roots *= tc.k
+		}
+		if got, want := computeOrbits(tc.procs, tc.k, roots), referenceOrbits(tc.procs, tc.k, roots); !reflect.DeepEqual(got, want) {
+			t.Errorf("procs=%d k=%d: orbits differ from the reference", tc.procs, tc.k)
 		}
 	}
 }

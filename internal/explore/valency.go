@@ -154,7 +154,7 @@ func (v *valencyAnalysis) valency(c *config, depth int) (uint64, error) {
 		act := v.e.proc(id).Pending
 		pending = append(pending, PendingStep{Proc: p, Obj: act.Obj, Inv: act.Inv})
 		inv := v.e.pendingInv(c, p)
-		cts, err := v.e.applyCached(c, p, &act, inv)
+		cts, err := v.e.applyCached(c, p, act.Obj, inv)
 		if err != nil {
 			return 0, err
 		}

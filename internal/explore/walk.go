@@ -120,10 +120,10 @@ func walk(im *program.Implementation, scripts [][]types.Invocation, s Schedule) 
 				Detail: fmt.Sprintf("execution reached %d object accesses", depth), Schedule: e.scheduleView()}
 		}
 		p := live[rng.Intn(len(live))]
-		e.curConfig, e.curProc, e.curDepth = c, p, depth
+		e.breadcrumb(c, p, depth)
 		act := e.proc(c.procs[p]).Pending
 		inv := e.pendingInv(c, p)
-		cts, err := e.applyCached(c, p, &act, inv)
+		cts, err := e.applyCached(c, p, act.Obj, inv)
 		if err != nil {
 			return nil, e, fmt.Errorf("process %d at depth %d: %w", p, depth, err)
 		}
@@ -136,7 +136,7 @@ func walk(im *program.Implementation, scripts [][]types.Invocation, s Schedule) 
 			return nil, e, err
 		}
 		e.path = append(e.path, pathStep{proc: int32(p), obj: int32(act.Obj), inv: inv, resp: t.resp,
-			ops: int32(len(e.responses[p]))})
+			ops: int32(e.respN[p])})
 		accesses[p]++
 		if err := crashDue(p); err != nil {
 			return nil, e, err
@@ -145,13 +145,13 @@ func walk(im *program.Implementation, scripts [][]types.Invocation, s Schedule) 
 }
 
 // walked hands the finished walk's path data to the caller: the explorer
-// takes no further step, so Responses and Schedule are not copied, and
-// History is rendered fresh.
+// takes no further step, so Schedule is not copied; Responses and History
+// are rendered fresh.
 func (e *explorer) walked(c *config, depth int) *Walked {
 	n := len(c.procs)
 	w := &Walked{
 		Leaf: Leaf{
-			Responses:  e.responses,
+			Responses:  make([][]types.Response, n),
 			Depth:      depth,
 			History:    e.historyView(),
 			Schedule:   e.scheduleView(),
@@ -161,6 +161,7 @@ func (e *explorer) walked(c *config, depth int) *Walked {
 		Mems: make([]any, n),
 	}
 	for p, id := range c.procs {
+		w.Responses[p] = e.appendResps(make([]types.Response, 0, e.respN[p]), p)
 		ps := e.proc(id)
 		w.Crashed[p] = ps.Crashed
 		w.Recoveries[p] = ps.Recoveries

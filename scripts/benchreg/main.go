@@ -11,7 +11,13 @@
 // the trajectory next to the costs; those are never gated either.
 //
 //	go run ./scripts/benchreg -baseline BENCH_BASELINE.json -out BENCH_<n>.json
+//	go run ./scripts/benchreg -ratchet         # gate, then tighten the baseline
 //	go run ./scripts/benchreg -update          # refresh the baseline in place
+//
+// -ratchet keeps the gate binding as the code gets cheaper: after a
+// passing gate it lowers each baseline entry's allocs/op to the fresh
+// value when that is lower, and never raises one, so a later regression
+// is measured from the best value reached rather than from a stale one.
 package main
 
 import (
@@ -24,6 +30,7 @@ import (
 	"path/filepath"
 	"regexp"
 	"runtime"
+	"sort"
 	"strconv"
 	"strings"
 )
@@ -60,6 +67,7 @@ func main() {
 	benchtime := flag.String("benchtime", "5x", "-benchtime passed to go test")
 	threshold := flag.Float64("threshold", 0.10, "maximum tolerated allocs/op regression (fraction)")
 	update := flag.Bool("update", false, "rewrite -baseline with the fresh measurements instead of gating")
+	ratchet := flag.Bool("ratchet", false, "after a passing gate, lower -baseline allocs/op entries the fresh run beat (never raise one)")
 	flag.Parse()
 
 	fresh, err := run(*bench, *benchtime)
@@ -125,6 +133,46 @@ func main() {
 		os.Exit(1)
 	}
 	fmt.Printf("benchreg: PASS (%d benchmarks within %.0f%%)\n", len(base.Benchmarks), *threshold*100)
+	if !*ratchet {
+		return
+	}
+	tightened := ratchetBaseline(&base, fresh)
+	for _, line := range tightened {
+		fmt.Printf("benchreg: TIGHTENED %s\n", line)
+	}
+	if len(tightened) == 0 {
+		fmt.Println("benchreg: ratchet: no baseline entry beaten")
+		return
+	}
+	if err := writeJSON(*baselinePath, &base); err != nil {
+		fatal(err)
+	}
+	fmt.Printf("benchreg: baseline %s tightened (%d entries)\n", *baselinePath, len(tightened))
+}
+
+// ratchetBaseline lowers base's allocs/op entries to fresh's where fresh
+// is lower, leaving every other field and every other entry alone (a
+// baseline entry is never raised, and a fresh row the baseline lacks is
+// not added). It returns one "name: old -> new" line per tightened entry,
+// in name order.
+func ratchetBaseline(base *File, fresh map[string]Point) []string {
+	var names []string
+	for name := range base.Benchmarks {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	var tightened []string
+	for _, name := range names {
+		b := base.Benchmarks[name]
+		f, ok := fresh[name]
+		if !ok || f.AllocsPerOp >= b.AllocsPerOp {
+			continue
+		}
+		tightened = append(tightened, fmt.Sprintf("%s: %d -> %d allocs/op", name, b.AllocsPerOp, f.AllocsPerOp))
+		b.AllocsPerOp = f.AllocsPerOp
+		base.Benchmarks[name] = b
+	}
+	return tightened
 }
 
 // run executes the benchmark suite and parses its output.
