@@ -40,78 +40,6 @@ func (a *accTable) id(k accKey) int32 {
 	return id
 }
 
-// initAcct builds the dense-id caches on first use: per-process and
-// per-object-total ids at fixed positions in lookup slices, per-object
-// operation ids interned lazily (opAccID) as expansions encounter them.
-func (e *explorer) initAcct() {
-	e.acct = newAccTable()
-	e.procIDs = make([]int32, e.im.Procs)
-	for p := 0; p < e.im.Procs; p++ {
-		e.procIDs[p] = e.acct.id(procKey(p))
-	}
-	e.objIDs = make([]int32, len(e.im.Objects))
-	e.opIDs = make([]map[string]int32, len(e.im.Objects))
-	for i := range e.im.Objects {
-		e.objIDs[i] = e.acct.id(accKey{Obj: i})
-		e.opIDs[i] = make(map[string]int32)
-	}
-}
-
-// opAccID returns the dense id of the (obj, op) counter. It runs once per
-// interned process state (pendingOpAcc), never per edge.
-func (e *explorer) opAccID(obj int, op string) int32 {
-	m := e.opIDs[obj]
-	id, ok := m[op]
-	if !ok {
-		id = e.acct.id(accKey{Obj: obj, Op: op})
-		m[op] = id
-	}
-	return id
-}
-
-// levelBatch is how many levels' counter buffers one allocation makes.
-// Each buffer has room for twice the counters the table had then, since
-// the table grows while the first paths discover operations.
-const levelBatch = 16
-
-// levelAcc returns the zeroed counters of a node expanded at DFS level
-// lvl: the level's buffer, sized to the current counter table. Nodes at
-// one level are expanded one after another, and a node's summary is
-// merged into its parent before its next sibling starts, so they can all
-// share the buffer.
-func (e *explorer) levelAcc(lvl int) []int32 {
-	n := len(e.acct.keys)
-	if lvl == len(e.levelBufs) {
-		batch := make([]int32, 2*levelBatch*n)
-		for i := 0; i < levelBatch; i++ {
-			e.levelBufs = append(e.levelBufs, batch[2*i*n:2*i*n:2*(i+1)*n])
-		}
-	}
-	if cap(e.levelBufs[lvl]) < n {
-		e.levelBufs[lvl] = make([]int32, 0, 2*n)
-	}
-	acc := e.levelBufs[lvl][:n]
-	clear(acc)
-	return acc
-}
-
-// growAcc widens s.acc to the full counter table (which has grown since
-// s was sized), preserving existing counts. A level buffer with room
-// grows in place; otherwise the new slice replaces it when the node
-// finishes (expandNode).
-func (e *explorer) growAcc(s *summary) {
-	n := len(e.acct.keys)
-	if n <= cap(s.acc) {
-		old := len(s.acc)
-		s.acc = s.acc[:n]
-		clear(s.acc[old:])
-		return
-	}
-	acc := make([]int32, n)
-	copy(acc, s.acc)
-	s.acc = acc
-}
-
 // accChunkShift splits an accSlab reference into chunk and offset: a
 // chunk holds at most 1<<accChunkShift counters, unless it was made for
 // one region that is larger still.
@@ -184,6 +112,78 @@ func (a *byteArena) save(b []byte) []byte {
 	n := len(a.buf)
 	a.buf = append(a.buf, b...)
 	return a.buf[n : n+c : n+c]
+}
+
+// initAcct builds the dense-id caches on first use: per-process and
+// per-object-total ids at fixed positions in lookup slices, per-object
+// operation ids interned lazily (opAccID) as expansions encounter them.
+func (e *explorer) initAcct() {
+	e.acct = newAccTable()
+	e.procIDs = make([]int32, e.im.Procs)
+	for p := 0; p < e.im.Procs; p++ {
+		e.procIDs[p] = e.acct.id(procKey(p))
+	}
+	e.objIDs = make([]int32, len(e.im.Objects))
+	e.opIDs = make([]map[string]int32, len(e.im.Objects))
+	for i := range e.im.Objects {
+		e.objIDs[i] = e.acct.id(accKey{Obj: i})
+		e.opIDs[i] = make(map[string]int32)
+	}
+}
+
+// opAccID returns the dense id of the (obj, op) counter. It runs once per
+// interned process state (pendingOpAcc), never per edge.
+func (e *explorer) opAccID(obj int, op string) int32 {
+	m := e.opIDs[obj]
+	id, ok := m[op]
+	if !ok {
+		id = e.acct.id(accKey{Obj: obj, Op: op})
+		m[op] = id
+	}
+	return id
+}
+
+// levelBatch is how many levels' counter buffers one allocation makes.
+// Each buffer has room for twice the counters the table had then, since
+// the table grows while the first paths discover operations.
+const levelBatch = 16
+
+// levelAcc returns the zeroed counters of a node expanded at DFS level
+// lvl: the level's buffer, sized to the current counter table. Nodes at
+// one level are expanded one after another, and a node's summary is
+// merged into its parent before its next sibling starts, so they can all
+// share the buffer.
+func (e *explorer) levelAcc(lvl int) []int32 {
+	n := len(e.acct.keys)
+	if lvl == len(e.levelBufs) {
+		batch := make([]int32, 2*levelBatch*n)
+		for i := 0; i < levelBatch; i++ {
+			e.levelBufs = append(e.levelBufs, batch[2*i*n:2*i*n:2*(i+1)*n])
+		}
+	}
+	if cap(e.levelBufs[lvl]) < n {
+		e.levelBufs[lvl] = make([]int32, 0, 2*n)
+	}
+	acc := e.levelBufs[lvl][:n]
+	clear(acc)
+	return acc
+}
+
+// growAcc widens s.acc to the full counter table (which has grown since
+// s was sized), preserving existing counts. A level buffer with room
+// grows in place; otherwise the new slice replaces it when the node
+// finishes (expandNode).
+func (e *explorer) growAcc(s *summary) {
+	n := len(e.acct.keys)
+	if n <= cap(s.acc) {
+		old := len(s.acc)
+		s.acc = s.acc[:n]
+		clear(s.acc[old:])
+		return
+	}
+	acc := make([]int32, n)
+	copy(acc, s.acc)
+	s.acc = acc
 }
 
 // walkChild visits the child of c reached by process p taking the cached
