@@ -46,10 +46,10 @@ func (a *accTable) id(k accKey) int32 {
 const accChunkShift = 16
 
 // accSlab stores the memo's counter arrays, each a contiguous region of
-// one chunk named by a uint32 reference (chunk<<accChunkShift | offset).
-// Chunks start small and double up to the shift's limit, so a small tree
-// stays small and a big one never copies a chunk to grow it. The zero
-// value is ready to use.
+// one chunk named by a uint32 reference (chunk<<accChunkShift | offset)
+// and preceded by its capacity, so no reference is 0. Chunks start small
+// and double up to the shift's limit, so a small tree stays small and a
+// big one never copies a chunk to grow it. The zero value is ready to use.
 type accSlab struct {
 	chunks [][]int32
 }
@@ -57,17 +57,22 @@ type accSlab struct {
 // alloc reserves a region of n counters and returns its reference.
 func (s *accSlab) alloc(n int) uint32 {
 	last := len(s.chunks) - 1
-	if last < 0 || len(s.chunks[last])+n > cap(s.chunks[last]) {
+	if last < 0 || len(s.chunks[last])+1+n > cap(s.chunks[last]) {
 		size := 512
 		if last >= 0 {
 			size = min(2*cap(s.chunks[last]), 1<<accChunkShift)
 		}
-		s.chunks = append(s.chunks, make([]int32, 0, max(size, n)))
+		s.chunks = append(s.chunks, make([]int32, 0, max(size, 1+n)))
 		last++
 	}
 	off := len(s.chunks[last])
-	s.chunks[last] = s.chunks[last][:off+n]
-	return uint32(last)<<accChunkShift | uint32(off)
+	s.chunks[last] = append(s.chunks[last], int32(n))[:off+1+n]
+	return uint32(last)<<accChunkShift | uint32(off+1)
+}
+
+// capOf returns the capacity of the region at ref.
+func (s *accSlab) capOf(ref uint32) int {
+	return int(s.chunks[ref>>accChunkShift][ref&(1<<accChunkShift-1)-1])
 }
 
 // at returns the n counters of the region at ref.

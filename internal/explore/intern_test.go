@@ -69,7 +69,7 @@ func checkInternedKeys(t *testing.T, name string, e *explorer, nobjs, nprocs int
 	segKeys := make(map[string]string)
 	c := &config{objs: make([]int32, nobjs), procs: make([]int32, nprocs)}
 	for id := int32(0); id < e.memo.nextID; id++ {
-		if e.memo.rec(id).state == memoFree {
+		if e.memo.rec(id).meta == memoFree {
 			continue
 		}
 		key := e.memo.key(id)

@@ -78,35 +78,39 @@ const (
 	memoFirstPage = 32
 )
 
-// Memo entry states. The low bits (memoStateMask) say whether an id is
-// free, gray (its configuration is on the DFS stack) or cached (settled);
-// memoRef and memoSpilled are flags of a cached entry: its second-chance
-// bit (a hit sets it, the eviction clock clears it) and whether its
-// summary is already in the spill tier (a re-eviction after a spill load
-// never rewrites it).
+// Memo entry states, the low memoLenShift bits of memoRec.meta. The low
+// two (memoStateMask) say whether an id is free, gray (its configuration
+// is on the DFS stack) or cached (settled); memoRef and memoSpilled are
+// flags of a cached entry: its second-chance bit (a hit sets it, the
+// eviction clock clears it) and whether its summary is already in the
+// spill tier (a re-eviction after a spill load never rewrites it).
 const (
-	memoFree uint8 = iota
+	memoFree uint32 = iota
 	memoGray
 	memoCached
 
-	memoStateMask uint8 = 3
-	memoRef       uint8 = 1 << 2
-	memoSpilled   uint8 = 1 << 3
+	memoStateMask uint32 = 3
+	memoRef       uint32 = 1 << 2
+	memoSpilled   uint32 = 1 << 3
+	memoLenShift         = 4
 )
 
-// memoRec is one entry's record: everything but the key, and no pointer.
-// The summary's fields share the record rather than parallel arrays of
-// their own, so a hit reads one record (one cache line) and its counters. accCap is the capacity of
-// the counter region at accOff, kept when the id is freed so the next
-// entry reusing the id reuses the region when its counters fit.
+// memoRec is one entry's record: everything but the key, and no pointer,
+// in 32 bytes, so a record never straddles a cache line. The summary's
+// fields share the record rather than parallel arrays of their own, so a
+// hit reads one record and its counters. meta holds the entry's state in
+// its low memoLenShift bits and its counter count above them (a count is
+// the size of the tree's counter table, one interned key per object, per
+// process and per operation of each object, far below 1<<28). accOff
+// names the counters' region in the table's slab, 0 for none; the region
+// is kept when the id is freed, and reused by the next entry of the id
+// whose counters fit.
 type memoRec struct {
 	nodes, leaves int64
 	height        int32
 	accOff        uint32
-	accLen        int32
-	accCap        int32
 	hash          uint32 // the low 32 bits of hashKey(key)
-	state         uint8
+	meta          uint32
 }
 
 // memoPage is one page of entries: keys[i*width:(i+1)*width] and recs[i]
@@ -219,7 +223,7 @@ func (t *memoTable) key(id int32) []byte {
 // view returns the summary rec holds. Its counters alias the table's slab:
 // they stay valid until the next settle, which may reuse the region.
 func (t *memoTable) view(rec *memoRec) summary {
-	return summary{height: int(rec.height), nodes: rec.nodes, leaves: rec.leaves, acc: t.acc.at(rec.accOff, int(rec.accLen))}
+	return summary{height: int(rec.height), nodes: rec.nodes, leaves: rec.leaves, acc: t.acc.at(rec.accOff, int(rec.meta>>memoLenShift))}
 }
 
 // acquire looks kb up with one hash and one probe. A resident hit returns
@@ -240,10 +244,10 @@ func (t *memoTable) acquire(kb []byte) (hit summary, id int32, found memoFound) 
 	id, h, slot := t.find(kb)
 	if id >= 0 {
 		rec := t.rec(id)
-		if rec.state&memoStateMask == memoGray {
+		if rec.meta&memoStateMask == memoGray {
 			return summary{}, id, memoOnStack
 		}
-		rec.state |= memoRef
+		rec.meta |= memoRef
 		return t.view(rec), -1, memoHit
 	}
 	if t.budget > 0 && t.clock == nil {
@@ -312,7 +316,7 @@ func (t *memoTable) add(kb []byte, h, slot uint64) int32 {
 	}
 	copy(t.key(id), kb)
 	rec := t.rec(id)
-	rec.hash, rec.state = uint32(h), memoGray
+	rec.hash, rec.meta = uint32(h), memoGray
 	t.index[slot] = id + 1
 	t.live++
 	return id
@@ -325,16 +329,15 @@ func (t *memoTable) settle(id int32, sum *summary) {
 
 // admit copies sum into gray entry id, which becomes cached with the
 // given flags, and evicts if the budget is exceeded.
-func (t *memoTable) admit(id int32, sum *summary, flags uint8) {
+func (t *memoTable) admit(id int32, sum *summary, flags uint32) {
 	rec := t.rec(id)
 	n := len(sum.acc)
-	if int32(n) > rec.accCap {
-		rec.accOff, rec.accCap = t.acc.alloc(n), int32(n)
+	if n > 0 && (rec.accOff == 0 || n > t.acc.capOf(rec.accOff)) {
+		rec.accOff = t.acc.alloc(n)
 	}
 	copy(t.acc.at(rec.accOff, n), sum.acc)
-	rec.accLen = int32(n)
 	rec.height, rec.nodes, rec.leaves = int32(sum.height), sum.nodes, sum.leaves
-	rec.state = memoCached | flags
+	rec.meta = uint32(n)<<memoLenShift | memoCached | flags
 	t.count++
 	if t.budget > 0 { // an unbudgeted table never evicts: no clock
 		t.clockPush(id)
@@ -354,7 +357,7 @@ func (t *memoTable) drop(id int32) {
 // keeping its key slot and counter region for reuse.
 func (t *memoTable) remove(id int32) {
 	t.unlink(id)
-	t.rec(id).state = memoFree
+	t.rec(id).meta = memoFree
 	t.free = append(t.free, id)
 	t.live--
 }
@@ -420,8 +423,8 @@ func (t *memoTable) evict() {
 		}
 		t.evictScans++
 		rec := t.rec(id)
-		if rec.state&memoRef != 0 {
-			rec.state &^= memoRef
+		if rec.meta&memoRef != 0 {
+			rec.meta &^= memoRef
 			t.clockPush(id) // second chance
 			continue
 		}
@@ -429,7 +432,7 @@ func (t *memoTable) evict() {
 		t.evictions++
 		// A failed spill write loses the entry after all, so the run
 		// degrades exactly as without a spill tier.
-		if t.spill != nil && (rec.state&memoSpilled != 0 || t.spillStore(id, rec)) {
+		if t.spill != nil && (rec.meta&memoSpilled != 0 || t.spillStore(id, rec)) {
 			t.spilled++
 		} else {
 			t.degraded = true
@@ -462,7 +465,7 @@ func (t *memoTable) clockPush(id int32) {
 func (t *memoTable) grayKeys() []string {
 	var out []string
 	for id := int32(0); id < t.nextID; id++ {
-		if t.rec(id).state&memoStateMask == memoGray {
+		if t.rec(id).meta&memoStateMask == memoGray {
 			out = append(out, string(t.key(id)))
 		}
 	}

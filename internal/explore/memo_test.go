@@ -231,7 +231,7 @@ func (m *memoModel) check(t *testing.T, step int, tbl *memoTable) {
 	resident, cached := 0, 0
 	for id := int32(0); id < tbl.nextID; id++ {
 		rec := tbl.rec(id)
-		st := rec.state & memoStateMask
+		st := rec.meta & memoStateMask
 		if st == memoFree {
 			continue
 		}
@@ -239,7 +239,7 @@ func (m *memoModel) check(t *testing.T, step int, tbl *memoTable) {
 		key := tbl.key(id)
 		want, ok := m.entries[string(key)]
 		gray := st == memoGray
-		ref := rec.state&memoRef != 0
+		ref := rec.meta&memoRef != 0
 		switch {
 		case !ok:
 			t.Fatalf("step %d: table holds %q, model does not", step, key)
