@@ -811,7 +811,8 @@ type explorer struct {
 	// per (object-state id, object) of Spec.Apply results indexed by
 	// (invocation id, port), with the outcomes in runs of transList;
 	// stepRows a row per (process-state id, process) of startNextOp
-	// results indexed by (response id, forced bit), with completed
+	// results indexed by (response id, forced bit), and recoverRows one
+	// recovery result per (process-state id, process), with completed
 	// responses in runs of stepResps. Sound because Spec.Step and
 	// machines are documented as deterministic pure functions (the same
 	// contract Parallelism > 1 relies on) and the segment encodings behind
@@ -820,10 +821,11 @@ type explorer struct {
 	// indexed loads. Both are bounded by per-component state counts —
 	// roots of the configuration count — so they stay negligible with or
 	// without a memo table, and under MemoBudget.
-	transRows cacheRows[transRef]
-	transList []cachedTrans
-	stepRows  cacheRows[procStep]
-	stepResps []int32
+	transRows   cacheRows[transRef]
+	transList   []cachedTrans
+	stepRows    cacheRows[procStep]
+	recoverRows cacheRows[procStep]
+	stepResps   []int32
 
 	// leafView is the one Leaf handed to every OnLeaf call; leafCrashed
 	// and leafRecoveries back its Crashed and Recoveries slices, which are
@@ -1244,14 +1246,23 @@ func (e *explorer) crashProc(c *config, p int) {
 // process's progress through its script (OpIdx — decided operations stay
 // decided) persist. The interrupted operation re-runs from its start, so
 // historyView gives it a fresh entry, while its old entry stays pending
-// forever: a crashed access never returns.
+// forever: a crashed access never returns. Like a step, a recovery of an
+// interned state is cached (recoverRows, one slot per row), since p and
+// its crashed state determine it.
 func (e *explorer) recoverProc(c *config, p int) error {
 	var ps *procState
 	var fresh procState
-	if c.procs[p] < 0 {
+	id := c.procs[p]
+	row := int(id)*len(c.procs) + p
+	if id < 0 {
 		ps = &e.scratch[p]
+	} else if st := e.recoverRows.slot(row, 0); st != nil && st.next >= 0 {
+		c.procs[p] = st.next
+		e.respN[p] += copy(e.respBuf[p][e.respN[p]:], e.stepResps[st.respOff:st.respOff+st.respN])
+		e.path = append(e.path, pathStep{proc: int32(p), obj: -1, kind: stepRecover, ops: int32(e.respN[p])})
+		return nil
 	} else {
-		fresh = *e.proc(c.procs[p])
+		fresh = *e.proc(id)
 		ps = &fresh
 	}
 	ps.Crashed = false
@@ -1259,10 +1270,15 @@ func (e *explorer) recoverProc(c *config, p int) error {
 	ps.Mst = nil
 	ps.Pending = program.Action{}
 	ps.Mem = nil
+	mark := e.respN[p]
 	err := e.startNextOp(ps, p, types.Response{})
 	e.path = append(e.path, pathStep{proc: int32(p), obj: -1, kind: stepRecover, ops: int32(e.respN[p])})
-	if err == nil && c.procs[p] >= 0 {
-		c.procs[p] = e.internProc(ps)
+	if err == nil && id >= 0 {
+		done := e.respBuf[p][mark:e.respN[p]]
+		st := procStep{next: e.internProc(ps), respOff: int32(len(e.stepResps)), respN: int32(len(done))}
+		e.stepResps = append(e.stepResps, done...)
+		*e.recoverRows.fill(row, 0, 1, emptyStep) = st
+		c.procs[p] = st.next
 	}
 	return err
 }
