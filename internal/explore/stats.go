@@ -149,19 +149,6 @@ func (s Stats) NodesPerSecond() float64 {
 	return float64(s.Nodes) / secs
 }
 
-// WorkerThroughput returns per-worker node throughput (nodes/sec).
-func (s Stats) WorkerThroughput() []float64 {
-	out := make([]float64, len(s.WorkerNodes))
-	secs := s.Elapsed.Seconds()
-	if secs <= 0 {
-		return out
-	}
-	for i, n := range s.WorkerNodes {
-		out[i] = float64(n) / secs
-	}
-	return out
-}
-
 // String renders the snapshot as one progress line.
 func (s Stats) String() string {
 	var b strings.Builder

@@ -237,9 +237,6 @@ func (s *Server) Drain(ctx context.Context) error {
 	}
 }
 
-// Draining reports whether the server has begun shutting down.
-func (s *Server) Draining() bool { return s.draining.Load() }
-
 // runJob executes one job end to end on a pool worker.
 func (s *Server) runJob(j *Job) {
 	if s.draining.Load() {

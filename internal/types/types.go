@@ -171,14 +171,6 @@ func (s *Spec) DetApply(q State, port int, inv Invocation) (State, Response, err
 	return ts[0].Next, ts[0].Resp, nil
 }
 
-// Legal reports whether inv has at least one allowed transition at q/port.
-func (s *Spec) Legal(q State, port int, inv Invocation) bool {
-	if port < 1 || port > s.Ports {
-		return false
-	}
-	return len(s.Step(q, port, inv)) > 0
-}
-
 // StateKey renders a state to a stable string for diagnostics and for use
 // in composite map keys. States are comparable, so this is only needed
 // where heterogeneous states meet (for example, sorting).
