@@ -1,6 +1,7 @@
 package explore
 
 import (
+	"math"
 	"slices"
 )
 
@@ -14,31 +15,6 @@ import (
 // built, hashed or compared. What a tree does allocate (rows, slab
 // chunks, pages) starts small, grows geometrically, holds no pointers
 // where it is per node, and dies with the tree.
-
-// accTable interns accKeys (per-object totals, per-(object, op) counters,
-// per-process step counters) into dense int32 ids, replacing the per-node
-// map[accKey]int the old summaries carried. Ids are assigned in
-// first-encounter order; reports never depend on the order because Result
-// conversion maps ids back through keys.
-type accTable struct {
-	ids  map[accKey]int32
-	keys []accKey
-}
-
-func newAccTable() *accTable {
-	return &accTable{ids: make(map[accKey]int32)}
-}
-
-// id interns k, growing the table on first encounter.
-func (a *accTable) id(k accKey) int32 {
-	id, ok := a.ids[k]
-	if !ok {
-		id = int32(len(a.keys))
-		a.ids[k] = id
-		a.keys = append(a.keys, k)
-	}
-	return id
-}
 
 // accChunkShift splits an accSlab reference into chunk and offset: a
 // chunk holds at most 1<<accChunkShift counters, unless it was made for
@@ -84,68 +60,52 @@ func (s *accSlab) at(ref uint32, n int) []int32 {
 	return s.chunks[ref>>accChunkShift][off : off+n : off+n]
 }
 
-// Key arena chunks start at 2KB and double up to segSlab. Each refill
-// abandons the rest of the previous chunk, so while chunks double the
-// arena may allocate twice what it stores.
+// carve returns n elements cut from the chunk *pool, capped at n so no
+// later run aliases them. A chunk without room is abandoned for a new
+// one: first elements the first time, then twice the last chunk's
+// capacity up to limit, and never fewer than n. While chunks double, a
+// pool may allocate twice what it hands out.
+func carve[T any](pool *[]T, n, first, limit int) []T {
+	if cap(*pool)-len(*pool) < n {
+		size := first
+		if cap(*pool) > 0 {
+			size = min(2*cap(*pool), limit)
+		}
+		*pool = make([]T, 0, max(size, n))
+	}
+	off := len(*pool)
+	*pool = (*pool)[:off+n]
+	return (*pool)[off : off+n : off+n]
+}
+
+// Key arena chunks start at 2KB and double up to segSlab.
 const segSlab = 8 * 1024
 
 // byteArena hands out the intern tables' keys from slab chunks. The zero
 // value is ready to use.
-type byteArena struct {
-	buf   []byte
-	chunk int
-}
+type byteArena struct{ buf []byte }
 
-// save copies b into the arena and returns the stored copy, capped at its
-// own length so later saves never alias it.
+// save copies b into the arena and returns the stored copy.
 func (a *byteArena) save(b []byte) []byte {
-	c := len(b)
-	if cap(a.buf)-len(a.buf) < c {
-		size := a.chunk * 2
-		if size == 0 {
-			size = 2 * 1024
-		}
-		if size > segSlab {
-			size = segSlab
-		}
-		a.chunk = size
-		if c > size {
-			size = c
-		}
-		a.buf = make([]byte, 0, size)
-	}
-	n := len(a.buf)
-	a.buf = append(a.buf, b...)
-	return a.buf[n : n+c : n+c]
+	out := carve(&a.buf, len(b), 2*1024, segSlab)
+	copy(out, b)
+	return out
 }
 
-// initAcct builds the dense-id caches on first use: per-process and
-// per-object-total ids at fixed positions in lookup slices, per-object
-// operation ids interned lazily (opAccID) as expansions encounter them.
+// initAcct interns the fixed access counters, the per-process and
+// per-object totals, into lookup slices. Per-operation counters are
+// interned as expansions encounter them (pendingOpAcc). Ids are assigned
+// in first-encounter order; reports never depend on the order because
+// Result conversion maps ids back through keys.
 func (e *explorer) initAcct() {
-	e.acct = newAccTable()
 	e.procIDs = make([]int32, e.im.Procs)
-	for p := 0; p < e.im.Procs; p++ {
+	for p := range e.procIDs {
 		e.procIDs[p] = e.acct.id(procKey(p))
 	}
 	e.objIDs = make([]int32, len(e.im.Objects))
-	e.opIDs = make([]map[string]int32, len(e.im.Objects))
-	for i := range e.im.Objects {
+	for i := range e.objIDs {
 		e.objIDs[i] = e.acct.id(accKey{Obj: i})
-		e.opIDs[i] = make(map[string]int32)
 	}
-}
-
-// opAccID returns the dense id of the (obj, op) counter. It runs once per
-// interned process state (pendingOpAcc), never per edge.
-func (e *explorer) opAccID(obj int, op string) int32 {
-	m := e.opIDs[obj]
-	id, ok := m[op]
-	if !ok {
-		id = e.acct.id(accKey{Obj: obj, Op: op})
-		m[op] = id
-	}
-	return id
 }
 
 // levelBatch is how many levels' counter buffers one allocation makes.
@@ -159,7 +119,7 @@ const levelBatch = 16
 // merged into its parent before its next sibling starts, so they can all
 // share the buffer.
 func (e *explorer) levelAcc(lvl int) []int32 {
-	n := len(e.acct.keys)
+	n := len(e.acct.vals)
 	if lvl == len(e.levelBufs) {
 		batch := make([]int32, 2*levelBatch*n)
 		for i := 0; i < levelBatch; i++ {
@@ -179,7 +139,7 @@ func (e *explorer) levelAcc(lvl int) []int32 {
 // grows in place; otherwise the new slice replaces it when the node
 // finishes (expandNode).
 func (e *explorer) growAcc(s *summary) {
-	n := len(e.acct.keys)
+	n := len(e.acct.vals)
 	if n <= cap(s.acc) {
 		old := len(s.acc)
 		s.acc = s.acc[:n]
@@ -191,21 +151,40 @@ func (e *explorer) growAcc(s *summary) {
 	s.acc = acc
 }
 
-// walkChild visits the child of c reached by process p taking the cached
-// transition t on object obj, for the tree walkers outside the DFS
-// (Valency, Dot): like a DFS edge it steps c in place through the step
-// cache, calls visit, and restores c and p's path responses.
-func (e *explorer) walkChild(c *config, p, obj int, t cachedTrans, visit func() error) error {
-	oldObj, oldProc := c.objs[obj], c.procs[p]
-	c.objs[obj] = t.next
-	mark := e.respN[p]
-	err := e.stepProc(c, p, t.resp, false)
-	if err == nil {
-		err = visit()
+// eachEdge is the fault-free edge loop of the tree walkers outside the
+// DFS (Valency, Dot). Like the DFS, it steps c in place to each child one
+// object access away, in process-index then outcome order, through the
+// transition and step caches, and restores c and the path responses
+// afterwards. At each child it calls visit with the access: process p's
+// invocation inv on object obj, answered with response id resp.
+func (e *explorer) eachEdge(c *config, visit func(p, obj int, inv, resp int32) error) error {
+	for p := range c.procs {
+		m := &e.procMeta[c.procs[p]]
+		if m.flags&(metaDone|metaCrashed) != 0 {
+			continue
+		}
+		obj := int(m.obj)
+		inv := e.pendingInv(c, p)
+		cts, err := e.applyCached(c, p, obj, inv)
+		if err != nil {
+			return err
+		}
+		oldObj, oldProc := c.objs[obj], c.procs[p]
+		for _, t := range cts {
+			c.objs[obj] = t.next
+			mark := e.respN[p]
+			err := e.stepProc(c, p, t.resp, false)
+			if err == nil {
+				err = visit(p, obj, inv, t.resp)
+			}
+			c.objs[obj], c.procs[p] = oldObj, oldProc
+			e.respN[p] = mark
+			if err != nil {
+				return err
+			}
+		}
 	}
-	c.objs[obj], c.procs[p] = oldObj, oldProc
-	e.respN[p] = mark
-	return err
+	return nil
 }
 
 // cachedTrans is one outcome of an object access: the interned successor
@@ -258,14 +237,9 @@ func (r *cacheRows[T]) fill(id, slot, width int, empty T) *T {
 	}
 	row := r.rows[id]
 	if slot >= len(row) {
-		n := max(slot+1, width, 2*len(row))
-		if cap(r.chunk)-len(r.chunk) < n {
-			r.chunk = make([]T, 0, max(2*cap(r.chunk), n, 64))
-		}
-		grown := r.chunk[len(r.chunk) : len(r.chunk)+n : len(r.chunk)+n]
-		r.chunk = r.chunk[:len(r.chunk)+n]
+		grown := carve(&r.chunk, max(slot+1, width, 2*len(row)), 64, math.MaxInt)
 		copy(grown, row)
-		for i := len(row); i < n; i++ {
+		for i := len(row); i < len(grown); i++ {
 			grown[i] = empty
 		}
 		row = grown

@@ -31,7 +31,7 @@ func Dot(im *program.Implementation, scripts [][]types.Invocation, maxNodes int)
 	b.WriteString("digraph executiontree {\n")
 	b.WriteString("  rankdir=TB;\n  node [shape=circle, fontsize=10];\n")
 	d := &dotBuilder{e: e, b: &b, budget: maxNodes}
-	if _, err := d.walk(root, 0); err != nil {
+	if _, err := d.walk(root); err != nil {
 		return "", err
 	}
 	b.WriteString("}\n")
@@ -45,21 +45,14 @@ type dotBuilder struct {
 	budget int
 }
 
-func (d *dotBuilder) walk(c *config, depth int) (int, error) {
+func (d *dotBuilder) walk(c *config) (int, error) {
 	if d.nextID >= d.budget {
 		return 0, fmt.Errorf("%w: more than %d nodes", ErrDotBudget, d.budget)
 	}
 	id := d.nextID
 	d.nextID++
 
-	allDone := true
-	for _, pid := range c.procs {
-		if !d.e.proc(pid).Done {
-			allDone = false
-			break
-		}
-	}
-	if allDone {
+	if d.e.tally(c).running == 0 {
 		labels := make([]string, len(c.procs))
 		for p, pid := range c.procs {
 			labels[p] = fmt.Sprintf("p%d:%v", p, d.e.proc(pid).Resp)
@@ -70,30 +63,16 @@ func (d *dotBuilder) walk(c *config, depth int) (int, error) {
 	}
 	fmt.Fprintf(d.b, "  n%d [label=\"%s\"];\n", id, d.stateLabel(c))
 
-	for p, pid := range c.procs {
-		if d.e.proc(pid).Done {
-			continue
-		}
-		act := d.e.proc(pid).Pending
-		inv := d.e.pendingInv(c, p)
-		cts, err := d.e.applyCached(c, p, act.Obj, inv)
+	err := d.e.eachEdge(c, func(p, obj int, inv, resp int32) error {
+		childID, err := d.walk(c)
 		if err != nil {
-			return 0, err
+			return err
 		}
-		for _, t := range cts {
-			var childID int
-			err := d.e.walkChild(c, p, act.Obj, t, func() (err error) {
-				childID, err = d.walk(c, depth+1)
-				return err
-			})
-			if err != nil {
-				return 0, err
-			}
-			fmt.Fprintf(d.b, "  n%d -> n%d [label=\"p%d:%s.%v→%v\"];\n",
-				id, childID, p, d.e.im.Objects[act.Obj].Name, act.Inv, d.e.resps.vals[t.resp])
-		}
-	}
-	return id, nil
+		fmt.Fprintf(d.b, "  n%d -> n%d [label=\"p%d:%s.%v→%v\"];\n",
+			id, childID, p, d.e.im.Objects[obj].Name, d.e.invs.vals[inv], d.e.resps.vals[resp])
+		return nil
+	})
+	return id, err
 }
 
 // stateLabel renders the object states compactly.

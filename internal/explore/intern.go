@@ -224,12 +224,11 @@ func (e *explorer) pendingInv(c *config, p int) int32 {
 
 // pendingOpAcc returns the access-counter id of process p's pending access
 // in c — (object, operation) — computed once per interned state. Only the
-// DFS, whose process states are all interned, counts accesses; the walkers
-// (Walk, Valency, Dot) never ask.
+// DFS counts accesses.
 func (e *explorer) pendingOpAcc(c *config, p int) int32 {
 	m := &e.procMeta[c.procs[p]]
 	if m.opAcc < 0 {
-		m.opAcc = e.opAccID(int(m.obj), e.proc(c.procs[p]).Pending.Inv.Op)
+		m.opAcc = e.acct.id(accKey{Obj: int(m.obj), Op: e.proc(c.procs[p]).Pending.Inv.Op})
 	}
 	return m.opAcc
 }

@@ -9,8 +9,21 @@ import (
 
 	"waitfree/internal/consensus"
 	"waitfree/internal/faults"
+	"waitfree/internal/program"
 	"waitfree/internal/types"
 )
+
+// engineExplorer is newExplorer plus the instrumentation runTree attaches,
+// a background context and one worker's counters, for tests that call
+// e.explore or e.dfs directly.
+func engineExplorer(im *program.Implementation, scripts [][]types.Invocation, opts Options) (*explorer, *config, error) {
+	e, root, err := newExplorer(im, scripts, opts)
+	if err != nil {
+		return nil, nil, err
+	}
+	e.ctx, e.ctr = context.Background(), newCounters(1, 1)
+	return e, root, nil
+}
 
 // TestInternedKeyMatchesSegmentKey pins the interned layout's soundness
 // contract on every tree of the consensus corpus, memoized, with faults
@@ -31,7 +44,7 @@ func TestInternedKeyMatchesSegmentKey(t *testing.T) {
 			for mask := 0; mask < 1<<im.Procs; mask++ {
 				name := fmt.Sprintf("%s/%v/mask=%d", im.Name, model.Mode, mask)
 				scripts := consensusScripts(ProposalVectorK(mask, im.Procs, 2))
-				e, root, err := newExplorer(im, scripts, Options{Memoize: true, Faults: model})
+				e, root, err := engineExplorer(im, scripts, Options{Memoize: true, Faults: model})
 				if err != nil {
 					t.Fatalf("%s: %v", name, err)
 				}
@@ -102,7 +115,7 @@ func checkInternedKeys(t *testing.T, name string, e *explorer, nobjs, nprocs int
 // process.
 func cacheBenchExplorer(b *testing.B) (*explorer, *config, int) {
 	b.Helper()
-	e, root, err := newExplorer(consensus.Sticky(3), consensusScripts([]int{0, 1, 0}), Options{Memoize: true})
+	e, root, err := engineExplorer(consensus.Sticky(3), consensusScripts([]int{0, 1, 0}), Options{Memoize: true})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -175,7 +188,7 @@ func BenchmarkIntern(b *testing.B) {
 // a transition-cache hit, a step-cache hit and an intern hit allocate
 // nothing.
 func TestCacheHitsAllocFree(t *testing.T) {
-	e, c, err := newExplorer(consensus.Sticky(3), consensusScripts([]int{0, 1, 0}), Options{Memoize: true})
+	e, c, err := engineExplorer(consensus.Sticky(3), consensusScripts([]int{0, 1, 0}), Options{Memoize: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,7 +13,7 @@ func refCounters(e *explorer, acc []int32) map[accKey]int {
 	m := make(map[accKey]int)
 	for i, v := range acc {
 		if v != 0 {
-			m[e.acct.keys[i]] = int(v)
+			m[e.acct.vals[i]] = int(v)
 		}
 	}
 	return m
@@ -54,7 +54,7 @@ func TestMergeChildMatchesReference(t *testing.T) {
 	}
 	for iter := 0; iter < 3000; iter++ {
 		nkeys := 3 + rng.Intn(14)
-		e := &explorer{acct: newAccTable()}
+		e := &explorer{}
 		for i := 0; i < nkeys; i++ {
 			e.acct.id(accKey{Obj: i / 3, Op: fmt.Sprint(i % 3)})
 		}
@@ -68,7 +68,7 @@ func TestMergeChildMatchesReference(t *testing.T) {
 		child := summary{height: rng.Intn(6), nodes: int64(1 + rng.Intn(50)), leaves: int64(rng.Intn(20)),
 			acc: randAcc(rng.Intn(nkeys + 1))}
 		ids := rng.Perm(nkeys)[:3]
-		bump := []accKey{e.acct.keys[ids[0]], e.acct.keys[ids[1]], e.acct.keys[ids[2]]}
+		bump := []accKey{e.acct.vals[ids[0]], e.acct.vals[ids[1]], e.acct.vals[ids[2]]}
 		crash := rng.Intn(4) == 0
 
 		wantAcc := refMerge(refCounters(e, parent.acc), refCounters(e, child.acc), bump)

@@ -102,7 +102,7 @@ func TestErrorPathClearsGrayMarks(t *testing.T) {
 		{types.Propose(0)},
 		{types.Propose(1)},
 	}
-	e, root, err := newExplorer(im, scripts, Options{Memoize: true})
+	e, root, err := engineExplorer(im, scripts, Options{Memoize: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -81,7 +81,7 @@ func Valency(im *program.Implementation, proposals []int) (*ValencyReport, error
 	if err != nil {
 		return nil, err
 	}
-	v := &valencyAnalysis{e: e, memo: make(map[string]uint64), seenCrit: make(map[string]bool)}
+	v := &valencyAnalysis{e: e, memo: make(map[string]uint64)}
 	rootMask, err := v.valency(root, 0)
 	if err != nil {
 		return nil, err
@@ -111,7 +111,6 @@ func Valency(im *program.Implementation, proposals []int) (*ValencyReport, error
 type valencyAnalysis struct {
 	e         *explorer
 	memo      map[string]uint64
-	seenCrit  map[string]bool
 	bivalent  int
 	univalent int
 	critical  []CriticalConfig
@@ -124,14 +123,7 @@ func (v *valencyAnalysis) valency(c *config, depth int) (uint64, error) {
 	if depth > v.e.opts.MaxDepth {
 		return 0, fmt.Errorf("explore: valency analysis exceeded %d steps (not wait-free?)", v.e.opts.MaxDepth)
 	}
-	allDone := true
-	for _, id := range c.procs {
-		if !v.e.proc(id).Done {
-			allDone = false
-			break
-		}
-	}
-	if allDone {
+	if v.e.tally(c).running == 0 {
 		// Leaf: all processes decided; agreement gives a single value.
 		val := v.e.proc(c.procs[0]).Resp.Val
 		if val < 0 || val > 63 {
@@ -147,30 +139,18 @@ func (v *valencyAnalysis) valency(c *config, depth int) (uint64, error) {
 	var mask uint64
 	var pending []PendingStep
 	var childMasks []uint64
-	for p, id := range c.procs {
-		if v.e.proc(id).Done {
-			continue
+	err := v.e.eachEdge(c, func(p, obj int, inv, _ int32) error {
+		if n := len(pending); n == 0 || pending[n-1].Proc != p {
+			pending = append(pending, PendingStep{Proc: p, Obj: obj, Inv: v.e.invs.vals[inv]})
+			childMasks = append(childMasks, 0)
 		}
-		act := v.e.proc(id).Pending
-		pending = append(pending, PendingStep{Proc: p, Obj: act.Obj, Inv: act.Inv})
-		inv := v.e.pendingInv(c, p)
-		cts, err := v.e.applyCached(c, p, act.Obj, inv)
-		if err != nil {
-			return 0, err
-		}
-		var childMask uint64
-		for _, t := range cts {
-			err := v.e.walkChild(c, p, act.Obj, t, func() error {
-				m, err := v.valency(c, depth+1)
-				childMask |= m
-				return err
-			})
-			if err != nil {
-				return 0, err
-			}
-		}
-		childMasks = append(childMasks, childMask)
-		mask |= childMask
+		m, err := v.valency(c, depth+1)
+		childMasks[len(childMasks)-1] |= m
+		mask |= m
+		return err
+	})
+	if err != nil {
+		return 0, err
 	}
 
 	v.memo[key] = mask
@@ -184,8 +164,7 @@ func (v *valencyAnalysis) valency(c *config, depth int) (uint64, error) {
 				break
 			}
 		}
-		if critical && !v.seenCrit[key] {
-			v.seenCrit[key] = true
+		if critical {
 			cc := CriticalConfig{
 				Pending:      pending,
 				ChildValency: childMasks,
