@@ -4,12 +4,16 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"os"
+	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
 	"waitfree/internal/consensus"
 	"waitfree/internal/faults"
+	"waitfree/internal/program"
 )
 
 // cancelMidRun runs a consensus check sequentially and cancels it from the
@@ -243,4 +247,105 @@ func TestCheckpointRemainingClamped(t *testing.T) {
 	if got := cp.Remaining(); got != 0 {
 		t.Errorf("Remaining() on an overfull checkpoint = %d, want 0", got)
 	}
+}
+
+// FuzzCheckpointValidate feeds checkpoint JSON to the resume path of two
+// fault-free 2-valued runs, TAS2 and CAS(3). Bytes that do not decode are
+// rejected there; a decoded checkpoint that validateFor refuses must be
+// refused with ErrBadCheckpoint; one it accepts must resume through
+// ConsensusKContext, with and without symmetry reduction, without error.
+// Nothing may panic.
+func FuzzCheckpointValidate(f *testing.F) {
+	runs := []*program.Implementation{consensus.TAS2(), consensus.CAS(3)}
+	for _, seed := range checkpointSeeds(f, runs) {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		for _, im := range runs {
+			var cp Checkpoint
+			if json.Unmarshal(data, &cp) != nil {
+				return
+			}
+			if err := cp.validateFor(im, 2, 1<<im.Procs, faults.Model{}); err != nil {
+				if !errors.Is(err, ErrBadCheckpoint) {
+					t.Fatalf("%s: refusal %v does not wrap ErrBadCheckpoint", im.Name, err)
+				}
+				continue
+			}
+			for _, sym := range []SymmetryMode{SymmetryOff, SymmetryAuto} {
+				opts := Options{Memoize: true, Symmetry: sym, ResumeFrom: &cp}
+				if _, err := ConsensusKContext(context.Background(), im, 2, opts); err != nil {
+					t.Fatalf("%s (symmetry %v): a validated checkpoint did not resume: %v", im.Name, sym, err)
+				}
+			}
+		}
+	})
+}
+
+// checkpointSeeds is FuzzCheckpointValidate's corpus: the trees of the
+// flatparity resume checkpoint (a Sticky(3) run) as recorded and
+// re-targeted at each run, genuine TAS2 trees, forgeries of both, and a
+// few malformed documents.
+func checkpointSeeds(f *testing.F, runs []*program.Implementation) [][]byte {
+	data, err := os.ReadFile(filepath.Join("..", "..", "testdata", "flatparity", "resume_sticky3.wfcp"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	var sticky []TreeResult
+	for _, line := range strings.Split(string(data), "\n") {
+		if rest, ok := strings.CutPrefix(line, "tree "); ok {
+			var tr TreeResult
+			_, body, _ := strings.Cut(rest, " ")
+			if err := json.Unmarshal([]byte(body), &tr); err != nil {
+				f.Fatal(err)
+			}
+			sticky = append(sticky, tr)
+		}
+	}
+	var tas []TreeResult
+	for mask := 0; mask < 3; mask++ {
+		out := exploreTree(context.Background(), consensus.TAS2(), 2, mask, Options{}, newCounters(1, 4), 0)
+		if out.err != nil || out.violation != nil {
+			f.Fatalf("TAS2 mask %d: err %v, violation %v", mask, out.err, out.violation)
+		}
+		tas = append(tas, out.TreeResult)
+	}
+	var seeds [][]byte
+	add := func(cp Checkpoint) {
+		b, err := json.Marshal(&cp)
+		if err != nil {
+			f.Fatal(err)
+		}
+		seeds = append(seeds, b)
+	}
+	checkpoint := func(impl string, procs int, trees []TreeResult) Checkpoint {
+		return Checkpoint{Version: CheckpointVersion, Impl: impl, Procs: procs, Values: 2, Roots: 1 << procs, Trees: trees}
+	}
+	add(checkpoint("sticky-consensus", 3, sticky))
+	for _, im := range runs {
+		add(checkpoint(im.Name, im.Procs, sticky))
+		add(checkpoint(im.Name, im.Procs, tas))
+	}
+	forge := func(trees []TreeResult, i int, edit func(*TreeResult)) []TreeResult {
+		out := make([]TreeResult, len(trees))
+		for j := range trees {
+			out[j] = trees[j].clone()
+		}
+		edit(&out[i])
+		return out
+	}
+	cas := runs[1].Name
+	add(checkpoint(cas, 3, forge(sticky, 1, func(tr *TreeResult) { tr.Mask = 0 })))
+	add(checkpoint(cas, 3, forge(sticky, 1, func(tr *TreeResult) { tr.Mask = 8 })))
+	add(checkpoint(cas, 3, forge(sticky, 2, func(tr *TreeResult) { tr.Nodes = -1 })))
+	add(checkpoint(cas, 3, forge(sticky, 3, func(tr *TreeResult) { tr.Decided = []int{1, 0} })))
+	add(checkpoint(cas, 3, forge(sticky, 0, func(tr *TreeResult) { tr.OpAccess[0] = nil })))
+	add(checkpoint(cas, 3, forge(sticky, 0, func(tr *TreeResult) { tr.ProcSteps = nil })))
+	add(checkpoint(runs[0].Name, 2, forge(tas, 2, func(tr *TreeResult) { tr.OpAccess[1] = map[string]int{"write": -1} })))
+	add(checkpoint(runs[0].Name, 2, append(tas, tas...)))
+	over := checkpoint(cas, 3, sticky)
+	over.Version = CheckpointVersion + 1
+	add(over)
+	seeds = append(seeds, nil, []byte("null"), []byte("{}"), []byte(`{"version":1,"trees":[{}]}`), seeds[1][:len(seeds[1])/2])
+	return seeds
 }

@@ -11,6 +11,7 @@
 // the trajectory next to the costs; those are never gated either.
 //
 //	go run ./scripts/benchreg -baseline BENCH_BASELINE.json -out BENCH_<n>.json
+//	go run ./scripts/benchreg -out next        # the point after the highest committed BENCH_<n>.json
 //	go run ./scripts/benchreg -ratchet         # gate, then tighten the baseline
 //	go run ./scripts/benchreg -update          # refresh the baseline in place
 //
@@ -62,7 +63,7 @@ var benchLine = regexp.MustCompile(`^(Benchmark\S+)\s+(\d+)\s+(.*)$`)
 
 func main() {
 	baselinePath := flag.String("baseline", "BENCH_BASELINE.json", "committed baseline to gate against")
-	outPath := flag.String("out", "", "write the fresh measurements to this file (BENCH_<n>.json)")
+	outPath := flag.String("out", "", "write the fresh measurements to this file (BENCH_<n>.json; next: the point after the highest committed one)")
 	bench := flag.String("bench", "BenchmarkConsensus", "benchmark pattern to run")
 	benchtime := flag.String("benchtime", "5x", "-benchtime passed to go test")
 	threshold := flag.Float64("threshold", 0.10, "maximum tolerated allocs/op regression (fraction)")
@@ -83,6 +84,13 @@ func main() {
 		GoArch:     runtime.GOARCH,
 		Benchmarks: fresh,
 	}
+	if *outPath == "next" {
+		committed, err := exec.Command("git", "ls-files", "--", "BENCH_*.json").Output()
+		if err != nil {
+			fatal(fmt.Errorf("git ls-files: %w", err))
+		}
+		*outPath = nextPoint(strings.Fields(string(committed)))
+	}
 	if *outPath != "" {
 		loc, err := linesPerPackage()
 		if err != nil {
@@ -92,6 +100,7 @@ func main() {
 		if err := writeJSON(*outPath, out); err != nil {
 			fatal(err)
 		}
+		fmt.Printf("benchreg: wrote %s\n", *outPath)
 	}
 	if *update {
 		if err := writeJSON(*baselinePath, out); err != nil {
@@ -148,6 +157,24 @@ func main() {
 		fatal(err)
 	}
 	fmt.Printf("benchreg: baseline %s tightened (%d entries)\n", *baselinePath, len(tightened))
+}
+
+// benchPoint matches a trajectory point's file name.
+var benchPoint = regexp.MustCompile(`^BENCH_(\d+)\.json$`)
+
+// nextPoint names the trajectory point after the highest-numbered
+// BENCH_<n>.json among names: BENCH_<n+1>.json, or BENCH_1.json if there
+// is none. Other names, such as BENCH_BASELINE.json, are ignored.
+func nextPoint(names []string) string {
+	n := 0
+	for _, name := range names {
+		if m := benchPoint.FindStringSubmatch(name); m != nil {
+			if v, err := strconv.Atoi(m[1]); err == nil {
+				n = max(n, v)
+			}
+		}
+	}
+	return fmt.Sprintf("BENCH_%d.json", n+1)
 }
 
 // ratchetBaseline lowers base's allocs/op entries to fresh's where fresh

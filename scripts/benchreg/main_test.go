@@ -39,3 +39,22 @@ func TestRatchetBaseline(t *testing.T) {
 		t.Fatalf("second ratchet with the same run tightened %q", again)
 	}
 }
+
+// TestNextPoint pins -out next: the point after the highest-numbered
+// BENCH_<n>.json, compared as numbers (BENCH_27 follows BENCH_9), with the
+// baseline and other names ignored.
+func TestNextPoint(t *testing.T) {
+	for _, tc := range []struct {
+		names []string
+		want  string
+	}{
+		{nil, "BENCH_1.json"},
+		{[]string{"BENCH_BASELINE.json"}, "BENCH_1.json"},
+		{[]string{"BENCH_9.json", "BENCH_27.json", "BENCH_12.json", "BENCH_BASELINE.json"}, "BENCH_28.json"},
+		{[]string{"BENCH_27.json", "BENCH_28.json.bak", "OLD_BENCH_99.json", "BENCH_x.json"}, "BENCH_28.json"},
+	} {
+		if got := nextPoint(tc.names); got != tc.want {
+			t.Errorf("nextPoint(%q) = %s, want %s", tc.names, got, tc.want)
+		}
+	}
+}
