@@ -118,8 +118,8 @@ func TestCompiledRegisterLinearizable(t *testing.T) {
 		opts := explore.Options{
 			RecordHistory: true,
 			OnLeaf: func(l *explore.Leaf) error {
-				if _, err := linearize.Check(types.SRSWRegister(tc.k), tc.init, l.History); err != nil {
-					return fmt.Errorf("not linearizable: %w\n%v", err, l.History)
+				if _, err := linearize.Check(types.SRSWRegister(tc.k), tc.init, l.History()); err != nil {
+					return fmt.Errorf("not linearizable: %w\n%v", err, l.History())
 				}
 				return nil
 			},

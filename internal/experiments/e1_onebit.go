@@ -37,7 +37,7 @@ func E1(ctx context.Context) (*Table, error) {
 		opts := explore.Options{
 			RecordHistory: true,
 			OnLeaf: func(l *explore.Leaf) error {
-				if _, err := linearize.Check(types.SRSWBit(), tc.init, l.History); err != nil {
+				if _, err := linearize.Check(types.SRSWBit(), tc.init, l.History()); err != nil {
 					linearizable = false
 					return err
 				}

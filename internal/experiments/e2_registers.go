@@ -118,7 +118,7 @@ func (l RegisterLayer) Explore(ctx context.Context) (*explore.Result, error) {
 	}
 	return explore.RunContext(ctx, l.Impl, l.Scripts, explore.Options{
 		RecordHistory: true,
-		OnLeaf:        func(leaf *explore.Leaf) error { return check(leaf.History) },
+		OnLeaf:        func(leaf *explore.Leaf) error { return check(leaf.History()) },
 	})
 }
 

@@ -126,7 +126,7 @@ func checkOneUseBitCounting(ctx context.Context, im *program.Implementation) (bo
 	opts := explore.Options{
 		RecordHistory: true,
 		OnLeaf: func(l *explore.Leaf) error {
-			if _, err := linearize.Check(types.OneUseBit(), types.OneUseUnset, l.History); err != nil {
+			if _, err := linearize.Check(types.OneUseBit(), types.OneUseUnset, l.History()); err != nil {
 				ok = false
 				return err
 			}

@@ -180,7 +180,7 @@ func e9MachineCheck(ctx context.Context, target *types.Spec, init types.State, a
 	opts := explore.Options{
 		RecordHistory: true,
 		OnLeaf: func(l *explore.Leaf) error {
-			if _, err := linearize.Check(target, init, l.History); err != nil {
+			if _, err := linearize.Check(target, init, l.History()); err != nil {
 				ok = false
 				return err
 			}

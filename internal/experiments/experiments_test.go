@@ -181,7 +181,7 @@ func TestWalkedLeavesAreTreeLeaves(t *testing.T) {
 			walked[explore.FormatSchedule(w.Schedule)] = seed
 		}
 		_, err := explore.RunContext(context.Background(), c.im, c.scripts, explore.Options{OnLeaf: func(l *explore.Leaf) error {
-			delete(walked, explore.FormatSchedule(l.Schedule))
+			delete(walked, explore.FormatSchedule(l.Schedule()))
 			return nil
 		}})
 		if err != nil {

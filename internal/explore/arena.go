@@ -293,7 +293,7 @@ func (e *explorer) applyCached(c *config, p, obj int, inv int32) ([]cachedTrans,
 // advance, including any chain of zero-access operations it completes.
 // forced sets Stepped first (CrashBeforeFirstStep), which the pre-state
 // id does not reflect, so it is part of the index. The responses are all
-// a history needs (historyView), so every run but a Walk steps through the
+// a history needs (Leaf.History), so every run but a Walk steps through the
 // cache; a Walk's scratch state is stepped in place. Errors are not
 // cached.
 func (e *explorer) stepProc(c *config, p int, resp int32, forced bool) error {

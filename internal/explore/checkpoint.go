@@ -95,7 +95,8 @@ func (c *Checkpoint) String() string {
 
 // validateFor checks that the checkpoint belongs to this exact run shape
 // and that every tree in it could have come from an exploration: bounds of
-// the right shape, no negative count, valid decisions.
+// the right shape, counts an exploration could write (explored), and valid
+// decisions.
 func (c *Checkpoint) validateFor(im *program.Implementation, k, roots int, model faults.Model) error {
 	if c.Version != CheckpointVersion {
 		return fmt.Errorf("%w: version %d, want %d", ErrBadCheckpoint, c.Version, CheckpointVersion)
@@ -126,8 +127,8 @@ func (c *Checkpoint) validateFor(im *program.Implementation, k, roots int, model
 		if len(tr.MaxAccess) != len(im.Objects) || len(tr.OpAccess) != len(im.Objects) || len(tr.ProcSteps) != im.Procs {
 			return fmt.Errorf("%w: tree %d has mismatched bound shapes", ErrBadCheckpoint, tr.Mask)
 		}
-		if !tr.nonNegative() {
-			return fmt.Errorf("%w: tree %d has a negative counter or bound", ErrBadCheckpoint, tr.Mask)
+		if !tr.explored() {
+			return fmt.Errorf("%w: tree %d has a negative or missing counter, bound or decision", ErrBadCheckpoint, tr.Mask)
 		}
 		// A checkpointed tree is violation-free, so its decisions are valid:
 		// drawn from its own proposal vector, and sorted without repeats.
@@ -142,15 +143,21 @@ func (c *Checkpoint) validateFor(im *program.Implementation, k, roots int, model
 	return nil
 }
 
-// nonNegative reports whether every counter and bound of the tree is >= 0.
-func (tr *TreeResult) nonNegative() bool {
+// explored reports whether an exploration could have written the tree: no
+// counter or bound is negative, it entered its root and reached a leaf, it
+// wrote a map per object (an empty one included), and it decided at its
+// fault-free leaf.
+func (tr *TreeResult) explored() bool {
 	bounds := slices.Concat([]int{tr.Depth}, tr.MaxAccess, tr.ProcSteps)
 	for _, ops := range tr.OpAccess {
+		if ops == nil {
+			return false
+		}
 		for _, v := range ops {
 			bounds = append(bounds, v)
 		}
 	}
-	return tr.Nodes >= 0 && tr.Leaves >= 0 && tr.MemoHits >= 0 && slices.Min(bounds) >= 0
+	return tr.Nodes >= 1 && tr.Leaves >= 1 && tr.MemoHits >= 0 && slices.Min(bounds) >= 0 && len(tr.Decided) > 0
 }
 
 // clone deep-copies the tree for a Checkpoint leaving the engine. Inside

@@ -234,6 +234,58 @@ func TestResumeRejectsForgedTrees(t *testing.T) {
 	}
 }
 
+// TestResumeRejectsUnexploredTrees pins the checks that a checkpointed
+// tree was explored at all: every exploration enters its root, reaches a
+// leaf, writes an op_access map per object, and decides at its fault-free
+// leaf. Each forgery of a genuine CAS(3) tree for mask 1 breaks one of
+// them, and the last is a tree no exploration touched; resuming from any
+// is ErrBadCheckpoint, where merging it would undercount the report's
+// nodes and leaves.
+func TestResumeRejectsUnexploredTrees(t *testing.T) {
+	im := consensus.CAS(3)
+	genuine := func() TreeResult {
+		out := exploreTree(context.Background(), im, 2, 1, Options{}, newCounters(1, 8), 0)
+		if out.err != nil || out.violation != nil {
+			t.Fatalf("err %v, violation %v", out.err, out.violation)
+		}
+		return out.TreeResult
+	}
+	resume := func(tr TreeResult) error {
+		cp := &Checkpoint{Version: CheckpointVersion, Impl: im.Name, Procs: 3, Values: 2, Roots: 8, Trees: []TreeResult{tr}}
+		_, err := ConsensusKContext(context.Background(), im, 2, Options{ResumeFrom: cp})
+		return err
+	}
+	if err := resume(genuine()); err != nil {
+		t.Fatalf("genuine tree rejected: %v", err)
+	}
+	forgeries := []struct {
+		name  string
+		forge func(*TreeResult)
+	}{
+		{"null op_access entry", func(tr *TreeResult) { tr.OpAccess[0] = nil }},
+		{"no nodes", func(tr *TreeResult) { tr.Nodes = 0 }},
+		{"no leaves", func(tr *TreeResult) { tr.Leaves = 0 }},
+		{"no decisions", func(tr *TreeResult) { tr.Decided = nil }},
+		{"never explored", func(tr *TreeResult) {
+			*tr = TreeResult{
+				Mask:      1,
+				MaxAccess: make([]int, len(im.Objects)),
+				OpAccess:  make([]map[string]int, len(im.Objects)),
+				ProcSteps: make([]int, im.Procs),
+			}
+		}},
+	}
+	for _, f := range forgeries {
+		t.Run(f.name, func(t *testing.T) {
+			tr := genuine()
+			f.forge(&tr)
+			if err := resume(tr); !errors.Is(err, ErrBadCheckpoint) {
+				t.Errorf("err = %v, want ErrBadCheckpoint", err)
+			}
+		})
+	}
+}
+
 // TestCheckpointRemainingClamped pins Remaining on malformed counts: a
 // checkpoint claiming more trees than roots (rejected by validateFor, but
 // Remaining is also called on display paths before validation) must report

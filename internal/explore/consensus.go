@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"sync/atomic"
@@ -178,10 +179,12 @@ func ProposalVectorK(mask, procs, k int) []int {
 
 // treeOutcome is one proposal-vector tree's exploration, kept per mask so
 // the merge can replay sequential order regardless of completion order:
-// the tree's record, plus its violation or its error.
+// the tree's record, plus its violation or its error, and the property a
+// leaf-rule violation broke.
 type treeOutcome struct {
 	TreeResult
 	violation *Violation
+	broken    property
 	err       error
 }
 
@@ -207,9 +210,18 @@ func exploreTree(ctx context.Context, im *program.Implementation, k, mask int, o
 	proposals := ProposalVectorK(mask, im.Procs, k)
 	scripts := consensusScripts(proposals)
 	decided := make([]bool, k)
+	var broken property
 	treeOpts := opts
 	treeOpts.OnLeaf = func(l *Leaf) error {
-		return checkConsensusLeaf(l, proposals, decided)
+		v, fault := checkConsensusLeaf(l, proposals)
+		if fault != nil {
+			broken = fault.prop
+			return fault
+		}
+		if v >= 0 {
+			decided[v] = true
+		}
+		return nil
 	}
 	res, err := runTree(ctx, im, scripts, treeOpts, ctr, widx)
 	if err != nil {
@@ -228,6 +240,7 @@ func exploreTree(ctx context.Context, im *program.Implementation, k, mask int, o
 			Degraded:  res.Degraded,
 		},
 		violation: res.Violation,
+		broken:    broken,
 	}
 	for v, ok := range decided {
 		if ok {
@@ -595,8 +608,7 @@ func mergeTrees(report *ConsensusReport, outcomes []treeOutcome, last int, im *p
 				KindBlockedByRecoveryDivergence:
 				report.WaitFree = false
 			case KindLeafReject, KindInvalidAfterCrash, KindDecisionChangedAfterRecovery:
-				// checkConsensusLeaf prefixes the failed property.
-				if isValidityDetail(out.violation.Detail) {
+				if out.broken == propValidity {
 					report.Validity = false
 				} else {
 					report.Agreement = false
@@ -613,51 +625,56 @@ func mergeTrees(report *ConsensusReport, outcomes []treeOutcome, last int, im *p
 	return nil
 }
 
+// property is a consensus property a leaf can break, by the name the
+// violation detail gives it.
+type property string
+
+const propAgreement, propValidity property = "agreement", "validity"
+
+// leafFault is a leaf that broke the consensus leaf rule: the property it
+// broke, and how. Its message is the violation detail.
+type leafFault struct {
+	prop   property
+	detail string
+}
+
+func (f *leafFault) Error() string { return string(f.prop) + ": " + f.detail }
+
 // checkConsensusLeaf checks one completed execution: every surviving
-// process decided, all survivors agree, and the decision was proposed.
-// Crashed processes (fault exploration) are exempt — they need not decide,
-// and their proposals still count for validity, matching crash-stop
-// consensus.
-func checkConsensusLeaf(l *Leaf, proposals []int, decided []bool) error {
+// process decided, all survivors agree, and the decision was proposed. It
+// returns the decision, or -1 if every process crashed. Crashed processes
+// (fault exploration) are exempt — they need not decide, and their
+// proposals still count for validity, matching crash-stop consensus.
+func checkConsensusLeaf(l *Leaf, proposals []int) (int, *leafFault) {
 	var first types.Response
 	firstProc := -1
-	for p, resps := range l.Responses {
-		if l.Crashed != nil && l.Crashed[p] {
+	for p, id := range l.c.procs {
+		if l.e.proc(id).Crashed {
 			continue
 		}
+		resps := l.e.pathResps(p)
 		if len(resps) == 0 {
-			return fmt.Errorf("agreement: process %d produced no response", p)
+			return -1, &leafFault{propAgreement, fmt.Sprintf("process %d produced no response", p)}
 		}
-		r := resps[len(resps)-1]
+		r := l.e.resps.vals[resps[len(resps)-1]]
 		if r.Label != types.LabelVal {
-			return fmt.Errorf("agreement: process %d answered %v, not a value", p, r)
+			return -1, &leafFault{propAgreement, fmt.Sprintf("process %d answered %v, not a value", p, r)}
 		}
 		if firstProc < 0 {
 			first, firstProc = r, p
 		} else if r != first {
-			return fmt.Errorf("agreement: process %d decided %v but process %d decided %v", firstProc, first, p, r)
+			return -1, &leafFault{propAgreement,
+				fmt.Sprintf("process %d decided %v but process %d decided %v", firstProc, first, p, r)}
 		}
 	}
 	if firstProc < 0 {
 		// Every process crashed; nothing was decided and nothing to check.
-		return nil
+		return -1, nil
 	}
-	valid := false
-	for _, v := range proposals {
-		if first.Val == v {
-			valid = true
-			break
-		}
+	if !slices.Contains(proposals, first.Val) {
+		return -1, &leafFault{propValidity, fmt.Sprintf("decided %d, proposals %v", first.Val, proposals)}
 	}
-	if !valid {
-		return fmt.Errorf("validity: decided %d, proposals %v", first.Val, proposals)
-	}
-	decided[first.Val] = true
-	return nil
-}
-
-func isValidityDetail(detail string) bool {
-	return len(detail) >= len("validity") && detail[:len("validity")] == "validity"
+	return first.Val, nil
 }
 
 func mergeResult(report *ConsensusReport, res *TreeResult) {

@@ -25,6 +25,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime/debug"
+	"slices"
 	"strings"
 	"time"
 
@@ -50,17 +51,16 @@ type Options struct {
 	// its edges through the same interned configurations and transition
 	// and step caches. Incompatible with RecordHistory.
 	Memoize bool
-	// RecordHistory attaches the complete concurrent history of target
-	// operations to each Leaf, for linearizability checking. The history
-	// is rendered at the leaf from the explorer's path, like the Schedule;
-	// the run otherwise steps exactly like any other.
+	// RecordHistory lets Leaf.History render the complete concurrent
+	// history of target operations at each leaf, for linearizability
+	// checking. The history is rendered from the explorer's path, like the
+	// schedule; the run otherwise steps exactly like any other.
 	RecordHistory bool
 	// OnLeaf, if set, is called at every leaf. Returning an error aborts
 	// exploration and surfaces as a KindLeafReject violation. The *Leaf
-	// is a borrowed view: the explorer reuses it, and its Responses,
-	// Schedule, Crashed and Recoveries slices, for every leaf, so they are
-	// valid only during the call. A callback that keeps leaf data must
-	// copy it. History is the exception: each leaf gets its own rendering.
+	// is a view of the explorer's current path, valid only during the
+	// call; its methods render what the callback reads into values the
+	// callback owns.
 	OnLeaf func(*Leaf) error
 	// Parallelism bounds the number of worker goroutines
 	// ConsensusKContext uses to explore independent proposal-vector trees
@@ -232,30 +232,65 @@ func (o Options) Validate() error {
 	return nil
 }
 
-// Leaf describes one completed execution. OnLeaf receives it as a
-// borrowed view: every slice except History is owned by the explorer and
-// overwritten at the next leaf (see Options.OnLeaf).
+// Leaf is one completed execution, as a view of the explorer's current
+// path and configuration: each method renders its part of the execution
+// only when called, into a fresh value the caller owns. The view itself is
+// borrowed, valid only during the OnLeaf call.
 type Leaf struct {
-	// Responses[p][k] is the response of process p's k-th target
-	// operation along this execution's full path (memoized runs included:
-	// a leaf is only reached by walking its whole path).
-	Responses [][]types.Response
 	// Depth is the number of object accesses along this execution.
 	Depth int
-	// History is the concurrent history of target operations, rendered
-	// from the explorer's current path (RecordHistory mode only).
-	History hist.History
-	// Schedule is the access sequence of this execution, including its
-	// CRASH and RECOVER records, rendered from the explorer's current path.
-	Schedule []StepRecord
-	// Crashed[p] reports whether process p crashed along this execution
-	// and never came back (fault exploration only; nil when Options.Faults
-	// is disabled).
-	Crashed []bool
-	// Recoveries[p] is the number of times process p crashed and recovered
-	// along this execution (crash-recovery exploration only; nil unless
-	// some process recovered).
-	Recoveries []int
+
+	e *explorer
+	c *config
+}
+
+// Responses returns, for each process p, the responses of p's target
+// operations along this execution's full path, in order (memoized runs
+// included: a leaf is only reached by walking its whole path).
+func (l *Leaf) Responses() [][]types.Response {
+	out := make([][]types.Response, len(l.c.procs))
+	for p := range out {
+		ids := l.e.pathResps(p)
+		out[p] = make([]types.Response, len(ids))
+		for i, id := range ids {
+			out[p][i] = l.e.resps.vals[id]
+		}
+	}
+	return out
+}
+
+// Schedule returns the access sequence of this execution, including its
+// CRASH and RECOVER records.
+func (l *Leaf) Schedule() []StepRecord { return l.e.scheduleView() }
+
+// Crashed returns, for each process p, whether p crashed along this
+// execution and never came back; nil when no process is down at the leaf
+// (always, unless Options.Faults is enabled).
+func (l *Leaf) Crashed() []bool {
+	if crashed, _ := l.fates(); slices.Contains(crashed, true) {
+		return crashed
+	}
+	return nil
+}
+
+// Recoveries returns, for each process p, the number of times p crashed
+// and recovered along this execution; nil unless some process recovered
+// (crash-recovery exploration only).
+func (l *Leaf) Recoveries() []int {
+	if _, recs := l.fates(); slices.ContainsFunc(recs, func(n int) bool { return n > 0 }) {
+		return recs
+	}
+	return nil
+}
+
+// fates returns every process's crash flag and recovery count at the leaf.
+func (l *Leaf) fates() ([]bool, []int) {
+	crashed, recs := make([]bool, len(l.c.procs)), make([]int, len(l.c.procs))
+	for p, id := range l.c.procs {
+		ps := l.e.proc(id)
+		crashed[p], recs[p] = ps.Crashed, ps.Recoveries
+	}
+	return crashed, recs
 }
 
 // StepRecord is one low-level operation of a schedule. A record with Crash
@@ -547,9 +582,8 @@ func runTree(ctx context.Context, im *program.Implementation, scripts [][]types.
 	if err != nil {
 		return nil, err
 	}
-	e.ctx = ctx
-	e.ctr = ctr
-	e.widx = widx
+	e.ctx, e.ctr, e.widx = ctx, ctr, widx
+	e.initAcct()
 	return e.explore(root)
 }
 
@@ -588,7 +622,6 @@ func initExplorer(im *program.Implementation, scripts [][]types.Invocation, opts
 		opts:    opts,
 		curProc: -1,
 	}
-	e.initAcct()
 	if opts.Memoize {
 		e.memo = newMemoTable(opts.MemoBudget, opts.MemoSpillDir, opts.FS)
 	}
@@ -611,7 +644,7 @@ func initExplorer(im *program.Implementation, scripts [][]types.Invocation, opts
 // states, and every process advanced to its first object access. A Walk's
 // processes live in e.scratch (intern.go), which Walk sizes before calling
 // newRoot; every other run interns them. A history run also records each
-// process's root count of completed target ops, which historyView reads.
+// process's root count of completed target ops, which Leaf.History reads.
 func (e *explorer) newRoot() (*config, error) {
 	c := &config{objs: make([]int32, len(e.im.Objects)), procs: make([]int32, e.im.Procs)}
 	for i, s := range e.im.InitialStates() {
@@ -819,25 +852,19 @@ type explorer struct {
 	recoverRows cacheRows[procStep]
 	stepResps   []int32
 
-	// leafView is the one Leaf handed to every OnLeaf call; leafCrashed
-	// and leafRecoveries back its Crashed and Recoveries slices, which are
-	// nil on leaves without crashes or recoveries.
-	leafView       Leaf
-	leafCrashed    []bool
-	leafRecoveries []int
+	// cur is the Leaf every OnLeaf call receives: handing it over
+	// allocates nothing, and its methods render this explorer's path.
+	cur Leaf
 
 	// Path-local data (push/pop around recursion). path is the current
-	// execution in pointer-free form, its only record: schedule renders it
-	// as StepRecords on demand (scheduleView), its first synced records
-	// still current, and historyView renders it, with responses, as a
+	// execution in pointer-free form, its only record: scheduleView
+	// renders it as StepRecords, and Leaf.History, with responses, as a
 	// history. respBuf[p][:respN[p]] are the response ids of the target
 	// operations process p completed along the path (pathResps); the
 	// buffers hold a whole script, so the path's per-edge bookkeeping
 	// stores counts, never a slice. histProcs is set in history runs only
 	// (newRoot).
 	path      []pathStep
-	schedule  []StepRecord
-	synced    int
 	respBuf   [][]int32
 	respN     []int
 	histProcs []histProc
@@ -871,14 +898,6 @@ func (e *explorer) pathResps(p int) []int32 { return e.respBuf[p][:e.respN[p]] }
 func (e *explorer) pushResp(p int, resp int32) {
 	e.respBuf[p][e.respN[p]] = resp
 	e.respN[p]++
-}
-
-// appendResps appends process p's path responses to dst as values.
-func (e *explorer) appendResps(dst []types.Response, p int) []types.Response {
-	for _, id := range e.pathResps(p) {
-		dst = append(dst, e.resps.vals[id])
-	}
-	return dst
 }
 
 // panicContext renders the recovery breadcrumbs, including the offending
@@ -1137,7 +1156,7 @@ func (e *explorer) expand(c *config, depth int, sum *summary, t procTally) error
 			child, err := e.dfs(c, depth, e.retally(t, old, c.procs[p]))
 			e.mergeCrashChild(sum, &child)
 			c.procs[p] = old
-			e.popStep()
+			e.path = e.path[:len(e.path)-1]
 			if err != nil {
 				return err
 			}
@@ -1162,7 +1181,7 @@ func (e *explorer) expand(c *config, depth int, sum *summary, t procTally) error
 				e.mergeCrashChild(sum, &child)
 			}
 			c.procs[p] = old
-			e.popStep()
+			e.path = e.path[:len(e.path)-1]
 			e.respN[p] = respMark
 			if err != nil {
 				return err
@@ -1202,7 +1221,7 @@ func (e *explorer) expand(c *config, depth int, sum *summary, t procTally) error
 				e.mergeChild(sum, &child, opID, objID, procID)
 			}
 			c.objs[obj], c.procs[p] = oldObj, oldProc
-			e.popStep()
+			e.path = e.path[:len(e.path)-1]
 			e.respN[p] = respMark
 			if err != nil {
 				return err
@@ -1232,7 +1251,7 @@ func (e *explorer) crashProc(c *config, p int) {
 // access, per-process memory) is lost; the shared objects and the
 // process's progress through its script (OpIdx — decided operations stay
 // decided) persist. The interrupted operation re-runs from its start, so
-// historyView gives it a fresh entry, while its old entry stays pending
+// Leaf.History gives it a fresh entry, while its old entry stays pending
 // forever: a crashed access never returns. Like a step, a recovery of an
 // interned state is cached (recoverRows, one slot per row), since p and
 // its crashed state determine it.
@@ -1287,47 +1306,32 @@ const (
 	stepRecover
 )
 
-// popStep removes the last path record.
-func (e *explorer) popStep() {
-	e.path = e.path[:len(e.path)-1]
-	if e.synced > len(e.path) {
-		e.synced = len(e.path)
-	}
-}
-
-// scheduleView returns the current path as StepRecords, rendering only the
-// records pushed since the previous view; across a DFS that is amortized
-// constant work per edge. The slice is reused by later views.
+// scheduleView renders the current path as StepRecords into a fresh slice
+// the caller owns (nil for an empty path).
 func (e *explorer) scheduleView() []StepRecord {
-	if n := len(e.path); cap(e.schedule) < n {
-		// Sized to the path on first use (a Walk renders its path once),
-		// doubling after that.
-		grown := make([]StepRecord, e.synced, max(n, 2*cap(e.schedule)))
-		copy(grown, e.schedule[:e.synced])
-		e.schedule = grown
+	if len(e.path) == 0 {
+		return nil
 	}
-	e.schedule = e.schedule[:e.synced]
-	for _, s := range e.path[e.synced:] {
-		r := StepRecord{Proc: int(s.proc), Obj: int(s.obj), Crash: s.kind == stepCrash, Recover: s.kind == stepRecover}
+	sched := make([]StepRecord, len(e.path))
+	for i, s := range e.path {
+		sched[i] = StepRecord{Proc: int(s.proc), Obj: int(s.obj), Crash: s.kind == stepCrash, Recover: s.kind == stepRecover}
 		if s.kind == stepAccess {
-			r.Inv, r.Resp = e.invs.vals[s.inv], e.resps.vals[s.resp]
+			sched[i].Inv, sched[i].Resp = e.invs.vals[s.inv], e.resps.vals[s.resp]
 		}
-		e.schedule = append(e.schedule, r)
 	}
-	e.synced = len(e.path)
-	return e.schedule
+	return sched
 }
 
 // histProc is one process's part of a history rendering: root is its
 // count of target operations completed at the root, before any access
-// (set by newRoot); open and done are historyView's cursor — the index of
+// (set by newRoot); open and done are Leaf.History's cursor — the index of
 // its open entry, and its count of completed operations so far.
 type histProc struct {
 	root, open, done int
 }
 
-// historyView renders the concurrent history of target operations along
-// the current path into a fresh slice the caller owns. The path is the
+// History returns the concurrent history of target operations along this
+// execution, or nil unless Options.RecordHistory is set. The path is the
 // only record of it: every process opens its first operation at the root,
 // and the root counts and the path records' ops counts say which
 // operations each step completed, each completion opening the process's
@@ -1336,7 +1340,11 @@ type histProc struct {
 // record the access itself followed by its completions; per RECOVER record
 // a fresh entry for the interrupted operation followed by its completions;
 // and nothing for a CRASH, whose interrupted entry stays pending.
-func (e *explorer) historyView() hist.History {
+func (l *Leaf) History() hist.History {
+	e := l.e
+	if !e.opts.RecordHistory {
+		return nil
+	}
 	size := 0 // every completed operation, plus one entry per interruption
 	for _, n := range e.respN {
 		size += n
@@ -1365,7 +1373,7 @@ func (e *explorer) historyView() hist.History {
 	return b.h
 }
 
-// histBuilder is historyView's rendering state.
+// histBuilder is Leaf.History's rendering state.
 type histBuilder struct {
 	e    *explorer
 	h    hist.History
@@ -1450,50 +1458,14 @@ func (e *explorer) mergeCrashChild(parent, child *summary) {
 	}
 }
 
+// leaf hands the leaf at c to OnLeaf and, if the callback rejects it,
+// records the violation kind its crashes and recoveries select.
 func (e *explorer) leaf(c *config, depth, crashes, recoveries int) error {
 	if e.opts.OnLeaf == nil {
 		return nil
 	}
-	// One borrowed view per explorer (see Options.OnLeaf): the slices are
-	// refilled in place, and Schedule is the explorer's rendering of the
-	// current path, capped so an append by the callback cannot write into
-	// it.
-	leaf := &e.leafView
-	leaf.Depth = depth
-	sched := e.scheduleView()
-	leaf.Schedule = sched[:len(sched):len(sched)]
-	if leaf.Responses == nil {
-		leaf.Responses = make([][]types.Response, e.im.Procs)
-	}
-	for p := 0; p < e.im.Procs; p++ {
-		leaf.Responses[p] = e.appendResps(leaf.Responses[p][:0], p)
-	}
-	leaf.Crashed = nil
-	if crashes > 0 {
-		if e.leafCrashed == nil {
-			e.leafCrashed = make([]bool, e.im.Procs)
-		}
-		for p, id := range c.procs {
-			e.leafCrashed[p] = e.proc(id).Crashed
-		}
-		leaf.Crashed = e.leafCrashed
-	}
-	leaf.Recoveries = nil
-	if recoveries > 0 {
-		if e.leafRecoveries == nil {
-			e.leafRecoveries = make([]int, e.im.Procs)
-		}
-		for p, id := range c.procs {
-			e.leafRecoveries[p] = e.proc(id).Recoveries
-		}
-		leaf.Recoveries = e.leafRecoveries
-	}
-	if e.opts.RecordHistory {
-		// Rendered fresh, not borrowed: callers may rewrite the history
-		// they get.
-		leaf.History = e.historyView()
-	}
-	if err := e.opts.OnLeaf(leaf); err != nil {
+	e.cur = Leaf{Depth: depth, e: e, c: c}
+	if err := e.opts.OnLeaf(&e.cur); err != nil {
 		switch {
 		case recoveries > 0:
 			e.violate(KindDecisionChangedAfterRecovery, err.Error())
@@ -1556,6 +1528,6 @@ func (e *explorer) violate(kind ViolationKind, detail string) {
 	e.violation = &Violation{
 		Kind:     kind,
 		Detail:   detail,
-		Schedule: append([]StepRecord(nil), e.scheduleView()...),
+		Schedule: e.scheduleView(),
 	}
 }

@@ -340,7 +340,7 @@ func TestRecordHistoryLinearizable(t *testing.T) {
 		RecordHistory: true,
 		OnLeaf: func(l *Leaf) error {
 			leaves++
-			h := l.History
+			h := l.History()
 			for i := range h {
 				h[i].Port = h[i].Proc + 1
 			}
@@ -385,12 +385,12 @@ func TestRecordHistoryClosesEveryOp(t *testing.T) {
 			for p, script := range twoOpScripts {
 				var invs []types.Invocation
 				var resps []types.Response
-				for _, op := range l.History {
+				for _, op := range l.History() {
 					if op.Proc != p {
 						continue
 					}
 					if op.End == hist.Pending {
-						return fmt.Errorf("process %d: %v left pending in %v", p, op.Inv, l.History)
+						return fmt.Errorf("process %d: %v left pending in %v", p, op.Inv, l.History())
 					}
 					invs = append(invs, op.Inv)
 					resps = append(resps, op.Resp)
@@ -398,8 +398,8 @@ func TestRecordHistoryClosesEveryOp(t *testing.T) {
 				if !reflect.DeepEqual(invs, script) {
 					return fmt.Errorf("process %d: history ops %v, script %v", p, invs, script)
 				}
-				if !reflect.DeepEqual(resps, l.Responses[p]) {
-					return fmt.Errorf("process %d: history responses %v, leaf responses %v", p, resps, l.Responses[p])
+				if !reflect.DeepEqual(resps, l.Responses()[p]) {
+					return fmt.Errorf("process %d: history responses %v, leaf responses %v", p, resps, l.Responses()[p])
 				}
 			}
 			return nil
@@ -427,11 +427,11 @@ func TestMemoizedLeavesCarryFullResponses(t *testing.T) {
 			Memoize: memo,
 			OnLeaf: func(l *Leaf) error {
 				for p, script := range twoOpScripts {
-					if len(l.Responses[p]) != len(script) {
-						return fmt.Errorf("memoize=%v: process %d has responses %v for %d ops", memo, p, l.Responses[p], len(script))
+					if len(l.Responses()[p]) != len(script) {
+						return fmt.Errorf("memoize=%v: process %d has responses %v for %d ops", memo, p, l.Responses()[p], len(script))
 					}
 				}
-				seen[fmt.Sprint(l.Responses)] = true
+				seen[fmt.Sprint(l.Responses())] = true
 				return nil
 			},
 		})
@@ -512,24 +512,20 @@ func TestStepRecordFormatting(t *testing.T) {
 	}
 }
 
-// copyLeaf deep-copies the borrowed Leaf view OnLeaf receives, which is
-// what a callback must do to keep leaf data past the call.
-func copyLeaf(l *Leaf) Leaf {
-	c := Leaf{
-		Depth:    l.Depth,
-		History:  l.History,
-		Schedule: append([]StepRecord(nil), l.Schedule...),
-	}
-	for _, rs := range l.Responses {
-		c.Responses = append(c.Responses, append([]types.Response(nil), rs...))
-	}
-	if l.Crashed != nil {
-		c.Crashed = append([]bool(nil), l.Crashed...)
-	}
-	if l.Recoveries != nil {
-		c.Recoveries = append([]int(nil), l.Recoveries...)
-	}
-	return c
+// leafCopy is one leaf's data kept past its OnLeaf call.
+type leafCopy struct {
+	Depth      int
+	History    hist.History
+	Schedule   []StepRecord
+	Responses  [][]types.Response
+	Crashed    []bool
+	Recoveries []int
+}
+
+// copyLeaf renders everything the Leaf view OnLeaf receives reports,
+// which is what a callback must do to keep leaf data past the call.
+func copyLeaf(l *Leaf) leafCopy {
+	return leafCopy{l.Depth, l.History(), l.Schedule(), l.Responses(), l.Crashed(), l.Recoveries()}
 }
 
 // checkLeafCopies checks leaves copied during a Run after it returned:
@@ -537,7 +533,7 @@ func copyLeaf(l *Leaf) Leaf {
 // agree with the schedule's CRASH and RECOVER records (nil when no
 // process is down at the leaf, or none ever recovered). Copies that still
 // shared the explorer's reused view would all show the last leaf and fail.
-func checkLeafCopies(t *testing.T, leaves []Leaf) {
+func checkLeafCopies(t *testing.T, leaves []leafCopy) {
 	t.Helper()
 	for i, l := range leaves {
 		accesses, down, anyRecovered := 0, 0, false
@@ -577,12 +573,12 @@ func TestLeafSchedulePlausible(t *testing.T) {
 	im := casConsensusImpl(2)
 	scripts := [][]types.Invocation{{types.Propose(0)}, {types.Propose(1)}}
 	sawSchedules := make(map[string]bool)
-	var copies []Leaf
+	var copies []leafCopy
 	opts := Options{OnLeaf: func(l *Leaf) error {
-		if len(l.Schedule) != l.Depth {
-			return fmt.Errorf("schedule length %d != depth %d", len(l.Schedule), l.Depth)
+		if len(l.Schedule()) != l.Depth {
+			return fmt.Errorf("schedule length %d != depth %d", len(l.Schedule()), l.Depth)
 		}
-		sawSchedules[FormatSchedule(l.Schedule)] = true
+		sawSchedules[FormatSchedule(l.Schedule())] = true
 		copies = append(copies, copyLeaf(l))
 		return nil
 	}}

@@ -255,23 +255,23 @@ func TestLeafCrashedAnnotation(t *testing.T) {
 	im := consensus.TAS2()
 	scripts := proposalScripts([]int{0, 1})
 	var crashFree, crashed int
-	var copies []Leaf
+	var copies []leafCopy
 	res, err := RunContext(context.Background(), im, scripts, Options{
 		Faults: oneCrash,
 		OnLeaf: func(l *Leaf) error {
 			copies = append(copies, copyLeaf(l))
-			if l.Crashed == nil {
+			if l.Crashed() == nil {
 				crashFree++
 				return nil
 			}
 			crashed++
 			n := 0
-			for p, c := range l.Crashed {
+			for p, c := range l.Crashed() {
 				if c {
 					n++
 					continue
 				}
-				if len(l.Responses[p]) == 0 || l.Responses[p][len(l.Responses[p])-1].Label != types.LabelVal {
+				if len(l.Responses()[p]) == 0 || l.Responses()[p][len(l.Responses()[p])-1].Label != types.LabelVal {
 					return errors.New("survivor has no decision at a crash leaf")
 				}
 			}

@@ -32,7 +32,7 @@ import (
 // one live state sits in e.scratch, and its id in the config is the
 // scratch reference ^p; Walk, which never backtracks, mutates the slot in
 // place. Every DFS interns, history runs included: their histories are
-// rendered from the path (historyView). Object states are interned in
+// rendered from the path (Leaf.History). Object states are interned in
 // every run — the transition cache keys on them, and their count is
 // bounded by the objects' state spaces.
 

@@ -13,15 +13,16 @@ import (
 	"waitfree/internal/types"
 )
 
-// engineExplorer is newExplorer plus the instrumentation runTree attaches,
-// a background context and one worker's counters, for tests that call
-// e.explore or e.dfs directly.
+// engineExplorer is newExplorer plus what runTree attaches, a background
+// context, one worker's counters and the access-counter ids, for tests
+// that call e.explore or e.dfs directly.
 func engineExplorer(im *program.Implementation, scripts [][]types.Invocation, opts Options) (*explorer, *config, error) {
 	e, root, err := newExplorer(im, scripts, opts)
 	if err != nil {
 		return nil, nil, err
 	}
 	e.ctx, e.ctr = context.Background(), newCounters(1, 1)
+	e.initAcct()
 	return e, root, nil
 }
 

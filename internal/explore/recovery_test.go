@@ -248,26 +248,26 @@ func TestLeafRecoveriesAnnotation(t *testing.T) {
 	im := consensus.TAS2()
 	scripts := proposalScripts([]int{0, 1})
 	var plain, recovered int
-	var copies []Leaf
+	var copies []leafCopy
 	res, err := RunContext(context.Background(), im, scripts, Options{
 		Faults: oneRecovery,
 		OnLeaf: func(l *Leaf) error {
 			copies = append(copies, copyLeaf(l))
-			if l.Recoveries == nil {
+			if l.Recoveries() == nil {
 				plain++
 				return nil
 			}
 			recovered++
 			total := 0
-			for p, n := range l.Recoveries {
+			for p, n := range l.Recoveries() {
 				if n < 0 {
-					t.Fatalf("negative recovery count: %v", l.Recoveries)
+					t.Fatalf("negative recovery count: %v", l.Recoveries())
 				}
 				total += n
 				// Crashed is nil when every recovered process came back.
-				if n > 0 && (l.Crashed == nil || !l.Crashed[p]) {
+				if n > 0 && (l.Crashed() == nil || !l.Crashed()[p]) {
 					// Recovered and done again: it must have decided.
-					if len(l.Responses[p]) == 0 {
+					if len(l.Responses()[p]) == 0 {
 						t.Fatalf("recovered survivor carries no responses")
 					}
 				}
@@ -302,7 +302,7 @@ func TestRecoveryBudgetCountsCrashEvents(t *testing.T) {
 		OnLeaf: func(l *Leaf) error {
 			crashes, recovers := 0, 0
 			crashed := make(map[int]bool)
-			for _, s := range l.Schedule {
+			for _, s := range l.Schedule() {
 				switch {
 				case s.Crash:
 					crashes++
@@ -310,16 +310,16 @@ func TestRecoveryBudgetCountsCrashEvents(t *testing.T) {
 				case s.Recover:
 					recovers++
 					if !crashed[s.Proc] {
-						t.Fatalf("recovery of a never-crashed process %d:\n%s", s.Proc, FormatSchedule(l.Schedule))
+						t.Fatalf("recovery of a never-crashed process %d:\n%s", s.Proc, FormatSchedule(l.Schedule()))
 					}
 					crashed[s.Proc] = false
 				}
 			}
 			if crashes > oneRecovery.MaxCrashes {
-				t.Fatalf("%d crash edges exceed MaxCrashes=%d:\n%s", crashes, oneRecovery.MaxCrashes, FormatSchedule(l.Schedule))
+				t.Fatalf("%d crash edges exceed MaxCrashes=%d:\n%s", crashes, oneRecovery.MaxCrashes, FormatSchedule(l.Schedule()))
 			}
 			if recovers > oneRecovery.MaxRecoveries {
-				t.Fatalf("%d recoveries exceed MaxRecoveries=%d:\n%s", recovers, oneRecovery.MaxRecoveries, FormatSchedule(l.Schedule))
+				t.Fatalf("%d recoveries exceed MaxRecoveries=%d:\n%s", recovers, oneRecovery.MaxRecoveries, FormatSchedule(l.Schedule()))
 			}
 			return nil
 		},

@@ -68,9 +68,9 @@ type leafRecord struct {
 }
 
 // hashLeaf folds one leaf's path data into h.
-func hashLeaf(t *testing.T, h hash.Hash, l *Leaf) {
+func hashLeaf(t *testing.T, h hash.Hash, l leafRecord) {
 	t.Helper()
-	b, err := json.Marshal(leafRecord{l.History, l.Schedule, l.Responses, l.Crashed, l.Recoveries})
+	b, err := json.Marshal(l)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +101,7 @@ func renderCases() []renderCase {
 // digest of every leaf's History, Schedule, Responses, Crashed and
 // Recoveries, in DFS order, over renderCases under renderModels, and of
 // seeded walks with crashes and recoveries over the same cases.
-const renderingDigest = "71c3a0da2f0ed34c79db973d5236bf6a3da22ea0d24b672ec4c53752737a7d26"
+const renderingDigest = "25c4a952a24ecb05cd6d340a39388ca4b3d4366aa61a901ca4ff7574e6054409"
 
 // TestLeafRenderingDigest pins what RecordHistory runs and Walk report at
 // their leaves, byte for byte: any change to how the explorer records or
@@ -116,7 +116,7 @@ func TestLeafRenderingDigest(t *testing.T) {
 				Faults:        model,
 				OnLeaf: func(l *Leaf) error {
 					leaves++
-					hashLeaf(t, h, l)
+					hashLeaf(t, h, leafRecord{l.History(), l.Schedule(), l.Responses(), l.Crashed(), l.Recoveries()})
 					return nil
 				},
 			})
@@ -140,7 +140,7 @@ func TestLeafRenderingDigest(t *testing.T) {
 				t.Fatalf("%s %+v: %v", tc.im.Name, s, err)
 			}
 			walks++
-			hashLeaf(t, h, &w.Leaf)
+			hashLeaf(t, h, leafRecord{w.History, w.Schedule, w.Responses, w.Crashed, w.Recoveries})
 		}
 	}
 	if got := hex.EncodeToString(h.Sum(nil)); got != renderingDigest {

@@ -12,7 +12,7 @@ import (
 // Digests of the Valency reports (%+v) and Dot renderings (budget 4000) of
 // the consensus corpus, each run with proposals p % 2, in corpus order.
 const (
-	valencyDigest = "1628926334e99caf459885ee434042bd1847365c53ecbfafacddd12e5121b64e"
+	valencyDigest = "fe6b0debd585754fe8726b3585e734fd3c380cb91924637c60888e9e4804e657"
 	dotDigest     = "b7f4391f219ba7e217e35cdc67db6b5f6deb4a3cecd73ab24e4767b3744bd982"
 )
 

@@ -74,14 +74,16 @@ func ValencySet(mask uint64) []int {
 }
 
 // Valency analyzes the execution tree of a consensus implementation from
-// one proposal vector, without faults or symmetry reduction. Decision
-// values must lie in 0..63.
+// one proposal vector, without faults or symmetry reduction. Each leaf is
+// judged by the consensus check's leaf rule, so a tree with a leaf that
+// breaks agreement or validity is an error: valency is only defined for a
+// protocol that decides. Decision values must lie in 0..63.
 func Valency(im *program.Implementation, proposals []int) (*ValencyReport, error) {
 	e, root, err := newExplorer(im, consensusScripts(proposals), Options{})
 	if err != nil {
 		return nil, err
 	}
-	v := &valencyAnalysis{e: e, memo: make(map[string]uint64)}
+	v := &valencyAnalysis{e: e, proposals: proposals, memo: make(map[string]uint64)}
 	rootMask, err := v.valency(root, 0)
 	if err != nil {
 		return nil, err
@@ -110,6 +112,7 @@ func Valency(im *program.Implementation, proposals []int) (*ValencyReport, error
 
 type valencyAnalysis struct {
 	e         *explorer
+	proposals []int
 	memo      map[string]uint64
 	bivalent  int
 	univalent int
@@ -124,8 +127,10 @@ func (v *valencyAnalysis) valency(c *config, depth int) (uint64, error) {
 		return 0, fmt.Errorf("explore: valency analysis exceeded %d steps (not wait-free?)", v.e.opts.MaxDepth)
 	}
 	if v.e.tally(c).running == 0 {
-		// Leaf: all processes decided; agreement gives a single value.
-		val := v.e.proc(c.procs[0]).Resp.Val
+		val, fault := checkConsensusLeaf(&Leaf{Depth: depth, e: v.e, c: c}, v.proposals)
+		if fault != nil {
+			return 0, fmt.Errorf("explore: valency analysis reached a leaf that breaks %w", fault)
+		}
 		if val < 0 || val > 63 {
 			return 0, fmt.Errorf("explore: decision %d outside 0..63", val)
 		}

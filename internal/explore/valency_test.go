@@ -1,8 +1,10 @@
 package explore
 
 import (
+	"strings"
 	"testing"
 
+	"waitfree/internal/consensus"
 	"waitfree/internal/types"
 )
 
@@ -72,6 +74,21 @@ func TestValencyCASConsensus(t *testing.T) {
 		if !cc.SameObject || cc.Obj != 0 {
 			t.Errorf("critical configuration not arbitrated by the cas object: %+v", cc)
 		}
+	}
+}
+
+// TestValencyRefusesDisagreement pins that Valency judges its leaves by
+// the consensus leaf rule. NaiveRegister2 breaks agreement from proposals
+// [1 0], the tree of the explorer's counterexample, so its valency
+// analysis is an error, not a valency structure in which a register
+// arbitrates.
+func TestValencyRefusesDisagreement(t *testing.T) {
+	report, err := Valency(consensus.NaiveRegister2(), []int{1, 0})
+	if err == nil {
+		t.Fatalf("a protocol that breaks agreement was analyzed: %+v", report)
+	}
+	if !strings.Contains(err.Error(), "breaks agreement") {
+		t.Errorf("err = %v, want an agreement failure", err)
 	}
 }
 

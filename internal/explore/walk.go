@@ -6,6 +6,7 @@ import (
 	"runtime/debug"
 
 	"waitfree/internal/faults"
+	"waitfree/internal/hist"
 	"waitfree/internal/program"
 	"waitfree/internal/types"
 )
@@ -32,11 +33,16 @@ type Schedule struct {
 	MaxDepth int
 }
 
-// Walked is the leaf one Walk reached, owned by the caller: History is
-// recorded, Schedule carries the CRASH and RECOVER records, and Crashed
-// and Recoveries always have one entry per process.
+// Walked is the leaf one Walk reached, owned by the caller. Each field but
+// Mems is the Leaf method of its name, rendered once when the walk ends,
+// except that Crashed and Recoveries always have one entry per process.
 type Walked struct {
-	Leaf
+	Responses  [][]types.Response
+	Depth      int
+	History    hist.History
+	Schedule   []StepRecord
+	Crashed    []bool
+	Recoveries []int
 	// Mems[p] is process p's persistent memory at the end of the walk (at
 	// its last crash, for a process that stayed down).
 	Mems []any
@@ -144,28 +150,19 @@ func walk(im *program.Implementation, scripts [][]types.Invocation, s Schedule) 
 	}
 }
 
-// walked hands the finished walk's path data to the caller: the explorer
-// takes no further step, so Schedule is not copied; Responses and History
-// are rendered fresh.
+// walked renders the finished walk through the Leaf view of its path.
 func (e *explorer) walked(c *config, depth int) *Walked {
-	n := len(c.procs)
+	l := Leaf{Depth: depth, e: e, c: c}
 	w := &Walked{
-		Leaf: Leaf{
-			Responses:  make([][]types.Response, n),
-			Depth:      depth,
-			History:    e.historyView(),
-			Schedule:   e.scheduleView(),
-			Crashed:    make([]bool, n),
-			Recoveries: make([]int, n),
-		},
-		Mems: make([]any, n),
+		Responses: l.Responses(),
+		Depth:     depth,
+		History:   l.History(),
+		Schedule:  l.Schedule(),
+		Mems:      make([]any, len(c.procs)),
 	}
+	w.Crashed, w.Recoveries = l.fates()
 	for p, id := range c.procs {
-		w.Responses[p] = e.appendResps(make([]types.Response, 0, e.respN[p]), p)
-		ps := e.proc(id)
-		w.Crashed[p] = ps.Crashed
-		w.Recoveries[p] = ps.Recoveries
-		w.Mems[p] = ps.Mem
+		w.Mems[p] = e.proc(id).Mem
 	}
 	return w
 }

@@ -522,7 +522,7 @@ func leafSet(t *testing.T, im *program.Implementation, scripts [][]types.Invocat
 	t.Helper()
 	leaves := make(map[string]bool)
 	opts.OnLeaf = func(l *Leaf) error {
-		leaves[FormatSchedule(l.Schedule)] = true
+		leaves[FormatSchedule(l.Schedule())] = true
 		return nil
 	}
 	res, err := RunContext(context.Background(), im, scripts, opts)

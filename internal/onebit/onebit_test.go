@@ -20,9 +20,9 @@ func checkLinearizableAgainst(t *testing.T, im *program.Implementation, target *
 	opts := explore.Options{
 		RecordHistory: true,
 		OnLeaf: func(l *explore.Leaf) error {
-			if _, err := linearize.Check(target, init, l.History); err != nil {
+			if _, err := linearize.Check(target, init, l.History()); err != nil {
 				return fmt.Errorf("leaf not linearizable: %w\nhistory: %v\nschedule:\n%s",
-					err, l.History, explore.FormatSchedule(l.Schedule))
+					err, l.History(), explore.FormatSchedule(l.Schedule()))
 			}
 			return nil
 		},
@@ -545,7 +545,7 @@ func TestRestartScanIsNotAtomic(t *testing.T) {
 		opts := explore.Options{
 			RecordHistory: true,
 			OnLeaf: func(l *explore.Leaf) error {
-				if _, err := linearize.Check(types.SRSWBit(), 0, l.History); err != nil {
+				if _, err := linearize.Check(types.SRSWBit(), 0, l.History()); err != nil {
 					bad++
 				}
 				return nil

@@ -50,7 +50,7 @@ func explored(t *testing.T, im *program.Implementation, scripts [][]types.Invoca
 	t.Helper()
 	res, err := explore.RunContext(context.Background(), im, scripts, explore.Options{
 		RecordHistory: true,
-		OnLeaf:        func(l *explore.Leaf) error { return check(l.History) },
+		OnLeaf:        func(l *explore.Leaf) error { return check(l.History()) },
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -100,13 +100,14 @@ func TestLamportMRBitMachinesNotAtomic(t *testing.T) {
 			// strictly after reader 0 finished — sees 0: a cross-reader
 			// new/old inversion.
 			var r0, r1 *hist.Op
-			for i := range l.History {
-				op := l.History[i]
+			h := l.History()
+			for i := range h {
+				op := h[i]
 				if op.Inv.Op == types.OpRead {
 					if op.Proc == 0 {
-						r0 = &l.History[i]
+						r0 = &h[i]
 					} else if op.Proc == 1 {
-						r1 = &l.History[i] // keeps the last one
+						r1 = &h[i] // keeps the last one
 					}
 				}
 			}

@@ -79,35 +79,3 @@ func (h SeqHistory) validateFrom(spec *Spec, q State, idx int) ([]State, error) 
 	}
 	return finals, nil
 }
-
-// Run executes a sequence of port/invocation pairs against a deterministic
-// spec starting at init and returns the resulting history. It fails on the
-// first illegal or nondeterministic step.
-func Run(spec *Spec, init State, steps []struct {
-	Port int
-	Inv  Invocation
-}) (SeqHistory, State, error) {
-	q := init
-	h := make(SeqHistory, 0, len(steps))
-	for i, s := range steps {
-		next, resp, err := spec.DetApply(q, s.Port, s.Inv)
-		if err != nil {
-			return nil, nil, fmt.Errorf("step %d: %w", i, err)
-		}
-		h = append(h, SeqEvent{Port: s.Port, Inv: s.Inv, Resp: resp})
-		q = next
-	}
-	return h, q, nil
-}
-
-// ReturnValue gives the response of the last event on the given port, used
-// by the Section 5.2 non-trivial-pair machinery ("the history's return
-// value is the result returned by i_k").
-func (h SeqHistory) ReturnValue(port int) (Response, bool) {
-	for i := len(h) - 1; i >= 0; i-- {
-		if h[i].Port == port {
-			return h[i].Resp, true
-		}
-	}
-	return Response{}, false
-}

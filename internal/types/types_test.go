@@ -314,31 +314,28 @@ func TestWeakLeaderExactlyOneWinner(t *testing.T) {
 
 func TestLatchFlagBehavior(t *testing.T) {
 	lf := LatchFlag()
-	// H1 = probe; probe from the zero state returns 0, 0.
-	h1, _, err := Run(lf, LatchFlagInit(), []struct {
-		Port int
-		Inv  Invocation
-	}{{1, Inv(OpProbe)}, {1, Inv(OpProbe)}})
-	if err != nil {
-		t.Fatal(err)
+	apply := func(q State, port int, inv Invocation) (State, Response) {
+		t.Helper()
+		next, resp, err := lf.DetApply(q, port, inv)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return next, resp
 	}
-	if h1[1].Resp != ValOf(0) {
-		t.Fatalf("H1 return value = %v, want val(0)", h1[1].Resp)
+	// H1 = probe; probe from the zero state returns 0, 0.
+	q, _ := apply(LatchFlagInit(), 1, Inv(OpProbe))
+	if _, r := apply(q, 1, Inv(OpProbe)); r != ValOf(0) {
+		t.Fatalf("H1 return value = %v, want val(0)", r)
 	}
 	// H2 = set; probe; probe returns ok, 0, 1 — the last response differs.
-	h2, _, err := Run(lf, LatchFlagInit(), []struct {
-		Port int
-		Inv  Invocation
-	}{{2, Inv(OpSet)}, {1, Inv(OpProbe)}, {1, Inv(OpProbe)}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h2[2].Resp != ValOf(1) {
-		t.Fatalf("H2 return value = %v, want val(1)", h2[2].Resp)
+	q, _ = apply(LatchFlagInit(), 2, Inv(OpSet))
+	q, first := apply(q, 1, Inv(OpProbe))
+	if _, r := apply(q, 1, Inv(OpProbe)); r != ValOf(1) {
+		t.Fatalf("H2 return value = %v, want val(1)", r)
 	}
 	// A single probe cannot distinguish: it answers 0 regardless of set.
-	if h2[1].Resp != ValOf(0) {
-		t.Fatalf("first probe after set = %v, want val(0)", h2[1].Resp)
+	if first != ValOf(0) {
+		t.Fatalf("first probe after set = %v, want val(0)", first)
 	}
 }
 
@@ -441,25 +438,6 @@ func TestSeqHistoryString(t *testing.T) {
 	h := SeqHistory{{Port: 1, Inv: Read, Resp: ValOf(0)}}
 	if got := h.String(); !strings.Contains(got, "p1:read->val(0)") {
 		t.Errorf("String() = %q", got)
-	}
-}
-
-func TestReturnValue(t *testing.T) {
-	h := SeqHistory{
-		{Port: 2, Inv: Inv(OpSet), Resp: OK},
-		{Port: 1, Inv: Inv(OpProbe), Resp: ValOf(0)},
-		{Port: 1, Inv: Inv(OpProbe), Resp: ValOf(1)},
-	}
-	r, ok := h.ReturnValue(1)
-	if !ok || r != ValOf(1) {
-		t.Fatalf("ReturnValue(1) = %v, %v", r, ok)
-	}
-	r, ok = h.ReturnValue(2)
-	if !ok || r != OK {
-		t.Fatalf("ReturnValue(2) = %v, %v", r, ok)
-	}
-	if _, ok := h.ReturnValue(3); ok {
-		t.Error("ReturnValue(3) found an event on an unused port")
 	}
 }
 

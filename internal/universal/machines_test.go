@@ -29,8 +29,8 @@ func checkUniversalExhaustively(t *testing.T, target *types.Spec, init types.Sta
 	opts := explore.Options{
 		RecordHistory: true,
 		OnLeaf: func(l *explore.Leaf) error {
-			if _, err := linearize.Check(target, init, l.History); err != nil {
-				return fmt.Errorf("leaf not linearizable: %w\n%v", err, l.History)
+			if _, err := linearize.Check(target, init, l.History()); err != nil {
+				return fmt.Errorf("leaf not linearizable: %w\n%v", err, l.History())
 			}
 			return nil
 		},

@@ -405,7 +405,9 @@ var (
 	Walk = explore.Walk
 	// ComputeValency runs the FLP/Herlihy valency analysis of one
 	// execution tree: bivalent/univalent configuration counts and the
-	// critical configurations with their arbitrating objects.
+	// critical configurations with their arbitrating objects. It judges
+	// each leaf by the consensus check's leaf rule, so it refuses, with an
+	// error, a protocol whose leaves disagree or decide an unproposed value.
 	ComputeValency = explore.Valency
 	// ExportDot renders an execution tree as Graphviz DOT.
 	ExportDot = explore.Dot
