@@ -151,42 +151,6 @@ func (e *explorer) growAcc(s *summary) {
 	s.acc = acc
 }
 
-// eachEdge is the fault-free edge loop of the tree walkers outside the
-// DFS (Valency, Dot). Like the DFS, it steps c in place to each child one
-// object access away, in process-index then outcome order, through the
-// transition and step caches, and restores c and the path responses
-// afterwards. At each child it calls visit with the access: process p's
-// invocation inv on object obj, answered with response id resp.
-func (e *explorer) eachEdge(c *config, visit func(p, obj int, inv, resp int32) error) error {
-	for p := range c.procs {
-		m := &e.procMeta[c.procs[p]]
-		if m.flags&(metaDone|metaCrashed) != 0 {
-			continue
-		}
-		obj := int(m.obj)
-		inv := e.pendingInv(c, p)
-		cts, err := e.applyCached(c, p, obj, inv)
-		if err != nil {
-			return err
-		}
-		oldObj, oldProc := c.objs[obj], c.procs[p]
-		for _, t := range cts {
-			c.objs[obj] = t.next
-			mark := e.respN[p]
-			err := e.stepProc(c, p, t.resp, false)
-			if err == nil {
-				err = visit(p, obj, inv, t.resp)
-			}
-			c.objs[obj], c.procs[p] = oldObj, oldProc
-			e.respN[p] = mark
-			if err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
 // cachedTrans is one outcome of an object access: the interned successor
 // state and the response id. A transition's outcomes are one run of
 // e.transList, shared by every edge that replays it and never mutated.
@@ -287,15 +251,15 @@ func (e *explorer) applyCached(c *config, p, obj int, inv int32) ([]cachedTrans,
 }
 
 // stepProc advances process p of c over a completed access with response
-// id resp, through the step cache: a row per (pre-state id, process),
-// indexed by 2*resp+forced. By the machine contract (deterministic,
-// comparable states) p, its pre-state and resp determine the entire
-// advance, including any chain of zero-access operations it completes.
-// forced sets Stepped first (CrashBeforeFirstStep), which the pre-state
-// id does not reflect, so it is part of the index. The responses are all
-// a history needs (Leaf.History), so every run but a Walk steps through the
-// cache; a Walk's scratch state is stepped in place. Errors are not
-// cached.
+// id resp, for access (its one caller), through the step cache: a row per
+// (pre-state id, process), indexed by 2*resp+forced. By the machine
+// contract (deterministic, comparable states) p, its pre-state and resp
+// determine the entire advance, including any chain of zero-access
+// operations it completes. forced sets Stepped first
+// (CrashBeforeFirstStep), which the pre-state id does not reflect, so it
+// is part of the index. The responses are all a history needs
+// (Leaf.History), so every run but a Walk steps through the cache; a
+// Walk's scratch state is stepped in place. Errors are not cached.
 func (e *explorer) stepProc(c *config, p int, resp int32, forced bool) error {
 	if c.procs[p] < 0 {
 		ps := &e.scratch[p]

@@ -20,8 +20,11 @@ var ErrDotBudget = errors.New("explore: execution tree exceeds the DOT node budg
 // Dot renders the execution tree of im under the given scripts as a DOT
 // digraph with at most maxNodes nodes. Leaves are double circles labeled
 // with the processes' final responses; edges are labeled proc:inv->resp.
-// The tree is the fault-free one, without symmetry reduction.
-func Dot(im *program.Implementation, scripts [][]types.Invocation, maxNodes int) (string, error) {
+// The tree is the fault-free one, without symmetry reduction. A panic in a
+// type spec or machine is a *faults.PanicError.
+func Dot(im *program.Implementation, scripts [][]types.Invocation, maxNodes int) (_ string, err error) {
+	var e *explorer
+	defer recoverPanic(&e, &err)
 	e, root, err := newExplorer(im, scripts, Options{})
 	if err != nil {
 		return "", err
@@ -31,7 +34,7 @@ func Dot(im *program.Implementation, scripts [][]types.Invocation, maxNodes int)
 	b.WriteString("digraph executiontree {\n")
 	b.WriteString("  rankdir=TB;\n  node [shape=circle, fontsize=10];\n")
 	d := &dotBuilder{e: e, b: &b, budget: maxNodes}
-	if _, err := d.walk(root); err != nil {
+	if _, err := d.walk(root, 0); err != nil {
 		return "", err
 	}
 	b.WriteString("}\n")
@@ -45,7 +48,7 @@ type dotBuilder struct {
 	budget int
 }
 
-func (d *dotBuilder) walk(c *config) (int, error) {
+func (d *dotBuilder) walk(c *config, depth int) (int, error) {
 	if d.nextID >= d.budget {
 		return 0, fmt.Errorf("%w: more than %d nodes", ErrDotBudget, d.budget)
 	}
@@ -63,8 +66,8 @@ func (d *dotBuilder) walk(c *config) (int, error) {
 	}
 	fmt.Fprintf(d.b, "  n%d [label=\"%s\"];\n", id, d.stateLabel(c))
 
-	err := d.e.eachEdge(c, func(p, obj int, inv, resp int32) error {
-		childID, err := d.walk(c)
+	err := d.e.eachEdge(c, depth, func(p, obj int, inv, resp, _ int32) error {
+		childID, err := d.walk(c, depth+1)
 		if err != nil {
 			return err
 		}

@@ -56,7 +56,11 @@ type Options struct {
 	// checking. The history is rendered from the explorer's path, like the
 	// schedule; the run otherwise steps exactly like any other.
 	RecordHistory bool
-	// OnLeaf, if set, is called at every leaf. Returning an error aborts
+	// OnLeaf, if set, is called at every leaf the DFS reaches. Under
+	// Memoize that is not every execution: a memo hit returns its stored
+	// summary and skips its subtree, so OnLeaf runs only at leaves reached
+	// without passing a memo hit. A check that must see every execution
+	// must not memoize. Returning an error aborts
 	// exploration and surfaces as a KindLeafReject violation. The *Leaf
 	// is a view of the explorer's current path, valid only during the
 	// call; its methods render what the callback reads into values the
@@ -674,21 +678,13 @@ func (e *explorer) newRoot() (*config, error) {
 	return c, nil
 }
 
-// explore runs the DFS from root and aggregates the result. A panic in
-// user-supplied code (a type spec's transition function or a machine) is
-// recovered and converted into a structured *faults.PanicError carrying the
-// offending configuration's key, instead of killing the worker goroutine
-// and with it the whole process.
+// explore runs the DFS from root and aggregates the result; a panic in
+// user-supplied code is an error (recoverPanic).
 func (e *explorer) explore(root *config) (res *Result, err error) {
 	if e.memo != nil {
 		defer e.memo.release()
 	}
-	defer func() {
-		if r := recover(); r != nil {
-			err = faults.NewPanicError("explore", e.curProc, e.panicContext(), r, debug.Stack())
-			res = nil
-		}
-	}()
+	defer recoverPanic(&e, &err)
 	im := e.im
 	sum, err := e.dfs(root, 0, e.tally(root))
 	e.flushCounters(0)
@@ -898,6 +894,23 @@ func (e *explorer) pathResps(p int) []int32 { return e.respBuf[p][:e.respN[p]] }
 func (e *explorer) pushResp(p int, resp int32) {
 	e.respBuf[p][e.respN[p]] = resp
 	e.respN[p]++
+}
+
+// recoverPanic is deferred by every entry point that runs user-supplied
+// code (a type spec's transition function or a machine): explore, walk,
+// Valency and Dot. It converts a panic into a structured
+// *faults.PanicError in *err, naming the stepping process and the
+// offending configuration's key (panicContext), instead of letting it
+// kill the worker goroutine and with it the whole process. *e is nil
+// while the explorer is still being built: the root configuration.
+func recoverPanic(e **explorer, err *error) {
+	if r := recover(); r != nil {
+		proc, where := -1, "root configuration"
+		if *e != nil {
+			proc, where = (*e).curProc, (*e).panicContext()
+		}
+		*err = faults.NewPanicError("explore", proc, where, r, debug.Stack())
+	}
 }
 
 // panicContext renders the recovery breadcrumbs, including the offending
@@ -1130,14 +1143,10 @@ func (e *explorer) expandNode(c *config, depth int, sum *summary, t procTally) e
 // counts crash events, not currently-crashed processes: crashes +
 // recoveries, since every recovery implies a prior crash and a recovery
 // never refunds the budget. With MaxRecoveries=0
-// both sums and branch sets are exactly the crash-stop ones.
+// both sums and branch sets are exactly the crash-stop ones. Every edge
+// steps c in place and restores it before the next (eachEdge, faultEdge).
 func (e *explorer) expand(c *config, depth int, sum *summary, t procTally) error {
 	crashes, recoveries := t.crashes, t.recoveries
-	// Every edge below steps c in place: it saves the ids it changes,
-	// explores the child subtree, and restores them before any other code
-	// (merges, error returns) can observe c. Configs are strictly
-	// stack-scoped — nothing below retains the pointer — so after the
-	// restore c is the parent again for the next edge.
 	if e.opts.Faults.Enabled() && crashes+recoveries < e.opts.Faults.MaxCrashes {
 		for p := range c.procs {
 			flags := e.procMeta[c.procs[p]].flags
@@ -1147,48 +1156,41 @@ func (e *explorer) expand(c *config, depth int, sum *summary, t procTally) error
 			if e.opts.Faults.Mode == faults.CrashBeforeFirstStep && flags&metaStepped != 0 {
 				continue
 			}
-			old := c.procs[p]
-			e.crashProc(c, p)
-			// A crash is not an object access: it consumes no depth budget
-			// and bumps no access counters (mergeCrashChild), matching the
-			// paper's counting of low-level operations only. Termination is
-			// still guaranteed — each crash strictly shrinks the live set.
-			child, err := e.dfs(c, depth, e.retally(t, old, c.procs[p]))
-			e.mergeCrashChild(sum, &child)
-			c.procs[p] = old
-			e.path = e.path[:len(e.path)-1]
-			if err != nil {
+			if err := e.faultEdge(c, p, depth, sum, t, e.crashProc); err != nil {
 				return err
 			}
 		}
 	}
 	if crashes > 0 && recoveries < e.opts.Faults.MaxRecoveries {
 		for p := range c.procs {
-			if e.procMeta[c.procs[p]].flags&metaCrashed == 0 {
-				continue
-			}
-			e.breadcrumb(c, p, depth)
-			old := c.procs[p]
-			respMark := e.respN[p]
-			err := e.recoverProc(c, p)
-			if err == nil {
-				// Like a crash, a recovery is not an object access: no
-				// depth budget, no access counters. Termination holds
-				// because each recovery strictly increases the total
-				// recovery count, which MaxRecoveries bounds.
-				var child summary
-				child, err = e.dfs(c, depth, e.retally(t, old, c.procs[p]))
-				e.mergeCrashChild(sum, &child)
-			}
-			c.procs[p] = old
-			e.path = e.path[:len(e.path)-1]
-			e.respN[p] = respMark
-			if err != nil {
-				return err
+			if e.procMeta[c.procs[p]].flags&metaCrashed != 0 {
+				if err := e.faultEdge(c, p, depth, sum, t, e.recoverProc); err != nil {
+					return err
+				}
 			}
 		}
 	}
-	forcedStep := e.opts.Faults.Enabled() && e.opts.Faults.Mode == faults.CrashBeforeFirstStep
+	return e.eachEdge(c, depth, func(p, obj int, _, _, old int32) error {
+		opID := e.pendingOpAcc(old)
+		child, err := e.dfs(c, depth+1, e.retally(t, old, c.procs[p]))
+		e.mergeChild(sum, &child, opID, e.objIDs[obj], e.procIDs[p])
+		return err
+	})
+}
+
+// eachEdge is the engine's one access-edge loop: the DFS (expand), Valency
+// and Dot all take their access edges through it. It steps c in place to
+// each child one object access away, in process-index then outcome order,
+// through the transition and step caches (access), calls visit at the
+// child, and restores c, the path and the path responses before the next
+// edge. Configs are strictly stack-scoped — nothing below retains the
+// pointer — so after the restore c is the parent again. visit gets the
+// access (process p's invocation inv on object obj, answered with
+// response id resp) and old, p's state id before the step. A failed
+// access is wrapped with its process and depth; visit's errors pass
+// through unchanged.
+func (e *explorer) eachEdge(c *config, depth int, visit func(p, obj int, inv, resp, old int32) error) error {
+	forced := e.opts.Faults.Enabled() && e.opts.Faults.Mode == faults.CrashBeforeFirstStep
 	for p := range c.procs {
 		m := &e.procMeta[c.procs[p]]
 		if m.flags&(metaDone|metaCrashed) != 0 {
@@ -1201,28 +1203,16 @@ func (e *explorer) expand(c *config, depth int, sum *summary, t procTally) error
 		if err != nil {
 			return fmt.Errorf("process %d at depth %d: %w", p, depth, err)
 		}
-		opID := e.pendingOpAcc(c, p)
-		objID := e.objIDs[obj]
-		procID := e.procIDs[p]
 		oldObj, oldProc := c.objs[obj], c.procs[p]
-		for _, out := range cts {
-			// Exactly one object and one process change on an access edge.
-			// The object's successor state comes interned with the cached
-			// transition, and the process advances through the step cache;
-			// everything else is shared.
-			c.objs[obj] = out.next
-			respMark := e.respN[p]
-			err := e.stepProc(c, p, out.resp, forcedStep)
-			e.path = append(e.path, pathStep{proc: int32(p), obj: int32(obj), inv: inv, resp: out.resp,
-				ops: int32(e.respN[p])})
+		for _, t := range cts {
+			mark := e.respN[p]
+			err := e.access(c, p, obj, inv, t, forced)
 			if err == nil {
-				var child summary
-				child, err = e.dfs(c, depth+1, e.retally(t, oldProc, c.procs[p]))
-				e.mergeChild(sum, &child, opID, objID, procID)
+				err = visit(p, obj, inv, t.resp, oldProc)
 			}
 			c.objs[obj], c.procs[p] = oldObj, oldProc
 			e.path = e.path[:len(e.path)-1]
-			e.respN[p] = respMark
+			e.respN[p] = mark
 			if err != nil {
 				return err
 			}
@@ -1231,18 +1221,57 @@ func (e *explorer) expand(c *config, depth int, sum *summary, t procTally) error
 	return nil
 }
 
+// faultEdge explores the crash or recovery edge of process p of c that
+// take (crashProc or recoverProc) places, folds the child into sum, and
+// restores c. A fault edge is not an object access: it consumes no depth
+// budget and bumps no access counters (mergeCrashChild), matching the
+// paper's counting of low-level operations only. Its branch still
+// terminates: each crash strictly shrinks the live set, and each
+// recovery strictly increases the total recovery count, which
+// MaxRecoveries bounds.
+func (e *explorer) faultEdge(c *config, p, depth int, sum *summary, t procTally, take func(*config, int) error) error {
+	e.breadcrumb(c, p, depth)
+	old, mark := c.procs[p], e.respN[p]
+	err := take(c, p)
+	if err == nil {
+		var child summary
+		child, err = e.dfs(c, depth, e.retally(t, old, c.procs[p]))
+		e.mergeCrashChild(sum, &child)
+	}
+	c.procs[p] = old
+	e.path = e.path[:len(e.path)-1]
+	e.respN[p] = mark
+	return err
+}
+
+// access takes process p's pending access to object obj (invocation id
+// inv) in place, with outcome t: exactly one object and one process
+// change. The object's successor state comes interned with the cached
+// transition, p advances through the step cache (stepProc, whose forced
+// bit it passes on), and the access is recorded on the path. Every access
+// goes through it: eachEdge's, which restores c and the path after the
+// subtree, and Walk's, which never does.
+func (e *explorer) access(c *config, p, obj int, inv int32, t cachedTrans, forced bool) error {
+	c.objs[obj] = t.next
+	err := e.stepProc(c, p, t.resp, forced)
+	e.path = append(e.path, pathStep{proc: int32(p), obj: int32(obj), inv: inv, resp: t.resp, ops: int32(e.respN[p])})
+	return err
+}
+
 // crashProc crashes live process p of c in place and records the CRASH on
 // the path. Every engine places crashes through it: the DFS on each crash
-// edge, which restores c.procs[p] after the subtree, and Walk at each
-// CrashAfter point, which never does. A Walk's scratch state is crashed in
-// place.
-func (e *explorer) crashProc(c *config, p int) {
+// edge (faultEdge), which restores c.procs[p] after the subtree, and Walk
+// at each CrashAfter point, which never does. A Walk's scratch state is
+// crashed in place. It never fails; the error result gives it
+// recoverProc's shape.
+func (e *explorer) crashProc(c *config, p int) error {
 	if id := c.procs[p]; id < 0 {
 		e.scratch[p].Crashed = true
 	} else {
 		c.procs[p] = e.crashedID(id)
 	}
 	e.path = append(e.path, pathStep{proc: int32(p), obj: -1, kind: stepCrash, ops: int32(e.respN[p])})
+	return nil
 }
 
 // recoverProc re-enters crashed process p of c from its recovery section,

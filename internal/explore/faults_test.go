@@ -3,6 +3,7 @@ package explore
 import (
 	"context"
 	"errors"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -403,7 +404,29 @@ var explodingMachine = program.FuncMachine{
 // engine, the stepping process, and the offending configuration — instead
 // of killing the worker goroutine and the whole test process with it.
 func TestExplorerPanicRecovery(t *testing.T) {
-	im := &program.Implementation{
+	im := explodingImpl()
+	for _, workers := range []int{1, 4} {
+		_, err := ConsensusKContext(context.Background(), im, 2, Options{Parallelism: workers})
+		checkExplodingPanic(t, fmt.Sprintf("workers=%d", workers), im, err)
+	}
+}
+
+// TestSideWalkerPanicRecovery extends the panic-safety contract to the
+// tree walkers outside the DFS: Valency and Dot return the same
+// *faults.PanicError, with the breadcrumb their shared edge loop sets,
+// instead of letting the panic reach their caller.
+func TestSideWalkerPanicRecovery(t *testing.T) {
+	im := explodingImpl()
+	_, err := Valency(im, []int{0, 1})
+	checkExplodingPanic(t, "Valency", im, err)
+	_, err = Dot(im, consensusScripts([]int{0, 1}), 100)
+	checkExplodingPanic(t, "Dot", im, err)
+}
+
+// explodingImpl is a two-process protocol of explodingMachines over one
+// test-and-set.
+func explodingImpl() *program.Implementation {
+	return &program.Implementation{
 		Name:   "exploding",
 		Target: types.Consensus(2),
 		Procs:  2,
@@ -412,27 +435,31 @@ func TestExplorerPanicRecovery(t *testing.T) {
 		},
 		Machines: []program.Machine{explodingMachine, explodingMachine},
 	}
-	for _, workers := range []int{1, 4} {
-		_, err := ConsensusKContext(context.Background(), im, 2, Options{Parallelism: workers})
-		var pe *faults.PanicError
-		if !errors.As(err, &pe) {
-			t.Fatalf("workers=%d: err = %v, want *faults.PanicError", workers, err)
-		}
-		if pe.Engine != "explore" {
-			t.Errorf("workers=%d: engine %q, want explore", workers, pe.Engine)
-		}
-		if pe.Value != "machine exploded" {
-			t.Errorf("workers=%d: value %v, want the panic payload", workers, pe.Value)
-		}
-		if pe.Proc < 0 || pe.Proc >= im.Procs {
-			t.Errorf("workers=%d: offending process %d out of range", workers, pe.Proc)
-		}
-		if !strings.Contains(pe.Context, "depth") {
-			t.Errorf("workers=%d: context %q lacks the configuration breadcrumb", workers, pe.Context)
-		}
-		if !strings.Contains(string(pe.Stack), "explodingMachine") &&
-			!strings.Contains(string(pe.Stack), "faults_test") {
-			t.Errorf("workers=%d: stack does not reach the panicking machine:\n%s", workers, pe.Stack)
-		}
+}
+
+// checkExplodingPanic checks that err is the *faults.PanicError of
+// explodingMachine's panic: engine, payload, stepping process,
+// configuration breadcrumb and a stack that reaches the machine.
+func checkExplodingPanic(t *testing.T, name string, im *program.Implementation, err error) {
+	t.Helper()
+	var pe *faults.PanicError
+	if !errors.As(err, &pe) {
+		t.Fatalf("%s: err = %v, want *faults.PanicError", name, err)
+	}
+	if pe.Engine != "explore" {
+		t.Errorf("%s: engine %q, want explore", name, pe.Engine)
+	}
+	if pe.Value != "machine exploded" {
+		t.Errorf("%s: value %v, want the panic payload", name, pe.Value)
+	}
+	if pe.Proc < 0 || pe.Proc >= im.Procs {
+		t.Errorf("%s: offending process %d out of range", name, pe.Proc)
+	}
+	if !strings.Contains(pe.Context, "depth") {
+		t.Errorf("%s: context %q lacks the configuration breadcrumb", name, pe.Context)
+	}
+	if !strings.Contains(string(pe.Stack), "explodingMachine") &&
+		!strings.Contains(string(pe.Stack), "faults_test") {
+		t.Errorf("%s: stack does not reach the panicking machine:\n%s", name, pe.Stack)
 	}
 }

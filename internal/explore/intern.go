@@ -222,13 +222,15 @@ func (e *explorer) pendingInv(c *config, p int) int32 {
 	return m.inv
 }
 
-// pendingOpAcc returns the access-counter id of process p's pending access
-// in c — (object, operation) — computed once per interned state. Only the
-// DFS counts accesses.
-func (e *explorer) pendingOpAcc(c *config, p int) int32 {
-	m := &e.procMeta[c.procs[p]]
+// pendingOpAcc returns the access-counter id of the pending access of
+// interned process state id — (object, operation) — computed once per
+// state. It takes the id, not a config, because the DFS asks at the
+// child, where the stepping process has already moved on (eachEdge's
+// old). Only the DFS counts accesses.
+func (e *explorer) pendingOpAcc(id int32) int32 {
+	m := &e.procMeta[id]
 	if m.opAcc < 0 {
-		m.opAcc = e.acct.id(accKey{Obj: int(m.obj), Op: e.proc(c.procs[p]).Pending.Inv.Op})
+		m.opAcc = e.acct.id(accKey{Obj: int(m.obj), Op: e.proc(id).Pending.Inv.Op})
 	}
 	return m.opAcc
 }

@@ -77,8 +77,11 @@ func ValencySet(mask uint64) []int {
 // one proposal vector, without faults or symmetry reduction. Each leaf is
 // judged by the consensus check's leaf rule, so a tree with a leaf that
 // breaks agreement or validity is an error: valency is only defined for a
-// protocol that decides. Decision values must lie in 0..63.
-func Valency(im *program.Implementation, proposals []int) (*ValencyReport, error) {
+// protocol that decides. Decision values must lie in 0..63. A panic in a
+// type spec or machine is a *faults.PanicError.
+func Valency(im *program.Implementation, proposals []int) (_ *ValencyReport, err error) {
+	var e *explorer
+	defer recoverPanic(&e, &err)
 	e, root, err := newExplorer(im, consensusScripts(proposals), Options{})
 	if err != nil {
 		return nil, err
@@ -144,7 +147,7 @@ func (v *valencyAnalysis) valency(c *config, depth int) (uint64, error) {
 	var mask uint64
 	var pending []PendingStep
 	var childMasks []uint64
-	err := v.e.eachEdge(c, func(p, obj int, inv, _ int32) error {
+	err := v.e.eachEdge(c, depth, func(p, obj int, inv, _, _ int32) error {
 		if n := len(pending); n == 0 || pending[n-1].Proc != p {
 			pending = append(pending, PendingStep{Proc: p, Obj: obj, Inv: v.e.invs.vals[inv]})
 			childMasks = append(childMasks, 0)

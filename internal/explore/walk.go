@@ -3,9 +3,7 @@ package explore
 import (
 	"fmt"
 	"math/rand"
-	"runtime/debug"
 
-	"waitfree/internal/faults"
 	"waitfree/internal/hist"
 	"waitfree/internal/program"
 	"waitfree/internal/types"
@@ -50,10 +48,10 @@ type Walked struct {
 
 // Walk follows one root-to-leaf path of the execution tree of im under
 // scripts, choosing every edge from s. It steps through the explorer's own
-// edge code — the transition and step caches, crashProc and recoverProc
-// — so every leaf it reaches is a leaf of the tree RunContext explores
-// with the matching fault model; Walk samples instances too large to
-// enumerate.
+// edge code — the transition and step caches, access, crashProc and
+// recoverProc — so every leaf it reaches is a leaf of the tree RunContext
+// explores with the matching fault model; Walk samples instances too large
+// to enumerate.
 // A walk longer than MaxDepth accesses is a *Violation of kind
 // KindDepthExceeded; a panic in a type spec or machine is a
 // *faults.PanicError.
@@ -64,15 +62,7 @@ func Walk(im *program.Implementation, scripts [][]types.Invocation, s Schedule) 
 
 // walk is Walk, also returning the explorer it walked with.
 func walk(im *program.Implementation, scripts [][]types.Invocation, s Schedule) (w *Walked, e *explorer, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			proc, where := -1, "root configuration"
-			if e != nil {
-				proc, where = e.curProc, e.panicContext()
-			}
-			w, err = nil, faults.NewPanicError("explore", proc, where, r, debug.Stack())
-		}
-	}()
+	defer recoverPanic(&e, &err)
 	if e, err = initExplorer(im, scripts, Options{RecordHistory: true, MaxDepth: s.MaxDepth}); err != nil {
 		return nil, nil, err
 	}
@@ -127,9 +117,9 @@ func walk(im *program.Implementation, scripts [][]types.Invocation, s Schedule) 
 		}
 		p := live[rng.Intn(len(live))]
 		e.breadcrumb(c, p, depth)
-		act := e.proc(c.procs[p]).Pending
+		obj := e.proc(c.procs[p]).Pending.Obj
 		inv := e.pendingInv(c, p)
-		cts, err := e.applyCached(c, p, act.Obj, inv)
+		cts, err := e.applyCached(c, p, obj, inv)
 		if err != nil {
 			return nil, e, fmt.Errorf("process %d at depth %d: %w", p, depth, err)
 		}
@@ -137,12 +127,9 @@ func walk(im *program.Implementation, scripts [][]types.Invocation, s Schedule) 
 		if len(cts) > 1 {
 			t = cts[rng.Intn(len(cts))]
 		}
-		c.objs[act.Obj] = t.next
-		if err := e.stepProc(c, p, t.resp, false); err != nil {
+		if err := e.access(c, p, obj, inv, t, false); err != nil {
 			return nil, e, err
 		}
-		e.path = append(e.path, pathStep{proc: int32(p), obj: int32(act.Obj), inv: inv, resp: t.resp,
-			ops: int32(e.respN[p])})
 		accesses[p]++
 		if err := crashDue(p); err != nil {
 			return nil, e, err
