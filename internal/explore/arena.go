@@ -1,9 +1,6 @@
 package explore
 
-import (
-	"math"
-	"slices"
-)
+import "slices"
 
 // This file implements the hot path's storage: dense interned
 // access-counter ids, the summaries' counter arrays (one reused buffer
@@ -12,9 +9,10 @@ import (
 // its counters live in its level's buffer, which every node at that level
 // reuses; settle copies them into the memo's slab; and both caches are
 // rows of plain values indexed by ids the edge already holds — no key is
-// built, hashed or compared. What a tree does allocate (rows, slab
-// chunks, pages) starts small, grows geometrically, holds no pointers
-// where it is per node, and dies with the tree.
+// built, hashed or compared. What a tree fills (rows, slab chunks, pages)
+// starts small, grows geometrically and holds no pointers where it is per
+// node. Its contents are per tree; its storage belongs to the explorer,
+// which keeps it at its capacity when reset empties it for the next tree.
 
 // accChunkShift splits an accSlab reference into chunk and offset: a
 // chunk holds at most 1<<accChunkShift counters, unless it was made for
@@ -25,26 +23,43 @@ const accChunkShift = 16
 // one chunk named by a uint32 reference (chunk<<accChunkShift | offset)
 // and preceded by its capacity, so no reference is 0. Chunks start small
 // and double up to the shift's limit, so a small tree stays small and a
-// big one never copies a chunk to grow it. The zero value is ready to use.
+// big one never copies a chunk to grow it. reset keeps every chunk, and
+// the next tree fills them again in order. The zero value is ready to
+// use.
 type accSlab struct {
 	chunks [][]int32
+	used   int // chunks[:used] hold the current tree's regions
 }
 
 // alloc reserves a region of n counters and returns its reference.
 func (s *accSlab) alloc(n int) uint32 {
-	last := len(s.chunks) - 1
+	last := s.used - 1
 	if last < 0 || len(s.chunks[last])+1+n > cap(s.chunks[last]) {
 		size := 512
 		if last >= 0 {
 			size = min(2*cap(s.chunks[last]), 1<<accChunkShift)
 		}
-		s.chunks = append(s.chunks, make([]int32, 0, max(size, 1+n)))
+		size = max(size, 1+n)
+		if s.used == len(s.chunks) {
+			s.chunks = append(s.chunks, nil)
+		}
+		// A kept chunk serves again only at the capacity this position
+		// wants, so one made for a single outsized region is never
+		// shared past the reference's offset bits.
+		if cap(s.chunks[s.used]) != size {
+			s.chunks[s.used] = make([]int32, 0, size)
+		}
+		s.chunks[s.used] = s.chunks[s.used][:0]
+		s.used++
 		last++
 	}
 	off := len(s.chunks[last])
 	s.chunks[last] = append(s.chunks[last], int32(n))[:off+1+n]
 	return uint32(last)<<accChunkShift | uint32(off+1)
 }
+
+// reset frees every region for the next tree, keeping the chunks.
+func (s *accSlab) reset() { s.used = 0 }
 
 // capOf returns the capacity of the region at ref.
 func (s *accSlab) capOf(ref uint32) int {
@@ -63,13 +78,16 @@ func (s *accSlab) at(ref uint32, n int) []int32 {
 // carve returns n elements cut from the chunk *pool, capped at n so no
 // later run aliases them. A chunk without room is abandoned for a new
 // one: first elements the first time, then twice the last chunk's
-// capacity up to limit, and never fewer than n. While chunks double, a
-// pool may allocate twice what it hands out.
-func carve[T any](pool *[]T, n, first, limit int) []T {
+// capacity, and never fewer than n. While chunks double, a pool may
+// allocate twice what it hands out. Truncating *pool to length 0 hands
+// its chunk out again from the start, once every run cut from it is dead
+// (a reset): since the chunk is the pool's largest, a reset explorer soon
+// cuts a whole tree's runs from one chunk.
+func carve[T any](pool *[]T, n, first int) []T {
 	if cap(*pool)-len(*pool) < n {
 		size := first
 		if cap(*pool) > 0 {
-			size = min(2*cap(*pool), limit)
+			size = 2 * cap(*pool)
 		}
 		*pool = make([]T, 0, max(size, n))
 	}
@@ -78,33 +96,17 @@ func carve[T any](pool *[]T, n, first, limit int) []T {
 	return (*pool)[off : off+n : off+n]
 }
 
-// Key arena chunks start at 2KB and double up to segSlab.
-const segSlab = 8 * 1024
-
-// byteArena hands out the intern tables' keys from slab chunks. The zero
-// value is ready to use.
-type byteArena struct{ buf []byte }
-
-// save copies b into the arena and returns the stored copy.
-func (a *byteArena) save(b []byte) []byte {
-	out := carve(&a.buf, len(b), 2*1024, segSlab)
-	copy(out, b)
-	return out
-}
-
 // initAcct interns the fixed access counters, the per-process and
-// per-object totals, into lookup slices. Per-operation counters are
-// interned as expansions encounter them (pendingOpAcc). Ids are assigned
-// in first-encounter order; reports never depend on the order because
-// Result conversion maps ids back through keys.
+// per-object totals, into the lookup slices reset emptied. Per-operation
+// counters are interned as expansions encounter them (pendingOpAcc). Ids
+// are assigned in first-encounter order; reports never depend on the
+// order because Result conversion maps ids back through keys.
 func (e *explorer) initAcct() {
-	e.procIDs = make([]int32, e.im.Procs)
-	for p := range e.procIDs {
-		e.procIDs[p] = e.acct.id(procKey(p))
+	for p := 0; p < e.im.Procs; p++ {
+		e.procIDs = append(e.procIDs, e.acct.id(procKey(p)))
 	}
-	e.objIDs = make([]int32, len(e.im.Objects))
-	for i := range e.objIDs {
-		e.objIDs[i] = e.acct.id(accKey{Obj: i})
+	for i := range e.im.Objects {
+		e.objIDs = append(e.objIDs, e.acct.id(accKey{Obj: i}))
 	}
 }
 
@@ -174,11 +176,19 @@ var emptyStep = procStep{next: -1}
 // cacheRows is one cache's row table: rows[id] is the row of one
 // (component, state id) pair, indexed by a slot number. Rows are carved
 // from shared chunks (a new chunk doubles the last, from 64 slots), so a
-// tree's rows cost a few allocations, not a few per row. The zero value
-// is ready to use.
+// tree's rows cost a few allocations, not a few per row, and a reset
+// explorer's none once its last chunk holds them all. The zero value is
+// ready to use.
 type cacheRows[T any] struct {
 	rows  [][]T
 	chunk []T
+}
+
+// reset empties every row, keeping the row table and the last chunk.
+func (r *cacheRows[T]) reset() {
+	clear(r.rows)
+	r.rows = r.rows[:0]
+	r.chunk = r.chunk[:0]
 }
 
 // slot returns the slot of row id, or nil if it was never filled.
@@ -201,7 +211,7 @@ func (r *cacheRows[T]) fill(id, slot, width int, empty T) *T {
 	}
 	row := r.rows[id]
 	if slot >= len(row) {
-		grown := carve(&r.chunk, max(slot+1, width, 2*len(row)), 64, math.MaxInt)
+		grown := carve(&r.chunk, max(slot+1, width, 2*len(row)), 64)
 		copy(grown, row)
 		for i := len(row); i < len(grown); i++ {
 			grown[i] = empty

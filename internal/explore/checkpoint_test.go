@@ -190,7 +190,7 @@ func TestResumeFromValidation(t *testing.T) {
 func TestResumeRejectsForgedTrees(t *testing.T) {
 	im := consensus.CAS(2)
 	genuine := func(mask int) TreeResult {
-		out := exploreTree(context.Background(), im, 2, mask, Options{}, newCounters(1, 4), 0)
+		out := exploreTree(context.Background(), new(explorer), im, 2, mask, Options{}, newCounters(1, 4), 0)
 		if out.err != nil || out.violation != nil {
 			t.Fatalf("mask %d: err %v, violation %v", mask, out.err, out.violation)
 		}
@@ -244,7 +244,7 @@ func TestResumeRejectsForgedTrees(t *testing.T) {
 func TestResumeRejectsUnexploredTrees(t *testing.T) {
 	im := consensus.CAS(3)
 	genuine := func() TreeResult {
-		out := exploreTree(context.Background(), im, 2, 1, Options{}, newCounters(1, 8), 0)
+		out := exploreTree(context.Background(), new(explorer), im, 2, 1, Options{}, newCounters(1, 8), 0)
 		if out.err != nil || out.violation != nil {
 			t.Fatalf("err %v, violation %v", out.err, out.violation)
 		}
@@ -356,7 +356,7 @@ func checkpointSeeds(f *testing.F, runs []*program.Implementation) [][]byte {
 	}
 	var tas []TreeResult
 	for mask := 0; mask < 3; mask++ {
-		out := exploreTree(context.Background(), consensus.TAS2(), 2, mask, Options{}, newCounters(1, 4), 0)
+		out := exploreTree(context.Background(), new(explorer), consensus.TAS2(), 2, mask, Options{}, newCounters(1, 4), 0)
 		if out.err != nil || out.violation != nil {
 			f.Fatalf("TAS2 mask %d: err %v, violation %v", mask, out.err, out.violation)
 		}

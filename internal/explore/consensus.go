@@ -199,14 +199,16 @@ func consensusScripts(proposals []int) [][]types.Invocation {
 }
 
 // exploreTree explores the single execution tree rooted at the proposal
-// vector of mask. Each tree gets its own decided set and (under Memoize)
-// its own memo table: a table shared across arbitrary trees would be
+// vector of mask with e, the calling worker's explorer. Each tree gets its
+// own decided set and (under Memoize) its own memo contents: e is reset
+// for it, so it reuses the storage of the worker's earlier trees but none
+// of their entries. A table shared across arbitrary trees would be
 // unsound, because memo hits skip the per-leaf agreement/validity checks,
 // and validity depends on the tree's proposal vector. Trees in one
 // process-permutation orbit are the exception — for them the symmetry
 // layer skips exploration entirely and replays the representative's
 // outcome (see symmetry.go).
-func exploreTree(ctx context.Context, im *program.Implementation, k, mask int, opts Options, ctr *counters, widx int) treeOutcome {
+func exploreTree(ctx context.Context, e *explorer, im *program.Implementation, k, mask int, opts Options, ctr *counters, widx int) treeOutcome {
 	proposals := ProposalVectorK(mask, im.Procs, k)
 	scripts := consensusScripts(proposals)
 	decided := make([]bool, k)
@@ -223,7 +225,7 @@ func exploreTree(ctx context.Context, im *program.Implementation, k, mask int, o
 		}
 		return nil
 	}
-	res, err := runTree(ctx, im, scripts, treeOpts, ctr, widx)
+	res, err := runTree(ctx, e, im, scripts, treeOpts, ctr, widx)
 	if err != nil {
 		return treeOutcome{err: err}
 	}
@@ -432,7 +434,14 @@ func ConsensusKContext(ctx context.Context, im *program.Implementation, k int, o
 	live.Store(int64(workers))
 	sup := startSupervisor(opts, ctr, im, k, snapshotCP, workersDone)
 
-	var next atomic.Int64 // work distribution: orbits claimed in representative-mask order
+	// Work distribution: worker w takes orbit w first, and the rest are
+	// claimed from next in representative-mask order. The fixed first
+	// claim puts every worker to work whatever the goroutines' start
+	// order, so each of the min(workers, orbits) explorers fills its
+	// tables once, and a run's allocations do not hinge on how the
+	// scheduler started them.
+	var next atomic.Int64
+	next.Store(int64(workers))
 	var stop atomic.Int64 // lowest mask whose tree errored or violated
 	stop.Store(int64(roots))
 	lowerStop := func(mask int) {
@@ -445,17 +454,20 @@ func ConsensusKContext(ctx context.Context, im *program.Implementation, k int, o
 	}
 	for w := 0; w < workers; w++ {
 		go func(widx int) {
+			// The worker's one explorer: every tree it claims resets it,
+			// so the tables grown by one tree serve the next, and all of
+			// it is dropped when the run ends.
+			e := new(explorer)
 			defer func() {
 				ctr.claimBeat(widx, -1)
 				if live.Add(-1) == 0 {
 					close(workersDone)
 				}
 			}()
-			for {
+			for idx := widx; ; idx = int(next.Add(1) - 1) {
 				if ctxErr(runCtx) != nil {
 					return
 				}
-				idx := int(next.Add(1) - 1)
 				// Representatives strictly above the lowest known-bad mask
 				// can never be merged (the merge stops there, as a
 				// sequential scan would); skipping them only sheds work,
@@ -466,7 +478,7 @@ func ConsensusKContext(ctx context.Context, im *program.Implementation, k int, o
 				ob := &orbits[idx]
 				ctr.claimBeat(widx, ob.rep)
 				out := &outcomes[ob.rep]
-				*out = exploreTree(runCtx, im, k, ob.rep, opts, ctr, widx)
+				*out = exploreTree(runCtx, e, im, k, ob.rep, opts, ctr, widx)
 				done[ob.rep].Store(true)
 				ctr.treesDone.Add(1)
 				// Members replay only from a clean representative: a

@@ -23,9 +23,12 @@ var ErrDotBudget = errors.New("explore: execution tree exceeds the DOT node budg
 // The tree is the fault-free one, without symmetry reduction. A panic in a
 // type spec or machine is a *faults.PanicError.
 func Dot(im *program.Implementation, scripts [][]types.Invocation, maxNodes int) (_ string, err error) {
-	var e *explorer
-	defer recoverPanic(&e, &err)
-	e, root, err := newExplorer(im, scripts, Options{})
+	e := new(explorer)
+	defer recoverPanic(e, &err)
+	if err := e.reset(im, scripts, Options{}); err != nil {
+		return "", err
+	}
+	root, err := e.newRoot()
 	if err != nil {
 		return "", err
 	}

@@ -72,10 +72,11 @@ type Options struct {
 	// exploration. RunContext itself always explores its single tree
 	// sequentially. Every field of the merged ConsensusReport — verdicts,
 	// Depth, access bounds, Nodes, Leaves, and MemoHits — is identical at
-	// every parallelism level, because each tree owns its memo table and
-	// trees are merged in proposal-vector order. Parallelism > 1 requires
-	// Spec.Step and Machine implementations to be pure functions of their
-	// arguments (all in-repo types and machines are).
+	// every parallelism level, because each tree has memo contents of its
+	// own (a worker's one memo table is emptied before each tree it
+	// claims) and trees are merged in proposal-vector order. Parallelism
+	// > 1 requires Spec.Step and Machine implementations to be pure
+	// functions of their arguments (all in-repo types and machines are).
 	Parallelism int
 	// Faults enumerates crash faults exhaustively: at every configuration,
 	// in addition to every enabled step, the DFS explores the branch where
@@ -568,21 +569,25 @@ func RunContext(ctx context.Context, im *program.Implementation, scripts [][]typ
 	// supervisor only publishes progress.
 	sup := startSupervisor(Options{OnProgress: opts.OnProgress, ProgressInterval: opts.ProgressInterval}, ctr, im, 0, nil, nil)
 	defer sup.stop()
-	res, err := runTree(ctx, im, scripts, opts, ctr, 0)
+	res, err := runTree(ctx, new(explorer), im, scripts, opts, ctr, 0)
 	ctr.treesDone.Add(1)
 	return res, err
 }
 
-// runTree explores one execution tree on behalf of worker widx, feeding
-// the shared engine counters and honoring ctx.
-func runTree(ctx context.Context, im *program.Implementation, scripts [][]types.Invocation, opts Options, ctr *counters, widx int) (*Result, error) {
+// runTree explores one execution tree with e, on behalf of worker widx,
+// feeding the shared engine counters and honoring ctx. e may have
+// explored earlier trees: reset empties it first.
+func runTree(ctx context.Context, e *explorer, im *program.Implementation, scripts [][]types.Invocation, opts Options, ctr *counters, widx int) (*Result, error) {
 	// Check up front so an already-dead context never starts a tree —
 	// the in-DFS poll only fires every flushEvery configurations, which a
 	// small tree may never reach.
 	if err := ctxErr(ctx); err != nil {
 		return nil, err
 	}
-	e, root, err := newExplorer(im, scripts, opts)
+	if err := e.reset(im, scripts, opts); err != nil {
+		return nil, err
+	}
+	root, err := e.newRoot()
 	if err != nil {
 		return nil, err
 	}
@@ -591,57 +596,94 @@ func runTree(ctx context.Context, im *program.Implementation, scripts [][]types.
 	return e.explore(root)
 }
 
-// newExplorer validates the run's shape and builds the explorer and the
-// root configuration (every process advanced to its first object access).
-func newExplorer(im *program.Implementation, scripts [][]types.Invocation, opts Options) (*explorer, *config, error) {
-	e, err := initExplorer(im, scripts, opts)
-	if err != nil {
-		return nil, nil, err
-	}
-	root, err := e.newRoot()
-	if err != nil {
-		return nil, nil, err
-	}
-	return e, root, nil
-}
-
-// initExplorer validates the run's shape and builds the explorer, without
-// a root: newExplorer builds the interned one, Walk its scratch one.
-func initExplorer(im *program.Implementation, scripts [][]types.Invocation, opts Options) (*explorer, error) {
+// reset validates the shape of a run of im under scripts and makes e
+// ready to explore its tree, without a root: newRoot builds it, after
+// Walk has given e its scratch slots. It is the one way an explorer is
+// set up. RunContext, Valency, Dot and Walk reset a fresh explorer, and
+// each ConsensusKContext worker resets its own before every tree.
+//
+// Every table, cache and buffer e carries over comes out empty but keeps
+// the storage the last tree grew (DESIGN.md §13 lists them); everything
+// else starts from its zero value. This needs no further argument for
+// soundness, because an empty table holds nothing from the last tree:
+// ids, cache rows and memo entries are all per tree, and a spill tier
+// starts fresh.
+func (e *explorer) reset(im *program.Implementation, scripts [][]types.Invocation, opts Options) error {
 	if err := im.Validate(); err != nil {
-		return nil, err
+		return err
 	}
 	if err := opts.Validate(); err != nil {
-		return nil, err
+		return err
 	}
 	if len(scripts) != im.Procs {
-		return nil, fmt.Errorf("%w: %d scripts for %d processes", ErrBadScripts, len(scripts), im.Procs)
+		return fmt.Errorf("%w: %d scripts for %d processes", ErrBadScripts, len(scripts), im.Procs)
 	}
 	if opts.MaxDepth == 0 {
 		opts.MaxDepth = DefaultMaxDepth
 	}
-	e := &explorer{
+	memo := e.memo
+	if !opts.Memoize {
+		memo = nil
+	} else if memo == nil {
+		memo = new(memoTable)
+	}
+	next := explorer{
 		im:      im,
 		scripts: scripts,
 		opts:    opts,
 		curProc: -1,
+
+		memo:        memo,
+		keyBuf:      e.keyBuf,
+		enc:         e.enc,
+		segScratch:  e.segScratch,
+		objTab:      e.objTab,
+		procTab:     e.procTab,
+		procMeta:    e.procMeta[:0],
+		invs:        e.invs,
+		resps:       e.resps,
+		acct:        e.acct,
+		procIDs:     e.procIDs[:0],
+		objIDs:      e.objIDs[:0],
+		levelBufs:   e.levelBufs,
+		transRows:   e.transRows,
+		transList:   e.transList[:0],
+		stepRows:    e.stepRows,
+		recoverRows: e.recoverRows,
+		stepResps:   e.stepResps[:0],
+		root:        e.root,
+		path:        e.path[:0],
+		respStore:   e.respStore,
+		respBuf:     e.respBuf,
+		respN:       e.respN,
 	}
-	if opts.Memoize {
-		e.memo = newMemoTable(opts.MemoBudget, opts.MemoSpillDir, opts.FS)
+	*e = next
+	if memo != nil {
+		memo.reset(opts.MemoBudget, opts.MemoSpillDir, opts.FS)
 	}
+	clear(e.enc.typeIDs)
+	e.objTab.reset()
+	e.procTab.reset()
+	e.invs.reset()
+	e.resps.reset()
+	e.acct.reset()
+	e.transRows.reset()
+	e.stepRows.reset()
+	e.recoverRows.reset()
 	// A process completes each scripted operation at most once along a
 	// path, so its buffer never grows.
 	total := 0
 	for _, sc := range scripts {
 		total += len(sc)
 	}
-	buf := make([]int32, total)
-	e.respBuf = make([][]int32, im.Procs)
-	e.respN = make([]int, im.Procs)
+	e.respStore = slices.Grow(e.respStore[:0], total)[:total]
+	e.respBuf = slices.Grow(e.respBuf[:0], im.Procs)[:im.Procs]
+	e.respN = slices.Grow(e.respN[:0], im.Procs)[:im.Procs]
+	buf := e.respStore
 	for p, sc := range scripts {
 		e.respBuf[p], buf = buf[:len(sc):len(sc)], buf[len(sc):]
 	}
-	return e, nil
+	return nil
 }
 
 // newRoot builds the root configuration of e.scripts: the initial object
@@ -649,8 +691,11 @@ func initExplorer(im *program.Implementation, scripts [][]types.Invocation, opts
 // processes live in e.scratch (intern.go), which Walk sizes before calling
 // newRoot; every other run interns them. A history run also records each
 // process's root count of completed target ops, which Leaf.History reads.
+// The root is e's own, and stays valid until the next reset.
 func (e *explorer) newRoot() (*config, error) {
-	c := &config{objs: make([]int32, len(e.im.Objects)), procs: make([]int32, e.im.Procs)}
+	c := &e.root
+	c.objs = slices.Grow(c.objs[:0], len(e.im.Objects))[:len(e.im.Objects)]
+	c.procs = slices.Grow(c.procs[:0], e.im.Procs)[:e.im.Procs]
 	for i, s := range e.im.InitialStates() {
 		c.objs[i] = e.internObj(s)
 	}
@@ -684,7 +729,7 @@ func (e *explorer) explore(root *config) (res *Result, err error) {
 	if e.memo != nil {
 		defer e.memo.release()
 	}
-	defer recoverPanic(&e, &err)
+	defer recoverPanic(e, &err)
 	im := e.im
 	sum, err := e.dfs(root, 0, e.tally(root))
 	e.flushCounters(0)
@@ -796,7 +841,9 @@ type explorer struct {
 	// memo deduplicates configurations (nil unless Memoize); its gray
 	// entries are the current DFS stack (cycle detection).
 	// keyBuf is idKey's reused buffer. The table is single-owner: this
-	// explorer (one execution tree) is its only user.
+	// explorer is its only user, and reset empties it for each tree, so
+	// its entries are the current tree's while its storage lasts as long
+	// as the explorer (one worker's run).
 	memo     *memoTable
 	keyBuf   []byte
 	memoHits int64
@@ -851,6 +898,9 @@ type explorer struct {
 	// cur is the Leaf every OnLeaf call receives: handing it over
 	// allocates nothing, and its methods render this explorer's path.
 	cur Leaf
+	// root is the tree's root configuration (newRoot), which the DFS
+	// steps in place.
+	root config
 
 	// Path-local data (push/pop around recursion). path is the current
 	// execution in pointer-free form, its only record: scheduleView
@@ -858,9 +908,10 @@ type explorer struct {
 	// history. respBuf[p][:respN[p]] are the response ids of the target
 	// operations process p completed along the path (pathResps); the
 	// buffers hold a whole script, so the path's per-edge bookkeeping
-	// stores counts, never a slice. histProcs is set in history runs only
-	// (newRoot).
+	// stores counts, never a slice; they are cut from respStore.
+	// histProcs is set in history runs only (newRoot).
 	path      []pathStep
+	respStore []int32
 	respBuf   [][]int32
 	respN     []int
 	histProcs []histProc
@@ -900,27 +951,18 @@ func (e *explorer) pushResp(p int, resp int32) {
 // code (a type spec's transition function or a machine): explore, walk,
 // Valency and Dot. It converts a panic into a structured
 // *faults.PanicError in *err, naming the stepping process and the
-// offending configuration's key (panicContext), instead of letting it
-// kill the worker goroutine and with it the whole process. *e is nil
-// while the explorer is still being built: the root configuration.
-func recoverPanic(e **explorer, err *error) {
+// offending configuration's key, instead of letting it kill the worker
+// goroutine and with it the whole process. Until the first breadcrumb the
+// tree is still at its root configuration, where no process is stepping.
+// Rendering the key may allocate freely: it runs only after a panic.
+func recoverPanic(e *explorer, err *error) {
 	if r := recover(); r != nil {
 		proc, where := -1, "root configuration"
-		if *e != nil {
-			proc, where = (*e).curProc, (*e).panicContext()
+		if e.curConfig != nil {
+			proc, where = e.curProc, fmt.Sprintf("depth %d, config key %s", e.curDepth, e.keyHex(e.curConfig))
 		}
 		*err = faults.NewPanicError("explore", proc, where, r, debug.Stack())
 	}
-}
-
-// panicContext renders the recovery breadcrumbs, including the offending
-// configuration's key (hex), for *faults.PanicError. It is only called
-// after a panic, so it may allocate freely.
-func (e *explorer) panicContext() string {
-	if e.curConfig == nil {
-		return "root configuration"
-	}
-	return fmt.Sprintf("depth %d, config key %s", e.curDepth, e.keyHex(e.curConfig))
 }
 
 // startNextOp advances process p, in state ps, past any number of

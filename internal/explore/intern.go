@@ -48,9 +48,21 @@ import (
 // a key.
 type keyTable[V any] struct {
 	pages  [][]keyEntry[V]
-	nextID int32     // entries allocated: ids [0, nextID) exist
-	index  []int32   // id+1 per slot, 0 = empty; len is a power of two
-	keys   byteArena // backing store of the entries' keys
+	nextID int32   // entries allocated: ids [0, nextID) exist
+	index  []int32 // id+1 per slot, 0 = empty; len is a power of two
+	keys   []byte  // the chunk the entries' keys are cut from (carve)
+}
+
+// reset empties the table for the next tree, keeping its pages, index and
+// last key chunk.
+func (t *keyTable[V]) reset() {
+	for i := range t.pages {
+		clear(t.pages[i])
+		t.pages[i] = t.pages[i][:0]
+	}
+	t.nextID = 0
+	clear(t.index)
+	t.keys = t.keys[:0]
 }
 
 // keyEntry is one entry of a keyTable: the table's own copy of the key,
@@ -94,7 +106,9 @@ func (t *keyTable[V]) add(kb []byte, h, slot uint64, v V) int32 {
 		}
 		t.pages = append(t.pages, make([]keyEntry[V], 0, size))
 	}
-	t.pages[p] = append(t.pages[p], keyEntry[V]{key: t.keys.save(kb), hash: h, val: v})
+	key := carve(&t.keys, len(kb), 2*1024)
+	copy(key, kb)
+	t.pages[p] = append(t.pages[p], keyEntry[V]{key: key, hash: h, val: v})
 	t.index[slot] = id + 1
 	return id
 }
@@ -267,6 +281,12 @@ func (s *idSet[T]) id(v T) int32 {
 		s.vals = append(s.vals, v)
 	}
 	return id
+}
+
+// reset empties the set, keeping its storage.
+func (s *idSet[T]) reset() {
+	clear(s.ids)
+	s.vals = s.vals[:0]
 }
 
 // idKey renders c's memo key into the explorer's reused buffer: the object

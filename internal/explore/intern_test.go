@@ -13,11 +13,15 @@ import (
 	"waitfree/internal/types"
 )
 
-// engineExplorer is newExplorer plus what runTree attaches, a background
-// context, one worker's counters and the access-counter ids, for tests
-// that call e.explore or e.dfs directly.
+// engineExplorer is a fresh explorer set up as runTree sets one up —
+// reset, the root, a background context, one worker's counters and the
+// access-counter ids — for tests that call e.explore or e.dfs directly.
 func engineExplorer(im *program.Implementation, scripts [][]types.Invocation, opts Options) (*explorer, *config, error) {
-	e, root, err := newExplorer(im, scripts, opts)
+	e := new(explorer)
+	if err := e.reset(im, scripts, opts); err != nil {
+		return nil, nil, err
+	}
+	root, err := e.newRoot()
 	if err != nil {
 		return nil, nil, err
 	}

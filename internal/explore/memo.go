@@ -12,7 +12,11 @@ import (
 // of the explorer's hash tables use. The memo maps a configuration's id
 // key (intern.go: the tree's fixed-width vector of state ids) to the
 // settled summary of its subtree. Every table is owned by one explorer
-// (one execution tree) and driven from its goroutine only.
+// and driven from its goroutine only. Its contents are per tree: ids name
+// states of one tree, so an entry is meaningless in another. Its storage
+// is per explorer, which under ConsensusKContext is one per worker: reset
+// empties the table between trees and keeps its pages, counter slab,
+// index, free list and clock at their capacity.
 //
 // Nothing in a memo entry is a pointer. Entries are named by dense int32
 // ids and live in pages of two parallel arrays: the keys, inline at
@@ -133,9 +137,9 @@ const (
 // on the free list), gray (on the DFS stack) or cached (counted against
 // the budget and, in a budgeted table, referenced exactly once from the
 // clock). Every key of one tree has the same width, fixed by the first
-// acquire, so a freed entry's key slot always fits the next key that
-// reuses it. Ids are handed out in insertion order and, once freed (drop
-// and eviction), reused LIFO.
+// acquire after a reset, so a freed entry's key slot always fits the next
+// key that reuses it. Ids are handed out in insertion order and, once
+// freed (drop and eviction), reused LIFO.
 //
 // A positive budget caps the number of cached entries. Gray entries are
 // the DFS stack: they never count toward the budget and are never
@@ -184,12 +188,30 @@ type memoTable struct {
 	spilled    int64
 }
 
-func newMemoTable(budget int, spillDir string, fsys fsx.FS) *memoTable {
-	t := &memoTable{budget: budget, width: -1}
-	if spillDir != "" && budget > 0 {
+// reset empties the table for the next tree, under a budget and spill
+// directory (see Options.MemoBudget and MemoSpillDir). The pages, counter
+// slab, index, free list and clock keep their storage; the first key of
+// the tree fixes the width anew. A spill tier starts fresh, with no file
+// until its first eviction: the last tree's was deleted by release, and a
+// spilled entry of one tree must never serve another.
+func (t *memoTable) reset(budget int, spillDir string, fsys fsx.FS) {
+	t.width = -1
+	t.nextID, t.live, t.count = 0, 0, 0
+	t.free = t.free[:0]
+	clear(t.index)
+	t.acc.reset()
+	t.budget = budget
+	t.clock, t.clockHead = t.clock[:0], 0
+	t.degraded = false
+	t.evictions, t.evictScans, t.spilled = 0, 0, 0
+	switch {
+	case spillDir == "" || budget == 0:
+		t.spill = nil
+	case t.spill == nil:
 		t.spill = newMemoSpill(spillDir, fsys)
+	default:
+		t.spill.reset(spillDir, fsys)
 	}
-	return t
 }
 
 // isDegraded reports whether this tree's memo lost entries for good:
@@ -200,8 +222,8 @@ func (t *memoTable) isDegraded() bool {
 	return t.degraded || (t.spill != nil && t.spill.lost)
 }
 
-// release tears the table down at tree completion, deleting the spill file
-// if one was created.
+// release ends the table's tree, deleting the spill file if one was
+// created. The storage stays for the next reset.
 func (t *memoTable) release() {
 	if t.spill != nil {
 		t.spill.close()
@@ -238,6 +260,12 @@ func (t *memoTable) acquire(kb []byte) (hit summary, id int32, found memoFound) 
 	if t.width != len(kb) {
 		if t.width >= 0 {
 			panic("explore: memo keys of one tree differ in width")
+		}
+		if len(t.pages) > 0 && len(t.pages[0].keys) != len(kb)*len(t.pages[0].recs) {
+			// The last tree's keys had another width: its key slots
+			// do not fit this tree's.
+			clear(t.pages)
+			t.pages = t.pages[:0]
 		}
 		t.width = len(kb)
 	}
@@ -313,6 +341,9 @@ func (t *memoTable) add(kb []byte, h, slot uint64) int32 {
 			copy(recs, pg.recs)
 			pg.keys, pg.recs = keys, recs
 		}
+		// A reset table's record may still name the last tree's counter
+		// region.
+		t.pages[p].recs[id&(memoPageSize-1)].accOff = 0
 	}
 	copy(t.key(id), kb)
 	rec := t.rec(id)
@@ -460,8 +491,8 @@ func (t *memoTable) clockPush(id int32) {
 }
 
 // grayKeys returns the keys currently marked on-stack (test hook: after a
-// run no gray marks may survive, or a later exploration reusing the table
-// would report a phantom cycle).
+// run no gray marks may survive, or a later acquire of a marked key would
+// report a phantom cycle).
 func (t *memoTable) grayKeys() []string {
 	var out []string
 	for id := int32(0); id < t.nextID; id++ {

@@ -11,9 +11,19 @@ import (
 	"testing"
 
 	"waitfree/internal/consensus"
+	"waitfree/internal/fsx"
+	"waitfree/internal/program"
 )
 
 // memoInsert acquires key, which must miss, and settles it with sum.
+// newMemoTable returns an empty table, reset as an explorer resets its
+// own for each tree.
+func newMemoTable(budget int, spillDir string, fsys fsx.FS) *memoTable {
+	t := new(memoTable)
+	t.reset(budget, spillDir, fsys)
+	return t
+}
+
 func memoInsert(t testing.TB, tbl *memoTable, key string, sum *summary) {
 	t.Helper()
 	_, id, found := tbl.acquire([]byte(key))
@@ -293,16 +303,21 @@ func (m *memoModel) check(t *testing.T, step int, tbl *memoTable) {
 // counters of varying length, so freed entries' counter regions are
 // reused both in place and by reallocation. The wide cases use enough
 // keys to fill several entry pages. At the end every gray entry is
-// finished and none may survive.
+// finished and none may survive. The reset cases drive one table through
+// three trees, as a worker's explorer does: the second over the first's
+// keys, so any entry, counter region or spilled record a reset left
+// behind would serve a hit the fresh model does not expect, and the third
+// over keys of another width, so the kept pages must make room for it.
 func TestMemoTableMatchesModel(t *testing.T) {
-	keys := func(n int, seed int64) []string {
+	keysOf := func(n int, seed int64, pad int) []string {
 		rng := rand.New(rand.NewSource(seed))
 		out := make([]string, n)
 		for i := range out {
-			out[i] = fmt.Sprintf("k%05d|%s", i, strings.Repeat(string(rune('a'+rng.Intn(26))), 6))
+			out[i] = fmt.Sprintf("k%05d|%s", i, strings.Repeat(string(rune('a'+rng.Intn(26))), pad))
 		}
 		return out
 	}
+	keys := func(n int, seed int64) []string { return keysOf(n, seed, 6) }
 	for _, budget := range []int{0, 1, 8, 64} {
 		for _, spill := range []bool{false, true} {
 			for seed := int64(1); seed <= 3; seed++ {
@@ -321,6 +336,32 @@ func TestMemoTableMatchesModel(t *testing.T) {
 		t.Run(fmt.Sprintf("wide/budget=%d", budget), func(t *testing.T) {
 			runMemoModel(t, budget, t.TempDir(), 1, keys(3*memoPageSize, 1), 6000)
 		})
+	}
+	for _, budget := range []int{0, 8, memoPageSize + memoPageSize/2} {
+		for _, spill := range []bool{false, true} {
+			t.Run(fmt.Sprintf("reset/budget=%d/spill=%v", budget, spill), func(t *testing.T) {
+				dir := ""
+				if spill {
+					dir = t.TempDir()
+				}
+				n := min(3*budget+16, 3*memoPageSize)
+				tbl := newMemoTable(budget, dir, nil)
+				defer tbl.release()
+				for tree, ks := range [][]string{keys(n, 1), keys(n, 1), keysOf(n, 2, 11)} {
+					if tree > 0 {
+						tbl.release()
+						tbl.reset(budget, dir, nil)
+					}
+					driveMemoModel(t, tbl, budget, int64(tree+1), ks, 4000)
+				}
+				tbl.release()
+				if spill {
+					if entries, err := os.ReadDir(dir); err != nil || len(entries) != 0 {
+						t.Errorf("spill files survived release: %v %v", entries, err)
+					}
+				}
+			})
+		}
 	}
 }
 
@@ -356,12 +397,20 @@ func TestMemoTableCollisions(t *testing.T) {
 	}
 }
 
-// runMemoModel drives tbl and the model through steps random operations
-// over keys, all of one width, and finishes every gray entry at the end.
+// runMemoModel drives a fresh table and the model through steps random
+// operations over keys, all of one width (driveMemoModel).
 func runMemoModel(t *testing.T, budget int, spillDir string, seed int64, keys []string, steps int) {
-	rng := rand.New(rand.NewSource(seed))
 	tbl := newMemoTable(budget, spillDir, nil)
 	defer tbl.release()
+	driveMemoModel(t, tbl, budget, seed, keys, steps)
+}
+
+// driveMemoModel drives tbl, which must be empty (fresh or reset), and a
+// fresh model through steps random operations over keys, all of one
+// width, and finishes every gray entry at the end.
+func driveMemoModel(t *testing.T, tbl *memoTable, budget int, seed int64, keys []string, steps int) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
 	m := &memoModel{
 		budget:  budget,
 		spillOn: tbl.spill != nil,
@@ -489,9 +538,10 @@ func TestMemoAcquireAllocFree(t *testing.T) {
 }
 
 // BenchmarkMemo is the memo table's row in the per-layer ledger: a
-// resident hit, an unbudgeted miss->settle (insert of a fresh key), and a
+// resident hit, an unbudgeted miss->settle (insert of a fresh key), a
 // budgeted miss->settle whose eviction writes the victim to the spill
-// tier.
+// tier, and trees of inserts into a new table (fresh) or into the last
+// tree's table after a reset (reset).
 func BenchmarkMemo(b *testing.B) {
 	key := func(buf []byte, i int) []byte {
 		buf = append(buf[:0], "memo-bench-configuration-key/"...)
@@ -549,51 +599,95 @@ func BenchmarkMemo(b *testing.B) {
 		dir := b.TempDir()
 		fresh(b, 64, 1<<14, func() string { return dir })
 	})
+	// tree times whole trees of 4096 inserts, each settling four counters:
+	// every tree starts from a new table, or resets the one warm table as
+	// a worker's explorer does between trees, keeping its pages, counter
+	// slab and index. Every tree inserts the same keys, so an entry a
+	// reset left behind would hit.
+	tree := func(b *testing.B, reuse bool) {
+		const size = 4096
+		sum := &summary{nodes: 1, acc: []int32{1, 2, 3, 4}}
+		tbl := newMemoTable(0, "", nil)
+		var buf []byte
+		for i := 0; i < size; i++ {
+			buf = key(buf, i)
+			_, id, _ := tbl.acquire(buf)
+			tbl.settle(id, sum)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if i%size == 0 {
+				if reuse {
+					tbl.reset(0, "", nil)
+				} else {
+					tbl = newMemoTable(0, "", nil)
+				}
+			}
+			buf = key(buf, i%size)
+			_, id, found := tbl.acquire(buf)
+			if found != memoMiss {
+				b.Fatal("a key of the last tree hit")
+			}
+			tbl.settle(id, sum)
+		}
+	}
+	b.Run("fresh", func(b *testing.B) { tree(b, false) })
+	b.Run("reset", func(b *testing.B) { tree(b, true) })
 }
 
 // TestMemoSpillPreservesHits pins the spill tier's contract: a budgeted
 // run with MemoSpillDir scores exactly the memo hits of an unbounded run,
 // produces the identical report, never degrades, and cleans its spill file
-// up at completion. The same budget without a spill tier must still
-// degrade (the flag keeps meaning "the memo lost entries for good").
+// up at completion. At Parallelism 1 one explorer, and so one memo table
+// and one spill tier reset between trees, serves every tree: each tree
+// deletes its file when it ends and the next starts a fresh one, which no
+// record of an earlier tree may serve. The same budget without a spill
+// tier must still degrade (the flag keeps meaning "the memo lost entries
+// for good").
 func TestMemoSpillPreservesHits(t *testing.T) {
-	im := consensus.Queue2()
-	full, err := ConsensusKContext(context.Background(), im, 2, Options{Memoize: true, Faults: oneCrash})
-	if err != nil {
-		t.Fatal(err)
-	}
-	dir := t.TempDir()
-	spill, err := ConsensusKContext(context.Background(), im, 2, Options{
-		Memoize: true, MemoBudget: 4, MemoSpillDir: dir, Faults: oneCrash,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if spill.Degraded || (spill.Stats != nil && spill.Stats.Degraded) {
-		t.Fatalf("spill-backed budget degraded: %s", spill.Summary())
-	}
-	if spill.Stats.MemoSpilled == 0 {
-		t.Errorf("budget 4 spilled nothing: %+v", spill.Stats)
-	}
-	if spill.Stats.MemoEvictions == 0 {
-		t.Errorf("budget 4 evicted nothing: %+v", spill.Stats)
-	}
-	if spill.MemoHits != full.MemoHits {
-		t.Errorf("spill lost memo hits: %d, unbounded %d", spill.MemoHits, full.MemoHits)
-	}
-	if !reflect.DeepEqual(stripStats(full), stripStats(spill)) {
-		t.Errorf("spill-backed report differs from unbounded:\nfull:  %+v\nspill: %+v",
-			stripStats(full), stripStats(spill))
-	}
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) != 0 {
-		t.Errorf("spill file survived tree completion: %v", entries)
+	for _, tc := range []struct {
+		im  *program.Implementation
+		par int
+	}{{consensus.Queue2(), 0}, {consensus.Queue2(), 1}, {consensus.Sticky(3), 1}} {
+		im, par := tc.im, tc.par
+		full, err := ConsensusKContext(context.Background(), im, 2, Options{Memoize: true, Faults: oneCrash, Parallelism: par})
+		if err != nil {
+			t.Fatal(err)
+		}
+		dir := t.TempDir()
+		spill, err := ConsensusKContext(context.Background(), im, 2, Options{
+			Memoize: true, MemoBudget: 4, MemoSpillDir: dir, Faults: oneCrash, Parallelism: par,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if spill.Degraded || (spill.Stats != nil && spill.Stats.Degraded) {
+			t.Fatalf("%s parallelism %d: spill-backed budget degraded: %s", im.Name, par, spill.Summary())
+		}
+		if spill.Stats.MemoSpilled == 0 {
+			t.Errorf("%s parallelism %d: budget 4 spilled nothing: %+v", im.Name, par, spill.Stats)
+		}
+		if spill.Stats.MemoEvictions == 0 {
+			t.Errorf("%s parallelism %d: budget 4 evicted nothing: %+v", im.Name, par, spill.Stats)
+		}
+		if spill.MemoHits != full.MemoHits {
+			t.Errorf("%s parallelism %d: spill lost memo hits: %d, unbounded %d", im.Name, par, spill.MemoHits, full.MemoHits)
+		}
+		if !reflect.DeepEqual(stripStats(full), stripStats(spill)) {
+			t.Errorf("%s parallelism %d: spill-backed report differs from unbounded:\nfull:  %+v\nspill: %+v",
+				im.Name, par, stripStats(full), stripStats(spill))
+		}
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(entries) != 0 {
+			t.Errorf("%s parallelism %d: spill file survived tree completion: %v", im.Name, par, entries)
+		}
 	}
 
-	noSpill, err := ConsensusKContext(context.Background(), im, 2, Options{Memoize: true, MemoBudget: 4, Faults: oneCrash})
+	noSpill, err := ConsensusKContext(context.Background(), consensus.Queue2(), 2, Options{Memoize: true, MemoBudget: 4, Faults: oneCrash})
 	if err != nil {
 		t.Fatal(err)
 	}

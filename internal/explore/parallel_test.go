@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"waitfree/internal/consensus"
+	"waitfree/internal/faults"
 	"waitfree/internal/program"
 	"waitfree/internal/types"
 )
@@ -25,8 +26,10 @@ func stripStats(r *ConsensusReport) *ConsensusReport {
 // TestConsensusParallelMatchesSequential is the parity guarantee of
 // Options.Parallelism: on every corpus protocol — correct or violating,
 // memoized or not — the parallel report must be deep-equal to the
-// sequential one, including the Nodes/Leaves/MemoHits accounting (per-tree
-// memo tables make the counts a pure function of the implementation).
+// sequential one, including the Nodes/Leaves/MemoHits accounting. Memo
+// contents are per tree, while the storage is per worker: each worker
+// resets its one explorer for every tree it claims, so the counts are a
+// pure function of the implementation.
 func TestConsensusParallelMatchesSequential(t *testing.T) {
 	for _, im := range consensus.Corpus() {
 		for _, memoize := range []bool{false, true} {
@@ -45,6 +48,94 @@ func TestConsensusParallelMatchesSequential(t *testing.T) {
 				if !reflect.DeepEqual(seq, par) {
 					t.Errorf("%s memoize=%v workers=%d: report mismatch\nseq: %+v\npar: %+v",
 						im.Name, memoize, workers, seq, par)
+				}
+			}
+		}
+	}
+}
+
+// engineCounters are the Stats fields that are a pure function of the
+// trees explored: everything but timing, load spread and liveness.
+type engineCounters struct {
+	Nodes, Leaves, MemoHits     int64
+	TransHits, TransMisses      int64
+	StepHits, StepMisses        int64
+	InternedObjs, InternedProcs int64
+	MemoEvictions, MemoSpilled  int64
+}
+
+func countersOf(s *Stats) engineCounters {
+	return engineCounters{
+		Nodes: s.Nodes, Leaves: s.Leaves, MemoHits: s.MemoHits,
+		TransHits: s.TransHits, TransMisses: s.TransMisses,
+		StepHits: s.StepHits, StepMisses: s.StepMisses,
+		InternedObjs: s.InternedObjs, InternedProcs: s.InternedProcs,
+		MemoEvictions: s.MemoEvictions, MemoSpilled: s.MemoSpilled,
+	}
+}
+
+// TestEngineCountersMatchAcrossParallelism is the leak detector of the
+// worker-owned explorers. A ConsensusKContext worker resets one explorer
+// for every tree it claims, and which trees share an explorer changes with
+// Parallelism, so anything a reset left behind — an interned state, a
+// cache row, a memo or spill entry, a counter — would show in the
+// deterministic engine counters. On every corpus protocol the check
+// verifies, memo off, on, and budgeted with a spill tier, fault-free,
+// crash-stop and crash-recovery, the counters must be equal at 1, 2 and 4
+// workers, and equal to the sum of the trees explored one by one, each
+// with a fresh explorer. -short skips the runs of over a million nodes.
+func TestEngineCountersMatchAcrossParallelism(t *testing.T) {
+	models := map[string]faults.Model{
+		"fault-free":     {},
+		"crash-stop":     {Mode: faults.CrashStop, MaxCrashes: 1},
+		"crash-recovery": {Mode: faults.CrashRecovery, MaxCrashes: 1, MaxRecoveries: 1},
+	}
+	memos := map[string]Options{
+		"memo-off":    {},
+		"memo-on":     {Memoize: true},
+		"memo-budget": {Memoize: true, MemoBudget: 8},
+	}
+	for _, im := range consensus.Corpus() {
+		for mname, model := range models {
+			for oname, base := range memos {
+				opts := base
+				opts.Faults = model
+				if opts.MemoBudget > 0 {
+					opts.MemoSpillDir = t.TempDir()
+				}
+				name := im.Name + "/" + mname + "/" + oname
+				opts.Parallelism = 1
+				seq, err := ConsensusKContext(context.Background(), im, 2, opts)
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				if !seq.OK() {
+					continue // a violation cuts the run short at a parallelism-dependent point
+				}
+				if testing.Short() && seq.Nodes > 1e6 {
+					continue // unmemoized crash-recovery CASRegister3: 22M nodes a run
+				}
+				roots := 1 << im.Procs
+				ctr := newCounters(1, roots)
+				for mask := 0; mask < roots; mask++ {
+					if out := exploreTree(context.Background(), new(explorer), im, 2, mask, opts, ctr, 0); out.err != nil {
+						t.Fatalf("%s: mask %d: %v", name, mask, out.err)
+					}
+				}
+				fresh := ctr.snapshot()
+				want := countersOf(&fresh)
+				if got := countersOf(seq.Stats); got != want {
+					t.Errorf("%s workers=1: counters %+v, fresh explorers %+v", name, got, want)
+				}
+				for _, workers := range []int{2, 4} {
+					opts.Parallelism = workers
+					par, err := ConsensusKContext(context.Background(), im, 2, opts)
+					if err != nil {
+						t.Fatalf("%s workers=%d: %v", name, workers, err)
+					}
+					if got := countersOf(par.Stats); got != want {
+						t.Errorf("%s workers=%d: counters %+v, fresh explorers %+v", name, workers, got, want)
+					}
 				}
 			}
 		}

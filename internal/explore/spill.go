@@ -30,10 +30,12 @@ import (
 // magic or version; store and load encode into and read from buffers the
 // spill owns and reuses.
 //
-// The spill file is private to one memo table (one execution tree),
+// The spill file is private to one memo table and one execution tree,
 // created lazily in MemoSpillDir on the first eviction and deleted when
 // the table is released at tree completion — or the moment the tier
-// breaks, so a long-lived daemon never litters the spill dir. Failures
+// breaks, so a long-lived daemon never litters the spill dir. The next
+// tree through the same table starts a fresh tier (reset): its id keys
+// name other configurations, so no record may serve it. Failures
 // walk the unified degradation ladder instead of wedging the tier:
 // transient I/O errors are retried under fsx.DefaultRetry; a write or
 // read the retries cannot absorb buys one rebuild (fresh file, cleared
@@ -77,6 +79,18 @@ type memoSpill struct {
 
 func newMemoSpill(dir string, fsys fsx.FS) *memoSpill {
 	return &memoSpill{dir: dir, fsys: fsx.Or(fsys), index: make(map[string]spillRef)}
+}
+
+// reset starts a fresh tier for the next tree in dir, keeping the index
+// map and the record buffers. The last tree's file is normally gone
+// already (release closes the tier at tree completion).
+func (sp *memoSpill) reset(dir string, fsys fsx.FS) {
+	sp.close()
+	index := sp.index
+	if index == nil { // a broken tier dropped it
+		index = make(map[string]spillRef)
+	}
+	*sp = memoSpill{dir: dir, fsys: fsx.Or(fsys), index: index, wbuf: sp.wbuf, rbuf: sp.rbuf}
 }
 
 // policy is the unified retry policy with the spill's retry counter hung
@@ -202,11 +216,11 @@ func (sp *memoSpill) removeFile() {
 	sp.f = nil
 }
 
-// close deletes the spill file (the tier is a cache private to one tree;
-// nothing in it outlives the exploration).
+// close deletes the spill file and forgets its records (the tier is a
+// cache private to one tree; nothing in it outlives the exploration).
 func (sp *memoSpill) close() {
 	sp.removeFile()
-	sp.index = nil
+	clear(sp.index)
 }
 
 // ---- record codec ----

@@ -395,7 +395,7 @@ func TestSymmetryResumeFromMemberTrees(t *testing.T) {
 	}
 	ctr := newCounters(1, 8)
 	for _, mask := range []int{2, 6} {
-		out := exploreTree(context.Background(), im, 2, mask, opts, ctr, 0)
+		out := exploreTree(context.Background(), new(explorer), im, 2, mask, opts, ctr, 0)
 		if out.err != nil {
 			t.Fatal(out.err)
 		}

@@ -80,9 +80,12 @@ func ValencySet(mask uint64) []int {
 // protocol that decides. Decision values must lie in 0..63. A panic in a
 // type spec or machine is a *faults.PanicError.
 func Valency(im *program.Implementation, proposals []int) (_ *ValencyReport, err error) {
-	var e *explorer
-	defer recoverPanic(&e, &err)
-	e, root, err := newExplorer(im, consensusScripts(proposals), Options{})
+	e := new(explorer)
+	defer recoverPanic(e, &err)
+	if err := e.reset(im, consensusScripts(proposals), Options{}); err != nil {
+		return nil, err
+	}
+	root, err := e.newRoot()
 	if err != nil {
 		return nil, err
 	}

@@ -62,8 +62,9 @@ func Walk(im *program.Implementation, scripts [][]types.Invocation, s Schedule) 
 
 // walk is Walk, also returning the explorer it walked with.
 func walk(im *program.Implementation, scripts [][]types.Invocation, s Schedule) (w *Walked, e *explorer, err error) {
-	defer recoverPanic(&e, &err)
-	if e, err = initExplorer(im, scripts, Options{RecordHistory: true, MaxDepth: s.MaxDepth}); err != nil {
+	e = new(explorer)
+	defer recoverPanic(e, &err)
+	if err = e.reset(im, scripts, Options{RecordHistory: true, MaxDepth: s.MaxDepth}); err != nil {
 		return nil, nil, err
 	}
 	// A walk has no subtrees to share, so its processes step in scratch

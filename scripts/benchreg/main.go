@@ -65,6 +65,14 @@ type File struct {
 // baseline toward every row's lowest reading; a real saving is larger.
 const ratchetMargin = 0.01
 
+// benchCPU is the GOMAXPROCS every gated run uses (go test -cpu). A
+// consensus run at the default Parallelism starts one worker per P, and
+// each worker keeps one explorer whose tables fill once per run, so a
+// row's allocs/op depends on the worker count; pinning it keeps the
+// baseline meaningful on machines of any size, as the names (stripped
+// of their -GOMAXPROCS suffix) assume.
+const benchCPU = "2"
+
 // benchLine matches one `go test -bench` result line; value/unit pairs
 // after the iteration count are parsed separately.
 var benchLine = regexp.MustCompile(`^(Benchmark\S+)\s+(\d+)\s+(.*)$`)
@@ -213,7 +221,7 @@ func ratchetBaseline(base *File, fresh map[string]Point) []string {
 // run executes the benchmark suite and parses its output.
 func run(bench, benchtime string) (map[string]Point, error) {
 	cmd := exec.Command("go", "test", "-run", "XXX",
-		"-bench", bench, "-benchmem", "-benchtime", benchtime, ".")
+		"-bench", bench, "-benchmem", "-benchtime", benchtime, "-cpu", benchCPU, ".")
 	out, err := cmd.CombinedOutput()
 	if err != nil {
 		return nil, fmt.Errorf("go test -bench: %w\n%s", err, out)
