@@ -21,11 +21,14 @@ import (
 // chaosRequest is the reference spill-backed configuration: single
 // worker and fixed symmetry so the op sequence (and therefore every
 // Nth-op fault schedule) is deterministic, and a memo budget small
-// enough that the spill tier does real work.
+// enough that the spill tier does real work. The spill writes whole 4 KiB
+// blocks, so the instance must spill several blocks a tree for its
+// faults to reach the disk: each of the eight CASRegister3 trees under
+// one crash writes six blocks and reads 190 records back.
 func chaosRequest(fs fsx.FS, spillDir string) waitfree.Request {
 	return waitfree.Request{
 		Kind:           waitfree.KindConsensus,
-		Implementation: waitfree.Queue2Consensus(),
+		Implementation: waitfree.CASRegister3Consensus(),
 		Explore: waitfree.ExploreOptions{
 			Memoize:      true,
 			MemoBudget:   4,
@@ -35,6 +38,18 @@ func chaosRequest(fs fsx.FS, spillDir string) waitfree.Request {
 			Faults:       waitfree.FaultModel{MaxCrashes: 1},
 			FS:           fs,
 		},
+	}
+}
+
+// requireRulesFired fails the test unless ff performed every occurrence
+// each rule scripts: a rule that never fired proves nothing.
+func requireRulesFired(t *testing.T, ff *fsx.FaultFS, rules []fsx.Rule) {
+	t.Helper()
+	for _, r := range rules {
+		last := max(r.Nth, 1) + max(r.Count, 1) - 1
+		if n := ff.CountOf(r.Op); n < last {
+			t.Errorf("rule %+v never fired in full: %d %s operations, want %d", r, n, r.Op, last)
+		}
 	}
 }
 
@@ -57,16 +72,18 @@ func TestChaosAbsorbedScheduleIsInvisible(t *testing.T) {
 	// Every fault here dies inside one retry schedule: two transient
 	// errors per op class (the third attempt lands) and one torn write
 	// the rewrite repairs.
-	ff := fsx.NewFaultFS(nil, 1,
-		fsx.Rule{Op: fsx.OpWriteAt, Nth: 1, Count: 2, Err: syscall.EIO},
-		fsx.Rule{Op: fsx.OpWriteAt, Nth: 7, Count: 1, Kind: fsx.FaultTorn},
-		fsx.Rule{Op: fsx.OpReadAt, Nth: 1, Count: 2, Err: syscall.EIO},
-		fsx.Rule{Op: fsx.OpCreateTemp, Nth: 1, Count: 1, Err: syscall.EIO},
-	)
+	rules := []fsx.Rule{
+		{Op: fsx.OpWriteAt, Nth: 1, Count: 2, Err: syscall.EIO},
+		{Op: fsx.OpWriteAt, Nth: 7, Count: 1, Kind: fsx.FaultTorn},
+		{Op: fsx.OpReadAt, Nth: 1, Count: 2, Err: syscall.EIO},
+		{Op: fsx.OpCreateTemp, Nth: 1, Count: 1, Err: syscall.EIO},
+	}
+	ff := fsx.NewFaultFS(nil, 1, rules...)
 	faulted := runChaos(t, ff, t.TempDir())
 	if ff.Injected() == 0 {
 		t.Fatal("fault schedule never fired; the test proved nothing")
 	}
+	requireRulesFired(t, ff, rules)
 	if faulted.Consensus.Degraded {
 		t.Fatalf("absorbed schedule degraded the run: %s", faulted.Consensus.Summary())
 	}
@@ -85,12 +102,13 @@ func TestChaosUnabsorbedScheduleDegradesHonestly(t *testing.T) {
 	// Every spill write fails forever: retries exhaust, the one rebuild
 	// fails too, the tier breaks. The run must finish with the same
 	// verdict, flagged Degraded, with the ladder's counters visible.
-	ff := fsx.NewFaultFS(nil, 1,
-		fsx.Rule{Op: fsx.OpWriteAt, Nth: 1, Count: -1, Err: syscall.EIO})
+	rules := []fsx.Rule{{Op: fsx.OpWriteAt, Nth: 1, Count: -1, Err: syscall.EIO}}
+	ff := fsx.NewFaultFS(nil, 1, rules...)
 	sick, err := waitfree.Check(context.Background(), chaosRequest(ff, t.TempDir()))
 	if err != nil {
 		t.Fatalf("check over a dead spill disk: %v", err)
 	}
+	requireRulesFired(t, ff, rules)
 	if sick.OK() != clean.OK() {
 		t.Fatalf("storage faults changed the verdict: ok=%v, clean ok=%v", sick.OK(), clean.OK())
 	}
@@ -113,16 +131,23 @@ func TestChaosUnabsorbedScheduleDegradesHonestly(t *testing.T) {
 }
 
 // A silent bit flip on the spill read path must never change a report:
-// the per-record checksums catch it, the entry's hit is lost, and the
-// verdict fields stay exactly the clean run's.
+// the per-record checksums catch it, the entry's hit is lost (the run is
+// flagged Degraded), and the verdict fields stay exactly the clean run's.
 func TestChaosBitFlipNeverCorruptsVerdict(t *testing.T) {
 	clean := runChaos(t, nil, t.TempDir())
+	rules := []fsx.Rule{{Op: fsx.OpReadAt, Nth: 3, Count: 2, Kind: fsx.FaultBitFlip}}
 	for seed := int64(1); seed <= 4; seed++ {
-		ff := fsx.NewFaultFS(nil, seed,
-			fsx.Rule{Op: fsx.OpReadAt, Nth: 3, Count: 2, Kind: fsx.FaultBitFlip})
+		ff := fsx.NewFaultFS(nil, seed, rules...)
 		sick, err := waitfree.Check(context.Background(), chaosRequest(ff, t.TempDir()))
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
+		}
+		if ff.Injected() == 0 {
+			t.Fatalf("seed %d: no bit was flipped; the test proved nothing", seed)
+		}
+		requireRulesFired(t, ff, rules)
+		if !sick.Consensus.Degraded {
+			t.Errorf("seed %d: flipped records went uncaught: the run is not Degraded", seed)
 		}
 		if sick.OK() != clean.OK() {
 			t.Fatalf("seed %d: bit flips changed the verdict", seed)

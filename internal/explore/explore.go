@@ -587,13 +587,9 @@ func runTree(ctx context.Context, e *explorer, im *program.Implementation, scrip
 	if err := e.reset(im, scripts, opts); err != nil {
 		return nil, err
 	}
-	root, err := e.newRoot()
-	if err != nil {
-		return nil, err
-	}
 	e.ctx, e.ctr, e.widx = ctx, ctr, widx
 	e.initAcct()
-	return e.explore(root)
+	return e.explore()
 }
 
 // reset validates the shape of a run of im under scripts and makes e
@@ -723,13 +719,18 @@ func (e *explorer) newRoot() (*config, error) {
 	return c, nil
 }
 
-// explore runs the DFS from root and aggregates the result; a panic in
-// user-supplied code is an error (recoverPanic).
-func (e *explorer) explore(root *config) (res *Result, err error) {
+// explore builds the root, runs the DFS from it and aggregates the
+// result; a panic in user-supplied code, the root's Start and first Next
+// included, is an error (recoverPanic).
+func (e *explorer) explore() (res *Result, err error) {
 	if e.memo != nil {
 		defer e.memo.release()
 	}
 	defer recoverPanic(e, &err)
+	root, err := e.newRoot()
+	if err != nil {
+		return nil, err
+	}
 	im := e.im
 	sum, err := e.dfs(root, 0, e.tally(root))
 	e.flushCounters(0)
@@ -796,6 +797,12 @@ func (e *explorer) flushTreeCounters() {
 		}
 		if sp.broken {
 			e.ctr.spillBroken.Store(true)
+		}
+		if sp.writes != 0 {
+			e.ctr.spillWrites.Add(sp.writes)
+		}
+		if sp.bytes != 0 {
+			e.ctr.spillBytes.Add(sp.bytes)
 		}
 	}
 }

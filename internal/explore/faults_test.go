@@ -423,6 +423,40 @@ func TestSideWalkerPanicRecovery(t *testing.T) {
 	checkExplodingPanic(t, "Dot", im, err)
 }
 
+// TestRootPanicRecovery extends the contract to the root configuration:
+// a machine whose first Next panics, before any object access, is a
+// *faults.PanicError at the root from every engine entry that builds a
+// root in a worker, not a dead process.
+func TestRootPanicRecovery(t *testing.T) {
+	im := explodingImpl()
+	im.Machines = []program.Machine{explodingMachine, rootExplodingMachine}
+	check := func(name string, err error) {
+		t.Helper()
+		var pe *faults.PanicError
+		if !errors.As(err, &pe) {
+			t.Fatalf("%s: err = %v, want *faults.PanicError", name, err)
+		}
+		if pe.Value != "root exploded" || pe.Proc != -1 || pe.Context != "root configuration" {
+			t.Errorf("%s: panic %v by process %d at %q, want the root's", name, pe.Value, pe.Proc, pe.Context)
+		}
+	}
+	for _, workers := range []int{1, 2} {
+		_, err := ConsensusKContext(context.Background(), im, 2, Options{Parallelism: workers})
+		check(fmt.Sprintf("ConsensusKContext workers=%d", workers), err)
+	}
+	_, err := RunContext(context.Background(), im, consensusScripts([]int{0, 1}), Options{Memoize: true})
+	check("RunContext", err)
+}
+
+// rootExplodingMachine panics in its first Next, while the root
+// configuration is being built.
+var rootExplodingMachine = program.FuncMachine{
+	StartFn: func(types.Invocation, any) any { return 0 },
+	NextFn: func(any, types.Response) (program.Action, any) {
+		panic("root exploded")
+	},
+}
+
 // explodingImpl is a two-process protocol of explodingMachines over one
 // test-and-set.
 func explodingImpl() *program.Implementation {

@@ -14,8 +14,9 @@ import (
 )
 
 // engineExplorer is a fresh explorer set up as runTree sets one up —
-// reset, the root, a background context, one worker's counters and the
-// access-counter ids — for tests that call e.explore or e.dfs directly.
+// reset, a background context, one worker's counters and the
+// access-counter ids — plus the root, for tests that call e.explore or
+// e.dfs directly (explore builds the same root again).
 func engineExplorer(im *program.Implementation, scripts [][]types.Invocation, opts Options) (*explorer, *config, error) {
 	e := new(explorer)
 	if err := e.reset(im, scripts, opts); err != nil {
@@ -53,7 +54,7 @@ func TestInternedKeyMatchesSegmentKey(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: %v", name, err)
 				}
-				if _, err := e.explore(root); err != nil {
+				if _, err := e.explore(); err != nil {
 					t.Fatalf("%s: %v", name, err)
 				}
 				checkInternedKeys(t, name, e, len(root.objs), len(root.procs))

@@ -157,7 +157,9 @@ const (
 // With a spill tier (Options.MemoSpillDir) evicted entries move to a
 // checksummed disk file instead of being forgotten, and a later acquire
 // serves them back — the budget then trades memory for disk, MemoHits
-// match the unbounded run, and the table never degrades. Without one,
+// match the unbounded run, and the table never degrades. The tier adds
+// one 4 KiB block and a fixed few bytes of index per spilled entry to the
+// bound, never the entry's key (spill.go). Without one,
 // eviction loses memo hits and the table is flagged degraded.
 type memoTable struct {
 	width  int // key bytes per entry
@@ -255,7 +257,7 @@ func (t *memoTable) view(rec *memoRec) summary {
 // (possibly evicting another), and served — still a hit. Otherwise kb is
 // copied into the table as a gray entry and its id returned, for the
 // caller to finish with settle or drop. kb is not retained, and a hit's
-// counters are valid until the next settle.
+// counters are valid until the next settle or acquire.
 func (t *memoTable) acquire(kb []byte) (hit summary, id int32, found memoFound) {
 	if t.width != len(kb) {
 		if t.width >= 0 {
@@ -285,9 +287,9 @@ func (t *memoTable) acquire(kb []byte) (hit summary, id int32, found memoFound) 
 	}
 	id = t.add(kb, h, slot)
 	if t.spill != nil {
-		if sum, ok := t.spill.load(kb); ok {
-			// Served from the decoded copy: the admission may evict the
-			// entry again at once.
+		if sum, ok := t.spill.load(kb, uint32(h)); ok {
+			// Served from the spill's decoded copy: the admission may
+			// evict the entry again at once.
 			t.admit(id, sum, memoSpilled)
 			return *sum, -1, memoHit
 		}
@@ -472,10 +474,11 @@ func (t *memoTable) evict() {
 	}
 }
 
-// spillStore writes entry id's key and summary to the spill tier.
+// spillStore writes entry id's key and summary to the spill tier, which
+// indexes it by the hash the record already holds.
 func (t *memoTable) spillStore(id int32, rec *memoRec) bool {
 	sum := t.view(rec)
-	return t.spill.store(t.key(id), &sum)
+	return t.spill.store(t.key(id), rec.hash, &sum)
 }
 
 // clockPush appends id to the clock, first compacting the consumed prefix

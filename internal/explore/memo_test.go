@@ -698,26 +698,33 @@ func TestMemoSpillPreservesHits(t *testing.T) {
 
 // TestSpillRecordRoundTrip exercises the spill codec directly: arbitrary
 // (newline- and NUL-containing) keys and summaries survive the binary
-// record round trip, absent keys miss, and a corrupted record is dropped —
-// confined to its own entry, never served, never breaking the tier.
+// record round trip from the pending block and from the file, absent keys
+// miss, and a corrupted record is dropped — confined to its own entry,
+// never served, never breaking the tier.
 func TestSpillRecordRoundTrip(t *testing.T) {
 	sp := newMemoSpill(t.TempDir(), nil)
 	defer sp.close()
 
-	key := "raw\nbytes\x00with separators"
+	key := []byte("raw\nbytes\x00with separators")
+	h := uint32(hashKey(key))
 	sum := &summary{height: 3, nodes: 42, leaves: 7, acc: []int32{0, 2, 5}}
-	if !sp.store([]byte(key), sum) {
+	if !sp.store(key, h, sum) {
 		t.Fatal("store failed")
 	}
-	got, ok := sp.load([]byte(key))
-	if !ok {
-		t.Fatal("load missed a stored key")
+	for _, where := range []string{"pending block", "file"} {
+		if where == "file" && !sp.flush() {
+			t.Fatal("flush failed")
+		}
+		got, ok := sp.load(key, h)
+		if !ok {
+			t.Fatalf("load from the %s missed a stored key", where)
+		}
+		if got.height != sum.height || got.nodes != sum.nodes || got.leaves != sum.leaves ||
+			!reflect.DeepEqual(got.acc, sum.acc) {
+			t.Fatalf("round trip through the %s mangled the summary: %+v want %+v", where, got, sum)
+		}
 	}
-	if got.height != sum.height || got.nodes != sum.nodes || got.leaves != sum.leaves ||
-		!reflect.DeepEqual(got.acc, sum.acc) {
-		t.Fatalf("round trip mangled the summary: %+v want %+v", got, sum)
-	}
-	if _, ok := sp.load([]byte("absent")); ok {
+	if _, ok := sp.load([]byte("absent"), uint32(hashKey([]byte("absent")))); ok {
 		t.Fatal("phantom hit for a key never stored")
 	}
 
@@ -727,7 +734,7 @@ func TestSpillRecordRoundTrip(t *testing.T) {
 	if _, err := sp.f.WriteAt([]byte{'#'}, 1); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := sp.load([]byte(key)); ok {
+	if _, ok := sp.load(key, h); ok {
 		t.Fatal("corrupted record served")
 	}
 	if !sp.lost {
@@ -736,13 +743,14 @@ func TestSpillRecordRoundTrip(t *testing.T) {
 	if sp.broken {
 		t.Fatal("single corrupt record broke the whole tier")
 	}
-	if _, ok := sp.load([]byte(key)); ok {
+	if _, ok := sp.load(key, h); ok {
 		t.Fatal("dropped record served on a second lookup")
 	}
-	if !sp.store([]byte("another"), sum) {
+	another := []byte("another")
+	if !sp.store(another, uint32(hashKey(another)), sum) || !sp.flush() {
 		t.Fatal("tier stopped accepting stores after a confined corruption")
 	}
-	if got, ok := sp.load([]byte("another")); !ok || got.nodes != sum.nodes {
+	if got, ok := sp.load(another, uint32(hashKey(another))); !ok || got.nodes != sum.nodes {
 		t.Fatal("entry stored after a confined corruption did not round-trip")
 	}
 }

@@ -193,11 +193,11 @@ func TestErrorPathClearsGrayMarks(t *testing.T) {
 		{types.Propose(0)},
 		{types.Propose(1)},
 	}
-	e, root, err := engineExplorer(im, scripts, Options{Memoize: true})
+	e, _, err := engineExplorer(im, scripts, Options{Memoize: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.explore(root); err == nil {
+	if _, err := e.explore(); err == nil {
 		t.Fatal("faulty implementation explored without error")
 	}
 	if gray := e.memo.grayKeys(); len(gray) != 0 {

@@ -19,7 +19,8 @@ func countSpillFiles(t *testing.T, dir string) int {
 }
 
 // A transient write or read fault is absorbed by the unified retry
-// policy: the entry round-trips, nothing is lost, no rebuild is spent.
+// policy: the entry round-trips through the file, nothing is lost, no
+// rebuild is spent.
 func TestSpillTransientFaultsAbsorbed(t *testing.T) {
 	dir := t.TempDir()
 	ff := fsx.NewFaultFS(nil, 1,
@@ -29,13 +30,14 @@ func TestSpillTransientFaultsAbsorbed(t *testing.T) {
 	sp := newMemoSpill(dir, ff)
 	defer sp.close()
 
-	sum := &summary{height: 2, nodes: 9, leaves: 3, acc: []int32{1, 2}}
-	if !sp.store([]byte("key"), sum) {
-		t.Fatal("store failed under a transient write fault")
+	keys, ok := fillBlock(sp, "key")
+	if !ok {
+		t.Fatal("block write failed under a transient write fault")
 	}
-	got, ok := sp.load([]byte("key"))
-	if !ok || got.nodes != sum.nodes {
-		t.Fatalf("load under a transient read fault = %+v, %v", got, ok)
+	mustLoad(t, sp, keys[0], spillSum(1))
+	if ff.CountOf(fsx.OpWriteAt) != 2 || ff.CountOf(fsx.OpReadAt) != 2 {
+		t.Fatalf("WriteAt %d, ReadAt %d calls, want each fault and its retry",
+			ff.CountOf(fsx.OpWriteAt), ff.CountOf(fsx.OpReadAt))
 	}
 	if sp.lost || sp.rebuilt || sp.broken {
 		t.Fatalf("transient faults moved the ladder: lost=%v rebuilt=%v broken=%v",
@@ -47,65 +49,71 @@ func TestSpillTransientFaultsAbsorbed(t *testing.T) {
 }
 
 // A write failure the retries cannot absorb buys exactly one rebuild:
-// the fresh file keeps spilling, previously spilled entries are lost (the
-// run degrades honestly), and the dead file does not survive on disk.
+// the records already written are lost (the run degrades honestly), the
+// pending block goes to the fresh file with every record it holds, the
+// tier keeps spilling, and the dead file does not survive on disk.
 func TestSpillRebuildAfterUnabsorbedWriteFault(t *testing.T) {
 	dir := t.TempDir()
-	// The second store's write fails through the whole retry schedule
+	// The second block write fails through the whole retry schedule
 	// (WriteAt occurrences 2..1+Attempts), then the rebuild's fresh file
-	// takes the write.
+	// takes the block.
 	ff := fsx.NewFaultFS(nil, 1,
 		fsx.Rule{Op: fsx.OpWriteAt, Nth: 2, Count: int(fsx.DefaultRetry.Attempts), Err: syscall.EIO})
 	sp := newMemoSpill(dir, ff)
 	defer sp.close()
-	sum := &summary{nodes: 5}
-	if !sp.store([]byte("early"), sum) {
-		t.Fatal("clean store failed")
+	early, ok := fillBlock(sp, "early")
+	if !ok || sp.rebuilt {
+		t.Fatalf("clean block write: ok=%v rebuilt=%v", ok, sp.rebuilt)
 	}
-	if !sp.store([]byte("late"), sum) {
-		t.Fatal("store did not survive via rebuild")
+	late, ok := fillBlock(sp, "late")
+	if !ok {
+		t.Fatal("block write did not survive via rebuild")
 	}
 	if !sp.rebuilt || sp.rebuilds != 1 {
 		t.Fatalf("rebuilt=%v rebuilds=%d, want one rebuild", sp.rebuilt, sp.rebuilds)
 	}
 	if !sp.lost {
-		t.Fatal("rebuild dropped spilled entries without flagging the run")
+		t.Fatal("rebuild dropped written entries without flagging the run")
 	}
 	if sp.broken {
 		t.Fatal("rebuild broke the tier")
 	}
-	if _, ok := sp.load([]byte("early")); ok {
+	if _, ok := sp.load(early[0], spillHash(early[0])); ok {
 		t.Fatal("pre-rebuild entry served from a discarded file")
 	}
-	if got, ok := sp.load([]byte("late")); !ok || got.nodes != sum.nodes {
-		t.Fatalf("post-rebuild entry lost: %+v, %v", got, ok)
+	// late[0] sits wholly in the rewritten block; the head of the last
+	// early record, written to the dead file, is gone with it.
+	mustLoad(t, sp, late[0], spillSum(1))
+	mustLoad(t, sp, late[len(late)-1], spillSum(len(late)))
+	if _, ok := sp.load(early[len(early)-1], spillHash(early[len(early)-1])); ok {
+		t.Fatal("record straddling into the dead file served")
 	}
 	if n := countSpillFiles(t, dir); n != 1 {
 		t.Fatalf("%d spill files on disk after rebuild, want 1", n)
 	}
 }
 
-// A rebuild on an empty spill is invisible to the run: nothing was
-// spilled yet, so nothing is lost and the run must not degrade.
+// A rebuild on an empty spill file is invisible to the run: nothing was
+// written yet, so the pending block goes to the fresh file whole, nothing
+// is lost and the run must not degrade.
 func TestSpillRebuildOnEmptyTierDoesNotDegrade(t *testing.T) {
 	dir := t.TempDir()
 	ff := fsx.NewFaultFS(nil, 1,
 		fsx.Rule{Op: fsx.OpWriteAt, Nth: 1, Count: int(fsx.DefaultRetry.Attempts), Err: syscall.EIO})
 	sp := newMemoSpill(dir, ff)
 	defer sp.close()
-	sum := &summary{nodes: 7}
-	if !sp.store([]byte("first"), sum) {
-		t.Fatal("first store did not survive via rebuild")
+	keys, ok := fillBlock(sp, "first")
+	if !ok {
+		t.Fatal("first block write did not survive via rebuild")
 	}
 	if !sp.rebuilt {
 		t.Fatal("unabsorbed fault did not spend the rebuild")
 	}
 	if sp.lost {
-		t.Fatal("rebuild of an empty tier flagged lost entries")
+		t.Fatal("rebuild of an empty file flagged lost entries")
 	}
-	if got, ok := sp.load([]byte("first")); !ok || got.nodes != sum.nodes {
-		t.Fatalf("entry lost across empty rebuild: %+v, %v", got, ok)
-	}
+	mustLoad(t, sp, keys[0], spillSum(1))
+	mustLoad(t, sp, keys[len(keys)-1], spillSum(len(keys)))
 }
 
 // When the rebuild fails too, the tier breaks: stores degrade like an
@@ -116,9 +124,9 @@ func TestSpillBreakRemovesFileImmediately(t *testing.T) {
 	ff := fsx.NewFaultFS(nil, 1,
 		fsx.Rule{Op: fsx.OpWriteAt, Nth: 1, Count: -1, Err: syscall.EIO})
 	sp := newMemoSpill(dir, ff)
-	sum := &summary{nodes: 3}
-	if sp.store([]byte("doomed"), sum) {
-		t.Fatal("store reported success on a dead disk")
+	keys, ok := fillBlock(sp, "doomed")
+	if ok {
+		t.Fatal("block write reported success on a dead disk")
 	}
 	if !sp.broken || !sp.lost {
 		t.Fatalf("persistent write faults did not break the tier: broken=%v lost=%v",
@@ -128,11 +136,15 @@ func TestSpillBreakRemovesFileImmediately(t *testing.T) {
 		t.Fatalf("broken tier leaked %d spill files", n)
 	}
 	// The dead tier answers like no spill at all, without touching disk.
-	if sp.store([]byte("more"), sum) {
+	calls := len(ff.Trace())
+	if sp.store([]byte("more"), spillHash([]byte("more")), spillSum(1)) {
 		t.Fatal("broken tier accepted a store")
 	}
-	if _, ok := sp.load([]byte("doomed")); ok {
+	if _, ok := sp.load(keys[0], spillHash(keys[0])); ok {
 		t.Fatal("broken tier served a hit")
+	}
+	if n := len(ff.Trace()) - calls; n != 0 {
+		t.Fatalf("broken tier made %d I/O calls", n)
 	}
 }
 
@@ -141,7 +153,7 @@ func TestSpillBreakRemovesFileImmediately(t *testing.T) {
 func TestSpillCloseRemovesFile(t *testing.T) {
 	dir := t.TempDir()
 	sp := newMemoSpill(dir, nil)
-	if !sp.store([]byte("k"), &summary{nodes: 1}) {
+	if _, ok := fillBlock(sp, "k"); !ok {
 		t.Fatal("store failed")
 	}
 	if n := countSpillFiles(t, dir); n != 1 {
@@ -154,9 +166,9 @@ func TestSpillCloseRemovesFile(t *testing.T) {
 }
 
 // Every op class the spill tier performs walks the ladder instead of
-// wedging: under persistent faults on any one class, store/load never
-// serve corrupt data, the tier ends in a lawful state, and a broken tier
-// never leaves a file behind.
+// wedging: under persistent faults on any one class, a store that writes
+// its block and a load from the file never serve corrupt data, the tier
+// ends in a lawful state, and a broken tier never leaves a file behind.
 func TestSpillEveryOpClassFaultSweep(t *testing.T) {
 	for _, op := range []fsx.Op{
 		fsx.OpCreateTemp, fsx.OpWriteAt, fsx.OpReadAt, fsx.OpClose, fsx.OpRemove,
@@ -165,9 +177,10 @@ func TestSpillEveryOpClassFaultSweep(t *testing.T) {
 			dir := t.TempDir()
 			ff := fsx.NewFaultFS(nil, 1, fsx.Rule{Op: op, Nth: 1, Count: -1, Err: syscall.EIO})
 			sp := newMemoSpill(dir, ff)
+			key := []byte("key")
 			sum := &summary{height: 1, nodes: 4, leaves: 2, acc: []int32{0, 1}}
-			stored := sp.store([]byte("key"), sum)
-			if got, ok := sp.load([]byte("key")); ok {
+			stored := sp.store(key, spillHash(key), sum) && sp.flush()
+			if got, ok := sp.load(key, spillHash(key)); ok {
 				if !stored {
 					t.Fatal("load hit an entry store reported un-spilled")
 				}
@@ -177,12 +190,18 @@ func TestSpillEveryOpClassFaultSweep(t *testing.T) {
 			} else if stored && !sp.lost && !sp.broken {
 				t.Fatalf("stored entry missed without the run degrading")
 			}
+			if (op == fsx.OpCreateTemp || op == fsx.OpWriteAt || op == fsx.OpReadAt) && !sp.lost {
+				t.Fatalf("persistent %s faults lost nothing", op)
+			}
 			sp.close()
 			// Whatever the ladder decided, nothing may leak. A faulted
 			// Remove can strand the file on the real disk — tolerate only
 			// that op class.
 			if n := countSpillFiles(t, dir); n != 0 && op != fsx.OpRemove {
 				t.Fatalf("faulted %s leaked %d spill files", op, n)
+			}
+			if ff.Injected() == 0 {
+				t.Fatalf("no %s fault fired", op)
 			}
 		})
 	}

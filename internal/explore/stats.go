@@ -86,6 +86,13 @@ type Stats struct {
 	StorageRetries int64 `json:"storage_retries,omitempty"`
 	SpillRebuilds  int64 `json:"spill_rebuilds,omitempty"`
 	SpillBroken    bool  `json:"spill_broken,omitempty"`
+	// SpillBytes counts the record bytes the spill tier took, written or
+	// still in a tree's pending block; SpillWrites counts the 4 KiB
+	// blocks it wrote. A tree's last block is never written, so
+	// SpillWrites stays within SpillBytes/4096 plus one per tree. Both
+	// are summed over finished trees and stay zero without a spill tier.
+	SpillWrites int64 `json:"spill_writes,omitempty"`
+	SpillBytes  int64 `json:"spill_bytes,omitempty"`
 	// TransHits and TransMisses count transition-cache lookups (one per
 	// live process per expanded configuration) that found a cached
 	// Spec.Apply outcome or had to compute one; StepHits and StepMisses do
@@ -184,6 +191,8 @@ type counters struct {
 	storageRetries atomic.Int64
 	spillRebuilds  atomic.Int64
 	spillBroken    atomic.Bool
+	spillWrites    atomic.Int64
+	spillBytes     atomic.Int64
 	transHits      atomic.Int64
 	transMisses    atomic.Int64
 	stepHits       atomic.Int64
@@ -290,6 +299,8 @@ func (c *counters) snapshot() Stats {
 		StorageRetries: c.storageRetries.Load(),
 		SpillRebuilds:  c.spillRebuilds.Load(),
 		SpillBroken:    c.spillBroken.Load(),
+		SpillWrites:    c.spillWrites.Load(),
+		SpillBytes:     c.spillBytes.Load(),
 		TransHits:      c.transHits.Load(),
 		TransMisses:    c.transMisses.Load(),
 		StepHits:       c.stepHits.Load(),
